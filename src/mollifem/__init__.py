@@ -2,21 +2,17 @@
 an immersed curve, approximated by mollified Dirac densities."""
 
 from .afem import (AfemParams, RunRecord, RunRow, baseline_solve, data_loop,
-                   greedy, initial_grid_report, interface_loop, mark,
-                   regsolve, solve_loop)
+                   greedy, interface_loop, mark, regsolve, solve_loop)
 from .config import ExperimentConfig, preset
 from .curves import Curve, SegmentedData
 from .errors import NonTerminationError, NumericalError
-from .estimate import (IndicatorSet, estimate, jump_indicator_sq,
-                       surrogate_data_indicator)
+from .estimate import IndicatorSet, estimate, jump_indicator_sq
 from .fem import (BilinearFormSpec, DiscreteSystem, FeFunction, assemble,
-                  energy_distance, energy_error, form_matrix, prolong,
-                  solve_galerkin)
+                  energy_error, form_matrix, prolong, solve_galerkin)
 from .forcing import (DensityForcing, Kernel, LineForcing, RegularizedForcing,
-                      delta_r_eval, forcing_eval, kernel_moment_check,
-                      r_of_tau)
-from .mesh import (Mesh, interface_cells, interface_diameter,
-                   is_refinement_of, lshape_mesh, overlay, rect_mesh)
+                      kernel_moment_check, r_of_tau)
+from .mesh import (Mesh, interface_cells, interface_diameter, lshape_mesh,
+                   rect_mesh)
 from .problems import (TestProblem, lshape_problem, make_problem,
                        smooth_problem, square_problem)
 from .vtkio import write_vtk
@@ -28,12 +24,10 @@ __all__ = [
     "DiscreteSystem", "ExperimentConfig", "FeFunction", "IndicatorSet",
     "Kernel", "LineForcing", "Mesh", "NonTerminationError", "NumericalError",
     "RegularizedForcing", "RunRecord", "RunRow", "SegmentedData",
-    "TestProblem", "assemble", "baseline_solve", "data_loop", "delta_r_eval",
-    "energy_distance", "energy_error", "estimate", "forcing_eval",
-    "form_matrix", "greedy", "initial_grid_report", "interface_cells",
-    "interface_diameter", "is_refinement_of", "jump_indicator_sq",
-    "kernel_moment_check", "lshape_mesh", "lshape_problem", "make_problem",
-    "mark", "overlay", "preset", "prolong", "r_of_tau", "rect_mesh",
-    "regsolve", "smooth_problem", "solve_galerkin", "solve_loop",
-    "square_problem", "surrogate_data_indicator", "write_vtk",
+    "TestProblem", "assemble", "baseline_solve", "data_loop", "energy_error",
+    "estimate", "form_matrix", "greedy", "interface_cells",
+    "interface_diameter", "jump_indicator_sq", "kernel_moment_check",
+    "lshape_mesh", "lshape_problem", "make_problem", "mark", "preset",
+    "prolong", "r_of_tau", "rect_mesh", "regsolve", "smooth_problem",
+    "solve_galerkin", "solve_loop", "square_problem", "write_vtk",
 ]

@@ -14,6 +14,7 @@ for the benchmark tooling.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -321,13 +322,13 @@ def regsolve(problem, params: AfemParams, initial_mesh: Mesh | None = None):
     if problem.exact is not None:
         err_fn = ErrorIntegrator(problem.exact, form, problem.curve)
 
-    def stage(mesh, j, tau, warm):
+    def stage(mesh, j, tau, tol, warm):
         r = r_of_tau(tau)
         mesh = interface_loop(mesh, problem.curve, r)
         g = RegularizedForcing(problem.curve, problem.f, kernel, r)
         t0 = time.perf_counter()
         w, mesh, _ = solve_loop(
-            mesh, g, params.mu * tau, params, form, problem.boundary_data,
+            mesh, g, tol, params, form, problem.boundary_data,
             exact=err_fn, curve=problem.curve, record=record,
             outer_j=j, row_tau=tau, row_r=r, first_branch="INTERFACE",
             warm=warm)
@@ -337,33 +338,19 @@ def regsolve(problem, params: AfemParams, initial_mesh: Mesh | None = None):
 
     if params.single_shot:
         tau = params.tau0 * params.beta ** params.j_max
-        w, mesh = stage(mesh, 0, tau, None)
+        w, mesh = stage(mesh, 0, tau, params.mu * tau, None)
         tau_next = params.beta * tau
     else:
         tau = params.tau0
         for j in range(params.j_max + 1):
-            w, mesh = stage(mesh, j, tau, w)
+            w, mesh = stage(mesh, j, tau, params.mu * tau, w)
             tau = params.beta * tau
         tau_next = tau
 
     if params.extra_final_step:
-        r = r_of_tau(tau_next)
-        mesh = interface_loop(mesh, problem.curve, r)
-        g = RegularizedForcing(problem.curve, problem.f, kernel, r)
-        t0 = time.perf_counter()
-        system = assemble(mesh, form, g, problem.boundary_data)
-        guess = prolong(w, mesh).nodal_values if w is not None else None
-        w = solve_galerkin(system, initial_guess=guess)
-        ind = estimate(mesh, w, g, form)
-        err = float("nan")
-        if err_fn is not None:
-            err = err_fn(w)
-        ms = (time.perf_counter() - t0) * 1e3
-        j_extra = (record.rows[-1].j + 1) if record.rows else 0
-        record.append(RunRow(j_extra, 0, tau_next, r, mesh.num_vertices,
-                             mesh.num_cells, ind.global_total,
-                             ind.global_jump, ind.global_data, err,
-                             "INTERFACE", ms))
+        # radius update only: one interface pass and one solve at the next
+        # radius, which an infinite tolerance accepts without refinement
+        w, mesh = stage(mesh, record.rows[-1].j + 1, tau_next, math.inf, w)
     return w, mesh, record
 
 
@@ -394,23 +381,3 @@ def baseline_solve(problem, params: AfemParams,
                     mesh.num_vertices, time.perf_counter() - t0)
         tau = params.beta * tau
     return w, mesh, record
-
-
-def initial_grid_report(mesh: Mesh, curve: Curve) -> list[str]:
-    """Sanity findings about the starting grid's view of the curve.
-
-    Empty list means: some cells meet the curve and their sizes are within
-    a 4:1 ratio (a quasi-uniformity proxy).
-    """
-    findings = []
-    cells = interface_cells(mesh, curve)
-    if len(cells) == 0:
-        findings.append("no cell of the initial grid intersects the curve")
-        return findings
-    pos = mesh.active_pos
-    h = mesh.h_sizes[[pos[int(i)] for i in cells]]
-    if h.max() > 4.0 * h.min():
-        findings.append(
-            f"interface cell sizes vary by {h.max() / h.min():.2f} : 1 "
-            "(exceeds 4:1)")
-    return findings

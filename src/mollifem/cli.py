@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -61,8 +60,6 @@ def _cmd_run(args) -> int:
         overrides["output_dir"] = args.out
     if args.deterministic:
         overrides["deterministic"] = True
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if overrides:
         from dataclasses import replace
         cfg = replace(cfg, **overrides)
@@ -72,8 +69,6 @@ def _cmd_run(args) -> int:
             print(f"invalid config: {msg}", file=sys.stderr)
         return 1
 
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(cfg.threads))
     logging.basicConfig(level=logging.INFO, format="%(message)s",
                         stream=sys.stderr)
 
@@ -183,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None,
                        help="output directory (overrides the config)")
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--deterministic", action="store_true")
     p_run.set_defaults(fn=_cmd_run)
 

@@ -9,7 +9,6 @@ Schema (all keys optional, defaults shown):
       "initial_divisions": null,      // grid squares per unit length
       "output_dir": "out",
       "deterministic": false,
-      "threads": 1,
       "params": {
         "theta": 0.7, "theta_data": 0.7, "lambda": 0.3333333333333333,
         "mu": 0.5, "beta": 0.8, "tau0": 0.6, "j_max": 6,
@@ -52,7 +51,6 @@ class ExperimentConfig:
     initial_divisions: int | None = None
     output_dir: str = "out"
     deterministic: bool = False
-    threads: int = 1
     params: AfemParams = field(default_factory=AfemParams)
 
     def issues(self) -> list[str]:
@@ -77,8 +75,6 @@ class ExperimentConfig:
                        "a positive integer or null")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             bad.append("output_dir must be a non-empty string")
-        if not (isinstance(self.threads, int) and self.threads >= 1):
-            bad.append(f"threads={self.threads} must be a positive integer")
         bad.extend(self.params.issues())
         return bad
 
@@ -97,7 +93,6 @@ class ExperimentConfig:
             "initial_divisions": self.initial_divisions,
             "output_dir": self.output_dir,
             "deterministic": self.deterministic,
-            "threads": self.threads,
             "params": {
                 "theta": p.theta,
                 "theta_data": p.theta_data,
@@ -117,7 +112,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValueError("config root must be a JSON object")
         known = {"problem", "algorithm", "curve_segments", "initial_divisions",
-                 "output_dir", "deterministic", "threads", "params"}
+                 "output_dir", "deterministic", "params"}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -105,15 +105,6 @@ class Curve:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(out))
 
-    def arc_points(self, spacing: float) -> np.ndarray:
-        """Points sampled along the polyline at most `spacing` apart."""
-        out = []
-        for i in range(self.num_segments):
-            n = max(1, int(np.ceil(self.seg_lengths[i] / spacing)))
-            t = (np.arange(n) + 0.5) / n
-            out.append(self.seg_start[i] + t[:, None] * (self.seg_end[i] - self.seg_start[i]))
-        return np.vstack(out)
-
 
 class SegmentedData:
     """Line-source density f, piecewise constant per curve segment."""
@@ -130,24 +121,3 @@ class SegmentedData:
     @classmethod
     def constant(cls, curve: Curve, value: float) -> "SegmentedData":
         return cls(curve, value)
-
-    @cached_property
-    def sign_partition(self) -> list[tuple[int, int]]:
-        """Maximal runs [start, stop) of segments on which f does not change sign."""
-        signs = np.sign(self.values)
-        runs: list[tuple[int, int]] = []
-        start = 0
-        for i in range(1, len(signs)):
-            if signs[i] != signs[i - 1]:
-                runs.append((start, i))
-                start = i
-        runs.append((start, len(signs)))
-        return runs
-
-    @cached_property
-    def l2_norm(self) -> float:
-        return float(np.sqrt((self.values ** 2 * self.curve.seg_lengths).sum()))
-
-    @cached_property
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max())

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import quadrature as quadr
 from .fem import BilinearFormSpec, FeFunction, _p1_gradients, _cell_values
-from .forcing import LineForcing
 from .mesh import Mesh
 
 
@@ -89,9 +88,3 @@ def estimate(mesh: Mesh, w: FeFunction, forcing,
     jsq = jump_indicator_sq(mesh, w, form)
     d = forcing.data_indicator(mesh)
     return IndicatorSet(mesh.active_id_array, jsq, d * d)
-
-
-def surrogate_data_indicator(mesh: Mesh, curve, data) -> IndicatorSet:
-    """Data-only indicators h_T^(1/2) ||f||_{L2(T cap gamma)}."""
-    d = LineForcing(curve, data).data_indicator(mesh)
-    return IndicatorSet(mesh.active_id_array, np.zeros(mesh.num_cells), d * d)

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from . import quadrature as quadr
 from .errors import NumericalError
-from .mesh import Mesh, interface_cells
+from .mesh import CellCache, Mesh, interface_cells
 
 CG_RTOL = 5e-11
 
@@ -218,9 +218,7 @@ def energy_error(u_exact, w: FeFunction, form: BilinearFormSpec,
     depths = np.zeros(mesh.num_cells, dtype=np.int64)
     if curve is not None:
         hit = interface_cells(mesh, curve)
-        if len(hit):
-            pos = mesh.active_pos
-            depths[[pos[int(i)] for i in hit]] = _KINK_DEPTH
+        depths[np.searchsorted(mesh.active_id_array, hit)] = _KINK_DEPTH
 
     grads_w = np.einsum("mdi,mi->md", _p1_gradients(mesh), _cell_values(w))
     total = 0.0
@@ -245,13 +243,13 @@ def energy_error(u_exact, w: FeFunction, form: BilinearFormSpec,
 
 
 class ErrorIntegrator:
-    """Cached energy_error for repeated calls along one refinement lineage.
+    """Cached energy_error for repeated calls on refined meshes.
 
     For the plain Laplace form the exact-solution cell moments
     int_T |grad u|^2 and int_T grad u depend on geometry alone, so they are
-    cached by persistent cell id; the error against any P1 function then
-    needs no further exact-solution quadrature. Forms with coefficients fall
-    back to the direct routine.
+    cached per cell; the error against any P1 function then needs no further
+    exact-solution quadrature. Forms with coefficients fall back to the
+    direct routine.
     """
 
     def __init__(self, u_exact, form: BilinearFormSpec, curve=None):
@@ -259,34 +257,18 @@ class ErrorIntegrator:
         self.form = form
         self.curve = curve
         self._direct = form.a_field is not None or form.c_field is not None
-        self._sig: str | None = None
-        self._s0 = np.empty(0)
-        self._s1 = np.empty((0, 2))
+        self._s0 = CellCache()
+        self._s1 = CellCache((2,))
 
     def _sync(self, mesh: Mesh) -> None:
-        if self._sig != mesh.signature:
-            self._sig = mesh.signature
-            self._s0 = np.empty(0)
-            self._s1 = np.empty((0, 2))
-        top = mesh.num_created
-        if len(self._s0) < top:
-            n = max(top, 2 * len(self._s0))
-            grown = np.full(n, np.nan)
-            grown[:len(self._s0)] = self._s0
-            self._s0 = grown
-            grown = np.full((n, 2), np.nan)
-            grown[:len(self._s1)] = self._s1
-            self._s1 = grown
-        ids = mesh.active_id_array
-        fresh = np.nonzero(np.isnan(self._s0[ids]))[0]
+        fresh = self._s0.missing(mesh, np.arange(mesh.num_cells))
         if len(fresh) == 0:
             return
         depths = np.zeros(len(fresh), dtype=np.int64)
         if self.curve is not None:
             hit = interface_cells(mesh, self.curve, fresh)
-            if len(hit):
-                where = np.searchsorted(ids[fresh], hit)
-                depths[where] = _KINK_DEPTH
+            where = np.searchsorted(mesh.active_id_array[fresh], hit)
+            depths[where] = _KINK_DEPTH
         coords = mesh.cell_coords[fresh]
         areas = mesh.areas[fresh]
         for d in np.unique(depths):
@@ -296,34 +278,19 @@ class ErrorIntegrator:
             gu = np.asarray(self.exact.gradient(pts.reshape(-1, 2)),
                             dtype=np.float64).reshape(len(sel), -1, 2)
             sq = (gu * gu).sum(-1)
-            cid = ids[fresh[sel]]
-            self._s0[cid] = areas[sel] * (sq @ wq)
-            self._s1[cid] = areas[sel, None] \
-                * np.einsum("mqd,q->md", gu, wq)
+            self._s0.store(mesh, fresh[sel], areas[sel] * (sq @ wq))
+            self._s1.store(mesh, fresh[sel], areas[sel, None]
+                           * np.einsum("mqd,q->md", gu, wq))
 
     def __call__(self, w: FeFunction) -> float:
         if self._direct:
             return energy_error(self.exact, w, self.form, self.curve)
         mesh = w.mesh
         self._sync(mesh)
-        ids = mesh.active_id_array
+        positions = np.arange(mesh.num_cells)
         g = np.einsum("mdi,mi->md", _p1_gradients(mesh), _cell_values(w))
-        total = float(self._s0[ids].sum()) \
-            - 2.0 * float(np.einsum("md,md->", g, self._s1[ids])) \
+        s0 = self._s0.get(mesh, positions)
+        s1 = self._s1.get(mesh, positions)
+        total = float(s0.sum()) - 2.0 * float(np.einsum("md,md->", g, s1)) \
             + float((mesh.areas * (g * g).sum(-1)).sum())
         return float(np.sqrt(max(total, 0.0)))
-
-
-def energy_distance(a: FeFunction, b: FeFunction, form: BilinearFormSpec,
-                    matrix: sp.csr_matrix | None = None) -> float:
-    """Energy norm of (a - b) for two functions on the same mesh.
-
-    Equals sqrt(d^T K d) with K the unconstrained form matrix; pass a
-    precomputed K to skip its assembly.
-    """
-    if a.mesh is not b.mesh:
-        raise ValueError("functions live on different meshes")
-    if matrix is None:
-        matrix = form_matrix(a.mesh, form)
-    diff = a.nodal_values - b.nodal_values
-    return float(np.sqrt(max(float(diff @ (matrix @ diff)), 0.0)))

@@ -24,7 +24,7 @@ from . import quadrature as quadr
 from .curves import Curve, SegmentedData
 from .errors import NumericalError
 from .geometry import clip_segments_to_triangles
-from .mesh import Mesh, curve_cell_pairs
+from .mesh import CellCache, Mesh, curve_cell_pairs
 
 logger = logging.getLogger("mollifem")
 
@@ -132,14 +132,6 @@ class Kernel:
         return i0 * i0, np.array([i1 * i0, i0 * i1])
 
 
-def delta_r_eval(kernel: Kernel, r: float, x) -> np.ndarray | float:
-    """Evaluate delta_r at one point or an array of points (..., 2)."""
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 1
-    out = kernel.delta(r, x)
-    return float(out) if scalar else out
-
-
 def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0,
                         sample_points=None) -> float:
     """Max defect of the moment condition of the given order over sample points.
@@ -199,27 +191,8 @@ class RegularizedForcing:
         self.kernel = kernel
         self.r = float(r)
         self._build_nodes()
-        # per-cell integrals indexed by persistent cell id (NaN = not yet
-        # computed); valid within one mesh lineage, reset when the lineage
-        # signature changes
-        self._cache_sig: str | None = None
-        self._load_arr = np.empty((0, 3))
-        self._dsq_arr = np.empty(0)
-
-    def _lineage_cache(self, mesh: Mesh) -> None:
-        if self._cache_sig != mesh.signature:
-            self._cache_sig = mesh.signature
-            self._load_arr = np.empty((0, 3))
-            self._dsq_arr = np.empty(0)
-        top = mesh.num_created
-        if len(self._load_arr) < top:
-            n = max(top, 2 * len(self._load_arr))
-            grown = np.full((n, 3), np.nan)
-            grown[:len(self._load_arr)] = self._load_arr
-            self._load_arr = grown
-            grown = np.full(n, np.nan)
-            grown[:len(self._dsq_arr)] = self._dsq_arr
-            self._dsq_arr = grown
+        self._load = CellCache((3,))
+        self._dsq = CellCache()
 
     def _build_nodes(self) -> None:
         # Curve quadrature: composite 4-point Gauss on arc-length pieces of
@@ -326,40 +299,31 @@ class RegularizedForcing:
         return load, sq
 
     def load_vector(self, mesh: Mesh) -> np.ndarray:
-        self._lineage_cache(mesh)
         rhs = np.zeros(mesh.num_vertices)
         near = _cells_near_curve(mesh, self.curve, self.r)
         if len(near) == 0:
             return rhs
-        ids = mesh.active_id_array[near]
-        fresh = np.nonzero(np.isnan(self._load_arr[ids, 0]))[0]
+        fresh = near[self._load.missing(mesh, near)]
         if len(fresh):
-            load, _ = self._cell_integrals(mesh, near[fresh], True, False)
-            self._load_arr[ids[fresh]] = load
+            load, _ = self._cell_integrals(mesh, fresh, True, False)
+            self._load.store(mesh, fresh, load)
         np.add.at(rhs, mesh.triangles[near].ravel(),
-                  self._load_arr[ids].ravel())
+                  self._load.get(mesh, near).ravel())
         return rhs
 
-    def data_indicator(self, mesh: Mesh, ids=None) -> np.ndarray:
-        """d(T) = h_T ||F_r||_{L2(T)} for the given cell ids (default all active)."""
-        self._lineage_cache(mesh)
-        if ids is None:
-            positions = np.arange(mesh.num_cells)
-            ids = mesh.active_id_array
-        else:
-            pos = mesh.active_pos
-            ids = np.asarray(ids, dtype=np.int64)
-            positions = np.array([pos[int(i)] for i in ids], dtype=np.int64)
-        fresh = np.nonzero(np.isnan(self._dsq_arr[ids]))[0]
+    def data_indicator(self, mesh: Mesh) -> np.ndarray:
+        """d(T) = h_T ||F_r||_{L2(T)} for all active cells."""
+        positions = np.arange(mesh.num_cells)
+        fresh = self._dsq.missing(mesh, positions)
         if len(fresh):
-            near_flag = np.zeros(mesh.num_cells, dtype=bool)
-            near_flag[_cells_near_curve(mesh, self.curve, self.r)] = True
-            near_mask = near_flag[positions[fresh]]
-            compute = fresh[near_mask]
-            _, sq = self._cell_integrals(mesh, positions[compute], False, True)
-            self._dsq_arr[ids[compute]] = np.maximum(sq, 0.0)
-            self._dsq_arr[ids[fresh[~near_mask]]] = 0.0
-        return mesh.h_sizes[positions] * np.sqrt(self._dsq_arr[ids])
+            near = np.zeros(mesh.num_cells, dtype=bool)
+            near[_cells_near_curve(mesh, self.curve, self.r)] = True
+            compute = near[fresh]
+            _, sq = self._cell_integrals(mesh, fresh[compute], False, True)
+            dsq = np.zeros(len(fresh))
+            dsq[compute] = np.maximum(sq, 0.0)
+            self._dsq.store(mesh, fresh, dsq)
+        return mesh.h_sizes * np.sqrt(self._dsq.get(mesh, positions))
 
 
 class DensityForcing:
@@ -382,25 +346,20 @@ class DensityForcing:
         np.add.at(rhs, mesh.triangles.ravel(), loc.ravel())
         return rhs
 
-    def data_indicator(self, mesh: Mesh, ids=None) -> np.ndarray:
-        if ids is None:
-            positions = np.arange(mesh.num_cells)
-        else:
-            pos = mesh.active_pos
-            positions = np.array([pos[int(i)] for i in ids], dtype=np.int64)
+    def data_indicator(self, mesh: Mesh) -> np.ndarray:
         bary, w = quadr.TRI_BARY, quadr.TRI_WEIGHTS
-        pts = quadr.triangle_points(mesh.cell_coords[positions], bary)
-        g = self.eval(pts.reshape(-1, 2)).reshape(len(positions), len(w))
-        sq = mesh.areas[positions] * ((g * g) @ w)
-        return mesh.h_sizes[positions] * np.sqrt(np.maximum(sq, 0.0))
+        pts = quadr.triangle_points(mesh.cell_coords, bary)
+        g = self.eval(pts.reshape(-1, 2)).reshape(mesh.num_cells, len(w))
+        sq = mesh.areas * ((g * g) @ w)
+        return mesh.h_sizes * np.sqrt(np.maximum(sq, 0.0))
 
 
 class LineForcing:
     """Exact (clipped) line source; data indicator is the surrogate
     h_T^(1/2) ||f||_{L2(T cap gamma)}.
 
-    Clipping results are cached per cell id within one mesh lineage, so
-    repeated refinement passes only touch newly created cells.
+    Clipping results are cached per cell, so repeated refinement passes only
+    touch newly created cells.
     """
 
     def __init__(self, curve: Curve, data: SegmentedData):
@@ -408,24 +367,8 @@ class LineForcing:
             raise ValueError("data is attached to a different curve")
         self.curve = curve
         self.data = data
-        self._cache_sig: str | None = None
-        self._load_arr = np.empty((0, 3))
-        self._lsq_arr = np.empty(0)
-
-    def _lineage_cache(self, mesh: Mesh) -> None:
-        if self._cache_sig != mesh.signature:
-            self._cache_sig = mesh.signature
-            self._load_arr = np.empty((0, 3))
-            self._lsq_arr = np.empty(0)
-        top = mesh.num_created
-        if len(self._load_arr) < top:
-            n = max(top, 2 * len(self._load_arr))
-            grown = np.full((n, 3), np.nan)
-            grown[:len(self._load_arr)] = self._load_arr
-            self._load_arr = grown
-            grown = np.full(n, np.nan)
-            grown[:len(self._lsq_arr)] = self._lsq_arr
-            self._lsq_arr = grown
+        self._load = CellCache((3,))
+        self._lsq = CellCache()
 
     def _clipped(self, mesh: Mesh, positions=None):
         """(cell position, segment id, tmin, tmax) for clipped pieces."""
@@ -441,15 +384,12 @@ class LineForcing:
         return ci[ok], si[ok], t0[ok], t1[ok]
 
     def load_vector(self, mesh: Mesh) -> np.ndarray:
-        self._lineage_cache(mesh)
         rhs = np.zeros(mesh.num_vertices)
         near = _cells_near_curve(mesh, self.curve, 0.0)
         if len(near) == 0:
             return rhs
-        ids = mesh.active_id_array[near]
-        fresh = np.nonzero(np.isnan(self._load_arr[ids, 0]))[0]
-        if len(fresh):
-            posns = near[fresh]
+        posns = near[self._load.missing(mesh, near)]
+        if len(posns):
             loc = np.zeros((len(posns), 3))
             ci, si, t0, t1 = self._clipped(mesh, posns)
             if len(ci):
@@ -465,27 +405,19 @@ class LineForcing:
                 row_of = {int(p): k for k, p in enumerate(posns)}
                 rows = np.array([row_of[int(c)] for c in ci], dtype=np.int64)
                 np.add.at(loc, rows, contrib)
-            self._load_arr[ids[fresh]] = loc
+            self._load.store(mesh, posns, loc)
         np.add.at(rhs, mesh.triangles[near].ravel(),
-                  self._load_arr[ids].ravel())
+                  self._load.get(mesh, near).ravel())
         return rhs
 
-    def data_indicator(self, mesh: Mesh, ids=None) -> np.ndarray:
-        self._lineage_cache(mesh)
-        if ids is None:
-            positions = np.arange(mesh.num_cells)
-            ids = mesh.active_id_array
-        else:
-            pos = mesh.active_pos
-            ids = np.asarray(ids, dtype=np.int64)
-            positions = np.array([pos[int(i)] for i in ids], dtype=np.int64)
-        fresh = np.nonzero(np.isnan(self._lsq_arr[ids]))[0]
+    def data_indicator(self, mesh: Mesh) -> np.ndarray:
+        positions = np.arange(mesh.num_cells)
+        fresh = self._lsq.missing(mesh, positions)
         if len(fresh):
-            near_flag = np.zeros(mesh.num_cells, dtype=bool)
-            near_flag[_cells_near_curve(mesh, self.curve, 0.0)] = True
-            near_mask = near_flag[positions[fresh]]
-            compute = fresh[near_mask]
-            posns = positions[compute]
+            near = np.zeros(mesh.num_cells, dtype=bool)
+            near[_cells_near_curve(mesh, self.curve, 0.0)] = True
+            compute = near[fresh]
+            posns = fresh[compute]
             acc = np.zeros(len(posns))
             if len(posns):
                 ci, si, t0, t1 = self._clipped(mesh, posns)
@@ -496,9 +428,10 @@ class LineForcing:
                     rows = np.array([row_of[int(c)] for c in ci],
                                     dtype=np.int64)
                     np.add.at(acc, rows, piece)
-            self._lsq_arr[ids[compute]] = np.maximum(acc, 0.0)
-            self._lsq_arr[ids[fresh[~near_mask]]] = 0.0
-        return np.sqrt(mesh.h_sizes[positions] * self._lsq_arr[ids])
+            lsq = np.zeros(len(fresh))
+            lsq[compute] = np.maximum(acc, 0.0)
+            self._lsq.store(mesh, fresh, lsq)
+        return np.sqrt(mesh.h_sizes * self._lsq.get(mesh, positions))
 
 
 def _barycentric(cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -511,10 +444,3 @@ def _barycentric(cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
     l1 = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) / det
     l2 = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) / det
     return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
-
-
-def forcing_eval(forcing, x) -> np.ndarray | float:
-    """Pointwise evaluation of a forcing density at x (scalar for one point)."""
-    arr = np.asarray(x, dtype=np.float64)
-    vals = forcing.eval(arr.reshape(-1, 2))
-    return float(vals[0]) if arr.ndim == 1 else vals.reshape(arr.shape[:-1])

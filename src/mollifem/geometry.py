@@ -16,10 +16,6 @@ def cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def signed_area(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    return 0.5 * cross2(p1 - p0, p2 - p0)
-
-
 def points_in_triangles(p, t0, t1, t2):
     """Inclusive point-in-triangle test; triangles must be CCW oriented."""
     d0 = cross2(t1 - t0, p - t0)
@@ -102,19 +98,3 @@ def clip_segments_to_triangles(p0, p1, t0, t1, t2):
         ok &= ~(par & (c0 < -eps))
     ok &= tmax - tmin > 1e-14
     return tmin, tmax, ok
-
-
-def min_distance_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Minimum distance from any of `points` to any segment (a[i], b[i])."""
-    best = np.inf
-    chunk = max(1, int(2e6) // max(1, len(a)))
-    for lo in range(0, len(points), chunk):
-        p = points[lo:lo + chunk][:, None, :]
-        ab = (b - a)[None, :, :]
-        ap = p - a[None, :, :]
-        denom = (ab * ab).sum(-1)
-        t = np.clip((ap * ab).sum(-1) / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
-        foot = a[None, :, :] + t[..., None] * ab
-        d2 = ((p - foot) ** 2).sum(-1)
-        best = min(best, float(np.sqrt(d2.min())))
-    return best

@@ -1,10 +1,10 @@
 """Conforming triangle meshes with newest-vertex bisection.
 
-A ``Mesh`` is immutable: :meth:`Mesh.refine` and :func:`overlay` return new
-meshes that share the full cell genealogy, so every active cell's ancestor
-chain terminates at a cell of the initial triangulation. Vertices are only
-ever created (as edge midpoints), never removed, so the vertex count equals
-the P1 space dimension.
+A ``Mesh`` is immutable: :meth:`Mesh.refine` returns a new mesh that shares
+the full cell genealogy, so every active cell's ancestor chain terminates at
+a cell of the initial triangulation. Vertices are only ever created (as edge
+midpoints), never removed, so the vertex count equals the P1 space
+dimension.
 
 Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``. Bisection
 splits the tagged refinement edge at its midpoint; children are stored with
@@ -13,7 +13,6 @@ opposite the newest vertex).
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -62,7 +61,7 @@ class Mesh:
     """Immutable conforming triangulation; see module docstring."""
 
     def __init__(self, coords, cells, active_ids, edge_cells, split_edges,
-                 vertex_parents, history, signature):
+                 vertex_parents, history):
         self.coords = coords
         self.cells = cells
         self.active_ids = active_ids
@@ -70,7 +69,6 @@ class Mesh:
         self.split_edges = split_edges
         self.vertex_parents = vertex_parents
         self.history = history
-        self.signature = signature
 
     # -- construction -----------------------------------------------------
 
@@ -131,9 +129,8 @@ class Mesh:
             if len(adj) > 2:
                 raise ValueError(f"edge {k} shared by {len(adj)} cells")
 
-        sig = hashlib.sha1(coords.tobytes() + tris.tobytes() + tags.tobytes()).hexdigest()
         return cls(coords, cells, list(range(len(cells))), edge_cells, {},
-                   [None] * len(coords), (), sig)
+                   [None] * len(coords), ())
 
     # -- basic queries ----------------------------------------------------
 
@@ -150,20 +147,12 @@ class Mesh:
         return len(self.cells)
 
     @cached_property
-    def num_initial_vertices(self) -> int:
-        return sum(1 for p in self.vertex_parents if p is None)
-
-    @cached_property
     def active_id_array(self) -> np.ndarray:
         return np.array(self.active_ids, dtype=np.int64)
 
     @cached_property
     def active_cells(self) -> list[Cell]:
         return [self.cells[i] for i in self.active_ids]
-
-    @cached_property
-    def active_pos(self) -> dict[int, int]:
-        return {cid: i for i, cid in enumerate(self.active_ids)}
 
     @cached_property
     def triangles(self) -> np.ndarray:
@@ -204,14 +193,14 @@ class Mesh:
     def interior_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(verts (E,2), left cell position, right cell position) for interior edges."""
         verts, left, right = [], [], []
-        pos = self.active_pos
         for k, adj in self.edge_cells.items():
             if len(adj) == 2:
                 verts.append(k)
-                left.append(pos[adj[0]])
-                right.append(pos[adj[1]])
+                left.append(adj[0])
+                right.append(adj[1])
+        ids = self.active_id_array
         return (np.array(verts, dtype=np.int64).reshape(-1, 2),
-                np.array(left, dtype=np.int64), np.array(right, dtype=np.int64))
+                np.searchsorted(ids, left), np.searchsorted(ids, right))
 
     def total_marked(self) -> int:
         """Sum of marked-set sizes over all refine calls (complexity accounting)."""
@@ -236,10 +225,10 @@ class Mesh:
         marked_list = sorted({int(i) for i in marked})
         if not marked_list:
             return self
-        pos = self.active_pos
-        for cid in marked_list:
-            if cid not in pos:
-                raise ValueError(f"unknown or inactive cell id {cid}")
+        inactive = ~np.isin(marked_list, self.active_id_array)
+        if inactive.any():
+            raise ValueError("unknown or inactive cell id "
+                             f"{marked_list[int(np.argmax(inactive))]}")
 
         reg = list(self.cells)
         n0 = len(self.coords)
@@ -308,13 +297,55 @@ class Mesh:
         coords = np.vstack([old_coords, np.array(new_coords)]) if new_coords else old_coords
         history = self.history + (RefineRecord("refine", len(marked_list), nbis, len(active)),)
         return Mesh(coords, reg, sorted(active), edge_cells, split, vparents,
-                    history, self.signature)
+                    history)
 
     def uniform_refine(self, passes: int = 1) -> "Mesh":
         mesh = self
         for _ in range(passes):
             mesh = mesh.refine(mesh.active_ids)
         return mesh
+
+
+class CellCache:
+    """Per-cell values keyed by cell id and checked against the cell's triangle.
+
+    Sibling refinements of one mesh reuse creation-order ids for different
+    triangles, so each entry also stores the ordered vertex coordinates it
+    was computed for; a lookup hits only where they match the mesh's cell
+    exactly. Bisection computes every midpoint the same way, so a cell
+    reached through any refinement lineage hits its own entry.
+    """
+
+    def __init__(self, shape: tuple[int, ...] = ()):
+        self._coords = np.empty((0, 3, 2))  # NaN rows never match: no entry
+        self._values = np.empty((0, *shape))
+
+    def _reserve(self, n: int) -> None:
+        if len(self._coords) < n:
+            n = max(n, 2 * len(self._coords))
+            coords = np.full((n, 3, 2), np.nan)
+            coords[:len(self._coords)] = self._coords
+            values = np.full((n, *self._values.shape[1:]), np.nan)
+            values[:len(self._values)] = self._values
+            self._coords, self._values = coords, values
+
+    def missing(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        """Indices into `positions` (active cell positions) whose cell has no
+        entry computed for its current triangle."""
+        self._reserve(mesh.num_created)
+        ids = mesh.active_id_array[positions]
+        same = self._coords[ids] == mesh.cell_coords[positions]
+        return np.nonzero(~same.all(axis=(1, 2)))[0]
+
+    def store(self, mesh: Mesh, positions: np.ndarray, values) -> None:
+        self._reserve(mesh.num_created)
+        ids = mesh.active_id_array[positions]
+        self._coords[ids] = mesh.cell_coords[positions]
+        self._values[ids] = values
+
+    def get(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        """Cached values; every position must have been stored for this mesh."""
+        return self._values[mesh.active_id_array[positions]]
 
 
 # -- structured initial meshes -------------------------------------------
@@ -361,92 +392,6 @@ def lshape_mesh(n: int) -> Mesh:
     remap = {v: i for i, v in enumerate(used)}
     tris = [(remap[a], remap[b], remap[c]) for a, b, c in keep_tris]
     return Mesh.from_arrays(coords_full[used], tris)
-
-
-# -- genealogy ------------------------------------------------------------
-
-
-def _leaf_keys(mesh: Mesh) -> set[tuple[int, int, int]]:
-    return {(c.root, c.generation, c.path) for c in mesh.active_cells}
-
-
-def _has_weak_ancestor(key: tuple[int, int, int], leaves: set) -> bool:
-    root, gen, path = key
-    for k in range(gen + 1):
-        if (root, gen - k, path >> k) in leaves:
-            return True
-    return False
-
-
-def is_refinement_of(fine: Mesh, coarse: Mesh) -> bool:
-    """True when every active cell of `fine` descends from an active cell of `coarse`."""
-    if fine.signature != coarse.signature:
-        return False
-    leaves = _leaf_keys(coarse)
-    return all(_has_weak_ancestor((c.root, c.generation, c.path), leaves)
-               for c in fine.active_cells)
-
-
-def overlay(t1: Mesh, t2: Mesh, t0: Mesh) -> Mesh:
-    """Smallest common refinement of two refinements of t0.
-
-    For each point the finer of the two covering cells wins; the result is
-    conforming (both inputs are) and satisfies
-    ``num_cells <= t1.num_cells + t2.num_cells - t0.num_cells``.
-    """
-    if not (t1.signature == t2.signature == t0.signature):
-        raise ValueError("meshes do not share a genealogy root")
-    if not (is_refinement_of(t1, t0) and is_refinement_of(t2, t0)):
-        raise ValueError("overlay inputs must both refine the base mesh")
-
-    l1, l2 = _leaf_keys(t1), _leaf_keys(t2)
-    winners = {k for k in l1 if _has_weak_ancestor(k, l2)}
-    winners |= {k for k in l2 if _has_weak_ancestor(k, l1)}
-
-    n_init = t1.num_initial_vertices
-    roots = [c for c in t1.cells if c.generation == 0]
-    new_coords = [t1.coords[i] for i in range(n_init)]
-    vparents: list[tuple[int, int] | None] = [None] * n_init
-    new_split: dict[tuple[int, int], int] = {}
-    registry: list[Cell] = []
-    active: list[int] = []
-
-    def descend(vids, tag, gen, path, root, parent):
-        cid = len(registry)
-        registry.append(Cell(cid, vids, tag, gen, parent, root, path))
-        if (root, gen, path) in winners:
-            active.append(cid)
-            return
-        p, a, b = vids[tag], vids[(tag + 1) % 3], vids[(tag + 2) % 3]
-        key = _ekey(a, b)
-        m = new_split.get(key)
-        if m is None:
-            m = len(new_coords)
-            new_coords.append(0.5 * (new_coords[a] + new_coords[b]))
-            vparents.append((a, b))
-            new_split[key] = m
-        descend((m, p, a), 0, gen + 1, path * 2, root, cid)
-        descend((m, b, p), 0, gen + 1, path * 2 + 1, root, cid)
-
-    for rc in roots:
-        descend(rc.vertices, rc.refinement_edge, 0, 1, rc.root, None)
-
-    edge_cells: dict[tuple[int, int], tuple[int, ...]] = {}
-    for cid in active:
-        v = registry[cid].vertices
-        for a, b in ((v[1], v[2]), (v[2], v[0]), (v[0], v[1])):
-            k = _ekey(a, b)
-            edge_cells[k] = edge_cells.get(k, ()) + (cid,)
-    if any(len(adj) > 2 for adj in edge_cells.values()):
-        raise AssertionError("overlay produced a nonconforming mesh")
-
-    history = t1.history + (RefineRecord("overlay", 0, (len(registry) - len(active)),
-                                         len(active)),)
-    mesh = Mesh(np.array(new_coords), registry, sorted(active), edge_cells, new_split,
-                vparents, history, t1.signature)
-    if not mesh.is_conforming():
-        raise AssertionError("overlay produced hanging nodes")
-    return mesh
 
 
 # -- curve queries --------------------------------------------------------
@@ -509,5 +454,5 @@ def interface_diameter(mesh: Mesh, cells: np.ndarray) -> float:
     """max h_T over the given cell ids (0.0 for an empty set)."""
     if len(cells) == 0:
         return 0.0
-    pos = mesh.active_pos
-    return float(max(mesh.h_sizes[pos[int(c)]] for c in cells))
+    pos = np.searchsorted(mesh.active_id_array, cells)
+    return float(mesh.h_sizes[pos].max())

@@ -1,4 +1,5 @@
-"""Shared helpers: brute-force reference quadratures used as oracles.
+"""Shared helpers: brute-force reference quadratures used as oracles, and
+sibling meshes for per-cell cache checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mollifem.mesh import Mesh
+from mollifem.mesh import Mesh, interface_cells
 
 
 @pytest.fixture
@@ -54,3 +55,18 @@ def cell_l2_norms(mesh: Mesh, func, n: int = 12) -> np.ndarray:
         vals = np.asarray(func(pts), dtype=np.float64)
         out[c] = np.sqrt(max(float(w @ (vals * vals)), 0.0))
     return out
+
+
+def sibling_refinements(mesh: Mesh, curve) -> tuple[Mesh, Mesh]:
+    """Two refinements of `mesh` whose new cells share ids but not triangles.
+
+    Each sibling bisects a different cell that meets the curve, then its
+    four newest cells, so both siblings create cells near the curve under
+    the same creation-order ids.
+    """
+    hit = interface_cells(mesh, curve)
+    siblings = []
+    for cid in (hit[0], hit[5]):
+        fine = mesh.refine([cid])
+        siblings.append(fine.refine(fine.active_id_array[-4:]))
+    return siblings[0], siblings[1]

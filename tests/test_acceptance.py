@@ -10,12 +10,13 @@ import filecmp
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mollifem.afem import (AfemParams, baseline_solve, greedy, interface_loop,
-                           mark, regsolve, solve_loop)
+from mollifem.afem import (AfemParams, RunRecord, baseline_solve, greedy,
+                           interface_loop, mark, regsolve, solve_loop)
 from mollifem.cli import main as cli_main, slope_fit
 from mollifem.config import ExperimentConfig, preset
 from mollifem.fem import assemble, energy_error, solve_galerkin
@@ -242,9 +243,8 @@ def test_a09_solver_correctness():
         def load_vector(self, m):
             return np.zeros(m.num_vertices)
 
-        def data_indicator(self, m, ids=None):
-            k = m.num_cells if ids is None else len(ids)
-            return np.zeros(k)
+        def data_indicator(self, m):
+            return np.zeros(m.num_cells)
 
     sys_affine = assemble(mesh, p.form, _ZeroLoad(), affine)
     w_affine = solve_galerkin(sys_affine)
@@ -283,3 +283,31 @@ def test_a10_estimator_contraction():
             f"from the second one on: "
             + " ".join(f"{v:.3f}" for v in marks))
     assert diffs_ok
+
+
+# ---------------------------------------------------------------------------
+# check 11: repeated --deterministic CLI runs write byte-identical run.csv
+
+
+def test_a11_deterministic_csv_byte_identical(tmp_path):
+    # a small lshape regsolve stage (INTERFACE, DATA and MARK passes) plus
+    # the radius-update solve of extra_final_step, about 5 s per run
+    base = preset("lshape")
+    cfg = replace(base, curve_segments=2048,
+                  params=replace(base.params, mu=0.8, tau0=0.7, j_max=0,
+                                 extra_final_step=True))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--deterministic"]) == 0
+    same = filecmp.cmp(outs[0] / "run.csv", outs[1] / "run.csv",
+                       shallow=False)
+    rows = RunRecord.from_csv(outs[0] / "run.csv").rows
+    branches = {row.branch for row in rows}
+    _report(11, same, f"two runs of {len(rows)} rows (branches "
+                      f"{sorted(branches)}) byte-identical: {same}")
+    assert same
+    assert {"INTERFACE", "DATA", "MARK"} <= branches
+    assert (rows[-1].j, rows[-1].k, rows[-1].branch) == (1, 0, "INTERFACE")

@@ -34,7 +34,6 @@ def test_custom_dict_round_trip():
         "initial_divisions": 8,
         "output_dir": "results",
         "deterministic": True,
-        "threads": 2,
         "params": {"theta": 0.6, "lambda": 0.25, "j_max": 3},
     }
     cfg = ExperimentConfig.from_dict(raw)
@@ -59,6 +58,9 @@ def test_unknown_keys_rejected():
     # the JSON spelling is "lambda"; the attribute name is not accepted
     with pytest.raises(ValueError, match="unknown params keys"):
         ExperimentConfig.from_dict({"params": {"lam": 0.5}})
+    # thread counts are set from outside the process, not by the config
+    with pytest.raises(ValueError, match="unknown config keys"):
+        ExperimentConfig.from_dict({"problem": "lshape", "threads": 1})
 
 
 def test_from_json_rejects_non_json():
@@ -75,7 +77,6 @@ def test_issues_per_field():
     assert "initial_divisions=" in \
         replace(good, initial_divisions=0).issues()[0]
     assert "output_dir" in replace(good, output_dir="").issues()[0]
-    assert "threads=" in replace(good, threads=0).issues()[0]
     assert "theta=" in \
         replace(good, params=replace(good.params, theta=0.0)).issues()[0]
 

@@ -39,33 +39,10 @@ def test_grid_query_returns_superset(rng):
         assert set(brute.tolist()) <= got
 
 
-def test_arc_points_spacing():
-    c = Curve.circle((0.0, 0.0), 1.0, 1024, boundary_gap=1.0)
-    pts = c.arc_points(0.05)
-    d = np.sqrt(((pts[1:] - pts[:-1]) ** 2).sum(-1))
-    assert d.max() <= 0.05 + 1e-9
-    assert len(pts) >= c.total_length / 0.05
-
-
-def test_segmented_data_constant_l2_norm():
-    c = Curve.circle((0.0, 0.0), 0.2, 2048, boundary_gap=0.1)
-    f = SegmentedData.constant(c, 5.0)
-    # ||f||_L2(curve)^2 = f^2 * length
-    assert abs(f.l2_norm - 5.0 * np.sqrt(c.total_length)) < 1e-12
-    assert f.max_abs == 5.0
-
-
 def test_segmented_data_length_mismatch_rejected():
     c = Curve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), closed=False)
     with pytest.raises(ValueError):
         SegmentedData(c, np.array([1.0]))
-
-
-def test_sign_partition_blocks():
-    c = Curve(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
-                        [4.0, 0.0]]), closed=False)
-    f = SegmentedData(c, np.array([1.0, 1.0, -2.0, 3.0]))
-    assert f.sign_partition == [(0, 2), (2, 3), (3, 4)]
 
 
 def test_circle_boundary_gap_recorded():

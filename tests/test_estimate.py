@@ -3,11 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from mollifem.curves import Curve, SegmentedData
-from mollifem.estimate import (IndicatorSet, estimate, jump_indicator_sq,
-                               surrogate_data_indicator)
+from mollifem.estimate import IndicatorSet, estimate, jump_indicator_sq
 from mollifem.fem import BilinearFormSpec, FeFunction
-from mollifem.forcing import DensityForcing, LineForcing
+from mollifem.forcing import DensityForcing
 from mollifem.mesh import Mesh, rect_mesh
 
 
@@ -64,13 +62,3 @@ def test_global_norms_are_root_sums():
     assert abs(ind.global_jump - np.sqrt(5.0)) < 1e-15
     assert abs(ind.global_data - 3.0) < 1e-15
     assert abs(ind.global_total - np.sqrt(14.0)) < 1e-15
-
-
-def test_surrogate_indicator_equals_line_forcing_data():
-    mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
-    curve = Curve.circle((0.5, 0.5), 0.3, 256, boundary_gap=0.2)
-    data = SegmentedData.constant(curve, 2.0)
-    ind = surrogate_data_indicator(mesh, curve, data)
-    want = LineForcing(curve, data).data_indicator(mesh)
-    np.testing.assert_allclose(ind.data, want, atol=1e-15)
-    assert np.abs(ind.jump_sq).max() == 0.0

@@ -7,10 +7,12 @@ import sympy
 
 from mollifem.curves import Curve, SegmentedData
 from mollifem.fem import (BilinearFormSpec, ErrorIntegrator, FeFunction,
-                          assemble, energy_distance, energy_error, form_matrix,
-                          prolong, solve_galerkin)
+                          assemble, energy_error, form_matrix, prolong,
+                          solve_galerkin)
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import Mesh, rect_mesh
+
+from conftest import sibling_refinements
 
 
 class Poly2D:
@@ -116,8 +118,6 @@ def test_prolong_preserves_linears():
     lifted = prolong(FeFunction(mesh, vals), fine)
     want = 2.0 * fine.coords[:, 0] - fine.coords[:, 1] + 0.5
     np.testing.assert_allclose(lifted.nodal_values, want, atol=1e-13)
-    assert energy_distance(lifted, FeFunction(fine, want),
-                           BilinearFormSpec.laplace()) < 1e-12
 
 
 def test_prolong_rejects_non_refinement():
@@ -125,15 +125,6 @@ def test_prolong_rejects_non_refinement():
     b = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         prolong(FeFunction(a, np.zeros(a.num_vertices)), b)
-
-
-def test_energy_distance_of_known_planes():
-    mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
-    u = FeFunction(mesh, 3.0 * mesh.coords[:, 0])
-    v = FeFunction(mesh, mesh.coords[:, 1])
-    # grad difference (3, -1): distance sqrt(10 * |Omega|)
-    d = energy_distance(u, v, BilinearFormSpec.laplace())
-    assert abs(d - np.sqrt(10.0)) < 1e-12
 
 
 def test_energy_error_quadratic_hand_value():
@@ -173,6 +164,13 @@ def test_error_integrator_matches_direct():
         mesh = mesh.refine(mesh.active_id_array[::5])
     # a second integrator starting cold on the final mesh agrees too
     w = solve_galerkin(assemble(mesh, form, g))
+    cold = ErrorIntegrator(u, form, curve)(w)
+    assert abs(cold - integ(w)) <= 1e-12 * max(cold, 1.0)
+    # sibling refinements reuse new cell ids for different triangles
+    first, second = sibling_refinements(rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0),
+                                        curve)
+    integ(FeFunction(first, u.value(first.coords)))
+    w = FeFunction(second, u.value(second.coords))
     cold = ErrorIntegrator(u, form, curve)(w)
     assert abs(cold - integ(w)) <= 1e-12 * max(cold, 1.0)
 

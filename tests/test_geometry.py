@@ -4,8 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from mollifem.geometry import (clip_segments_to_triangles,
-                               min_distance_to_segments, points_in_triangles,
-                               segments_intersect,
+                               points_in_triangles, segments_intersect,
                                segments_intersect_triangles)
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -108,13 +107,3 @@ def test_clip_contained_segment_keeps_full_range():
         p0, p1, RIGHT[None, 0], RIGHT[None, 1], RIGHT[None, 2])
     assert inside[0]
     np.testing.assert_allclose([t0[0], t1[0]], [0.0, 1.0], atol=1e-12)
-
-
-def test_min_distance_to_segments_hand_values():
-    a = np.array([[0.0, 0.0]])
-    b = np.array([[1.0, 0.0]])
-    # closest point is the interior foot, then an endpoint
-    d1 = min_distance_to_segments(np.array([[0.5, 2.0]]), a, b)
-    d2 = min_distance_to_segments(np.array([[3.0, 4.0]]), a, b)
-    assert abs(d1 - 2.0) < 1e-12
-    assert abs(d2 - np.hypot(2.0, 4.0)) < 1e-12

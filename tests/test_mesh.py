@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from mollifem.curves import Curve
 from mollifem.mesh import (Mesh, curve_cell_pairs, interface_cells,
-                           interface_diameter, is_refinement_of, lshape_mesh,
-                           overlay, rect_mesh)
+                           interface_diameter, lshape_mesh, rect_mesh)
 
 
 def two_triangle_square() -> Mesh:
@@ -50,17 +49,37 @@ def test_refine_single_marked_cell_hand_count():
     assert abs(fine.areas.sum() - 1.0) < 1e-14
 
 
-def test_refine_preserves_area_and_nesting(rng):
-    mesh = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
-    base = mesh
-    for _ in range(5):
-        ids = mesh.active_id_array
-        marked = ids[rng.random(len(ids)) < 0.3]
-        mesh = mesh.refine(marked)
-        assert mesh.is_conforming()
-        assert abs(mesh.areas.sum() - 1.0) < 1e-12
-    assert is_refinement_of(mesh, base)
-    assert not is_refinement_of(base, mesh)
+def _descends_from(fine: Mesh, coarse: Mesh) -> bool:
+    """Every active cell of `fine` reaches an active cell of `coarse`."""
+    coarse_active = set(coarse.active_ids)
+    for cid in fine.active_ids:
+        while cid not in coarse_active:
+            cid = fine.cells[cid].parent
+            if cid is None:
+                return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from(["rect", "lshape"]),
+       rounds=st.integers(1, 4), data=st.data())
+def test_refine_preserves_area_and_nesting(domain, rounds, data):
+    mesh = rect_mesh(2, 3, 0.0, 0.0, 1.0, 1.5) if domain == "rect" \
+        else lshape_mesh(1)
+    area = mesh.areas.sum()
+    for _ in range(rounds):
+        marked = data.draw(st.sets(st.sampled_from(mesh.active_ids),
+                                   max_size=12))
+        fine = mesh.refine(marked)
+        assert fine.is_conforming()
+        assert abs(fine.areas.sum() - area) < 1e-12
+        assert _descends_from(fine, mesh)
+        assert fine is mesh or not _descends_from(mesh, fine)
+        for v in range(mesh.num_vertices, fine.num_vertices):
+            a, b = fine.vertex_parents[v]
+            np.testing.assert_array_equal(
+                fine.coords[v], 0.5 * (fine.coords[a] + fine.coords[b]))
+        mesh = fine
 
 
 def test_refined_vertices_are_edge_midpoints():
@@ -84,10 +103,10 @@ def test_uniform_refine_quarters_area_scale():
 def test_cell_ids_persist_across_refinement():
     mesh = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
     keep = mesh.active_id_array[-1]
-    tri_before = mesh.triangles[mesh.active_pos[int(keep)]]
+    tri_before = mesh.triangles[np.searchsorted(mesh.active_id_array, keep)]
     fine = mesh.refine([mesh.active_id_array[0]])
     if keep in fine.active_id_array:
-        tri_after = fine.triangles[fine.active_pos[int(keep)]]
+        tri_after = fine.triangles[np.searchsorted(fine.active_id_array, keep)]
         np.testing.assert_array_equal(tri_before, tri_after)
 
 
@@ -96,29 +115,8 @@ def test_active_ids_sorted_and_match_positions():
     ids = mesh.active_id_array
     assert np.all(np.diff(ids) > 0)
     for i in (0, len(ids) // 2, len(ids) - 1):
-        assert mesh.active_pos[int(ids[i])] == i
-
-
-def test_overlay_contains_both_refinements(rng):
-    base = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
-    ids = base.active_id_array
-    t1 = base.refine(ids[rng.random(len(ids)) < 0.5])
-    t2 = base.refine(ids[rng.random(len(ids)) < 0.5])
-    over = overlay(t1, t2, base)
-    assert over.is_conforming()
-    assert is_refinement_of(over, t1)
-    assert is_refinement_of(over, t2)
-    assert over.num_cells <= t1.num_cells + t2.num_cells - base.num_cells
-
-
-def test_overlay_rejects_foreign_lineage():
-    base = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
-    other = rect_mesh(3, 3, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        overlay(base, other, base)
-    # same constructor arguments produce the same genealogy root on purpose
-    twin = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
-    assert twin.signature == base.signature
+        assert np.searchsorted(ids, ids[i]) == i
+        assert tuple(mesh.triangles[i]) == mesh.cells[ids[i]].vertices
 
 
 def test_boundary_vertex_mask_rect():
