@@ -310,7 +310,8 @@ def regsolve(problem, params: AfemParams, initial_mesh: Mesh | None = None):
 
     `problem` supplies the domain mesh, curve, data, boundary values and
     (optionally) the exact solution; see the problems module. Returns
-    (solution, mesh, record).
+    (solution, mesh, record, forcing), the forcing being that of the last
+    solve, with its per-cell integrals of the final mesh cached.
     """
     params.validate()
     mesh = initial_mesh if initial_mesh is not None else problem.initial_mesh()
@@ -334,30 +335,32 @@ def regsolve(problem, params: AfemParams, initial_mesh: Mesh | None = None):
             warm=warm)
         logger.info("stage j=%d: tau=%.4g r=%.4g dofs=%d (%.1fs)", j, tau, r,
                     mesh.num_vertices, time.perf_counter() - t0)
-        return w, mesh
+        return w, mesh, g
 
     if params.single_shot:
         tau = params.tau0 * params.beta ** params.j_max
-        w, mesh = stage(mesh, 0, tau, params.mu * tau, None)
+        w, mesh, g = stage(mesh, 0, tau, params.mu * tau, None)
         tau_next = params.beta * tau
     else:
         tau = params.tau0
         for j in range(params.j_max + 1):
-            w, mesh = stage(mesh, j, tau, params.mu * tau, w)
+            w, mesh, g = stage(mesh, j, tau, params.mu * tau, w)
             tau = params.beta * tau
         tau_next = tau
 
     if params.extra_final_step:
         # radius update only: one interface pass and one solve at the next
         # radius, which an infinite tolerance accepts without refinement
-        w, mesh = stage(mesh, record.rows[-1].j + 1, tau_next, math.inf, w)
-    return w, mesh, record
+        w, mesh, g = stage(mesh, record.rows[-1].j + 1, tau_next, math.inf,
+                           w)
+    return w, mesh, record, g
 
 
 def baseline_solve(problem, params: AfemParams,
                    initial_mesh: Mesh | None = None):
     """Non-regularized driver: exact clipped line integrals on the right-hand
-    side and the surrogate data indicator, over the same tolerance schedule."""
+    side and the surrogate data indicator, over the same tolerance schedule.
+    Returns (solution, mesh, record, forcing) like `regsolve`."""
     params.validate()
     mesh = initial_mesh if initial_mesh is not None else problem.initial_mesh()
     g = LineForcing(problem.curve, problem.f)
@@ -380,4 +383,4 @@ def baseline_solve(problem, params: AfemParams,
         logger.info("baseline stage j=%d: tau=%.4g dofs=%d (%.1fs)", j, tau,
                     mesh.num_vertices, time.perf_counter() - t0)
         tau = params.beta * tau
-    return w, mesh, record
+    return w, mesh, record, g

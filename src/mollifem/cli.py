@@ -16,7 +16,6 @@ from .afem import RunRecord, baseline_solve, regsolve, solve_loop
 from .config import PRESET_NAMES, ExperimentConfig, preset
 from .errors import NumericalError
 from .estimate import estimate
-from .forcing import Kernel, RegularizedForcing
 from .problems import make_problem
 from .vtkio import write_vtk
 
@@ -35,18 +34,6 @@ def slope_fit(rows, n_last: int = 5) -> float:
     if not np.all(np.isfinite(errs)) or np.any(errs <= 0) or np.any(dofs <= 0):
         raise ValueError("samples must have positive finite energy errors")
     return float(np.polyfit(np.log(dofs), np.log(errs), 1)[0])
-
-
-def _final_forcing(cfg: ExperimentConfig, problem, record: RunRecord):
-    """Forcing matching the last recorded stage, for indicator export."""
-    if cfg.algorithm == "plain":
-        return problem.density
-    if cfg.algorithm == "baseline":
-        from .forcing import LineForcing
-        return LineForcing(problem.curve, problem.f)
-    r = record.rows[-1].r
-    kernel = Kernel.make(cfg.params.kernel_family)
-    return RegularizedForcing(problem.curve, problem.f, kernel, r)
 
 
 def _cmd_run(args) -> int:
@@ -77,14 +64,15 @@ def _cmd_run(args) -> int:
     params = cfg.params
     try:
         if cfg.algorithm == "regsolve":
-            w, mesh, record = regsolve(problem, params)
+            w, mesh, record, g = regsolve(problem, params)
         elif cfg.algorithm == "baseline":
-            w, mesh, record = baseline_solve(problem, params)
+            w, mesh, record, g = baseline_solve(problem, params)
         else:
             tau = params.mu * params.tau0 * params.beta ** params.j_max
+            g = problem.density
             w, mesh, record = solve_loop(
-                problem.initial_mesh(), problem.density, tau, params,
-                problem.form, problem.boundary_data, exact=problem.exact)
+                problem.initial_mesh(), g, tau, params, problem.form,
+                problem.boundary_data, exact=problem.exact)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -93,7 +81,7 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "run.csv", deterministic=cfg.deterministic)
 
-    g = _final_forcing(cfg, problem, record)
+    # the run's last forcing: a curve forcing has this mesh's records cached
     ind = estimate(mesh, w, g, problem.form)
     write_vtk(out / "solution.vtk", mesh,
               point_data={"solution": w.nodal_values},

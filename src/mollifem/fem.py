@@ -205,6 +205,7 @@ def prolong(fn: FeFunction, fine: Mesh) -> FeFunction:
 
 
 _KINK_DEPTH = 4
+_POINT_CHUNK = 1 << 20  # exact-gradient points per ErrorIntegrator batch
 
 
 def energy_error(u_exact, w: FeFunction, form: BilinearFormSpec,
@@ -272,15 +273,20 @@ class ErrorIntegrator:
         coords = mesh.cell_coords[fresh]
         areas = mesh.areas[fresh]
         for d in np.unique(depths):
-            sel = np.nonzero(depths == d)[0]
+            grp = np.nonzero(depths == d)[0]
             bary, wq = quadr.subdivided_rule(int(d))
-            pts = quadr.triangle_points(coords[sel], bary)
-            gu = np.asarray(self.exact.gradient(pts.reshape(-1, 2)),
-                            dtype=np.float64).reshape(len(sel), -1, 2)
-            sq = (gu * gu).sum(-1)
-            self._s0.store(mesh, fresh[sel], areas[sel] * (sq @ wq))
-            self._s1.store(mesh, fresh[sel], areas[sel, None]
-                           * np.einsum("mqd,q->md", gu, wq))
+            # batches of whole cells; the sums run along each cell's own
+            # points, so the batch size cannot change a moment
+            step = max(1, _POINT_CHUNK // len(wq))
+            for lo in range(0, len(grp), step):
+                sel = grp[lo:lo + step]
+                pts = quadr.triangle_points(coords[sel], bary)
+                gu = np.asarray(self.exact.gradient(pts.reshape(-1, 2)),
+                                dtype=np.float64).reshape(len(sel), -1, 2)
+                self._s0.store(mesh, fresh[sel], areas[sel]
+                               * np.einsum("mqd,mqd,q->m", gu, gu, wq))
+                self._s1.store(mesh, fresh[sel], areas[sel, None]
+                               * np.einsum("mqd,q->md", gu, wq))
 
     def __call__(self, w: FeFunction) -> float:
         if self._direct:

@@ -24,7 +24,7 @@ from . import quadrature as quadr
 from .curves import Curve, SegmentedData
 from .errors import NumericalError
 from .geometry import clip_segments_to_triangles
-from .mesh import CellCache, Mesh, curve_cell_pairs
+from .mesh import CellCache, Mesh, cells_near_curve, curve_cell_pairs
 
 logger = logging.getLogger("mollifem")
 
@@ -92,13 +92,17 @@ class Kernel:
     def psi(self, x: np.ndarray) -> np.ndarray:
         """psi at points of shape (..., 2)."""
         x = np.asarray(x, dtype=np.float64)
+        return self.psi_xy(x[..., 0], x[..., 1])
+
+    def psi_xy(self, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+        """psi at points given by their coordinate arrays."""
         if self.family == "radial_c1":
-            s = np.sqrt((x * x).sum(-1))
-            out = np.zeros_like(s)
-            ok = s <= 1.0
-            out[ok] = self.c_norm * (1.0 + np.cos(np.pi * s[ok]))
+            s2 = x0 * x0 + x1 * x1
+            out = np.zeros_like(s2)
+            ok = s2 <= 1.0
+            out[ok] = self.c_norm * (1.0 + np.cos(np.pi * np.sqrt(s2[ok])))
             return out
-        return self._psi_1d(x[..., 0]) * self._psi_1d(x[..., 1])
+        return self._psi_1d(x0) * self._psi_1d(x1)
 
     def delta(self, r: float, x: np.ndarray) -> np.ndarray:
         """delta_r(x) = r^-2 psi(x / r)."""
@@ -154,16 +158,37 @@ def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0,
     return float(np.abs(defect).max())
 
 
-# -- geometry helpers shared by the load classes ---------------------------
+# -- per-cell records shared by the curve forcings --------------------------
 
 
-def _cells_near_curve(mesh: Mesh, curve: Curve, reach: float) -> np.ndarray:
-    """Positions of active cells possibly within `reach` of the polyline."""
-    p = mesh.cell_coords
-    cent = p.mean(axis=1)
-    circ = np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
-    dist, _ = curve.vertex_tree.query(cent)
-    return np.nonzero(dist <= reach + circ + 0.5 * curve.max_seg_len + 1e-12)[0]
+class _CurveForcing:
+    """One record per cell: the three load entries int_T F phi_i and the data
+    square, integrated the first time either is asked for. Cells out of
+    `reach` of the curve hold zeros. Subclasses give
+    `_cell_integrals(mesh, positions) -> (n, 4)`."""
+
+    def __init__(self, curve: Curve, data: SegmentedData, reach: float = 0.0):
+        if data.curve is not curve:
+            raise ValueError("data is attached to a different curve")
+        self.curve = curve
+        self.data = data
+        self.reach = reach
+        self._cells = CellCache((4,))
+
+    def _records(self, mesh: Mesh) -> np.ndarray:
+        positions = np.arange(mesh.num_cells)
+        fresh = self._cells.missing(mesh, positions)
+        if len(fresh):
+            rec = np.zeros((len(fresh), 4))
+            near = cells_near_curve(mesh, self.curve, fresh, self.reach)
+            rec[near] = self._cell_integrals(mesh, fresh[near])
+            self._cells.store(mesh, fresh, rec)
+        return self._cells.get(mesh, positions)
+
+    def load_vector(self, mesh: Mesh) -> np.ndarray:
+        load = self._records(mesh)[:, :3]
+        return np.bincount(mesh.triangles.ravel(), weights=load.ravel(),
+                           minlength=mesh.num_vertices)
 
 
 def _subdivision_depths(h: np.ndarray, r: float) -> np.ndarray:
@@ -172,27 +197,26 @@ def _subdivision_depths(h: np.ndarray, r: float) -> np.ndarray:
     return (np.maximum(d, 0) + 2).astype(np.int64)
 
 
-_POINT_CHUNK = 1 << 20
+# Quadrature points per batch of cells, and point-node pairs per kernel
+# batch (temporaries of this size stay in cache). Every reduction below runs
+# along one row, so neither size can change a result.
+_POINT_CHUNK = 1 << 18
+_PAIR_CHUNK = 1 << 16
 
 
-class RegularizedForcing:
+class RegularizedForcing(_CurveForcing):
     """Mollified line source F_r for a fixed radius r."""
 
     def __init__(self, curve: Curve, data: SegmentedData, kernel: Kernel, r: float):
         if r <= 0:
             raise ValueError("r must be positive")
-        if data.curve is not curve:
-            raise ValueError("data is attached to a different curve")
+        super().__init__(curve, data, float(r))
         if r >= curve.boundary_gap:
             logger.warning("mollification radius %.3g >= boundary gap %.3g; "
                            "density overlaps the domain boundary", r, curve.boundary_gap)
-        self.curve = curve
-        self.data = data
         self.kernel = kernel
         self.r = float(r)
         self._build_nodes()
-        self._load = CellCache((3,))
-        self._dsq = CellCache()
 
     def _build_nodes(self) -> None:
         # Curve quadrature: composite 4-point Gauss on arc-length pieces of
@@ -225,105 +249,78 @@ class RegularizedForcing:
         self.node_fw = self.data.values[seg] * w
         lo = self.node_xy.min(axis=0) - 2 * self.r
         self._grid_origin = lo
-        self._grid_cell = self.r
         keys = np.floor((self.node_xy - lo) / self.r).astype(np.int64)
         bins: dict[tuple[int, int], list[int]] = {}
         for i, (kx, ky) in enumerate(keys):
             bins.setdefault((int(kx), int(ky)), []).append(i)
         self._bins = {k: np.array(v, dtype=np.int64) for k, v in bins.items()}
-        self._hood_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._hood_cache: dict[tuple[int, int], tuple] = {}
 
-    def _neighborhood(self, kx: int, ky: int) -> np.ndarray:
+    def _neighborhood(self, kx: int, ky: int) -> tuple:
+        """Nodes of the 3x3 bins around bin (kx, ky): x / r, y / r, f w."""
         key = (kx, ky)
         got = self._hood_cache.get(key)
         if got is None:
             parts = [self._bins[(kx + dx, ky + dy)]
                      for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                      if (kx + dx, ky + dy) in self._bins]
-            got = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            nodes = np.concatenate(parts) if parts \
+                else np.empty(0, dtype=np.int64)
+            xy = self.node_xy[nodes] / self.r
+            got = (xy[:, 0].copy(), xy[:, 1].copy(), self.node_fw[nodes])
             self._hood_cache[key] = got
         return got
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """F_r at points (n, 2); zero outside the r-neighborhood of gamma."""
+        """F_r at points (n, 2); zero outside the r-neighborhood of gamma.
+
+        Each value depends on its own point only, not on the batch."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         out = np.zeros(len(pts))
-        keys = np.floor((pts - self._grid_origin) / self._grid_cell).astype(np.int64)
+        r = self.r
+        keys = np.floor((pts - self._grid_origin) / r).astype(np.int64)
         comp = keys[:, 0] * (1 << 32) + keys[:, 1]
         order = np.argsort(comp, kind="stable")
         comp_sorted = comp[order]
         starts = np.flatnonzero(np.r_[True, comp_sorted[1:] != comp_sorted[:-1]])
         stops = np.r_[starts[1:], len(comp_sorted)]
-        r = self.r
+        px, py = pts[:, 0] / r, pts[:, 1] / r
         for s, e in zip(starts, stops):
             idx = order[s:e]
-            kx, ky = int(keys[idx[0], 0]), int(keys[idx[0], 1])
-            nodes = self._neighborhood(kx, ky)
-            if len(nodes) == 0:
+            xs, ys, fw = self._neighborhood(int(keys[idx[0], 0]),
+                                            int(keys[idx[0], 1]))
+            if len(fw) == 0:
                 continue
-            xy, fw = self.node_xy[nodes], self.node_fw[nodes]
-            # cap the points-by-nodes broadcast at a few million entries
-            step = max(1, _POINT_CHUNK // len(nodes))
+            step = max(1, _PAIR_CHUNK // len(fw))
             for lo in range(0, len(idx), step):
                 sub = idx[lo:lo + step]
-                diff = xy[None, :, :] - pts[sub][:, None, :]
-                vals = self.kernel.psi(diff / r) / (r * r)
-                out[sub] = vals @ fw
-        return out
+                vals = self.kernel.psi_xy(xs - px[sub, None],
+                                          ys - py[sub, None])
+                out[sub] = np.einsum("pk,k->p", vals, fw)
+        return out / (r * r)
 
-    # -- load and indicator integrals -------------------------------------
-
-    def _cell_integrals(self, mesh: Mesh, positions: np.ndarray,
-                        want_load: bool, want_sq: bool):
-        """Per-cell integrals of F_r against P1 basis functions and of F_r^2."""
-        load = np.zeros((len(positions), 3)) if want_load else None
-        sq = np.zeros(len(positions)) if want_sq else None
-        if len(positions) == 0:
-            return load, sq
+    def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        """int_T F_r phi_i (i = 0, 1, 2) and int_T F_r^2 per cell."""
+        out = np.empty((len(positions), 4))
         depths = _subdivision_depths(mesh.h_sizes[positions], self.r)
         coords = mesh.cell_coords[positions]
         areas = mesh.areas[positions]
         for d in np.unique(depths):
             grp = np.nonzero(depths == d)[0]
             bary, w = quadr.subdivided_rule(int(d))
-            nq = len(w)
-            step = max(1, _POINT_CHUNK // nq)
+            step = max(1, _POINT_CHUNK // len(w))
             for lo in range(0, len(grp), step):
                 sel = grp[lo:lo + step]
                 pts = quadr.triangle_points(coords[sel], bary)
-                g = self.eval(pts.reshape(-1, 2)).reshape(len(sel), nq)
-                if load is not None:
-                    load[sel] = areas[sel, None] * np.einsum("mq,q,qi->mi", g, w, bary)
-                if sq is not None:
-                    sq[sel] = areas[sel] * ((g * g) @ w)
-        return load, sq
-
-    def load_vector(self, mesh: Mesh) -> np.ndarray:
-        rhs = np.zeros(mesh.num_vertices)
-        near = _cells_near_curve(mesh, self.curve, self.r)
-        if len(near) == 0:
-            return rhs
-        fresh = near[self._load.missing(mesh, near)]
-        if len(fresh):
-            load, _ = self._cell_integrals(mesh, fresh, True, False)
-            self._load.store(mesh, fresh, load)
-        np.add.at(rhs, mesh.triangles[near].ravel(),
-                  self._load.get(mesh, near).ravel())
-        return rhs
+                g = self.eval(pts.reshape(-1, 2)).reshape(len(sel), len(w))
+                out[sel, :3] = areas[sel, None] \
+                    * np.einsum("mq,q,qi->mi", g, w, bary)
+                out[sel, 3] = areas[sel] * np.einsum("mq,mq,q->m", g, g, w)
+        return out
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:
         """d(T) = h_T ||F_r||_{L2(T)} for all active cells."""
-        positions = np.arange(mesh.num_cells)
-        fresh = self._dsq.missing(mesh, positions)
-        if len(fresh):
-            near = np.zeros(mesh.num_cells, dtype=bool)
-            near[_cells_near_curve(mesh, self.curve, self.r)] = True
-            compute = near[fresh]
-            _, sq = self._cell_integrals(mesh, fresh[compute], False, True)
-            dsq = np.zeros(len(fresh))
-            dsq[compute] = np.maximum(sq, 0.0)
-            self._dsq.store(mesh, fresh, dsq)
-        return mesh.h_sizes * np.sqrt(self._dsq.get(mesh, positions))
+        return mesh.h_sizes * np.sqrt(self._records(mesh)[:, 3])
 
 
 class DensityForcing:
@@ -354,7 +351,7 @@ class DensityForcing:
         return mesh.h_sizes * np.sqrt(np.maximum(sq, 0.0))
 
 
-class LineForcing:
+class LineForcing(_CurveForcing):
     """Exact (clipped) line source; data indicator is the surrogate
     h_T^(1/2) ||f||_{L2(T cap gamma)}.
 
@@ -362,76 +359,35 @@ class LineForcing:
     touch newly created cells.
     """
 
-    def __init__(self, curve: Curve, data: SegmentedData):
-        if data.curve is not curve:
-            raise ValueError("data is attached to a different curve")
-        self.curve = curve
-        self.data = data
-        self._load = CellCache((3,))
-        self._lsq = CellCache()
-
-    def _clipped(self, mesh: Mesh, positions=None):
-        """(cell position, segment id, tmin, tmax) for clipped pieces."""
+    def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        """int_{T cap gamma} f phi_i (i = 0, 1, 2) and int_{T cap gamma} f^2."""
+        out = np.zeros((len(positions), 4))
         ci, si = curve_cell_pairs(mesh, self.curve, positions)
         if len(ci) == 0:
-            e = np.empty(0)
-            return ci, si, e, e
+            return out
         p = mesh.cell_coords
         t0, t1, ok = clip_segments_to_triangles(
             self.curve.seg_start[si], self.curve.seg_end[si],
             p[ci, 0], p[ci, 1], p[ci, 2],
         )
-        return ci[ok], si[ok], t0[ok], t1[ok]
-
-    def load_vector(self, mesh: Mesh) -> np.ndarray:
-        rhs = np.zeros(mesh.num_vertices)
-        near = _cells_near_curve(mesh, self.curve, 0.0)
-        if len(near) == 0:
-            return rhs
-        posns = near[self._load.missing(mesh, near)]
-        if len(posns):
-            loc = np.zeros((len(posns), 3))
-            ci, si, t0, t1 = self._clipped(mesh, posns)
-            if len(ci):
-                gx, gw = quadr.GAUSS3_X, quadr.GAUSS3_W
-                a = self.curve.seg_start[si]
-                d = self.curve.seg_end[si] - a
-                tt = t0[:, None] + (t1 - t0)[:, None] * gx[None, :]
-                pts = a[:, None, :] + tt[..., None] * d[:, None, :]
-                lam = _barycentric(mesh.cell_coords[ci], pts)
-                seg_w = (t1 - t0) * self.curve.seg_lengths[si] \
-                    * self.data.values[si]
-                contrib = np.einsum("p,q,pqi->pi", seg_w, gw, lam)
-                row_of = {int(p): k for k, p in enumerate(posns)}
-                rows = np.array([row_of[int(c)] for c in ci], dtype=np.int64)
-                np.add.at(loc, rows, contrib)
-            self._load.store(mesh, posns, loc)
-        np.add.at(rhs, mesh.triangles[near].ravel(),
-                  self._load.get(mesh, near).ravel())
-        return rhs
+        ci, si, t0, t1 = ci[ok], si[ok], t0[ok], t1[ok]
+        rows = np.searchsorted(positions, ci)
+        gx, gw = quadr.GAUSS3_X, quadr.GAUSS3_W
+        a = self.curve.seg_start[si]
+        d = self.curve.seg_end[si] - a
+        tt = t0[:, None] + (t1 - t0)[:, None] * gx[None, :]
+        pts = a[:, None, :] + tt[..., None] * d[:, None, :]
+        lam = _barycentric(p[ci], pts)
+        length = (t1 - t0) * self.curve.seg_lengths[si]
+        f = self.data.values[si]
+        np.add.at(out[:, :3], rows,
+                  np.einsum("p,q,pqi->pi", length * f, gw, lam))
+        np.add.at(out[:, 3], rows, length * f ** 2)
+        np.maximum(out[:, 3], 0.0, out=out[:, 3])
+        return out
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:
-        positions = np.arange(mesh.num_cells)
-        fresh = self._lsq.missing(mesh, positions)
-        if len(fresh):
-            near = np.zeros(mesh.num_cells, dtype=bool)
-            near[_cells_near_curve(mesh, self.curve, 0.0)] = True
-            compute = near[fresh]
-            posns = fresh[compute]
-            acc = np.zeros(len(posns))
-            if len(posns):
-                ci, si, t0, t1 = self._clipped(mesh, posns)
-                if len(ci):
-                    piece = (t1 - t0) * self.curve.seg_lengths[si] \
-                        * self.data.values[si] ** 2
-                    row_of = {int(p): k for k, p in enumerate(posns)}
-                    rows = np.array([row_of[int(c)] for c in ci],
-                                    dtype=np.int64)
-                    np.add.at(acc, rows, piece)
-            lsq = np.zeros(len(fresh))
-            lsq[compute] = np.maximum(acc, 0.0)
-            self._lsq.store(mesh, fresh, lsq)
-        return np.sqrt(mesh.h_sizes * self._lsq.get(mesh, positions))
+        return np.sqrt(mesh.h_sizes * self._records(mesh)[:, 3])
 
 
 def _barycentric(cells: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -397,6 +397,28 @@ def lshape_mesh(n: int) -> Mesh:
 # -- curve queries --------------------------------------------------------
 
 
+def cells_near_curve(mesh: Mesh, curve: "Curve", positions: np.ndarray,
+                     reach: float = 0.0) -> np.ndarray:
+    """Mask over active cell `positions`: cells possibly within `reach` of
+    the polyline (centroid within reach + circumradius + half the longest
+    segment of a curve vertex)."""
+    p = mesh.cell_coords[positions]
+    cent = p.mean(axis=1)
+    circ = np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
+    bound = reach + circ + 0.5 * curve.max_seg_len + 1e-12
+    # an upper bound prunes the tree search far from the curve; cells are
+    # grouped by bound within a factor of two so that small cells are not
+    # searched to the reach of large ones
+    dist = np.empty(len(cent))
+    group = np.floor(np.log2(bound))
+    for g in np.unique(group):
+        sel = group == g
+        dist[sel], _ = curve.vertex_tree.query(
+            cent[sel], distance_upper_bound=np.nextafter(bound[sel].max(),
+                                                         np.inf))
+    return dist <= bound
+
+
 def curve_cell_pairs(mesh: Mesh, curve: "Curve",
                      positions: np.ndarray | None = None,
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -408,15 +430,9 @@ def curve_cell_pairs(mesh: Mesh, curve: "Curve",
     Restricting to given active cell positions keeps incremental callers from
     rescanning the whole mesh.
     """
-    if mesh.num_cells == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     scan = np.arange(mesh.num_cells, dtype=np.int64) if positions is None \
         else np.asarray(positions, dtype=np.int64)
-    p = mesh.cell_coords[scan]
-    cent = p.mean(axis=1)
-    circ = np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
-    dist, _ = curve.vertex_tree.query(cent)
-    cand = scan[dist <= circ + 0.5 * curve.max_seg_len + 1e-12]
+    cand = scan[cells_near_curve(mesh, curve, scan)]
     coords = mesh.cell_coords
     cell_idx, seg_idx = [], []
     for posn in cand:

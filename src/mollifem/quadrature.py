@@ -56,4 +56,10 @@ def subdivided_rule(depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 def triangle_points(cell_coords: np.ndarray, bary: np.ndarray) -> np.ndarray:
     """Map barycentric points (Q, 3) into cells (m, 3, 2) -> (m, Q, 2)."""
-    return np.einsum("qc,mcx->mqx", bary, cell_coords)
+    # one coordinate at a time, so the inner loops run over the Q points
+    out = np.empty((len(cell_coords), len(bary), 2))
+    b = bary.T
+    for x in (0, 1):
+        c = cell_coords[:, :, x, None]
+        out[..., x] = b[0] * c[:, 0] + b[1] * c[:, 1] + b[2] * c[:, 2]
+    return out

@@ -165,7 +165,10 @@ def test_regsolve_schedule_and_branches():
     params = AfemParams(theta=0.7, theta_data=0.7, lam=1.0 / 3.0, mu=0.8,
                         beta=0.8, tau0=0.5, j_max=1,
                         kernel_family="radial_c1", extra_final_step=True)
-    w, mesh, rec = regsolve(p, params)
+    w, mesh, rec, g = regsolve(p, params)
+    # the forcing handed back is the last pass's, warm on the final mesh
+    assert g.r == rec.rows[-1].r
+    assert len(g._cells.missing(mesh, np.arange(mesh.num_cells))) == 0
     taus = sorted({round(r.tau, 15) for r in rec.rows}, reverse=True)
     want = [0.5, 0.5 * 0.8, 0.5 * 0.8 ** 2]
     np.testing.assert_allclose(taus, want, rtol=1e-14)
@@ -193,7 +196,7 @@ def test_regsolve_single_shot_runs_one_stage():
     params = AfemParams(theta=0.55, theta_data=0.55, lam=1.0 / 3.0, mu=0.8,
                         beta=0.7, tau0=0.6, j_max=2, single_shot=True,
                         kernel_family="tensor_linf", extra_final_step=False)
-    _, _, rec = regsolve(p, params)
+    _, _, rec, _ = regsolve(p, params)
     assert {row.j for row in rec.rows} == {0}
     tau = 0.6 * 0.7 ** 2
     assert abs(rec.rows[0].tau - tau) < 1e-15
@@ -205,7 +208,7 @@ def test_baseline_solve_same_schedule():
     params = AfemParams(theta=0.55, theta_data=0.55, lam=1.0 / 3.0, mu=0.8,
                         beta=0.7, tau0=1.2, j_max=1,
                         kernel_family="tensor_linf", extra_final_step=True)
-    _, _, rec = baseline_solve(p, params)
+    _, _, rec, _ = baseline_solve(p, params)
     assert {row.j for row in rec.rows} == {0, 1}
     for row in rec.rows:
         assert row.r == 0.0

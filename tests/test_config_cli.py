@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mollifem import forcing
 from mollifem.afem import RunRecord, RunRow
 from mollifem.cli import main, slope_fit
 from mollifem.config import (ALGORITHMS, PRESET_NAMES, ExperimentConfig,
@@ -213,6 +214,42 @@ def test_cli_run_smooth_end_to_end(tmp_path, capsys):
     assert any(ln.startswith("CELL_TYPES") for ln in text)
     stdout = capsys.readouterr().out
     assert "final_estimator" in stdout
+
+
+def test_cli_run_reuses_the_last_forcing(tmp_path, monkeypatch):
+    # after run.csv is written, the VTK indicators come from the run's own
+    # forcing: nothing is built and no point of F_r is evaluated again
+    events = []
+    build = forcing.RegularizedForcing.__init__
+    point_eval = forcing.RegularizedForcing.eval
+    to_csv = RunRecord.to_csv
+
+    def built(self, *args, **kwargs):
+        events.append("build")
+        build(self, *args, **kwargs)
+
+    def evaluated(self, points):
+        events.append("eval")
+        return point_eval(self, points)
+
+    def written(self, *args, **kwargs):
+        events.append("csv")
+        to_csv(self, *args, **kwargs)
+
+    monkeypatch.setattr(forcing.RegularizedForcing, "__init__", built)
+    monkeypatch.setattr(forcing.RegularizedForcing, "eval", evaluated)
+    monkeypatch.setattr(RunRecord, "to_csv", written)
+    base = preset("lshape")
+    cfg = replace(base, curve_segments=2048,
+                  params=replace(base.params, mu=0.8, tau0=0.7, j_max=0,
+                                 extra_final_step=True))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    assert main(["run", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert events.count("csv") == 1
+    assert "build" in events and "eval" in events
+    assert events[events.index("csv") + 1:] == []
 
 
 def test_write_vtk_counts_and_validation(tmp_path):

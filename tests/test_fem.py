@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
+from mollifem import fem
 from mollifem.curves import Curve, SegmentedData
 from mollifem.fem import (BilinearFormSpec, ErrorIntegrator, FeFunction,
                           assemble, energy_error, form_matrix, prolong,
@@ -173,6 +174,24 @@ def test_error_integrator_matches_direct():
     w = FeFunction(second, u.value(second.coords))
     cold = ErrorIntegrator(u, form, curve)(w)
     assert abs(cold - integ(w)) <= 1e-12 * max(cold, 1.0)
+
+
+def test_error_integrator_batches_do_not_move_bits(monkeypatch):
+    curve = Curve.circle((0.5, 0.5), 0.25, 512, boundary_gap=0.25)
+    u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
+    mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
+    mesh = mesh.refine(mesh.active_id_array[::2])
+    positions = np.arange(mesh.num_cells)
+    moments = []
+    # one batch per depth, then batches of 3 curve cells and 512 others
+    for chunk in (1 << 30, 3 * 6 * 4 ** fem._KINK_DEPTH):
+        monkeypatch.setattr(fem, "_POINT_CHUNK", chunk)
+        integ = ErrorIntegrator(u, BilinearFormSpec.laplace(), curve)
+        integ._sync(mesh)
+        moments.append((integ._s0.get(mesh, positions),
+                        integ._s1.get(mesh, positions)))
+    np.testing.assert_array_equal(moments[0][0], moments[1][0])
+    np.testing.assert_array_equal(moments[0][1], moments[1][1])
 
 
 def test_error_integrator_falls_back_on_coefficients():

@@ -7,9 +7,13 @@ the total applied source, exactly, whatever the mesh).
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mollifem import forcing
 from mollifem.curves import Curve, SegmentedData
 from mollifem.forcing import (KERNEL_FAMILIES, DensityForcing, Kernel,
                               LineForcing, RegularizedForcing,
@@ -220,17 +224,90 @@ def test_caches_survive_refinement():
     cold = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
     np.testing.assert_array_equal(warm_rhs, cold.load_vector(fine))
     np.testing.assert_array_equal(warm_d, cold.data_indicator(fine))
-    # sibling refinements reuse new cell ids for different triangles; the
-    # cold instance batches cells differently, hence the round-off tolerance
+    # sibling refinements reuse new cell ids for different triangles
     first, second = sibling_refinements(mesh, curve)
     g.load_vector(first)
     g.data_indicator(first)
     cold = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
-    np.testing.assert_allclose(g.load_vector(second),
-                               cold.load_vector(second), rtol=1e-12, atol=0)
-    np.testing.assert_allclose(g.data_indicator(second),
-                               cold.data_indicator(second), rtol=1e-12,
-                               atol=0)
+    np.testing.assert_array_equal(g.load_vector(second),
+                                  cold.load_vector(second))
+    np.testing.assert_array_equal(g.data_indicator(second),
+                                  cold.data_indicator(second))
+
+
+@lru_cache(maxsize=None)
+def _batch_forcing(family: str) -> RegularizedForcing:
+    curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
+    data = SegmentedData.constant(curve, 1.5)
+    return RegularizedForcing(curve, data, Kernel.make(family), 0.12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(KERNEL_FAMILIES),
+       pts=st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+                    min_size=1, max_size=200))
+def test_eval_is_batch_independent(family, pts):
+    # a point's value must not depend on which other points share the call,
+    # so a cell's integrals are the same warm or cold
+    g = _batch_forcing(family)
+    pts = np.array(pts)
+    single = np.array([g.eval(pts[i:i + 1])[0] for i in range(len(pts))])
+    np.testing.assert_array_equal(g.eval(pts), single)
+    chunk = forcing._PAIR_CHUNK
+    try:
+        forcing._PAIR_CHUNK = 200  # a few points per kernel batch
+        np.testing.assert_array_equal(g.eval(pts), single)
+    finally:
+        forcing._PAIR_CHUNK = chunk
+
+
+@pytest.mark.parametrize("kind", ["regularized", "line"])
+def test_each_cell_integrated_once(kind, monkeypatch):
+    curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
+    data = SegmentedData.constant(curve, 1.0)
+    if kind == "regularized":
+        g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), 0.12)
+    else:
+        g = LineForcing(curve, data)
+    integrated = []
+    inner = g._cell_integrals
+
+    def counted(mesh, positions):
+        integrated.extend(mesh.active_id_array[positions])
+        return inner(mesh, positions)
+
+    monkeypatch.setattr(g, "_cell_integrals", counted)
+    mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
+    g.data_indicator(mesh)
+    assert integrated
+    seen = len(integrated)
+    g.load_vector(mesh)  # the data pass filled the load entries too
+    assert len(integrated) == seen
+    fine = mesh.refine(mesh.active_id_array[::3])
+    g.load_vector(fine)
+    g.data_indicator(fine)
+    g.load_vector(fine)
+    # each created cell at most once, and only cells of the fine mesh
+    assert len(set(integrated)) == len(integrated)
+    assert set(integrated) - set(mesh.active_id_array) \
+        <= set(fine.active_id_array)
+
+
+def test_load_pass_fills_data_without_eval(monkeypatch):
+    curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
+    data = SegmentedData.constant(curve, 1.0)
+    g = RegularizedForcing(curve, data, Kernel.make("tensor_cinf"), 0.12)
+    calls = []
+    inner = g.eval
+    monkeypatch.setattr(g, "eval", lambda pts: calls.append(len(pts))
+                        or inner(pts))
+    mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
+    g.load_vector(mesh)
+    assert calls
+    del calls[:]
+    g.data_indicator(mesh)
+    g.load_vector(mesh)
+    assert calls == []
 
 
 def test_sup_norm_scales_inverse_with_radius():

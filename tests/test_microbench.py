@@ -1,0 +1,36 @@
+"""Layer micro-benchmarks (pytest-benchmark): each times one layer on a fixed
+input, so a regression there shows without running a whole workload.
+
+    pytest tests/test_microbench.py --benchmark-only
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from mollifem.afem import interface_loop
+from mollifem.forcing import Kernel, RegularizedForcing
+from mollifem.problems import lshape_problem
+
+R = 0.1024  # the radius of tau = 0.32, stage 2 of the lshape schedule
+
+
+@pytest.fixture(scope="module")
+def lshape_at_r():
+    problem = lshape_problem()
+    return problem, interface_loop(problem.initial_mesh(), problem.curve, R)
+
+
+def test_cold_regularized_forcing(benchmark, lshape_at_r):
+    problem, mesh = lshape_at_r
+
+    def cold():
+        g = RegularizedForcing(problem.curve, problem.f,
+                               Kernel.make("radial_c1"), R)
+        return g.load_vector(mesh), g.data_indicator(mesh)
+
+    # a fixed round count keeps the Tier-1 cost at about half a second
+    rhs, d = benchmark.pedantic(cold, rounds=15, warmup_rounds=1)
+    # the load carries the line mass f |gamma| = 2 pi (f = 1 / radius)
+    assert abs(rhs.sum() - 2.0 * np.pi) < 1e-4
+    assert np.all(d >= 0.0) and d.max() > 0.0

@@ -85,6 +85,15 @@ def test_triangle_points_affine_map():
     pts = quadr.triangle_points(tri, bary)
     np.testing.assert_allclose(pts[0, :3], tri[0], atol=1e-14)
     np.testing.assert_allclose(pts[0, 3], tri[0].mean(axis=0), atol=1e-14)
+    # the same bits as the plain barycentric sum, whatever the batch
+    rng = np.random.default_rng(5)
+    for depth in range(4):
+        bary, _ = quadr.subdivided_rule(depth)
+        for m in (1, 2, 9):
+            cells = rng.uniform(-3.0, 3.0, size=(m, 3, 2))
+            np.testing.assert_array_equal(
+                quadr.triangle_points(cells, bary),
+                np.einsum("qc,mcx->mqx", bary, cells))
 
 
 def test_gauss_line_rules():
