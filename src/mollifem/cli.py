@@ -8,6 +8,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,24 +37,28 @@ def slope_fit(rows, n_last: int = 5) -> float:
     return float(np.polyfit(np.log(dofs), np.log(errs), 1)[0])
 
 
-def _cmd_run(args) -> int:
+def _load(path, **overrides) -> ExperimentConfig | None:
+    """The config at `path` with `overrides` applied, or None once the
+    reasons it cannot run are printed."""
     try:
-        cfg = ExperimentConfig.load(args.config)
+        cfg = replace(ExperimentConfig.load(path), **overrides)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return None
+    issues = cfg.issues()
+    for msg in issues:
+        print(f"invalid config: {msg}", file=sys.stderr)
+    return None if issues else cfg
+
+
+def _cmd_run(args) -> int:
     overrides = {}
     if args.out is not None:
         overrides["output_dir"] = args.out
     if args.deterministic:
         overrides["deterministic"] = True
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    issues = cfg.issues()
-    if issues:
-        for msg in issues:
-            print(f"invalid config: {msg}", file=sys.stderr)
+    cfg = _load(args.config, **overrides)
+    if cfg is None:
         return 1
 
     logging.basicConfig(level=logging.INFO, format="%(message)s",
@@ -85,7 +90,7 @@ def _cmd_run(args) -> int:
     ind = estimate(mesh, w, g, problem.form)
     write_vtk(out / "solution.vtk", mesh,
               point_data={"solution": w.nodal_values},
-              cell_data={"generation": mesh.generations.astype(np.float64),
+              cell_data={"generation": mesh.generation[mesh.active_id_array],
                          "indicator_total": ind.total,
                          "indicator_jump": ind.jump,
                          "indicator_data": ind.data})
@@ -115,15 +120,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = ExperimentConfig.load(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    issues = cfg.issues()
-    if issues:
-        for msg in issues:
-            print(f"invalid config: {msg}", file=sys.stderr)
+    if _load(args.config) is None:
         return 1
     print("config ok")
     return 0

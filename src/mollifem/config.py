@@ -93,18 +93,7 @@ class ExperimentConfig:
             "initial_divisions": self.initial_divisions,
             "output_dir": self.output_dir,
             "deterministic": self.deterministic,
-            "params": {
-                "theta": p.theta,
-                "theta_data": p.theta_data,
-                "lambda": p.lam,
-                "mu": p.mu,
-                "beta": p.beta,
-                "tau0": p.tau0,
-                "j_max": p.j_max,
-                "single_shot": p.single_shot,
-                "kernel_family": p.kernel_family,
-                "extra_final_step": p.extra_final_step,
-            },
+            "params": {k: getattr(p, attr) for k, attr in _PARAM_KEYS.items()},
         }
 
     @classmethod

@@ -75,35 +75,46 @@ class Curve:
 
     @cached_property
     def _grid(self):
-        lo = np.minimum(self.seg_start, self.seg_end).min(axis=0)
-        hi = np.maximum(self.seg_start, self.seg_end).max(axis=0)
-        span = max(float((hi - lo).max()), 1e-30)
-        cell = span / _GRID_RES
-        bins: dict[tuple[int, int], list[int]] = {}
-        s_lo = np.floor((np.minimum(self.seg_start, self.seg_end) - lo) / cell).astype(np.int64)
-        s_hi = np.floor((np.maximum(self.seg_start, self.seg_end) - lo) / cell).astype(np.int64)
-        for i in range(self.num_segments):
-            for ix in range(s_lo[i, 0], s_hi[i, 0] + 1):
-                for iy in range(s_lo[i, 1], s_hi[i, 1] + 1):
-                    bins.setdefault((ix, iy), []).append(i)
-        return lo, cell, {k: np.array(v, dtype=np.int64) for k, v in bins.items()}
+        """Origin, bin width, and the segment ids of each bin as CSR
+        (``members[start[b]:start[b + 1]]``, ascending) over bins
+        ``b = ix * (_GRID_RES + 1) + iy``."""
+        s_lo = np.minimum(self.seg_start, self.seg_end)
+        s_hi = np.maximum(self.seg_start, self.seg_end)
+        lo = s_lo.min(axis=0)
+        cell = max(float((s_hi.max(axis=0) - lo).max()), 1e-30) / _GRID_RES
+        seg, b = _box_bins(np.floor((s_lo - lo) / cell).astype(np.int64),
+                           np.floor((s_hi - lo) / cell).astype(np.int64))
+        order = np.argsort(b, kind="stable")
+        start = np.searchsorted(b[order], np.arange((_GRID_RES + 1) ** 2 + 1))
+        return lo, cell, start, seg[order]
 
-    def grid_query(self, xmin, ymin, xmax, ymax) -> np.ndarray:
-        """Segment ids whose grid bins overlap the given box (superset)."""
-        lo, cell, bins = self._grid
-        ix0 = int(np.floor((xmin - lo[0]) / cell))
-        ix1 = int(np.floor((xmax - lo[0]) / cell))
-        iy0 = int(np.floor((ymin - lo[1]) / cell))
-        iy1 = int(np.floor((ymax - lo[1]) / cell))
-        ix0, ix1 = max(ix0, 0), min(ix1, _GRID_RES)
-        iy0, iy1 = max(iy0, 0), min(iy1, _GRID_RES)
-        out = [bins[(ix, iy)]
-               for ix in range(ix0, ix1 + 1)
-               for iy in range(iy0, iy1 + 1)
-               if (ix, iy) in bins]
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(out))
+    def grid_query(self, box_lo: np.ndarray, box_hi: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """(box index, segment id) pairs whose grid bins overlap each
+        box (n, 2) corners; a superset of the segments meeting the box.
+        Pairs are unique and sorted by box, then segment."""
+        lo, cell, start, members = self._grid
+        i0 = np.maximum(np.floor((box_lo - lo) / cell).astype(np.int64), 0)
+        i1 = np.minimum(np.floor((box_hi - lo) / cell).astype(np.int64),
+                        _GRID_RES)
+        box, b = _box_bins(i0, i1)
+        count = start[b + 1] - start[b]
+        first = np.repeat(start[b] - np.cumsum(count) + count, count)
+        seg = members[first + np.arange(len(first))]
+        pair = np.unique(np.repeat(box, count) * self.num_segments + seg)
+        return pair // self.num_segments, pair % self.num_segments
+
+
+def _box_bins(i0: np.ndarray, i1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(box index, bin) for each bin of the inclusive integer boxes
+    ``i0[j] .. i1[j]`` (n, 2); an empty box has none."""
+    ny = np.maximum(i1[:, 1] - i0[:, 1] + 1, 0)
+    count = np.maximum(i1[:, 0] - i0[:, 0] + 1, 0) * ny
+    box = np.repeat(np.arange(len(count)), count)
+    j = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
+    ix = i0[box, 0] + j // ny[box]
+    iy = i0[box, 1] + j % ny[box]
+    return box, ix * (_GRID_RES + 1) + iy
 
 
 class SegmentedData:

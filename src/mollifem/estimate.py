@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature as quadr
-from .fem import BilinearFormSpec, FeFunction, _p1_gradients, _cell_values
+from .fem import BilinearFormSpec, FeFunction
 from .mesh import Mesh
 
 
@@ -58,7 +58,7 @@ def jump_indicator_sq(mesh: Mesh, w: FeFunction,
     verts, left, right = mesh.interior_edge_arrays
     if len(verts) == 0:
         return jsq
-    grads = np.einsum("mdi,mi->md", _p1_gradients(mesh), _cell_values(w))
+    grads = w.cell_gradients()
     p0 = mesh.coords[verts[:, 0]]
     p1 = mesh.coords[verts[:, 1]]
     tang = p1 - p0

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from . import quadrature as quadr
 from .errors import NumericalError
-from .mesh import CellCache, Mesh, interface_cells
+from .mesh import CellCache, Mesh, fill_midpoints, interface_cells
 
 CG_RTOL = 5e-11
 
@@ -76,16 +76,12 @@ class FeFunction:
     def cell_gradients(self) -> np.ndarray:
         """Constant gradient per active cell, shape (m, 2)."""
         return np.einsum("mdi,mi->md", _p1_gradients(self.mesh),
-                         _cell_values(self))
+                         self.nodal_values[self.mesh.triangles])
 
     def eval_bary(self, positions: np.ndarray, bary: np.ndarray) -> np.ndarray:
         """Values at barycentric points (q, 3) of the given cells -> (m, q)."""
         v = self.mesh.triangles[positions]
         return self.nodal_values[v] @ bary.T
-
-
-def _cell_values(fn: FeFunction) -> np.ndarray:
-    return fn.nodal_values[fn.mesh.triangles]
 
 
 def _p1_gradients(mesh: Mesh) -> np.ndarray:
@@ -132,8 +128,6 @@ def assemble(mesh: Mesh, form: BilinearFormSpec, forcing,
     clipped-line or plain density). `boundary_data` maps boundary points
     (n, 2) to values; None means homogeneous.
     """
-    if not mesh.is_conforming():
-        raise ValueError("mesh has hanging nodes; refine with closure first")
     n = mesh.num_vertices
     raw = form_matrix(mesh, form)
     raw_rhs = forcing.load_vector(mesh) if forcing is not None else np.zeros(n)
@@ -197,10 +191,7 @@ def prolong(fn: FeFunction, fine: Mesh) -> FeFunction:
         raise ValueError("target mesh is not a refinement of the source mesh")
     vals = np.empty(nf)
     vals[:nc] = fn.nodal_values
-    parents = fine.vertex_parents
-    for v in range(nc, nf):
-        a, b = parents[v]
-        vals[v] = 0.5 * (vals[a] + vals[b])
+    fill_midpoints(vals, fine.vertex_parents, nc)
     return FeFunction(fine, vals)
 
 
@@ -221,7 +212,7 @@ def energy_error(u_exact, w: FeFunction, form: BilinearFormSpec,
         hit = interface_cells(mesh, curve)
         depths[np.searchsorted(mesh.active_id_array, hit)] = _KINK_DEPTH
 
-    grads_w = np.einsum("mdi,mi->md", _p1_gradients(mesh), _cell_values(w))
+    grads_w = w.cell_gradients()
     total = 0.0
     for d in np.unique(depths):
         sel = np.nonzero(depths == d)[0]
@@ -294,7 +285,7 @@ class ErrorIntegrator:
         mesh = w.mesh
         self._sync(mesh)
         positions = np.arange(mesh.num_cells)
-        g = np.einsum("mdi,mi->md", _p1_gradients(mesh), _cell_values(w))
+        g = w.cell_gradients()
         s0 = self._s0.get(mesh, positions)
         s1 = self._s1.get(mesh, positions)
         total = float(s0.sum()) - 2.0 * float(np.einsum("md,md->", g, s1)) \

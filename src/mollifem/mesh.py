@@ -1,19 +1,21 @@
 """Conforming triangle meshes with newest-vertex bisection.
 
-A ``Mesh`` is immutable: :meth:`Mesh.refine` returns a new mesh that shares
-the full cell genealogy, so every active cell's ancestor chain terminates at
-a cell of the initial triangulation. Vertices are only ever created (as edge
-midpoints), never removed, so the vertex count equals the P1 space
-dimension.
+A ``Mesh`` is immutable: :meth:`Mesh.refine` returns a new mesh. Cells are
+rows of integer arrays over every cell ever created, active or already
+bisected, indexed by cell id; ``parent`` links each child to the cell it was
+split from, so every active cell's ancestor chain ends at a cell of the
+initial triangulation. Vertices are only ever created (as edge midpoints),
+never removed, so the vertex count equals the P1 space dimension.
 
-Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``. Bisection
+Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``, and
+``neighbours[c, i]`` is the cell across it (-1 on the boundary). Bisection
 splits the tagged refinement edge at its midpoint; children are stored with
 the new vertex first, so their refinement edge tag is always 0 (the edge
 opposite the newest vertex).
 """
 from __future__ import annotations
 
-import logging
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,48 +29,61 @@ from .geometry import segments_intersect_triangles
 if TYPE_CHECKING:
     from .curves import Curve
 
-logger = logging.getLogger("mollifem")
-
 _MAX_BISECTIONS = 10_000_000
-
-
-@dataclass(frozen=True, slots=True)
-class Cell:
-    """One triangle in the refinement forest (active or already bisected)."""
-
-    id: int
-    vertices: tuple[int, int, int]
-    refinement_edge: int
-    generation: int
-    parent: int | None
-    root: int
-    path: int  # genealogy bits rooted at 1; child c appends bit c
+_KEY = 1 << 32  # edge key lo * _KEY + hi of vertex ids lo < hi
+_PENDING = -2  # neighbour of a half edge whose other side is not cut yet
 
 
 @dataclass(frozen=True, slots=True)
 class RefineRecord:
-    op: str
     marked: int
     bisections: int
-    active_after: int
 
 
-def _ekey(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _growable(x: np.ndarray) -> array:
+    """A copy of `x` as a flat Python array of the same item type."""
+    out = array(x.dtype.char)
+    out.frombytes(memoryview(np.ascontiguousarray(x)).cast("B"))
+    return out
 
 
+def fill_midpoints(values: np.ndarray, vertex_parents: np.ndarray,
+                   start: int) -> None:
+    """Set ``values[v] = 0.5 * (values[a] + values[b])`` for each vertex
+    ``v >= start`` bisecting edge (a, b), in dependency waves: a midpoint
+    whose parent is itself a new midpoint waits for it."""
+    done = np.arange(len(values)) < start
+    todo = np.arange(start, len(values))
+    while len(todo):
+        a, b = vertex_parents[todo].T
+        ready = done[a] & done[b]
+        v = todo[ready]
+        values[v] = 0.5 * (values[a[ready]] + values[b[ready]])
+        done[v] = True
+        todo = todo[~ready]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Mesh:
-    """Immutable conforming triangulation; see module docstring."""
+    """Immutable conforming triangulation; see module docstring.
 
-    def __init__(self, coords, cells, active_ids, edge_cells, split_edges,
-                 vertex_parents, history):
-        self.coords = coords
-        self.cells = cells
-        self.active_ids = active_ids
-        self.edge_cells = edge_cells
-        self.split_edges = split_edges
-        self.vertex_parents = vertex_parents
-        self.history = history
+    Rows of `neighbours` and `edge_order` belong to active cells; rows of
+    bisected cells are left as they were and mean nothing.
+    """
+
+    coords: np.ndarray  # (V, 2)
+    vertex_parents: np.ndarray  # (V, 2) ends of the bisected edge; -1 if initial
+    cell_vertices: np.ndarray  # (N, 3) CCW vertex ids of every created cell
+    refinement_edge: np.ndarray  # (N,) local index of the edge to bisect
+    parent: np.ndarray  # (N,) the cell a child was split from; -1 if initial
+    generation: np.ndarray  # (N,) bisections since the initial cell
+    neighbours: np.ndarray  # (N, 3) cell across each local edge; -1 boundary
+    # 2 * creation rank of each edge, + 1 in the second cell to own it: the
+    # jump estimator visits interior edges in creation order, first cell
+    # first, which fixes the order (and the bits) of its per-cell sums
+    edge_order: np.ndarray  # (N, 3)
+    active_id_array: np.ndarray  # (M,) ascending ids of the active cells
+    history: tuple = ()
 
     # -- construction -----------------------------------------------------
 
@@ -99,14 +114,7 @@ class Mesh:
 
         if refinement_edges is None:
             p = coords[tris]
-            lens = np.stack(
-                [
-                    np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
-                    np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
-                    np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
-                ],
-                axis=1,
-            )
+            lens = np.linalg.norm(p[:, [1, 2, 0]] - p[:, [2, 0, 1]], axis=2)
             tied = lens >= lens.max(axis=1, keepdims=True) * (1 - 1e-12)
             opp = np.where(tied, tris, np.iinfo(np.int64).max)
             tags = np.argmin(opp, axis=1)
@@ -115,22 +123,29 @@ class Mesh:
             if tags.shape != (len(tris),) or tags.min() < 0 or tags.max() > 2:
                 raise ValueError("refinement_edges must be per-cell values in {0,1,2}")
 
-        cells = [
-            Cell(i, tuple(int(v) for v in tris[i]), int(tags[i]), 0, None, i, 1)
-            for i in range(len(tris))
-        ]
-        edge_cells: dict[tuple[int, int], tuple[int, ...]] = {}
-        for c in cells:
-            v = c.vertices
-            for a, b in ((v[1], v[2]), (v[2], v[0]), (v[0], v[1])):
-                k = _ekey(a, b)
-                edge_cells[k] = edge_cells.get(k, ()) + (c.id,)
-        for k, adj in edge_cells.items():
-            if len(adj) > 2:
-                raise ValueError(f"edge {k} shared by {len(adj)} cells")
+        # pair up the cells of each edge; flat index 3 * cell + local edge
+        # is the creation rank, the first owner in that order is slot 0
+        a, b = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+        key = np.minimum(a, b) * len(coords) + np.maximum(a, b)
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+        count = np.diff(np.r_[first, len(key)])
+        if count.max(initial=0) > 2:
+            f = order[first[np.argmax(count)]]
+            raise ValueError(f"edge {(int(min(a[f], b[f])), int(max(a[f], b[f])))}"
+                             f" shared by {count.max()} cells")
+        slot = np.arange(len(key)) - np.repeat(first, count)
+        edge_order = np.empty(len(key), dtype=np.int64)
+        edge_order[order] = 2 * np.repeat(order[first], count) + slot
+        neighbours = np.full(len(key), -1, dtype=np.int64)
+        f0, f1 = order[first[count == 2]], order[first[count == 2] + 1]
+        neighbours[f0], neighbours[f1] = f1 // 3, f0 // 3
 
-        return cls(coords, cells, list(range(len(cells))), edge_cells, {},
-                   [None] * len(coords), ())
+        n = len(tris)
+        return cls(coords, np.full((len(coords), 2), -1, dtype=np.int64),
+                   tris, tags.astype(np.int8), np.full(n, -1, dtype=np.int64),
+                   np.zeros(n, dtype=np.int64), neighbours.reshape(n, 3),
+                   edge_order.reshape(n, 3), np.arange(n, dtype=np.int64))
 
     # -- basic queries ----------------------------------------------------
 
@@ -140,23 +155,15 @@ class Mesh:
 
     @property
     def num_cells(self) -> int:
-        return len(self.active_ids)
+        return len(self.active_id_array)
 
     @property
     def num_created(self) -> int:
-        return len(self.cells)
-
-    @cached_property
-    def active_id_array(self) -> np.ndarray:
-        return np.array(self.active_ids, dtype=np.int64)
-
-    @cached_property
-    def active_cells(self) -> list[Cell]:
-        return [self.cells[i] for i in self.active_ids]
+        return len(self.cell_vertices)
 
     @cached_property
     def triangles(self) -> np.ndarray:
-        return np.array([c.vertices for c in self.active_cells], dtype=np.int64)
+        return self.cell_vertices[self.active_id_array]
 
     @cached_property
     def cell_coords(self) -> np.ndarray:
@@ -174,45 +181,43 @@ class Mesh:
         return np.sqrt(self.areas)
 
     @cached_property
-    def generations(self) -> np.ndarray:
-        return np.array([c.generation for c in self.active_cells], dtype=np.int64)
-
-    @cached_property
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        return [k for k, adj in self.edge_cells.items() if len(adj) == 1]
-
-    @cached_property
     def boundary_vertex_mask(self) -> np.ndarray:
+        cell, k = np.nonzero(self.neighbours[self.active_id_array] < 0)
         mask = np.zeros(self.num_vertices, dtype=bool)
-        for a, b in self.boundary_edges:
-            mask[a] = True
-            mask[b] = True
+        mask[self.triangles[cell][np.arange(3) != k[:, None]]] = True
         return mask
 
     @cached_property
     def interior_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(verts (E,2), left cell position, right cell position) for interior edges."""
-        verts, left, right = [], [], []
-        for k, adj in self.edge_cells.items():
-            if len(adj) == 2:
-                verts.append(k)
-                left.append(adj[0])
-                right.append(adj[1])
+        """(verts (E,2), left cell position, right cell position) for interior
+        edges, in creation order; `left` is the edge's first owner and each
+        edge's vertex pair is ascending."""
         ids = self.active_id_array
-        return (np.array(verts, dtype=np.int64).reshape(-1, 2),
-                np.searchsorted(ids, left), np.searchsorted(ids, right))
+        nb = self.neighbours[ids]
+        order = self.edge_order[ids]
+        cell, k = np.nonzero((nb >= 0) & (order % 2 == 0))
+        rank = order[cell, k] // 2
+        # creation ranks are distinct, so a scatter sorts them in O(rank range)
+        at = np.full(int(rank.max(initial=-1)) + 1, -1, dtype=np.int64)
+        at[rank] = np.arange(len(rank))
+        e = at[at >= 0]
+        cell, k = cell[e], k[e]
+        ends = self.triangles[cell][np.arange(3) != k[:, None]].reshape(-1, 2)
+        position = np.full(self.num_created, -1, dtype=np.int64)
+        position[ids] = np.arange(len(ids))
+        return np.sort(ends, axis=1), cell, position[nb[cell, k]]
 
     def total_marked(self) -> int:
         """Sum of marked-set sizes over all refine calls (complexity accounting)."""
-        return sum(r.marked for r in self.history if r.op == "refine")
+        return sum(r.marked for r in self.history)
 
     def is_conforming(self) -> bool:
-        for c in self.active_cells:
-            v = c.vertices
-            for a, b in ((v[1], v[2]), (v[2], v[0]), (v[0], v[1])):
-                if _ekey(a, b) in self.split_edges:
-                    return False
-        return True
+        """True when no active cell has an edge that has been bisected (no
+        hanging node). Refinement keeps meshes conforming; this is a check."""
+        split = np.sort(self.vertex_parents[self.vertex_parents[:, 0] >= 0], axis=1)
+        edges = np.sort(self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+        key = np.array([self.num_vertices, 1])
+        return not np.isin(edges @ key, split @ key).any()
 
     # -- refinement -------------------------------------------------------
 
@@ -220,7 +225,11 @@ class Mesh:
         """Bisect the marked cells and restore conformity by closure.
 
         Marked ids must be active cells of this mesh; an empty marked set
-        returns the mesh unchanged.
+        returns the mesh unchanged. The marked cells are bisected in
+        ascending id, then a FIFO queue bisects every queued active cell
+        with a bisected edge until none is left. That order fixes the ids of
+        new cells and vertices, and with them the vertex numbering the
+        solver's Gauss-Seidel preconditioner depends on.
         """
         marked_list = sorted({int(i) for i in marked})
         if not marked_list:
@@ -230,79 +239,110 @@ class Mesh:
             raise ValueError("unknown or inactive cell id "
                              f"{marked_list[int(np.argmax(inactive))]}")
 
-        reg = list(self.cells)
-        n0 = len(self.coords)
-        new_coords: list[np.ndarray] = []
-        edge_cells = dict(self.edge_cells)
-        split = dict(self.split_edges)
-        vparents = list(self.vertex_parents)
-        active = set(self.active_ids)
-        queue: deque[int] = deque()
-        nbis = 0
-        old_coords = self.coords
+        nv = self.num_vertices
+        alive = np.zeros(self.num_created, dtype=np.int8)
+        alive[self.active_id_array] = 1
+        # Python arrays: element access without numpy scalars, cheap appends
+        V, NB, EO, T, G, A = (_growable(x) for x in (
+            self.cell_vertices, self.neighbours, self.edge_order,
+            self.refinement_edge, self.generation, alive))
 
-        def coord_of(vid: int) -> np.ndarray:
-            return old_coords[vid] if vid < n0 else new_coords[vid - n0]
-
-        def bisect(cid: int) -> None:
-            nonlocal nbis
-            cell = reg[cid]
-            e = cell.refinement_edge
-            v = cell.vertices
-            p, a, b = v[e], v[(e + 1) % 3], v[(e + 2) % 3]
-            key = _ekey(a, b)
-            m = split.get(key)
-            if m is None:
-                m = n0 + len(new_coords)
-                new_coords.append(0.5 * (coord_of(a) + coord_of(b)))
-                vparents.append((a, b))
-                split[key] = m
-            c1, c2 = len(reg), len(reg) + 1
-            gen = cell.generation + 1
-            reg.append(Cell(c1, (m, p, a), 0, gen, cid, cell.root, cell.path * 2))
-            reg.append(Cell(c2, (m, b, p), 0, gen, cid, cell.root, cell.path * 2 + 1))
-            active.discard(cid)
-            active.add(c1)
-            active.add(c2)
-
-            rest = tuple(x for x in edge_cells[key] if x != cid)
-            if rest:
-                edge_cells[key] = rest
-                queue.extend(rest)  # neighbor now has a hanging node
-            else:
-                del edge_cells[key]
-            for old, new in ((_ekey(p, a), c1), (_ekey(p, b), c2)):
-                edge_cells[old] = tuple(new if x == cid else x for x in edge_cells[old])
-            for k2, owner in ((_ekey(a, m), c1), (_ekey(m, b), c2)):
-                edge_cells[k2] = edge_cells.get(k2, ()) + (owner,)
-            edge_cells[_ekey(p, m)] = (c1, c2)
-            queue.append(c1)
-            queue.append(c2)
-            nbis += 1
-
-        for cid in marked_list:
-            if cid in active:
-                bisect(cid)
+        split: dict[int, int] = {}  # edge -> midpoint; the input has no cut edge
+        pending: dict[int, int] = {}  # half edge key -> its only owner so far
+        bisected: list[int] = []
+        vparents: list[int] = []
+        seq = int(self.edge_order.max()) // 2 + 1
+        queue = deque(marked_list)
+        popped = 0
         while queue:
             cid = queue.popleft()
-            if cid not in active:
+            popped += 1
+            if not A[cid]:
                 continue
-            v = reg[cid].vertices
-            if (_ekey(v[1], v[2]) in split or _ekey(v[2], v[0]) in split
-                    or _ekey(v[0], v[1]) in split):
-                bisect(cid)
-            if nbis > _MAX_BISECTIONS:
+            c0 = 3 * cid
+            v = V[c0], V[c0 + 1], V[c0 + 2]
+            if popped > len(marked_list):  # closure: bisect only hanging cells
+                x, y, z = v
+                if not ((x * _KEY + y if x < y else y * _KEY + x) in split
+                        or (y * _KEY + z if y < z else z * _KEY + y) in split
+                        or (z * _KEY + x if z < x else x * _KEY + z) in split):
+                    continue
+
+            e = T[cid]
+            p, a, b = v[e], v[(e + 1) % 3], v[(e + 2) % 3]
+            n_ab = NB[c0 + e]
+            n_pa, o_pa = NB[c0 + (e + 2) % 3], EO[c0 + (e + 2) % 3]
+            n_bp, o_bp = NB[c0 + (e + 1) % 3], EO[c0 + (e + 1) % 3]
+            key = a * _KEY + b if a < b else b * _KEY + a
+            c1, c2 = len(A), len(A) + 1
+            m = split.get(key)
+            if m is None:  # first cut of (a, b): a new vertex
+                m = nv
+                nv += 1
+                vparents += (a, b)
+                split[key] = m
+                o_am, o_mb = 2 * seq, 2 * seq + 2
+                seq += 2
+                if n_ab >= 0:  # the other side will cut (a, b) later
+                    x_am = x_mb = _PENDING
+                    pending[a * _KEY + m] = c1
+                    pending[b * _KEY + m] = c2
+                    queue.append(n_ab)
+                else:
+                    x_am = x_mb = -1
+            else:  # the other side cut (a, b) first: join its halves
+                # both halves are still pending: the cell that cut (a, b)
+                # queued this side before its own children, and this side
+                # cuts (a, b) within two bisections, before a child of that
+                # cell can have a half as its refinement edge
+                halves = []
+                for end, child in ((a, c1), (b, c2)):
+                    x = pending.pop(end * _KEY + m)
+                    x0 = 3 * x
+                    k = x0 if V[x0] != end and V[x0] != m else \
+                        x0 + 1 if V[x0 + 1] != end and V[x0 + 1] != m else x0 + 2
+                    NB[k] = child
+                    halves += (x, EO[k] | 1)
+                x_am, o_am, x_mb, o_mb = halves
+            o_pm = 2 * seq
+            seq += 1
+
+            V.extend((m, p, a, m, b, p))
+            NB.extend((n_pa, x_am, c2, n_bp, c1, x_mb))
+            EO.extend((o_pa, o_am, o_pm, o_bp, o_pm + 1, o_mb))
+            T.extend((0, 0))
+            G.extend((G[cid] + 1, G[cid] + 1))
+            A[cid] = 0
+            A.extend((1, 1))
+            # the outer edges (p, a) and (b, p) pass to the children
+            for n, child, u in ((n_pa, c1, a), (n_bp, c2, b)):
+                if n >= 0:
+                    r = 3 * n
+                    k = r if NB[r] == cid else r + 1 if NB[r + 1] == cid else r + 2
+                    NB[k] = child
+                elif n == _PENDING:
+                    pending[p * _KEY + u if p < u else u * _KEY + p] = child
+            queue.append(c1)
+            queue.append(c2)
+            bisected.append(cid)
+            if len(bisected) > _MAX_BISECTIONS:
                 raise NonTerminationError("closure exceeded bisection cap")
 
-        coords = np.vstack([old_coords, np.array(new_coords)]) if new_coords else old_coords
-        history = self.history + (RefineRecord("refine", len(marked_list), nbis, len(active)),)
-        return Mesh(coords, reg, sorted(active), edge_cells, split, vparents,
-                    history)
+        coords = np.concatenate((self.coords, np.empty((nv - self.num_vertices, 2))))
+        vertex_parents = np.concatenate(
+            (self.vertex_parents, np.array(vparents, dtype=np.int64).reshape(-1, 2)))
+        fill_midpoints(coords, vertex_parents, self.num_vertices)
+        V, NB, EO, T, G, A = (np.frombuffer(x, dtype=x.typecode)
+                              for x in (V, NB, EO, T, G, A))
+        return Mesh(coords, vertex_parents, V.reshape(-1, 3), T,
+                    np.concatenate((self.parent, np.repeat(bisected, 2))), G,
+                    NB.reshape(-1, 3), EO.reshape(-1, 3), np.flatnonzero(A),
+                    self.history + (RefineRecord(len(marked_list), len(bisected)),))
 
     def uniform_refine(self, passes: int = 1) -> "Mesh":
         mesh = self
         for _ in range(passes):
-            mesh = mesh.refine(mesh.active_ids)
+            mesh = mesh.refine(mesh.active_id_array)
         return mesh
 
 
@@ -351,22 +391,20 @@ class CellCache:
 # -- structured initial meshes -------------------------------------------
 
 
+def _grid_triangles(nx: int, ny: int) -> np.ndarray:
+    """Two triangles per square of an (nx + 1) x (ny + 1) vertex grid, square
+    by square along rows, each split along its rising diagonal."""
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+
+
 def rect_mesh(nx: int, ny: int, x0: float = 0.0, y0: float = 0.0,
               x1: float = 1.0, y1: float = 1.0) -> Mesh:
     """Uniform triangulation of a rectangle, squares split along one diagonal."""
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    xx, yy = np.meshgrid(xs, ys, indexing="xy")
-    coords = np.column_stack([xx.ravel(), yy.ravel()])
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00 = j * (nx + 1) + i
-            v10, v01 = v00 + 1, v00 + nx + 1
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh.from_arrays(coords, tris)
+    xx, yy = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
+    return Mesh.from_arrays(np.column_stack([xx.ravel(), yy.ravel()]),
+                            _grid_triangles(nx, ny))
 
 
 def lshape_mesh(n: int) -> Mesh:
@@ -375,23 +413,13 @@ def lshape_mesh(n: int) -> Mesh:
     ``n`` is the number of squares per unit length (square side 1/n).
     """
     xs = np.linspace(-1.0, 1.0, 2 * n + 1)
-    coords_full = np.column_stack([g.ravel() for g in np.meshgrid(xs, xs, indexing="xy")])
-    keep_tris = []
-    for j in range(2 * n):
-        for i in range(2 * n):
-            cx = (xs[i] + xs[i + 1]) / 2
-            cy = (xs[j] + xs[j + 1]) / 2
-            if cx > 0 and cy > 0:
-                continue
-            v00 = j * (2 * n + 1) + i
-            v10, v01 = v00 + 1, v00 + 2 * n + 1
-            v11 = v01 + 1
-            keep_tris.append((v00, v10, v11))
-            keep_tris.append((v00, v11, v01))
-    used = sorted({v for t in keep_tris for v in t})
-    remap = {v: i for i, v in enumerate(used)}
-    tris = [(remap[a], remap[b], remap[c]) for a, b, c in keep_tris]
-    return Mesh.from_arrays(coords_full[used], tris)
+    xx, yy = np.meshgrid(xs, xs)
+    mid = (xs[:-1] + xs[1:]) / 2
+    keep = ~((mid[:, None] > 0) & (mid[None, :] > 0)).ravel()
+    tris = _grid_triangles(2 * n, 2 * n).reshape(-1, 2, 3)[keep]
+    used, tris = np.unique(tris.ravel(), return_inverse=True)
+    return Mesh.from_arrays(np.column_stack([xx.ravel(), yy.ravel()])[used],
+                            tris.reshape(-1, 3))
 
 
 # -- curve queries --------------------------------------------------------
@@ -433,18 +461,9 @@ def curve_cell_pairs(mesh: Mesh, curve: "Curve",
     scan = np.arange(mesh.num_cells, dtype=np.int64) if positions is None \
         else np.asarray(positions, dtype=np.int64)
     cand = scan[cells_near_curve(mesh, curve, scan)]
-    coords = mesh.cell_coords
-    cell_idx, seg_idx = [], []
-    for posn in cand:
-        tri = coords[posn]
-        segs = curve.grid_query(tri[:, 0].min(), tri[:, 1].min(),
-                                tri[:, 0].max(), tri[:, 1].max())
-        if len(segs):
-            cell_idx.append(np.full(len(segs), posn, dtype=np.int64))
-            seg_idx.append(segs)
-    if not cell_idx:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(cell_idx), np.concatenate(seg_idx)
+    tri = mesh.cell_coords[cand]
+    box, seg = curve.grid_query(tri.min(axis=1), tri.max(axis=1))
+    return cand[box], seg
 
 
 def interface_cells(mesh: Mesh, curve: "Curve",

@@ -252,6 +252,33 @@ def test_cli_run_reuses_the_last_forcing(tmp_path, monkeypatch):
     assert events[events.index("csv") + 1:] == []
 
 
+def test_write_vtk_bytes_match_per_value_formatting(tmp_path, rng):
+    # the writer formats whole blocks at once; each value must still read
+    # exactly as format(x, ".17g") writes it, line by line
+    mesh = rect_mesh(3, 2, -0.3, 0.1, 1.7, 2.9)
+    mesh = mesh.refine(mesh.active_id_array[::3])
+    u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(
+        -300, 300, mesh.num_vertices)
+    u[:4] = [np.nan, -0.0, np.inf, 5e-324]
+    q = rng.standard_normal(mesh.num_cells)
+    path = tmp_path / "m.vtk"
+    write_vtk(path, mesh, point_data={"u": u}, cell_data={"q": q}, title="t")
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    lines = ["# vtk DataFile Version 3.0", "t", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
+    lines += [f"{fmt(x)} {fmt(y)} 0" for x, y in mesh.coords]
+    lines.append(f"CELLS {mesh.num_cells} {4 * mesh.num_cells}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    lines += [f"CELL_TYPES {mesh.num_cells}"] + ["5"] * mesh.num_cells
+    for header, name, values in (("CELL_DATA", "q", q), ("POINT_DATA", "u", u)):
+        lines += [f"{header} {len(values)}", f"SCALARS {name} double 1",
+                  "LOOKUP_TABLE default"] + [fmt(v) for v in values]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
 def test_write_vtk_counts_and_validation(tmp_path):
     mesh = rect_mesh(1, 1, 0.0, 0.0, 1.0, 1.0)
     path = tmp_path / "m.vtk"

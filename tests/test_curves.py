@@ -28,15 +28,18 @@ def test_open_polyline_segments():
 
 def test_grid_query_returns_superset(rng):
     c = Curve.circle((0.2, -0.1), 0.7, 512, boundary_gap=0.5)
-    for _ in range(50):
-        x0, y0 = rng.uniform(-1.2, 1.2, size=2)
-        w, h = rng.uniform(0.05, 0.6, size=2)
-        got = set(c.grid_query(x0, y0, x0 + w, y0 + h).tolist())
-        lo = np.minimum(c.seg_start, c.seg_end)
-        hi = np.maximum(c.seg_start, c.seg_end)
-        brute = np.nonzero((hi[:, 0] >= x0) & (lo[:, 0] <= x0 + w)
-                           & (hi[:, 1] >= y0) & (lo[:, 1] <= y0 + h))[0]
-        assert set(brute.tolist()) <= got
+    box_lo = rng.uniform(-1.2, 1.2, size=(50, 2))
+    box_hi = box_lo + rng.uniform(0.05, 0.6, size=(50, 2))
+    box, seg = c.grid_query(box_lo, box_hi)
+    # unique pairs, ordered by box, then segment
+    key = box * c.num_segments + seg
+    assert np.all(np.diff(key) > 0)
+    lo = np.minimum(c.seg_start, c.seg_end)
+    hi = np.maximum(c.seg_start, c.seg_end)
+    for j, ((x0, y0), (x1, y1)) in enumerate(zip(box_lo, box_hi)):
+        brute = np.nonzero((hi[:, 0] >= x0) & (lo[:, 0] <= x1)
+                           & (hi[:, 1] >= y0) & (lo[:, 1] <= y1))[0]
+        assert set(brute.tolist()) <= set(seg[box == j].tolist())
 
 
 def test_segmented_data_length_mismatch_rejected():

@@ -1,6 +1,9 @@
 """Mesh construction, bisection refinement, genealogy, and curve queries."""
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -51,13 +54,33 @@ def test_refine_single_marked_cell_hand_count():
 
 def _descends_from(fine: Mesh, coarse: Mesh) -> bool:
     """Every active cell of `fine` reaches an active cell of `coarse`."""
-    coarse_active = set(coarse.active_ids)
-    for cid in fine.active_ids:
+    coarse_active = set(coarse.active_id_array.tolist())
+    for cid in fine.active_id_array.tolist():
         while cid not in coarse_active:
-            cid = fine.cells[cid].parent
-            if cid is None:
+            cid = int(fine.parent[cid])
+            if cid < 0:
                 return False
     return True
+
+
+def _check_neighbours(mesh: Mesh) -> None:
+    """The neighbour table is symmetric over active cells, and each pair
+    shares the vertex pair of the edges they name."""
+    ids = mesh.active_id_array
+    nb = mesh.neighbours[ids]
+    assert np.all(np.isin(nb[nb >= 0], ids)) and np.all(nb >= -1)
+    cell, k = np.nonzero(nb >= 0)
+    other = nb[cell, k]
+    back = mesh.neighbours[other]
+    assert np.all((back == ids[cell][:, None]).sum(axis=1) == 1)
+    kb = np.argmax(back == ids[cell][:, None], axis=1)
+    tri = mesh.cell_vertices
+
+    def edge(c, j):
+        return np.sort(np.stack([tri[c, (j + 1) % 3], tri[c, (j + 2) % 3]],
+                                axis=1), axis=1)
+
+    np.testing.assert_array_equal(edge(ids[cell], k), edge(other, kb))
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,9 +90,10 @@ def test_refine_preserves_area_and_nesting(domain, rounds, data):
     mesh = rect_mesh(2, 3, 0.0, 0.0, 1.0, 1.5) if domain == "rect" \
         else lshape_mesh(1)
     area = mesh.areas.sum()
+    _check_neighbours(mesh)
     for _ in range(rounds):
-        marked = data.draw(st.sets(st.sampled_from(mesh.active_ids),
-                                   max_size=12))
+        marked = data.draw(st.sets(
+            st.sampled_from(mesh.active_id_array.tolist()), max_size=12))
         fine = mesh.refine(marked)
         assert fine.is_conforming()
         assert abs(fine.areas.sum() - area) < 1e-12
@@ -79,7 +103,139 @@ def test_refine_preserves_area_and_nesting(domain, rounds, data):
             a, b = fine.vertex_parents[v]
             np.testing.assert_array_equal(
                 fine.coords[v], 0.5 * (fine.coords[a] + fine.coords[b]))
+        _check_neighbours(fine)
         mesh = fine
+
+
+class _ReferenceNVB:
+    """The dict-and-queue closure with per-cell tuples that the array mesh
+    replaced, kept as the oracle for cell ids, vertex ids, coordinates and
+    the creation order of interior edges."""
+
+    def __init__(self, mesh: Mesh):
+        self.coords = [np.array(c) for c in mesh.coords]
+        self.cells = [(tuple(v), int(t)) for v, t in
+                      zip(mesh.cell_vertices.tolist(), mesh.refinement_edge)]
+        self.parent = [-1] * len(self.cells)
+        self.active = set(range(len(self.cells)))
+        self.split: dict = {}
+        self.edge_cells: dict = {}
+        for cid, (v, _) in enumerate(self.cells):
+            for a, b in ((v[1], v[2]), (v[2], v[0]), (v[0], v[1])):
+                key = (min(a, b), max(a, b))
+                self.edge_cells[key] = self.edge_cells.get(key, ()) + (cid,)
+
+    def _bisect(self, cid: int, queue: deque) -> None:
+        v, e = self.cells[cid]
+        p, a, b = v[e], v[(e + 1) % 3], v[(e + 2) % 3]
+        key = (min(a, b), max(a, b))
+        m = self.split.get(key)
+        if m is None:
+            m = len(self.coords)
+            self.coords.append(0.5 * (self.coords[a] + self.coords[b]))
+            self.split[key] = m
+        c1, c2 = len(self.cells), len(self.cells) + 1
+        self.cells += [((m, p, a), 0), ((m, b, p), 0)]
+        self.parent += [cid, cid]
+        self.active -= {cid}
+        self.active |= {c1, c2}
+        ec = self.edge_cells
+        rest = tuple(x for x in ec[key] if x != cid)
+        if rest:
+            ec[key] = rest
+            queue.extend(rest)
+        else:
+            del ec[key]
+        for (x, y), new in (((p, a), c1), ((p, b), c2)):
+            k = (min(x, y), max(x, y))
+            ec[k] = tuple(new if c == cid else c for c in ec[k])
+        for (x, y), owner in (((a, m), c1), ((m, b), c2)):
+            k = (min(x, y), max(x, y))
+            ec[k] = ec.get(k, ()) + (owner,)
+        ec[(min(p, m), max(p, m))] = (c1, c2)
+        queue.extend((c1, c2))
+
+    def refine(self, marked) -> None:
+        queue: deque = deque()
+        for cid in sorted(set(marked)):
+            if cid in self.active:
+                self._bisect(cid, queue)
+        while queue:
+            cid = queue.popleft()
+            v = self.cells[cid][0]
+            if cid in self.active and any(
+                    (min(x, y), max(x, y)) in self.split
+                    for x, y in ((v[1], v[2]), (v[2], v[0]), (v[0], v[1]))):
+                self._bisect(cid, queue)
+
+    def assert_same(self, mesh: Mesh) -> None:
+        ids = sorted(self.active)
+        np.testing.assert_array_equal(mesh.active_id_array, ids)
+        np.testing.assert_array_equal(mesh.triangles,
+                                      [self.cells[i][0] for i in ids])
+        np.testing.assert_array_equal(mesh.coords, np.array(self.coords))
+        np.testing.assert_array_equal(mesh.parent, self.parent)
+        pos = {cid: i for i, cid in enumerate(ids)}
+        inner = [(k, adj) for k, adj in self.edge_cells.items() if len(adj) == 2]
+        verts, left, right = mesh.interior_edge_arrays
+        np.testing.assert_array_equal(verts, [k for k, _ in inner])
+        np.testing.assert_array_equal(left, [pos[adj[0]] for _, adj in inner])
+        np.testing.assert_array_equal(right, [pos[adj[1]] for _, adj in inner])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), rounds=st.integers(1, 5),
+       fraction=st.floats(0.05, 0.5), data=st.data())
+def test_refine_numbers_like_the_reference_closure(seed, rounds, fraction,
+                                                   data):
+    # random points and random (not necessarily compatible) refinement edges
+    # reach closure cases a structured mesh never does
+    rng = np.random.default_rng(seed)
+    grid = rect_mesh(3, 3)
+    coords = grid.coords + rng.uniform(-0.08, 0.08, grid.coords.shape)
+    mesh = Mesh.from_arrays(coords, grid.triangles,
+                            rng.integers(0, 3, grid.num_cells))
+    ref = _ReferenceNVB(mesh)
+    for _ in range(rounds):
+        ids = mesh.active_id_array
+        marked = rng.choice(ids, max(1, int(fraction * len(ids))),
+                            replace=False)
+        mesh = mesh.refine(marked)
+        ref.refine(marked.tolist())
+        ref.assert_same(mesh)
+        _check_neighbours(mesh)
+
+
+def test_refine_numbering_is_pinned():
+    # recorded from the dict-based closure before the array mesh replaced it
+    mesh = lshape_mesh(2)
+    for marked in ([0, 7], [3, 25, 30], [12, 31, 36]):
+        mesh = mesh.refine(marked)
+    np.testing.assert_array_equal(mesh.active_id_array, [
+        4, 5, 8, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 26,
+        27, 28, 29, 32, 33, 34, 35, 37, 38, 39, 40, 41, 42, 44, 45, 46, 47,
+        48, 49])
+    np.testing.assert_array_equal(mesh.triangles, TRIANGLES_PINNED)
+    np.testing.assert_array_equal(8.0 * mesh.coords, COORDS_X8_PINNED)
+    np.testing.assert_array_equal(mesh.parent, [-1] * 24 + [
+        0, 0, 7, 7, 1, 1, 6, 6, 3, 3, 25, 25, 30, 30, 2, 2, 12, 12, 31, 31,
+        36, 36, 13, 13, 43, 43])
+    verts, left, right = mesh.interior_edge_arrays
+    np.testing.assert_array_equal(verts, EDGES_PINNED)
+    np.testing.assert_array_equal(left, LEFT_PINNED)
+    np.testing.assert_array_equal(right, RIGHT_PINNED)
+
+
+def test_is_conforming_detects_a_hanging_node():
+    mesh = two_triangle_square()
+    fine = mesh.refine([0])  # splits the shared diagonal of both cells
+    assert fine.is_conforming()
+    # the children of cell 0 next to the unsplit cell 1: the diagonal's
+    # midpoint hangs on cell 1's edge
+    children = np.flatnonzero(fine.parent == 0)
+    hanging = replace(fine, active_id_array=np.sort(np.r_[children, 1]))
+    assert abs(hanging.areas.sum() - 1.0) < 1e-14
+    assert not hanging.is_conforming()
 
 
 def test_refined_vertices_are_edge_midpoints():
@@ -116,7 +272,8 @@ def test_active_ids_sorted_and_match_positions():
     assert np.all(np.diff(ids) > 0)
     for i in (0, len(ids) // 2, len(ids) - 1):
         assert np.searchsorted(ids, ids[i]) == i
-        assert tuple(mesh.triangles[i]) == mesh.cells[ids[i]].vertices
+        np.testing.assert_array_equal(mesh.triangles[i],
+                                      mesh.cell_vertices[ids[i]])
 
 
 def test_boundary_vertex_mask_rect():
@@ -179,3 +336,37 @@ def test_refinement_terminates_on_deep_marking():
     assert mesh.is_conforming()
     # repeated single-cell marking must not blow the mesh up
     assert mesh.num_cells < 200
+
+
+
+# -- recorded numbering for test_refine_numbering_is_pinned -------------
+
+TRIANGLES_PINNED = np.array([
+    [2, 3, 8], [2, 8, 7], [5, 6, 11], [5, 11, 10], [6, 7, 12], [6, 12, 11],
+    [8, 9, 14], [8, 14, 13], [10, 11, 16], [10, 16, 15], [11, 12, 17],
+    [11, 17, 16], [15, 16, 19], [15, 19, 18], [16, 17, 20], [16, 20, 19],
+    [21, 1, 6], [22, 8, 3], [22, 9, 8], [21, 5, 0], [21, 6, 5], [23, 6, 1],
+    [23, 7, 6], [24, 21, 0], [24, 1, 21], [25, 9, 22], [23, 2, 7],
+    [23, 1, 2], [26, 8, 13], [26, 7, 8], [27, 22, 3], [28, 25, 22],
+    [28, 4, 25], [26, 12, 7], [26, 13, 12], [28, 27, 4], [28, 22, 27]])
+COORDS_X8_PINNED = np.array([
+    [-8, -8], [-4, -8], [0, -8], [4, -8], [8, -8], [-8, -4], [-4, -4],
+    [0, -4], [4, -4], [8, -4], [-8, 0], [-4, 0], [0, 0], [4, 0], [8, 0],
+    [-8, 4], [-4, 4], [0, 4], [-8, 8], [-4, 8], [0, 8], [-6, -6], [6, -6],
+    [-2, -6], [-6, -8], [8, -6], [2, -2], [6, -8], [7, -7]])
+EDGES_PINNED = np.array([
+    [1, 6], [5, 6], [2, 7], [6, 7], [3, 8], [2, 8], [7, 8], [8, 9], [6, 11],
+    [5, 11], [10, 11], [7, 12], [6, 12], [11, 12], [8, 13], [8, 14],
+    [11, 16], [10, 16], [15, 16], [11, 17], [16, 17], [16, 19], [15, 19],
+    [16, 20], [6, 21], [0, 21], [1, 21], [3, 22], [9, 22], [8, 22], [5, 21],
+    [1, 23], [7, 23], [6, 23], [21, 24], [22, 25], [2, 23], [13, 26],
+    [7, 26], [8, 26], [22, 27], [22, 28], [4, 28], [25, 28], [12, 26],
+    [27, 28]])
+LEFT_PINNED = np.array([
+    16, 20, 26, 22, 0, 0, 1, 18, 2, 2, 3, 4, 4, 5, 28, 6, 8, 8, 9, 10, 11,
+    12, 12, 14, 16, 23, 16, 17, 18, 17, 19, 21, 22, 21, 23, 31, 26, 28, 29,
+    28, 30, 31, 32, 31, 33, 35])
+RIGHT_PINNED = np.array([
+    21, 2, 1, 4, 17, 1, 29, 6, 5, 3, 8, 33, 5, 10, 7, 7, 11, 9, 12, 11, 14,
+    15, 13, 15, 20, 19, 24, 30, 25, 18, 20, 27, 26, 22, 24, 25, 27, 34, 33,
+    29, 36, 36, 35, 32, 34, 36])

@@ -10,6 +10,7 @@ import pytest
 
 from mollifem.afem import interface_loop
 from mollifem.forcing import Kernel, RegularizedForcing
+from mollifem.mesh import rect_mesh
 from mollifem.problems import lshape_problem
 
 R = 0.1024  # the radius of tau = 0.32, stage 2 of the lshape schedule
@@ -34,3 +35,14 @@ def test_cold_regularized_forcing(benchmark, lshape_at_r):
     # the load carries the line mass f |gamma| = 2 pi (f = 1 / radius)
     assert abs(rhs.sum() - 2.0 * np.pi) < 1e-4
     assert np.all(d >= 0.0) and d.max() > 0.0
+
+
+def test_refine_1k_marked_on_100k_cells(benchmark):
+    mesh = rect_mesh(224, 224)  # 100,352 cells
+    marked = mesh.active_id_array[::100]  # 1,004 cells spread over the mesh
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    fine = benchmark.pedantic(mesh.refine, args=(marked,), rounds=20,
+                              warmup_rounds=1)
+    assert fine.history[-1].marked == len(marked)
+    assert fine.num_cells == mesh.num_cells + fine.history[-1].bisections
