@@ -154,18 +154,14 @@ class RunRecord:
         post-loop radius update, not an accepted approximation, and is
         dropped.
         """
-        groups: dict[int, list[RunRow]] = {}
-        order: list[int] = []
+        stages: dict[int, list[RunRow]] = {}  # in order of first row
         for row in self.rows:
-            if row.j not in groups:
-                groups[row.j] = []
-                order.append(row.j)
-            groups[row.j].append(row)
-        if len(order) > 1:
-            tail = groups[order[-1]]
-            if len(tail) == 1 and tail[0].branch == "INTERFACE":
-                order.pop()
-        return [groups[j][-1] for j in order]
+            stages.setdefault(row.j, []).append(row)
+        rows = [stage[-1] for stage in stages.values()]
+        if len(rows) > 1 and len(stages[rows[-1].j]) == 1 \
+                and rows[-1].branch == "INTERFACE":
+            rows.pop()
+        return rows
 
 
 def mark(values: np.ndarray, ids: np.ndarray, theta: float) -> np.ndarray:

@@ -7,15 +7,15 @@ against closed-form solutions whose gradient kinks across the curve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quadrature as quadr
 from .errors import NumericalError
-from .mesh import CellCache, Mesh, fill_midpoints, interface_cells
+from .mesh import CellCache, Mesh, fill_midpoints, interface_cells, vertex_levels
 
 CG_RTOL = 5e-11
 
@@ -77,11 +77,6 @@ class FeFunction:
         """Constant gradient per active cell, shape (m, 2)."""
         return np.einsum("mdi,mi->md", _p1_gradients(self.mesh),
                          self.nodal_values[self.mesh.triangles])
-
-    def eval_bary(self, positions: np.ndarray, bary: np.ndarray) -> np.ndarray:
-        """Values at barycentric points (q, 3) of the given cells -> (m, q)."""
-        v = self.mesh.triangles[positions]
-        return self.nodal_values[v] @ bary.T
 
 
 def _p1_gradients(mesh: Mesh) -> np.ndarray:
@@ -146,22 +141,38 @@ def assemble(mesh: Mesh, form: BilinearFormSpec, forcing,
     return DiscreteSystem(mesh, mat.tocsr(), rhs, ubc, free, raw, raw_rhs)
 
 
-def _gauss_seidel_preconditioner(mat: sp.csr_matrix) -> LinearOperator:
-    # M = (D+L) D^-1 (D+U); apply via two triangular LU factorizations.
-    d = mat.diagonal()
+def _bpx_preconditioner(system: DiscreteSystem) -> LinearOperator:
+    """Additive multilevel (BPX) preconditioner over the bisection genealogy:
+    B = F (sum_w P_w D^-1 P_w^T) F + E, with P_w the prolongation from the
+    vertices of level <= w (`vertex_levels`; a new vertex takes the mean of
+    its parents), D = diag(A), F and E the projections onto free and boundary
+    vertices. cond(BA) is bounded on graded NVB grids (Chen-Nochetto-Xu 2012)."""
+    d = system.matrix.diagonal()
     if np.any(d <= 0):
         raise NumericalError("non-positive diagonal in assembled matrix")
-    lower = sp.tril(mat, format="csc")
-    upper = sp.triu(mat, format="csc")
-    lu_l = splu(lower, permc_spec="NATURAL", options={"SymmetricMode": False},
-                diag_pivot_thresh=0.0)
-    lu_u = splu(upper, permc_spec="NATURAL", options={"SymmetricMode": False},
-                diag_pivot_thresh=0.0)
+    free, level = system.free_mask, vertex_levels(system.mesh.vertex_parents)
+    # sorted by level, the vertices of levels <= w are the first ends[w]
+    order = np.argsort(level, kind="stable")
+    ends = np.cumsum(np.bincount(level))
+    rank = np.argsort(order)
+    parents = rank[system.mesh.vertex_parents[order]]
+    waves = [parents[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+    scale = np.where(free, 1.0 / d, 0.0)[order]
 
-    def apply(v):
-        return lu_u.solve(d * lu_l.solve(v))
+    def apply(r):
+        x = r[order]  # a boundary vertex's parents are boundary vertices
+        scaled = []
+        for lo, p in zip(ends[-2::-1], waves[::-1]):  # restrict, finest first
+            scaled.append(scale[:len(x)] * x)
+            x = x[:lo] + np.bincount(p.ravel(), np.repeat(0.5 * x[lo:], 2),
+                                     minlength=lo)
+        z = scale[:len(x)] * x
+        for p in waves:  # prolong, coarsest first
+            z = np.concatenate((z, 0.5 * (z[p[:, 0]] + z[p[:, 1]]))) \
+                + scaled.pop()
+        return np.where(free, z[rank], r)
 
-    return LinearOperator(mat.shape, matvec=apply)
+    return LinearOperator(system.matrix.shape, matvec=apply)
 
 
 def solve_galerkin(system: DiscreteSystem, initial_guess=None) -> FeFunction:
@@ -170,11 +181,9 @@ def solve_galerkin(system: DiscreteSystem, initial_guess=None) -> FeFunction:
     n = mat.shape[0]
     x0 = None
     if initial_guess is not None and len(initial_guess) == n:
-        x0 = initial_guess.copy()
-        x0[~system.free_mask] = system.boundary_values[~system.free_mask]
-    precond = _gauss_seidel_preconditioner(mat)
+        x0 = np.where(system.free_mask, initial_guess, system.boundary_values)
     x, info = cg(mat, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
-                 maxiter=10 * n, M=precond)
+                 maxiter=10 * n, M=_bpx_preconditioner(system))
     if info != 0:
         res = np.linalg.norm(rhs - mat @ x) / max(np.linalg.norm(rhs), 1e-300)
         raise NumericalError(
@@ -228,7 +237,8 @@ def energy_error(u_exact, w: FeFunction, form: BilinearFormSpec,
             dens = np.einsum("mqd,mqde,mqe->mq", ge, a_q, ge)
         if form.c_field is not None:
             vu = np.asarray(u_exact.value(flat), dtype=np.float64)
-            ve = vu.reshape(len(sel), -1) - w.eval_bary(sel, bary)
+            ve = vu.reshape(len(sel), -1) \
+                - w.nodal_values[mesh.triangles[sel]] @ bary.T
             dens = dens + form.c_at(flat).reshape(len(sel), -1) * ve * ve
         total += float((mesh.areas[sel] * (dens @ wq)).sum())
     return float(np.sqrt(max(total, 0.0)))

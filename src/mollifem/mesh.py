@@ -47,20 +47,27 @@ def _growable(x: np.ndarray) -> array:
     return out
 
 
+def vertex_levels(vertex_parents: np.ndarray, start: int = 0) -> np.ndarray:
+    """0 for initial vertices and those below `start`, else
+    ``1 + max(level[a], level[b])`` for the midpoint of edge (a, b)."""
+    level = np.zeros(len(vertex_parents), dtype=np.int64)
+    v = start + np.flatnonzero(vertex_parents[start:, 0] >= 0)
+    a, b = vertex_parents[v].T
+    while True:  # after pass w, levels up to w are final
+        new = 1 + np.maximum(level[a], level[b])
+        if np.array_equal(new, level[v]):
+            return level
+        level[v] = new
+
+
 def fill_midpoints(values: np.ndarray, vertex_parents: np.ndarray,
                    start: int) -> None:
     """Set ``values[v] = 0.5 * (values[a] + values[b])`` for each vertex
-    ``v >= start`` bisecting edge (a, b), in dependency waves: a midpoint
-    whose parent is itself a new midpoint waits for it."""
-    done = np.arange(len(values)) < start
-    todo = np.arange(start, len(values))
-    while len(todo):
-        a, b = vertex_parents[todo].T
-        ready = done[a] & done[b]
-        v = todo[ready]
-        values[v] = 0.5 * (values[a[ready]] + values[b[ready]])
-        done[v] = True
-        todo = todo[~ready]
+    ``v >= start`` bisecting edge (a, b), level by level."""
+    level = vertex_levels(vertex_parents, start)
+    for wave in range(1, level.max(initial=0) + 1):
+        a, b = vertex_parents[level == wave].T
+        values[level == wave] = 0.5 * (values[a] + values[b])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -228,8 +235,8 @@ class Mesh:
         returns the mesh unchanged. The marked cells are bisected in
         ascending id, then a FIFO queue bisects every queued active cell
         with a bisected edge until none is left. That order fixes the ids of
-        new cells and vertices, and with them the vertex numbering the
-        solver's Gauss-Seidel preconditioner depends on.
+        new cells and vertices, and with them the vertex numbering that the
+        bits of the solver's sums depend on.
         """
         marked_list = sorted({int(i) for i in marked})
         if not marked_list:

@@ -1,5 +1,6 @@
-"""Shared helpers: brute-force reference quadratures used as oracles, and
-sibling meshes for per-cell cache checks.
+"""Shared helpers: brute-force reference quadratures used as oracles,
+sibling meshes for per-cell cache checks, and uniformly refined systems
+for solver checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -10,7 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mollifem.mesh import Mesh, interface_cells
+from mollifem.fem import BilinearFormSpec, DiscreteSystem, assemble
+from mollifem.forcing import DensityForcing
+from mollifem.mesh import Mesh, interface_cells, rect_mesh
+
+
+@pytest.fixture(scope="session")
+def square_66k() -> DiscreteSystem:
+    """`uniform_square_system(12)`: 66,049 dofs, built once per session."""
+    return uniform_square_system(12)
 
 
 @pytest.fixture
@@ -70,3 +79,11 @@ def sibling_refinements(mesh: Mesh, curve) -> tuple[Mesh, Mesh]:
         fine = mesh.refine([cid])
         siblings.append(fine.refine(fine.active_id_array[-4:]))
     return siblings[0], siblings[1]
+
+
+def uniform_square_system(passes: int) -> DiscreteSystem:
+    """Laplace system with a smooth load on the unit square, `rect_mesh(4, 4)`
+    after `passes` uniform bisection passes, homogeneous Dirichlet data."""
+    mesh = rect_mesh(4, 4).uniform_refine(passes)
+    g = DensityForcing(lambda p: 1.0 + np.sin(3.0 * p[:, 0]) * p[:, 1])
+    return assemble(mesh, BilinearFormSpec.laplace(), g)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mollifem import forcing
+from mollifem import fem, forcing
 from mollifem.afem import RunRecord, RunRow
 from mollifem.cli import main, slope_fit
 from mollifem.config import (ALGORITHMS, PRESET_NAMES, ExperimentConfig,
@@ -214,6 +214,18 @@ def test_cli_run_smooth_end_to_end(tmp_path, capsys):
     assert any(ln.startswith("CELL_TYPES") for ln in text)
     stdout = capsys.readouterr().out
     assert "final_estimator" in stdout
+
+
+def test_cli_run_exits_2_on_a_numerical_failure(tmp_path, monkeypatch,
+                                                capsys):
+    # CG reporting no convergence stops the run before anything is written
+    monkeypatch.setattr(fem, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 1))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(preset("smooth").to_json())
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "numerical failure: CG failed to converge" in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
 
 
 def test_cli_run_reuses_the_last_forcing(tmp_path, monkeypatch):

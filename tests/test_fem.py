@@ -1,19 +1,24 @@
 """Assembly, solve, transfer, and energy-norm error integration."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from mollifem import fem
 from mollifem.curves import Curve, SegmentedData
 from mollifem.fem import (BilinearFormSpec, ErrorIntegrator, FeFunction,
                           assemble, energy_error, form_matrix, prolong,
                           solve_galerkin)
+from mollifem.errors import NumericalError
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
-from mollifem.mesh import Mesh, rect_mesh
+from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
 
-from conftest import sibling_refinements
+from conftest import sibling_refinements, uniform_square_system
 
 
 class Poly2D:
@@ -110,6 +115,96 @@ def test_solve_warm_start_agrees_with_cold():
     cold = solve_galerkin(system).nodal_values
     warm = solve_galerkin(system, initial_guess=cold + 1e-3).nodal_values
     assert np.abs(cold - warm).max() < 1e-8
+
+
+def counting_cg(monkeypatch) -> list[int]:
+    """Route `fem.cg` through a wrapper, as the benchmark's tracer does; the
+    returned list gets each call's iteration count."""
+    calls = []
+    cg = fem.cg
+
+    def counted(*args, **kwargs):
+        iters = 0
+
+        def count(_xk):
+            nonlocal iters
+            iters += 1
+
+        out = cg(*args, callback=count, **kwargs)
+        calls.append(iters)
+        return out
+
+    monkeypatch.setattr(fem, "cg", counted)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["rect", "lshape"]), rounds=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_bpx_preconditioner_is_spd_with_identity_boundary_rows(
+        domain, rounds, seed, data):
+    mesh = rect_mesh(3, 3) if domain == "rect" else lshape_mesh(2)
+    for _ in range(rounds):
+        mesh = mesh.refine(data.draw(st.sets(
+            st.sampled_from(mesh.active_id_array.tolist()), max_size=12)))
+    system = assemble(mesh, BilinearFormSpec.laplace(), None)
+    apply = fem._bpx_preconditioner(system).matvec
+    x, y = np.random.default_rng(seed).standard_normal((2, mesh.num_vertices))
+    bx, by = apply(x), apply(y)
+    assert abs(y @ bx - x @ by) <= 1e-12 * np.linalg.norm(y) * np.linalg.norm(bx)
+    assert x @ bx > 0.0
+    # boundary rows and columns are those of the identity, bit for bit
+    bnd = ~system.free_mask
+    np.testing.assert_array_equal(bx[bnd], x[bnd])
+    np.testing.assert_array_equal(apply(np.where(bnd, x, 0.0)),
+                                  np.where(bnd, x, 0.0))
+
+
+def test_solve_matches_a_direct_solve_on_a_graded_mesh():
+    mesh = lshape_mesh(4).uniform_refine(2)
+    for _ in range(16):  # grade toward the reentrant corner: 9 levels
+        near = np.abs(mesh.cell_coords).sum(axis=2).min(axis=1) < 1e-12
+        mesh = mesh.refine(mesh.active_id_array[near])
+    plane = Poly2D(sympy.sympify("x - 2*y + x*y"))
+    system = assemble(mesh, BilinearFormSpec.laplace(),
+                      DensityForcing(lambda p: np.cos(p[:, 0] + 2 * p[:, 1])),
+                      boundary_data=plane.value)
+    w = solve_galerkin(system).nodal_values
+    direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.linalg.norm(w - direct) <= 1e-9 * np.linalg.norm(direct)
+
+
+def test_cg_iterations_stay_flat_under_uniform_refinement(monkeypatch,
+                                                          square_66k):
+    calls = counting_cg(monkeypatch)
+    solve_galerkin(uniform_square_system(6))  # 1,089 dofs
+    solve_galerkin(square_66k)  # 66,049 dofs
+    coarse, fine = calls
+    assert fine <= 1.5 * coarse and fine <= 60, calls
+
+
+def test_solve_makes_one_call_through_fem_cg(monkeypatch):
+    calls = counting_cg(monkeypatch)
+    system = uniform_square_system(2)
+    w = solve_galerkin(system)
+    assert len(calls) == 1 and calls[0] > 0
+    res = np.linalg.norm(system.rhs - system.matrix @ w.nodal_values)
+    assert res <= 1e-10 * np.linalg.norm(system.rhs)
+
+
+def test_solve_rejects_a_non_positive_diagonal():
+    system = uniform_square_system(2)
+    mat = system.matrix.tolil()
+    v = int(np.flatnonzero(system.free_mask)[0])
+    mat[v, v] = 0.0
+    with pytest.raises(NumericalError, match="non-positive diagonal"):
+        solve_galerkin(dataclasses.replace(system, matrix=mat.tocsr()))
+
+
+def test_solve_raises_when_cg_does_not_converge(monkeypatch):
+    monkeypatch.setattr(fem, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 7))
+    with pytest.raises(NumericalError, match="info=7"):
+        solve_galerkin(uniform_square_system(2))
 
 
 def test_prolong_preserves_linears():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mollifem.curves import Curve
 from mollifem.mesh import (Mesh, curve_cell_pairs, interface_cells,
-                           interface_diameter, lshape_mesh, rect_mesh)
+                           interface_diameter, lshape_mesh, rect_mesh,
+                           vertex_levels)
 
 
 def two_triangle_square() -> Mesh:
@@ -246,6 +247,22 @@ def test_refined_vertices_are_edge_midpoints():
         a, b = parents[v]
         mid = 0.5 * (fine.coords[a] + fine.coords[b])
         np.testing.assert_allclose(fine.coords[v], mid, atol=1e-14)
+
+
+def test_vertex_levels_follow_the_recursive_definition():
+    mesh = lshape_mesh(2)
+    for step in (3, 5, 2, 4):
+        mesh = mesh.refine(mesh.active_id_array[::step])
+    for start in (mesh.num_vertices - 30, 40, 0):
+        # a midpoint's parents are older vertices, so one pass in id order
+        want = np.zeros(mesh.num_vertices, dtype=np.int64)
+        for v in range(start, mesh.num_vertices):
+            a, b = mesh.vertex_parents[v]
+            if a >= 0:
+                want[v] = 1 + max(want[a], want[b])
+        np.testing.assert_array_equal(
+            vertex_levels(mesh.vertex_parents, start), want)
+    assert want.max() >= 2
 
 
 def test_uniform_refine_quarters_area_scale():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mollifem.afem import interface_loop
+from mollifem.fem import solve_galerkin
 from mollifem.forcing import Kernel, RegularizedForcing
 from mollifem.mesh import rect_mesh
 from mollifem.problems import lshape_problem
@@ -46,3 +47,12 @@ def test_refine_1k_marked_on_100k_cells(benchmark):
                               warmup_rounds=1)
     assert fine.history[-1].marked == len(marked)
     assert fine.num_cells == mesh.num_cells + fine.history[-1].bisections
+
+
+def test_cg_solve_on_66k_dofs(benchmark, square_66k):
+    # rect_mesh(4, 4) after 12 uniform passes; about 0.15 s a solve, so a
+    # fixed round count keeps the Tier-1 cost under a second
+    w = benchmark.pedantic(solve_galerkin, args=(square_66k,), rounds=4,
+                           warmup_rounds=1)
+    res = square_66k.rhs - square_66k.matrix @ w.nodal_values
+    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(square_66k.rhs)
