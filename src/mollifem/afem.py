@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,9 +97,7 @@ class RunRow:
     wall_ms: float
 
 
-CSV_COLUMNS = ("j", "k", "tau", "r", "dofs", "cells", "estimator_total",
-               "estimator_jump", "estimator_data", "energy_error", "branch",
-               "wall_ms")
+CSV_COLUMNS = tuple(f.name for f in fields(RunRow))
 
 
 def _fmt(x: float) -> str:

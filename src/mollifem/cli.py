@@ -1,6 +1,6 @@
 """Benchmark command line: run experiments, validate configs, fit slopes.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 validation failure, 2 numerical or memory failure.
 """
 from __future__ import annotations
 
@@ -78,8 +78,10 @@ def _cmd_run(args) -> int:
             w, mesh, record = solve_loop(
                 problem.initial_mesh(), g, tau, params, problem.form,
                 problem.boundary_data, exact=problem.exact)
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:
+        kind = "numerical failure" if isinstance(exc, NumericalError) \
+            else "out of memory"
+        print(f"{kind}: {str(exc) or 'no details'}", file=sys.stderr)
         return 2
 
     out = Path(cfg.output_dir)

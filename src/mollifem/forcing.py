@@ -19,12 +19,13 @@ from functools import lru_cache, cached_property
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from . import quadrature as quadr
 from .curves import Curve, SegmentedData
 from .errors import NumericalError
 from .geometry import clip_segments_to_triangles
-from .mesh import CellCache, Mesh, cells_near_curve, curve_cell_pairs
+from .mesh import CellCache, Mesh, cells_near, curve_cell_pairs
 
 logger = logging.getLogger("mollifem")
 
@@ -47,17 +48,32 @@ def _radial_c1_const() -> float:
     return 1.0 / (2.0 * np.pi * val)
 
 
-def _cinf_profile_raw(t: float) -> float:
-    u = 1.0 - t * t
-    if u <= 0.0:
-        return 0.0
-    return float(np.exp(1.0 - 1.0 / u))
-
-
 @lru_cache(maxsize=None)
 def _cinf_1d_norm() -> float:
-    val, _ = quad(_cinf_profile_raw, -1.0, 1.0, **_QUAD_OPTS)
-    return val
+    # quad samples only inside (-1, 1), where 1 - t^2 > 0
+    return quad(lambda t: np.exp(1.0 - 1.0 / (1.0 - t * t)), -1.0, 1.0,
+                **_QUAD_OPTS)[0]
+
+
+# 1 + cos(pi sqrt(u)) = w^2 Q(w), w = 1 - u in [0, 1]: Q is the degree-9
+# Chebyshev interpolant in 2u - 1 at 64 Chebyshev points (mpmath, 50 digits;
+# the next coefficient is 2.3e-18) in powers of w. A test re-derives it.
+_RADIAL_Q = (1.2337005501361697, 0.6168502750680854, 0.1318619140164897,
+             0.01620248744143571, 0.0013066578553756006,
+             7.480176498674405e-05, 3.2041152563756932e-06,
+             1.0670419437840645e-07, 2.830084790415768e-09,
+             6.792151346045246e-11)
+
+
+def _radial_profile(w: np.ndarray, q=_RADIAL_Q) -> np.ndarray:
+    """w^2 (q[0] + ... + q[9] w^9): 1 + cos(pi sqrt(1 - w)) to a few ulps
+    for q = _RADIAL_Q, whose terms are all positive."""
+    p = q[-1] * w
+    for c in q[-2::-1]:
+        p += c
+        p *= w
+    p *= w
+    return p
 
 
 class Kernel:
@@ -70,6 +86,7 @@ class Kernel:
         self.support = "ball" if family == "radial_c1" else "square"
         if family == "radial_c1":
             self.c_norm = _radial_c1_const()
+            self._q = tuple(self.c_norm * c for c in _RADIAL_Q)
         elif family == "tensor_cinf":
             self.c_norm = 1.0 / _cinf_1d_norm() ** 2
         else:
@@ -81,27 +98,26 @@ class Kernel:
 
     def _psi_1d(self, t: np.ndarray) -> np.ndarray:
         if self.family == "tensor_cinf":
-            u = 1.0 - t * t
-            out = np.zeros_like(t)
-            ok = u > 0
-            out[ok] = np.exp(1.0 - 1.0 / u[ok]) / _cinf_1d_norm()
-            return out
+            # clamped off the support, where exp(1 - 1/0) = 0
+            with np.errstate(divide="ignore"):
+                u = 1.0 - np.minimum(t * t, 1.0)
+                return np.exp(1.0 - 1.0 / u) / _cinf_1d_norm()
         # tensor_linf
         return np.where(np.abs(t) < 1.0, 0.5, 0.0)
 
     def psi(self, x: np.ndarray) -> np.ndarray:
         """psi at points of shape (..., 2)."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.array(x, dtype=np.float64)  # a copy: psi_xy overwrites it
         return self.psi_xy(x[..., 0], x[..., 1])
 
     def psi_xy(self, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-        """psi at points given by their coordinate arrays."""
+        """psi at points given by coordinate arrays, which it may overwrite."""
         if self.family == "radial_c1":
-            s2 = x0 * x0 + x1 * x1
-            out = np.zeros_like(s2)
-            ok = s2 <= 1.0
-            out[ok] = self.c_norm * (1.0 + np.cos(np.pi * np.sqrt(s2[ok])))
-            return out
+            x0 *= x0
+            x1 *= x1
+            x0 += x1  # w = 1 - min(x0^2 + x1^2, 1)
+            w = np.maximum(np.subtract(1.0, x0, out=x0), 0.0, out=x0)
+            return _radial_profile(w, self._q)
         return self._psi_1d(x0) * self._psi_1d(x1)
 
     def delta(self, r: float, x: np.ndarray) -> np.ndarray:
@@ -163,24 +179,27 @@ def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0,
 
 class _CurveForcing:
     """One record per cell: the three load entries int_T F phi_i and the data
-    square, integrated the first time either is asked for. Cells out of
-    `reach` of the curve hold zeros. Subclasses give
+    square, integrated the first time either is asked for. Cells that `_near`
+    rules out hold zeros. Subclasses give
     `_cell_integrals(mesh, positions) -> (n, 4)`."""
 
-    def __init__(self, curve: Curve, data: SegmentedData, reach: float = 0.0):
+    def __init__(self, curve: Curve, data: SegmentedData):
         if data.curve is not curve:
             raise ValueError("data is attached to a different curve")
         self.curve = curve
         self.data = data
-        self.reach = reach
         self._cells = CellCache((4,))
+
+    def _near(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        return cells_near(mesh, self.curve.vertex_tree, positions,
+                          0.5 * self.curve.max_seg_len)
 
     def _records(self, mesh: Mesh) -> np.ndarray:
         positions = np.arange(mesh.num_cells)
         fresh = self._cells.missing(mesh, positions)
         if len(fresh):
             rec = np.zeros((len(fresh), 4))
-            near = cells_near_curve(mesh, self.curve, fresh, self.reach)
+            near = self._near(mesh, fresh)
             rec[near] = self._cell_integrals(mesh, fresh[near])
             self._cells.store(mesh, fresh, rec)
         return self._cells.get(mesh, positions)
@@ -197,11 +216,12 @@ def _subdivision_depths(h: np.ndarray, r: float) -> np.ndarray:
     return (np.maximum(d, 0) + 2).astype(np.int64)
 
 
-# Quadrature points per batch of cells, and point-node pairs per kernel
-# batch (temporaries of this size stay in cache). Every reduction below runs
-# along one row, so neither size can change a result.
+# Fine bins per radius, quadrature points per batch of cells, and (point,
+# node) pairs per kernel batch (temporaries this size stay in cache). A value
+# is a row sum of a length set by its bin, so no batch size changes it.
+_BINS_PER_R = 8
 _POINT_CHUNK = 1 << 18
-_PAIR_CHUNK = 1 << 16
+_PAIR_CHUNK = 1 << 15
 
 
 class RegularizedForcing(_CurveForcing):
@@ -210,13 +230,15 @@ class RegularizedForcing(_CurveForcing):
     def __init__(self, curve: Curve, data: SegmentedData, kernel: Kernel, r: float):
         if r <= 0:
             raise ValueError("r must be positive")
-        super().__init__(curve, data, float(r))
+        super().__init__(curve, data)
         if r >= curve.boundary_gap:
             logger.warning("mollification radius %.3g >= boundary gap %.3g; "
                            "density overlaps the domain boundary", r, curve.boundary_gap)
         self.kernel = kernel
         self.r = float(r)
+        self._reach = 1.0 if kernel.support == "ball" else np.sqrt(2.0)
         self._build_nodes()
+        self._build_bins()
 
     def _build_nodes(self) -> None:
         # Curve quadrature: composite 4-point Gauss on arc-length pieces of
@@ -247,57 +269,70 @@ class RegularizedForcing(_CurveForcing):
             * (self.curve.seg_end[seg] - self.curve.seg_start[seg])
         self.node_w = w
         self.node_fw = self.data.values[seg] * w
-        lo = self.node_xy.min(axis=0) - 2 * self.r
-        self._grid_origin = lo
-        keys = np.floor((self.node_xy - lo) / self.r).astype(np.int64)
-        bins: dict[tuple[int, int], list[int]] = {}
-        for i, (kx, ky) in enumerate(keys):
-            bins.setdefault((int(kx), int(ky)), []).append(i)
-        self._bins = {k: np.array(v, dtype=np.int64) for k, v in bins.items()}
-        self._hood_cache: dict[tuple[int, int], tuple] = {}
 
-    def _neighborhood(self, kx: int, ky: int) -> tuple:
-        """Nodes of the 3x3 bins around bin (kx, ky): x / r, y / r, f w."""
-        key = (kx, ky)
-        got = self._hood_cache.get(key)
-        if got is None:
-            parts = [self._bins[(kx + dx, ky + dy)]
-                     for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                     if (kx + dx, ky + dy) in self._bins]
-            nodes = np.concatenate(parts) if parts \
-                else np.empty(0, dtype=np.int64)
-            xy = self.node_xy[nodes] / self.r
-            got = (xy[:, 0].copy(), xy[:, 1].copy(), self.node_fw[nodes])
-            self._hood_cache[key] = got
-        return got
+    def _build_bins(self) -> None:
+        """Fine bins of side r / n on a dense grid over the nodes' bounding
+        box widened by 3 r. A bin lists, in node order, every node whose
+        support meets it: at most n bins away along each axis and within
+        reach (the support's circumradius) + half a bin diagonal of its
+        centre. A bin with k nodes is row `_bin[b, 1]` of `_tables[k]`
+        (x / r, y / r, f w); `_bin[b, 0]` is k. Here n = _BINS_PER_R."""
+        n = _BINS_PER_R
+        xy = self.node_xy / self.r
+        self._lo = np.floor(xy.min(axis=0)) - 3.0
+        self._shape = n * (np.ceil(xy.max(axis=0) - self._lo) + 3).astype(int)
+        off = np.indices((2 * n + 1, 2 * n + 1)).reshape(2, -1).T - n
+        bins = (np.floor((xy - self._lo) * n).astype(int)[:, None]
+                + off).reshape(-1, 2)
+        node = np.repeat(np.arange(len(xy)), len(off))
+        d = self._lo + (bins + 0.5) / n - xy[node]
+        keep = np.hypot(*d.T) <= self._reach + np.sqrt(0.5) / n + 1e-9
+        fid = bins[keep, 0] * self._shape[1] + bins[keep, 1]
+        node = node[keep][np.argsort(fid, kind="stable")]  # by bin, node
+        count = np.bincount(fid, minlength=self._shape.prod())
+        first = np.cumsum(count) - count
+        self._bin = np.stack([count, 0 * count], axis=1).astype(np.int32)
+        self._tables = []
+        for k in range(count.max() + 1):
+            sel = np.flatnonzero(count == k)
+            self._bin[sel, 1] = np.arange(len(sel))
+            ent = node[(first[sel, None] + np.arange(k)).ravel()]
+            self._tables.append(tuple(v[ent].reshape(len(sel), k) for v in
+                                      (xy[:, 0], xy[:, 1], self.node_fw)))
+        self._node_tree = cKDTree(self.node_xy)
+
+    def _near(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        # a node within reach + circumradius of the centroid
+        return cells_near(mesh, self._node_tree, positions,
+                          self._reach * self.r)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """F_r at points (n, 2); zero outside the r-neighborhood of gamma.
 
         Each value depends on its own point only, not on the batch."""
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        out = np.zeros(len(pts))
-        r = self.r
-        keys = np.floor((pts - self._grid_origin) / r).astype(np.int64)
-        comp = keys[:, 0] * (1 << 32) + keys[:, 1]
-        order = np.argsort(comp, kind="stable")
-        comp_sorted = comp[order]
-        starts = np.flatnonzero(np.r_[True, comp_sorted[1:] != comp_sorted[:-1]])
-        stops = np.r_[starts[1:], len(comp_sorted)]
-        px, py = pts[:, 0] / r, pts[:, 1] / r
-        for s, e in zip(starts, stops):
-            idx = order[s:e]
-            xs, ys, fw = self._neighborhood(int(keys[idx[0], 0]),
-                                            int(keys[idx[0], 1]))
-            if len(fw) == 0:
-                continue
-            step = max(1, _PAIR_CHUNK // len(fw))
-            for lo in range(0, len(idx), step):
-                sub = idx[lo:lo + step]
-                vals = self.kernel.psi_xy(xs - px[sub, None],
-                                          ys - py[sub, None])
-                out[sub] = np.einsum("pk,k->p", vals, fw)
-        return out / (r * r)
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 2) / self.r
+        f = np.clip(np.floor((p - self._lo) * _BINS_PER_R), 0,
+                    self._shape - 1).astype(int)
+        count, row = self._bin[f[:, 0] * self._shape[1] + f[:, 1]].T
+        # points grouped by count (a radix sort while counts fit 16 bits)
+        order = np.argsort(count.astype(np.min_scalar_type(len(self._tables))),
+                           kind="stable")
+        groups = np.split(order, np.cumsum(
+            np.bincount(count, minlength=len(self._tables)))[:-1])
+        out = np.zeros(len(p))
+        for k, sel in enumerate(groups[1:], 1):
+            x, y, fw = self._tables[k]
+            step = max(1, _PAIR_CHUNK // k)
+            for lo in range(0, len(sel), step):
+                sub = sel[lo:lo + step]
+                rs = row[sub]
+                dx = np.take(x, rs, axis=0)
+                dx -= p[sub, :1]
+                dy = np.take(y, rs, axis=0)
+                dy -= p[sub, 1:]
+                out[sub] = np.einsum("pk,pk->p", self.kernel.psi_xy(dx, dy),
+                                     np.take(fw, rs, axis=0))
+        return out / (self.r * self.r)
 
     def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """int_T F_r phi_i (i = 0, 1, 2) and int_T F_r^2 per cell."""
@@ -334,20 +369,20 @@ class DensityForcing:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         return np.asarray(self.func(pts), dtype=np.float64)
 
+    def _cell_values(self, mesh: Mesh) -> np.ndarray:
+        pts = quadr.triangle_points(mesh.cell_coords, quadr.TRI_BARY)
+        return self.eval(pts.reshape(-1, 2)).reshape(mesh.num_cells, -1)
+
     def load_vector(self, mesh: Mesh) -> np.ndarray:
-        rhs = np.zeros(mesh.num_vertices)
-        bary, w = quadr.TRI_BARY, quadr.TRI_WEIGHTS
-        pts = quadr.triangle_points(mesh.cell_coords, bary)
-        g = self.eval(pts.reshape(-1, 2)).reshape(mesh.num_cells, len(w))
-        loc = mesh.areas[:, None] * np.einsum("mq,q,qi->mi", g, w, bary)
-        np.add.at(rhs, mesh.triangles.ravel(), loc.ravel())
-        return rhs
+        loc = mesh.areas[:, None] * np.einsum(
+            "mq,q,qi->mi", self._cell_values(mesh), quadr.TRI_WEIGHTS,
+            quadr.TRI_BARY)
+        return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(),
+                           minlength=mesh.num_vertices)
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:
-        bary, w = quadr.TRI_BARY, quadr.TRI_WEIGHTS
-        pts = quadr.triangle_points(mesh.cell_coords, bary)
-        g = self.eval(pts.reshape(-1, 2)).reshape(mesh.num_cells, len(w))
-        sq = mesh.areas * ((g * g) @ w)
+        g = self._cell_values(mesh)
+        sq = mesh.areas * ((g * g) @ quadr.TRI_WEIGHTS)
         return mesh.h_sizes * np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -432,23 +432,22 @@ def lshape_mesh(n: int) -> Mesh:
 # -- curve queries --------------------------------------------------------
 
 
-def cells_near_curve(mesh: Mesh, curve: "Curve", positions: np.ndarray,
-                     reach: float = 0.0) -> np.ndarray:
-    """Mask over active cell `positions`: cells possibly within `reach` of
-    the polyline (centroid within reach + circumradius + half the longest
-    segment of a curve vertex)."""
+def cells_near(mesh: Mesh, tree, positions: np.ndarray,
+               reach: float) -> np.ndarray:
+    """Mask over active cell `positions`: cells whose centroid lies within
+    reach + circumradius of a point of the kd-tree `tree`."""
     p = mesh.cell_coords[positions]
     cent = p.mean(axis=1)
     circ = np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
-    bound = reach + circ + 0.5 * curve.max_seg_len + 1e-12
-    # an upper bound prunes the tree search far from the curve; cells are
+    bound = reach + circ + 1e-12
+    # an upper bound prunes the tree search far from the points; cells are
     # grouped by bound within a factor of two so that small cells are not
     # searched to the reach of large ones
     dist = np.empty(len(cent))
     group = np.floor(np.log2(bound))
     for g in np.unique(group):
         sel = group == g
-        dist[sel], _ = curve.vertex_tree.query(
+        dist[sel], _ = tree.query(
             cent[sel], distance_upper_bound=np.nextafter(bound[sel].max(),
                                                          np.inf))
     return dist <= bound
@@ -467,7 +466,8 @@ def curve_cell_pairs(mesh: Mesh, curve: "Curve",
     """
     scan = np.arange(mesh.num_cells, dtype=np.int64) if positions is None \
         else np.asarray(positions, dtype=np.int64)
-    cand = scan[cells_near_curve(mesh, curve, scan)]
+    cand = scan[cells_near(mesh, curve.vertex_tree, scan,
+                           0.5 * curve.max_seg_len)]
     tri = mesh.cell_coords[cand]
     box, seg = curve.grid_query(tri.min(axis=1), tri.max(axis=1))
     return cand[box], seg

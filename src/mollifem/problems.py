@@ -34,18 +34,14 @@ class RadialLogSolution:
     def _log_part(self, pts: np.ndarray) -> np.ndarray:
         d = pts - self.center
         rho = np.sqrt((d * d).sum(-1))
-        out = np.where(rho > self.radius,
-                       -np.log(np.maximum(rho, 1e-300)),
-                       -np.log(self.radius))
-        return out
+        return np.where(rho > self.radius, -np.log(np.maximum(rho, 1e-300)),
+                        -np.log(self.radius))
 
     def _log_grad(self, pts: np.ndarray) -> np.ndarray:
         d = pts - self.center
-        rho_sq = (d * d).sum(-1)
-        outside = rho_sq > self.radius ** 2
-        g = np.zeros_like(d)
-        g[outside] = -d[outside] / rho_sq[outside, None]
-        return g
+        rho_sq = (d * d).sum(-1)[:, None]
+        return np.divide(-d, rho_sq, out=np.zeros_like(d),
+                         where=rho_sq > self.radius ** 2)
 
     def _corner_part(self, pts: np.ndarray) -> np.ndarray:
         rho = np.sqrt((pts * pts).sum(-1))
@@ -62,9 +58,8 @@ class RadialLogSolution:
         dr = (2.0 / 3.0) * safe ** (-1.0 / 3.0) * np.sin(arg)
         dt = (2.0 / 3.0) * safe ** (-1.0 / 3.0) * np.cos(arg)
         cos_p, sin_p = np.cos(phi), np.sin(phi)
-        gx = dr * cos_p - dt * sin_p
-        gy = dr * sin_p + dt * cos_p
-        return np.stack([gx, gy], axis=-1)
+        return np.stack([dr * cos_p - dt * sin_p, dr * sin_p + dt * cos_p],
+                        axis=-1)
 
     def value(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -110,44 +105,34 @@ class TestProblem:
     density: object | None = None
 
 
+def _circle_problem(name: str, center, radius: float, gap: float,
+                    corner_mode: bool, initial_mesh, n_segments: int):
+    """f = 1/radius on the circle of `radius` about `center`, `gap` from the
+    boundary, with the exact solution RadialLogSolution."""
+    curve = Curve.circle(center, radius, n_segments, boundary_gap=gap)
+    exact = RadialLogSolution(center, radius, corner_mode=corner_mode)
+    return TestProblem(name=name, curve=curve,
+                       f=SegmentedData.constant(curve, 1.0 / radius),
+                       boundary_data=exact.value, exact=exact,
+                       form=BilinearFormSpec.laplace(),
+                       initial_mesh=initial_mesh)
+
+
 def lshape_problem(n_segments: int = DEFAULT_SEGMENTS,
                    initial_divisions: int = 4) -> TestProblem:
     """L-shaped domain (-1,1)^2 minus the closed first-quadrant square,
     circle of radius 0.2 about (0.5,-0.5), f = 1/radius."""
-    center, radius = (0.5, -0.5), 0.2
-    gap = 0.5 - radius
-    curve = Curve.circle(center, radius, n_segments, boundary_gap=gap)
-    f = SegmentedData.constant(curve, 1.0 / radius)
-    exact = RadialLogSolution(center, radius, corner_mode=True)
-    return TestProblem(
-        name="lshape",
-        curve=curve,
-        f=f,
-        boundary_data=exact.value,
-        exact=exact,
-        form=BilinearFormSpec.laplace(),
-        initial_mesh=lambda: lshape_mesh(initial_divisions),
-    )
+    return _circle_problem("lshape", (0.5, -0.5), 0.2, 0.5 - 0.2, True,
+                           lambda: lshape_mesh(initial_divisions), n_segments)
 
 
 def square_problem(n_segments: int = DEFAULT_SEGMENTS,
                    initial_divisions: int = 16) -> TestProblem:
     """Unit square, circle of radius 0.2 about (0.3,0.3), f = 1/radius."""
-    center, radius = (0.3, 0.3), 0.2
-    gap = 0.3 - radius
-    curve = Curve.circle(center, radius, n_segments, boundary_gap=gap)
-    f = SegmentedData.constant(curve, 1.0 / radius)
-    exact = RadialLogSolution(center, radius, corner_mode=False)
-    return TestProblem(
-        name="square",
-        curve=curve,
-        f=f,
-        boundary_data=exact.value,
-        exact=exact,
-        form=BilinearFormSpec.laplace(),
-        initial_mesh=lambda: rect_mesh(initial_divisions, initial_divisions,
-                                       0.0, 0.0, 1.0, 1.0),
-    )
+    return _circle_problem(
+        "square", (0.3, 0.3), 0.2, 0.3 - 0.2, False,
+        lambda: rect_mesh(initial_divisions, initial_divisions,
+                          0.0, 0.0, 1.0, 1.0), n_segments)
 
 
 def smooth_problem(initial_divisions: int = 8) -> TestProblem:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mollifem import fem, forcing
+from mollifem import cli, fem, forcing
 from mollifem.afem import RunRecord, RunRow
 from mollifem.cli import main, slope_fit
 from mollifem.config import (ALGORITHMS, PRESET_NAMES, ExperimentConfig,
@@ -225,6 +225,23 @@ def test_cli_run_exits_2_on_a_numerical_failure(tmp_path, monkeypatch,
     out = tmp_path / "results"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "numerical failure: CG failed to converge" in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
+
+
+def test_cli_run_exits_2_when_memory_runs_out(tmp_path, monkeypatch, capsys):
+    # an allocation failure anywhere in the solve is one line and exit 2
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array with "
+                          "shape (1073741824,) and data type float64")
+
+    monkeypatch.setattr(cli, "solve_loop", exhausted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(preset("smooth").to_json())
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["out of memory: Unable to allocate 8.00 GiB for an array "
+                   "with shape (1073741824,) and data type float64"]
     assert not (out / "run.csv").exists()
 
 

@@ -17,6 +17,7 @@ from mollifem.fem import (BilinearFormSpec, ErrorIntegrator, FeFunction,
 from mollifem.errors import NumericalError
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
+from mollifem.problems import RadialLogSolution
 
 from conftest import sibling_refinements, uniform_square_system
 
@@ -287,6 +288,21 @@ def test_error_integrator_batches_do_not_move_bits(monkeypatch):
                         integ._s1.get(mesh, positions)))
     np.testing.assert_array_equal(moments[0][0], moments[1][0])
     np.testing.assert_array_equal(moments[0][1], moments[1][1])
+
+
+def test_log_gradient_matches_the_masked_formula_bit_for_bit(rng):
+    sol = RadialLogSolution((0.3, 0.3), 0.2)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 200)
+    pts = np.concatenate([rng.uniform(0.0, 1.0, size=(20000, 2)),
+                          sol.center + 0.2 * np.stack([np.cos(ang),
+                                                       np.sin(ang)], 1),
+                          sol.center[None, :]])
+    d = pts - sol.center
+    rho_sq = (d * d).sum(-1)
+    outside = rho_sq > sol.radius ** 2
+    want = np.zeros_like(d)
+    want[outside] = -d[outside] / rho_sq[outside, None]
+    assert sol.gradient(pts).tobytes() == want.tobytes()
 
 
 def test_error_integrator_falls_back_on_coefficients():

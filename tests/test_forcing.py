@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mollifem import forcing
+from mollifem import quadrature as quadr
 from mollifem.curves import Curve, SegmentedData
 from mollifem.forcing import (KERNEL_FAMILIES, DensityForcing, Kernel,
                               LineForcing, RegularizedForcing,
@@ -102,6 +103,82 @@ def test_moment_check_defects(family):
         kernel_moment_check(k, 2)
 
 
+def _masked_psi_1d(family: str, t: np.ndarray) -> np.ndarray:
+    # the tensor profiles as they were written with boolean masks
+    if family == "tensor_cinf":
+        u = 1.0 - t * t
+        out = np.zeros_like(t)
+        ok = u > 0
+        out[ok] = np.exp(1.0 - 1.0 / u[ok]) / forcing._cinf_1d_norm()
+        return out
+    return np.where(np.abs(t) < 1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("family", ("tensor_cinf", "tensor_linf"))
+def test_tensor_kernels_match_the_masked_formulas_bit_for_bit(family, rng):
+    edge = np.array([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                     0.0, 1e-300, 1e300, 0.5])
+    edge = np.concatenate([edge, -edge])
+    pts = np.concatenate([rng.uniform(-1.5, 1.5, size=(5000, 2)),
+                          np.stack(np.meshgrid(edge, edge), -1).reshape(-1, 2)])
+    with np.errstate(over="ignore"):  # t * t at t = 1e300
+        want = _masked_psi_1d(family, pts[:, 0]) \
+            * _masked_psi_1d(family, pts[:, 1])
+        got = Kernel.make(family).psi(pts)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_radial_profile_against_mpmath(rng):
+    mp = pytest.importorskip("mpmath")
+    u = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                        1.0 - rng.uniform(0.0, 1e-8, 500),
+                        1.0 - 2.0 ** -np.arange(1.0, 54.0),
+                        rng.uniform(0.0, 1e-8, 100), [0.0, 0.25, 0.5]])
+    got = forcing._radial_profile(1.0 - u)
+    with mp.workdps(40):
+        # 1 + cos(x) = 2 cos(x / 2)^2, without the cancellation near u = 1
+        want = np.array([float(2 * mp.cos(mp.pi * mp.sqrt(mp.mpf(x)) / 2) ** 2)
+                         for x in u])
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+    # exactly zero from the edge of the support on
+    assert forcing._radial_profile(np.array([0.0]))[0] == 0.0
+    far = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1e-8], [2.0, 0.0],
+                    [1e200, 0.0], [-0.8, 0.7]])
+    with np.errstate(over="ignore"):
+        assert np.all(Kernel.make("radial_c1").psi(far) == 0.0)
+
+
+def test_radial_coefficients_are_the_chebyshev_interpolant():
+    # the derivation of forcing._RADIAL_Q: the degree-9 Chebyshev
+    # interpolant in t = 2u - 1 of (1 + cos(pi sqrt(u))) / (1 - u)^2 at 64
+    # Chebyshev points, expanded in powers of w = 1 - u, rounded to doubles
+    mp = pytest.importorskip("mpmath")
+    n, deg = 64, 9
+    with mp.workdps(50):
+        ts = [mp.cos(mp.pi * (k + mp.mpf(1) / 2) / n) for k in range(n)]
+        us = [(t + 1) / 2 for t in ts]
+        vals = [2 * mp.cos(mp.pi * mp.sqrt(u) / 2) ** 2 / (1 - u) ** 2
+                for u in us]
+        cheb = [2 * mp.fsum(v * mp.cos(j * mp.pi * (k + mp.mpf(1) / 2) / n)
+                            for k, v in enumerate(vals)) / n
+                for j in range(deg + 1)]
+        cheb[0] /= 2
+        # T_j(1 - 2w) in powers of w: T_{j+1} = 2 (1 - 2w) T_j - T_{j-1}
+        cheb_w = [[mp.mpf(1)], [mp.mpf(1), mp.mpf(-2)]]
+        for j in range(1, deg):
+            nxt = [mp.mpf(0)] * (j + 2)
+            for i, c in enumerate(cheb_w[j]):
+                nxt[i] += 2 * c
+                nxt[i + 1] -= 4 * c
+            for i, c in enumerate(cheb_w[j - 1]):
+                nxt[i] -= c
+            cheb_w.append(nxt)
+        coef = [float(mp.fsum(cheb[j] * cheb_w[j][i]
+                              for j in range(i, deg + 1)))
+                for i in range(deg + 1)]
+    assert coef == list(forcing._RADIAL_Q)
+
+
 def test_r_of_tau_square_law():
     assert r_of_tau(0.5) == 0.25
     assert r_of_tau(1.0) == 1.0
@@ -153,6 +230,22 @@ def test_eval_matches_brute_force_node_sum(rng):
     pts = rng.uniform(0.0, 1.0, size=(500, 2))
     diff = g.node_xy[None, :, :] - pts[:, None, :]
     brute = (g.kernel.psi(diff / r) / r ** 2) @ g.node_fw
+    np.testing.assert_allclose(g.eval(pts), brute, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ("tensor_cinf", "tensor_linf"))
+def test_eval_matches_brute_force_on_square_supports(family, rng):
+    # a square support reaches sqrt(2) r along the diagonals
+    r = 0.1
+    curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
+    g = RegularizedForcing(curve, SegmentedData.constant(curve, 2.0),
+                           Kernel.make(family), r)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 2000)
+    rad = 0.25 + rng.uniform(-1.5 * r, 1.5 * r, 2000)
+    pts = 0.5 + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], 1)
+    diff = g.node_xy[None, :, :] - pts[:, None, :]
+    brute = (g.kernel.psi(diff / r) / r ** 2) @ g.node_fw
+    assert np.count_nonzero(brute) > 1000
     np.testing.assert_allclose(g.eval(pts), brute, rtol=1e-12, atol=1e-12)
 
 
@@ -259,6 +352,44 @@ def test_eval_is_batch_independent(family, pts):
         np.testing.assert_array_equal(g.eval(pts), single)
     finally:
         forcing._PAIR_CHUNK = chunk
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(family):
+    # one batch of cells of depths 2, 3 and 4 equals the rule applied to
+    # `eval` at each cell's own points, cell by cell
+    g = _batch_forcing(family)
+    mesh = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
+    for _ in range(4):
+        mesh = mesh.refine(mesh.active_id_array[::3])
+    depths = forcing._subdivision_depths(mesh.h_sizes, g.r)
+    assert len(np.unique(depths)) == 3
+    positions = np.arange(mesh.num_cells)
+    got = g._cell_integrals(mesh, positions)
+    for c in positions:
+        bary, w = quadr.subdivided_rule(int(depths[c]))
+        pts = quadr.triangle_points(mesh.cell_coords[c:c + 1], bary)
+        v = g.eval(pts.reshape(-1, 2))[None, :]
+        load = mesh.areas[c] * np.einsum("mq,q,qi->mi", v, w, bary)[0]
+        data = mesh.areas[c] * np.einsum("mq,mq,q->m", v, v, w)[0]
+        assert got[c, :3].tobytes() == load.tobytes()
+        assert got[c, 3] == data
+
+
+def test_near_cells_cover_the_corners_of_a_square_support():
+    # a point diagonal to the end of a short segment is 1.27 r away from it,
+    # yet inside the square support of the node there
+    r = 0.1
+    curve = Curve(np.array([[0.5, 0.5], [0.52, 0.5]]), closed=False,
+                  boundary_gap=0.3)
+    g = RegularizedForcing(curve, SegmentedData.constant(curve, 1.0),
+                           Kernel.make("tensor_linf"), r)
+    corner = np.array([0.52, 0.5]) + 0.9 * r
+    assert g.eval(corner[None, :])[0] > 0.0
+    tri = corner + 0.002 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = Mesh.from_arrays(tri, np.array([[0, 1, 2]]))
+    assert g._near(mesh, np.arange(1))[0]
+    assert g.load_vector(mesh).sum() > 0.0
 
 
 @pytest.mark.parametrize("kind", ["regularized", "line"])

@@ -1,7 +1,9 @@
-"""Hand-worked cases for the exact geometric predicates."""
+"""Hand-worked cases for the exact geometric predicates, and their
+invariances under exact transforms."""
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 from mollifem.geometry import (clip_segments_to_triangles,
                                points_in_triangles, segments_intersect,
@@ -107,3 +109,81 @@ def test_clip_contained_segment_keeps_full_range():
         p0, p1, RIGHT[None, 0], RIGHT[None, 1], RIGHT[None, 2])
     assert inside[0]
     np.testing.assert_allclose([t0[0], t1[0]], [0.0, 1.0], atol=1e-12)
+
+
+# -- invariances ------------------------------------------------------------
+# Coordinates lie on the dyadic grid 2^-4 Z in [-4, 4]^2, so a dyadic
+# translation and a power-of-two scaling change no difference or cross
+# product by more than an exact factor: the answers must not change.
+
+_grid = st.integers(-64, 64).map(lambda i: i / 16.0)
+_points = st.tuples(_grid, _grid)
+_shift = st.tuples(st.integers(-4096, 4096), st.integers(-4096, 4096)).map(
+    lambda t: np.array(t) / 16.0)
+_scale = st.integers(-30, 30).map(lambda k: 2.0 ** k)
+
+
+def _arr(*pts):
+    return [np.array([p], dtype=float) for p in pts]
+
+
+def _ccw(a, b, c):
+    """The triangle (a, b, c) counter-clockwise; None if it is degenerate."""
+    area = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    assume(area != 0)
+    return (a, b, c) if area > 0 else (a, c, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a0=_points, a1=_points, b0=_points, b1=_points, shift=_shift,
+       scale=_scale)
+def test_segments_intersect_invariances(a0, a1, b0, b1, shift, scale):
+    segs = _arr(a0, a1, b0, b1)
+    want = segments_intersect(*segs)[0]
+    assert segments_intersect(*[s + shift for s in segs])[0] == want
+    assert segments_intersect(*[s * scale for s in segs])[0] == want
+    a0, a1, b0, b1 = segs
+    assert segments_intersect(a1, a0, b0, b1)[0] == want
+    assert segments_intersect(a0, a1, b1, b0)[0] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_points, t=st.tuples(_points, _points, _points), shift=_shift,
+       scale=_scale)
+def test_points_in_triangles_invariances(p, t, shift, scale):
+    args = _arr(p, *_ccw(*t))
+    want = points_in_triangles(*args)[0]
+    assert points_in_triangles(*[a + shift for a in args])[0] == want
+    assert points_in_triangles(*[a * scale for a in args])[0] == want
+    p, t0, t1, t2 = args
+    assert points_in_triangles(p, t1, t2, t0)[0] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(s0=_points, s1=_points, t=st.tuples(_points, _points, _points),
+       shift=_shift, scale=_scale)
+def test_segments_intersect_triangles_invariances(s0, s1, t, shift, scale):
+    args = _arr(s0, s1, *_ccw(*t))
+    want = segments_intersect_triangles(*args)[0]
+    assert segments_intersect_triangles(*[a + shift for a in args])[0] == want
+    assert segments_intersect_triangles(*[a * scale for a in args])[0] == want
+    s0, s1, t0, t1, t2 = args
+    assert segments_intersect_triangles(s1, s0, t0, t1, t2)[0] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(p0=_points, p1=_points, t=st.tuples(_points, _points, _points),
+       shift=_shift, scale=_scale)
+def test_clip_segments_to_triangles_invariances(p0, p1, t, shift, scale):
+    args = _arr(p0, p1, *_ccw(*t))
+    want = clip_segments_to_triangles(*args)
+    for moved in ([a + shift for a in args], [a * scale for a in args]):
+        got = clip_segments_to_triangles(*moved)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    # swapped ends: the same piece, with t -> 1 - t
+    p0, p1, t0, t1, t2 = args
+    tmin, tmax, ok = clip_segments_to_triangles(p1, p0, t0, t1, t2)
+    assert ok[0] == want[2][0]
+    if ok[0]:
+        assert abs((1.0 - tmax[0]) - want[0][0]) <= 1e-14
+        assert abs((1.0 - tmin[0]) - want[1][0]) <= 1e-14
