@@ -7,7 +7,7 @@ from .config import ExperimentConfig, preset
 from .curves import Curve, SegmentedData
 from .errors import NonTerminationError, NumericalError
 from .estimate import IndicatorSet, estimate, jump_indicator_sq
-from .fem import (BilinearFormSpec, DiscreteSystem, FeFunction, assemble,
+from .fem import (DiscreteSystem, ErrorIntegrator, FeFunction, assemble,
                   energy_error, form_matrix, prolong, solve_galerkin)
 from .forcing import (DensityForcing, Kernel, LineForcing, RegularizedForcing,
                       kernel_moment_check, r_of_tau)
@@ -20,8 +20,8 @@ from .vtkio import write_vtk
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfemParams", "BilinearFormSpec", "Curve", "DensityForcing",
-    "DiscreteSystem", "ExperimentConfig", "FeFunction", "IndicatorSet",
+    "AfemParams", "Curve", "DensityForcing", "DiscreteSystem",
+    "ErrorIntegrator", "ExperimentConfig", "FeFunction", "IndicatorSet",
     "Kernel", "LineForcing", "Mesh", "NonTerminationError", "NumericalError",
     "RegularizedForcing", "RunRecord", "RunRow", "SegmentedData",
     "TestProblem", "assemble", "baseline_solve", "data_loop", "energy_error",

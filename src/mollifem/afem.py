@@ -23,8 +23,9 @@ import numpy as np
 from .curves import Curve
 from .errors import NonTerminationError
 from .estimate import estimate
-from .fem import (BilinearFormSpec, ErrorIntegrator, FeFunction, assemble,
-                  energy_error, prolong, solve_galerkin)
+from .fem import (ErrorIntegrator, FeFunction, assemble, prolong,
+                  solve_galerkin)
+from .fem import energy_error  # noqa: F401  (perfbench/layers.py traces it)
 from .forcing import (KERNEL_FAMILIES, Kernel, LineForcing,
                       RegularizedForcing, r_of_tau)
 from .mesh import Mesh, interface_cells, interface_diameter
@@ -237,15 +238,15 @@ def interface_loop(mesh: Mesh, curve: Curve, r: float) -> Mesh:
 
 
 def solve_loop(mesh: Mesh, g, tau: float, params: AfemParams,
-               form: BilinearFormSpec, boundary_data=None, exact=None,
-               curve: Curve | None = None, record: RunRecord | None = None,
+               boundary_data=None, exact: ErrorIntegrator | None = None,
+               record: RunRecord | None = None,
                outer_j: int = 0, row_tau: float | None = None,
                row_r: float = 0.0, first_branch: str = "INIT",
                warm: FeFunction | None = None):
     """Estimator-driven adaptive solve down to tolerance tau.
 
     Returns (solution, mesh, record). `exact` (optional) supplies the
-    energy-error column; `curve` routes the kink-aware error quadrature.
+    energy-error column; without it the column is NaN.
     Rows carry `outer_j`, `row_tau` (default: tau) and `row_r`.
     """
     if tau <= 0:
@@ -258,17 +259,13 @@ def solve_loop(mesh: Mesh, g, tau: float, params: AfemParams,
 
     def one_pass(branch: str, k: int, warm_fn):
         t0 = time.perf_counter()
-        system = assemble(mesh, form, g, boundary_data)
+        system = assemble(mesh, g, boundary_data)
         guess = None
         if warm_fn is not None:
             guess = prolong(warm_fn, mesh).nodal_values
         w = solve_galerkin(system, initial_guess=guess)
-        ind = estimate(mesh, w, g, form)
-        err = float("nan")
-        if isinstance(exact, ErrorIntegrator):
-            err = exact(w)
-        elif exact is not None:
-            err = energy_error(exact, w, form, curve)
+        ind = estimate(mesh, w, g)
+        err = float("nan") if exact is None else exact(w)
         ms = (time.perf_counter() - t0) * 1e3
         record.append(RunRow(outer_j, k, row_tau, row_r, mesh.num_vertices,
                              mesh.num_cells, ind.global_total,
@@ -310,12 +307,11 @@ def regsolve(problem, params: AfemParams, initial_mesh: Mesh | None = None):
     params.validate()
     mesh = initial_mesh if initial_mesh is not None else problem.initial_mesh()
     kernel = Kernel.make(params.kernel_family)
-    form = problem.form
     record = RunRecord()
     w = None
     err_fn = None
     if problem.exact is not None:
-        err_fn = ErrorIntegrator(problem.exact, form, problem.curve)
+        err_fn = ErrorIntegrator(problem.exact, problem.curve)
 
     def stage(mesh, j, tau, tol, warm):
         r = r_of_tau(tau)
@@ -323,10 +319,9 @@ def regsolve(problem, params: AfemParams, initial_mesh: Mesh | None = None):
         g = RegularizedForcing(problem.curve, problem.f, kernel, r)
         t0 = time.perf_counter()
         w, mesh, _ = solve_loop(
-            mesh, g, tol, params, form, problem.boundary_data,
-            exact=err_fn, curve=problem.curve, record=record,
-            outer_j=j, row_tau=tau, row_r=r, first_branch="INTERFACE",
-            warm=warm)
+            mesh, g, tol, params, problem.boundary_data, exact=err_fn,
+            record=record, outer_j=j, row_tau=tau, row_r=r,
+            first_branch="INTERFACE", warm=warm)
         logger.info("stage j=%d: tau=%.4g r=%.4g dofs=%d (%.1fs)", j, tau, r,
                     mesh.num_vertices, time.perf_counter() - t0)
         return w, mesh, g
@@ -362,7 +357,7 @@ def baseline_solve(problem, params: AfemParams,
     w = None
     err_fn = None
     if problem.exact is not None:
-        err_fn = ErrorIntegrator(problem.exact, problem.form, problem.curve)
+        err_fn = ErrorIntegrator(problem.exact, problem.curve)
     tau = params.tau0
     stages = 1 if params.single_shot else params.j_max + 1
     if params.single_shot:
@@ -370,9 +365,8 @@ def baseline_solve(problem, params: AfemParams,
     for j in range(stages):
         t0 = time.perf_counter()
         w, mesh, _ = solve_loop(
-            mesh, g, params.mu * tau, params, problem.form,
-            problem.boundary_data, exact=err_fn, curve=problem.curve,
-            record=record, outer_j=j, row_tau=tau, row_r=0.0,
+            mesh, g, params.mu * tau, params, problem.boundary_data,
+            exact=err_fn, record=record, outer_j=j, row_tau=tau, row_r=0.0,
             first_branch="INIT", warm=w)
         logger.info("baseline stage j=%d: tau=%.4g dofs=%d (%.1fs)", j, tau,
                     mesh.num_vertices, time.perf_counter() - t0)

@@ -17,6 +17,7 @@ from .afem import RunRecord, baseline_solve, regsolve, solve_loop
 from .config import PRESET_NAMES, ExperimentConfig, preset
 from .errors import NumericalError
 from .estimate import estimate
+from .fem import ErrorIntegrator
 from .problems import make_problem
 from .vtkio import write_vtk
 
@@ -76,8 +77,8 @@ def _cmd_run(args) -> int:
             tau = params.mu * params.tau0 * params.beta ** params.j_max
             g = problem.density
             w, mesh, record = solve_loop(
-                problem.initial_mesh(), g, tau, params, problem.form,
-                problem.boundary_data, exact=problem.exact)
+                problem.initial_mesh(), g, tau, params, problem.boundary_data,
+                exact=ErrorIntegrator(problem.exact))
     except (NumericalError, MemoryError) as exc:
         kind = "numerical failure" if isinstance(exc, NumericalError) \
             else "out of memory"
@@ -89,7 +90,7 @@ def _cmd_run(args) -> int:
     record.to_csv(out / "run.csv", deterministic=cfg.deterministic)
 
     # the run's last forcing: a curve forcing has this mesh's records cached
-    ind = estimate(mesh, w, g, problem.form)
+    ind = estimate(mesh, w, g)
     write_vtk(out / "solution.vtk", mesh,
               point_data={"solution": w.nodal_values},
               cell_data={"generation": mesh.generation[mesh.active_id_array],

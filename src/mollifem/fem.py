@@ -1,9 +1,10 @@
-"""P1 Galerkin discretization on conforming triangulations.
+"""P1 Galerkin discretization of the Laplace problem on conforming
+triangulations.
 
-Assembly of the symmetric form a(u,v) = int grad(u)^T A grad(v) + c u v,
-non-homogeneous Dirichlet data by nodal interpolation with symmetric
-elimination, a preconditioned CG solve, and energy-norm error integration
-against closed-form solutions whose gradient kinks across the curve.
+Assembly of a(u,v) = int grad(u) . grad(v), non-homogeneous Dirichlet data
+by nodal interpolation with symmetric elimination, a preconditioned CG
+solve, and cached energy-norm error integration against closed-form
+solutions whose gradient kinks across the curve.
 """
 from __future__ import annotations
 
@@ -18,32 +19,6 @@ from .errors import NumericalError
 from .mesh import CellCache, Mesh, fill_midpoints, interface_cells, vertex_levels
 
 CG_RTOL = 5e-11
-
-
-class BilinearFormSpec:
-    """Coefficients of the form. None means A = identity, c = 0.
-
-    a_field maps points (n, 2) to SPD matrices (n, 2, 2); c_field maps
-    points to nonnegative scalars (n,).
-    """
-
-    def __init__(self, a_field=None, c_field=None):
-        self.a_field = a_field
-        self.c_field = c_field
-
-    @classmethod
-    def laplace(cls) -> "BilinearFormSpec":
-        return cls()
-
-    def a_at(self, points: np.ndarray) -> np.ndarray | None:
-        if self.a_field is None:
-            return None
-        return np.asarray(self.a_field(points), dtype=np.float64)
-
-    def c_at(self, points: np.ndarray) -> np.ndarray | None:
-        if self.c_field is None:
-            return None
-        return np.asarray(self.c_field(points), dtype=np.float64)
 
 
 @dataclass
@@ -88,43 +63,27 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
     return perp / (2.0 * mesh.areas)[:, None, None]
 
 
-def form_matrix(mesh: Mesh, form: BilinearFormSpec) -> sp.csr_matrix:
-    """Unconstrained matrix of the bilinear form on the P1 space."""
+def form_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """Unconstrained stiffness matrix of the Laplace form on the P1 space."""
     n = mesh.num_vertices
     tri = mesh.triangles
-    areas = mesh.areas
     grads = _p1_gradients(mesh)
-
-    if form.a_field is None:
-        k_loc = np.einsum("mdi,mdj->mij", grads, grads) * areas[:, None, None]
-    else:
-        pts = quadr.triangle_points(mesh.cell_coords, quadr.TRI_BARY)
-        a_q = form.a_at(pts.reshape(-1, 2)).reshape(mesh.num_cells, -1, 2, 2)
-        a_bar = np.einsum("q,mqde->mde", quadr.TRI_WEIGHTS, a_q)
-        k_loc = np.einsum("mdi,mde,mej->mij", grads, a_bar, grads) \
-            * areas[:, None, None]
-    if form.c_field is not None:
-        bary, w = quadr.TRI_BARY, quadr.TRI_WEIGHTS
-        pts = quadr.triangle_points(mesh.cell_coords, bary)
-        c_q = form.c_at(pts.reshape(-1, 2)).reshape(mesh.num_cells, -1)
-        k_loc = k_loc + np.einsum("mq,q,qi,qj->mij", c_q, w, bary, bary) \
-            * areas[:, None, None]
-
+    k_loc = np.einsum("mdi,mdj->mij", grads, grads) \
+        * mesh.areas[:, None, None]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble(mesh: Mesh, form: BilinearFormSpec, forcing,
-             boundary_data=None) -> DiscreteSystem:
-    """Build the discrete system for the form, forcing and Dirichlet data.
+def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
+    """Build the discrete Laplace system for the forcing and Dirichlet data.
 
     `forcing` is any object with a ``load_vector(mesh)`` method (mollified,
     clipped-line or plain density). `boundary_data` maps boundary points
     (n, 2) to values; None means homogeneous.
     """
     n = mesh.num_vertices
-    raw = form_matrix(mesh, form)
+    raw = form_matrix(mesh)
     raw_rhs = forcing.load_vector(mesh) if forcing is not None else np.zeros(n)
 
     bmask = mesh.boundary_vertex_mask
@@ -208,62 +167,31 @@ _KINK_DEPTH = 4
 _POINT_CHUNK = 1 << 20  # exact-gradient points per ErrorIntegrator batch
 
 
-def energy_error(u_exact, w: FeFunction, form: BilinearFormSpec,
-                 curve=None) -> float:
-    """Energy-norm distance between an exact solution and a FE function.
-
-    Cells crossed by the curve get a recursively subdivided rule so the
-    kink of grad(u) along it is integrated accurately.
-    """
-    mesh = w.mesh
-    depths = np.zeros(mesh.num_cells, dtype=np.int64)
-    if curve is not None:
-        hit = interface_cells(mesh, curve)
-        depths[np.searchsorted(mesh.active_id_array, hit)] = _KINK_DEPTH
-
-    grads_w = w.cell_gradients()
-    total = 0.0
-    for d in np.unique(depths):
-        sel = np.nonzero(depths == d)[0]
-        bary, wq = quadr.subdivided_rule(int(d))
-        pts = quadr.triangle_points(mesh.cell_coords[sel], bary)
-        flat = pts.reshape(-1, 2)
-        gu = np.asarray(u_exact.gradient(flat), dtype=np.float64)
-        ge = gu.reshape(len(sel), -1, 2) - grads_w[sel][:, None, :]
-        if form.a_field is None:
-            dens = (ge * ge).sum(-1)
-        else:
-            a_q = form.a_at(flat).reshape(len(sel), -1, 2, 2)
-            dens = np.einsum("mqd,mqde,mqe->mq", ge, a_q, ge)
-        if form.c_field is not None:
-            vu = np.asarray(u_exact.value(flat), dtype=np.float64)
-            ve = vu.reshape(len(sel), -1) \
-                - w.nodal_values[mesh.triangles[sel]] @ bary.T
-            dens = dens + form.c_at(flat).reshape(len(sel), -1) * ve * ve
-        total += float((mesh.areas[sel] * (dens @ wq)).sum())
-    return float(np.sqrt(max(total, 0.0)))
+def energy_error(u_exact, w: FeFunction, curve=None) -> float:
+    """Energy-norm distance between an exact solution and a FE function,
+    by a one-shot ErrorIntegrator."""
+    return ErrorIntegrator(u_exact, curve)(w)
 
 
 class ErrorIntegrator:
-    """Cached energy_error for repeated calls on refined meshes.
+    """Energy-norm error |u - w|_{H^1} for FE functions on refined meshes.
 
-    For the plain Laplace form the exact-solution cell moments
-    int_T |grad u|^2 and int_T grad u depend on geometry alone, so they are
-    cached per cell; the error against any P1 function then needs no further
-    exact-solution quadrature. Forms with coefficients fall back to the
-    direct routine.
+    Per cell T it caches the mean gradient m_T of the exact solution and
+    V_T = int_T |grad u - m_T|^2, which depend on geometry alone. A P1
+    function with gradient g on T then has int_T |grad(u - w)|^2 =
+    V_T + |T| |m_T - g|^2: a sum of two nonnegative terms, so no exact
+    quadrature is repeated and no large moments cancel. Cells crossed by the
+    curve get a recursively subdivided rule so the kink of grad(u) along it
+    is integrated accurately.
     """
 
-    def __init__(self, u_exact, form: BilinearFormSpec, curve=None):
+    def __init__(self, u_exact, curve=None):
         self.exact = u_exact
-        self.form = form
         self.curve = curve
-        self._direct = form.a_field is not None or form.c_field is not None
-        self._s0 = CellCache()
-        self._s1 = CellCache((2,))
+        self._moments = CellCache((3,))  # V_T, m_T
 
     def _sync(self, mesh: Mesh) -> None:
-        fresh = self._s0.missing(mesh, np.arange(mesh.num_cells))
+        fresh = self._moments.missing(mesh, np.arange(mesh.num_cells))
         if len(fresh) == 0:
             return
         depths = np.zeros(len(fresh), dtype=np.int64)
@@ -282,22 +210,20 @@ class ErrorIntegrator:
             for lo in range(0, len(grp), step):
                 sel = grp[lo:lo + step]
                 pts = quadr.triangle_points(coords[sel], bary)
-                gu = np.asarray(self.exact.gradient(pts.reshape(-1, 2)),
-                                dtype=np.float64).reshape(len(sel), -1, 2)
-                self._s0.store(mesh, fresh[sel], areas[sel]
-                               * np.einsum("mqd,mqd,q->m", gu, gu, wq))
-                self._s1.store(mesh, fresh[sel], areas[sel, None]
-                               * np.einsum("mqd,q->md", gu, wq))
+                gu = np.array(self.exact.gradient(pts.reshape(-1, 2)),
+                              dtype=np.float64).reshape(len(sel), -1, 2)
+                moments = np.empty((len(sel), 3))
+                moments[:, 1:] = np.einsum("mqd,q->md", gu, wq)
+                # centre our own copy in place: one more batch-sized array
+                # would add 16 MB to the peak RSS
+                gu -= moments[:, None, 1:]
+                moments[:, 0] = areas[sel] * np.einsum("mqd,mqd,q->m", gu,
+                                                       gu, wq)
+                self._moments.store(mesh, fresh[sel], moments)
 
     def __call__(self, w: FeFunction) -> float:
-        if self._direct:
-            return energy_error(self.exact, w, self.form, self.curve)
         mesh = w.mesh
         self._sync(mesh)
-        positions = np.arange(mesh.num_cells)
-        g = w.cell_gradients()
-        s0 = self._s0.get(mesh, positions)
-        s1 = self._s1.get(mesh, positions)
-        total = float(s0.sum()) - 2.0 * float(np.einsum("md,md->", g, s1)) \
-            + float((mesh.areas * (g * g).sum(-1)).sum())
-        return float(np.sqrt(max(total, 0.0)))
+        m = self._moments.get(mesh, np.arange(mesh.num_cells))
+        d = m[:, 1:] - w.cell_gradients()
+        return float(np.sqrt((m[:, 0] + mesh.areas * (d * d).sum(-1)).sum()))

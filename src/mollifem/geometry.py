@@ -62,14 +62,19 @@ def segments_intersect(a0, a1, b0, b1):
     return hit
 
 
+_EDGE_CHUNK = 1 << 15  # pairs per batch of edge tests: bounds their temporaries
+
+
 def segments_intersect_triangles(s0, s1, t0, t1, t2):
     """True where segment (s0,s1) meets the closed triangle (t0,t1,t2) (CCW)."""
-    inside = points_in_triangles(s0, t0, t1, t2) | points_in_triangles(s1, t0, t1, t2)
-    hit = inside.copy()
-    rest = ~hit
-    if np.any(rest):
-        for e0, e1 in ((t0, t1), (t1, t2), (t2, t0)):
-            hit[rest] |= segments_intersect(s0[rest], s1[rest], e0[rest], e1[rest])
+    hit = points_in_triangles(s0, t0, t1, t2) | points_in_triangles(s1, t0, t1, t2)
+    rest = np.nonzero(~hit)[0]
+    for lo in range(0, len(rest), _EDGE_CHUNK):
+        sel = rest[lo:lo + _EDGE_CHUNK]
+        a0, a1, u0, u1, u2 = (x[sel] for x in (s0, s1, t0, t1, t2))
+        hit[sel] = (segments_intersect(a0, a1, u0, u1)
+                    | segments_intersect(a0, a1, u1, u2)
+                    | segments_intersect(a0, a1, u2, u0))
     return hit
 
 

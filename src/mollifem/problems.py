@@ -13,7 +13,6 @@ from typing import Callable
 import numpy as np
 
 from .curves import Curve, SegmentedData
-from .fem import BilinearFormSpec
 from .forcing import DensityForcing
 from .mesh import Mesh, lshape_mesh, rect_mesh
 
@@ -100,7 +99,6 @@ class TestProblem:
     f: SegmentedData | None
     boundary_data: Callable | None
     exact: object | None
-    form: BilinearFormSpec
     initial_mesh: Callable[[], Mesh]
     density: object | None = None
 
@@ -114,7 +112,6 @@ def _circle_problem(name: str, center, radius: float, gap: float,
     return TestProblem(name=name, curve=curve,
                        f=SegmentedData.constant(curve, 1.0 / radius),
                        boundary_data=exact.value, exact=exact,
-                       form=BilinearFormSpec.laplace(),
                        initial_mesh=initial_mesh)
 
 
@@ -144,7 +141,6 @@ def smooth_problem(initial_divisions: int = 8) -> TestProblem:
         f=None,
         boundary_data=None,
         exact=exact,
-        form=BilinearFormSpec.laplace(),
         initial_mesh=lambda: rect_mesh(initial_divisions, initial_divisions,
                                        0.0, 0.0, 1.0, 1.0),
         density=DensityForcing(exact.laplacian_density, name="sine_load"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mollifem.fem import BilinearFormSpec, DiscreteSystem, assemble
+from mollifem.fem import DiscreteSystem, assemble
 from mollifem.forcing import DensityForcing
 from mollifem.mesh import Mesh, interface_cells, rect_mesh
 
@@ -86,4 +86,4 @@ def uniform_square_system(passes: int) -> DiscreteSystem:
     after `passes` uniform bisection passes, homogeneous Dirichlet data."""
     mesh = rect_mesh(4, 4).uniform_refine(passes)
     g = DensityForcing(lambda p: 1.0 + np.sin(3.0 * p[:, 0]) * p[:, 1])
-    return assemble(mesh, BilinearFormSpec.laplace(), g)
+    return assemble(mesh, g)

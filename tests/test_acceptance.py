@@ -21,7 +21,7 @@ from mollifem.afem import (AfemParams, RunRecord, baseline_solve, greedy,
                            interface_loop, mark, regsolve, solve_loop)
 from mollifem.cli import main as cli_main, slope_fit
 from mollifem.config import ExperimentConfig, preset
-from mollifem.fem import assemble, energy_error, solve_galerkin
+from mollifem.fem import ErrorIntegrator, assemble, solve_galerkin
 from mollifem.forcing import (KERNEL_FAMILIES, Kernel, RegularizedForcing,
                               kernel_moment_check)
 from mollifem.mesh import rect_mesh
@@ -42,14 +42,15 @@ def test_a03_regularization_error_rate():
     mesh = rect_mesh(64, 64, 0.0, 0.0, 1.0, 1.0)
     mesh = interface_loop(mesh, p.curve, 2.0 ** -7)
     kernel = Kernel.make("tensor_linf")
+    err_fn = ErrorIntegrator(p.exact, p.curve)  # one mesh: moments once
     errs = []
     for k in range(3, 8):
         # at k=3 the support overlaps the boundary; the logged warning is
         # expected and the leaked mass is negligible for this metric
         g = RegularizedForcing(p.curve, p.f, kernel, 2.0 ** -k)
-        system = assemble(mesh, p.form, g, p.boundary_data)
+        system = assemble(mesh, g, p.boundary_data)
         w = solve_galerkin(system)
-        errs.append(energy_error(p.exact, w, p.form, p.curve))
+        errs.append(err_fn(w))
     rs = 2.0 ** -np.arange(3, 8)
     slope = float(np.polyfit(np.log(rs), np.log(np.array(errs)), 1)[0])
     ok = 0.35 <= slope <= 0.65
@@ -224,7 +225,7 @@ def test_a09_solver_correctness():
     p = square_problem(n_segments=1024)
     mesh = rect_mesh(16, 16, 0.0, 0.0, 1.0, 1.0)
     g = RegularizedForcing(p.curve, p.f, Kernel.make("tensor_linf"), 0.05)
-    system = assemble(mesh, p.form, g, p.boundary_data)
+    system = assemble(mesh, g, p.boundary_data)
 
     asym = abs((system.raw_matrix - system.raw_matrix.T)).max()
     scale = abs(system.raw_matrix).max()
@@ -248,7 +249,7 @@ def test_a09_solver_correctness():
         def data_indicator(self, m):
             return np.zeros(m.num_cells)
 
-    sys_affine = assemble(mesh, p.form, _ZeroLoad(), affine)
+    sys_affine = assemble(mesh, _ZeroLoad(), affine)
     w_affine = solve_galerkin(sys_affine)
     affine_err = np.abs(w_affine.nodal_values - affine(mesh.coords)).max()
 
@@ -274,8 +275,8 @@ def test_a10_estimator_contraction():
                         beta=0.5, tau0=0.05, j_max=0, single_shot=False,
                         extra_final_step=False)
     _, _, record = solve_loop(p.initial_mesh(), p.density, 0.05, params,
-                              p.form, boundary_data=p.boundary_data,
-                              exact=p.exact)
+                              boundary_data=p.boundary_data,
+                              exact=ErrorIntegrator(p.exact))
     marks = [row.estimator_total for row in record.rows
              if row.branch == "MARK"]
     assert len(marks) >= 4

@@ -13,7 +13,7 @@ from mollifem.afem import (AfemParams, RunRecord, RunRow, baseline_solve,
 from mollifem.curves import Curve, SegmentedData
 from mollifem.errors import NonTerminationError
 from mollifem.estimate import estimate
-from mollifem.fem import BilinearFormSpec, assemble, solve_galerkin
+from mollifem.fem import ErrorIntegrator
 from mollifem.forcing import DensityForcing, Kernel, LineForcing, \
     RegularizedForcing
 from mollifem.mesh import interface_cells, rect_mesh
@@ -139,7 +139,7 @@ def test_solve_loop_smooth_contracts_below_tau():
     params = AfemParams(theta=0.5, theta_data=0.5, lam=1.0, tau0=0.1,
                         beta=0.5, j_max=0, extra_final_step=False)
     w, mesh, rec = solve_loop(p.initial_mesh(), p.density, 0.2, params,
-                              p.form, None, exact=p.exact)
+                              None, exact=ErrorIntegrator(p.exact))
     assert len(rec) >= 2
     assert rec.rows[-1].estimator_total <= 0.2
     assert rec.rows[0].branch == "INIT"
@@ -152,8 +152,7 @@ def test_solve_loop_records_monotone_dofs():
     p = smooth_problem()
     params = AfemParams(theta=0.5, theta_data=0.5, lam=1.0, tau0=0.1,
                         beta=0.5, j_max=0, extra_final_step=False)
-    _, _, rec = solve_loop(p.initial_mesh(), p.density, 0.25, params, p.form,
-                           None)
+    _, _, rec = solve_loop(p.initial_mesh(), p.density, 0.25, params, None)
     dofs = [r.dofs for r in rec.rows]
     assert dofs == sorted(dofs)
     assert rec.rows[-1].energy_error != rec.rows[-1].energy_error  # NaN

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mollifem import cli, fem, forcing
+from mollifem import cli, fem, forcing, problems
 from mollifem.afem import RunRecord, RunRow
 from mollifem.cli import main, slope_fit
 from mollifem.config import (ALGORITHMS, PRESET_NAMES, ExperimentConfig,
@@ -279,6 +279,31 @@ def test_cli_run_reuses_the_last_forcing(tmp_path, monkeypatch):
     assert events.count("csv") == 1
     assert "build" in events and "eval" in events
     assert events[events.index("csv") + 1:] == []
+
+
+def test_cli_run_integrates_each_cell_once(tmp_path, monkeypatch):
+    # every pass's energy error reuses the moments of the cells integrated
+    # before it: no cell's quadrature points reach the exact gradient twice
+    batches = []
+    gradient = problems.SineProduct.gradient
+
+    def recorded(self, points):
+        batches.append(np.array(points, dtype=np.float64).reshape(-1, 2))
+        return gradient(self, points)
+
+    monkeypatch.setattr(problems.SineProduct, "gradient", recorded)
+    base = preset("smooth")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(replace(base, params=replace(base.params, tau0=0.4))
+                        .to_json())
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 "--deterministic"]) == 0
+    rows = RunRecord.from_csv(out / "run.csv").rows
+    assert len(rows) >= 4
+    cells = np.concatenate(batches).reshape(-1, 12)  # 6 points a cell
+    assert len(np.unique(cells, axis=0)) == len(cells)
+    assert len(cells) >= rows[-1].cells
 
 
 def test_write_vtk_bytes_match_per_value_formatting(tmp_path, rng):

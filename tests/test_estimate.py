@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from mollifem.estimate import IndicatorSet, estimate, jump_indicator_sq
-from mollifem.fem import BilinearFormSpec, FeFunction
+from mollifem.fem import FeFunction
 from mollifem.forcing import DensityForcing
 from mollifem.mesh import Mesh, rect_mesh
 
@@ -20,25 +20,15 @@ def test_jump_hand_value_single_interior_edge():
     # j(T)^2 = h_F^2 * (jump . n)^2 = 2 * 2 = 4 on both cells
     mesh = two_triangle_square()
     w = FeFunction(mesh, np.array([0.0, 0.0, 0.0, 1.0]))
-    jsq = jump_indicator_sq(mesh, w, BilinearFormSpec.laplace())
+    jsq = jump_indicator_sq(mesh, w)
     np.testing.assert_allclose(jsq, [4.0, 4.0], atol=1e-13)
 
 
 def test_jump_vanishes_for_global_linear():
     mesh = rect_mesh(5, 5, 0.0, 0.0, 1.0, 1.0)
     w = FeFunction(mesh, 2.0 * mesh.coords[:, 0] + mesh.coords[:, 1])
-    jsq = jump_indicator_sq(mesh, w, BilinearFormSpec.laplace())
+    jsq = jump_indicator_sq(mesh, w)
     assert np.abs(jsq).max() < 1e-24
-
-
-def test_identity_coefficient_matches_plain_laplace():
-    mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
-    rng = np.random.default_rng(7)
-    w = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
-    eye = BilinearFormSpec(a_field=lambda p: np.tile(np.eye(2), (len(p), 1, 1)))
-    plain = jump_indicator_sq(mesh, w, BilinearFormSpec.laplace())
-    with_a = jump_indicator_sq(mesh, w, eye)
-    np.testing.assert_allclose(with_a, plain, rtol=1e-12, atol=1e-15)
 
 
 def test_estimate_combines_jump_and_data():
@@ -46,7 +36,7 @@ def test_estimate_combines_jump_and_data():
     rng = np.random.default_rng(11)
     w = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
     g = DensityForcing(lambda p: np.ones(len(p)))
-    ind = estimate(mesh, w, g, BilinearFormSpec.laplace())
+    ind = estimate(mesh, w, g)
     np.testing.assert_allclose(ind.total ** 2, ind.jump_sq + ind.data_sq,
                                rtol=1e-14)
     np.testing.assert_allclose(ind.jump ** 2, ind.jump_sq, rtol=1e-14)

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from mollifem import fem
 from mollifem.curves import Curve, SegmentedData
-from mollifem.fem import (BilinearFormSpec, ErrorIntegrator, FeFunction,
-                          assemble, energy_error, form_matrix, prolong,
-                          solve_galerkin)
+from mollifem import quadrature as quadr
+from mollifem.fem import (ErrorIntegrator, FeFunction, assemble, energy_error,
+                          form_matrix, prolong, solve_galerkin)
 from mollifem.errors import NumericalError
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
-from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
-from mollifem.problems import RadialLogSolution
+from mollifem.mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
+from mollifem.problems import RadialLogSolution, SineProduct
 
 from conftest import sibling_refinements, uniform_square_system
 
@@ -51,7 +51,7 @@ def unit_right_triangle() -> Mesh:
 def test_stiffness_energy_of_linear_interpolant():
     # u = a x + b y has energy (a^2 + b^2) |Omega| under the Laplace form
     mesh = rect_mesh(5, 4, 0.0, 0.0, 2.0, 1.0)
-    k = form_matrix(mesh, BilinearFormSpec.laplace())
+    k = form_matrix(mesh)
     vals = 3.0 * mesh.coords[:, 0] - 2.0 * mesh.coords[:, 1]
     energy = float(vals @ (k @ vals))
     assert abs(energy - (9.0 + 4.0) * 2.0) < 1e-11
@@ -59,23 +59,14 @@ def test_stiffness_energy_of_linear_interpolant():
 
 def test_stiffness_kernel_contains_constants():
     mesh = rect_mesh(3, 3, 0.0, 0.0, 1.0, 1.0)
-    k = form_matrix(mesh, BilinearFormSpec.laplace())
+    k = form_matrix(mesh)
     ones = np.ones(mesh.num_vertices)
     assert np.abs(k @ ones).max() < 1e-12
 
 
-def test_mass_term_integrates_one():
-    mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
-    form = BilinearFormSpec(c_field=lambda p: np.ones(len(p)))
-    k = form_matrix(mesh, form)
-    ones = np.ones(mesh.num_vertices)
-    # stiffness part vanishes on constants; the rest is int_Omega 1 = 1
-    assert abs(float(ones @ (k @ ones)) - 1.0) < 1e-12
-
-
 def test_assembled_matrix_symmetry():
     mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0).uniform_refine()
-    k = form_matrix(mesh, BilinearFormSpec.laplace())
+    k = form_matrix(mesh)
     asym = abs(k - k.T).max()
     assert asym <= 1e-14 * abs(k).max()
 
@@ -84,8 +75,7 @@ def test_affine_exactness():
     # boundary data a + b x + c y, zero load: the P1 solution is that plane
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     plane = Poly2D(sympy.sympify("1 + 2*x - 3*y"))
-    system = assemble(mesh, BilinearFormSpec.laplace(), None,
-                      boundary_data=plane.value)
+    system = assemble(mesh, None, boundary_data=plane.value)
     w = solve_galerkin(system)
     want = plane.value(mesh.coords)
     assert np.abs(w.nodal_values - want).max() < 1e-9
@@ -94,7 +84,7 @@ def test_affine_exactness():
 def test_cg_residual_tolerance():
     mesh = rect_mesh(10, 10, 0.0, 0.0, 1.0, 1.0)
     g = DensityForcing(lambda p: np.sin(3 * p[:, 0]) + p[:, 1])
-    system = assemble(mesh, BilinearFormSpec.laplace(), g)
+    system = assemble(mesh, g)
     w = solve_galerkin(system)
     res = np.linalg.norm(system.rhs - system.matrix @ w.nodal_values)
     assert res <= 1e-10 * np.linalg.norm(system.rhs) + 1e-14
@@ -103,7 +93,7 @@ def test_cg_residual_tolerance():
 def test_galerkin_orthogonality():
     mesh = rect_mesh(9, 9, 0.0, 0.0, 1.0, 1.0)
     g = DensityForcing(lambda p: np.cos(2 * p[:, 0] * p[:, 1]))
-    system = assemble(mesh, BilinearFormSpec.laplace(), g)
+    system = assemble(mesh, g)
     w = solve_galerkin(system)
     resid = system.raw_rhs - system.raw_matrix @ w.nodal_values
     assert np.abs(resid[system.free_mask]).max() <= 1e-8
@@ -112,7 +102,7 @@ def test_galerkin_orthogonality():
 def test_solve_warm_start_agrees_with_cold():
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     g = DensityForcing(lambda p: p[:, 0] * p[:, 1])
-    system = assemble(mesh, BilinearFormSpec.laplace(), g)
+    system = assemble(mesh, g)
     cold = solve_galerkin(system).nodal_values
     warm = solve_galerkin(system, initial_guess=cold + 1e-3).nodal_values
     assert np.abs(cold - warm).max() < 1e-8
@@ -148,7 +138,7 @@ def test_bpx_preconditioner_is_spd_with_identity_boundary_rows(
     for _ in range(rounds):
         mesh = mesh.refine(data.draw(st.sets(
             st.sampled_from(mesh.active_id_array.tolist()), max_size=12)))
-    system = assemble(mesh, BilinearFormSpec.laplace(), None)
+    system = assemble(mesh, None)
     apply = fem._bpx_preconditioner(system).matvec
     x, y = np.random.default_rng(seed).standard_normal((2, mesh.num_vertices))
     bx, by = apply(x), apply(y)
@@ -167,9 +157,9 @@ def test_solve_matches_a_direct_solve_on_a_graded_mesh():
         near = np.abs(mesh.cell_coords).sum(axis=2).min(axis=1) < 1e-12
         mesh = mesh.refine(mesh.active_id_array[near])
     plane = Poly2D(sympy.sympify("x - 2*y + x*y"))
-    system = assemble(mesh, BilinearFormSpec.laplace(),
-                      DensityForcing(lambda p: np.cos(p[:, 0] + 2 * p[:, 1])),
-                      boundary_data=plane.value)
+    system = assemble(
+        mesh, DensityForcing(lambda p: np.cos(p[:, 0] + 2 * p[:, 1])),
+        boundary_data=plane.value)
     w = solve_galerkin(system).nodal_values
     direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
     assert np.linalg.norm(w - direct) <= 1e-9 * np.linalg.norm(direct)
@@ -230,7 +220,7 @@ def test_energy_error_quadratic_hand_value():
     mesh = unit_right_triangle()
     u = Poly2D(sympy.sympify("x**2"))
     w = FeFunction(mesh, u.value(mesh.coords))
-    err = energy_error(u, w, BilinearFormSpec.laplace())
+    err = energy_error(u, w)
     x, y = sympy.symbols("x y")
     exact = sympy.integrate((2 * x - 1) ** 2,
                             (y, 0, 1 - x), (x, 0, 1))
@@ -241,7 +231,28 @@ def test_energy_error_zero_for_exact_linear():
     mesh = rect_mesh(3, 3, 0.0, 0.0, 1.0, 1.0)
     u = Poly2D(sympy.sympify("4 - x + 2*y"))
     w = FeFunction(mesh, u.value(mesh.coords))
-    assert energy_error(u, w, BilinearFormSpec.laplace()) < 1e-13
+    assert energy_error(u, w) < 1e-13
+
+
+def reference_energy_error(u, w: FeFunction, curve=None) -> float:
+    """The direct quadrature sum, Laplace form only: every active cell is
+    integrated afresh, cells the curve crosses by the subdivided rule of
+    depth `fem._KINK_DEPTH`, and each point's |grad(u - w)|^2 is summed."""
+    mesh = w.mesh
+    depths = np.zeros(mesh.num_cells, dtype=np.int64)
+    if curve is not None:
+        hit = interface_cells(mesh, curve)
+        depths[np.searchsorted(mesh.active_id_array, hit)] = fem._KINK_DEPTH
+    grads = w.cell_gradients()
+    total = 0.0
+    for d in np.unique(depths):
+        sel = np.nonzero(depths == d)[0]
+        bary, wq = quadr.subdivided_rule(int(d))
+        pts = quadr.triangle_points(mesh.cell_coords[sel], bary)
+        ge = u.gradient(pts.reshape(-1, 2)).reshape(len(sel), -1, 2) \
+            - grads[sel][:, None, :]
+        total += float((mesh.areas[sel] * ((ge * ge).sum(-1) @ wq)).sum())
+    return float(np.sqrt(total))
 
 
 def test_error_integrator_matches_direct():
@@ -250,26 +261,38 @@ def test_error_integrator_matches_direct():
     data = SegmentedData.constant(curve, 1.0)
     g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), 0.1)
     u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
-    form = BilinearFormSpec.laplace()
-    integ = ErrorIntegrator(u, form, curve)
+    integ = ErrorIntegrator(u, curve)
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     for _ in range(3):
-        w = solve_galerkin(assemble(mesh, form, g))
-        direct = energy_error(u, w, form, curve)
+        w = solve_galerkin(assemble(mesh, g))
+        direct = reference_energy_error(u, w, curve)
         cached = integ(w)
         assert abs(cached - direct) <= 1e-10 * max(direct, 1.0)
         mesh = mesh.refine(mesh.active_id_array[::5])
     # a second integrator starting cold on the final mesh agrees too
-    w = solve_galerkin(assemble(mesh, form, g))
-    cold = ErrorIntegrator(u, form, curve)(w)
+    w = solve_galerkin(assemble(mesh, g))
+    cold = ErrorIntegrator(u, curve)(w)
     assert abs(cold - integ(w)) <= 1e-12 * max(cold, 1.0)
     # sibling refinements reuse new cell ids for different triangles
     first, second = sibling_refinements(rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0),
                                         curve)
     integ(FeFunction(first, u.value(first.coords)))
     w = FeFunction(second, u.value(second.coords))
-    cold = ErrorIntegrator(u, form, curve)(w)
+    cold = ErrorIntegrator(u, curve)(w)
     assert abs(cold - integ(w)) <= 1e-12 * max(cold, 1.0)
+
+
+def test_error_integrator_survives_heavy_cancellation():
+    # the P1 interpolant of a smooth u on 32,768 cells: |grad u|^2
+    # integrates to pi^2/2 and the squared error to 7.4e-4, so moments of
+    # grad u that are differenced afterwards cancel in nearly four digits.
+    # A difference of global sums missed the direct sum by 5.4e-11
+    # relative here, a sum of per-cell differences by 3.4e-12.
+    mesh = rect_mesh(128, 128)
+    u = SineProduct()
+    w = FeFunction(mesh, u.value(mesh.coords))
+    direct = reference_energy_error(u, w)
+    assert abs(ErrorIntegrator(u)(w) - direct) <= 1e-12 * direct
 
 
 def test_error_integrator_batches_do_not_move_bits(monkeypatch):
@@ -282,12 +305,10 @@ def test_error_integrator_batches_do_not_move_bits(monkeypatch):
     # one batch per depth, then batches of 3 curve cells and 512 others
     for chunk in (1 << 30, 3 * 6 * 4 ** fem._KINK_DEPTH):
         monkeypatch.setattr(fem, "_POINT_CHUNK", chunk)
-        integ = ErrorIntegrator(u, BilinearFormSpec.laplace(), curve)
+        integ = ErrorIntegrator(u, curve)
         integ._sync(mesh)
-        moments.append((integ._s0.get(mesh, positions),
-                        integ._s1.get(mesh, positions)))
-    np.testing.assert_array_equal(moments[0][0], moments[1][0])
-    np.testing.assert_array_equal(moments[0][1], moments[1][1])
+        moments.append(integ._moments.get(mesh, positions))
+    np.testing.assert_array_equal(moments[0], moments[1])
 
 
 def test_log_gradient_matches_the_masked_formula_bit_for_bit(rng):
@@ -303,16 +324,6 @@ def test_log_gradient_matches_the_masked_formula_bit_for_bit(rng):
     want = np.zeros_like(d)
     want[outside] = -d[outside] / rho_sq[outside, None]
     assert sol.gradient(pts).tobytes() == want.tobytes()
-
-
-def test_error_integrator_falls_back_on_coefficients():
-    mesh = rect_mesh(3, 3, 0.0, 0.0, 1.0, 1.0)
-    form = BilinearFormSpec(c_field=lambda p: np.ones(len(p)))
-    u = Poly2D(sympy.sympify("x*y"))
-    w = FeFunction(mesh, u.value(mesh.coords))
-    direct = energy_error(u, w, form)
-    cached = ErrorIntegrator(u, form)(w)
-    assert abs(direct - cached) < 1e-14
 
 
 def test_fe_function_rejects_bad_length():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from mollifem import geometry
 from mollifem.geometry import (clip_segments_to_triangles,
                                points_in_triangles, segments_intersect,
                                segments_intersect_triangles)
@@ -109,6 +110,29 @@ def test_clip_contained_segment_keeps_full_range():
         p0, p1, RIGHT[None, 0], RIGHT[None, 1], RIGHT[None, 2])
     assert inside[0]
     np.testing.assert_allclose([t0[0], t1[0]], [0.0, 1.0], atol=1e-12)
+
+
+def test_segments_intersect_triangles_matches_the_unmasked_formula(
+        rng, monkeypatch):
+    # every pair tested against all three edges, without the subset the
+    # predicate gathers in batches; a half-integer grid gives shared
+    # vertices, points on edges, collinear and zero-length segments and flat
+    # triangles
+    monkeypatch.setattr(geometry, "_EDGE_CHUNK", 1000)
+    grid = rng.integers(-2, 3, size=(20000, 5, 2)) / 2.0
+    pts = np.concatenate([grid, rng.uniform(-1.0, 1.0, size=(20000, 5, 2))])
+    s0, s1, t0, t1, t2 = pts.transpose(1, 0, 2)
+    cw = ((t1 - t0)[:, 0] * (t2 - t0)[:, 1]
+          - (t1 - t0)[:, 1] * (t2 - t0)[:, 0] < 0)[:, None]
+    t1, t2 = np.where(cw, t2, t1), np.where(cw, t1, t2)
+    want = (points_in_triangles(s0, t0, t1, t2)
+            | points_in_triangles(s1, t0, t1, t2)
+            | segments_intersect(s0, s1, t0, t1)
+            | segments_intersect(s0, s1, t1, t2)
+            | segments_intersect(s0, s1, t2, t0))
+    got = segments_intersect_triangles(s0, s1, t0, t1, t2)
+    assert got.tobytes() == want.tobytes()
+    assert 0 < got[:20000].sum() < 20000 and 0 < got[20000:].sum() < 20000
 
 
 # -- invariances ------------------------------------------------------------
