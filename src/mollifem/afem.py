@@ -40,6 +40,11 @@ INTERFACE_PASS_CAP = 10_000
 BRANCHES = ("INIT", "INTERFACE", "DATA", "MARK")
 
 
+def is_int(x) -> bool:
+    """An integer, and not a bool: JSON true is no count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class AfemParams:
     """Knobs of the adaptive drivers; all live in the stated open intervals."""
@@ -57,20 +62,21 @@ class AfemParams:
 
     def issues(self) -> list[str]:
         bad = []
-        if not 0.0 < self.theta < 1.0:
-            bad.append(f"theta={self.theta} outside (0,1)")
-        if not 0.0 < self.theta_data < 1.0:
-            bad.append(f"theta_data={self.theta_data} outside (0,1)")
-        if not 0.0 < self.lam <= 1.0:
-            bad.append(f"lambda={self.lam} outside (0,1]")
-        if not 0.0 < self.mu < 1.0:
-            bad.append(f"mu={self.mu} outside (0,1)")
-        if not 0.0 < self.beta < 1.0:
-            bad.append(f"beta={self.beta} outside (0,1)")
-        if not self.tau0 > 0:
-            bad.append(f"tau0={self.tau0} not positive")
-        if not (isinstance(self.j_max, (int, np.integer)) and self.j_max >= 0):
-            bad.append(f"j_max={self.j_max} not a nonnegative integer")
+        for name, x, hi in (("theta", self.theta, 1.0),
+                            ("theta_data", self.theta_data, 1.0),
+                            ("lambda", self.lam, 1.0), ("mu", self.mu, 1.0),
+                            ("beta", self.beta, 1.0),
+                            ("tau0", self.tau0, math.inf)):
+            if not (is_int(x) or isinstance(x, (float, np.floating))):
+                bad.append(f"{name}={x!r} not a real number")
+            elif not (0.0 < x < hi or name == "lambda" and x == hi):
+                end = "]" if name == "lambda" else ")"
+                bad.append(f"{name}={x} outside (0,{hi:g}{end}")
+        if not (is_int(self.j_max) and self.j_max >= 0):
+            bad.append(f"j_max={self.j_max!r} not a nonnegative integer")
+        for name in ("single_shot", "extra_final_step"):
+            if not isinstance(getattr(self, name), bool):
+                bad.append(f"{name}={getattr(self, name)!r} not true or false")
         if self.kernel_family not in KERNEL_FAMILIES:
             bad.append(f"kernel_family={self.kernel_family!r} unknown")
         return bad

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .afem import AfemParams
+from .afem import AfemParams, is_int
 from .problems import PROBLEM_NAMES
 
 ALGORITHMS = ("regsolve", "baseline", "plain")
@@ -64,17 +64,18 @@ class ExperimentConfig:
         if self.problem != "smooth" and self.algorithm == "plain":
             bad.append(f"algorithm 'plain' only fits problem 'smooth', "
                        f"not {self.problem!r}")
-        if not (isinstance(self.curve_segments, int)
-                and self.curve_segments >= 3):
-            bad.append(f"curve_segments={self.curve_segments} must be an "
+        if not (is_int(self.curve_segments) and self.curve_segments >= 3):
+            bad.append(f"curve_segments={self.curve_segments!r} must be an "
                        "integer >= 3")
         if self.initial_divisions is not None and not (
-                isinstance(self.initial_divisions, int)
-                and self.initial_divisions >= 1):
-            bad.append(f"initial_divisions={self.initial_divisions} must be "
+                is_int(self.initial_divisions) and self.initial_divisions >= 1):
+            bad.append(f"initial_divisions={self.initial_divisions!r} must be "
                        "a positive integer or null")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             bad.append("output_dir must be a non-empty string")
+        if not isinstance(self.deterministic, bool):
+            bad.append(f"deterministic={self.deterministic!r} not true or "
+                       "false")
         bad.extend(self.params.issues())
         return bad
 

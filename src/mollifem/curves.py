@@ -2,8 +2,8 @@
 
 The immersed curve gamma is always handled through its polyline
 discretization; a circle is represented by an inscribed regular polygon.
-Curve objects are immutable and own the spatial indexes used for proximity
-and intersection queries.
+Curve objects are immutable and own the spatial index of their segments used
+for proximity and intersection queries.
 """
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
-
-_GRID_RES = 256  # spatial hash resolution along the longer bbox axis
 
 
 class Curve:
@@ -68,58 +66,10 @@ class Curve:
         return float(self.seg_lengths.max())
 
     @cached_property
-    def vertex_tree(self) -> cKDTree:
-        return cKDTree(self.points)
-
-    # -- spatial hash over segments ---------------------------------------
-
-    @cached_property
-    def _grid(self):
-        """Origin, bin width, and the segment ids of each bin as CSR
-        (``members[start[b]:start[b + 1]]``, ascending) over bins
-        ``b = ix * (_GRID_RES + 1) + iy``, with each member's `_box_bins`
-        flags."""
-        s_lo = np.minimum(self.seg_start, self.seg_end)
-        s_hi = np.maximum(self.seg_start, self.seg_end)
-        lo = s_lo.min(axis=0)
-        cell = max(float((s_hi.max(axis=0) - lo).max()), 1e-30) / _GRID_RES
-        seg, b, flags = _box_bins(np.floor((s_lo - lo) / cell).astype(np.int64),
-                                  np.floor((s_hi - lo) / cell).astype(np.int64))
-        order = np.argsort(b, kind="stable")
-        start = np.searchsorted(b[order], np.arange((_GRID_RES + 1) ** 2 + 1))
-        return lo, cell, start, seg[order], flags[order]
-
-    def grid_query(self, box_lo: np.ndarray, box_hi: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """(box index, segment id) pairs whose grid bins overlap each
-        box (n, 2) corners; a superset of the segments meeting the box.
-        Pairs are unique and sorted by box, then segment."""
-        lo, cell, start, members, member_flags = self._grid
-        i0 = np.maximum(np.floor((box_lo - lo) / cell).astype(np.int64), 0)
-        i1 = np.minimum(np.floor((box_hi - lo) / cell).astype(np.int64),
-                        _GRID_RES)
-        box, b, flags = _box_bins(i0, i1)
-        count = start[b + 1] - start[b]
-        at = np.repeat(start[b] - np.cumsum(count) + count, count) \
-            + np.arange(count.sum())
-        # list a pair only in the lowest bin that the box and segment share
-        keep = (np.repeat(flags, count) | member_flags[at]) == 3
-        pair = np.sort(np.repeat(box, count)[keep] * self.num_segments
-                       + members[at[keep]])
-        return pair // self.num_segments, pair % self.num_segments
-
-
-def _box_bins(i0: np.ndarray, i1: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(box index, bin, flags) for each bin of the inclusive integer boxes
-    ``i0[j] .. i1[j]`` (n, 2); an empty box has none. Flag 1 marks a bin in
-    its box's lowest column, flag 2 one in its lowest row."""
-    ny = np.maximum(i1[:, 1] - i0[:, 1] + 1, 0)
-    count = np.maximum(i1[:, 0] - i0[:, 0] + 1, 0) * ny
-    box = np.repeat(np.arange(len(count)), count)
-    j = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
-    col, row = j // ny[box], j % ny[box]
-    flags = ((col == 0) | ((row == 0) << 1)).astype(np.int8)
-    return box, (i0[box, 0] + col) * (_GRID_RES + 1) + i0[box, 1] + row, flags
+    def midpoint_tree(self) -> cKDTree:
+        """kd-tree of the segment midpoints; a segment that comes within rho
+        of x has its midpoint within rho + max_seg_len / 2 of x."""
+        return cKDTree(0.5 * (self.seg_start + self.seg_end))
 
 
 class SegmentedData:

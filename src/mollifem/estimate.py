@@ -56,7 +56,7 @@ def jump_indicator_sq(mesh: Mesh, w: FeFunction) -> np.ndarray:
     verts, left, right = mesh.interior_edge_arrays
     if len(verts) == 0:
         return jsq
-    grads = w.cell_gradients()
+    grads = w.cell_gradients
     tang = mesh.coords[verts[:, 1]] - mesh.coords[verts[:, 0]]
     h_f = np.sqrt((tang * tang).sum(-1))
     normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / h_f[:, None]

@@ -9,6 +9,7 @@ solutions whose gradient kinks across the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +49,7 @@ class FeFunction:
         if len(self.nodal_values) != self.mesh.num_vertices:
             raise ValueError("nodal value count does not match the mesh")
 
+    @cached_property
     def cell_gradients(self) -> np.ndarray:
         """Constant gradient per active cell, shape (m, 2)."""
         return np.einsum("mdi,mi->md", _p1_gradients(self.mesh),
@@ -190,17 +192,16 @@ class ErrorIntegrator:
         self.curve = curve
         self._moments = CellCache((3,))  # V_T, m_T
 
-    def _sync(self, mesh: Mesh) -> None:
-        fresh = self._moments.missing(mesh, np.arange(mesh.num_cells))
-        if len(fresh) == 0:
-            return
-        depths = np.zeros(len(fresh), dtype=np.int64)
+    def _cell_moments(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        """(V_T, m_T) of the active cells at `positions`, shape (n, 3)."""
+        out = np.empty((len(positions), 3))
+        depths = np.zeros(len(positions), dtype=np.int64)
         if self.curve is not None:
-            hit = interface_cells(mesh, self.curve, fresh)
-            where = np.searchsorted(mesh.active_id_array[fresh], hit)
+            hit = interface_cells(mesh, self.curve, positions)
+            where = np.searchsorted(mesh.active_id_array[positions], hit)
             depths[where] = _KINK_DEPTH
-        coords = mesh.cell_coords[fresh]
-        areas = mesh.areas[fresh]
+        coords = mesh.cell_coords[positions]
+        areas = mesh.areas[positions]
         for d in np.unique(depths):
             grp = np.nonzero(depths == d)[0]
             bary, wq = quadr.subdivided_rule(int(d))
@@ -212,18 +213,17 @@ class ErrorIntegrator:
                 pts = quadr.triangle_points(coords[sel], bary)
                 gu = np.array(self.exact.gradient(pts.reshape(-1, 2)),
                               dtype=np.float64).reshape(len(sel), -1, 2)
-                moments = np.empty((len(sel), 3))
-                moments[:, 1:] = np.einsum("mqd,q->md", gu, wq)
+                mean = np.einsum("mqd,q->md", gu, wq)
+                out[sel, 1:] = mean
                 # centre our own copy in place: one more batch-sized array
                 # would add 16 MB to the peak RSS
-                gu -= moments[:, None, 1:]
-                moments[:, 0] = areas[sel] * np.einsum("mqd,mqd,q->m", gu,
-                                                       gu, wq)
-                self._moments.store(mesh, fresh[sel], moments)
+                gu -= mean[:, None]
+                out[sel, 0] = areas[sel] * np.einsum("mqd,mqd,q->m", gu, gu,
+                                                     wq)
+        return out
 
     def __call__(self, w: FeFunction) -> float:
         mesh = w.mesh
-        self._sync(mesh)
-        m = self._moments.get(mesh, np.arange(mesh.num_cells))
-        d = m[:, 1:] - w.cell_gradients()
+        m = self._moments.values(mesh, partial(self._cell_moments, mesh))
+        d = m[:, 1:] - w.cell_gradients
         return float(np.sqrt((m[:, 0] + mesh.areas * (d * d).sum(-1)).sum()))

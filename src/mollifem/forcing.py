@@ -15,7 +15,7 @@ Each exposes ``load_vector`` (P1 load vector) and ``data_indicator``
 from __future__ import annotations
 
 import logging
-from functools import lru_cache, cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -179,9 +179,9 @@ def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0,
 
 class _CurveForcing:
     """One record per cell: the three load entries int_T F phi_i and the data
-    square, integrated the first time either is asked for. Cells that `_near`
-    rules out hold zeros. Subclasses give
-    `_cell_integrals(mesh, positions) -> (n, 4)`."""
+    square, integrated the first time either is asked for. Subclasses give
+    `_cell_integrals(mesh, positions) -> (n, 4)`, zero on cells the curve's
+    forcing does not reach."""
 
     def __init__(self, curve: Curve, data: SegmentedData):
         if data.curve is not curve:
@@ -190,19 +190,8 @@ class _CurveForcing:
         self.data = data
         self._cells = CellCache((4,))
 
-    def _near(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        return cells_near(mesh, self.curve.vertex_tree, positions,
-                          0.5 * self.curve.max_seg_len)
-
     def _records(self, mesh: Mesh) -> np.ndarray:
-        positions = np.arange(mesh.num_cells)
-        fresh = self._cells.missing(mesh, positions)
-        if len(fresh):
-            rec = np.zeros((len(fresh), 4))
-            near = self._near(mesh, fresh)
-            rec[near] = self._cell_integrals(mesh, fresh[near])
-            self._cells.store(mesh, fresh, rec)
-        return self._cells.get(mesh, positions)
+        return self._cells.values(mesh, partial(self._cell_integrals, mesh))
 
     def load_vector(self, mesh: Mesh) -> np.ndarray:
         load = self._records(mesh)[:, :3]
@@ -335,13 +324,15 @@ class RegularizedForcing(_CurveForcing):
         return out / (self.r * self.r)
 
     def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        """int_T F_r phi_i (i = 0, 1, 2) and int_T F_r^2 per cell."""
-        out = np.empty((len(positions), 4))
-        depths = _subdivision_depths(mesh.h_sizes[positions], self.r)
+        """int_T F_r phi_i (i = 0, 1, 2) and int_T F_r^2 per cell; zeros
+        where `_near` rules the cell out."""
+        out = np.zeros((len(positions), 4))
+        near = np.flatnonzero(self._near(mesh, positions))
+        depths = _subdivision_depths(mesh.h_sizes[positions[near]], self.r)
         coords = mesh.cell_coords[positions]
         areas = mesh.areas[positions]
         for d in np.unique(depths):
-            grp = np.nonzero(depths == d)[0]
+            grp = near[depths == d]
             bary, w = quadr.subdivided_rule(int(d))
             step = max(1, _POINT_CHUNK // len(w))
             for lo in range(0, len(grp), step):

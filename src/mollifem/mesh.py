@@ -19,6 +19,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -376,23 +377,18 @@ class CellCache:
             values[:len(self._values)] = self._values
             self._coords, self._values = coords, values
 
-    def missing(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        """Indices into `positions` (active cell positions) whose cell has no
-        entry computed for its current triangle."""
+    def values(self, mesh: Mesh, compute) -> np.ndarray:
+        """Values of all active cells of `mesh`. The cells with no entry for
+        their current triangle are filled first, from `compute(positions)`
+        over their active cell positions (ascending)."""
         self._reserve(mesh.num_created)
-        ids = mesh.active_id_array[positions]
-        same = self._coords[ids] == mesh.cell_coords[positions]
-        return np.nonzero(~same.all(axis=(1, 2)))[0]
-
-    def store(self, mesh: Mesh, positions: np.ndarray, values) -> None:
-        self._reserve(mesh.num_created)
-        ids = mesh.active_id_array[positions]
-        self._coords[ids] = mesh.cell_coords[positions]
-        self._values[ids] = values
-
-    def get(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        """Cached values; every position must have been stored for this mesh."""
-        return self._values[mesh.active_id_array[positions]]
+        ids = mesh.active_id_array
+        fresh = np.flatnonzero(
+            (self._coords[ids] != mesh.cell_coords).any(axis=(1, 2)))
+        if len(fresh):
+            self._values[ids[fresh]] = compute(fresh)
+            self._coords[ids[fresh]] = mesh.cell_coords[fresh]
+        return self._values[ids]
 
 
 # -- structured initial meshes -------------------------------------------
@@ -432,13 +428,20 @@ def lshape_mesh(n: int) -> Mesh:
 # -- curve queries --------------------------------------------------------
 
 
+def _centroid_balls(mesh: Mesh, positions: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid of each cell at `positions` and the radius about it that
+    reaches the cell's farthest vertex: the ball holds the whole cell."""
+    p = mesh.cell_coords[positions]
+    cent = p.mean(axis=1)
+    return cent, np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
+
+
 def cells_near(mesh: Mesh, tree, positions: np.ndarray,
                reach: float) -> np.ndarray:
     """Mask over active cell `positions`: cells whose centroid lies within
     reach + circumradius of a point of the kd-tree `tree`."""
-    p = mesh.cell_coords[positions]
-    cent = p.mean(axis=1)
-    circ = np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
+    cent, circ = _centroid_balls(mesh, positions)
     bound = reach + circ + 1e-12
     # an upper bound prunes the tree search far from the points; cells are
     # grouped by bound within a factor of two so that small cells are not
@@ -459,18 +462,19 @@ def curve_cell_pairs(mesh: Mesh, curve: "Curve",
     """Candidate (active cell position, segment id) pairs near the curve.
 
     A conservative superset: every cell/segment pair that actually intersects
-    is included. Cells are prefiltered by centroid distance to the polyline
-    vertices, segments by the curve's spatial hash over the cell's bbox.
-    Restricting to given active cell positions keeps incremental callers from
-    rescanning the whole mesh.
+    is included. A segment is a candidate of a cell when its midpoint lies
+    within circumradius + half the longest segment of the cell's centroid.
+    Pairs are unique and come in the order of `positions` (all active cells,
+    ascending, by default), then by ascending segment.
     """
     scan = np.arange(mesh.num_cells, dtype=np.int64) if positions is None \
         else np.asarray(positions, dtype=np.int64)
-    cand = scan[cells_near(mesh, curve.vertex_tree, scan,
-                           0.5 * curve.max_seg_len)]
-    tri = mesh.cell_coords[cand]
-    box, seg = curve.grid_query(tri.min(axis=1), tri.max(axis=1))
-    return cand[box], seg
+    cent, circ = _centroid_balls(mesh, scan)
+    hits = curve.midpoint_tree.query_ball_point(
+        cent, circ + 0.5 * curve.max_seg_len + 1e-12, return_sorted=True)
+    count = np.fromiter(map(len, hits), np.int64, len(hits))
+    seg = np.fromiter(chain.from_iterable(hits), np.int64, count.sum())
+    return np.repeat(scan, count), seg
 
 
 def interface_cells(mesh: Mesh, curve: "Curve",

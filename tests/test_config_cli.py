@@ -80,6 +80,23 @@ def test_issues_per_field():
     assert "output_dir" in replace(good, output_dir="").issues()[0]
     assert "theta=" in \
         replace(good, params=replace(good.params, theta=0.0)).issues()[0]
+    # values of the wrong type, as JSON can spell them
+    assert "curve_segments=" in replace(good, curve_segments=4.0).issues()[0]
+    assert "initial_divisions=" in \
+        replace(good, initial_divisions=True).issues()[0]
+    assert "deterministic=" in replace(good, deterministic=1).issues()[0]
+    for name, attr, value in [("theta", "theta", "0.5"),
+                              ("theta_data", "theta_data", None),
+                              ("lambda", "lam", True),
+                              ("mu", "mu", [0.5]),
+                              ("beta", "beta", False),
+                              ("tau0", "tau0", "0.6"),
+                              ("j_max", "j_max", True),
+                              ("j_max", "j_max", 2.0),
+                              ("single_shot", "single_shot", "no"),
+                              ("extra_final_step", "extra_final_step", 0)]:
+        bad = replace(good, params=replace(good.params, **{attr: value}))
+        assert [s.split("=")[0] for s in bad.issues()] == [name]
 
 
 def test_smooth_plain_pairing():
@@ -144,6 +161,23 @@ def test_cli_validate_rejects_bad_pairing(tmp_path, capsys):
     path.write_text(cfg.to_json())
     assert main(["validate", "--config", str(path)]) == 1
     assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"single_shot": "no"},
+                                    {"theta": "0.5"}, {"j_max": True}])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_values_of_the_wrong_type(tmp_path, capsys, params,
+                                              command):
+    raw = preset("lshape").to_dict()
+    raw["params"].update(params)
+    raw["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid config: {next(iter(params))}=" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate_missing_file(tmp_path, capsys):

@@ -243,7 +243,7 @@ def reference_energy_error(u, w: FeFunction, curve=None) -> float:
     if curve is not None:
         hit = interface_cells(mesh, curve)
         depths[np.searchsorted(mesh.active_id_array, hit)] = fem._KINK_DEPTH
-    grads = w.cell_gradients()
+    grads = w.cell_gradients
     total = 0.0
     for d in np.unique(depths):
         sel = np.nonzero(depths == d)[0]
@@ -305,9 +305,8 @@ def test_error_integrator_batches_do_not_move_bits(monkeypatch):
     # one batch per depth, then batches of 3 curve cells and 512 others
     for chunk in (1 << 30, 3 * 6 * 4 ** fem._KINK_DEPTH):
         monkeypatch.setattr(fem, "_POINT_CHUNK", chunk)
-        integ = ErrorIntegrator(u, curve)
-        integ._sync(mesh)
-        moments.append(integ._moments.get(mesh, positions))
+        moments.append(ErrorIntegrator(u, curve)._cell_moments(mesh,
+                                                               positions))
     np.testing.assert_array_equal(moments[0], moments[1])
 
 

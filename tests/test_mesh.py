@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mollifem.curves import Curve
+from mollifem.geometry import segments_intersect_triangles
 from mollifem.mesh import (Mesh, curve_cell_pairs, interface_cells,
                            interface_diameter, lshape_mesh, rect_mesh,
                            vertex_levels)
@@ -327,14 +328,58 @@ def test_interface_cells_positions_restriction_consistent():
     assert part.tolist() == expect
 
 
+def _all_pairs(mesh: Mesh, curve: Curve) -> tuple[np.ndarray, np.ndarray]:
+    return np.divmod(np.arange(mesh.num_cells * curve.num_segments),
+                     curve.num_segments)
+
+
 def test_curve_cell_pairs_is_superset_of_hits():
-    mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
-    curve = Curve.circle((0.5, 0.5), 0.3, 128, boundary_gap=0.2)
-    ci, si = curve_cell_pairs(mesh, curve)
-    hits = set(interface_cells(mesh, curve).tolist())
-    cand = set(mesh.active_id_array[np.unique(ci)].tolist())
-    assert hits <= cand
-    assert len(si) == len(ci)
+    # segments short next to the cells, then long next to them
+    for n, segments in ((6, 128), (16, 12)):
+        mesh = rect_mesh(n, n, 0.0, 0.0, 1.0, 1.0)
+        curve = Curve.circle((0.5, 0.5), 0.3, segments, boundary_gap=0.2)
+        ci, si = curve_cell_pairs(mesh, curve)
+        # the oracle tests every (cell, segment) pair of the mesh
+        c, s = _all_pairs(mesh, curve)
+        p = mesh.cell_coords[c]
+        hit = segments_intersect_triangles(curve.seg_start[s],
+                                           curve.seg_end[s],
+                                           p[:, 0], p[:, 1], p[:, 2])
+        assert hit.sum() > 0
+        found = set(zip(ci.tolist(), si.tolist()))
+        assert set(zip(c[hit].tolist(), s[hit].tolist())) <= found
+        assert len(si) == len(ci)
+
+
+def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
+    # a closed curve and a coarse random polyline whose long segments cross
+    # many cells of a graded mesh
+    mesh = rect_mesh(6, 6, -0.5, -0.5, 1.5, 1.5)
+    for _ in range(3):
+        mesh = mesh.refine(mesh.active_id_array[::4])
+    curves = (Curve.circle((0.5, 0.5), 0.3, 128, boundary_gap=0.2),
+              Curve(rng.uniform(-0.3, 1.3, size=(25, 2)), closed=False))
+    for curve in curves:
+        c, s = _all_pairs(mesh, curve)
+        p = mesh.cell_coords[c]
+        cent = p.mean(axis=1)
+        circ = np.linalg.norm(p - cent[:, None], axis=2).max(axis=1)
+        mid = 0.5 * (curve.seg_start[s] + curve.seg_end[s])
+        ball = np.linalg.norm(mid - cent, axis=1) \
+            <= circ + 0.5 * curve.max_seg_len + 1e-12
+        hit = segments_intersect_triangles(curve.seg_start[s],
+                                           curve.seg_end[s],
+                                           p[:, 0], p[:, 1], p[:, 2])
+        assert hit.sum() > 0 and ball.sum() < len(ball)
+        assert not (hit & ~ball).any()
+        subset = np.sort(rng.choice(mesh.num_cells, mesh.num_cells // 3,
+                                    replace=False))
+        for positions in (None, subset):
+            ci, si = curve_cell_pairs(mesh, curve, positions)
+            key = ci * curve.num_segments + si
+            assert np.all(np.diff(key) > 0)  # unique, by cell then segment
+            want = ball if positions is None else ball & np.isin(c, subset)
+            np.testing.assert_array_equal(key, np.flatnonzero(want))
 
 
 def test_interface_diameter_is_max_h():
