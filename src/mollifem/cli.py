@@ -68,22 +68,16 @@ def _cmd_run(args) -> int:
     problem = make_problem(cfg.problem, cfg.curve_segments,
                            cfg.initial_divisions)
     params = cfg.params
-    try:
-        if cfg.algorithm == "regsolve":
-            w, mesh, record, g = regsolve(problem, params)
-        elif cfg.algorithm == "baseline":
-            w, mesh, record, g = baseline_solve(problem, params)
-        else:
-            tau = params.mu * params.tau0 * params.beta ** params.j_max
-            g = problem.density
-            w, mesh, record = solve_loop(
-                problem.initial_mesh(), g, tau, params, problem.boundary_data,
-                exact=ErrorIntegrator(problem.exact))
-    except (NumericalError, MemoryError) as exc:
-        kind = "numerical failure" if isinstance(exc, NumericalError) \
-            else "out of memory"
-        print(f"{kind}: {str(exc) or 'no details'}", file=sys.stderr)
-        return 2
+    if cfg.algorithm == "regsolve":
+        w, mesh, record, g = regsolve(problem, params)
+    elif cfg.algorithm == "baseline":
+        w, mesh, record, g = baseline_solve(problem, params)
+    else:
+        tau = params.mu * params.tau0 * params.beta ** params.j_max
+        g = problem.density
+        w, mesh, record = solve_loop(
+            problem.initial_mesh(), g, tau, params, problem.boundary_data,
+            exact=ErrorIntegrator(problem.exact))
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,7 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (NumericalError, MemoryError) as exc:
+        kind = "numerical failure" if isinstance(exc, NumericalError) \
+            else "out of memory"
+        print(f"{kind}: {str(exc) or 'no details'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quadrature as quadr
 from .errors import NumericalError
-from .mesh import CellCache, Mesh, fill_midpoints, interface_cells, vertex_levels
+from .mesh import CellCache, Mesh, curve_hit_pairs, fill_midpoints, vertex_levels
+from .mesh import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 
 CG_RTOL = 5e-11
 
@@ -170,9 +171,48 @@ _POINT_CHUNK = 1 << 20  # exact-gradient points per ErrorIntegrator batch
 
 
 def energy_error(u_exact, w: FeFunction, curve=None) -> float:
-    """Energy-norm distance between an exact solution and a FE function,
-    by a one-shot ErrorIntegrator."""
+    """|u_exact - w|_{H^1} by a one-shot ErrorIntegrator."""
     return ErrorIntegrator(u_exact, curve)(w)
+
+
+# barycentric coordinates in a triangle -> in its split4 child c (integers)
+_TO_CHILD = np.rint(np.linalg.inv(quadr.split4(np.eye(3)))).transpose(0, 2, 1)
+_SLACK = 1e-9  # in child heights: far above the round-off of mapped points
+
+
+def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray):
+    """Leaves (owner, 6 points, area / owner's) of the error rule on `tri`
+    (n, 3, 2), by level, then owner. `ends` (3, 2, k): barycentric ends in
+    triangle `pair_tri` of each segment meeting it. A 4-split child meets a
+    segment unless one of its edge lines or the segment's line parts them."""
+    owner, leaves = np.arange(len(tri)), []
+    for level in range(_KINK_DEPTH):
+        crossed = np.zeros(len(tri), dtype=bool)
+        crossed[pair_tri] = True
+        leaves.append((owner[~crossed], quadr.triangle_points(
+            tri[~crossed], quadr.TRI_BARY), np.full((~crossed).sum(), level)))
+        if level + 1 == _KINK_DEPTH or not crossed.any():
+            break
+        tri = quadr.split4(tri[crossed]).reshape(-1, 3, 2)
+        owner = np.repeat(owner[crossed], 4)
+        # each pair once per child, child by child
+        kid = (4 * (np.cumsum(crossed) - 1)[pair_tri]
+               + np.arange(4)[:, None]).ravel()
+        ends = np.moveaxis((_TO_CHILD @ ends.reshape(3, -1)).reshape(
+            4, 3, 2, -1), 0, 2).reshape(3, 2, -1)
+        a, b = ends[:, 0], ends[:, 1]  # cross(a, b)[k]: corner k's side
+        side = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+        tol = _SLACK * np.abs(ends).max(axis=(0, 1)) ** 2
+        hit = (np.maximum(a, b).min(axis=0) >= -_SLACK) \
+            & (side.max(axis=0) >= -tol) & (side.min(axis=0) <= tol)
+        pair_tri, ends = kid[hit], ends[:, :, hit]
+    # every deepest child is a leaf: their rules make the parent's depth-1 rule
+    pts = quadr.triangle_points(tri[crossed], quadr.subdivided_rule(1)[0])
+    owner = np.repeat(owner[crossed], 4)
+    leaves.append((owner, pts.reshape(len(owner), 6, 2),
+                   np.full(len(owner), _KINK_DEPTH)))
+    owner, pts, level = (np.concatenate(x) for x in zip(*leaves))
+    return owner, pts, 0.25 ** level
 
 
 class ErrorIntegrator:
@@ -182,44 +222,42 @@ class ErrorIntegrator:
     V_T = int_T |grad u - m_T|^2, which depend on geometry alone. A P1
     function with gradient g on T then has int_T |grad(u - w)|^2 =
     V_T + |T| |m_T - g|^2: a sum of two nonnegative terms, so no exact
-    quadrature is repeated and no large moments cancel. Cells crossed by the
-    curve get a recursively subdivided rule so the kink of grad(u) along it
-    is integrated accurately.
+    quadrature is repeated and no large moments cancel. The leaves of
+    `_kink_leaves` put the kink of grad(u) on depth-`_KINK_DEPTH` leaves.
     """
 
     def __init__(self, u_exact, curve=None):
-        self.exact = u_exact
-        self.curve = curve
+        self.exact, self.curve = u_exact, curve
         self._moments = CellCache((3,))  # V_T, m_T
 
     def _cell_moments(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """(V_T, m_T) of the active cells at `positions`, shape (n, 3)."""
-        out = np.empty((len(positions), 3))
-        depths = np.zeros(len(positions), dtype=np.int64)
+        n, coords = len(positions), mesh.cell_coords[positions]
+        cell, ends = np.empty(0, dtype=np.int64), np.empty((3, 2, 0))
         if self.curve is not None:
-            hit = interface_cells(mesh, self.curve, positions)
-            where = np.searchsorted(mesh.active_id_array[positions], hit)
-            depths[where] = _KINK_DEPTH
-        coords = mesh.cell_coords[positions]
-        areas = mesh.areas[positions]
-        for d in np.unique(depths):
-            grp = np.nonzero(depths == d)[0]
-            bary, wq = quadr.subdivided_rule(int(d))
-            # batches of whole cells; the sums run along each cell's own
-            # points, so the batch size cannot change a moment
-            step = max(1, _POINT_CHUNK // len(wq))
-            for lo in range(0, len(grp), step):
-                sel = grp[lo:lo + step]
-                pts = quadr.triangle_points(coords[sel], bary)
-                gu = np.array(self.exact.gradient(pts.reshape(-1, 2)),
-                              dtype=np.float64).reshape(len(sel), -1, 2)
-                mean = np.einsum("mqd,q->md", gu, wq)
-                out[sel, 1:] = mean
-                # centre our own copy in place: one more batch-sized array
-                # would add 16 MB to the peak RSS
-                gu -= mean[:, None]
-                out[sel, 0] = areas[sel] * np.einsum("mqd,mqd,q->m", gu, gu,
-                                                     wq)
+            cell, seg = curve_hit_pairs(mesh, self.curve, positions)
+            cell = np.searchsorted(positions, cell)  # ascending
+            ends = quadr.barycentric(coords[cell], np.stack(
+                [self.curve.seg_start[seg], self.curve.seg_end[seg]], axis=1)).T
+        # batches of whole cells, by the points a cell may need; each sum runs
+        # along one cell's points in a fixed order, unmoved by the batch
+        cost = np.where(np.bincount(cell, minlength=n) > 0, 6 * 4 ** _KINK_DEPTH, 6)
+        cuts = np.flatnonzero(np.diff((np.cumsum(cost) - cost) // _POINT_CHUNK,
+                                      prepend=-1))
+        areas, out, wq = mesh.areas[positions], np.empty((n, 3)), quadr.TRI_WEIGHTS
+        for lo, hi in zip(cuts, np.append(cuts[1:], n)):
+            a, b = np.searchsorted(cell, [lo, hi])
+            owner, pts, scale = _kink_leaves(coords[lo:hi], cell[a:b] - lo,
+                                             ends[:, :, a:b])
+            gu = np.array(self.exact.gradient(pts.reshape(-1, 2)),
+                          dtype=np.float64).reshape(len(owner), -1, 2)
+            part = np.einsum("lqd,q->ld", gu, wq) * scale[:, None]
+            out[lo:hi, 1:] = mean = np.stack([np.bincount(owner, p, hi - lo)
+                                              for p in part.T], axis=1)
+            # centred in place: one more batch-sized array raises peak RSS
+            gu -= mean[owner][:, None]
+            part = np.einsum("lqd,lqd,q->l", gu, gu, wq) * scale
+            out[lo:hi, 0] = areas[lo:hi] * np.bincount(owner, part, hi - lo)
         return out
 
     def __call__(self, w: FeFunction) -> float:

@@ -355,25 +355,30 @@ class DensityForcing:
     def __init__(self, func, name: str = "density"):
         self.func = func
         self.name = name
+        self._last = None  # (mesh, load entries, data squares) of one mesh
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         return np.asarray(self.func(pts), dtype=np.float64)
 
-    def _cell_values(self, mesh: Mesh) -> np.ndarray:
-        pts = quadr.triangle_points(mesh.cell_coords, quadr.TRI_BARY)
-        return self.eval(pts.reshape(-1, 2)).reshape(mesh.num_cells, -1)
+    def _cell_terms(self, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell int_T g phi_i (m, 3) and int_T g^2 (m,) from one pass
+        over g, kept for the last mesh: a load and its estimates share it."""
+        if self._last is None or self._last[0] is not mesh:
+            pts = quadr.triangle_points(mesh.cell_coords, quadr.TRI_BARY)
+            g = self.eval(pts.reshape(-1, 2)).reshape(mesh.num_cells, -1)
+            loc = mesh.areas[:, None] * np.einsum(
+                "mq,q,qi->mi", g, quadr.TRI_WEIGHTS, quadr.TRI_BARY)
+            self._last = (mesh, loc, mesh.areas * ((g * g) @ quadr.TRI_WEIGHTS))
+        return self._last[1], self._last[2]
 
     def load_vector(self, mesh: Mesh) -> np.ndarray:
-        loc = mesh.areas[:, None] * np.einsum(
-            "mq,q,qi->mi", self._cell_values(mesh), quadr.TRI_WEIGHTS,
-            quadr.TRI_BARY)
-        return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(),
+        return np.bincount(mesh.triangles.ravel(),
+                           weights=self._cell_terms(mesh)[0].ravel(),
                            minlength=mesh.num_vertices)
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:
-        g = self._cell_values(mesh)
-        sq = mesh.areas * ((g * g) @ quadr.TRI_WEIGHTS)
+        sq = self._cell_terms(mesh)[1]
         return mesh.h_sizes * np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -403,7 +408,7 @@ class LineForcing(_CurveForcing):
         d = self.curve.seg_end[si] - a
         tt = t0[:, None] + (t1 - t0)[:, None] * gx[None, :]
         pts = a[:, None, :] + tt[..., None] * d[:, None, :]
-        lam = _barycentric(p[ci], pts)
+        lam = quadr.barycentric(p[ci], pts)
         length = (t1 - t0) * self.curve.seg_lengths[si]
         f = self.data.values[si]
         np.add.at(out[:, :3], rows,
@@ -414,15 +419,3 @@ class LineForcing(_CurveForcing):
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:
         return np.sqrt(mesh.h_sizes * self._records(mesh)[:, 3])
-
-
-def _barycentric(cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of pts (m, q, 2) w.r.t. cells (m, 3, 2)."""
-    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
-    v0 = (b - a)[:, None, :]
-    v1 = (c - a)[:, None, :]
-    v2 = pts - a[:, None, :]
-    det = (v0[..., 0] * v1[..., 1] - v0[..., 1] * v1[..., 0])
-    l1 = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) / det
-    l2 = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) / det
-    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)

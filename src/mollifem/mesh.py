@@ -477,23 +477,23 @@ def curve_cell_pairs(mesh: Mesh, curve: "Curve",
     return np.repeat(scan, count), seg
 
 
+def curve_hit_pairs(mesh: Mesh, curve: "Curve",
+                    positions: np.ndarray | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of `curve_cell_pairs`, in its order, whose segment meets
+    the closed cell by the inclusive segment-triangle test."""
+    ci, si = curve_cell_pairs(mesh, curve, positions)
+    p = np.moveaxis(mesh.cell_coords[ci], 1, 0)  # corners 0, 1, 2
+    hit = segments_intersect_triangles(curve.seg_start[si], curve.seg_end[si], *p)
+    return ci[hit], si[hit]
+
+
 def interface_cells(mesh: Mesh, curve: "Curve",
                     positions: np.ndarray | None = None) -> np.ndarray:
-    """Ids of active cells whose closure meets the curve polyline.
-
-    Uses exact inclusive segment-triangle intersection tests against the
-    discretized curve. An explicit positions array restricts the scan.
-    """
-    ci, si = curve_cell_pairs(mesh, curve, positions)
-    if len(ci) == 0:
-        return np.empty(0, dtype=np.int64)
-    p = mesh.cell_coords
-    hit = segments_intersect_triangles(
-        curve.seg_start[si], curve.seg_end[si],
-        p[ci, 0], p[ci, 1], p[ci, 2],
-    )
-    pos_hit = np.unique(ci[hit])
-    return mesh.active_id_array[pos_hit]
+    """Ids of active cells (of `positions`, if given) whose closure meets
+    the curve polyline."""
+    return mesh.active_id_array[np.unique(curve_hit_pairs(mesh, curve,
+                                                          positions)[0])]
 
 
 def interface_diameter(mesh: Mesh, cells: np.ndarray) -> float:

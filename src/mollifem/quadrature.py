@@ -30,6 +30,15 @@ GAUSS4_X = np.concatenate([(1 - _G4[::-1]) / 2, (1 + _G4) / 2])
 GAUSS4_W = np.concatenate([_G4W[::-1], _G4W]) / 2
 
 
+def split4(corners: np.ndarray) -> np.ndarray:
+    """Midpoint children (..., 4, 3, k) of triangles (..., 3, k): those at
+    corners 0, 1, 2, then the middle one, each oriented as its parent."""
+    t0, t1, t2 = corners[..., 0, :], corners[..., 1, :], corners[..., 2, :]
+    m01, m12, m02 = (t0 + t1) / 2, (t1 + t2) / 2, (t0 + t2) / 2
+    kids = ((t0, m01, m02), (m01, t1, m12), (m02, m12, t2), (m01, m12, m02))
+    return np.stack([np.stack(k, axis=-2) for k in kids], axis=-3)
+
+
 @lru_cache(maxsize=None)
 def subdivided_rule(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """6-point rule applied on every cell of a depth-`depth` uniform 4-split.
@@ -39,16 +48,7 @@ def subdivided_rule(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """
     corners = np.eye(3)[None, :, :]
     for _ in range(depth):
-        t0, t1, t2 = corners[:, 0], corners[:, 1], corners[:, 2]
-        m01, m12, m02 = (t0 + t1) / 2, (t1 + t2) / 2, (t0 + t2) / 2
-        corners = np.concatenate(
-            [
-                np.stack([t0, m01, m02], axis=1),
-                np.stack([m01, t1, m12], axis=1),
-                np.stack([m02, m12, t2], axis=1),
-                np.stack([m01, m12, m02], axis=1),
-            ]
-        )
+        corners = np.moveaxis(split4(corners), 1, 0).reshape(-1, 3, 3)
     bary = np.einsum("qc,scb->sqb", TRI_BARY, corners).reshape(-1, 3)
     w = np.tile(TRI_WEIGHTS, corners.shape[0]) / corners.shape[0]
     return bary, w
@@ -63,3 +63,13 @@ def triangle_points(cell_coords: np.ndarray, bary: np.ndarray) -> np.ndarray:
         c = cell_coords[:, :, x, None]
         out[..., x] = b[0] * c[:, 0] + b[1] * c[:, 1] + b[2] * c[:, 2]
     return out
+
+
+def barycentric(cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of pts (m, q, 2) w.r.t. cells (m, 3, 2)."""
+    a = cells[:, None, 0]
+    v0, v1, v2 = cells[:, None, 1] - a, cells[:, None, 2] - a, pts - a
+    det = (v0[..., 0] * v1[..., 1] - v0[..., 1] * v1[..., 0])
+    l1 = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) / det
+    l2 = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) / det
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)

@@ -262,6 +262,29 @@ def test_cli_run_exits_2_on_a_numerical_failure(tmp_path, monkeypatch,
     assert not (out / "run.csv").exists()
 
 
+def test_cli_run_exits_2_when_output_runs_out_of_memory(tmp_path, monkeypatch,
+                                                        capsys):
+    # after the solve, the final estimate, the VTK file and summary.json
+    # are guarded too: one line and exit 2, not a traceback and exit 1
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array with "
+                          "shape (134217728,) and data type float64")
+
+    monkeypatch.setattr(cli, "write_vtk", exhausted)
+    base = preset("smooth")
+    cfg = replace(base, params=replace(base.params, tau0=1.0))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == ("out of memory: Unable to allocate 1.00 GiB for an "
+                       "array with shape (134217728,) and data type float64")
+    assert not any(line.startswith("Traceback") for line in err)
+    assert (out / "run.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_run_exits_2_when_memory_runs_out(tmp_path, monkeypatch, capsys):
     # an allocation failure anywhere in the solve is one line and exit 2
     def exhausted(*args, **kwargs):

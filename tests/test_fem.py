@@ -302,12 +302,124 @@ def test_error_integrator_batches_do_not_move_bits(monkeypatch):
     mesh = mesh.refine(mesh.active_id_array[::2])
     positions = np.arange(mesh.num_cells)
     moments = []
-    # one batch per depth, then batches of 3 curve cells and 512 others
+    # one batch, then batches of at most 3 curve cells or 768 others (a
+    # curve cell counts the 6 * 4**depth points it can need at most)
     for chunk in (1 << 30, 3 * 6 * 4 ** fem._KINK_DEPTH):
         monkeypatch.setattr(fem, "_POINT_CHUNK", chunk)
         moments.append(ErrorIntegrator(u, curve)._cell_moments(mesh,
                                                                positions))
     np.testing.assert_array_equal(moments[0], moments[1])
+
+
+def test_error_integrator_matches_direct_across_the_kink():
+    # graded towards the circle until the cells it crosses have h < 0.03 R,
+    # as after the first passes of a run: there the 6-point rules on the
+    # smooth parts of a crossed cell agree with the uniform rule to
+    # round-off. On rect_mesh(16, 16) itself (h = 0.22 R) the two differ by
+    # those rules' own error, 3e-9 relative.
+    center, radius = (0.3, 0.3), 0.2
+    curve = Curve.circle(center, radius, 4096, boundary_gap=0.1)
+    mesh = rect_mesh(16, 16)
+    for _ in range(6):
+        mesh = mesh.refine(interface_cells(mesh, curve))
+    for u in (RadialLogSolution(center, radius),
+              Poly2D(sympy.sympify("x**3 - x*y + y**2"))):
+        w = FeFunction(mesh, u.value(mesh.coords) + 1e-3 * mesh.coords[:, 0])
+        direct = reference_energy_error(u, w, curve)
+        assert abs(ErrorIntegrator(u, curve)(w) - direct) <= 1e-12 * direct
+
+
+_KINK_CENTER, _KINK_RADIUS = np.array([0.5, 0.5]), 0.25
+_KINK_CURVE = Curve.circle(_KINK_CENTER, _KINK_RADIUS, 1024, boundary_gap=0.25)
+
+
+def _uniform_moments(u, tri: np.ndarray, depth: int) -> np.ndarray:
+    """(V_T, m_T) of one cell by the uniform depth-`depth` rule."""
+    bary, wq = quadr.subdivided_rule(depth)
+    g = u.gradient(quadr.triangle_points(tri[None], bary).reshape(-1, 2))
+    mean = wq @ g
+    e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+    area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+    return np.r_[area * (wq @ ((g - mean) ** 2).sum(-1)), mean]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["crossed", "touching", "missed"]),
+       seg=st.integers(0, 1023), t=st.floats(0.0, 1.0),
+       size=st.floats(1e-4, 1e-3), turn=st.floats(0.0, 2 * np.pi),
+       jitter=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_kink_rule_matches_the_uniform_rule_on_one_cell(kind, seg, t, size,
+                                                        turn, jitter):
+    # cells of a resolved run's size (square-line ends with h about 1e-3 R
+    # along the curve): crossed ones around a point of the polyline, ones
+    # that touch it only at a polyline vertex from outside, and ones it
+    # misses; the reference is the uniform depth-4 rule where the curve
+    # meets the cell and the plain 6-point rule elsewhere
+    u = RadialLogSolution(_KINK_CENTER, _KINK_RADIUS)
+    start, end = _KINK_CURVE.seg_start[seg], _KINK_CURVE.seg_end[seg]
+    normal = (start - _KINK_CENTER) / _KINK_RADIUS
+    tangent = np.array([-normal[1], normal[0]])
+    if kind == "touching":
+        # one outer corner on each side of the normal, within 45 degrees
+        spread = np.array([-0.2, 0.2]) - 0.8 * np.array(jitter[:2]) ** 2 \
+            * np.array([1.0, -1.0])
+        reach = size * (0.6 + 0.4 * np.abs(jitter[2:]))
+        tri = start + reach[:, None] * (normal + spread[:, None] * tangent)
+        tri = np.vstack([start, tri])
+    else:
+        angles = turn + 2 * np.pi / 3 * np.arange(3) + 0.4 * np.array(jitter[:3])
+        tri = size * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        tri += start + t * (end - start)
+        if kind == "missed":
+            tri += 3 * size * normal
+    e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+    if e1[0] * e2[1] - e1[1] * e2[0] < 0:
+        tri = tri[[0, 2, 1]]
+    mesh = Mesh.from_arrays(tri, np.array([[0, 1, 2]]))
+    crossed = len(interface_cells(mesh, _KINK_CURVE)) == 1
+    assert crossed == (kind != "missed")
+    want = _uniform_moments(u, tri, fem._KINK_DEPTH if crossed else 0)
+    got = ErrorIntegrator(u, _KINK_CURVE)._cell_moments(mesh, np.arange(1))[0]
+    # relative to int_T |grad u|^2: a touching cell's V_T is a small
+    # centred moment whose round-off is set by the gradient, not by V_T
+    energy = want[0] + mesh.areas[0] * want[1:] @ want[1:]
+    assert abs(got[0] - want[0]) <= 1e-12 * energy
+    assert np.abs(got[1:] - want[1:]).max() \
+        <= 1e-12 * np.sqrt(energy / mesh.areas[0])
+
+
+class _CountingGradient:
+    """Zero gradient that counts the points it is asked for."""
+
+    def __init__(self):
+        self.points = 0
+
+    def gradient(self, pts):
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+        self.points += len(pts)
+        return np.zeros_like(pts)
+
+
+def test_kink_rule_spends_points_only_along_the_curve():
+    # a straight segment through the centroid, in 24 directions: the
+    # crossed level-3 triangles are split into 6-point leaves, the rest of
+    # the cell gets coarser 6-point rules; the uniform rule takes 1,536.
+    # A segment that ends at the centroid refines only the half it crosses.
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]])
+    mesh = Mesh.from_arrays(tri, np.array([[0, 1, 2]]))
+    centroid = tri.mean(axis=0)
+
+    def points(ends):
+        u = _CountingGradient()
+        ErrorIntegrator(u, Curve(ends, closed=False))._cell_moments(
+            mesh, np.arange(1))
+        return u.points
+
+    for angle in np.linspace(0.1, np.pi + 0.1, 24, endpoint=False):
+        d = np.array([np.cos(angle), np.sin(angle)])
+        full = points(np.array([centroid - 3 * d, centroid + 3 * d]))
+        assert 6 * 4 ** fem._KINK_DEPTH // 8 <= full <= 480
+        assert points(np.array([centroid - 3 * d, centroid])) <= 0.7 * full
 
 
 def test_log_gradient_matches_the_masked_formula_bit_for_bit(rng):

@@ -572,3 +572,30 @@ def test_density_indicator_uniform_value():
     d = g.data_indicator(mesh)
     want = mesh.h_sizes * np.sqrt(mesh.areas)
     np.testing.assert_allclose(d, want, atol=1e-14)
+
+
+def test_density_evaluates_each_mesh_once():
+    # a pass's load and estimate, and the final estimate, share one
+    # evaluation of g; the values are those of cold forcings
+    calls = []
+
+    def density(p):
+        return np.sin(3.0 * p[:, 0]) * p[:, 1]
+
+    def counted(p):
+        calls.append(len(p))
+        return density(p)
+
+    mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
+    fine = mesh.refine(mesh.active_id_array[::3])
+    g = DensityForcing(counted)
+    for m in (mesh, fine, mesh):
+        rhs, d = g.load_vector(m), g.data_indicator(m)
+        assert g.data_indicator(m).tobytes() == d.tobytes()
+        assert DensityForcing(density).load_vector(m).tobytes() \
+            == rhs.tobytes()
+        assert DensityForcing(density).data_indicator(m).tobytes() \
+            == d.tobytes()
+    # only the last mesh is kept
+    assert calls == [6 * mesh.num_cells, 6 * fine.num_cells,
+                     6 * mesh.num_cells]

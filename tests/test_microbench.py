@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from mollifem.afem import interface_loop
-from mollifem.fem import solve_galerkin
+from mollifem.fem import ErrorIntegrator, FeFunction, solve_galerkin
 from mollifem.forcing import Kernel, RegularizedForcing
-from mollifem.mesh import rect_mesh
-from mollifem.problems import lshape_problem
+from mollifem.mesh import interface_cells, rect_mesh
+from mollifem.problems import lshape_problem, square_problem
 
 R = 0.1024  # the radius of tau = 0.32, stage 2 of the lshape schedule
 
@@ -56,3 +56,20 @@ def test_cg_solve_on_66k_dofs(benchmark, square_66k):
                            warmup_rounds=1)
     res = square_66k.rhs - square_66k.matrix @ w.nodal_values
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(square_66k.rhs)
+
+
+def test_cold_error_integrator_on_curve_cells(benchmark):
+    # the square problem with a 4,096-gon, the cells it crosses bisected
+    # 6 times: 1,790 cells, 352 of them crossed, h about 0.03 R along it
+    problem = square_problem(n_segments=4096)
+    mesh = problem.initial_mesh()
+    for _ in range(6):
+        mesh = mesh.refine(interface_cells(mesh, problem.curve))
+    w = FeFunction(mesh, problem.exact.value(mesh.coords))
+
+    def cold():
+        return ErrorIntegrator(problem.exact, problem.curve)(w)
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    err = benchmark.pedantic(cold, rounds=8, warmup_rounds=1)
+    assert 0.0 < err < 0.5
