@@ -23,8 +23,7 @@ import numpy as np
 from .curves import Curve
 from .errors import NonTerminationError
 from .estimate import estimate
-from .fem import (ErrorIntegrator, FeFunction, assemble, prolong,
-                  solve_galerkin)
+from .fem import ErrorIntegrator, assemble, prolong, solve_galerkin
 from .fem import energy_error  # noqa: F401  (perfbench/layers.py traces it)
 from .forcing import (KERNEL_FAMILIES, Kernel, LineForcing,
                       RegularizedForcing, r_of_tau)
@@ -248,11 +247,12 @@ def solve_loop(mesh: Mesh, g, tau: float, params: AfemParams,
                record: RunRecord | None = None,
                outer_j: int = 0, row_tau: float | None = None,
                row_r: float = 0.0, first_branch: str = "INIT",
-               warm: FeFunction | None = None):
+               warm: np.ndarray | None = None):
     """Estimator-driven adaptive solve down to tolerance tau.
 
     Returns (solution, mesh, record). `exact` (optional) supplies the
-    energy-error column; without it the column is NaN.
+    energy-error column; without it the column is NaN. `warm` (optional)
+    is the first solve's initial guess, nodal values on `mesh`.
     Rows carry `outer_j`, `row_tau` (default: tau) and `row_r`.
     """
     if tau <= 0:
@@ -263,13 +263,9 @@ def solve_loop(mesh: Mesh, g, tau: float, params: AfemParams,
     if row_tau is None:
         row_tau = tau
 
-    def one_pass(branch: str, k: int, warm_fn):
-        t0 = time.perf_counter()
-        system = assemble(mesh, g, boundary_data)
-        guess = None
-        if warm_fn is not None:
-            guess = prolong(warm_fn, mesh).nodal_values
-        w = solve_galerkin(system, initial_guess=guess)
+    def one_pass(branch: str, k: int, t0: float, guess):
+        w = solve_galerkin(assemble(mesh, g, boundary_data),
+                           initial_guess=guess)
         ind = estimate(mesh, w, g)
         err = float("nan") if exact is None else exact(w)
         ms = (time.perf_counter() - t0) * 1e3
@@ -279,7 +275,7 @@ def solve_loop(mesh: Mesh, g, tau: float, params: AfemParams,
                              ms))
         return w, ind
 
-    w, ind = one_pass(first_branch, 0, warm)
+    w, ind = one_pass(first_branch, 0, time.perf_counter(), warm)
     k = 0
     while ind.global_total > tau:
         if k >= SOLVE_PASS_CAP:
@@ -296,7 +292,12 @@ def solve_loop(mesh: Mesh, g, tau: float, params: AfemParams,
             mesh = mesh.refine(marked)
             branch = "MARK"
         k += 1
-        w, ind = one_pass(branch, k, w)
+        t0 = time.perf_counter()
+        # the warm start first: then the last solution and its indicators,
+        # and with them the last mesh, are gone before this pass allocates
+        guess = prolong(w, mesh).nodal_values
+        del w, ind
+        w, ind = one_pass(branch, k, t0, guess)
         logger.debug("solve pass %d (%s): E=%.4g D=%.4g dofs=%d", k, branch,
                      ind.global_total, ind.global_data, mesh.num_vertices)
     return w, mesh, record
@@ -314,40 +315,43 @@ def regsolve(problem, params: AfemParams, initial_mesh: Mesh | None = None):
     mesh = initial_mesh if initial_mesh is not None else problem.initial_mesh()
     kernel = Kernel.make(params.kernel_family)
     record = RunRecord()
-    w = None
+    w = g = None  # the last solve and its forcing
     err_fn = None
     if problem.exact is not None:
         err_fn = ErrorIntegrator(problem.exact, problem.curve)
 
-    def stage(mesh, j, tau, tol, warm):
+    def stage(j, tau, tol):
+        nonlocal mesh, w, g
         r = r_of_tau(tau)
         mesh = interface_loop(mesh, problem.curve, r)
+        # the warm start first: then nothing holds the last stage's
+        # solution, mesh or forcing while this stage allocates
+        guess = None if w is None else prolong(w, mesh).nodal_values
+        w = g = None
         g = RegularizedForcing(problem.curve, problem.f, kernel, r)
         t0 = time.perf_counter()
         w, mesh, _ = solve_loop(
             mesh, g, tol, params, problem.boundary_data, exact=err_fn,
             record=record, outer_j=j, row_tau=tau, row_r=r,
-            first_branch="INTERFACE", warm=warm)
+            first_branch="INTERFACE", warm=guess)
         logger.info("stage j=%d: tau=%.4g r=%.4g dofs=%d (%.1fs)", j, tau, r,
                     mesh.num_vertices, time.perf_counter() - t0)
-        return w, mesh, g
 
     if params.single_shot:
         tau = params.tau0 * params.beta ** params.j_max
-        w, mesh, g = stage(mesh, 0, tau, params.mu * tau, None)
+        stage(0, tau, params.mu * tau)
         tau_next = params.beta * tau
     else:
         tau = params.tau0
         for j in range(params.j_max + 1):
-            w, mesh, g = stage(mesh, j, tau, params.mu * tau, w)
+            stage(j, tau, params.mu * tau)
             tau = params.beta * tau
         tau_next = tau
 
     if params.extra_final_step:
         # radius update only: one interface pass and one solve at the next
         # radius, which an infinite tolerance accepts without refinement
-        w, mesh, g = stage(mesh, record.rows[-1].j + 1, tau_next, math.inf,
-                           w)
+        stage(record.rows[-1].j + 1, tau_next, math.inf)
     return w, mesh, record, g
 
 
@@ -370,10 +374,12 @@ def baseline_solve(problem, params: AfemParams,
         tau = params.tau0 * params.beta ** params.j_max
     for j in range(stages):
         t0 = time.perf_counter()
+        # the last stage's solution lives on this mesh: keep its values only
+        guess, w = (None if w is None else w.nodal_values), None
         w, mesh, _ = solve_loop(
             mesh, g, params.mu * tau, params, problem.boundary_data,
             exact=err_fn, record=record, outer_j=j, row_tau=tau, row_r=0.0,
-            first_branch="INIT", warm=w)
+            first_branch="INIT", warm=guess)
         logger.info("baseline stage j=%d: tau=%.4g dofs=%d (%.1fs)", j, tau,
                     mesh.num_vertices, time.perf_counter() - t0)
         tau = params.beta * tau

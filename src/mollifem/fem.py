@@ -28,8 +28,9 @@ class DiscreteSystem:
     """Assembled linear system with boundary conditions eliminated.
 
     `matrix` is the SPD operator actually solved (identity rows/columns on
-    boundary vertices); `raw_matrix`/`raw_rhs` keep the unconstrained form
-    for residual checks.
+    boundary vertices); `raw_rhs` is the unconstrained load vector. The
+    unconstrained matrix is not kept: `form_matrix(mesh)` rebuilds it for
+    residual checks.
     """
 
     mesh: Mesh
@@ -37,7 +38,6 @@ class DiscreteSystem:
     rhs: np.ndarray
     boundary_values: np.ndarray
     free_mask: np.ndarray
-    raw_matrix: sp.csr_matrix
     raw_rhs: np.ndarray
 
 
@@ -69,7 +69,7 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
 def form_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Unconstrained stiffness matrix of the Laplace form on the P1 space."""
     n = mesh.num_vertices
-    tri = mesh.triangles
+    tri = mesh.triangles.astype(np.int32)  # scipy's CSR index type: no copy
     grads = _p1_gradients(mesh)
     k_loc = np.einsum("mdi,mdj->mij", grads, grads) \
         * mesh.areas[:, None, None]
@@ -98,9 +98,17 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
     free = ~bmask
     rhs = raw_rhs - raw @ ubc
     rhs[bmask] = ubc[bmask]
-    keep = sp.diags(free.astype(np.float64))
-    mat = keep @ raw @ keep + sp.diags(bmask.astype(np.float64))
-    return DiscreteSystem(mesh, mat.tocsr(), rhs, ubc, free, raw, raw_rhs)
+    # the nonzero free-free entries in raw's sorted order, and a unit
+    # diagonal alone on each boundary row
+    row = np.repeat(np.arange(n, dtype=raw.indices.dtype), np.diff(raw.indptr))
+    keep = free[row] & free[raw.indices] & (raw.data != 0)
+    row, bnd = row[keep], np.flatnonzero(bmask)
+    at = np.searchsorted(row, bnd)
+    indptr = np.zeros(n + 1, dtype=raw.indptr.dtype)
+    np.cumsum(np.bincount(row, minlength=n) + bmask, out=indptr[1:])
+    mat = sp.csr_matrix((np.insert(raw.data[keep], at, 1.0),
+                         np.insert(raw.indices[keep], at, bnd), indptr), (n, n))
+    return DiscreteSystem(mesh, mat, rhs, ubc, free, raw_rhs)
 
 
 def _bpx_preconditioner(system: DiscreteSystem) -> LinearOperator:
@@ -186,6 +194,8 @@ def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray):
     triangle `pair_tri` of each segment meeting it. A 4-split child meets a
     segment unless one of its edge lines or the segment's line parts them."""
     owner, leaves = np.arange(len(tri)), []
+    if len(pair_tri) == 0:  # no curve in the batch: the level-0 rule alone
+        return owner, quadr.triangle_points(tri, quadr.TRI_BARY), np.ones(len(tri))
     for level in range(_KINK_DEPTH):
         crossed = np.zeros(len(tri), dtype=bool)
         crossed[pair_tri] = True

@@ -15,6 +15,7 @@ Each exposes ``load_vector`` (P1 load vector) and ``data_indicator``
 from __future__ import annotations
 
 import logging
+import weakref
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -355,7 +356,9 @@ class DensityForcing:
     def __init__(self, func, name: str = "density"):
         self.func = func
         self.name = name
-        self._last = None  # (mesh, load entries, data squares) of one mesh
+        # (weak ref to a mesh, its load entries, its data squares) of one
+        # mesh: the forcing does not keep the mesh alive
+        self._last = None
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -364,12 +367,14 @@ class DensityForcing:
     def _cell_terms(self, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell int_T g phi_i (m, 3) and int_T g^2 (m,) from one pass
         over g, kept for the last mesh: a load and its estimates share it."""
-        if self._last is None or self._last[0] is not mesh:
+        if self._last is None or self._last[0]() is not mesh:
+            self._last = None
             pts = quadr.triangle_points(mesh.cell_coords, quadr.TRI_BARY)
             g = self.eval(pts.reshape(-1, 2)).reshape(mesh.num_cells, -1)
             loc = mesh.areas[:, None] * np.einsum(
                 "mq,q,qi->mi", g, quadr.TRI_WEIGHTS, quadr.TRI_BARY)
-            self._last = (mesh, loc, mesh.areas * ((g * g) @ quadr.TRI_WEIGHTS))
+            self._last = (weakref.ref(mesh), loc,
+                          mesh.areas * ((g * g) @ quadr.TRI_WEIGHTS))
         return self._last[1], self._last[2]
 
     def load_vector(self, mesh: Mesh) -> np.ndarray:

@@ -355,40 +355,35 @@ class Mesh:
 
 
 class CellCache:
-    """Per-cell values keyed by cell id and checked against the cell's triangle.
+    """Per-cell values of the last mesh asked about, checked against the
+    cells' triangles.
 
-    Sibling refinements of one mesh reuse creation-order ids for different
-    triangles, so each entry also stores the ordered vertex coordinates it
-    was computed for; a lookup hits only where they match the mesh's cell
-    exactly. Bisection computes every midpoint the same way, so a cell
-    reached through any refinement lineage hits its own entry.
+    An entry is kept for each active cell of that mesh: its id, its ordered
+    vertex coordinates and its values. Sibling refinements of one mesh reuse
+    creation-order ids for different triangles, so a lookup hits only where
+    both the id and the coordinates match. Bisection computes every midpoint
+    the same way, so a cell that a refinement leaves alone hits its entry.
     """
 
     def __init__(self, shape: tuple[int, ...] = ()):
-        self._coords = np.empty((0, 3, 2))  # NaN rows never match: no entry
-        self._values = np.empty((0, *shape))
-
-    def _reserve(self, n: int) -> None:
-        if len(self._coords) < n:
-            n = max(n, 2 * len(self._coords))
-            coords = np.full((n, 3, 2), np.nan)
-            coords[:len(self._coords)] = self._coords
-            values = np.full((n, *self._values.shape[1:]), np.nan)
-            values[:len(self._values)] = self._values
-            self._coords, self._values = coords, values
+        self._ids = np.array([-1])  # a sentinel entry no cell id matches
+        self._coords = np.zeros((1, 3, 2))
+        self._values = np.zeros((1, *shape))
 
     def values(self, mesh: Mesh, compute) -> np.ndarray:
-        """Values of all active cells of `mesh`. The cells with no entry for
-        their current triangle are filled first, from `compute(positions)`
-        over their active cell positions (ascending)."""
-        self._reserve(mesh.num_created)
-        ids = mesh.active_id_array
-        fresh = np.flatnonzero(
-            (self._coords[ids] != mesh.cell_coords).any(axis=(1, 2)))
+        """Values of all active cells of `mesh` (read-only). The cells with
+        no entry for their current triangle are filled from
+        `compute(positions)` over their active cell positions (ascending)."""
+        ids, coords = mesh.active_id_array, mesh.cell_coords
+        at = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
+        out = self._values[at]
+        fresh = np.flatnonzero((self._ids[at] != ids)
+                               | (self._coords[at] != coords).any(axis=(1, 2)))
         if len(fresh):
-            self._values[ids[fresh]] = compute(fresh)
-            self._coords[ids[fresh]] = mesh.cell_coords[fresh]
-        return self._values[ids]
+            out[fresh] = compute(fresh)
+        out.flags.writeable = False
+        self._ids, self._coords, self._values = ids, coords, out
+        return out
 
 
 # -- structured initial meshes -------------------------------------------

@@ -32,13 +32,13 @@ class RadialLogSolution:
 
     def _log_part(self, pts: np.ndarray) -> np.ndarray:
         d = pts - self.center
-        rho = np.sqrt((d * d).sum(-1))
+        rho = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
         return np.where(rho > self.radius, -np.log(np.maximum(rho, 1e-300)),
                         -np.log(self.radius))
 
     def _log_grad(self, pts: np.ndarray) -> np.ndarray:
         d = pts - self.center
-        rho_sq = (d * d).sum(-1)[:, None]
+        rho_sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[:, None]
         return np.divide(-d, rho_sq, out=np.zeros_like(d),
                          where=rho_sq > self.radius ** 2)
 

@@ -1,7 +1,9 @@
 """Marking, reduction loops, the adaptive solve, and run records."""
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +158,81 @@ def test_solve_loop_records_monotone_dofs():
     dofs = [r.dofs for r in rec.rows]
     assert dofs == sorted(dofs)
     assert rec.rows[-1].energy_error != rec.rows[-1].energy_error  # NaN
+
+
+def _watch_assembly(monkeypatch):
+    """Wrap the drivers' `assemble`, `solve_galerkin` and `estimate`. At each
+    assembly after garbage collection, log (a stage began since the last
+    one, the previous solve's mesh is alive, the number of earlier solutions
+    and indicator sets alive); the middle entry is None when the previous
+    solve was on this mesh. The
+    wrapped `interface_loop` also bisects one more cell, so that every stage
+    starts on a new mesh (the data loop has mostly resolved the curve)."""
+    log, last, stage, results = [], [None], [False], []
+    real = afem.assemble, afem.interface_loop
+
+    def assemble(mesh, *args, **kwargs):
+        gc.collect()
+        before = None if last[0] is None else last[0]()
+        log.append((stage[0], None if before is mesh else before is not None,
+                    sum(ref() is not None for ref in results)))
+        del before
+        last[0], stage[0] = weakref.ref(mesh), False
+        return real[0](mesh, *args, **kwargs)
+
+    def noted(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            results.append(weakref.ref(out))
+            return out
+        return call
+
+    def interface_loop(*args, **kwargs):
+        stage[0] = True
+        mesh = real[1](*args, **kwargs)
+        return mesh.refine(mesh.active_id_array[:1])
+
+    for name, fn in (("assemble", assemble), ("interface_loop", interface_loop),
+                     ("solve_galerkin", noted(afem.solve_galerkin)),
+                     ("estimate", noted(afem.estimate))):
+        monkeypatch.setattr(afem, name, fn)
+    return log
+
+
+def test_solve_loop_lets_the_previous_mesh_go_before_assembly(monkeypatch):
+    log = _watch_assembly(monkeypatch)
+    p = smooth_problem()
+    params = AfemParams(theta=0.5, theta_data=0.5, lam=1.0, tau0=0.1,
+                        beta=0.5, j_max=0, extra_final_step=False)
+    _, _, rec = solve_loop(p.initial_mesh(), p.density, 0.2, params, None,
+                           exact=ErrorIntegrator(p.exact))
+    assert isinstance(p.density, DensityForcing)
+    assert len(log) == len(rec) >= 4
+    assert [alive for _, alive, _ in log[1:]] == [False] * (len(log) - 1)
+    assert not any(n for _, _, n in log)
+
+
+def test_regsolve_lets_the_last_stage_mesh_go_before_assembly(monkeypatch):
+    log = _watch_assembly(monkeypatch)
+    p = lshape_problem(n_segments=1024)
+    params = AfemParams(theta=0.7, theta_data=0.7, lam=1.0 / 3.0, mu=0.9,
+                        beta=0.6, tau0=0.6, j_max=1,
+                        kernel_family="tensor_linf", extra_final_step=True)
+    regsolve(p, params)
+    # into stage 1 and into the radius update
+    assert [alive for stage, alive, _ in log[1:] if stage] == [False, False]
+    assert not any(n for _, _, n in log)
+
+
+def test_baseline_solve_keeps_no_earlier_solution_at_assembly(monkeypatch):
+    log = _watch_assembly(monkeypatch)
+    p = square_problem(n_segments=256)
+    params = AfemParams(theta=0.55, theta_data=0.55, lam=1.0 / 3.0, mu=0.8,
+                        beta=0.7, tau0=1.2, j_max=1,
+                        kernel_family="tensor_linf", extra_final_step=False)
+    _, _, rec, _ = baseline_solve(p, params)
+    assert len(log) == len(rec) >= 2 and {r.j for r in rec.rows} == {0, 1}
+    assert not any(n for _, _, n in log)
 
 
 def test_regsolve_schedule_and_branches():

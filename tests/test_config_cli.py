@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mollifem import cli, fem, forcing, problems
+from mollifem import cli, fem, forcing, problems, vtkio
 from mollifem.afem import RunRecord, RunRow
 from mollifem.cli import main, slope_fit
 from mollifem.config import (ALGORITHMS, PRESET_NAMES, ExperimentConfig,
@@ -364,8 +364,19 @@ def test_cli_run_integrates_each_cell_once(tmp_path, monkeypatch):
 
 
 def test_write_vtk_bytes_match_per_value_formatting(tmp_path, rng):
-    # the writer formats whole blocks at once; each value must still read
-    # exactly as format(x, ".17g") writes it, line by line
+    _check_vtk_bytes(tmp_path, rng)
+
+
+def test_write_vtk_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng,
+                                                         monkeypatch):
+    # 3 rows a chunk: every block spans several chunks and most end short
+    monkeypatch.setattr(vtkio, "_CHUNK_ROWS", 3)
+    _check_vtk_bytes(tmp_path, rng)
+
+
+def _check_vtk_bytes(tmp_path, rng):
+    # the writer formats whole chunks of rows at once; each value must still
+    # read exactly as format(x, ".17g") writes it, line by line
     mesh = rect_mesh(3, 2, -0.3, 0.1, 1.7, 2.9)
     mesh = mesh.refine(mesh.active_id_array[::3])
     u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(
@@ -403,3 +414,9 @@ def test_write_vtk_counts_and_validation(tmp_path):
     assert lines.index("CELL_DATA 2") < lines.index("POINT_DATA 4")
     with pytest.raises(ValueError, match="expected"):
         write_vtk(path, mesh, point_data={"u": np.arange(3.0)})
+    # every field is checked before the file is opened, the last one too
+    fresh = tmp_path / "bad.vtk"
+    with pytest.raises(ValueError, match="'v' has 3 values, expected 4"):
+        write_vtk(fresh, mesh, cell_data={"q": np.array([2.0, 7.0])},
+                  point_data={"u": np.arange(4.0), "v": np.arange(3.0)})
+    assert not fresh.exists()

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -90,12 +91,49 @@ def test_cg_residual_tolerance():
     assert res <= 1e-10 * np.linalg.norm(system.rhs) + 1e-14
 
 
+def _projected_form(mesh):
+    """The constrained matrix as keep A keep + E: two sparse-sparse products
+    and a sum, which drop exact zeros and sort each row."""
+    bmask = mesh.boundary_vertex_mask
+    keep = sp.diags((~bmask).astype(np.float64))
+    return (keep @ form_matrix(mesh) @ keep
+            + sp.diags(bmask.astype(np.float64))).tocsr()
+
+
+def _corner_graded(mesh, passes):
+    for _ in range(passes):
+        near = np.hypot(*mesh.cell_coords.mean(axis=1).T) < 0.4
+        mesh = mesh.refine(mesh.active_id_array[near])
+    return mesh
+
+
+@pytest.mark.parametrize("make", [lambda: rect_mesh(7, 5),
+                                  lambda: lshape_mesh(4),
+                                  lambda: _corner_graded(lshape_mesh(2), 6)],
+                         ids=["rect", "lshape", "graded"])
+def test_assemble_matrix_has_the_bits_of_the_projected_form(make):
+    mesh = make()
+    got = assemble(mesh, None).matrix
+    want = _projected_form(mesh)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+
+
+def test_assembly_drops_the_exact_zeros_of_a_right_angled_grid():
+    # the off-diagonal of each square's diagonal edge vanishes exactly
+    mesh = rect_mesh(7, 5)
+    assert (form_matrix(mesh).data == 0).any()
+    assert (assemble(mesh, None).matrix.data != 0).all()
+
+
 def test_galerkin_orthogonality():
     mesh = rect_mesh(9, 9, 0.0, 0.0, 1.0, 1.0)
     g = DensityForcing(lambda p: np.cos(2 * p[:, 0] * p[:, 1]))
     system = assemble(mesh, g)
     w = solve_galerkin(system)
-    resid = system.raw_rhs - system.raw_matrix @ w.nodal_values
+    resid = system.raw_rhs - form_matrix(system.mesh) @ w.nodal_values
     assert np.abs(resid[system.free_mask]).max() <= 1e-8
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mollifem.curves import Curve
 from mollifem.geometry import segments_intersect_triangles
-from mollifem.mesh import (Mesh, curve_cell_pairs, interface_cells,
+from mollifem.mesh import (CellCache, Mesh, curve_cell_pairs, interface_cells,
                            interface_diameter, lshape_mesh, rect_mesh,
                            vertex_levels)
 
@@ -432,3 +432,41 @@ RIGHT_PINNED = np.array([
     21, 2, 1, 4, 17, 1, 29, 6, 5, 3, 8, 33, 5, 10, 7, 7, 11, 9, 12, 11, 14,
     15, 13, 15, 20, 19, 24, 30, 25, 18, 20, 27, 26, 22, 24, 25, 27, 34, 33,
     29, 36, 36, 35, 32, 34, 36])
+
+
+def _triangle_values(mesh, calls):
+    """A CellCache `compute` whose values depend on each cell's triangle
+    alone; it notes how many cells it was asked for."""
+    def compute(positions):
+        calls.append(len(positions))
+        p = mesh.cell_coords[positions]
+        return np.stack([np.sin(7 * p).sum(axis=(1, 2)),
+                         np.cos(3 * p).prod(axis=(1, 2))], axis=1)
+    return compute
+
+
+def test_cell_cache_keeps_the_active_cells_of_the_last_mesh():
+    rng = np.random.default_rng(3)
+    cache, lineage = CellCache((2,)), [rect_mesh(5, 4)]
+    for _ in range(5):
+        mesh = lineage[-1]
+        lineage.append(mesh.refine(rng.choice(mesh.active_id_array, 3,
+                                              replace=False)))
+    before = np.empty(0, dtype=np.int64)
+    for mesh in lineage:
+        calls = []
+        got = cache.values(mesh, _triangle_values(mesh, calls))
+        # only the cells the last mesh did not have are computed
+        assert sum(calls) == len(np.setdiff1d(mesh.active_id_array, before))
+        assert len(cache._ids) == len(cache._values) == mesh.num_cells
+        assert not got.flags.writeable
+        before = mesh.active_id_array
+    # an older mesh of the lineage and two siblings that reuse ids for other
+    # triangles: each gives the bits of a cold cache
+    base = lineage[2]
+    siblings = [base.refine(base.active_id_array[[k]]) for k in (0, -1)]
+    for mesh in [lineage[1], *siblings, lineage[-1], lineage[0]]:
+        cold = CellCache((2,)).values(mesh, _triangle_values(mesh, []))
+        got = cache.values(mesh, _triangle_values(mesh, []))
+        assert np.array_equal(got, cold)
+        assert len(cache._ids) == mesh.num_cells
