@@ -1,12 +1,15 @@
-"""Adaptive drivers: marking, data reduction, the tolerance-driven solve
-loop, interface resolution, and the outer regularized driver.
+"""The adaptive driver: marking, data reduction, interface resolution and
+one loop over the tolerance schedule.
 
-The outer driver runs a tolerance schedule tau_j = tau0 * beta^j. For each
-stage it resolves the curve neighborhood to the current mollification radius
-(interface_loop), then reduces the total estimator below mu * tau_j
-(solve_loop). The solve loop alternates two branches: when the data part
-dominates (D > lambda * theta * E) it drives D down with Doerfler marking on
-the data indicators alone; otherwise it marks on the total indicators.
+`solve` walks the stages of one of three algorithms. `regsolve` runs
+tau_j = tau0 * beta^j (j = 0..j_max): each stage resolves the curve
+neighbourhood to the mollification radius r_j = tau_j^2 (interface_loop),
+then refines until the total estimator is at most mu * tau_j; an optional
+last stage only updates the radius. `baseline` walks the same stages on the
+unmollified line source, and `plain` is one stage on a volume density. Every
+pass is SOLVE, ESTIMATE, then MARK and REFINE: when the data part dominates
+(D > lambda * theta * E) it drives D down with Doerfler marking on the data
+indicators alone (data_loop); otherwise it marks on the total indicators.
 
 Every Galerkin solve appends one row to a RunRecord; rows serialize to CSV
 for the benchmark tooling.
@@ -36,6 +39,7 @@ GREEDY_PASS_CAP = 10_000
 SOLVE_PASS_CAP = 1_000
 INTERFACE_PASS_CAP = 10_000
 
+ALGORITHMS = ("regsolve", "baseline", "plain")
 BRANCHES = ("INIT", "INTERFACE", "DATA", "MARK")
 
 
@@ -242,145 +246,99 @@ def interface_loop(mesh: Mesh, curve: Curve, r: float) -> Mesh:
         f"interface resolution to r={r:.3g} exceeded {INTERFACE_PASS_CAP} passes")
 
 
-def solve_loop(mesh: Mesh, g, tau: float, params: AfemParams,
-               boundary_data=None, exact: ErrorIntegrator | None = None,
-               record: RunRecord | None = None,
-               outer_j: int = 0, row_tau: float | None = None,
-               row_r: float = 0.0, first_branch: str = "INIT",
-               warm: np.ndarray | None = None):
-    """Estimator-driven adaptive solve down to tolerance tau.
-
-    Returns (solution, mesh, record). `exact` (optional) supplies the
-    energy-error column; without it the column is NaN. `warm` (optional)
-    is the first solve's initial guess, nodal values on `mesh`.
-    Rows carry `outer_j`, `row_tau` (default: tau) and `row_r`.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    params.validate()
-    if record is None:
-        record = RunRecord()
-    if row_tau is None:
-        row_tau = tau
-
-    def one_pass(branch: str, k: int, t0: float, guess):
-        w = solve_galerkin(assemble(mesh, g, boundary_data),
-                           initial_guess=guess)
-        ind = estimate(mesh, w, g)
-        err = float("nan") if exact is None else exact(w)
-        ms = (time.perf_counter() - t0) * 1e3
-        record.append(RunRow(outer_j, k, row_tau, row_r, mesh.num_vertices,
-                             mesh.num_cells, ind.global_total,
-                             ind.global_jump, ind.global_data, err, branch,
-                             ms))
-        return w, ind
-
-    w, ind = one_pass(first_branch, 0, time.perf_counter(), warm)
-    k = 0
-    while ind.global_total > tau:
-        if k >= SOLVE_PASS_CAP:
-            raise NonTerminationError(
-                f"adaptive solve stalled: estimator {ind.global_total:.3g} > "
-                f"tau {tau:.3g} after {SOLVE_PASS_CAP} passes at "
-                f"{mesh.num_vertices} vertices")
-        sigma = params.lam * params.theta * ind.global_total
-        if ind.global_data > sigma:
-            mesh = data_loop(mesh, g, 0.5 * sigma, params.theta_data)
-            branch = "DATA"
-        else:
-            marked = mark(ind.total, ind.ids, params.theta)
-            mesh = mesh.refine(marked)
-            branch = "MARK"
-        k += 1
-        t0 = time.perf_counter()
-        # the warm start first: then the last solution and its indicators,
-        # and with them the last mesh, are gone before this pass allocates
-        guess = prolong(w, mesh).nodal_values
-        del w, ind
-        w, ind = one_pass(branch, k, t0, guess)
-        logger.debug("solve pass %d (%s): E=%.4g D=%.4g dofs=%d", k, branch,
-                     ind.global_total, ind.global_data, mesh.num_vertices)
-    return w, mesh, record
+def _stages(params: AfemParams, algorithm: str) -> list[tuple[float, float]]:
+    """(tau, tolerance) of each stage: tau_j = tau0 * beta^j for j <= j_max,
+    or its last value alone when single-shot; `regsolve` may add the radius
+    update, and `plain` is one stage at its final tolerance."""
+    p = params
+    if algorithm == "plain":
+        tol = p.mu * p.tau0 * p.beta ** p.j_max
+        return [(tol, tol)]
+    if p.single_shot:
+        taus = [p.tau0 * p.beta ** p.j_max]
+    else:
+        taus = [p.tau0]
+        for _ in range(p.j_max):
+            taus.append(p.beta * taus[-1])
+    stages = [(tau, p.mu * tau) for tau in taus]
+    if algorithm == "regsolve" and p.extra_final_step:
+        # radius update only: one interface pass and one solve at the next
+        # radius, which an infinite tolerance accepts without refinement
+        stages.append((p.beta * taus[-1], math.inf))
+    return stages
 
 
-def regsolve(problem, params: AfemParams, initial_mesh: Mesh | None = None):
-    """Outer regularized driver over the tolerance schedule.
+def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
+    """Walk the tolerance schedule of `algorithm` (one of ALGORITHMS).
 
     `problem` supplies the domain mesh, curve, data, boundary values and
     (optionally) the exact solution; see the problems module. Returns
     (solution, mesh, record, forcing), the forcing being that of the last
     solve, with its per-cell integrals of the final mesh cached.
     """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; pick one of "
+                         f"{ALGORITHMS}")
     params.validate()
-    mesh = initial_mesh if initial_mesh is not None else problem.initial_mesh()
-    kernel = Kernel.make(params.kernel_family)
     record = RunRecord()
-    w = g = None  # the last solve and its forcing
     err_fn = None
     if problem.exact is not None:
         err_fn = ErrorIntegrator(problem.exact, problem.curve)
-
-    def stage(j, tau, tol):
-        nonlocal mesh, w, g
-        r = r_of_tau(tau)
-        mesh = interface_loop(mesh, problem.curve, r)
-        # the warm start first: then nothing holds the last stage's
-        # solution, mesh or forcing while this stage allocates
-        guess = None if w is None else prolong(w, mesh).nodal_values
-        w = g = None
-        g = RegularizedForcing(problem.curve, problem.f, kernel, r)
-        t0 = time.perf_counter()
-        w, mesh, _ = solve_loop(
-            mesh, g, tol, params, problem.boundary_data, exact=err_fn,
-            record=record, outer_j=j, row_tau=tau, row_r=r,
-            first_branch="INTERFACE", warm=guess)
-        logger.info("stage j=%d: tau=%.4g r=%.4g dofs=%d (%.1fs)", j, tau, r,
-                    mesh.num_vertices, time.perf_counter() - t0)
-
-    if params.single_shot:
-        tau = params.tau0 * params.beta ** params.j_max
-        stage(0, tau, params.mu * tau)
-        tau_next = params.beta * tau
+    mesh = problem.initial_mesh()
+    w = ind = None  # the last solve and its indicators
+    r, first_branch = 0.0, "INIT"
+    if algorithm == "regsolve":
+        kernel, first_branch = Kernel(params.kernel_family), "INTERFACE"
+    elif algorithm == "baseline":
+        g = LineForcing(problem.curve, problem.f)
     else:
-        tau = params.tau0
-        for j in range(params.j_max + 1):
-            stage(j, tau, params.mu * tau)
-            tau = params.beta * tau
-        tau_next = tau
+        g = problem.density
 
-    if params.extra_final_step:
-        # radius update only: one interface pass and one solve at the next
-        # radius, which an infinite tolerance accepts without refinement
-        stage(record.rows[-1].j + 1, tau_next, math.inf)
-    return w, mesh, record, g
-
-
-def baseline_solve(problem, params: AfemParams,
-                   initial_mesh: Mesh | None = None):
-    """Non-regularized driver: exact clipped line integrals on the right-hand
-    side and the surrogate data indicator, over the same tolerance schedule.
-    Returns (solution, mesh, record, forcing) like `regsolve`."""
-    params.validate()
-    mesh = initial_mesh if initial_mesh is not None else problem.initial_mesh()
-    g = LineForcing(problem.curve, problem.f)
-    record = RunRecord()
-    w = None
-    err_fn = None
-    if problem.exact is not None:
-        err_fn = ErrorIntegrator(problem.exact, problem.curve)
-    tau = params.tau0
-    stages = 1 if params.single_shot else params.j_max + 1
-    if params.single_shot:
-        tau = params.tau0 * params.beta ** params.j_max
-    for j in range(stages):
-        t0 = time.perf_counter()
-        # the last stage's solution lives on this mesh: keep its values only
-        guess, w = (None if w is None else w.nodal_values), None
-        w, mesh, _ = solve_loop(
-            mesh, g, params.mu * tau, params, problem.boundary_data,
-            exact=err_fn, record=record, outer_j=j, row_tau=tau, row_r=0.0,
-            first_branch="INIT", warm=guess)
-        logger.info("baseline stage j=%d: tau=%.4g dofs=%d (%.1fs)", j, tau,
-                    mesh.num_vertices, time.perf_counter() - t0)
-        tau = params.beta * tau
+    for j, (tau, tol) in enumerate(_stages(params, algorithm)):
+        t_stage = time.perf_counter()
+        if algorithm == "regsolve":
+            r = r_of_tau(tau)
+            mesh = interface_loop(mesh, problem.curve, r)
+        # the warm start first: then nothing holds the last solution, its
+        # indicators, its mesh or (regsolve) its forcing while this allocates
+        guess = None if w is None else prolong(w, mesh).nodal_values
+        w = ind = None
+        if algorithm == "regsolve":
+            g = None
+            g = RegularizedForcing(problem.curve, problem.f, kernel, r)
+        k, branch, t0 = 0, first_branch, time.perf_counter()
+        while True:
+            w = solve_galerkin(assemble(mesh, g, problem.boundary_data),
+                               initial_guess=guess)
+            ind = estimate(mesh, w, g)
+            err = float("nan") if err_fn is None else err_fn(w)
+            record.append(RunRow(j, k, tau, r, mesh.num_vertices,
+                                 mesh.num_cells, ind.global_total,
+                                 ind.global_jump, ind.global_data, err,
+                                 branch, (time.perf_counter() - t0) * 1e3))
+            logger.debug("pass j=%d k=%d (%s): E=%.4g D=%.4g dofs=%d", j, k,
+                         branch, ind.global_total, ind.global_data,
+                         mesh.num_vertices)
+            if ind.global_total <= tol:
+                break
+            if k >= SOLVE_PASS_CAP:
+                raise NonTerminationError(
+                    f"adaptive solve stalled: estimator "
+                    f"{ind.global_total:.3g} > tolerance {tol:.3g} after "
+                    f"{SOLVE_PASS_CAP} passes at {mesh.num_vertices} vertices")
+            sigma = params.lam * params.theta * ind.global_total
+            if ind.global_data > sigma:
+                mesh = data_loop(mesh, g, 0.5 * sigma, params.theta_data)
+                branch = "DATA"
+            else:
+                mesh = mesh.refine(mark(ind.total, ind.ids, params.theta))
+                branch = "MARK"
+            k, t0 = k + 1, time.perf_counter()
+            # as between stages: the last solution, its indicators and with
+            # them the last mesh are gone before this pass allocates
+            guess = prolong(w, mesh).nodal_values
+            w = ind = None
+        logger.info("%s stage j=%d: tau=%.4g r=%.4g dofs=%d (%.1fs)",
+                    algorithm, j, tau, r, mesh.num_vertices,
+                    time.perf_counter() - t_stage)
     return w, mesh, record, g

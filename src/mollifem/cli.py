@@ -8,16 +8,16 @@ import argparse
 import json
 import logging
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .afem import RunRecord, baseline_solve, regsolve, solve_loop
+from .afem import RunRecord, solve
 from .config import PRESET_NAMES, ExperimentConfig, preset
 from .errors import NumericalError
 from .estimate import estimate
-from .fem import ErrorIntegrator
 from .problems import make_problem
 from .vtkio import write_vtk
 
@@ -67,17 +67,7 @@ def _cmd_run(args) -> int:
 
     problem = make_problem(cfg.problem, cfg.curve_segments,
                            cfg.initial_divisions)
-    params = cfg.params
-    if cfg.algorithm == "regsolve":
-        w, mesh, record, g = regsolve(problem, params)
-    elif cfg.algorithm == "baseline":
-        w, mesh, record, g = baseline_solve(problem, params)
-    else:
-        tau = params.mu * params.tau0 * params.beta ** params.j_max
-        g = problem.density
-        w, mesh, record = solve_loop(
-            problem.initial_mesh(), g, tau, params, problem.boundary_data,
-            exact=ErrorIntegrator(problem.exact))
+    w, mesh, record, g = solve(problem, cfg.params, cfg.algorithm)
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,7 +177,11 @@ def main(argv=None) -> int:
     except (NumericalError, MemoryError) as exc:
         kind = "numerical failure" if isinstance(exc, NumericalError) \
             else "out of memory"
-        print(f"{kind}: {str(exc) or 'no details'}", file=sys.stderr)
+        # Python's own containers raise MemoryError with no message
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"no details (raised at {frame.filename}:{frame.lineno} " \
+            f"in {frame.name})"
+        print(f"{kind}: {str(exc) or where}", file=sys.stderr)
         return 2
 
 

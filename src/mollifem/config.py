@@ -24,10 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .afem import AfemParams, is_int
+from .afem import ALGORITHMS, AfemParams, is_int
 from .problems import PROBLEM_NAMES
-
-ALGORITHMS = ("regsolve", "baseline", "plain")
 
 _PARAM_KEYS = {
     "theta": "theta",

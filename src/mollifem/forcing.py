@@ -6,7 +6,7 @@ Three right-hand-side flavours are understood by assembly and estimation:
   ``F_r(x) = \\int_gamma f(y) delta_r(y - x) ds_y`` with
   ``delta_r(x) = r^-2 psi(x / r)``;
 * :class:`LineForcing` — the unmollified line source, integrated exactly by
-  clipping curve segments against cells (used by the baseline driver);
+  clipping curve segments against cells (the ``baseline`` algorithm);
 * :class:`DensityForcing` — a plain area density (manufactured problems).
 
 Each exposes ``load_vector`` (P1 load vector) and ``data_indicator``
@@ -15,7 +15,6 @@ Each exposes ``load_vector`` (P1 load vector) and ``data_indicator``
 from __future__ import annotations
 
 import logging
-import weakref
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -92,10 +91,6 @@ class Kernel:
             self.c_norm = 1.0 / _cinf_1d_norm() ** 2
         else:
             self.c_norm = 0.25
-
-    @classmethod
-    def make(cls, family: str) -> "Kernel":
-        return cls(family)
 
     def _psi_1d(self, t: np.ndarray) -> np.ndarray:
         if self.family == "tensor_cinf":
@@ -175,20 +170,15 @@ def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0,
     return float(np.abs(defect).max())
 
 
-# -- per-cell records shared by the curve forcings --------------------------
+# -- per-cell records shared by all forcings --------------------------------
 
 
-class _CurveForcing:
+class _CellForcing:
     """One record per cell: the three load entries int_T F phi_i and the data
     square, integrated the first time either is asked for. Subclasses give
-    `_cell_integrals(mesh, positions) -> (n, 4)`, zero on cells the curve's
-    forcing does not reach."""
+    `_cell_integrals(mesh, positions) -> (n, 4)`."""
 
-    def __init__(self, curve: Curve, data: SegmentedData):
-        if data.curve is not curve:
-            raise ValueError("data is attached to a different curve")
-        self.curve = curve
-        self.data = data
+    def __init__(self):
         self._cells = CellCache((4,))
 
     def _records(self, mesh: Mesh) -> np.ndarray:
@@ -198,6 +188,18 @@ class _CurveForcing:
         load = self._records(mesh)[:, :3]
         return np.bincount(mesh.triangles.ravel(), weights=load.ravel(),
                            minlength=mesh.num_vertices)
+
+
+class _CurveForcing(_CellForcing):
+    """A forcing carried by the curve: its records are zero on cells it does
+    not reach."""
+
+    def __init__(self, curve: Curve, data: SegmentedData):
+        if data.curve is not curve:
+            raise ValueError("data is attached to a different curve")
+        super().__init__()
+        self.curve = curve
+        self.data = data
 
 
 def _subdivision_depths(h: np.ndarray, r: float) -> np.ndarray:
@@ -350,40 +352,30 @@ class RegularizedForcing(_CurveForcing):
         return mesh.h_sizes * np.sqrt(self._records(mesh)[:, 3])
 
 
-class DensityForcing:
+class DensityForcing(_CellForcing):
     """Plain area density g(x), integrated with the standard cell rule."""
 
-    def __init__(self, func, name: str = "density"):
+    def __init__(self, func):
+        super().__init__()
         self.func = func
-        self.name = name
-        # (weak ref to a mesh, its load entries, its data squares) of one
-        # mesh: the forcing does not keep the mesh alive
-        self._last = None
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         return np.asarray(self.func(pts), dtype=np.float64)
 
-    def _cell_terms(self, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell int_T g phi_i (m, 3) and int_T g^2 (m,) from one pass
-        over g, kept for the last mesh: a load and its estimates share it."""
-        if self._last is None or self._last[0]() is not mesh:
-            self._last = None
-            pts = quadr.triangle_points(mesh.cell_coords, quadr.TRI_BARY)
-            g = self.eval(pts.reshape(-1, 2)).reshape(mesh.num_cells, -1)
-            loc = mesh.areas[:, None] * np.einsum(
-                "mq,q,qi->mi", g, quadr.TRI_WEIGHTS, quadr.TRI_BARY)
-            self._last = (weakref.ref(mesh), loc,
-                          mesh.areas * ((g * g) @ quadr.TRI_WEIGHTS))
-        return self._last[1], self._last[2]
-
-    def load_vector(self, mesh: Mesh) -> np.ndarray:
-        return np.bincount(mesh.triangles.ravel(),
-                           weights=self._cell_terms(mesh)[0].ravel(),
-                           minlength=mesh.num_vertices)
+    def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        """int_T g phi_i (i = 0, 1, 2) and int_T g^2 per cell, each from its
+        own cell's points."""
+        pts = quadr.triangle_points(mesh.cell_coords[positions], quadr.TRI_BARY)
+        g = self.eval(pts.reshape(-1, 2)).reshape(len(positions), -1)
+        areas, out = mesh.areas[positions], np.empty((len(positions), 4))
+        out[:, :3] = areas[:, None] * np.einsum(
+            "mq,q,qi->mi", g, quadr.TRI_WEIGHTS, quadr.TRI_BARY)
+        out[:, 3] = areas * ((g * g) @ quadr.TRI_WEIGHTS)
+        return out
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:
-        sq = self._cell_terms(mesh)[1]
+        sq = self._records(mesh)[:, 3]
         return mesh.h_sizes * np.sqrt(np.maximum(sq, 0.0))
 
 

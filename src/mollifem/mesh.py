@@ -2,10 +2,8 @@
 
 A ``Mesh`` is immutable: :meth:`Mesh.refine` returns a new mesh. Cells are
 rows of integer arrays over every cell ever created, active or already
-bisected, indexed by cell id; ``parent`` links each child to the cell it was
-split from, so every active cell's ancestor chain ends at a cell of the
-initial triangulation. Vertices are only ever created (as edge midpoints),
-never removed, so the vertex count equals the P1 space dimension.
+bisected, indexed by cell id. Vertices are only ever created (as edge
+midpoints), never removed, so the vertex count equals the P1 space dimension.
 
 Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``, and
 ``neighbours[c, i]`` is the cell across it (-1 on the boundary). Bisection
@@ -83,7 +81,6 @@ class Mesh:
     vertex_parents: np.ndarray  # (V, 2) ends of the bisected edge; -1 if initial
     cell_vertices: np.ndarray  # (N, 3) CCW vertex ids of every created cell
     refinement_edge: np.ndarray  # (N,) local index of the edge to bisect
-    parent: np.ndarray  # (N,) the cell a child was split from; -1 if initial
     generation: np.ndarray  # (N,) bisections since the initial cell
     neighbours: np.ndarray  # (N, 3) cell across each local edge; -1 boundary
     # 2 * creation rank of each edge, + 1 in the second cell to own it: the
@@ -151,8 +148,7 @@ class Mesh:
 
         n = len(tris)
         return cls(coords, np.full((len(coords), 2), -1, dtype=np.int64),
-                   tris, tags.astype(np.int8), np.full(n, -1, dtype=np.int64),
-                   np.zeros(n, dtype=np.int64), neighbours.reshape(n, 3),
+                   tris, tags.astype(np.int8), np.zeros(n, dtype=np.int64), neighbours.reshape(n, 3),
                    edge_order.reshape(n, 3), np.arange(n, dtype=np.int64))
 
     # -- basic queries ----------------------------------------------------
@@ -257,7 +253,7 @@ class Mesh:
 
         split: dict[int, int] = {}  # edge -> midpoint; the input has no cut edge
         pending: dict[int, int] = {}  # half edge key -> its only owner so far
-        bisected: list[int] = []
+        bisections = 0
         vparents: list[int] = []
         seq = int(self.edge_order.max()) // 2 + 1
         queue = deque(marked_list)
@@ -332,8 +328,8 @@ class Mesh:
                     pending[p * _KEY + u if p < u else u * _KEY + p] = child
             queue.append(c1)
             queue.append(c2)
-            bisected.append(cid)
-            if len(bisected) > _MAX_BISECTIONS:
+            bisections += 1
+            if bisections > _MAX_BISECTIONS:
                 raise NonTerminationError("closure exceeded bisection cap")
 
         coords = np.concatenate((self.coords, np.empty((nv - self.num_vertices, 2))))
@@ -342,10 +338,9 @@ class Mesh:
         fill_midpoints(coords, vertex_parents, self.num_vertices)
         V, NB, EO, T, G, A = (np.frombuffer(x, dtype=x.typecode)
                               for x in (V, NB, EO, T, G, A))
-        return Mesh(coords, vertex_parents, V.reshape(-1, 3), T,
-                    np.concatenate((self.parent, np.repeat(bisected, 2))), G,
+        return Mesh(coords, vertex_parents, V.reshape(-1, 3), T, G,
                     NB.reshape(-1, 3), EO.reshape(-1, 3), np.flatnonzero(A),
-                    self.history + (RefineRecord(len(marked_list), len(bisected)),))
+                    self.history + (RefineRecord(len(marked_list), bisections),))
 
     def uniform_refine(self, passes: int = 1) -> "Mesh":
         mesh = self

@@ -143,7 +143,7 @@ def smooth_problem(initial_divisions: int = 8) -> TestProblem:
         exact=exact,
         initial_mesh=lambda: rect_mesh(initial_divisions, initial_divisions,
                                        0.0, 0.0, 1.0, 1.0),
-        density=DensityForcing(exact.laplacian_density, name="sine_load"),
+        density=DensityForcing(exact.laplacian_density),
     )
 
 

@@ -4,18 +4,17 @@ from __future__ import annotations
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mollifem.afem as afem
-from mollifem.afem import (AfemParams, RunRecord, RunRow, baseline_solve,
-                           data_loop, greedy, interface_loop, mark, regsolve,
-                           solve_loop)
+from mollifem.afem import (AfemParams, RunRecord, RunRow, data_loop, greedy,
+                           interface_loop, mark, solve)
 from mollifem.curves import Curve, SegmentedData
 from mollifem.errors import NonTerminationError
 from mollifem.estimate import estimate
-from mollifem.fem import ErrorIntegrator
 from mollifem.forcing import DensityForcing, Kernel, LineForcing, \
     RegularizedForcing
 from mollifem.mesh import interface_cells, rect_mesh
@@ -136,12 +135,14 @@ def test_interface_loop_rejects_bad_radius():
         interface_loop(p.initial_mesh(), p.curve, 0.0)
 
 
+# plain runs one stage at tolerance mu * tau0
+PLAIN_02 = AfemParams(theta=0.5, theta_data=0.5, lam=1.0, mu=0.5, tau0=0.4,
+                      beta=0.5, j_max=0, extra_final_step=False)
+
+
 def test_solve_loop_smooth_contracts_below_tau():
     p = smooth_problem()
-    params = AfemParams(theta=0.5, theta_data=0.5, lam=1.0, tau0=0.1,
-                        beta=0.5, j_max=0, extra_final_step=False)
-    w, mesh, rec = solve_loop(p.initial_mesh(), p.density, 0.2, params,
-                              None, exact=ErrorIntegrator(p.exact))
+    w, mesh, rec, _ = solve(p, PLAIN_02, "plain")
     assert len(rec) >= 2
     assert rec.rows[-1].estimator_total <= 0.2
     assert rec.rows[0].branch == "INIT"
@@ -151,17 +152,16 @@ def test_solve_loop_smooth_contracts_below_tau():
 
 
 def test_solve_loop_records_monotone_dofs():
-    p = smooth_problem()
-    params = AfemParams(theta=0.5, theta_data=0.5, lam=1.0, tau0=0.1,
-                        beta=0.5, j_max=0, extra_final_step=False)
-    _, _, rec = solve_loop(p.initial_mesh(), p.density, 0.25, params, None)
+    p = replace(smooth_problem(), exact=None)
+    params = replace(PLAIN_02, tau0=0.5)  # tolerance 0.25
+    _, _, rec, _ = solve(p, params, "plain")
     dofs = [r.dofs for r in rec.rows]
     assert dofs == sorted(dofs)
     assert rec.rows[-1].energy_error != rec.rows[-1].energy_error  # NaN
 
 
 def _watch_assembly(monkeypatch):
-    """Wrap the drivers' `assemble`, `solve_galerkin` and `estimate`. At each
+    """Wrap the driver's `assemble`, `solve_galerkin` and `estimate`. At each
     assembly after garbage collection, log (a stage began since the last
     one, the previous solve's mesh is alive, the number of earlier solutions
     and indicator sets alive); the middle entry is None when the previous
@@ -202,10 +202,7 @@ def _watch_assembly(monkeypatch):
 def test_solve_loop_lets_the_previous_mesh_go_before_assembly(monkeypatch):
     log = _watch_assembly(monkeypatch)
     p = smooth_problem()
-    params = AfemParams(theta=0.5, theta_data=0.5, lam=1.0, tau0=0.1,
-                        beta=0.5, j_max=0, extra_final_step=False)
-    _, _, rec = solve_loop(p.initial_mesh(), p.density, 0.2, params, None,
-                           exact=ErrorIntegrator(p.exact))
+    _, _, rec, _ = solve(p, PLAIN_02, "plain")
     assert isinstance(p.density, DensityForcing)
     assert len(log) == len(rec) >= 4
     assert [alive for _, alive, _ in log[1:]] == [False] * (len(log) - 1)
@@ -218,9 +215,12 @@ def test_regsolve_lets_the_last_stage_mesh_go_before_assembly(monkeypatch):
     params = AfemParams(theta=0.7, theta_data=0.7, lam=1.0 / 3.0, mu=0.9,
                         beta=0.6, tau0=0.6, j_max=1,
                         kernel_family="tensor_linf", extra_final_step=True)
-    regsolve(p, params)
+    _, _, rec, _ = solve(p, params)
+    assert len(log) == len(rec)
     # into stage 1 and into the radius update
     assert [alive for stage, alive, _ in log[1:] if stage] == [False, False]
+    # and on every pass within a stage
+    assert [alive for _, alive, _ in log[1:]] == [False] * (len(log) - 1)
     assert not any(n for _, _, n in log)
 
 
@@ -230,8 +230,11 @@ def test_baseline_solve_keeps_no_earlier_solution_at_assembly(monkeypatch):
     params = AfemParams(theta=0.55, theta_data=0.55, lam=1.0 / 3.0, mu=0.8,
                         beta=0.7, tau0=1.2, j_max=1,
                         kernel_family="tensor_linf", extra_final_step=False)
-    _, _, rec, _ = baseline_solve(p, params)
+    _, _, rec, _ = solve(p, params, "baseline")
     assert len(log) == len(rec) >= 2 and {r.j for r in rec.rows} == {0, 1}
+    # a stage starts on the last stage's mesh; every other pass on a new one
+    assert [alive for _, alive, _ in log[1:]] == [
+        None if row.k == 0 else False for row in rec.rows[1:]]
     assert not any(n for _, _, n in log)
 
 
@@ -241,7 +244,7 @@ def test_regsolve_schedule_and_branches():
     params = AfemParams(theta=0.7, theta_data=0.7, lam=1.0 / 3.0, mu=0.8,
                         beta=0.8, tau0=0.5, j_max=1,
                         kernel_family="radial_c1", extra_final_step=True)
-    w, mesh, rec, g = regsolve(p, params)
+    w, mesh, rec, g = solve(p, params)
     # the forcing handed back is the last pass's, warm on the final mesh
     assert g.r == rec.rows[-1].r
     g._cells.values(mesh, lambda cold: pytest.fail(f"{len(cold)} cold cells"))
@@ -272,7 +275,7 @@ def test_regsolve_single_shot_runs_one_stage():
     params = AfemParams(theta=0.55, theta_data=0.55, lam=1.0 / 3.0, mu=0.8,
                         beta=0.7, tau0=0.6, j_max=2, single_shot=True,
                         kernel_family="tensor_linf", extra_final_step=False)
-    _, _, rec, _ = regsolve(p, params)
+    _, _, rec, _ = solve(p, params, "regsolve")
     assert {row.j for row in rec.rows} == {0}
     tau = 0.6 * 0.7 ** 2
     assert abs(rec.rows[0].tau - tau) < 1e-15
@@ -284,7 +287,7 @@ def test_baseline_solve_same_schedule():
     params = AfemParams(theta=0.55, theta_data=0.55, lam=1.0 / 3.0, mu=0.8,
                         beta=0.7, tau0=1.2, j_max=1,
                         kernel_family="tensor_linf", extra_final_step=True)
-    _, _, rec, _ = baseline_solve(p, params)
+    _, _, rec, _ = solve(p, params, "baseline")
     assert {row.j for row in rec.rows} == {0, 1}
     for row in rec.rows:
         assert row.r == 0.0
@@ -293,6 +296,17 @@ def test_baseline_solve_same_schedule():
     for row, tau in zip(samples, (1.2, 1.2 * 0.7)):
         assert abs(row.tau - tau) < 1e-15
         assert row.estimator_total <= 0.8 * tau + 1e-12
+
+
+def test_solve_stops_at_the_pass_cap(monkeypatch):
+    monkeypatch.setattr(afem, "SOLVE_PASS_CAP", 2)
+    with pytest.raises(NonTerminationError, match="after 2 passes"):
+        solve(smooth_problem(), PLAIN_02, "plain")
+
+
+def test_solve_rejects_an_unknown_algorithm():
+    with pytest.raises(ValueError, match="unknown algorithm 'greedy'"):
+        solve(smooth_problem(), PLAIN_02, "greedy")
 
 
 def test_afem_params_validation_messages():

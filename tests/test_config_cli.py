@@ -291,7 +291,7 @@ def test_cli_run_exits_2_when_memory_runs_out(tmp_path, monkeypatch, capsys):
         raise MemoryError("Unable to allocate 8.00 GiB for an array with "
                           "shape (1073741824,) and data type float64")
 
-    monkeypatch.setattr(cli, "solve_loop", exhausted)
+    monkeypatch.setattr(cli, "solve", exhausted)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(preset("smooth").to_json())
     out = tmp_path / "results"
@@ -300,6 +300,24 @@ def test_cli_run_exits_2_when_memory_runs_out(tmp_path, monkeypatch, capsys):
     assert err == ["out of memory: Unable to allocate 8.00 GiB for an array "
                    "with shape (1073741824,) and data type float64"]
     assert not (out / "run.csv").exists()
+
+
+def test_cli_run_names_where_a_bare_memory_error_was_raised(
+        tmp_path, monkeypatch, capsys):
+    # Python's own containers raise MemoryError() with no message: the line
+    # names the innermost frame instead
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "solve", exhausted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(preset("smooth").to_json())
+    assert main(["run", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "results")]) == 2
+    line = exhausted.__code__.co_firstlineno + 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"out of memory: no details (raised at {__file__}:{line} in "
+        "exhausted)"]
 
 
 def test_cli_run_reuses_the_last_forcing(tmp_path, monkeypatch):

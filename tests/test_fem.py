@@ -297,7 +297,7 @@ def test_error_integrator_matches_direct():
     center, radius = (0.5, 0.5), 0.25
     curve = Curve.circle(center, radius, 512, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 1.0)
-    g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), 0.1)
+    g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.1)
     u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
     integ = ErrorIntegrator(u, curve)
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)

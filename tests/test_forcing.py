@@ -57,14 +57,14 @@ def section_1d(kernel: Kernel, y: float, panels: int = 400) -> float:
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_kernel_mass_is_one(family):
-    k = Kernel.make(family)
+    k = Kernel(family)
     mass = panel_integral_2d(k.psi, -1.0, 1.0)
     assert abs(mass - 1.0) < 5e-9
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_kernel_first_moment_vanishes(family):
-    k = Kernel.make(family)
+    k = Kernel(family)
     mx = panel_integral_2d(lambda p: p[:, 0] * k.psi(p), -1.0, 1.0)
     my = panel_integral_2d(lambda p: p[:, 1] * k.psi(p), -1.0, 1.0)
     assert abs(mx) < 1e-9
@@ -73,7 +73,7 @@ def test_kernel_first_moment_vanishes(family):
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_kernel_nonnegative_and_supported(family, rng):
-    k = Kernel.make(family)
+    k = Kernel(family)
     pts = rng.uniform(-1.5, 1.5, size=(4000, 2))
     vals = k.psi(pts)
     assert np.all(vals >= 0.0)
@@ -86,7 +86,7 @@ def test_kernel_nonnegative_and_supported(family, rng):
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_delta_scaling_identity(family, rng):
-    k = Kernel.make(family)
+    k = Kernel(family)
     pts = rng.uniform(-0.2, 0.2, size=(200, 2))
     for r in (0.5, 0.07):
         direct = k.delta(r, pts)
@@ -96,7 +96,7 @@ def test_delta_scaling_identity(family, rng):
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_moment_check_defects(family):
-    k = Kernel.make(family)
+    k = Kernel(family)
     assert kernel_moment_check(k, 0) < 1e-8
     assert kernel_moment_check(k, 1, r=0.3) < 1e-6
     with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ def test_tensor_kernels_match_the_masked_formulas_bit_for_bit(family, rng):
     with np.errstate(over="ignore"):  # t * t at t = 1e300
         want = _masked_psi_1d(family, pts[:, 0]) \
             * _masked_psi_1d(family, pts[:, 1])
-        got = Kernel.make(family).psi(pts)
+        got = Kernel(family).psi(pts)
     assert got.tobytes() == want.tobytes()
 
 
@@ -145,7 +145,7 @@ def test_radial_profile_against_mpmath(rng):
     far = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1e-8], [2.0, 0.0],
                     [1e200, 0.0], [-0.8, 0.7]])
     with np.errstate(over="ignore"):
-        assert np.all(Kernel.make("radial_c1").psi(far) == 0.0)
+        assert np.all(Kernel("radial_c1").psi(far) == 0.0)
 
 
 def test_radial_coefficients_are_the_chebyshev_interpolant():
@@ -195,7 +195,7 @@ def straight_line_setup(r: float, family: str, f: float = 3.0):
     pts = np.column_stack([xs, np.zeros_like(xs)])
     curve = Curve(pts, closed=False, boundary_gap=1.0)
     data = SegmentedData.constant(curve, f)
-    return RegularizedForcing(curve, data, Kernel.make(family), r)
+    return RegularizedForcing(curve, data, Kernel(family), r)
 
 
 def test_box_kernel_profile_is_exact():
@@ -213,7 +213,7 @@ def test_box_kernel_profile_is_exact():
 def test_smooth_kernel_profile_matches_section(family):
     r, f = 0.08, 3.0
     g = straight_line_setup(r, family, f)
-    k = Kernel.make(family)
+    k = Kernel(family)
     for y in (0.0, 0.3 * r, -0.7 * r):
         got = float(g.eval(np.array([[0.0, y]]))[0])
         want = f * section_1d(k, y / r) / r
@@ -226,7 +226,7 @@ def test_eval_matches_brute_force_node_sum(rng):
     r = 0.15
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 2.0)
-    g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
+    g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     pts = rng.uniform(0.0, 1.0, size=(500, 2))
     diff = g.node_xy[None, :, :] - pts[:, None, :]
     brute = (g.kernel.psi(diff / r) / r ** 2) @ g.node_fw
@@ -239,7 +239,7 @@ def test_eval_matches_brute_force_on_square_supports(family, rng):
     r = 0.1
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
     g = RegularizedForcing(curve, SegmentedData.constant(curve, 2.0),
-                           Kernel.make(family), r)
+                           Kernel(family), r)
     ang = rng.uniform(0.0, 2.0 * np.pi, 2000)
     rad = 0.25 + rng.uniform(-1.5 * r, 1.5 * r, 2000)
     pts = 0.5 + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], 1)
@@ -253,7 +253,7 @@ def test_node_count_tracks_radius_not_segments():
     curve = Curve.circle((0.0, 0.0), 0.2, 2 ** 14, boundary_gap=1.0)
     data = SegmentedData.constant(curve, 1.0)
     r = 0.1
-    g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
+    g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     budget = 4 * int(np.ceil(curve.total_length / (r / 4.0))) + 64
     assert len(g.node_w) <= budget
     assert abs(g.node_w.sum() - curve.total_length) < 1e-10
@@ -264,7 +264,7 @@ def test_regularized_mass_conservation():
     # line mass f * |gamma| whenever the support stays inside the domain
     curve = Curve.circle((0.5, 0.5), 0.25, 512, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 5.0)
-    g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), 0.1)
+    g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.1)
     mesh = rect_mesh(16, 16, 0.0, 0.0, 1.0, 1.0)
     rhs = g.load_vector(mesh)
     want = 5.0 * curve.total_length
@@ -275,7 +275,7 @@ def test_load_vector_against_brute_quadrature():
     r = 0.15
     curve = Curve.circle((0.5, 0.5), 0.25, 128, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 2.0)
-    g = RegularizedForcing(curve, data, Kernel.make("tensor_cinf"), r)
+    g = RegularizedForcing(curve, data, Kernel("tensor_cinf"), r)
     mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
     rhs = g.load_vector(mesh)
     brute = np.zeros(mesh.num_vertices)
@@ -296,7 +296,7 @@ def test_data_indicator_against_brute_norms():
     r = 0.15
     curve = Curve.circle((0.5, 0.5), 0.25, 128, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 2.0)
-    g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
+    g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
     d = g.data_indicator(mesh)
     want = mesh.h_sizes * cell_l2_norms(mesh, g.eval, n=40)
@@ -308,20 +308,20 @@ def test_caches_survive_refinement():
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 1.0)
     mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
-    g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
+    g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     g.load_vector(mesh)
     g.data_indicator(mesh)
     fine = mesh.refine(mesh.active_id_array[::3])
     warm_rhs = g.load_vector(fine)
     warm_d = g.data_indicator(fine)
-    cold = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
+    cold = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     np.testing.assert_array_equal(warm_rhs, cold.load_vector(fine))
     np.testing.assert_array_equal(warm_d, cold.data_indicator(fine))
     # sibling refinements reuse new cell ids for different triangles
     first, second = sibling_refinements(mesh, curve)
     g.load_vector(first)
     g.data_indicator(first)
-    cold = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
+    cold = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     np.testing.assert_array_equal(g.load_vector(second),
                                   cold.load_vector(second))
     np.testing.assert_array_equal(g.data_indicator(second),
@@ -332,7 +332,7 @@ def test_caches_survive_refinement():
 def _batch_forcing(family: str) -> RegularizedForcing:
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 1.5)
-    return RegularizedForcing(curve, data, Kernel.make(family), 0.12)
+    return RegularizedForcing(curve, data, Kernel(family), 0.12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -383,7 +383,7 @@ def test_near_cells_cover_the_corners_of_a_square_support():
     curve = Curve(np.array([[0.5, 0.5], [0.52, 0.5]]), closed=False,
                   boundary_gap=0.3)
     g = RegularizedForcing(curve, SegmentedData.constant(curve, 1.0),
-                           Kernel.make("tensor_linf"), r)
+                           Kernel("tensor_linf"), r)
     corner = np.array([0.52, 0.5]) + 0.9 * r
     assert g.eval(corner[None, :])[0] > 0.0
     tri = corner + 0.002 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -397,7 +397,7 @@ def test_each_cell_integrated_once(kind, monkeypatch):
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 1.0)
     if kind == "regularized":
-        g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), 0.12)
+        g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.12)
     else:
         g = LineForcing(curve, data)
     integrated = []
@@ -427,7 +427,7 @@ def test_each_cell_integrated_once(kind, monkeypatch):
 def test_load_pass_fills_data_without_eval(monkeypatch):
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
     data = SegmentedData.constant(curve, 1.0)
-    g = RegularizedForcing(curve, data, Kernel.make("tensor_cinf"), 0.12)
+    g = RegularizedForcing(curve, data, Kernel("tensor_cinf"), 0.12)
     calls = []
     inner = g.eval
     monkeypatch.setattr(g, "eval", lambda pts: calls.append(len(pts))
@@ -447,7 +447,7 @@ def test_sup_norm_scales_inverse_with_radius():
     radii = np.array([0.2, 0.1, 0.05, 0.025])
     peak = []
     for r in radii:
-        g = RegularizedForcing(curve, data, Kernel.make("radial_c1"), r)
+        g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
         peak.append(float(g.eval(np.array([[0.5, 0.0]]))[0]))
     slope = np.polyfit(np.log(radii), np.log(peak), 1)[0]
     assert abs(slope - (-1.0)) < 0.05
@@ -459,7 +459,7 @@ def test_global_data_term_grows_sqrt2_per_halving():
     data = SegmentedData.constant(curve, 1.0)
     mesh = rect_mesh(64, 64, 0.0, 0.0, 1.0, 1.0)
     r1 = 0.1
-    k = Kernel.make("radial_c1")
+    k = Kernel("radial_c1")
     d1 = RegularizedForcing(curve, data, k, r1).data_indicator(mesh)
     d2 = RegularizedForcing(curve, data, k, 0.5 * r1).data_indicator(mesh)
     g1 = float(np.sqrt((d1 * d1).sum()))
@@ -472,7 +472,7 @@ def test_rejects_mismatched_data():
     c2 = Curve.circle((0.0, 0.0), 0.2, 64, boundary_gap=0.1)
     data = SegmentedData.constant(c1, 1.0)
     with pytest.raises(ValueError):
-        RegularizedForcing(c2, data, Kernel.make("radial_c1"), 0.05)
+        RegularizedForcing(c2, data, Kernel("radial_c1"), 0.05)
     with pytest.raises(ValueError):
         LineForcing(c2, data)
 
@@ -574,9 +574,10 @@ def test_density_indicator_uniform_value():
     np.testing.assert_allclose(d, want, atol=1e-14)
 
 
-def test_density_evaluates_each_mesh_once():
+def test_density_evaluates_only_cells_without_an_entry():
     # a pass's load and estimate, and the final estimate, share one
-    # evaluation of g; the values are those of cold forcings
+    # evaluation of g, and a refinement evaluates only its new cells; the
+    # values are those of cold forcings
     calls = []
 
     def density(p):
@@ -596,6 +597,8 @@ def test_density_evaluates_each_mesh_once():
             == rhs.tobytes()
         assert DensityForcing(density).data_indicator(m).tobytes() \
             == d.tobytes()
-    # only the last mesh is kept
-    assert calls == [6 * mesh.num_cells, 6 * fine.num_cells,
-                     6 * mesh.num_cells]
+    # only the last mesh's cells are kept: back on `mesh`, just the cells
+    # that `fine` bisected are evaluated again
+    new = np.setdiff1d(fine.active_id_array, mesh.active_id_array)
+    split = np.setdiff1d(mesh.active_id_array, fine.active_id_array)
+    assert calls == [6 * mesh.num_cells, 6 * len(new), 6 * len(split)]

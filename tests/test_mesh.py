@@ -54,15 +54,21 @@ def test_refine_single_marked_cell_hand_count():
     assert abs(fine.areas.sum() - 1.0) < 1e-14
 
 
+def _inside(tri: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Mask: points `p` (..., 2) lie in the closed CCW triangles `tri`
+    (..., 3, 2), up to `tol`."""
+    edge = np.roll(tri, -1, axis=-2) - tri
+    off = p[..., None, :] - tri
+    cross = edge[..., 0] * off[..., 1] - edge[..., 1] * off[..., 0]
+    return (cross >= -tol).all(axis=-1)
+
+
 def _descends_from(fine: Mesh, coarse: Mesh) -> bool:
-    """Every active cell of `fine` reaches an active cell of `coarse`."""
-    coarse_active = set(coarse.active_id_array.tolist())
-    for cid in fine.active_id_array.tolist():
-        while cid not in coarse_active:
-            cid = int(fine.parent[cid])
-            if cid < 0:
-                return False
-    return True
+    """Every active cell of `fine` lies in an active cell of `coarse`: the
+    coarse cell that holds its centroid holds its three corners."""
+    p, q = fine.cell_coords, coarse.cell_coords
+    host = np.argmax(_inside(q[None], p.mean(axis=1)[:, None]), axis=1)
+    return bool(_inside(q[host][:, None], p).all())
 
 
 def _check_neighbours(mesh: Mesh) -> None:
@@ -118,7 +124,6 @@ class _ReferenceNVB:
         self.coords = [np.array(c) for c in mesh.coords]
         self.cells = [(tuple(v), int(t)) for v, t in
                       zip(mesh.cell_vertices.tolist(), mesh.refinement_edge)]
-        self.parent = [-1] * len(self.cells)
         self.active = set(range(len(self.cells)))
         self.split: dict = {}
         self.edge_cells: dict = {}
@@ -138,7 +143,6 @@ class _ReferenceNVB:
             self.split[key] = m
         c1, c2 = len(self.cells), len(self.cells) + 1
         self.cells += [((m, p, a), 0), ((m, b, p), 0)]
-        self.parent += [cid, cid]
         self.active -= {cid}
         self.active |= {c1, c2}
         ec = self.edge_cells
@@ -176,7 +180,9 @@ class _ReferenceNVB:
         np.testing.assert_array_equal(mesh.triangles,
                                       [self.cells[i][0] for i in ids])
         np.testing.assert_array_equal(mesh.coords, np.array(self.coords))
-        np.testing.assert_array_equal(mesh.parent, self.parent)
+        # every created cell, so each bisection's children are its halves
+        np.testing.assert_array_equal(mesh.cell_vertices,
+                                      [v for v, _ in self.cells])
         pos = {cid: i for i, cid in enumerate(ids)}
         inner = [(k, adj) for k, adj in self.edge_cells.items() if len(adj) == 2]
         verts, left, right = mesh.interior_edge_arrays
@@ -219,9 +225,17 @@ def test_refine_numbering_is_pinned():
         48, 49])
     np.testing.assert_array_equal(mesh.triangles, TRIANGLES_PINNED)
     np.testing.assert_array_equal(8.0 * mesh.coords, COORDS_X8_PINNED)
-    np.testing.assert_array_equal(mesh.parent, [-1] * 24 + [
-        0, 0, 7, 7, 1, 1, 6, 6, 3, 3, 25, 25, 30, 30, 2, 2, 12, 12, 31, 31,
-        36, 36, 13, 13, 43, 43])
+    # cells 24, 26, ..., 48 and their siblings are the halves of these, in
+    # turn: the new vertex first, then the parent's corners (p, a) and (b, p)
+    # around its refinement edge (a, b)
+    split = [0, 7, 1, 6, 3, 25, 30, 2, 12, 31, 36, 13, 43]
+    for c, cid in zip(range(24, 50, 2), split):
+        p, a, b = np.roll(mesh.cell_vertices[cid], -mesh.refinement_edge[cid])
+        m = mesh.cell_vertices[c, 0]
+        assert mesh.cell_vertices[c].tolist() == [m, p, a]
+        assert mesh.cell_vertices[c + 1].tolist() == [m, b, p]
+        np.testing.assert_array_equal(
+            mesh.coords[m], 0.5 * (mesh.coords[a] + mesh.coords[b]))
     verts, left, right = mesh.interior_edge_arrays
     np.testing.assert_array_equal(verts, EDGES_PINNED)
     np.testing.assert_array_equal(left, LEFT_PINNED)
@@ -232,9 +246,13 @@ def test_is_conforming_detects_a_hanging_node():
     mesh = two_triangle_square()
     fine = mesh.refine([0])  # splits the shared diagonal of both cells
     assert fine.is_conforming()
-    # the children of cell 0 next to the unsplit cell 1: the diagonal's
-    # midpoint hangs on cell 1's edge
-    children = np.flatnonzero(fine.parent == 0)
+    # the children of cell 0 (the active cells made of its corners and the
+    # diagonal's midpoint) next to the unsplit cell 1: the midpoint hangs on
+    # cell 1's edge
+    corners = set(fine.cell_vertices[0]) | {mesh.num_vertices}
+    children = [c for c in fine.active_id_array
+                if set(fine.cell_vertices[c]) <= corners]
+    assert len(children) == 2
     hanging = replace(fine, active_id_array=np.sort(np.r_[children, 1]))
     assert abs(hanging.areas.sum() - 1.0) < 1e-14
     assert not hanging.is_conforming()

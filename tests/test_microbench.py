@@ -28,7 +28,7 @@ def test_cold_regularized_forcing(benchmark, lshape_at_r):
 
     def cold():
         g = RegularizedForcing(problem.curve, problem.f,
-                               Kernel.make("radial_c1"), R)
+                               Kernel("radial_c1"), R)
         return g.load_vector(mesh), g.data_indicator(mesh)
 
     # a fixed round count keeps the Tier-1 cost at about half a second
