@@ -26,8 +26,8 @@ __all__ = [
     "RegularizedForcing", "RunRecord", "RunRow", "SegmentedData",
     "TestProblem", "assemble", "data_loop", "energy_error",
     "estimate", "form_matrix", "greedy", "interface_cells",
-    "interface_diameter", "jump_indicator_sq", "kernel_moment_check",
-    "lshape_mesh", "lshape_problem", "make_problem", "mark", "preset",
-    "prolong", "r_of_tau", "rect_mesh", "smooth_problem", "solve",
-    "solve_galerkin", "square_problem", "write_vtk",
+    "interface_diameter", "interface_loop", "jump_indicator_sq",
+    "kernel_moment_check", "lshape_mesh", "lshape_problem", "make_problem",
+    "mark", "preset", "prolong", "r_of_tau", "rect_mesh", "smooth_problem",
+    "solve", "solve_galerkin", "square_problem", "write_vtk",
 ]

@@ -172,23 +172,22 @@ class RunRecord:
         return rows
 
 
-def mark(values: np.ndarray, ids: np.ndarray, theta: float) -> np.ndarray:
-    """Smallest set of cell ids with sum of squared indicators >=
-    theta^2 times the global sum; descending values, ascending id on ties."""
+def mark(values: np.ndarray, theta: float) -> np.ndarray:
+    """Smallest set of cell rows with sum of squared indicators >= theta^2
+    times the global sum; descending values, ascending row on ties."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0,1)")
     values = np.asarray(values, dtype=np.float64)
-    ids = np.asarray(ids, dtype=np.int64)
     sq = values * values
     total = sq.sum()
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((ids, -values))
+    order = np.argsort(-values, kind="stable")
     csum = np.cumsum(sq[order])
     target = theta * theta * total
     cut = int(np.searchsorted(csum, target, side="left"))
     cut = min(cut, len(csum) - 1)
-    return ids[order[:cut + 1]]
+    return order[:cut + 1]
 
 
 def data_loop(mesh: Mesh, g, tau: float, theta_data: float) -> Mesh:
@@ -196,13 +195,11 @@ def data_loop(mesh: Mesh, g, tau: float, theta_data: float) -> Mesh:
     if tau <= 0:
         raise ValueError("tau must be positive")
     for _ in range(DATA_PASS_CAP):
-        ids = mesh.active_id_array
         d = g.data_indicator(mesh)
         total = float(np.sqrt((d * d).sum()))
         if total <= tau:
             return mesh
-        marked = mark(d, ids, theta_data)
-        mesh = mesh.refine(marked)
+        mesh = mesh.refine(mark(d, theta_data))
     raise NonTerminationError(
         f"data reduction did not reach tau={tau:.3g} in {DATA_PASS_CAP} passes")
 
@@ -212,13 +209,11 @@ def greedy(mesh: Mesh, g, tau: float) -> Mesh:
     if tau <= 0:
         raise ValueError("tau must be positive")
     for _ in range(GREEDY_PASS_CAP):
-        ids = mesh.active_id_array
         d = g.data_indicator(mesh)
         total = float(np.sqrt((d * d).sum()))
         if total <= tau:
             return mesh
-        worst = ids[np.lexsort((ids, -d))[0]]
-        mesh = mesh.refine(np.array([worst]))
+        mesh = mesh.refine([int(np.argmax(d))])
     raise NonTerminationError(
         f"greedy reduction did not reach tau={tau:.3g} in {GREEDY_PASS_CAP} passes")
 
@@ -231,17 +226,13 @@ def interface_loop(mesh: Mesh, curve: Curve, r: float) -> Mesh:
     for _ in range(INTERFACE_PASS_CAP):
         if interface_diameter(mesh, cells) <= 0.5 * r:
             return mesh
-        active = mesh.active_id_array
-        h = mesh.h_sizes[np.searchsorted(active, cells)]
-        marked = cells[h > 0.5 * r]
-        before = mesh.num_created
-        mesh = mesh.refine(marked)
-        # children sit inside their parents, so only newly created cells can
-        # join the interface set; unrefined members stay put
-        active = mesh.active_id_array
-        survivors = cells[np.isin(cells, active, assume_unique=True)]
-        fresh = interface_cells(mesh, curve, np.nonzero(active >= before)[0])
-        cells = np.unique(np.concatenate((survivors, fresh)))
+        last = mesh.serial[-1]
+        mesh = mesh.refine(cells[mesh.h_sizes[cells] > 0.5 * r])
+        # the cells left alone had h_T <= r/2 already, and children sit
+        # inside their parents: only the new cells, the trailing rows, can
+        # meet the curve with h_T > r/2
+        new = int(np.searchsorted(mesh.serial, last, side="right"))
+        cells = interface_cells(mesh, curve, np.arange(new, mesh.num_cells))
     raise NonTerminationError(
         f"interface resolution to r={r:.3g} exceeded {INTERFACE_PASS_CAP} passes")
 
@@ -331,7 +322,7 @@ def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
                 mesh = data_loop(mesh, g, 0.5 * sigma, params.theta_data)
                 branch = "DATA"
             else:
-                mesh = mesh.refine(mark(ind.total, ind.ids, params.theta))
+                mesh = mesh.refine(mark(ind.total, params.theta))
                 branch = "MARK"
             k, t0 = k + 1, time.perf_counter()
             # as between stages: the last solution, its indicators and with

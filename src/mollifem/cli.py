@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
     ind = estimate(mesh, w, g)
     write_vtk(out / "solution.vtk", mesh,
               point_data={"solution": w.nodal_values},
-              cell_data={"generation": mesh.generation[mesh.active_id_array],
+              cell_data={"generation": mesh.generation,
                          "indicator_total": ind.total,
                          "indicator_jump": ind.jump,
                          "indicator_data": ind.data})

@@ -19,9 +19,8 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class IndicatorSet:
-    """Squared per-cell indicators aligned with mesh.active_id_array."""
+    """Squared per-cell indicators, one per cell row."""
 
-    ids: np.ndarray
     jump_sq: np.ndarray
     data_sq: np.ndarray
 
@@ -51,7 +50,7 @@ class IndicatorSet:
 
 
 def jump_indicator_sq(mesh: Mesh, w: FeFunction) -> np.ndarray:
-    """Per-cell j(T)^2, aligned with active cell positions."""
+    """Per-cell j(T)^2, one per cell row."""
     jsq = np.zeros(mesh.num_cells)
     verts, left, right = mesh.interior_edge_arrays
     if len(verts) == 0:
@@ -72,4 +71,4 @@ def estimate(mesh: Mesh, w: FeFunction, forcing) -> IndicatorSet:
     """Jump and data indicators for the current Galerkin solution."""
     jsq = jump_indicator_sq(mesh, w)
     d = forcing.data_indicator(mesh)
-    return IndicatorSet(mesh.active_id_array, jsq, d * d)
+    return IndicatorSet(jsq, d * d)

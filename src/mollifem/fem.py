@@ -69,7 +69,7 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
 def form_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Unconstrained stiffness matrix of the Laplace form on the P1 space."""
     n = mesh.num_vertices
-    tri = mesh.triangles.astype(np.int32)  # scipy's CSR index type: no copy
+    tri = mesh.triangles  # int32, scipy's CSR index type: no copy
     grads = _p1_gradients(mesh)
     k_loc = np.einsum("mdi,mdj->mij", grads, grads) \
         * mesh.areas[:, None, None]
@@ -146,7 +146,7 @@ def _bpx_preconditioner(system: DiscreteSystem) -> LinearOperator:
 
 
 def solve_galerkin(system: DiscreteSystem, initial_guess=None) -> FeFunction:
-    """CG solve to relative residual 1e-10; returns the FE solution."""
+    """CG solve to relative residual `CG_RTOL`; returns the FE solution."""
     mat, rhs = system.matrix, system.rhs
     n = mat.shape[0]
     x0 = None

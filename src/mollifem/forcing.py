@@ -23,7 +23,6 @@ from scipy.spatial import cKDTree
 
 from . import quadrature as quadr
 from .curves import Curve, SegmentedData
-from .errors import NumericalError
 from .geometry import clip_segments_to_triangles
 from .mesh import CellCache, Mesh, cells_near, curve_cell_pairs
 

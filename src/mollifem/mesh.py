@@ -1,9 +1,12 @@
 """Conforming triangle meshes with newest-vertex bisection.
 
-A ``Mesh`` is immutable: :meth:`Mesh.refine` returns a new mesh. Cells are
-rows of integer arrays over every cell ever created, active or already
-bisected, indexed by cell id. Vertices are only ever created (as edge
-midpoints), never removed, so the vertex count equals the P1 space dimension.
+A ``Mesh`` is immutable: :meth:`Mesh.refine` returns a new mesh. It keeps
+its cells alone, as rows of integer arrays: a cell's row is its id in every
+API. Refinement keeps the rows it leaves alone in their order and appends the
+new cells in creation order, and each cell carries a ``serial`` that no other
+triangle of the process ever gets, so per-cell caches survive refinement.
+Vertices are only ever created (as edge midpoints), never removed, so the
+vertex count equals the P1 space dimension.
 
 Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``, and
 ``neighbours[c, i]`` is the cell across it (-1 on the boundary). Bisection
@@ -29,6 +32,7 @@ if TYPE_CHECKING:
     from .curves import Curve
 
 _MAX_BISECTIONS = 10_000_000
+_serials_issued = 0  # cell serials are drawn from here and never reused
 _KEY = 1 << 32  # edge key lo * _KEY + hi of vertex ids lo < hi
 _PENDING = -2  # neighbour of a half edge whose other side is not cut yet
 
@@ -44,6 +48,12 @@ def _growable(x: np.ndarray) -> array:
     out = array(x.dtype.char)
     out.frombytes(memoryview(np.ascontiguousarray(x)).cast("B"))
     return out
+
+
+def _new_serials(n: int) -> np.ndarray:
+    global _serials_issued
+    _serials_issued += n
+    return np.arange(_serials_issued - n, _serials_issued, dtype=np.int64)
 
 
 def vertex_levels(vertex_parents: np.ndarray, start: int = 0) -> np.ndarray:
@@ -71,23 +81,19 @@ def fill_midpoints(values: np.ndarray, vertex_parents: np.ndarray,
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Mesh:
-    """Immutable conforming triangulation; see module docstring.
-
-    Rows of `neighbours` and `edge_order` belong to active cells; rows of
-    bisected cells are left as they were and mean nothing.
-    """
+    """Immutable conforming triangulation; see module docstring."""
 
     coords: np.ndarray  # (V, 2)
     vertex_parents: np.ndarray  # (V, 2) ends of the bisected edge; -1 if initial
-    cell_vertices: np.ndarray  # (N, 3) CCW vertex ids of every created cell
-    refinement_edge: np.ndarray  # (N,) local index of the edge to bisect
-    generation: np.ndarray  # (N,) bisections since the initial cell
-    neighbours: np.ndarray  # (N, 3) cell across each local edge; -1 boundary
+    triangles: np.ndarray  # (M, 3) CCW vertex ids of each cell
+    refinement_edge: np.ndarray  # (M,) local index of the edge to bisect
+    generation: np.ndarray  # (M,) bisections since the initial cell
+    neighbours: np.ndarray  # (M, 3) row across each local edge; -1 boundary
     # 2 * creation rank of each edge, + 1 in the second cell to own it: the
     # jump estimator visits interior edges in creation order, first cell
     # first, which fixes the order (and the bits) of its per-cell sums
-    edge_order: np.ndarray  # (N, 3)
-    active_id_array: np.ndarray  # (M,) ascending ids of the active cells
+    edge_order: np.ndarray  # (M, 3)
+    serial: np.ndarray  # (M,) ascending; names one triangle for the process
     history: tuple = ()
 
     # -- construction -----------------------------------------------------
@@ -140,16 +146,17 @@ class Mesh:
             raise ValueError(f"edge {(int(min(a[f], b[f])), int(max(a[f], b[f])))}"
                              f" shared by {count.max()} cells")
         slot = np.arange(len(key)) - np.repeat(first, count)
-        edge_order = np.empty(len(key), dtype=np.int64)
+        edge_order = np.empty(len(key), dtype=np.int32)
         edge_order[order] = 2 * np.repeat(order[first], count) + slot
-        neighbours = np.full(len(key), -1, dtype=np.int64)
+        neighbours = np.full(len(key), -1, dtype=np.int32)
         f0, f1 = order[first[count == 2]], order[first[count == 2] + 1]
         neighbours[f0], neighbours[f1] = f1 // 3, f0 // 3
 
         n = len(tris)
-        return cls(coords, np.full((len(coords), 2), -1, dtype=np.int64),
-                   tris, tags.astype(np.int8), np.zeros(n, dtype=np.int64), neighbours.reshape(n, 3),
-                   edge_order.reshape(n, 3), np.arange(n, dtype=np.int64))
+        return cls(coords, np.full((len(coords), 2), -1, dtype=np.int32),
+                   tris.astype(np.int32), tags.astype(np.int8),
+                   np.zeros(n, dtype=np.int16), neighbours.reshape(n, 3),
+                   edge_order.reshape(n, 3), _new_serials(n))
 
     # -- basic queries ----------------------------------------------------
 
@@ -159,15 +166,7 @@ class Mesh:
 
     @property
     def num_cells(self) -> int:
-        return len(self.active_id_array)
-
-    @property
-    def num_created(self) -> int:
-        return len(self.cell_vertices)
-
-    @cached_property
-    def triangles(self) -> np.ndarray:
-        return self.cell_vertices[self.active_id_array]
+        return len(self.triangles)
 
     @cached_property
     def cell_coords(self) -> np.ndarray:
@@ -186,19 +185,17 @@ class Mesh:
 
     @cached_property
     def boundary_vertex_mask(self) -> np.ndarray:
-        cell, k = np.nonzero(self.neighbours[self.active_id_array] < 0)
+        cell, k = np.nonzero(self.neighbours < 0)
         mask = np.zeros(self.num_vertices, dtype=bool)
         mask[self.triangles[cell][np.arange(3) != k[:, None]]] = True
         return mask
 
     @cached_property
     def interior_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(verts (E,2), left cell position, right cell position) for interior
-        edges, in creation order; `left` is the edge's first owner and each
-        edge's vertex pair is ascending."""
-        ids = self.active_id_array
-        nb = self.neighbours[ids]
-        order = self.edge_order[ids]
+        """(verts (E,2), left cell, right cell) for interior edges, in
+        creation order; `left` is the edge's first owner and each edge's
+        vertex pair is ascending."""
+        nb, order = self.neighbours, self.edge_order
         cell, k = np.nonzero((nb >= 0) & (order % 2 == 0))
         rank = order[cell, k] // 2
         # creation ranks are distinct, so a scatter sorts them in O(rank range)
@@ -207,16 +204,14 @@ class Mesh:
         e = at[at >= 0]
         cell, k = cell[e], k[e]
         ends = self.triangles[cell][np.arange(3) != k[:, None]].reshape(-1, 2)
-        position = np.full(self.num_created, -1, dtype=np.int64)
-        position[ids] = np.arange(len(ids))
-        return np.sort(ends, axis=1), cell, position[nb[cell, k]]
+        return np.sort(ends, axis=1), cell, nb[cell, k]
 
     def total_marked(self) -> int:
         """Sum of marked-set sizes over all refine calls (complexity accounting)."""
         return sum(r.marked for r in self.history)
 
     def is_conforming(self) -> bool:
-        """True when no active cell has an edge that has been bisected (no
+        """True when no cell has an edge that has been bisected (no
         hanging node). Refinement keeps meshes conforming; this is a check."""
         split = np.sort(self.vertex_parents[self.vertex_parents[:, 0] >= 0], axis=1)
         edges = np.sort(self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
@@ -226,35 +221,36 @@ class Mesh:
     # -- refinement -------------------------------------------------------
 
     def refine(self, marked: Iterable[int]) -> "Mesh":
-        """Bisect the marked cells and restore conformity by closure.
+        """Bisect the cells at the marked rows and restore conformity by
+        closure; an empty marked set returns the mesh unchanged.
 
-        Marked ids must be active cells of this mesh; an empty marked set
-        returns the mesh unchanged. The marked cells are bisected in
-        ascending id, then a FIFO queue bisects every queued active cell
-        with a bisected edge until none is left. That order fixes the ids of
-        new cells and vertices, and with them the vertex numbering that the
-        bits of the solver's sums depend on.
+        The marked cells are bisected in ascending row, then a FIFO queue
+        bisects every queued cell with a bisected edge until none is left.
+        That order fixes the numbering of new vertices, which the bits of the
+        solver's sums depend on. The new mesh keeps the cells left alone in
+        their order, then the new cells in creation order.
         """
         marked_list = sorted({int(i) for i in marked})
         if not marked_list:
             return self
-        inactive = ~np.isin(marked_list, self.active_id_array)
-        if inactive.any():
-            raise ValueError("unknown or inactive cell id "
-                             f"{marked_list[int(np.argmax(inactive))]}")
+        m_rows = self.num_cells
+        if not 0 <= marked_list[0] <= marked_list[-1] < m_rows:
+            raise ValueError(f"marked rows {marked_list[0]}..{marked_list[-1]} "
+                             f"are not all inside [0, {m_rows})")
 
         nv = self.num_vertices
-        alive = np.zeros(self.num_created, dtype=np.int8)
-        alive[self.active_id_array] = 1
+        # working rows: the cells of this mesh, then every cell created here;
         # Python arrays: element access without numpy scalars, cheap appends
-        V, NB, EO, T, G, A = (_growable(x) for x in (
-            self.cell_vertices, self.neighbours, self.edge_order,
-            self.refinement_edge, self.generation, alive))
+        V, NB, EO, T, G = (_growable(x) for x in (
+            self.triangles, self.neighbours, self.edge_order,
+            self.refinement_edge, self.generation))
+        A = array("b", bytes([1]) * m_rows)  # alive
 
         split: dict[int, int] = {}  # edge -> midpoint; the input has no cut edge
         pending: dict[int, int] = {}  # half edge key -> its only owner so far
         bisections = 0
         vparents: list[int] = []
+        # the edge of highest rank is never split: its cells hold it still
         seq = int(self.edge_order.max()) // 2 + 1
         queue = deque(marked_list)
         popped = 0
@@ -334,50 +330,49 @@ class Mesh:
 
         coords = np.concatenate((self.coords, np.empty((nv - self.num_vertices, 2))))
         vertex_parents = np.concatenate(
-            (self.vertex_parents, np.array(vparents, dtype=np.int64).reshape(-1, 2)))
+            (self.vertex_parents, np.array(vparents, dtype=np.int32).reshape(-1, 2)))
         fill_midpoints(coords, vertex_parents, self.num_vertices)
-        V, NB, EO, T, G, A = (np.frombuffer(x, dtype=x.typecode)
-                              for x in (V, NB, EO, T, G, A))
-        return Mesh(coords, vertex_parents, V.reshape(-1, 3), T, G,
-                    NB.reshape(-1, 3), EO.reshape(-1, 3), np.flatnonzero(A),
+        # keep the live working rows; row[-1] = -1 maps the boundary to itself
+        live = np.flatnonzero(np.frombuffer(A, dtype=np.int8))
+        row = np.full(len(A) + 1, -1, dtype=np.int32)
+        row[live] = np.arange(len(live))
+        V, NB, EO = (np.frombuffer(x, dtype=x.typecode).reshape(-1, 3)[live]
+                     for x in (V, NB, EO))
+        T, G = (np.frombuffer(x, dtype=x.typecode)[live] for x in (T, G))
+        kept = live[live < m_rows]
+        return Mesh(coords, vertex_parents, V, T, G, row[NB], EO,
+                    np.concatenate((self.serial[kept],
+                                    _new_serials(len(live) - len(kept)))),
                     self.history + (RefineRecord(len(marked_list), bisections),))
 
     def uniform_refine(self, passes: int = 1) -> "Mesh":
         mesh = self
         for _ in range(passes):
-            mesh = mesh.refine(mesh.active_id_array)
+            mesh = mesh.refine(range(mesh.num_cells))
         return mesh
 
 
 class CellCache:
-    """Per-cell values of the last mesh asked about, checked against the
-    cells' triangles.
-
-    An entry is kept for each active cell of that mesh: its id, its ordered
-    vertex coordinates and its values. Sibling refinements of one mesh reuse
-    creation-order ids for different triangles, so a lookup hits only where
-    both the id and the coordinates match. Bisection computes every midpoint
-    the same way, so a cell that a refinement leaves alone hits its entry.
-    """
+    """Per-cell values of the cells of the last mesh asked about, keyed by
+    serial: a serial names one triangle for the life of the process, so a
+    cell that a refinement leaves alone hits its entry and no other does."""
 
     def __init__(self, shape: tuple[int, ...] = ()):
-        self._ids = np.array([-1])  # a sentinel entry no cell id matches
-        self._coords = np.zeros((1, 3, 2))
+        self._serials = np.array([-1])  # a sentinel entry no serial matches
         self._values = np.zeros((1, *shape))
 
     def values(self, mesh: Mesh, compute) -> np.ndarray:
-        """Values of all active cells of `mesh` (read-only). The cells with
-        no entry for their current triangle are filled from
-        `compute(positions)` over their active cell positions (ascending)."""
-        ids, coords = mesh.active_id_array, mesh.cell_coords
-        at = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
+        """Values of all cells of `mesh` (read-only). The cells with no entry
+        are filled from `compute(rows)` over their rows (ascending)."""
+        serial = mesh.serial
+        at = np.minimum(np.searchsorted(self._serials, serial),
+                        len(self._serials) - 1)
         out = self._values[at]
-        fresh = np.flatnonzero((self._ids[at] != ids)
-                               | (self._coords[at] != coords).any(axis=(1, 2)))
+        fresh = np.flatnonzero(self._serials[at] != serial)
         if len(fresh):
             out[fresh] = compute(fresh)
         out.flags.writeable = False
-        self._ids, self._coords, self._values = ids, coords, out
+        self._serials, self._values = serial, out
         return out
 
 
@@ -418,20 +413,20 @@ def lshape_mesh(n: int) -> Mesh:
 # -- curve queries --------------------------------------------------------
 
 
-def _centroid_balls(mesh: Mesh, positions: np.ndarray,
+def _centroid_balls(mesh: Mesh, rows: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid of each cell at `positions` and the radius about it that
-    reaches the cell's farthest vertex: the ball holds the whole cell."""
-    p = mesh.cell_coords[positions]
+    """Centroid of each cell at `rows` and the radius about it that reaches
+    the cell's farthest vertex: the ball holds the whole cell."""
+    p = mesh.cell_coords[rows]
     cent = p.mean(axis=1)
     return cent, np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
 
 
-def cells_near(mesh: Mesh, tree, positions: np.ndarray,
+def cells_near(mesh: Mesh, tree, rows: np.ndarray,
                reach: float) -> np.ndarray:
-    """Mask over active cell `positions`: cells whose centroid lies within
+    """Mask over the cells at `rows`: cells whose centroid lies within
     reach + circumradius of a point of the kd-tree `tree`."""
-    cent, circ = _centroid_balls(mesh, positions)
+    cent, circ = _centroid_balls(mesh, rows)
     bound = reach + circ + 1e-12
     # an upper bound prunes the tree search far from the points; cells are
     # grouped by bound within a factor of two so that small cells are not
@@ -447,18 +442,18 @@ def cells_near(mesh: Mesh, tree, positions: np.ndarray,
 
 
 def curve_cell_pairs(mesh: Mesh, curve: "Curve",
-                     positions: np.ndarray | None = None,
+                     rows: np.ndarray | None = None,
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate (active cell position, segment id) pairs near the curve.
+    """Candidate (cell row, segment id) pairs near the curve.
 
     A conservative superset: every cell/segment pair that actually intersects
     is included. A segment is a candidate of a cell when its midpoint lies
     within circumradius + half the longest segment of the cell's centroid.
-    Pairs are unique and come in the order of `positions` (all active cells,
-    ascending, by default), then by ascending segment.
+    Pairs are unique and come in the order of `rows` (all cells, ascending,
+    by default), then by ascending segment.
     """
-    scan = np.arange(mesh.num_cells, dtype=np.int64) if positions is None \
-        else np.asarray(positions, dtype=np.int64)
+    scan = np.arange(mesh.num_cells, dtype=np.int64) if rows is None \
+        else np.asarray(rows, dtype=np.int64)
     cent, circ = _centroid_balls(mesh, scan)
     hits = curve.midpoint_tree.query_ball_point(
         cent, circ + 0.5 * curve.max_seg_len + 1e-12, return_sorted=True)
@@ -468,27 +463,23 @@ def curve_cell_pairs(mesh: Mesh, curve: "Curve",
 
 
 def curve_hit_pairs(mesh: Mesh, curve: "Curve",
-                    positions: np.ndarray | None = None,
+                    rows: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The pairs of `curve_cell_pairs`, in its order, whose segment meets
     the closed cell by the inclusive segment-triangle test."""
-    ci, si = curve_cell_pairs(mesh, curve, positions)
+    ci, si = curve_cell_pairs(mesh, curve, rows)
     p = np.moveaxis(mesh.cell_coords[ci], 1, 0)  # corners 0, 1, 2
     hit = segments_intersect_triangles(curve.seg_start[si], curve.seg_end[si], *p)
     return ci[hit], si[hit]
 
 
 def interface_cells(mesh: Mesh, curve: "Curve",
-                    positions: np.ndarray | None = None) -> np.ndarray:
-    """Ids of active cells (of `positions`, if given) whose closure meets
-    the curve polyline."""
-    return mesh.active_id_array[np.unique(curve_hit_pairs(mesh, curve,
-                                                          positions)[0])]
+                    rows: np.ndarray | None = None) -> np.ndarray:
+    """Rows of the cells (of `rows`, if given) whose closure meets the curve
+    polyline, ascending."""
+    return np.unique(curve_hit_pairs(mesh, curve, rows)[0])
 
 
 def interface_diameter(mesh: Mesh, cells: np.ndarray) -> float:
-    """max h_T over the given cell ids (0.0 for an empty set)."""
-    if len(cells) == 0:
-        return 0.0
-    pos = np.searchsorted(mesh.active_id_array, cells)
-    return float(mesh.h_sizes[pos].max())
+    """max h_T over the cells at rows `cells` (0.0 for an empty set)."""
+    return float(mesh.h_sizes[cells].max(initial=0.0))

@@ -67,17 +67,18 @@ def cell_l2_norms(mesh: Mesh, func, n: int = 12) -> np.ndarray:
 
 
 def sibling_refinements(mesh: Mesh, curve) -> tuple[Mesh, Mesh]:
-    """Two refinements of `mesh` whose new cells share ids but not triangles.
+    """Two refinements of `mesh` whose new cells share rows but not
+    triangles.
 
     Each sibling bisects a different cell that meets the curve, then its
-    four newest cells, so both siblings create cells near the curve under
-    the same creation-order ids.
+    four newest cells, so both siblings create cells near the curve in the
+    same trailing rows.
     """
     hit = interface_cells(mesh, curve)
     siblings = []
     for cid in (hit[0], hit[5]):
         fine = mesh.refine([cid])
-        siblings.append(fine.refine(fine.active_id_array[-4:]))
+        siblings.append(fine.refine(range(fine.num_cells - 4, fine.num_cells)))
     return siblings[0], siblings[1]
 
 

@@ -11,8 +11,6 @@ end (two short runs) and is the slowest check.
 """
 import filecmp
 import itertools
-import json
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -20,15 +18,14 @@ import pytest
 
 from mollifem.afem import (AfemParams, RunRecord, greedy, interface_loop,
                            mark, solve)
-from mollifem.cli import main as cli_main, slope_fit
-from mollifem.config import ExperimentConfig, preset
+from mollifem.cli import main as cli_main
+from mollifem.config import preset
 from mollifem.fem import (ErrorIntegrator, assemble, form_matrix,
                           solve_galerkin)
 from mollifem.forcing import (KERNEL_FAMILIES, Kernel, RegularizedForcing,
                               kernel_moment_check)
 from mollifem.mesh import rect_mesh
 from mollifem.problems import smooth_problem, square_problem
-from mollifem.curves import SegmentedData
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -118,8 +115,7 @@ def test_a05_marking_minimality():
         n = int(rng.integers(1, 13))
         values = rng.uniform(0.0, 1.0, size=n)
         theta = float(rng.uniform(0.05, 0.95))
-        ids = np.arange(n, dtype=np.int64)
-        marked = mark(values, ids, theta)
+        marked = mark(values, theta)
         want = _exhaustive_min_cardinality(values, theta)
         assert len(marked) == want, (values, theta)
         checked += 1

@@ -14,9 +14,7 @@ from mollifem.afem import (AfemParams, RunRecord, RunRow, data_loop, greedy,
                            interface_loop, mark, solve)
 from mollifem.curves import Curve, SegmentedData
 from mollifem.errors import NonTerminationError
-from mollifem.estimate import estimate
-from mollifem.forcing import DensityForcing, Kernel, LineForcing, \
-    RegularizedForcing
+from mollifem.forcing import DensityForcing, LineForcing
 from mollifem.mesh import interface_cells, rect_mesh
 from mollifem.problems import lshape_problem, smooth_problem, square_problem
 
@@ -36,13 +34,12 @@ def exhaustive_min_cardinality(values: np.ndarray, theta: float) -> int:
 
 def test_mark_small_hand_case():
     values = np.array([3.0, 1.0, 2.0])
-    ids = np.array([10, 11, 12])
-    got = mark(values, ids, 0.8)
+    got = mark(values, 0.8)
     # need 0.64 * 14 = 8.96; the single largest (9) suffices
-    assert got.tolist() == [10]
-    got = mark(values, ids, 0.9)
+    assert got.tolist() == [0]
+    got = mark(values, 0.9)
     # need 11.34; {9, 4} = 13 suffices, {9} does not
-    assert sorted(got.tolist()) == [10, 12]
+    assert sorted(got.tolist()) == [0, 2]
 
 
 def test_mark_matches_exhaustive_minimum(rng):
@@ -50,8 +47,7 @@ def test_mark_matches_exhaustive_minimum(rng):
         n = int(rng.integers(1, 11))
         values = rng.uniform(0.0, 1.0, size=n)
         theta = float(rng.uniform(0.05, 0.95))
-        ids = np.arange(n, dtype=np.int64)
-        got = mark(values, ids, theta)
+        got = mark(values, theta)
         sq = values * values
         assert sq[got].sum() >= theta ** 2 * sq.sum() - 1e-12
         assert len(got) == exhaustive_min_cardinality(values, theta)
@@ -59,19 +55,20 @@ def test_mark_matches_exhaustive_minimum(rng):
 
 def test_mark_tie_breaks_by_id():
     values = np.array([1.0, 1.0, 1.0, 1.0])
-    ids = np.array([7, 3, 5, 1])
-    got = mark(values, ids, 0.5)
-    # theta^2 = 1/4: one cell carries exactly a quarter; lowest id wins
-    assert got.tolist() == [1]
+    got = mark(values, 0.5)
+    # theta^2 = 1/4: one cell carries exactly a quarter; lowest row wins
+    assert got.tolist() == [0]
+    # rows 1 and 2 tie for the largest value
+    assert mark(np.array([1.0, 2.0, 2.0, 1.0]), 0.5).tolist() == [1]
 
 
 def test_mark_rejects_bad_theta():
     with pytest.raises(ValueError):
-        mark(np.array([1.0]), np.array([0]), 1.0)
+        mark(np.array([1.0]), 1.0)
 
 
 def test_mark_zero_values_returns_empty():
-    got = mark(np.zeros(4), np.arange(4), 0.5)
+    got = mark(np.zeros(4), 0.5)
     assert len(got) == 0
 
 
@@ -101,10 +98,10 @@ def test_greedy_bisects_worst_cell_first():
     data = SegmentedData.constant(curve, 1.0)
     g = LineForcing(curve, data)
     d = g.data_indicator(mesh)
-    worst = mesh.active_id_array[int(np.argmax(d))]
+    worst = mesh.serial[int(np.argmax(d))]
     total = float(np.sqrt((d * d).sum()))
     out = greedy(mesh, g, 0.95 * total)
-    assert worst not in out.active_id_array
+    assert worst not in out.serial
 
 
 def test_greedy_tolerance_already_met_returns_same_mesh():
@@ -122,7 +119,7 @@ def test_interface_loop_postcondition():
     r = 0.04
     out = interface_loop(mesh, p.curve, r)
     cells = interface_cells(out, p.curve)
-    h = out.h_sizes[np.searchsorted(out.active_id_array, cells)]
+    h = out.h_sizes[cells]
     assert len(cells) > 0
     assert h.max() <= 0.5 * r + 1e-12
     # far cells must not have been touched: the far corner cell is original
@@ -190,7 +187,7 @@ def _watch_assembly(monkeypatch):
     def interface_loop(*args, **kwargs):
         stage[0] = True
         mesh = real[1](*args, **kwargs)
-        return mesh.refine(mesh.active_id_array[:1])
+        return mesh.refine([0])
 
     for name, fn in (("assemble", assemble), ("interface_loop", interface_loop),
                      ("solve_galerkin", noted(afem.solve_galerkin)),

@@ -57,7 +57,7 @@ def test_traced_names_exist():
     assert callable(importlib.import_module("mollifem.fem").cg)
     # the refine span reads its work counts from the last history record
     mesh = rect_mesh(1, 1)
-    last = mesh.refine(mesh.active_id_array[:1]).history[-1]
+    last = mesh.refine([0]).history[-1]
     assert (last.marked, last.bisections) == (1, 2)
 
 

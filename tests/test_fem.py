@@ -103,7 +103,7 @@ def _projected_form(mesh):
 def _corner_graded(mesh, passes):
     for _ in range(passes):
         near = np.hypot(*mesh.cell_coords.mean(axis=1).T) < 0.4
-        mesh = mesh.refine(mesh.active_id_array[near])
+        mesh = mesh.refine(np.flatnonzero(near))
     return mesh
 
 
@@ -175,7 +175,7 @@ def test_bpx_preconditioner_is_spd_with_identity_boundary_rows(
     mesh = rect_mesh(3, 3) if domain == "rect" else lshape_mesh(2)
     for _ in range(rounds):
         mesh = mesh.refine(data.draw(st.sets(
-            st.sampled_from(mesh.active_id_array.tolist()), max_size=12)))
+            st.sampled_from(range(mesh.num_cells)), max_size=12)))
     system = assemble(mesh, None)
     apply = fem._bpx_preconditioner(system).matvec
     x, y = np.random.default_rng(seed).standard_normal((2, mesh.num_vertices))
@@ -193,7 +193,7 @@ def test_solve_matches_a_direct_solve_on_a_graded_mesh():
     mesh = lshape_mesh(4).uniform_refine(2)
     for _ in range(16):  # grade toward the reentrant corner: 9 levels
         near = np.abs(mesh.cell_coords).sum(axis=2).min(axis=1) < 1e-12
-        mesh = mesh.refine(mesh.active_id_array[near])
+        mesh = mesh.refine(np.flatnonzero(near))
     plane = Poly2D(sympy.sympify("x - 2*y + x*y"))
     system = assemble(
         mesh, DensityForcing(lambda p: np.cos(p[:, 0] + 2 * p[:, 1])),
@@ -238,7 +238,7 @@ def test_solve_raises_when_cg_does_not_converge(monkeypatch):
 
 def test_prolong_preserves_linears():
     mesh = rect_mesh(3, 3, 0.0, 0.0, 1.0, 1.0)
-    fine = mesh.refine(mesh.active_id_array[:4])
+    fine = mesh.refine(range(4))
     vals = 2.0 * mesh.coords[:, 0] - mesh.coords[:, 1] + 0.5
     lifted = prolong(FeFunction(mesh, vals), fine)
     want = 2.0 * fine.coords[:, 0] - fine.coords[:, 1] + 0.5
@@ -280,7 +280,7 @@ def reference_energy_error(u, w: FeFunction, curve=None) -> float:
     depths = np.zeros(mesh.num_cells, dtype=np.int64)
     if curve is not None:
         hit = interface_cells(mesh, curve)
-        depths[np.searchsorted(mesh.active_id_array, hit)] = fem._KINK_DEPTH
+        depths[hit] = fem._KINK_DEPTH
     grads = w.cell_gradients
     total = 0.0
     for d in np.unique(depths):
@@ -306,12 +306,12 @@ def test_error_integrator_matches_direct():
         direct = reference_energy_error(u, w, curve)
         cached = integ(w)
         assert abs(cached - direct) <= 1e-10 * max(direct, 1.0)
-        mesh = mesh.refine(mesh.active_id_array[::5])
+        mesh = mesh.refine(range(0, mesh.num_cells, 5))
     # a second integrator starting cold on the final mesh agrees too
     w = solve_galerkin(assemble(mesh, g))
     cold = ErrorIntegrator(u, curve)(w)
     assert abs(cold - integ(w)) <= 1e-12 * max(cold, 1.0)
-    # sibling refinements reuse new cell ids for different triangles
+    # sibling refinements put different triangles in the same new rows
     first, second = sibling_refinements(rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0),
                                         curve)
     integ(FeFunction(first, u.value(first.coords)))
@@ -337,7 +337,7 @@ def test_error_integrator_batches_do_not_move_bits(monkeypatch):
     curve = Curve.circle((0.5, 0.5), 0.25, 512, boundary_gap=0.25)
     u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
-    mesh = mesh.refine(mesh.active_id_array[::2])
+    mesh = mesh.refine(range(0, mesh.num_cells, 2))
     positions = np.arange(mesh.num_cells)
     moments = []
     # one batch, then batches of at most 3 curve cells or 768 others (a

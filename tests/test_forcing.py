@@ -311,13 +311,13 @@ def test_caches_survive_refinement():
     g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     g.load_vector(mesh)
     g.data_indicator(mesh)
-    fine = mesh.refine(mesh.active_id_array[::3])
+    fine = mesh.refine(range(0, mesh.num_cells, 3))
     warm_rhs = g.load_vector(fine)
     warm_d = g.data_indicator(fine)
     cold = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     np.testing.assert_array_equal(warm_rhs, cold.load_vector(fine))
     np.testing.assert_array_equal(warm_d, cold.data_indicator(fine))
-    # sibling refinements reuse new cell ids for different triangles
+    # sibling refinements put different triangles in the same new rows
     first, second = sibling_refinements(mesh, curve)
     g.load_vector(first)
     g.data_indicator(first)
@@ -361,7 +361,7 @@ def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(family):
     g = _batch_forcing(family)
     mesh = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
     for _ in range(4):
-        mesh = mesh.refine(mesh.active_id_array[::3])
+        mesh = mesh.refine(range(0, mesh.num_cells, 3))
     depths = forcing._subdivision_depths(mesh.h_sizes, g.r)
     assert len(np.unique(depths)) == 3
     positions = np.arange(mesh.num_cells)
@@ -404,7 +404,7 @@ def test_each_cell_integrated_once(kind, monkeypatch):
     inner = g._cell_integrals
 
     def counted(mesh, positions):
-        integrated.extend(mesh.active_id_array[positions])
+        integrated.extend(mesh.serial[positions])
         return inner(mesh, positions)
 
     monkeypatch.setattr(g, "_cell_integrals", counted)
@@ -414,14 +414,13 @@ def test_each_cell_integrated_once(kind, monkeypatch):
     seen = len(integrated)
     g.load_vector(mesh)  # the data pass filled the load entries too
     assert len(integrated) == seen
-    fine = mesh.refine(mesh.active_id_array[::3])
+    fine = mesh.refine(range(0, mesh.num_cells, 3))
     g.load_vector(fine)
     g.data_indicator(fine)
     g.load_vector(fine)
     # each created cell at most once, and only cells of the fine mesh
     assert len(set(integrated)) == len(integrated)
-    assert set(integrated) - set(mesh.active_id_array) \
-        <= set(fine.active_id_array)
+    assert set(integrated) - set(mesh.serial) <= set(fine.serial)
 
 
 def test_load_pass_fills_data_without_eval(monkeypatch):
@@ -540,12 +539,12 @@ def test_line_cache_survives_refinement():
     g = LineForcing(curve, data)
     g.load_vector(mesh)
     g.data_indicator(mesh)
-    fine = mesh.refine(mesh.active_id_array[::2])
+    fine = mesh.refine(range(0, mesh.num_cells, 2))
     cold = LineForcing(curve, data)
     np.testing.assert_array_equal(g.load_vector(fine), cold.load_vector(fine))
     np.testing.assert_array_equal(g.data_indicator(fine),
                                   cold.data_indicator(fine))
-    # sibling refinements reuse new cell ids for different triangles
+    # sibling refinements put different triangles in the same new rows
     first, second = sibling_refinements(mesh, curve)
     g.load_vector(first)
     g.data_indicator(first)
@@ -588,7 +587,7 @@ def test_density_evaluates_only_cells_without_an_entry():
         return density(p)
 
     mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
-    fine = mesh.refine(mesh.active_id_array[::3])
+    fine = mesh.refine(range(0, mesh.num_cells, 3))
     g = DensityForcing(counted)
     for m in (mesh, fine, mesh):
         rhs, d = g.load_vector(m), g.data_indicator(m)
@@ -599,6 +598,6 @@ def test_density_evaluates_only_cells_without_an_entry():
             == d.tobytes()
     # only the last mesh's cells are kept: back on `mesh`, just the cells
     # that `fine` bisected are evaluated again
-    new = np.setdiff1d(fine.active_id_array, mesh.active_id_array)
-    split = np.setdiff1d(mesh.active_id_array, fine.active_id_array)
+    new = np.setdiff1d(fine.serial, mesh.serial)
+    split = np.setdiff1d(mesh.serial, fine.serial)
     assert calls == [6 * mesh.num_cells, 6 * len(new), 6 * len(split)]

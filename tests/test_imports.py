@@ -1,0 +1,74 @@
+"""Every name a module imports is read somewhere in that module.
+
+The AST of each file under ``src/`` and ``tests/`` is walked: a name bound
+by an import and never loaded fails, unless the import's lines say
+``# noqa: F401`` or the module lists the name in ``__all__``. Quoted
+annotations count as reads of the names they hold.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names of `source` that it never reads, in line order."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "module", None) == "__future__" \
+                or any("noqa: F401" in line for line in
+                       lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for ann in _annotations(tree):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            read |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((name for name in bound if name not in read), key=bound.get)
+
+
+@pytest.mark.parametrize("path", FILES,
+                         ids=[str(p.relative_to(ROOT)) for p in FILES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_each_kind_of_read():
+    source = (
+        "import os, sys as system\n"
+        "from typing import TYPE_CHECKING\n"
+        "from a import b, c  # noqa: F401\n"
+        "from d import (e,\n"
+        "               f)\n"
+        "if TYPE_CHECKING:\n"
+        "    from g import H\n"
+        "__all__ = ['e']\n"
+        "def k(x: 'H') -> None:\n"
+        "    return os.sep\n")
+    assert unused_imports(source) == ["system", "f"]

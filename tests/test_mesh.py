@@ -5,6 +5,7 @@ from collections import deque
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mollifem.curves import Curve
@@ -47,7 +48,7 @@ def test_refine_single_marked_cell_hand_count():
     # bisecting one of two triangles forces the neighbour across the shared
     # refinement edge to split as well: 4 active cells, 5 vertices
     mesh = two_triangle_square()
-    fine = mesh.refine([mesh.active_id_array[0]])
+    fine = mesh.refine([0])
     assert fine.num_cells == 4
     assert fine.num_vertices == 5
     assert fine.is_conforming()
@@ -72,23 +73,22 @@ def _descends_from(fine: Mesh, coarse: Mesh) -> bool:
 
 
 def _check_neighbours(mesh: Mesh) -> None:
-    """The neighbour table is symmetric over active cells, and each pair
-    shares the vertex pair of the edges they name."""
-    ids = mesh.active_id_array
-    nb = mesh.neighbours[ids]
-    assert np.all(np.isin(nb[nb >= 0], ids)) and np.all(nb >= -1)
+    """The neighbour table is symmetric over rows, and each pair shares the
+    vertex pair of the edges they name."""
+    nb = mesh.neighbours
+    assert np.all(nb < mesh.num_cells) and np.all(nb >= -1)
     cell, k = np.nonzero(nb >= 0)
     other = nb[cell, k]
     back = mesh.neighbours[other]
-    assert np.all((back == ids[cell][:, None]).sum(axis=1) == 1)
-    kb = np.argmax(back == ids[cell][:, None], axis=1)
-    tri = mesh.cell_vertices
+    assert np.all((back == cell[:, None]).sum(axis=1) == 1)
+    kb = np.argmax(back == cell[:, None], axis=1)
+    tri = mesh.triangles
 
     def edge(c, j):
         return np.sort(np.stack([tri[c, (j + 1) % 3], tri[c, (j + 2) % 3]],
                                 axis=1), axis=1)
 
-    np.testing.assert_array_equal(edge(ids[cell], k), edge(other, kb))
+    np.testing.assert_array_equal(edge(cell, k), edge(other, kb))
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,7 +101,7 @@ def test_refine_preserves_area_and_nesting(domain, rounds, data):
     _check_neighbours(mesh)
     for _ in range(rounds):
         marked = data.draw(st.sets(
-            st.sampled_from(mesh.active_id_array.tolist()), max_size=12))
+            st.sampled_from(range(mesh.num_cells)), max_size=12))
         fine = mesh.refine(marked)
         assert fine.is_conforming()
         assert abs(fine.areas.sum() - area) < 1e-12
@@ -118,12 +118,13 @@ def test_refine_preserves_area_and_nesting(domain, rounds, data):
 class _ReferenceNVB:
     """The dict-and-queue closure with per-cell tuples that the array mesh
     replaced, kept as the oracle for cell ids, vertex ids, coordinates and
-    the creation order of interior edges."""
+    the creation order of interior edges. Its ids count every cell created;
+    the mesh's rows hold its active cells in ascending id."""
 
     def __init__(self, mesh: Mesh):
         self.coords = [np.array(c) for c in mesh.coords]
         self.cells = [(tuple(v), int(t)) for v, t in
-                      zip(mesh.cell_vertices.tolist(), mesh.refinement_edge)]
+                      zip(mesh.triangles.tolist(), mesh.refinement_edge)]
         self.active = set(range(len(self.cells)))
         self.split: dict = {}
         self.edge_cells: dict = {}
@@ -161,6 +162,10 @@ class _ReferenceNVB:
         ec[(min(p, m), max(p, m))] = (c1, c2)
         queue.extend((c1, c2))
 
+    def ids(self, rows) -> list[int]:
+        """The ids of the active cells at `rows`."""
+        return np.array(sorted(self.active))[rows].tolist()
+
     def refine(self, marked) -> None:
         queue: deque = deque()
         for cid in sorted(set(marked)):
@@ -176,13 +181,12 @@ class _ReferenceNVB:
 
     def assert_same(self, mesh: Mesh) -> None:
         ids = sorted(self.active)
-        np.testing.assert_array_equal(mesh.active_id_array, ids)
+        assert mesh.num_cells == len(ids)
         np.testing.assert_array_equal(mesh.triangles,
                                       [self.cells[i][0] for i in ids])
+        np.testing.assert_array_equal(mesh.refinement_edge,
+                                      [self.cells[i][1] for i in ids])
         np.testing.assert_array_equal(mesh.coords, np.array(self.coords))
-        # every created cell, so each bisection's children are its halves
-        np.testing.assert_array_equal(mesh.cell_vertices,
-                                      [v for v, _ in self.cells])
         pos = {cid: i for i, cid in enumerate(ids)}
         inner = [(k, adj) for k, adj in self.edge_cells.items() if len(adj) == 2]
         verts, left, right = mesh.interior_edge_arrays
@@ -205,35 +209,42 @@ def test_refine_numbers_like_the_reference_closure(seed, rounds, fraction,
                             rng.integers(0, 3, grid.num_cells))
     ref = _ReferenceNVB(mesh)
     for _ in range(rounds):
-        ids = mesh.active_id_array
-        marked = rng.choice(ids, max(1, int(fraction * len(ids))),
-                            replace=False)
+        n = mesh.num_cells
+        marked = rng.choice(n, max(1, int(fraction * n)), replace=False)
+        ref.refine(ref.ids(marked))
         mesh = mesh.refine(marked)
-        ref.refine(marked.tolist())
         ref.assert_same(mesh)
         _check_neighbours(mesh)
 
 
 def test_refine_numbering_is_pinned():
-    # recorded from the dict-based closure before the array mesh replaced it
+    # recorded from the dict-based closure before the array mesh replaced it;
+    # the rows marked are the cells of creation ids [0, 7], [3, 25, 30] and
+    # [12, 31, 36], which the reference closure numbers alongside
     mesh = lshape_mesh(2)
-    for marked in ([0, 7], [3, 25, 30], [12, 31, 36]):
+    ref = _ReferenceNVB(mesh)
+    for marked in ([0, 7], [1, 21, 26], [6, 23, 28]):
+        ref.refine(ref.ids(marked))
         mesh = mesh.refine(marked)
-    np.testing.assert_array_equal(mesh.active_id_array, [
+    # the rows hold these ids in turn
+    np.testing.assert_array_equal(sorted(ref.active), [
         4, 5, 8, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 26,
         27, 28, 29, 32, 33, 34, 35, 37, 38, 39, 40, 41, 42, 44, 45, 46, 47,
         48, 49])
+    ref.assert_same(mesh)
     np.testing.assert_array_equal(mesh.triangles, TRIANGLES_PINNED)
     np.testing.assert_array_equal(8.0 * mesh.coords, COORDS_X8_PINNED)
     # cells 24, 26, ..., 48 and their siblings are the halves of these, in
     # turn: the new vertex first, then the parent's corners (p, a) and (b, p)
-    # around its refinement edge (a, b)
+    # around its refinement edge (a, b); bisected cells are no rows, so the
+    # reference's cells, which the rows match, hold them
+    cells = ref.cells
     split = [0, 7, 1, 6, 3, 25, 30, 2, 12, 31, 36, 13, 43]
     for c, cid in zip(range(24, 50, 2), split):
-        p, a, b = np.roll(mesh.cell_vertices[cid], -mesh.refinement_edge[cid])
-        m = mesh.cell_vertices[c, 0]
-        assert mesh.cell_vertices[c].tolist() == [m, p, a]
-        assert mesh.cell_vertices[c + 1].tolist() == [m, b, p]
+        p, a, b = np.roll(cells[cid][0], -cells[cid][1])
+        m = cells[c][0][0]
+        assert list(cells[c][0]) == [m, p, a]
+        assert list(cells[c + 1][0]) == [m, b, p]
         np.testing.assert_array_equal(
             mesh.coords[m], 0.5 * (mesh.coords[a] + mesh.coords[b]))
     verts, left, right = mesh.interior_edge_arrays
@@ -246,21 +257,22 @@ def test_is_conforming_detects_a_hanging_node():
     mesh = two_triangle_square()
     fine = mesh.refine([0])  # splits the shared diagonal of both cells
     assert fine.is_conforming()
-    # the children of cell 0 (the active cells made of its corners and the
+    # the children of cell 0 (the cells made of its corners and the
     # diagonal's midpoint) next to the unsplit cell 1: the midpoint hangs on
-    # cell 1's edge
-    corners = set(fine.cell_vertices[0]) | {mesh.num_vertices}
-    children = [c for c in fine.active_id_array
-                if set(fine.cell_vertices[c]) <= corners]
+    # cell 1's edge; is_conforming and areas read the triangles alone
+    corners = set(mesh.triangles[0]) | {mesh.num_vertices}
+    children = [c for c in range(fine.num_cells)
+                if set(fine.triangles[c]) <= corners]
     assert len(children) == 2
-    hanging = replace(fine, active_id_array=np.sort(np.r_[children, 1]))
+    hanging = replace(fine, triangles=np.concatenate(
+        (fine.triangles[children], mesh.triangles[[1]])))
     assert abs(hanging.areas.sum() - 1.0) < 1e-14
     assert not hanging.is_conforming()
 
 
 def test_refined_vertices_are_edge_midpoints():
     mesh = two_triangle_square()
-    fine = mesh.refine(mesh.active_id_array)
+    fine = mesh.refine(range(mesh.num_cells))
     parents = fine.vertex_parents
     for v in range(mesh.num_vertices, fine.num_vertices):
         a, b = parents[v]
@@ -271,7 +283,7 @@ def test_refined_vertices_are_edge_midpoints():
 def test_vertex_levels_follow_the_recursive_definition():
     mesh = lshape_mesh(2)
     for step in (3, 5, 2, 4):
-        mesh = mesh.refine(mesh.active_id_array[::step])
+        mesh = mesh.refine(range(0, mesh.num_cells, step))
     for start in (mesh.num_vertices - 30, 40, 0):
         # a midpoint's parents are older vertices, so one pass in id order
         want = np.zeros(mesh.num_vertices, dtype=np.int64)
@@ -293,23 +305,26 @@ def test_uniform_refine_quarters_area_scale():
 
 
 def test_cell_ids_persist_across_refinement():
+    # serials persist for the cells a refinement leaves alone, which keep
+    # their order and come first; the new cells get serials never seen
     mesh = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
-    keep = mesh.active_id_array[-1]
-    tri_before = mesh.triangles[np.searchsorted(mesh.active_id_array, keep)]
-    fine = mesh.refine([mesh.active_id_array[0]])
-    if keep in fine.active_id_array:
-        tri_after = fine.triangles[np.searchsorted(fine.active_id_array, keep)]
-        np.testing.assert_array_equal(tri_before, tri_after)
+    fine = mesh.refine([0])
+    kept = np.isin(mesh.serial, fine.serial)
+    assert kept[-1] and not kept[0]
+    n = kept.sum()
+    np.testing.assert_array_equal(fine.serial[:n], mesh.serial[kept])
+    np.testing.assert_array_equal(fine.triangles[:n], mesh.triangles[kept])
+    assert fine.serial[n] > mesh.serial[-1]
 
 
 def test_active_ids_sorted_and_match_positions():
-    mesh = lshape_mesh(2).refine(lshape_mesh(2).active_id_array[:5])
-    ids = mesh.active_id_array
-    assert np.all(np.diff(ids) > 0)
-    for i in (0, len(ids) // 2, len(ids) - 1):
-        assert np.searchsorted(ids, ids[i]) == i
-        np.testing.assert_array_equal(mesh.triangles[i],
-                                      mesh.cell_vertices[ids[i]])
+    # serials ascend along the rows, and every row's neighbours are rows
+    coarse = lshape_mesh(2)
+    mesh = coarse.refine(range(5))
+    assert np.all(np.diff(mesh.serial) > 0)
+    assert np.all(np.diff(coarse.serial) > 0)
+    assert mesh.serial[0] > coarse.serial[4]  # rows 0-4 were bisected
+    _check_neighbours(mesh)
 
 
 def test_boundary_vertex_mask_rect():
@@ -326,14 +341,14 @@ def test_interface_cells_tiny_segment_in_one_cell():
     # lower-right triangle (0,0),(1,0),(1,1); a short segment near its centroid
     curve = Curve(np.array([[0.64, 0.3], [0.70, 0.33]]), closed=False)
     hit = interface_cells(mesh, curve)
-    assert hit.tolist() == [mesh.active_id_array[0]]
+    assert hit.tolist() == [0]
 
 
 def test_interface_cells_segment_on_shared_edge_hits_both():
     mesh = two_triangle_square()
     curve = Curve(np.array([[0.3, 0.3], [0.6, 0.6]]), closed=False)
     hit = interface_cells(mesh, curve)
-    assert sorted(hit.tolist()) == sorted(mesh.active_id_array.tolist())
+    assert hit.tolist() == [0, 1]
 
 
 def test_interface_cells_positions_restriction_consistent():
@@ -342,7 +357,7 @@ def test_interface_cells_positions_restriction_consistent():
     full = interface_cells(mesh, curve)
     half = np.arange(mesh.num_cells // 2)
     part = interface_cells(mesh, curve, half)
-    expect = [i for i in full if i in set(mesh.active_id_array[half].tolist())]
+    expect = [i for i in full if i in set(half.tolist())]
     assert part.tolist() == expect
 
 
@@ -374,7 +389,7 @@ def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
     # many cells of a graded mesh
     mesh = rect_mesh(6, 6, -0.5, -0.5, 1.5, 1.5)
     for _ in range(3):
-        mesh = mesh.refine(mesh.active_id_array[::4])
+        mesh = mesh.refine(range(0, mesh.num_cells, 4))
     curves = (Curve.circle((0.5, 0.5), 0.3, 128, boundary_gap=0.2),
               Curve(rng.uniform(-0.3, 1.3, size=(25, 2)), closed=False))
     for curve in curves:
@@ -402,17 +417,15 @@ def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
 
 def test_interface_diameter_is_max_h():
     mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
-    ids = mesh.active_id_array[:3]
     expect = mesh.h_sizes[:3].max()
-    assert abs(interface_diameter(mesh, ids) - expect) < 1e-14
+    assert abs(interface_diameter(mesh, np.arange(3)) - expect) < 1e-14
     assert interface_diameter(mesh, np.empty(0, dtype=np.int64)) == 0.0
 
 
 def test_refinement_terminates_on_deep_marking():
     mesh = two_triangle_square()
     for _ in range(12):
-        worst = mesh.active_id_array[int(np.argmax(mesh.h_sizes))]
-        mesh = mesh.refine([worst])
+        mesh = mesh.refine([int(np.argmax(mesh.h_sizes))])
     assert mesh.is_conforming()
     # repeated single-cell marking must not blow the mesh up
     assert mesh.num_cells < 200
@@ -468,23 +481,59 @@ def test_cell_cache_keeps_the_active_cells_of_the_last_mesh():
     cache, lineage = CellCache((2,)), [rect_mesh(5, 4)]
     for _ in range(5):
         mesh = lineage[-1]
-        lineage.append(mesh.refine(rng.choice(mesh.active_id_array, 3,
+        lineage.append(mesh.refine(rng.choice(mesh.num_cells, 3,
                                               replace=False)))
     before = np.empty(0, dtype=np.int64)
     for mesh in lineage:
         calls = []
         got = cache.values(mesh, _triangle_values(mesh, calls))
         # only the cells the last mesh did not have are computed
-        assert sum(calls) == len(np.setdiff1d(mesh.active_id_array, before))
-        assert len(cache._ids) == len(cache._values) == mesh.num_cells
+        assert sum(calls) == len(np.setdiff1d(mesh.serial, before))
+        assert len(cache._serials) == len(cache._values) == mesh.num_cells
         assert not got.flags.writeable
-        before = mesh.active_id_array
-    # an older mesh of the lineage and two siblings that reuse ids for other
-    # triangles: each gives the bits of a cold cache
+        before = mesh.serial
+    # an older mesh of the lineage and two siblings whose new cells share
+    # rows but not triangles: each gives the bits of a cold cache
     base = lineage[2]
-    siblings = [base.refine(base.active_id_array[[k]]) for k in (0, -1)]
+    siblings = [base.refine([k]) for k in (0, base.num_cells - 1)]
     for mesh in [lineage[1], *siblings, lineage[-1], lineage[0]]:
         cold = CellCache((2,)).values(mesh, _triangle_values(mesh, []))
         got = cache.values(mesh, _triangle_values(mesh, []))
         assert np.array_equal(got, cold)
-        assert len(cache._ids) == mesh.num_cells
+        assert len(cache._serials) == mesh.num_cells
+
+
+def test_cell_cache_shares_no_entry_between_separate_meshes():
+    # equal row counts and equal triangles still name other cells
+    cache, calls = CellCache((2,)), []
+    first, second = rect_mesh(3, 2), rect_mesh(3, 2, 1.0, 0.0, 2.0, 1.0)
+    for mesh in (first, second, rect_mesh(3, 2)):
+        cache.values(mesh, _triangle_values(mesh, calls))
+    assert calls == [first.num_cells] * 3
+    assert np.intersect1d(first.serial, second.serial).size == 0
+
+
+def test_refine_rejects_rows_outside_the_mesh():
+    mesh = two_triangle_square()
+    for row in (-1, mesh.num_cells):
+        with pytest.raises(ValueError, match="not all inside"):
+            mesh.refine([0, row])
+    assert mesh.refine([]) is mesh
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), rounds=st.integers(1, 4))
+def test_refine_keeps_the_neighbour_table_symmetric(seed, rounds):
+    # random refinement edges and marked sets on a jittered grid: after every
+    # refine each row's neighbours are rows that name it back, and no half
+    # edge is left waiting for its other side (-2)
+    rng = np.random.default_rng(seed)
+    grid = rect_mesh(4, 3)
+    mesh = Mesh.from_arrays(
+        grid.coords + rng.uniform(-0.05, 0.05, grid.coords.shape),
+        grid.triangles, rng.integers(0, 3, grid.num_cells))
+    for _ in range(rounds):
+        mesh = mesh.refine(rng.choice(mesh.num_cells,
+                                      rng.integers(1, 6), replace=False))
+        assert not (mesh.neighbours == -2).any()
+        _check_neighbours(mesh)
