@@ -63,7 +63,8 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
     e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]],
                  axis=2)
     perp = np.stack([-e[:, 1, :], e[:, 0, :]], axis=1)
-    return perp / (2.0 * mesh.areas)[:, None, None]
+    perp /= (2.0 * mesh.areas)[:, None, None]
+    return perp
 
 
 def form_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -71,8 +72,8 @@ def form_matrix(mesh: Mesh) -> sp.csr_matrix:
     n = mesh.num_vertices
     tri = mesh.triangles  # int32, scipy's CSR index type: no copy
     grads = _p1_gradients(mesh)
-    k_loc = np.einsum("mdi,mdj->mij", grads, grads) \
-        * mesh.areas[:, None, None]
+    k_loc = np.einsum("mdi,mdj->mij", grads, grads)
+    k_loc *= mesh.areas[:, None, None]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()

@@ -3,10 +3,12 @@
 A ``Mesh`` is immutable: :meth:`Mesh.refine` returns a new mesh. It keeps
 its cells alone, as rows of integer arrays: a cell's row is its id in every
 API. Refinement keeps the rows it leaves alone in their order and appends the
-new cells in creation order, and each cell carries a ``serial`` that no other
-triangle of the process ever gets, so per-cell caches survive refinement.
-Vertices are only ever created (as edge midpoints), never removed, so the
-vertex count equals the P1 space dimension.
+children of the refined cells, parent by parent in row order; each split edge
+gets one new vertex, numbered in the order of the edges' first owners (by row,
+then local edge). Each cell carries a ``serial`` that no other triangle of the
+process ever gets, so per-cell caches survive refinement. Vertices are only
+ever created (as edge midpoints), never removed, so the vertex count equals
+the P1 space dimension.
 
 Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``, and
 ``neighbours[c, i]`` is the cell across it (-1 on the boundary). Bisection
@@ -16,8 +18,6 @@ opposite the newest vertex).
 """
 from __future__ import annotations
 
-from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -25,16 +25,12 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import NonTerminationError
 from .geometry import segments_intersect_triangles
 
 if TYPE_CHECKING:
     from .curves import Curve
 
-_MAX_BISECTIONS = 10_000_000
 _serials_issued = 0  # cell serials are drawn from here and never reused
-_KEY = 1 << 32  # edge key lo * _KEY + hi of vertex ids lo < hi
-_PENDING = -2  # neighbour of a half edge whose other side is not cut yet
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,11 +39,27 @@ class RefineRecord:
     bisections: int
 
 
-def _growable(x: np.ndarray) -> array:
-    """A copy of `x` as a flat Python array of the same item type."""
-    out = array(x.dtype.char)
-    out.frombytes(memoryview(np.ascontiguousarray(x)).cast("B"))
-    return out
+def _pair(tris: np.ndarray, n_vertices: int) -> np.ndarray:
+    """For each local edge of the triangles `tris` (n, 3), the flat index
+    3 * cell + edge of the other edge on the same two vertices, or -1.
+    Three edges on one pair raise."""
+    # edge k of a cell runs from its corner k + 1 to its corner k + 2
+    a, b = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+    key = np.minimum(a, b).astype(np.int64)
+    key *= n_vertices
+    key += np.maximum(a, b)
+    order = np.argsort(key)
+    key = key[order]
+    same = key[1:] == key[:-1]
+    if (same[1:] & same[:-1]).any():
+        i = np.argmax(same[1:] & same[:-1])
+        f = order[i]
+        raise ValueError(f"edge {(int(min(a[f], b[f])), int(max(a[f], b[f])))}"
+                         f" shared by {np.count_nonzero(key == key[i])} cells")
+    partner = np.full(len(key), -1, dtype=np.int32)
+    first, second = order[:-1][same], order[1:][same]
+    partner[first], partner[second] = second, first
+    return partner.reshape(-1, 3)
 
 
 def _new_serials(n: int) -> np.ndarray:
@@ -89,10 +101,6 @@ class Mesh:
     refinement_edge: np.ndarray  # (M,) local index of the edge to bisect
     generation: np.ndarray  # (M,) bisections since the initial cell
     neighbours: np.ndarray  # (M, 3) row across each local edge; -1 boundary
-    # 2 * creation rank of each edge, + 1 in the second cell to own it: the
-    # jump estimator visits interior edges in creation order, first cell
-    # first, which fixes the order (and the bits) of its per-cell sums
-    edge_order: np.ndarray  # (M, 3)
     serial: np.ndarray  # (M,) ascending; names one triangle for the process
     history: tuple = ()
 
@@ -134,29 +142,12 @@ class Mesh:
             if tags.shape != (len(tris),) or tags.min() < 0 or tags.max() > 2:
                 raise ValueError("refinement_edges must be per-cell values in {0,1,2}")
 
-        # pair up the cells of each edge; flat index 3 * cell + local edge
-        # is the creation rank, the first owner in that order is slot 0
-        a, b = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
-        key = np.minimum(a, b) * len(coords) + np.maximum(a, b)
-        order = np.argsort(key, kind="stable")
-        first = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
-        count = np.diff(np.r_[first, len(key)])
-        if count.max(initial=0) > 2:
-            f = order[first[np.argmax(count)]]
-            raise ValueError(f"edge {(int(min(a[f], b[f])), int(max(a[f], b[f])))}"
-                             f" shared by {count.max()} cells")
-        slot = np.arange(len(key)) - np.repeat(first, count)
-        edge_order = np.empty(len(key), dtype=np.int32)
-        edge_order[order] = 2 * np.repeat(order[first], count) + slot
-        neighbours = np.full(len(key), -1, dtype=np.int32)
-        f0, f1 = order[first[count == 2]], order[first[count == 2] + 1]
-        neighbours[f0], neighbours[f1] = f1 // 3, f0 // 3
-
+        partner = _pair(tris, len(coords))
+        neighbours = np.where(partner >= 0, partner // 3, -1)
         n = len(tris)
         return cls(coords, np.full((len(coords), 2), -1, dtype=np.int32),
                    tris.astype(np.int32), tags.astype(np.int8),
-                   np.zeros(n, dtype=np.int16), neighbours.reshape(n, 3),
-                   edge_order.reshape(n, 3), _new_serials(n))
+                   np.zeros(n, dtype=np.int16), neighbours, _new_serials(n))
 
     # -- basic queries ----------------------------------------------------
 
@@ -190,22 +181,6 @@ class Mesh:
         mask[self.triangles[cell][np.arange(3) != k[:, None]]] = True
         return mask
 
-    @cached_property
-    def interior_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(verts (E,2), left cell, right cell) for interior edges, in
-        creation order; `left` is the edge's first owner and each edge's
-        vertex pair is ascending."""
-        nb, order = self.neighbours, self.edge_order
-        cell, k = np.nonzero((nb >= 0) & (order % 2 == 0))
-        rank = order[cell, k] // 2
-        # creation ranks are distinct, so a scatter sorts them in O(rank range)
-        at = np.full(int(rank.max(initial=-1)) + 1, -1, dtype=np.int64)
-        at[rank] = np.arange(len(rank))
-        e = at[at >= 0]
-        cell, k = cell[e], k[e]
-        ends = self.triangles[cell][np.arange(3) != k[:, None]].reshape(-1, 2)
-        return np.sort(ends, axis=1), cell, nb[cell, k]
-
     def total_marked(self) -> int:
         """Sum of marked-set sizes over all refine calls (complexity accounting)."""
         return sum(r.marked for r in self.history)
@@ -224,126 +199,96 @@ class Mesh:
         """Bisect the cells at the marked rows and restore conformity by
         closure; an empty marked set returns the mesh unchanged.
 
-        The marked cells are bisected in ascending row, then a FIFO queue
-        bisects every queued cell with a bisected edge until none is left.
-        That order fixes the numbering of new vertices, which the bits of the
-        solver's sums depend on. The new mesh keeps the cells left alone in
-        their order, then the new cells in creation order.
+        The result is the unique conforming newest-vertex refinement in which
+        every marked cell is bisected. Each split edge gets one new vertex;
+        the new vertices are numbered in the order of their edges' first
+        owners, by row and then by local edge. The new mesh keeps the cells
+        left alone in their order, then the children of the refined cells,
+        parent by parent in row order.
         """
-        marked_list = sorted({int(i) for i in marked})
-        if not marked_list:
+        front = marked if isinstance(marked, np.ndarray) \
+            else np.fromiter(marked, np.int64)
+        if not len(front):
             return self
-        m_rows = self.num_cells
-        if not 0 <= marked_list[0] <= marked_list[-1] < m_rows:
-            raise ValueError(f"marked rows {marked_list[0]}..{marked_list[-1]} "
+        m_rows, nv = self.num_cells, self.num_vertices
+        if not 0 <= front.min() <= front.max() < m_rows:
+            raise ValueError(f"marked rows {front.min()}..{front.max()} "
                              f"are not all inside [0, {m_rows})")
+        tri, nb, ref = self.triangles, self.neighbours, self.refinement_edge
 
-        nv = self.num_vertices
-        # working rows: the cells of this mesh, then every cell created here;
-        # Python arrays: element access without numpy scalars, cheap appends
-        V, NB, EO, T, G = (_growable(x) for x in (
-            self.triangles, self.neighbours, self.edge_order,
-            self.refinement_edge, self.generation))
-        A = array("b", bytes([1]) * m_rows)  # alive
+        # closure: a refined cell splits its refinement edge, and a cell with
+        # a split edge is refined, so the cell across that edge is refined
+        refined = np.zeros(m_rows, dtype=bool)
+        refined[front] = True
+        n_marked = int(np.count_nonzero(refined))
+        while len(front):
+            across = nb[front, ref[front]]
+            front = across[(across >= 0) & ~refined[across]]
+            refined[front] = True
+        cells = np.flatnonzero(refined)
+        nbr = nb[cells]
+        # an edge is split when it is the refinement edge of a refined cell
+        # on either side of it
+        split = (np.arange(3) == ref[cells][:, None]) | (
+            (nbr >= 0) & refined[nbr] & (nb[nbr, ref[nbr]] == cells[:, None]))
 
-        split: dict[int, int] = {}  # edge -> midpoint; the input has no cut edge
-        pending: dict[int, int] = {}  # half edge key -> its only owner so far
-        bisections = 0
-        vparents: list[int] = []
-        # the edge of highest rank is never split: its cells hold it still
-        seq = int(self.edge_order.max()) // 2 + 1
-        queue = deque(marked_list)
-        popped = 0
-        while queue:
-            cid = queue.popleft()
-            popped += 1
-            if not A[cid]:
-                continue
-            c0 = 3 * cid
-            v = V[c0], V[c0 + 1], V[c0 + 2]
-            if popped > len(marked_list):  # closure: bisect only hanging cells
-                x, y, z = v
-                if not ((x * _KEY + y if x < y else y * _KEY + x) in split
-                        or (y * _KEY + z if y < z else z * _KEY + y) in split
-                        or (z * _KEY + x if z < x else x * _KEY + z) in split):
-                    continue
+        # one new vertex per split edge, numbered at its first owner
+        own = split & ((nbr < 0) | (nbr > cells[:, None]))
+        mid = np.full(split.shape, -1, dtype=np.int32)
+        mid[own] = nv + np.arange(np.count_nonzero(own))
+        c, k = np.nonzero(split & ~own)
+        n = nbr[c, k]
+        mid[c, k] = mid[np.searchsorted(cells, n),
+                        np.argmax(nb[n] == cells[c][:, None], axis=1)]
+        c, k = np.nonzero(own)
+        ends = np.take_along_axis(tri[cells[c]], (k[:, None] + [1, 2]) % 3,
+                                  axis=1)
 
-            e = T[cid]
-            p, a, b = v[e], v[(e + 1) % 3], v[(e + 2) % 3]
-            n_ab = NB[c0 + e]
-            n_pa, o_pa = NB[c0 + (e + 2) % 3], EO[c0 + (e + 2) % 3]
-            n_bp, o_bp = NB[c0 + (e + 1) % 3], EO[c0 + (e + 1) % 3]
-            key = a * _KEY + b if a < b else b * _KEY + a
-            c1, c2 = len(A), len(A) + 1
-            m = split.get(key)
-            if m is None:  # first cut of (a, b): a new vertex
-                m = nv
-                nv += 1
-                vparents += (a, b)
-                split[key] = m
-                o_am, o_mb = 2 * seq, 2 * seq + 2
-                seq += 2
-                if n_ab >= 0:  # the other side will cut (a, b) later
-                    x_am = x_mb = _PENDING
-                    pending[a * _KEY + m] = c1
-                    pending[b * _KEY + m] = c2
-                    queue.append(n_ab)
-                else:
-                    x_am = x_mb = -1
-            else:  # the other side cut (a, b) first: join its halves
-                # both halves are still pending: the cell that cut (a, b)
-                # queued this side before its own children, and this side
-                # cuts (a, b) within two bisections, before a child of that
-                # cell can have a half as its refinement edge
-                halves = []
-                for end, child in ((a, c1), (b, c2)):
-                    x = pending.pop(end * _KEY + m)
-                    x0 = 3 * x
-                    k = x0 if V[x0] != end and V[x0] != m else \
-                        x0 + 1 if V[x0 + 1] != end and V[x0 + 1] != m else x0 + 2
-                    NB[k] = child
-                    halves += (x, EO[k] | 1)
-                x_am, o_am, x_mb, o_mb = halves
-            o_pm = 2 * seq
-            seq += 1
+        # split each cell by its pattern: the first bisection halves the
+        # refinement edge (a, b) at m, then the children (m, p, a) and
+        # (m, b, p) bisect their own refinement edges (p, a) at q and
+        # (b, p) at s where those are split; children list the new vertex
+        # first, so their refinement edge is local edge 0
+        rot = (ref[cells][:, None] + np.arange(3, dtype=np.int8)) % 3
+        pabmsq = np.take_along_axis(np.concatenate((tri[cells], mid), axis=1),
+                                    np.concatenate((rot, rot + 3), axis=1), axis=1)
+        q, s = pabmsq[:, 5] >= 0, pabmsq[:, 4] >= 0
+        keep = np.stack([~q, q, q, ~s, s, s], axis=1)
+        # (m, p, a), (q, m, p), (q, a, m), (m, b, p), (s, m, b), (s, p, m)
+        kids = pabmsq[:, [[3, 0, 1], [5, 3, 0], [5, 1, 3],
+                          [3, 2, 0], [4, 3, 2], [4, 0, 3]]][keep]
+        depth = np.array([1, 2, 2, 1, 2, 2], dtype=np.int16)
+        gen = (self.generation[cells][:, None] + depth)[keep]
 
-            V.extend((m, p, a, m, b, p))
-            NB.extend((n_pa, x_am, c2, n_bp, c1, x_mb))
-            EO.extend((o_pa, o_am, o_pm, o_bp, o_pm + 1, o_mb))
-            T.extend((0, 0))
-            G.extend((G[cid] + 1, G[cid] + 1))
-            A[cid] = 0
-            A.extend((1, 1))
-            # the outer edges (p, a) and (b, p) pass to the children
-            for n, child, u in ((n_pa, c1, a), (n_bp, c2, b)):
-                if n >= 0:
-                    r = 3 * n
-                    k = r if NB[r] == cid else r + 1 if NB[r + 1] == cid else r + 2
-                    NB[k] = child
-                elif n == _PENDING:
-                    pending[p * _KEY + u if p < u else u * _KEY + p] = child
-            queue.append(c1)
-            queue.append(c2)
-            bisections += 1
-            if bisections > _MAX_BISECTIONS:
-                raise NonTerminationError("closure exceeded bisection cap")
+        # neighbours: kept rows map through `row` (row[-1] = -1 keeps the
+        # boundary), and the children pair their edges with each other and
+        # with the kept cells next to the refined ones
+        kept = ~refined
+        n_kept = m_rows - len(cells)
+        row = np.full(m_rows + 1, -1, dtype=np.int32)
+        row[:-1][kept] = np.arange(n_kept, dtype=np.int32)
+        halo = np.zeros(m_rows + 1, dtype=bool)
+        halo[nbr] = True
+        halo = np.flatnonzero(halo[:-1] & kept)
+        partner = _pair(np.concatenate((kids, tri[halo])), nv + len(ends))
+        new_row = np.concatenate((n_kept + np.arange(len(kids), dtype=np.int32),
+                                  row[halo]))
+        across = np.where(partner >= 0, new_row[partner // 3], -1)
+        # np.compress picks (M, 3) rows several times faster than a mask
+        neighbours = np.concatenate((row[np.compress(kept, nb, axis=0)],
+                                     across[:len(kids)]))
+        h, k = np.nonzero(partner[len(kids):] >= 0)
+        neighbours[row[halo[h]], k] = across[len(kids) + h, k]
 
-        coords = np.concatenate((self.coords, np.empty((nv - self.num_vertices, 2))))
-        vertex_parents = np.concatenate(
-            (self.vertex_parents, np.array(vparents, dtype=np.int32).reshape(-1, 2)))
-        fill_midpoints(coords, vertex_parents, self.num_vertices)
-        # keep the live working rows; row[-1] = -1 maps the boundary to itself
-        live = np.flatnonzero(np.frombuffer(A, dtype=np.int8))
-        row = np.full(len(A) + 1, -1, dtype=np.int32)
-        row[live] = np.arange(len(live))
-        V, NB, EO = (np.frombuffer(x, dtype=x.typecode).reshape(-1, 3)[live]
-                     for x in (V, NB, EO))
-        T, G = (np.frombuffer(x, dtype=x.typecode)[live] for x in (T, G))
-        kept = live[live < m_rows]
-        return Mesh(coords, vertex_parents, V, T, G, row[NB], EO,
-                    np.concatenate((self.serial[kept],
-                                    _new_serials(len(live) - len(kept)))),
-                    self.history + (RefineRecord(len(marked_list), bisections),))
+        coords = 0.5 * (self.coords[ends[:, 0]] + self.coords[ends[:, 1]])
+        return Mesh(np.concatenate((self.coords, coords)),
+                    np.concatenate((self.vertex_parents, ends)),
+                    np.concatenate((np.compress(kept, tri, axis=0), kids)),
+                    np.concatenate((ref[kept], np.zeros(len(kids), np.int8))),
+                    np.concatenate((self.generation[kept], gen)), neighbours,
+                    np.concatenate((self.serial[kept], _new_serials(len(kids)))),
+                    self.history + (RefineRecord(n_marked,
+                                                 len(kids) - len(cells)),))
 
     def uniform_refine(self, passes: int = 1) -> "Mesh":
         mesh = self

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import mollifem
 from mollifem.mesh import rect_mesh
 
@@ -55,10 +57,13 @@ def test_traced_names_exist():
         for attr in names:
             assert callable(getattr(cls, attr, None)), f"{clsname}.{attr}"
     assert callable(importlib.import_module("mollifem.fem").cg)
-    # the refine span reads its work counts from the last history record
+    # the refine span reads its work counts from the last history record,
+    # and the traced run writes them to JSON, which takes Python ints only
     mesh = rect_mesh(1, 1)
-    last = mesh.refine([0]).history[-1]
-    assert (last.marked, last.bisections) == (1, 2)
+    for marked in ([0], np.array([0])):
+        last = mesh.refine(marked).history[-1]
+        assert (last.marked, last.bisections) == (1, 2)
+        assert json.loads(json.dumps(last.marked)) == 1
 
 
 def test_every_traced_afem_name_records_a_span():

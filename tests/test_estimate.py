@@ -31,6 +31,33 @@ def test_jump_vanishes_for_global_linear():
     assert np.abs(jsq).max() < 1e-24
 
 
+def test_jump_matches_an_edge_loop():
+    # an independent loop over the edges of a graded mesh: the two cells of
+    # each interior edge both get h_F^2 ((g_L - g_R) . n)^2
+    rng = np.random.default_rng(5)
+    mesh = rect_mesh(4, 4)
+    for _ in range(4):
+        mesh = mesh.refine(rng.choice(mesh.num_cells, mesh.num_cells // 4,
+                                      replace=False))
+    w = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
+    grads = w.cell_gradients
+    owners: dict = {}
+    for c, tri in enumerate(mesh.triangles.tolist()):
+        for k in range(3):
+            pair = (min(tri[k - 2], tri[k - 1]), max(tri[k - 2], tri[k - 1]))
+            owners.setdefault(pair, []).append(c)
+    want = np.zeros(mesh.num_cells)
+    for (a, b), cells in owners.items():
+        if len(cells) == 2:
+            t = mesh.coords[b] - mesh.coords[a]
+            h_f = np.hypot(*t)
+            normal = np.array([t[1], -t[0]]) / h_f
+            left, right = cells
+            want[cells] += h_f ** 2 * ((grads[left] - grads[right]) @ normal) ** 2
+    assert mesh.generation.max() >= 3
+    np.testing.assert_allclose(jump_indicator_sq(mesh, w), want, rtol=1e-13)
+
+
 def test_estimate_combines_jump_and_data():
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     rng = np.random.default_rng(11)

@@ -116,16 +116,20 @@ def test_refine_preserves_area_and_nesting(domain, rounds, data):
 
 
 class _ReferenceNVB:
-    """The dict-and-queue closure with per-cell tuples that the array mesh
-    replaced, kept as the oracle for cell ids, vertex ids, coordinates and
-    the creation order of interior edges. Its ids count every cell created;
-    the mesh's rows hold its active cells in ascending id."""
+    """The sequential closure, one bisection at a time from a FIFO queue
+    over per-cell tuples, that the array refinement replaced. The conforming
+    newest-vertex closure of a marked set is unique as a set of triangles
+    (Stevenson 2008), so it is the oracle for the triangles, their
+    refinement edges, the vertex count and the number of bisections. Its
+    ids count every cell created; cells are matched to the mesh's rows by
+    their corner coordinates."""
 
     def __init__(self, mesh: Mesh):
         self.coords = [np.array(c) for c in mesh.coords]
         self.cells = [(tuple(v), int(t)) for v, t in
                       zip(mesh.triangles.tolist(), mesh.refinement_edge)]
         self.active = set(range(len(self.cells)))
+        self.bisections = 0
         self.split: dict = {}
         self.edge_cells: dict = {}
         for cid, (v, _) in enumerate(self.cells):
@@ -146,6 +150,7 @@ class _ReferenceNVB:
         self.cells += [((m, p, a), 0), ((m, b, p), 0)]
         self.active -= {cid}
         self.active |= {c1, c2}
+        self.bisections += 1
         ec = self.edge_cells
         rest = tuple(x for x in ec[key] if x != cid)
         if rest:
@@ -162,11 +167,17 @@ class _ReferenceNVB:
         ec[(min(p, m), max(p, m))] = (c1, c2)
         queue.extend((c1, c2))
 
-    def ids(self, rows) -> list[int]:
-        """The ids of the active cells at `rows`."""
-        return np.array(sorted(self.active))[rows].tolist()
+    def _corners(self, cid: int) -> tuple:
+        return tuple(tuple(self.coords[v]) for v in self.cells[cid][0])
+
+    def ids(self, mesh: Mesh, rows) -> list[int]:
+        """The ids of the active cells with the corners of `mesh`'s cells at
+        `rows`."""
+        at = {self._corners(cid): cid for cid in self.active}
+        return [at[tuple(map(tuple, mesh.cell_coords[r]))] for r in rows]
 
     def refine(self, marked) -> None:
+        self.bisections = 0
         queue: deque = deque()
         for cid in sorted(set(marked)):
             if cid in self.active:
@@ -180,19 +191,18 @@ class _ReferenceNVB:
                 self._bisect(cid, queue)
 
     def assert_same(self, mesh: Mesh) -> None:
-        ids = sorted(self.active)
-        assert mesh.num_cells == len(ids)
-        np.testing.assert_array_equal(mesh.triangles,
-                                      [self.cells[i][0] for i in ids])
-        np.testing.assert_array_equal(mesh.refinement_edge,
-                                      [self.cells[i][1] for i in ids])
-        np.testing.assert_array_equal(mesh.coords, np.array(self.coords))
-        pos = {cid: i for i, cid in enumerate(ids)}
-        inner = [(k, adj) for k, adj in self.edge_cells.items() if len(adj) == 2]
-        verts, left, right = mesh.interior_edge_arrays
-        np.testing.assert_array_equal(verts, [k for k, _ in inner])
-        np.testing.assert_array_equal(left, [pos[adj[0]] for _, adj in inner])
-        np.testing.assert_array_equal(right, [pos[adj[1]] for _, adj in inner])
+        """The same cells, each with its corners in the same local order
+        and the same refinement edge, the same vertices and the same number
+        of bisections in the last refine."""
+        want = sorted((self._corners(cid), self.cells[cid][1])
+                      for cid in self.active)
+        got = sorted((tuple(map(tuple, p)), int(e)) for p, e in
+                     zip(mesh.cell_coords, mesh.refinement_edge))
+        assert got == want
+        assert mesh.num_vertices == len(self.coords)
+        np.testing.assert_array_equal(np.unique(mesh.coords, axis=0),
+                                      np.unique(self.coords, axis=0))
+        assert mesh.history[-1].bisections == self.bisections
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,46 +221,41 @@ def test_refine_numbers_like_the_reference_closure(seed, rounds, fraction,
     for _ in range(rounds):
         n = mesh.num_cells
         marked = rng.choice(n, max(1, int(fraction * n)), replace=False)
-        ref.refine(ref.ids(marked))
+        ref.refine(ref.ids(mesh, marked))
         mesh = mesh.refine(marked)
         ref.assert_same(mesh)
         _check_neighbours(mesh)
 
 
 def test_refine_numbering_is_pinned():
-    # recorded from the dict-based closure before the array mesh replaced it;
-    # the rows marked are the cells of creation ids [0, 7], [3, 25, 30] and
-    # [12, 31, 36], which the reference closure numbers alongside
+    # recorded from the array refinement, which the reference closure
+    # checks; the marked rows are rows of each round's mesh
     mesh = lshape_mesh(2)
     ref = _ReferenceNVB(mesh)
     for marked in ([0, 7], [1, 21, 26], [6, 23, 28]):
-        ref.refine(ref.ids(marked))
-        mesh = mesh.refine(marked)
-    # the rows hold these ids in turn
-    np.testing.assert_array_equal(sorted(ref.active), [
-        4, 5, 8, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 26,
-        27, 28, 29, 32, 33, 34, 35, 37, 38, 39, 40, 41, 42, 44, 45, 46, 47,
-        48, 49])
-    ref.assert_same(mesh)
+        ref.refine(ref.ids(mesh, marked))
+        coarse, mesh = mesh, mesh.refine(marked)
+        ref.assert_same(mesh)
     np.testing.assert_array_equal(mesh.triangles, TRIANGLES_PINNED)
     np.testing.assert_array_equal(8.0 * mesh.coords, COORDS_X8_PINNED)
-    # cells 24, 26, ..., 48 and their siblings are the halves of these, in
-    # turn: the new vertex first, then the parent's corners (p, a) and (b, p)
-    # around its refinement edge (a, b); bisected cells are no rows, so the
-    # reference's cells, which the rows match, hold them
-    cells = ref.cells
-    split = [0, 7, 1, 6, 3, 25, 30, 2, 12, 31, 36, 13, 43]
-    for c, cid in zip(range(24, 50, 2), split):
-        p, a, b = np.roll(cells[cid][0], -cells[cid][1])
-        m = cells[c][0][0]
-        assert list(cells[c][0]) == [m, p, a]
-        assert list(cells[c + 1][0]) == [m, b, p]
-        np.testing.assert_array_equal(
-            mesh.coords[m], 0.5 * (mesh.coords[a] + mesh.coords[b]))
-    verts, left, right = mesh.interior_edge_arrays
-    np.testing.assert_array_equal(verts, EDGES_PINNED)
-    np.testing.assert_array_equal(left, LEFT_PINNED)
-    np.testing.assert_array_equal(right, RIGHT_PINNED)
+    # the rule of the last round: the kept cells in their order, then the
+    # children parent by parent in row order; each new vertex is numbered
+    # at the first (row, local edge) of the coarse mesh that holds its edge
+    refined = np.flatnonzero(~np.isin(coarse.serial, mesh.serial))
+    n = coarse.num_cells - len(refined)
+    np.testing.assert_array_equal(mesh.triangles[:n],
+                                  np.delete(coarse.triangles, refined, axis=0))
+    p, q = mesh.cell_coords[n:], coarse.cell_coords
+    host = np.argmax(_inside(q[None], p.mean(axis=1)[:, None]), axis=1)
+    assert np.all(np.diff(host) >= 0)
+    np.testing.assert_array_equal(np.unique(host), refined)
+    tri = coarse.triangles
+    first = []
+    for a, b in mesh.vertex_parents[coarse.num_vertices:]:
+        at = [3 * c + k for c in range(coarse.num_cells) for k in range(3)
+              if {tri[c, (k + 1) % 3], tri[c, (k + 2) % 3]} == {a, b}]
+        first.append(min(at))
+    assert np.all(np.diff(first) > 0)
 
 
 def test_is_conforming_detects_a_hanging_node():
@@ -435,34 +440,19 @@ def test_refinement_terminates_on_deep_marking():
 # -- recorded numbering for test_refine_numbering_is_pinned -------------
 
 TRIANGLES_PINNED = np.array([
-    [2, 3, 8], [2, 8, 7], [5, 6, 11], [5, 11, 10], [6, 7, 12], [6, 12, 11],
-    [8, 9, 14], [8, 14, 13], [10, 11, 16], [10, 16, 15], [11, 12, 17],
-    [11, 17, 16], [15, 16, 19], [15, 19, 18], [16, 17, 20], [16, 20, 19],
-    [21, 1, 6], [22, 8, 3], [22, 9, 8], [21, 5, 0], [21, 6, 5], [23, 6, 1],
-    [23, 7, 6], [24, 21, 0], [24, 1, 21], [25, 9, 22], [23, 2, 7],
-    [23, 1, 2], [26, 8, 13], [26, 7, 8], [27, 22, 3], [28, 25, 22],
-    [28, 4, 25], [26, 12, 7], [26, 13, 12], [28, 27, 4], [28, 22, 27]])
+    [5, 6, 11], [5, 11, 10], [6, 7, 12], [6, 12, 11], [7, 8, 13], [7, 13, 12],
+    [10, 11, 16], [10, 16, 15], [11, 12, 17], [11, 17, 16], [15, 16, 19],
+    [15, 19, 18], [16, 17, 20], [16, 20, 19], [21, 1, 6], [21, 5, 0],
+    [21, 6, 5], [22, 4, 9], [22, 3, 4], [22, 9, 8], [23, 2, 7], [23, 6, 1],
+    [23, 7, 6], [24, 25, 3], [24, 8, 25], [25, 7, 2], [25, 8, 7], [26, 21, 0],
+    [26, 1, 21], [24, 22, 8], [24, 3, 22], [27, 9, 14], [27, 8, 9],
+    [27, 13, 8], [27, 14, 13], [28, 23, 1], [28, 2, 23], [29, 25, 2],
+    [29, 3, 25]])
 COORDS_X8_PINNED = np.array([
     [-8, -8], [-4, -8], [0, -8], [4, -8], [8, -8], [-8, -4], [-4, -4],
     [0, -4], [4, -4], [8, -4], [-8, 0], [-4, 0], [0, 0], [4, 0], [8, 0],
     [-8, 4], [-4, 4], [0, 4], [-8, 8], [-4, 8], [0, 8], [-6, -6], [6, -6],
-    [-2, -6], [-6, -8], [8, -6], [2, -2], [6, -8], [7, -7]])
-EDGES_PINNED = np.array([
-    [1, 6], [5, 6], [2, 7], [6, 7], [3, 8], [2, 8], [7, 8], [8, 9], [6, 11],
-    [5, 11], [10, 11], [7, 12], [6, 12], [11, 12], [8, 13], [8, 14],
-    [11, 16], [10, 16], [15, 16], [11, 17], [16, 17], [16, 19], [15, 19],
-    [16, 20], [6, 21], [0, 21], [1, 21], [3, 22], [9, 22], [8, 22], [5, 21],
-    [1, 23], [7, 23], [6, 23], [21, 24], [22, 25], [2, 23], [13, 26],
-    [7, 26], [8, 26], [22, 27], [22, 28], [4, 28], [25, 28], [12, 26],
-    [27, 28]])
-LEFT_PINNED = np.array([
-    16, 20, 26, 22, 0, 0, 1, 18, 2, 2, 3, 4, 4, 5, 28, 6, 8, 8, 9, 10, 11,
-    12, 12, 14, 16, 23, 16, 17, 18, 17, 19, 21, 22, 21, 23, 31, 26, 28, 29,
-    28, 30, 31, 32, 31, 33, 35])
-RIGHT_PINNED = np.array([
-    21, 2, 1, 4, 17, 1, 29, 6, 5, 3, 8, 33, 5, 10, 7, 7, 11, 9, 12, 11, 14,
-    15, 13, 15, 20, 19, 24, 30, 25, 18, 20, 27, 26, 22, 24, 25, 27, 34, 33,
-    29, 36, 36, 35, 32, 34, 36])
+    [-2, -6], [4, -6], [2, -6], [-6, -8], [6, -2], [-2, -8], [2, -8]])
 
 
 def _triangle_values(mesh, calls):
@@ -525,8 +515,7 @@ def test_refine_rejects_rows_outside_the_mesh():
 @given(seed=st.integers(0, 2 ** 16), rounds=st.integers(1, 4))
 def test_refine_keeps_the_neighbour_table_symmetric(seed, rounds):
     # random refinement edges and marked sets on a jittered grid: after every
-    # refine each row's neighbours are rows that name it back, and no half
-    # edge is left waiting for its other side (-2)
+    # refine each row's neighbours are rows that name it back
     rng = np.random.default_rng(seed)
     grid = rect_mesh(4, 3)
     mesh = Mesh.from_arrays(
@@ -535,5 +524,4 @@ def test_refine_keeps_the_neighbour_table_symmetric(seed, rounds):
     for _ in range(rounds):
         mesh = mesh.refine(rng.choice(mesh.num_cells,
                                       rng.integers(1, 6), replace=False))
-        assert not (mesh.neighbours == -2).any()
         _check_neighbours(mesh)

@@ -49,6 +49,17 @@ def test_refine_1k_marked_on_100k_cells(benchmark):
     assert fine.num_cells == mesh.num_cells + fine.history[-1].bisections
 
 
+def test_refine_every_cell_of_32k_cells(benchmark):
+    # the bulk regime next to the closure-heavy one above
+    mesh = rect_mesh(128, 128)  # 32,768 cells
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    fine = benchmark.pedantic(mesh.refine, args=(range(mesh.num_cells),),
+                              rounds=10, warmup_rounds=1)
+    assert fine.num_cells == 2 * mesh.num_cells
+    assert fine.history[-1].bisections == mesh.num_cells
+
+
 def test_cg_solve_on_66k_dofs(benchmark, square_66k):
     # rect_mesh(4, 4) after 12 uniform passes; about 0.15 s a solve, so a
     # fixed round count keeps the Tier-1 cost under a second
