@@ -77,12 +77,6 @@ class ExperimentConfig:
         bad.extend(self.params.issues())
         return bad
 
-    def validate(self) -> "ExperimentConfig":
-        bad = self.issues()
-        if bad:
-            raise ValueError("invalid config: " + "; ".join(bad))
-        return self
-
     def to_dict(self) -> dict:
         p = self.params
         return {

@@ -17,7 +17,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quadrature as quadr
 from .errors import NumericalError
-from .mesh import CellCache, Mesh, curve_hit_pairs, fill_midpoints, vertex_levels
+from .mesh import CellCache, Mesh, curve_hit_pairs
 from .mesh import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 
 CG_RTOL = 5e-11
@@ -115,13 +115,13 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
 def _bpx_preconditioner(system: DiscreteSystem) -> LinearOperator:
     """Additive multilevel (BPX) preconditioner over the bisection genealogy:
     B = F (sum_w P_w D^-1 P_w^T) F + E, with P_w the prolongation from the
-    vertices of level <= w (`vertex_levels`; a new vertex takes the mean of
+    vertices of level <= w (`Mesh.vertex_level`; a new vertex is the mean of
     its parents), D = diag(A), F and E the projections onto free and boundary
     vertices. cond(BA) is bounded on graded NVB grids (Chen-Nochetto-Xu 2012)."""
     d = system.matrix.diagonal()
     if np.any(d <= 0):
         raise NumericalError("non-positive diagonal in assembled matrix")
-    free, level = system.free_mask, vertex_levels(system.mesh.vertex_parents)
+    free, level = system.free_mask, system.mesh.vertex_level
     # sorted by level, the vertices of levels <= w are the first ends[w]
     order = np.argsort(level, kind="stable")
     ends = np.cumsum(np.bincount(level))
@@ -171,7 +171,11 @@ def prolong(fn: FeFunction, fine: Mesh) -> FeFunction:
         raise ValueError("target mesh is not a refinement of the source mesh")
     vals = np.empty(nf)
     vals[:nc] = fn.nodal_values
-    fill_midpoints(vals, fine.vertex_parents, nc)
+    new, level = np.arange(nc, nf), fine.vertex_level[nc:]
+    for wave in np.unique(level):  # a vertex's ends have lower levels
+        v = new[level == wave]
+        a, b = fine.vertex_parents[v].T
+        vals[v] = 0.5 * (vals[a] + vals[b])
     return FeFunction(fine, vals)
 
 

@@ -15,10 +15,9 @@ Each exposes ``load_vector`` (P1 load vector) and ``data_indicator``
 from __future__ import annotations
 
 import logging
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from . import quadrature as quadr
@@ -30,8 +29,6 @@ logger = logging.getLogger("mollifem")
 
 KERNEL_FAMILIES = ("radial_c1", "tensor_cinf", "tensor_linf")
 
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
-
 
 def r_of_tau(tau: float) -> float:
     """Mollification radius coupled to the outer tolerance, r = tau^2."""
@@ -40,19 +37,11 @@ def r_of_tau(tau: float) -> float:
     return tau * tau
 
 
-@lru_cache(maxsize=None)
-def _radial_c1_const() -> float:
-    # 1 / integral of (1 + cos(pi|x|)) over the unit ball.
-    val, _ = quad(lambda s: s * (1.0 + np.cos(np.pi * s)), 0.0, 1.0, **_QUAD_OPTS)
-    return 1.0 / (2.0 * np.pi * val)
-
-
-@lru_cache(maxsize=None)
-def _cinf_1d_norm() -> float:
-    # quad samples only inside (-1, 1), where 1 - t^2 > 0
-    return quad(lambda t: np.exp(1.0 - 1.0 / (1.0 - t * t)), -1.0, 1.0,
-                **_QUAD_OPTS)[0]
-
+# 1 / int (1 + cos(pi|x|)) over the unit ball = 1 / (pi - 4/pi), and the
+# integral of exp(1 - 1/(1 - t^2)) over (-1, 1): the two kernels' norming
+# constants, correctly rounded (mpmath). A test re-derives both.
+_RADIAL_C1_NORM = 0.5352307308831128
+_CINF_1D_NORM = 1.2069003224378763
 
 # 1 + cos(pi sqrt(u)) = w^2 Q(w), w = 1 - u in [0, 1]: Q is the degree-9
 # Chebyshev interpolant in 2u - 1 at 64 Chebyshev points (mpmath, 50 digits;
@@ -83,20 +72,14 @@ class Kernel:
             raise ValueError(f"unknown kernel family {family!r}")
         self.family = family
         self.support = "ball" if family == "radial_c1" else "square"
-        if family == "radial_c1":
-            self.c_norm = _radial_c1_const()
-            self._q = tuple(self.c_norm * c for c in _RADIAL_Q)
-        elif family == "tensor_cinf":
-            self.c_norm = 1.0 / _cinf_1d_norm() ** 2
-        else:
-            self.c_norm = 0.25
+        self._q = tuple(_RADIAL_C1_NORM * c for c in _RADIAL_Q)
 
     def _psi_1d(self, t: np.ndarray) -> np.ndarray:
         if self.family == "tensor_cinf":
             # clamped off the support, where exp(1 - 1/0) = 0
             with np.errstate(divide="ignore"):
                 u = 1.0 - np.minimum(t * t, 1.0)
-                return np.exp(1.0 - 1.0 / u) / _cinf_1d_norm()
+                return np.exp(1.0 - 1.0 / u) / _CINF_1D_NORM
         # tensor_linf
         return np.where(np.abs(t) < 1.0, 0.5, 0.0)
 
@@ -131,7 +114,7 @@ class Kernel:
             edges = np.linspace(0.0, 1.0, ncell + 1)
             s = (edges[:-1, None] + np.diff(edges)[:, None] * gx[None, :]).ravel()
             w = (np.diff(edges)[:, None] * gw[None, :]).ravel()
-            prof = self.c_norm * (1.0 + np.cos(np.pi * s))
+            prof = _RADIAL_C1_NORM * (1.0 + np.cos(np.pi * s))
             m0 = 2.0 * np.pi * float((s * prof * w).sum())
             ang = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
             dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1).mean(axis=0)
@@ -374,8 +357,7 @@ class DensityForcing(_CellForcing):
         return out
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:
-        sq = self._records(mesh)[:, 3]
-        return mesh.h_sizes * np.sqrt(np.maximum(sq, 0.0))
+        return mesh.h_sizes * np.sqrt(self._records(mesh)[:, 3])
 
 
 class LineForcing(_CurveForcing):
@@ -410,7 +392,6 @@ class LineForcing(_CurveForcing):
         np.add.at(out[:, :3], rows,
                   np.einsum("p,q,pqi->pi", length * f, gw, lam))
         np.add.at(out[:, 3], rows, length * f ** 2)
-        np.maximum(out[:, 3], 0.0, out=out[:, 3])
         return out
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:

@@ -7,8 +7,8 @@ children of the refined cells, parent by parent in row order; each split edge
 gets one new vertex, numbered in the order of the edges' first owners (by row,
 then local edge). Each cell carries a ``serial`` that no other triangle of the
 process ever gets, so per-cell caches survive refinement. Vertices are only
-ever created (as edge midpoints), never removed, so the vertex count equals
-the P1 space dimension.
+ever created (as edge midpoints, each recording its edge and its bisection
+level), never removed, so the vertex count equals the P1 space dimension.
 
 Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``, and
 ``neighbours[c, i]`` is the cell across it (-1 on the boundary). Bisection
@@ -68,35 +68,13 @@ def _new_serials(n: int) -> np.ndarray:
     return np.arange(_serials_issued - n, _serials_issued, dtype=np.int64)
 
 
-def vertex_levels(vertex_parents: np.ndarray, start: int = 0) -> np.ndarray:
-    """0 for initial vertices and those below `start`, else
-    ``1 + max(level[a], level[b])`` for the midpoint of edge (a, b)."""
-    level = np.zeros(len(vertex_parents), dtype=np.int64)
-    v = start + np.flatnonzero(vertex_parents[start:, 0] >= 0)
-    a, b = vertex_parents[v].T
-    while True:  # after pass w, levels up to w are final
-        new = 1 + np.maximum(level[a], level[b])
-        if np.array_equal(new, level[v]):
-            return level
-        level[v] = new
-
-
-def fill_midpoints(values: np.ndarray, vertex_parents: np.ndarray,
-                   start: int) -> None:
-    """Set ``values[v] = 0.5 * (values[a] + values[b])`` for each vertex
-    ``v >= start`` bisecting edge (a, b), level by level."""
-    level = vertex_levels(vertex_parents, start)
-    for wave in range(1, level.max(initial=0) + 1):
-        a, b = vertex_parents[level == wave].T
-        values[level == wave] = 0.5 * (values[a] + values[b])
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class Mesh:
     """Immutable conforming triangulation; see module docstring."""
 
     coords: np.ndarray  # (V, 2)
     vertex_parents: np.ndarray  # (V, 2) ends of the bisected edge; -1 if initial
+    vertex_level: np.ndarray  # (V,) 0 if initial, else 1 + max over the ends
     triangles: np.ndarray  # (M, 3) CCW vertex ids of each cell
     refinement_edge: np.ndarray  # (M,) local index of the edge to bisect
     generation: np.ndarray  # (M,) bisections since the initial cell
@@ -146,6 +124,7 @@ class Mesh:
         neighbours = np.where(partner >= 0, partner // 3, -1)
         n = len(tris)
         return cls(coords, np.full((len(coords), 2), -1, dtype=np.int32),
+                   np.zeros(len(coords), dtype=np.int16),
                    tris.astype(np.int32), tags.astype(np.int8),
                    np.zeros(n, dtype=np.int16), neighbours, _new_serials(n))
 
@@ -283,6 +262,8 @@ class Mesh:
         coords = 0.5 * (self.coords[ends[:, 0]] + self.coords[ends[:, 1]])
         return Mesh(np.concatenate((self.coords, coords)),
                     np.concatenate((self.vertex_parents, ends)),
+                    np.concatenate((self.vertex_level,
+                                    1 + self.vertex_level[ends].max(axis=1))),
                     np.concatenate((np.compress(kept, tri, axis=0), kids)),
                     np.concatenate((ref[kept], np.zeros(len(kids), np.int8))),
                     np.concatenate((self.generation[kept], gen)), neighbours,

@@ -236,9 +236,16 @@ def test_solve_raises_when_cg_does_not_converge(monkeypatch):
         solve_galerkin(uniform_square_system(2))
 
 
-def test_prolong_preserves_linears():
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_prolong_preserves_linears(rounds):
+    # several refines with no solve between them, as in the data loop: the
+    # ends of a new vertex may be new too
     mesh = rect_mesh(3, 3, 0.0, 0.0, 1.0, 1.0)
-    fine = mesh.refine(range(4))
+    fine = mesh
+    for k in range(rounds):
+        fine = fine.refine([*range(4), *range(5 + k, fine.num_cells, 7)])
+    new_ends = fine.vertex_parents[mesh.num_vertices:] >= mesh.num_vertices
+    assert new_ends.any() == (rounds > 1)
     vals = 2.0 * mesh.coords[:, 0] - mesh.coords[:, 1] + 0.5
     lifted = prolong(FeFunction(mesh, vals), fine)
     want = 2.0 * fine.coords[:, 0] - fine.coords[:, 1] + 0.5

@@ -109,7 +109,7 @@ def _masked_psi_1d(family: str, t: np.ndarray) -> np.ndarray:
         u = 1.0 - t * t
         out = np.zeros_like(t)
         ok = u > 0
-        out[ok] = np.exp(1.0 - 1.0 / u[ok]) / forcing._cinf_1d_norm()
+        out[ok] = np.exp(1.0 - 1.0 / u[ok]) / forcing._CINF_1D_NORM
         return out
     return np.where(np.abs(t) < 1.0, 0.5, 0.0)
 
@@ -177,6 +177,16 @@ def test_radial_coefficients_are_the_chebyshev_interpolant():
                               for j in range(i, deg + 1)))
                 for i in range(deg + 1)]
     assert coef == list(forcing._RADIAL_Q)
+
+
+def test_kernel_norming_constants_are_the_rounded_integrals():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        # 2 pi int_0^1 s (1 + cos(pi s)) ds = pi - 4 / pi
+        radial = 1 / (mp.pi - 4 / mp.pi)
+        cinf = mp.quad(lambda t: mp.exp(1 - 1 / (1 - t * t)), [-1, 0, 1])
+        assert float(radial) == forcing._RADIAL_C1_NORM
+        assert float(cinf) == forcing._CINF_1D_NORM
 
 
 def test_r_of_tau_square_law():

@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and the
+package starts without the slow scipy modules.
 
 The AST of each file under ``src/`` and ``tests/`` is walked: a name bound
 by an import and never loaded fails, unless the import's lines say
@@ -8,6 +9,9 @@ annotations count as reads of the names they hold.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,15 @@ def test_the_check_sees_each_kind_of_read():
         "def k(x: 'H') -> None:\n"
         "    return os.sep\n")
     assert unused_imports(source) == ["system", "f"]
+
+
+def test_the_cli_imports_neither_scipy_integrate_nor_optimize():
+    # scipy.integrate pulls in scipy.optimize: about 0.2 s of every start
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mollifem.cli; print(sorted("
+         "{'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mollifem.curves import Curve
 from mollifem.geometry import segments_intersect_triangles
 from mollifem.mesh import (CellCache, Mesh, curve_cell_pairs, interface_cells,
-                           interface_diameter, lshape_mesh, rect_mesh,
-                           vertex_levels)
+                           interface_diameter, lshape_mesh, rect_mesh)
 
 
 def two_triangle_square() -> Mesh:
@@ -287,18 +286,17 @@ def test_refined_vertices_are_edge_midpoints():
 
 def test_vertex_levels_follow_the_recursive_definition():
     mesh = lshape_mesh(2)
+    np.testing.assert_array_equal(mesh.vertex_level, 0)
     for step in (3, 5, 2, 4):
         mesh = mesh.refine(range(0, mesh.num_cells, step))
-    for start in (mesh.num_vertices - 30, 40, 0):
-        # a midpoint's parents are older vertices, so one pass in id order
-        want = np.zeros(mesh.num_vertices, dtype=np.int64)
-        for v in range(start, mesh.num_vertices):
-            a, b = mesh.vertex_parents[v]
-            if a >= 0:
-                want[v] = 1 + max(want[a], want[b])
-        np.testing.assert_array_equal(
-            vertex_levels(mesh.vertex_parents, start), want)
-    assert want.max() >= 2
+    # a midpoint's parents are older vertices, so one pass in id order
+    want = np.zeros(mesh.num_vertices, dtype=np.int64)
+    for v in range(mesh.num_vertices):
+        a, b = mesh.vertex_parents[v]
+        if a >= 0:
+            want[v] = 1 + max(want[a], want[b])
+    np.testing.assert_array_equal(mesh.vertex_level, want)
+    assert want.max() >= 2 and mesh.vertex_level.dtype == np.int16
 
 
 def test_uniform_refine_quarters_area_scale():
