@@ -72,6 +72,9 @@ class Kernel:
             raise ValueError(f"unknown kernel family {family!r}")
         self.family = family
         self.support = "ball" if family == "radial_c1" else "square"
+        # tensor_linf jumps at the support's edge, so its quadrature error
+        # only halves with each subdivision level
+        self.continuous = family != "tensor_linf"
         self._q = tuple(_RADIAL_C1_NORM * c for c in _RADIAL_Q)
 
     def _psi_1d(self, t: np.ndarray) -> np.ndarray:
@@ -184,10 +187,18 @@ class _CurveForcing(_CellForcing):
         self.data = data
 
 
-def _subdivision_depths(h: np.ndarray, r: float) -> np.ndarray:
+def _subdivision_depths(h: np.ndarray, r: float,
+                        continuous: bool = True) -> np.ndarray:
+    """Depth of the subdivided rule for cells of size h = |T|^(1/2), with
+    x = log2(h / r): ceil(x) + 2 where h > r. For a continuous kernel a
+    cell with h <= r gets max(0, ceil(x / 2) + 2): 6 points at h/r <= 1/16,
+    24 up to 1/4 and 96 up to 1, each class within 1e-5 of a depth-5 rule
+    for h/r <= 1/2 (tests/test_forcing.py). A discontinuous kernel keeps
+    depth 2 there."""
     with np.errstate(divide="ignore"):
-        d = np.ceil(np.log2(np.maximum(h, 1e-300) / r))
-    return (np.maximum(d, 0) + 2).astype(np.int64)
+        x = np.log2(np.maximum(h, 1e-300) / r)
+    d = np.maximum(np.ceil(x), np.ceil(x / 2) if continuous else 0)
+    return np.maximum(d + 2, 0).astype(np.int64)
 
 
 # Fine bins per radius, quadrature points per batch of cells, and (point,
@@ -313,7 +324,8 @@ class RegularizedForcing(_CurveForcing):
         where `_near` rules the cell out."""
         out = np.zeros((len(positions), 4))
         near = np.flatnonzero(self._near(mesh, positions))
-        depths = _subdivision_depths(mesh.h_sizes[positions[near]], self.r)
+        depths = _subdivision_depths(mesh.h_sizes[positions[near]], self.r,
+                                     self.kernel.continuous)
         coords = mesh.cell_coords[positions]
         areas = mesh.areas[positions]
         for d in np.unique(depths):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from mollifem import forcing
 from mollifem import quadrature as quadr
+from mollifem.afem import interface_loop
 from mollifem.curves import Curve, SegmentedData
 from mollifem.forcing import (KERNEL_FAMILIES, DensityForcing, Kernel,
                               LineForcing, RegularizedForcing,
@@ -384,6 +385,67 @@ def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(family):
         data = mesh.areas[c] * np.einsum("mq,mq,q->m", v, v, w)[0]
         assert got[c, :3].tobytes() == load.tobytes()
         assert got[c, 3] == data
+
+
+def test_subdivision_depths_follow_h_over_r():
+    r = 0.06
+    ratios = np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 1, 2, 4])
+    above = ratios * (1 + 1e-9)
+    smooth = forcing._subdivision_depths(r * ratios, r)
+    np.testing.assert_array_equal(smooth, [0, 1, 1, 2, 2, 3, 4])
+    np.testing.assert_array_equal(forcing._subdivision_depths(r * above, r),
+                                  [1, 1, 2, 2, 3, 4, 5])
+    np.testing.assert_array_equal(
+        forcing._subdivision_depths(r * np.array([1 / 64, 1e-6]), r), [0, 0])
+    for family in ("radial_c1", "tensor_cinf"):
+        assert Kernel(family).continuous
+    # the discontinuous kernel keeps depth 2 on every cell no wider than r
+    box = Kernel("tensor_linf")
+    assert not box.continuous
+    np.testing.assert_array_equal(
+        forcing._subdivision_depths(r * ratios, r, box.continuous),
+        [2, 2, 2, 2, 2, 3, 4])
+
+
+def _rule_integrals(g: RegularizedForcing, mesh: Mesh, rows: np.ndarray,
+                    depth: int) -> np.ndarray:
+    """`_cell_integrals`' records from the subdivided rule of one depth."""
+    bary, w = quadr.subdivided_rule(depth)
+    out = np.empty((len(rows), 4))
+    for lo in range(0, len(rows), 50):
+        sel = rows[lo:lo + 50]
+        pts = quadr.triangle_points(mesh.cell_coords[sel], bary)
+        v = g.eval(pts.reshape(-1, 2)).reshape(len(sel), -1)
+        out[lo:lo + 50, :3] = mesh.areas[sel, None] \
+            * np.einsum("mq,q,qi->mi", v, w, bary)
+        out[lo:lo + 50, 3] = mesh.areas[sel] * np.einsum("mq,mq,q->m", v, v, w)
+    return out
+
+
+@pytest.mark.parametrize("family", ["radial_c1", "tensor_cinf"])
+def test_graded_depths_match_a_depth_5_rule(family, rng):
+    # per h/r class of near cells, the relative 2-norm error of the load rows
+    # and of the data squares against the depth-5 rule; the graded depths
+    # hold 1e-5 up to h/r = 1/2, and (1/2, 1] keeps depth 2 and its error
+    # (7.4e-5 for radial_c1 here)
+    r = 0.06
+    curve = Curve.circle((0.5, 0.5), 0.25, 1024, boundary_gap=0.25)
+    g = RegularizedForcing(curve, SegmentedData.constant(curve, 1.5),
+                           Kernel(family), r)
+    mesh = interface_loop(rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0), curve, r / 8)
+    near = np.flatnonzero(g._near(mesh, np.arange(mesh.num_cells)))
+    ratio = mesh.h_sizes[near] / r
+    for lo, hi, bound in ((0, 1 / 16, 1e-5), (1 / 16, 1 / 8, 1e-5),
+                          (1 / 8, 1 / 4, 1e-5), (1 / 4, 1 / 2, 1e-5),
+                          (1 / 2, 1, 1e-4)):
+        cls = near[(ratio > lo) & (ratio <= hi)]
+        assert len(cls) > 0
+        rows = np.sort(rng.choice(cls, min(200, len(cls)), replace=False))
+        got = g._cell_integrals(mesh, rows)
+        want = _rule_integrals(g, mesh, rows, 5)
+        for part in (np.s_[:, :3], np.s_[:, 3]):
+            err = np.linalg.norm(got[part] - want[part])
+            assert err <= bound * np.linalg.norm(want[part]), (lo, hi, part)
 
 
 def test_near_cells_cover_the_corners_of_a_square_support():

@@ -36,6 +36,17 @@ def test_cold_regularized_forcing(benchmark, lshape_at_r):
     # the load carries the line mass f |gamma| = 2 pi (f = 1 / radius)
     assert abs(rhs.sum() - 2.0 * np.pi) < 1e-4
     assert np.all(d >= 0.0) and d.max() > 0.0
+    # here every near cell has h/r >= 0.43, so depth 2 or 3 under either
+    # rule; the workloads' cells are far smaller, as on this mesh resolved to
+    # h_T <= R/32 along the curve, where the graded rule takes 0.15 of the
+    # points of a uniform depth-2 (96-point) rule
+    fine = interface_loop(mesh, problem.curve, R / 16)
+    g = RegularizedForcing(problem.curve, problem.f, Kernel("radial_c1"), R)
+    points, inner = [], g.eval
+    g.eval = lambda pts: points.append(len(pts)) or inner(pts)
+    g.load_vector(fine)
+    near = g._near(fine, np.arange(fine.num_cells))
+    assert sum(points) <= 96 * near.sum() / 4
 
 
 def test_refine_1k_marked_on_100k_cells(benchmark):
