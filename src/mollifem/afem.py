@@ -222,17 +222,11 @@ def interface_loop(mesh: Mesh, curve: Curve, r: float) -> Mesh:
     """Refine cells meeting the curve until they all satisfy h_T <= r/2."""
     if r <= 0:
         raise ValueError("r must be positive")
-    cells = interface_cells(mesh, curve)
     for _ in range(INTERFACE_PASS_CAP):
+        cells = interface_cells(mesh, curve)
         if interface_diameter(mesh, cells) <= 0.5 * r:
             return mesh
-        last = mesh.serial[-1]
         mesh = mesh.refine(cells[mesh.h_sizes[cells] > 0.5 * r])
-        # the cells left alone had h_T <= r/2 already, and children sit
-        # inside their parents: only the new cells, the trailing rows, can
-        # meet the curve with h_T > r/2
-        new = int(np.searchsorted(mesh.serial, last, side="right"))
-        cells = interface_cells(mesh, curve, np.arange(new, mesh.num_cells))
     raise NonTerminationError(
         f"interface resolution to r={r:.3g} exceeded {INTERFACE_PASS_CAP} passes")
 

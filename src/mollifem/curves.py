@@ -2,15 +2,21 @@
 
 The immersed curve gamma is always handled through its polyline
 discretization; a circle is represented by an inscribed regular polygon.
-Curve objects are immutable and own the spatial index of their segments used
-for proximity and intersection queries.
+A curve's points never change. It owns the spatial index of its segments,
+used for proximity queries, and the incidence of its segments and the cells
+of the last mesh asked about (`Curve.hits`), the one place where the program
+decides which cells the curve meets.
 """
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .geometry import clip_segments_to_triangles
+from .mesh import Mesh, cell_balls, match_serials
 
 
 class Curve:
@@ -27,6 +33,9 @@ class Curve:
         self.boundary_gap = float(boundary_gap)
         if self.total_length <= 0:
             raise ValueError("curve has zero length")
+        self._serials = np.array([-1])  # a sentinel entry no serial matches
+        self._hits = (np.empty(0, np.int64), np.empty(0, np.int64),
+                      np.empty(0), np.empty(0))
 
     @classmethod
     def circle(cls, center, radius: float, n_segments: int = 2 ** 14,
@@ -70,6 +79,61 @@ class Curve:
         """kd-tree of the segment midpoints; a segment that comes within rho
         of x has its midpoint within rho + max_seg_len / 2 of x."""
         return cKDTree(0.5 * (self.seg_start + self.seg_end))
+
+    def hits(self, mesh: Mesh, rows: np.ndarray | None = None,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The incidence of the segments and the cells of `mesh`: (cell,
+        seg, t0, t1) for each pair whose segment meets the closed cell,
+        touching included (`clip_segments_to_triangles`), by cell, then by
+        ascending segment. [t0, t1] is the part of the segment's parameter
+        range inside the cell, empty where the two only touch. With `rows`
+        (ascending), the pairs of the cells at `rows` alone, each cell given
+        by its place in `rows`. The arrays are read-only.
+
+        The pairs of the last mesh asked about are kept, keyed by cell
+        serial (`match_serials`): only cells that mesh lacks are clipped.
+        """
+        at, fresh = match_serials(self._serials, mesh.serial)
+        if len(fresh) or len(self._serials) != mesh.num_cells:
+            kept = np.ones(mesh.num_cells, dtype=bool)
+            kept[fresh] = False
+            row = np.full(len(self._serials), -1)
+            row[at[kept]] = np.flatnonzero(kept)
+            cell, seg, t0, t1 = self._hits
+            cell = row[cell]
+            on = cell >= 0
+            ci, si = self._candidates(mesh, fresh)
+            p = np.moveaxis(mesh.cell_coords[ci], 1, 0)  # corners 0, 1, 2
+            a, b, meets = clip_segments_to_triangles(
+                self.seg_start[si], self.seg_end[si], *p)
+            hits = [np.concatenate((x[on], y[meets])) for x, y in
+                    ((cell, ci), (seg, si), (t0, a), (t1, b))]
+            # kept and fresh pairs each ascend by cell, segments in order
+            order = np.argsort(hits[0], kind="stable")
+            self._hits = tuple(x[order] for x in hits)
+            for x in self._hits:
+                x.flags.writeable = False
+            self._serials = mesh.serial
+        if rows is None:
+            return self._hits
+        place = np.full(mesh.num_cells, -1)
+        place[rows] = np.arange(len(rows))
+        cell = place[self._hits[0]]
+        sel = cell >= 0
+        return (cell[sel], *(x[sel] for x in self._hits[1:]))
+
+    def _candidates(self, mesh: Mesh, rows: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """(row, segment) pairs of the cells at `rows` (ascending), by row,
+        then by ascending segment: a segment is a candidate of a cell when
+        its midpoint lies within circumradius + half the longest segment of
+        the cell's centroid, so every pair that meets is one."""
+        cent, circ = cell_balls(mesh, rows)
+        near = self.midpoint_tree.query_ball_point(
+            cent, circ + 0.5 * self.max_seg_len + 1e-12, return_sorted=True)
+        count = np.fromiter(map(len, near), np.int64, len(near))
+        seg = np.fromiter(chain.from_iterable(near), np.int64, count.sum())
+        return np.repeat(rows, count), seg
 
 
 class SegmentedData:

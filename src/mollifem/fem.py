@@ -17,7 +17,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quadrature as quadr
 from .errors import NumericalError
-from .mesh import CellCache, Mesh, curve_hit_pairs
+from .mesh import CellCache, Mesh
 from .mesh import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 
 CG_RTOL = 5e-11
@@ -250,8 +250,7 @@ class ErrorIntegrator:
         n, coords = len(positions), mesh.cell_coords[positions]
         cell, ends = np.empty(0, dtype=np.int64), np.empty((3, 2, 0))
         if self.curve is not None:
-            cell, seg = curve_hit_pairs(mesh, self.curve, positions)
-            cell = np.searchsorted(positions, cell)  # ascending
+            cell, seg = self.curve.hits(mesh, positions)[:2]
             ends = quadr.barycentric(coords[cell], np.stack(
                 [self.curve.seg_start[seg], self.curve.seg_end[seg]], axis=1)).T
         # batches of whole cells, by the points a cell may need; each sum runs

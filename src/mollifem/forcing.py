@@ -22,8 +22,7 @@ from scipy.spatial import cKDTree
 
 from . import quadrature as quadr
 from .curves import Curve, SegmentedData
-from .geometry import clip_segments_to_triangles
-from .mesh import CellCache, Mesh, cells_near, curve_cell_pairs
+from .mesh import CellCache, Mesh, cells_near
 
 logger = logging.getLogger("mollifem")
 
@@ -376,23 +375,18 @@ class LineForcing(_CurveForcing):
     """Exact (clipped) line source; data indicator is the surrogate
     h_T^(1/2) ||f||_{L2(T cap gamma)}.
 
-    Clipping results are cached per cell, so repeated refinement passes only
+    The clipped pieces come from the curve's incidence store (`Curve.hits`),
+    and the integrals are cached per cell, so repeated refinement passes only
     touch newly created cells.
     """
 
     def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """int_{T cap gamma} f phi_i (i = 0, 1, 2) and int_{T cap gamma} f^2."""
         out = np.zeros((len(positions), 4))
-        ci, si = curve_cell_pairs(mesh, self.curve, positions)
-        if len(ci) == 0:
-            return out
-        p = mesh.cell_coords
-        t0, t1, ok = clip_segments_to_triangles(
-            self.curve.seg_start[si], self.curve.seg_end[si],
-            p[ci, 0], p[ci, 1], p[ci, 2],
-        )
-        ci, si, t0, t1 = ci[ok], si[ok], t0[ok], t1[ok]
-        rows = np.searchsorted(positions, ci)
+        rows, si, t0, t1 = self.curve.hits(mesh, positions)
+        piece = t1 - t0 > 1e-14  # touching pairs carry no length
+        rows, si, t0, t1 = rows[piece], si[piece], t0[piece], t1[piece]
+        ci, p = positions[rows], mesh.cell_coords
         gx, gw = quadr.GAUSS3_X, quadr.GAUSS3_W
         a = self.curve.seg_start[si]
         d = self.curve.seg_end[si] - a

@@ -20,12 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-
-from .geometry import segments_intersect_triangles
 
 if TYPE_CHECKING:
     from .curves import Curve
@@ -278,10 +275,20 @@ class Mesh:
         return mesh
 
 
+def match_serials(known: np.ndarray, serial: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `serial` sits in the ascending `known` (an index into
+    `known`, meaningless for the rest), and the positions of the serials
+    that `known` lacks, ascending. A serial names one triangle for the life
+    of the process, so a cell that a refinement leaves alone is found and
+    no other cell is."""
+    at = np.minimum(np.searchsorted(known, serial), len(known) - 1)
+    return at, np.flatnonzero(known[at] != serial)
+
+
 class CellCache:
     """Per-cell values of the cells of the last mesh asked about, keyed by
-    serial: a serial names one triangle for the life of the process, so a
-    cell that a refinement leaves alone hits its entry and no other does."""
+    serial (`match_serials`)."""
 
     def __init__(self, shape: tuple[int, ...] = ()):
         self._serials = np.array([-1])  # a sentinel entry no serial matches
@@ -291,10 +298,8 @@ class CellCache:
         """Values of all cells of `mesh` (read-only). The cells with no entry
         are filled from `compute(rows)` over their rows (ascending)."""
         serial = mesh.serial
-        at = np.minimum(np.searchsorted(self._serials, serial),
-                        len(self._serials) - 1)
+        at, fresh = match_serials(self._serials, serial)
         out = self._values[at]
-        fresh = np.flatnonzero(self._serials[at] != serial)
         if len(fresh):
             out[fresh] = compute(fresh)
         out.flags.writeable = False
@@ -337,10 +342,11 @@ def lshape_mesh(n: int) -> Mesh:
 
 
 # -- curve queries --------------------------------------------------------
+# Which cells meet the curve is decided in one place, the incidence store of
+# the Curve (`Curve.hits`); the functions here read it or bound distances.
 
 
-def _centroid_balls(mesh: Mesh, rows: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def cell_balls(mesh: Mesh, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centroid of each cell at `rows` and the radius about it that reaches
     the cell's farthest vertex: the ball holds the whole cell."""
     p = mesh.cell_coords[rows]
@@ -352,7 +358,7 @@ def cells_near(mesh: Mesh, tree, rows: np.ndarray,
                reach: float) -> np.ndarray:
     """Mask over the cells at `rows`: cells whose centroid lies within
     reach + circumradius of a point of the kd-tree `tree`."""
-    cent, circ = _centroid_balls(mesh, rows)
+    cent, circ = cell_balls(mesh, rows)
     bound = reach + circ + 1e-12
     # an upper bound prunes the tree search far from the points; cells are
     # grouped by bound within a factor of two so that small cells are not
@@ -367,43 +373,9 @@ def cells_near(mesh: Mesh, tree, rows: np.ndarray,
     return dist <= bound
 
 
-def curve_cell_pairs(mesh: Mesh, curve: "Curve",
-                     rows: np.ndarray | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate (cell row, segment id) pairs near the curve.
-
-    A conservative superset: every cell/segment pair that actually intersects
-    is included. A segment is a candidate of a cell when its midpoint lies
-    within circumradius + half the longest segment of the cell's centroid.
-    Pairs are unique and come in the order of `rows` (all cells, ascending,
-    by default), then by ascending segment.
-    """
-    scan = np.arange(mesh.num_cells, dtype=np.int64) if rows is None \
-        else np.asarray(rows, dtype=np.int64)
-    cent, circ = _centroid_balls(mesh, scan)
-    hits = curve.midpoint_tree.query_ball_point(
-        cent, circ + 0.5 * curve.max_seg_len + 1e-12, return_sorted=True)
-    count = np.fromiter(map(len, hits), np.int64, len(hits))
-    seg = np.fromiter(chain.from_iterable(hits), np.int64, count.sum())
-    return np.repeat(scan, count), seg
-
-
-def curve_hit_pairs(mesh: Mesh, curve: "Curve",
-                    rows: np.ndarray | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of `curve_cell_pairs`, in its order, whose segment meets
-    the closed cell by the inclusive segment-triangle test."""
-    ci, si = curve_cell_pairs(mesh, curve, rows)
-    p = np.moveaxis(mesh.cell_coords[ci], 1, 0)  # corners 0, 1, 2
-    hit = segments_intersect_triangles(curve.seg_start[si], curve.seg_end[si], *p)
-    return ci[hit], si[hit]
-
-
-def interface_cells(mesh: Mesh, curve: "Curve",
-                    rows: np.ndarray | None = None) -> np.ndarray:
-    """Rows of the cells (of `rows`, if given) whose closure meets the curve
-    polyline, ascending."""
-    return np.unique(curve_hit_pairs(mesh, curve, rows)[0])
+def interface_cells(mesh: Mesh, curve: "Curve") -> np.ndarray:
+    """Rows of the cells whose closure meets the curve polyline, ascending."""
+    return np.unique(curve.hits(mesh)[0])
 
 
 def interface_diameter(mesh: Mesh, cells: np.ndarray) -> float:

@@ -1,6 +1,6 @@
-"""Shared helpers: brute-force reference quadratures used as oracles,
-sibling meshes for per-cell cache checks, and uniformly refined systems
-for solver checks.
+"""Shared helpers: brute-force reference quadratures and an edge-by-edge
+segment-triangle predicate used as oracles, sibling meshes for per-cell cache
+checks, and uniformly refined systems for solver checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -13,6 +13,7 @@ import pytest
 
 from mollifem.fem import DiscreteSystem, assemble
 from mollifem.forcing import DensityForcing
+from mollifem.geometry import _REL_EPS, cross2
 from mollifem.mesh import Mesh, interface_cells, rect_mesh
 
 
@@ -64,6 +65,75 @@ def cell_l2_norms(mesh: Mesh, func, n: int = 12) -> np.ndarray:
         vals = np.asarray(func(pts), dtype=np.float64)
         out[c] = np.sqrt(max(float(w @ (vals * vals)), 0.0))
     return out
+
+
+# -- the edge-by-edge segment-triangle predicate ----------------------------
+# Inclusive ("touching counts") like the package's clip, but built from
+# point-in-triangle and segment-segment tests, each with its own slack scaled
+# by the cross products involved: the oracle for `Curve.hits`.
+
+
+def points_in_triangles(p, t0, t1, t2):
+    """Inclusive point-in-triangle test; triangles must be CCW oriented."""
+    d0 = cross2(t1 - t0, p - t0)
+    d1 = cross2(t2 - t1, p - t1)
+    d2 = cross2(t0 - t2, p - t2)
+    scale = np.abs(cross2(t1 - t0, t2 - t0))
+    eps = _REL_EPS * scale
+    return (d0 >= -eps) & (d1 >= -eps) & (d2 >= -eps)
+
+
+def segments_intersect(a0, a1, b0, b1):
+    """Inclusive segment-segment intersection, collinear overlaps included."""
+    r = a1 - a0
+    s = b1 - b0
+    d1 = cross2(r, b0 - a0)
+    d2 = cross2(r, b1 - a0)
+    d3 = cross2(s, a0 - b0)
+    d4 = cross2(s, a1 - b0)
+    lr = np.sqrt((r * r).sum(-1))
+    ls = np.sqrt((s * s).sum(-1))
+    eps = _REL_EPS * (lr * ls + lr + ls)
+
+    straddle_b = (np.minimum(d1, d2) <= eps) & (np.maximum(d1, d2) >= -eps)
+    straddle_a = (np.minimum(d3, d4) <= eps) & (np.maximum(d3, d4) >= -eps)
+    hit = straddle_a & straddle_b
+
+    collinear = (np.abs(d1) <= eps) & (np.abs(d2) <= eps)
+    if np.any(collinear):
+        # Project b endpoints onto a and test 1D interval overlap.
+        rr = (r * r).sum(-1)
+        tb0 = ((b0 - a0) * r).sum(-1)
+        tb1 = ((b1 - a0) * r).sum(-1)
+        lo = np.minimum(tb0, tb1)
+        hi = np.maximum(tb0, tb1)
+        teps = eps * (lr + 1.0)
+        overlap = (hi >= -teps) & (lo <= rr + teps)
+        # Degenerate a (point): on b's line, within b's projection.
+        degen = rr <= (eps * eps)
+        if np.any(degen):
+            ss = (s * s).sum(-1)
+            ta = ((a0 - b0) * s).sum(-1)
+            on_b = (np.abs(d3) <= eps) & (ta >= -teps) & (ta <= ss + teps)
+            overlap = np.where(degen & (ss > 0), on_b, overlap)
+        hit = np.where(collinear, overlap, hit)
+    return hit
+
+
+_EDGE_CHUNK = 1 << 15  # pairs per batch of edge tests: bounds their temporaries
+
+
+def segments_intersect_triangles(s0, s1, t0, t1, t2):
+    """True where segment (s0,s1) meets the closed triangle (t0,t1,t2) (CCW)."""
+    hit = points_in_triangles(s0, t0, t1, t2) | points_in_triangles(s1, t0, t1, t2)
+    rest = np.nonzero(~hit)[0]
+    for lo in range(0, len(rest), _EDGE_CHUNK):
+        sel = rest[lo:lo + _EDGE_CHUNK]
+        a0, a1, u0, u1, u2 = (x[sel] for x in (s0, s1, t0, t1, t2))
+        hit[sel] = (segments_intersect(a0, a1, u0, u1)
+                    | segments_intersect(a0, a1, u1, u2)
+                    | segments_intersect(a0, a1, u2, u0))
+    return hit
 
 
 def sibling_refinements(mesh: Mesh, curve) -> tuple[Mesh, Mesh]:

@@ -1,10 +1,15 @@
-"""Polyline curve container and per-segment data."""
+"""Polyline curve container, per-segment data, and the incidence store."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from mollifem.afem import interface_loop
 from mollifem.curves import Curve, SegmentedData
+from mollifem.fem import ErrorIntegrator, FeFunction
+from mollifem.forcing import LineForcing
+from mollifem.mesh import cell_balls, interface_cells
+from mollifem.problems import square_problem
 
 
 def test_circle_closes_and_length_converges():
@@ -35,3 +40,53 @@ def test_segmented_data_length_mismatch_rejected():
 def test_circle_boundary_gap_recorded():
     c = Curve.circle((0.5, -0.5), 0.2, 64, boundary_gap=0.3)
     assert abs(c.boundary_gap - 0.3) < 1e-15
+
+
+class _CountingTree:
+    """A curve's midpoint tree that records the centres it is asked about."""
+
+    def __init__(self, tree):
+        self.tree, self.centres = tree, []
+
+    def query_ball_point(self, x, r, **kwargs):
+        self.centres.append(np.array(x))
+        return self.tree.query_ball_point(x, r, **kwargs)
+
+
+def test_each_fresh_cell_is_queried_once_per_curve():
+    # the three readers of the incidence on two meshes of a lineage: each
+    # cell's candidates are queried (and clipped) once, by whichever reader
+    # comes first
+    problem = square_problem(n_segments=512)
+    curve = problem.curve
+    tree = curve.midpoint_tree = _CountingTree(curve.midpoint_tree)
+    error = ErrorIntegrator(problem.exact, curve)
+    line = LineForcing(curve, problem.f)
+    mesh = problem.initial_mesh()
+    seen = []
+    for _ in range(2):
+        if seen:
+            mesh = mesh.refine(interface_cells(mesh, curve))
+        interface_cells(mesh, curve)
+        error(FeFunction(mesh, problem.exact.value(mesh.coords)))
+        line.load_vector(mesh)
+        seen.append(mesh)
+    queried = np.concatenate(tree.centres)
+    serial = np.concatenate([m.serial for m in seen])
+    _, first = np.unique(serial, return_index=True)
+    rows = np.concatenate([np.arange(m.num_cells) for m in seen])[first]
+    owner = np.repeat(np.arange(len(seen)), [m.num_cells for m in seen])[first]
+    want = np.concatenate([cell_balls(seen[k], rows[owner == k])[0]
+                           for k in range(len(seen))])
+    assert len(queried) == len(want) == len(first)
+    np.testing.assert_array_equal(np.unique(queried, axis=0),
+                                  np.unique(want, axis=0))
+    # a later stage's interface loop starts on a mesh the curve has seen:
+    # it queries only the cells its own refinements create
+    last = seen[-1]
+    tree.centres.clear()
+    assert interface_loop(last, curve, 1.0) is last
+    assert not tree.centres
+    fine = interface_loop(last, curve, 0.5 * last.h_sizes[
+        interface_cells(last, curve)].max())
+    assert sum(map(len, tree.centres)) == fine.serial[-1] - last.serial[-1]

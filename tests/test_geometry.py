@@ -1,14 +1,14 @@
-"""Hand-worked cases for the exact geometric predicates, and their
-invariances under exact transforms."""
+"""Hand-worked cases for the geometric predicates (the package's clip and the
+tests' edge-by-edge oracle), and their invariances under exact transforms."""
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from mollifem import geometry
-from mollifem.geometry import (clip_segments_to_triangles,
-                               points_in_triangles, segments_intersect,
-                               segments_intersect_triangles)
+import conftest
+from conftest import (points_in_triangles, segments_intersect,
+                      segments_intersect_triangles)
+from mollifem.geometry import clip_segments_to_triangles
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -118,7 +118,7 @@ def test_segments_intersect_triangles_matches_the_unmasked_formula(
     # predicate gathers in batches; a half-integer grid gives shared
     # vertices, points on edges, collinear and zero-length segments and flat
     # triangles
-    monkeypatch.setattr(geometry, "_EDGE_CHUNK", 1000)
+    monkeypatch.setattr(conftest, "_EDGE_CHUNK", 1000)
     grid = rng.integers(-2, 3, size=(20000, 5, 2)) / 2.0
     pts = np.concatenate([grid, rng.uniform(-1.0, 1.0, size=(20000, 5, 2))])
     s0, s1, t0, t1, t2 = pts.transpose(1, 0, 2)
@@ -183,16 +183,22 @@ def test_points_in_triangles_invariances(p, t, shift, scale):
     assert points_in_triangles(p, t1, t2, t0)[0] == want
 
 
+def _clip_meets(*args):
+    return clip_segments_to_triangles(*args)[2]
+
+
 @settings(max_examples=300, deadline=None)
 @given(s0=_points, s1=_points, t=st.tuples(_points, _points, _points),
        shift=_shift, scale=_scale)
 def test_segments_intersect_triangles_invariances(s0, s1, t, shift, scale):
+    # the oracle, and the clip's inclusive test that the package uses
     args = _arr(s0, s1, *_ccw(*t))
-    want = segments_intersect_triangles(*args)[0]
-    assert segments_intersect_triangles(*[a + shift for a in args])[0] == want
-    assert segments_intersect_triangles(*[a * scale for a in args])[0] == want
-    s0, s1, t0, t1, t2 = args
-    assert segments_intersect_triangles(s1, s0, t0, t1, t2)[0] == want
+    for meets in (segments_intersect_triangles, _clip_meets):
+        want = meets(*args)[0]
+        assert meets(*[a + shift for a in args])[0] == want
+        assert meets(*[a * scale for a in args])[0] == want
+        s0, s1, t0, t1, t2 = args
+        assert meets(s1, s0, t0, t1, t2)[0] == want
 
 
 @settings(max_examples=300, deadline=None)

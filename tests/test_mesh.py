@@ -1,4 +1,5 @@
-"""Mesh construction, bisection refinement, genealogy, and curve queries."""
+"""Mesh construction, bisection refinement, genealogy, and curve queries
+(the curve's incidence store against the all-pairs oracle)."""
 from __future__ import annotations
 
 from collections import deque
@@ -6,11 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import segments_intersect_triangles
 from mollifem.curves import Curve
-from mollifem.geometry import segments_intersect_triangles
-from mollifem.mesh import (CellCache, Mesh, curve_cell_pairs, interface_cells,
+from mollifem.geometry import clip_segments_to_triangles
+from mollifem.mesh import (CellCache, Mesh, interface_cells,
                            interface_diameter, lshape_mesh, rect_mesh)
 
 
@@ -354,16 +356,6 @@ def test_interface_cells_segment_on_shared_edge_hits_both():
     assert hit.tolist() == [0, 1]
 
 
-def test_interface_cells_positions_restriction_consistent():
-    mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
-    curve = Curve.circle((0.5, 0.5), 0.3, 256, boundary_gap=0.2)
-    full = interface_cells(mesh, curve)
-    half = np.arange(mesh.num_cells // 2)
-    part = interface_cells(mesh, curve, half)
-    expect = [i for i in full if i in set(half.tolist())]
-    assert part.tolist() == expect
-
-
 def _all_pairs(mesh: Mesh, curve: Curve) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(mesh.num_cells * curve.num_segments),
                      curve.num_segments)
@@ -374,7 +366,7 @@ def test_curve_cell_pairs_is_superset_of_hits():
     for n, segments in ((6, 128), (16, 12)):
         mesh = rect_mesh(n, n, 0.0, 0.0, 1.0, 1.0)
         curve = Curve.circle((0.5, 0.5), 0.3, segments, boundary_gap=0.2)
-        ci, si = curve_cell_pairs(mesh, curve)
+        ci, si = curve._candidates(mesh, np.arange(mesh.num_cells))
         # the oracle tests every (cell, segment) pair of the mesh
         c, s = _all_pairs(mesh, curve)
         p = mesh.cell_coords[c]
@@ -410,12 +402,69 @@ def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
         assert not (hit & ~ball).any()
         subset = np.sort(rng.choice(mesh.num_cells, mesh.num_cells // 3,
                                     replace=False))
-        for positions in (None, subset):
-            ci, si = curve_cell_pairs(mesh, curve, positions)
+        for positions in (np.arange(mesh.num_cells), subset):
+            ci, si = curve._candidates(mesh, positions)
             key = ci * curve.num_segments + si
             assert np.all(np.diff(key) > 0)  # unique, by cell then segment
-            want = ball if positions is None else ball & np.isin(c, subset)
-            np.testing.assert_array_equal(key, np.flatnonzero(want))
+            np.testing.assert_array_equal(
+                key, np.flatnonzero(ball & np.isin(c, positions)))
+
+
+def _assert_hits_are_the_oracle_pairs(curve: Curve, meshes) -> None:
+    """`curve.hits` on each of `meshes` in turn, warm from the one before,
+    and cold on a fresh copy of the curve: the pairs the all-pairs oracle
+    finds, by cell and then segment, with the pieces a direct clip gives."""
+    for mesh in meshes:
+        warm = curve.hits(mesh)
+        cold = Curve(curve.points, curve.closed).hits(mesh)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(warm, cold))
+        c, s = _all_pairs(mesh, curve)
+        p = mesh.cell_coords[c]
+        hit = segments_intersect_triangles(curve.seg_start[s], curve.seg_end[s],
+                                           p[:, 0], p[:, 1], p[:, 2])
+        cell, seg, t0, t1 = warm
+        np.testing.assert_array_equal(cell * curve.num_segments + seg,
+                                      np.flatnonzero(hit))
+        want = clip_segments_to_triangles(
+            curve.seg_start[seg], curve.seg_end[seg],
+            *np.moveaxis(mesh.cell_coords[cell], 1, 0))
+        assert want[0].tobytes() == t0.tobytes()
+        assert want[1].tobytes() == t1.tobytes()
+
+
+def test_curve_hits_on_exact_touches():
+    square = two_triangle_square()
+    for points in ([[0.64, 0.3], [0.70, 0.33]],  # tiny, inside one cell
+                   [[0.3, 0.3], [0.6, 0.6]],  # on the shared edge
+                   [[1.5, -0.5], [1.0, 0.0], [1.5, 0.5]]):  # vertex on a corner
+        curve = Curve(np.array(points), closed=False)
+        _assert_hits_are_the_oracle_pairs(curve, [square, square.refine([0])])
+    corner = Curve(np.array([[1.5, -0.5], [1.0, 0.0], [1.5, 0.5]]), closed=False)
+    cell, seg, t0, t1 = corner.hits(square)
+    assert cell.tolist() == [0, 0] and seg.tolist() == [0, 1]
+    assert (t1 - t0).max() <= 0.0  # touching only: no length inside
+
+
+# a dyadic grid: mesh vertices and curve points are exact, so touches are
+# exact and every near miss leaves a gap far above the clip's slack
+_grid = st.integers(-4, 20).map(lambda i: i / 16.0)
+_marks = st.lists(st.integers(0, 1 << 20), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(_grid, _grid), min_size=2, max_size=10),
+       closed=st.booleans(), graded=st.lists(_marks, min_size=1, max_size=3),
+       left=_marks, right=_marks)
+def test_curve_hits_match_the_all_pairs_oracle(points, closed, graded, left,
+                                               right):
+    # a graded mesh and two sibling refinements of it, queried alternately
+    assume(len(set(points)) > 1)
+    curve = Curve(np.array(points), closed=closed)
+    base = rect_mesh(4, 4)
+    for marks in graded:
+        base = base.refine(np.array(marks) % base.num_cells)
+    a, b = (base.refine(np.array(m) % base.num_cells) for m in (left, right))
+    _assert_hits_are_the_oracle_pairs(curve, [base, a, b, a, base, b])
 
 
 def test_interface_diameter_is_max_h():
