@@ -22,6 +22,10 @@ from .mesh import Mesh, cell_balls, match_serials
 class Curve:
     """Connected polyline, optionally closed."""
 
+    # how far the curve the polyline stands for may stray from a segment;
+    # `circle` records the sagitta of its inscribed polygon
+    sagitta = 0.0
+
     def __init__(self, points, closed: bool = True, boundary_gap: float = 1.0):
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -48,7 +52,9 @@ class Curve:
         t = 2 * np.pi * np.arange(n_segments) / n_segments
         pts = np.column_stack([center[0] + radius * np.cos(t),
                                center[1] + radius * np.sin(t)])
-        return cls(pts, closed=True, boundary_gap=boundary_gap)
+        curve = cls(pts, closed=True, boundary_gap=boundary_gap)
+        curve.sagitta = radius * (1.0 - np.cos(np.pi / n_segments))
+        return curve
 
     @property
     def num_segments(self) -> int:

@@ -17,6 +17,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quadrature as quadr
 from .errors import NumericalError
+from .geometry import cross2
 from .mesh import CellCache, Mesh
 from .mesh import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 
@@ -193,11 +194,14 @@ _TO_CHILD = np.rint(np.linalg.inv(quadr.split4(np.eye(3)))).transpose(0, 2, 1)
 _SLACK = 1e-9  # in child heights: far above the round-off of mapped points
 
 
-def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray):
+def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray,
+                 reach: float = 0.0):
     """Leaves (owner, 6 points, area / owner's) of the error rule on `tri`
     (n, 3, 2), by level, then owner. `ends` (3, 2, k): barycentric ends in
-    triangle `pair_tri` of each segment meeting it. A 4-split child meets a
-    segment unless one of its edge lines or the segment's line parts them."""
+    triangle `pair_tri` of each segment meeting it. A 4-split child counts
+    as crossed unless one of its edge lines or the segment's line parts it
+    from the segment by more than `reach` (the curve's sagitta: the kink
+    lies on the exact curve, up to that far from the polyline)."""
     owner, leaves = np.arange(len(tri)), []
     if len(pair_tri) == 0:  # no curve in the batch: the level-0 rule alone
         return owner, quadr.triangle_points(tri, quadr.TRI_BARY), np.ones(len(tri))
@@ -218,8 +222,15 @@ def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray):
         a, b = ends[:, 0], ends[:, 1]  # cross(a, b)[k]: corner k's side
         side = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
         tol = _SLACK * np.abs(ends).max(axis=(0, 1)) ** 2
-        hit = (np.maximum(a, b).min(axis=0) >= -_SLACK) \
-            & (side.max(axis=0) >= -tol) & (side.min(axis=0) <= tol)
+        # `reach` in barycentric units: a corner's coordinate is its distance
+        # from the opposite edge over the height, and side[k] is twice the
+        # area of corner k and the segment over twice the child's area
+        c = tri[kid]
+        w = reach / np.abs(cross2(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
+        edge = w * np.linalg.norm(c[:, [2, 0, 1]] - c[:, [1, 2, 0]], axis=2).T
+        line = w * np.linalg.norm(np.einsum("ik,kid->kd", b - a, c), axis=1)
+        hit = ((np.maximum(a, b) + edge).min(axis=0) >= -_SLACK) \
+            & (side.max(axis=0) >= -tol - line) & (side.min(axis=0) <= tol + line)
         pair_tri, ends = kid[hit], ends[:, :, hit]
     # every deepest child is a leaf: their rules make the parent's depth-1 rule
     pts = quadr.triangle_points(tri[crossed], quadr.subdivided_rule(1)[0])
@@ -248,11 +259,12 @@ class ErrorIntegrator:
     def _cell_moments(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """(V_T, m_T) of the active cells at `positions`, shape (n, 3)."""
         n, coords = len(positions), mesh.cell_coords[positions]
-        cell, ends = np.empty(0, dtype=np.int64), np.empty((3, 2, 0))
+        cell, ends, reach = np.empty(0, dtype=np.int64), np.empty((3, 2, 0)), 0.0
         if self.curve is not None:
             cell, seg = self.curve.hits(mesh, positions)[:2]
             ends = quadr.barycentric(coords[cell], np.stack(
                 [self.curve.seg_start[seg], self.curve.seg_end[seg]], axis=1)).T
+            reach = self.curve.sagitta
         # batches of whole cells, by the points a cell may need; each sum runs
         # along one cell's points in a fixed order, unmoved by the batch
         cost = np.where(np.bincount(cell, minlength=n) > 0, 6 * 4 ** _KINK_DEPTH, 6)
@@ -262,7 +274,7 @@ class ErrorIntegrator:
         for lo, hi in zip(cuts, np.append(cuts[1:], n)):
             a, b = np.searchsorted(cell, [lo, hi])
             owner, pts, scale = _kink_leaves(coords[lo:hi], cell[a:b] - lo,
-                                             ends[:, :, a:b])
+                                             ends[:, :, a:b], reach)
             gu = np.array(self.exact.gradient(pts.reshape(-1, 2)),
                           dtype=np.float64).reshape(len(owner), -1, 2)
             part = np.einsum("lqd,q->ld", gu, wq) * scale[:, None]

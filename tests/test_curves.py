@@ -20,6 +20,9 @@ def test_circle_closes_and_length_converges():
     # inscribed polygon perimeter: 2 n sin(pi / n)
     expect = 2 * 4096 * np.sin(np.pi / 4096)
     assert abs(c.total_length - expect) < 1e-10
+    # the sagitta: how far the circle strays from a chord, at its midpoint
+    mid = 0.5 * (c.seg_start + c.seg_end)
+    assert abs(c.sagitta - (1.0 - np.linalg.norm(mid, axis=1)).max()) < 1e-15
 
 
 def test_open_polyline_segments():
@@ -29,6 +32,7 @@ def test_open_polyline_segments():
     np.testing.assert_allclose(c.seg_lengths, [1.0, 2.0], atol=1e-15)
     assert abs(c.total_length - 3.0) < 1e-15
     assert abs(c.max_seg_len - 2.0) < 1e-15
+    assert c.sagitta == 0.0
 
 
 def test_segmented_data_length_mismatch_rejected():
