@@ -99,12 +99,10 @@ class Curve:
         The pairs of the last mesh asked about are kept, keyed by cell
         serial (`match_serials`): only cells that mesh lacks are clipped.
         """
-        at, fresh = match_serials(self._serials, mesh.serial)
+        fresh = match_serials(self._serials, mesh.serial)[1]
         if len(fresh) or len(self._serials) != mesh.num_cells:
-            kept = np.ones(mesh.num_cells, dtype=bool)
-            kept[fresh] = False
-            row = np.full(len(self._serials), -1)
-            row[at[kept]] = np.flatnonzero(kept)
+            row, gone = match_serials(mesh.serial, self._serials)
+            row[gone] = -1  # each known cell's row in `mesh`, or -1
             cell, seg, t0, t1 = self._hits
             cell = row[cell]
             on = cell >= 0
