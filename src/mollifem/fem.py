@@ -192,6 +192,9 @@ def energy_error(u_exact, w: FeFunction, curve=None) -> float:
 # barycentric coordinates in a triangle -> in its split4 child c (integers)
 _TO_CHILD = np.rint(np.linalg.inv(quadr.split4(np.eye(3)))).transpose(0, 2, 1)
 _SLACK = 1e-9  # in child heights: far above the round-off of mapped points
+# edge k of split4 child c is parallel to its parent's edge _CHILD_EDGE[c, k]
+# (the middle child is its parent turned by half a turn)
+_CHILD_EDGE = np.array([[0, 1, 2], [0, 1, 2], [0, 1, 2], [2, 0, 1]])
 
 
 def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray,
@@ -205,6 +208,15 @@ def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray,
     owner, leaves = np.arange(len(tri)), []
     if len(pair_tri) == 0:  # no curve in the batch: the level-0 rule alone
         return owner, quadr.triangle_points(tri, quadr.TRI_BARY), np.ones(len(tri))
+    # `reach` in each pair's barycentric units: a corner's coordinate is its
+    # distance from the opposite edge over the height, and side[k] below is
+    # the segment's length times corner k's distance from the segment's line
+    # over twice the area; a child halves the heights and quarters the area
+    c = tri[pair_tri]
+    w = reach / np.abs(cross2(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
+    edge = w * np.linalg.norm(c[:, [2, 0, 1]] - c[:, [1, 2, 0]], axis=2).T
+    line = w * np.linalg.norm(np.einsum("ik,kid->kd", ends[:, 1] - ends[:, 0],
+                                        c), axis=1)
     for level in range(_KINK_DEPTH):
         crossed = np.zeros(len(tri), dtype=bool)
         crossed[pair_tri] = True
@@ -222,16 +234,12 @@ def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray,
         a, b = ends[:, 0], ends[:, 1]  # cross(a, b)[k]: corner k's side
         side = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
         tol = _SLACK * np.abs(ends).max(axis=(0, 1)) ** 2
-        # `reach` in barycentric units: a corner's coordinate is its distance
-        # from the opposite edge over the height, and side[k] is twice the
-        # area of corner k and the segment over twice the child's area
-        c = tri[kid]
-        w = reach / np.abs(cross2(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
-        edge = w * np.linalg.norm(c[:, [2, 0, 1]] - c[:, [1, 2, 0]], axis=2).T
-        line = w * np.linalg.norm(np.einsum("ik,kid->kd", b - a, c), axis=1)
+        edge = 2 * np.moveaxis(edge[_CHILD_EDGE], 0, 1).reshape(3, -1)
+        line = np.tile(4 * line, 4)
         hit = ((np.maximum(a, b) + edge).min(axis=0) >= -_SLACK) \
             & (side.max(axis=0) >= -tol - line) & (side.min(axis=0) <= tol + line)
         pair_tri, ends = kid[hit], ends[:, :, hit]
+        edge, line = edge[:, hit], line[hit]
     # every deepest child is a leaf: their rules make the parent's depth-1 rule
     pts = quadr.triangle_points(tri[crossed], quadr.subdivided_rule(1)[0])
     owner = np.repeat(owner[crossed], 4)
