@@ -198,7 +198,7 @@ _CHILD_EDGE = np.array([[0, 1, 2], [0, 1, 2], [0, 1, 2], [2, 0, 1]])
 
 
 def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray,
-                 reach: float = 0.0):
+                 reach: float):
     """Leaves (owner, 6 points, area / owner's) of the error rule on `tri`
     (n, 3, 2), by level, then owner. `ends` (3, 2, k): barycentric ends in
     triangle `pair_tri` of each segment meeting it. A 4-split child counts
@@ -208,10 +208,10 @@ def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray,
     owner, leaves = np.arange(len(tri)), []
     if len(pair_tri) == 0:  # no curve in the batch: the level-0 rule alone
         return owner, quadr.triangle_points(tri, quadr.TRI_BARY), np.ones(len(tri))
-    # `reach` in each pair's barycentric units: a corner's coordinate is its
-    # distance from the opposite edge over the height, and side[k] below is
-    # the segment's length times corner k's distance from the segment's line
-    # over twice the area; a child halves the heights and quarters the area
+    # `reach` in each pair's barycentric units: coordinate k is the distance
+    # from edge k over that edge's height, and side[k] below is the segment's
+    # length times corner k's distance from its line over twice the area; a
+    # child halves the heights and quarters the area
     c = tri[pair_tri]
     w = reach / np.abs(cross2(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
     edge = w * np.linalg.norm(c[:, [2, 0, 1]] - c[:, [1, 2, 0]], axis=2).T

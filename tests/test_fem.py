@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mollifem import fem
 from mollifem.curves import Curve, SegmentedData
@@ -17,6 +17,7 @@ from mollifem.fem import (ErrorIntegrator, FeFunction, assemble, energy_error,
                           form_matrix, prolong, solve_galerkin)
 from mollifem.errors import NumericalError
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
+from mollifem.geometry import clip_segments_to_triangles
 from mollifem.mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
 from mollifem.problems import RadialLogSolution, SineProduct
 
@@ -469,6 +470,50 @@ def test_kink_rule_spends_points_only_along_the_curve():
         full = points(np.array([centroid - 3 * d, centroid + 3 * d]))
         assert 6 * 4 ** fem._KINK_DEPTH // 8 <= full <= 480
         assert points(np.array([centroid - 3 * d, centroid])) <= 0.7 * full
+
+
+def _distance_to_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Distance of the points `p` from the segments (a, b), broadcast over
+    their leading axes."""
+    d = b - a
+    t = np.clip(((p - a) * d).sum(-1) / (d * d).sum(-1), 0.0, 1.0)
+    return np.linalg.norm(p - a - t[..., None] * d, axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+# the middle children's margins come from their parents' edges turned by
+# half a turn; this segment tells the turned edges from the unturned ones
+@example(ends=[0.0, 1.0, 1.0, 0.03125], reach=0.03125)
+@given(ends=st.lists(st.floats(-0.5, 1.5), min_size=4, max_size=4),
+       reach=st.floats(0.0, 0.05))
+def test_kink_leaves_reach_every_child_near_the_segment(ends, reach):
+    # every depth-4 triangle of the uniform split that the segment crosses,
+    # or comes within `reach` of, is a depth-4 leaf of the kink rule (clear
+    # of both tests' slacks); a flat cell, so that the margins differ from
+    # edge to edge
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.9, 0.15]])
+    a, b = np.array(ends[:2]), np.array(ends[2:])
+    t0, t1, meets = clip_segments_to_triangles(a[None], b[None], *tri[:, None])
+    assume(meets[0] and t1[0] - t0[0] > 1e-6
+           and np.linalg.norm(b - a) > 1e-3)
+    owner, pts, scale = fem._kink_leaves(
+        tri[None], np.zeros(1, dtype=np.int64),
+        quadr.barycentric(tri[None], np.stack([a, b])[None]).T, reach)
+    deep = pts[scale == 0.25 ** fem._KINK_DEPTH].mean(axis=1)
+    kids = tri[None]
+    for _ in range(fem._KINK_DEPTH):
+        kids = quadr.split4(kids).reshape(-1, 3, 2)
+    t0, t1, meets = clip_segments_to_triangles(
+        np.tile(a, (len(kids), 1)), np.tile(b, (len(kids), 1)),
+        *np.moveaxis(kids, 1, 0))
+    gap = np.minimum(
+        _distance_to_segment(kids, a, b).min(axis=1),
+        np.min([_distance_to_segment(p, kids[:, k], kids[:, (k + 1) % 3])
+                for k in range(3) for p in (a, b)], axis=0))
+    near = kids[(meets & (t1 - t0 > 1e-9)) | (gap < reach - 1e-9)]
+    assert len(near) > 0
+    dist = np.linalg.norm(near.mean(axis=1)[:, None] - deep[None], axis=2)
+    assert dist.min(axis=1).max() <= 1e-12
 
 
 def test_log_gradient_matches_the_masked_formula_bit_for_bit(rng):
