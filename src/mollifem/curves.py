@@ -100,6 +100,7 @@ class Curve:
         serial (`match_serials`): only cells that mesh lacks are clipped.
         """
         fresh = match_serials(self._serials, mesh.serial)[1]
+        # with no fresh cell and as many cells, `mesh` has the last one's
         if len(fresh) or len(self._serials) != mesh.num_cells:
             row, gone = match_serials(mesh.serial, self._serials)
             row[gone] = -1  # each known cell's row in `mesh`, or -1
