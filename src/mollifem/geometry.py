@@ -1,4 +1,4 @@
-"""Planar predicates used by the mesh and curve machinery.
+"""Planar predicates used by the curve's incidence store and the error rule.
 
 Vectorized over pair arrays; inputs are float64 arrays of shape (..., 2).
 """
