@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import clip_segments_to_triangles
-from .mesh import Mesh, cell_balls, match_serials
+from .mesh import Mesh, holds, match_serials
 
 
 class Curve:
@@ -99,9 +99,8 @@ class Curve:
         The pairs of the last mesh asked about are kept, keyed by cell
         serial (`match_serials`): only cells that mesh lacks are clipped.
         """
-        fresh = match_serials(self._serials, mesh.serial)[1]
-        # with no fresh cell and as many cells, `mesh` has the last one's
-        if len(fresh) or len(self._serials) != mesh.num_cells:
+        if not holds(self._serials, mesh):
+            fresh = match_serials(self._serials, mesh.serial)[1]
             row, gone = match_serials(mesh.serial, self._serials)
             row[gone] = -1  # each known cell's row in `mesh`, or -1
             cell, seg, t0, t1 = self._hits
@@ -133,7 +132,9 @@ class Curve:
         then by ascending segment: a segment is a candidate of a cell when
         its midpoint lies within circumradius + half the longest segment of
         the cell's centroid, so every pair that meets is one."""
-        cent, circ = cell_balls(mesh, rows)
+        p = mesh.cell_coords[rows]
+        cent = p.mean(axis=1)
+        circ = np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
         near = self.midpoint_tree.query_ball_point(
             cent, circ + 0.5 * self.max_seg_len + 1e-12, return_sorted=True)
         count = np.fromiter(map(len, near), np.int64, len(near))

@@ -10,7 +10,8 @@ Three right-hand-side flavours are understood by assembly and estimation:
 * :class:`DensityForcing` — a plain area density (manufactured problems).
 
 Each exposes ``load_vector`` (P1 load vector) and ``data_indicator``
-(per-cell data-oscillation term of the estimator).
+(per-cell data-oscillation term of the estimator). The two area forcings
+share one cell rule (:class:`_CellForcing`), differing in where and how deep.
 """
 from __future__ import annotations
 
@@ -18,11 +19,10 @@ import logging
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import quadrature as quadr
 from .curves import Curve, SegmentedData
-from .mesh import CellCache, Mesh, cells_near
+from .mesh import CellCache, Mesh
 
 logger = logging.getLogger("mollifem")
 
@@ -159,8 +159,10 @@ def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0,
 
 class _CellForcing:
     """One record per cell: the three load entries int_T F phi_i and the data
-    square, integrated the first time either is asked for. Subclasses give
-    `_cell_integrals(mesh, positions) -> (n, 4)`."""
+    square int_T F^2, integrated the first time either is asked for. An area
+    forcing gives `eval(points)` and `_depths(mesh, positions)`, the depth of
+    the subdivided rule on each cell, or -1 on a cell it does not reach;
+    `LineForcing` gives its own `_cell_integrals`."""
 
     def __init__(self):
         self._cells = CellCache((4,))
@@ -172,6 +174,31 @@ class _CellForcing:
         load = self._records(mesh)[:, :3]
         return np.bincount(mesh.triangles.ravel(), weights=load.ravel(),
                            minlength=mesh.num_vertices)
+
+    def data_indicator(self, mesh: Mesh) -> np.ndarray:
+        """d(T) = h_T ||F||_{L2(T)} for all active cells."""
+        return mesh.h_sizes * np.sqrt(self._records(mesh)[:, 3])
+
+    def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        """int_T F phi_i (i = 0, 1, 2) and int_T F^2 for the cells at
+        `positions`, by depth in batches of about `_POINT_CHUNK` points; each
+        is a sum over its own cell's points, so no batch changes its bits."""
+        out = np.zeros((len(positions), 4))
+        depths = self._depths(mesh, positions)
+        for d in np.setdiff1d(depths, -1):
+            grp = np.flatnonzero(depths == d)
+            bary, w = quadr.subdivided_rule(int(d))
+            step = max(1, _POINT_CHUNK // len(w))
+            for lo in range(0, len(grp), step):
+                sel = grp[lo:lo + step]
+                cells = positions[sel]
+                pts = quadr.triangle_points(mesh.cell_coords[cells], bary)
+                g = self.eval(pts.reshape(-1, 2)).reshape(len(sel), len(w))
+                areas = mesh.areas[cells]
+                out[sel, :3] = areas[:, None] \
+                    * np.einsum("mq,q,qi->mi", g, w, bary)
+                out[sel, 3] = areas * np.einsum("mq,mq,q->m", g, g, w)
+        return out
 
 
 class _CurveForcing(_CellForcing):
@@ -276,6 +303,10 @@ class RegularizedForcing(_CurveForcing):
         count = np.bincount(fid, minlength=self._shape.prod())
         first = np.cumsum(count) - count
         self._bin = np.stack([count, 0 * count], axis=1).astype(np.int32)
+        # occupied bins in [0, i) x [0, j): `_near`'s summed-area table
+        self._occupied = np.zeros(self._shape + 1, dtype=np.int32)
+        self._occupied[1:, 1:] = (count > 0).reshape(self._shape) \
+            .cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
         self._tables = []
         for k in range(count.max() + 1):
             sel = np.flatnonzero(count == k)
@@ -283,20 +314,33 @@ class RegularizedForcing(_CurveForcing):
             ent = node[(first[sel, None] + np.arange(k)).ravel()]
             self._tables.append(tuple(v[ent].reshape(len(sel), k) for v in
                                       (xy[:, 0], xy[:, 1], self.node_fw)))
-        self._node_tree = cKDTree(self.node_xy)
+
+    def _bin_of(self, p: np.ndarray) -> np.ndarray:
+        """Bin (i, j) of each point p (in units of r), clipped to the grid."""
+        return np.clip(np.floor((p - self._lo) * _BINS_PER_R), 0,
+                       self._shape - 1).astype(int)
 
     def _near(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        # a node within reach + circumradius of the centroid
-        return cells_near(mesh, self._node_tree, positions,
-                          self._reach * self.r)
+        """Mask over the cells at `positions`: cells whose bounding box meets
+        a bin that lists a node. `eval` is zero in every other bin, so a cell
+        left out has zero records."""
+        p = mesh.cell_coords[positions]
+        (i0, j0), (i1, j1) = (self._bin_of(p.min(axis=1) / self.r).T,
+                              self._bin_of(p.max(axis=1) / self.r).T + 1)
+        s = self._occupied
+        return s[i1, j1] - s[i0, j1] - s[i1, j0] + s[i0, j0] > 0
+
+    def _depths(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        depths = _subdivision_depths(mesh.h_sizes[positions], self.r,
+                                     self.kernel.continuous)
+        return np.where(self._near(mesh, positions), depths, -1)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """F_r at points (n, 2); zero outside the r-neighborhood of gamma.
 
         Each value depends on its own point only, not on the batch."""
         p = np.asarray(points, dtype=np.float64).reshape(-1, 2) / self.r
-        f = np.clip(np.floor((p - self._lo) * _BINS_PER_R), 0,
-                    self._shape - 1).astype(int)
+        f = self._bin_of(p)
         count, row = self._bin[f[:, 0] * self._shape[1] + f[:, 1]].T
         # points grouped by count (a radix sort while counts fit 16 bits)
         order = np.argsort(count.astype(np.min_scalar_type(len(self._tables))),
@@ -318,32 +362,6 @@ class RegularizedForcing(_CurveForcing):
                                      np.take(fw, rs, axis=0))
         return out / (self.r * self.r)
 
-    def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        """int_T F_r phi_i (i = 0, 1, 2) and int_T F_r^2 per cell; zeros
-        where `_near` rules the cell out."""
-        out = np.zeros((len(positions), 4))
-        near = np.flatnonzero(self._near(mesh, positions))
-        depths = _subdivision_depths(mesh.h_sizes[positions[near]], self.r,
-                                     self.kernel.continuous)
-        coords = mesh.cell_coords[positions]
-        areas = mesh.areas[positions]
-        for d in np.unique(depths):
-            grp = near[depths == d]
-            bary, w = quadr.subdivided_rule(int(d))
-            step = max(1, _POINT_CHUNK // len(w))
-            for lo in range(0, len(grp), step):
-                sel = grp[lo:lo + step]
-                pts = quadr.triangle_points(coords[sel], bary)
-                g = self.eval(pts.reshape(-1, 2)).reshape(len(sel), len(w))
-                out[sel, :3] = areas[sel, None] \
-                    * np.einsum("mq,q,qi->mi", g, w, bary)
-                out[sel, 3] = areas[sel] * np.einsum("mq,mq,q->m", g, g, w)
-        return out
-
-    def data_indicator(self, mesh: Mesh) -> np.ndarray:
-        """d(T) = h_T ||F_r||_{L2(T)} for all active cells."""
-        return mesh.h_sizes * np.sqrt(self._records(mesh)[:, 3])
-
 
 class DensityForcing(_CellForcing):
     """Plain area density g(x), integrated with the standard cell rule."""
@@ -356,19 +374,8 @@ class DensityForcing(_CellForcing):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         return np.asarray(self.func(pts), dtype=np.float64)
 
-    def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        """int_T g phi_i (i = 0, 1, 2) and int_T g^2 per cell, each from its
-        own cell's points."""
-        pts = quadr.triangle_points(mesh.cell_coords[positions], quadr.TRI_BARY)
-        g = self.eval(pts.reshape(-1, 2)).reshape(len(positions), -1)
-        areas, out = mesh.areas[positions], np.empty((len(positions), 4))
-        out[:, :3] = areas[:, None] * np.einsum(
-            "mq,q,qi->mi", g, quadr.TRI_WEIGHTS, quadr.TRI_BARY)
-        out[:, 3] = areas * ((g * g) @ quadr.TRI_WEIGHTS)
-        return out
-
-    def data_indicator(self, mesh: Mesh) -> np.ndarray:
-        return mesh.h_sizes * np.sqrt(self._records(mesh)[:, 3])
+    def _depths(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+        return np.zeros(len(positions), dtype=np.int64)  # the 6-point rule
 
 
 class LineForcing(_CurveForcing):

@@ -275,6 +275,12 @@ class Mesh:
         return mesh
 
 
+def holds(known: np.ndarray, mesh: Mesh) -> bool:
+    """Whether a table kept for the serials `known` is that of `mesh`, row
+    for row: `known` is the serial array of `mesh`, which never changes."""
+    return known is mesh.serial
+
+
 def match_serials(known: np.ndarray, serial: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Where each of `serial` sits in the ascending `known` (an index into
@@ -297,13 +303,14 @@ class CellCache:
     def values(self, mesh: Mesh, compute) -> np.ndarray:
         """Values of all cells of `mesh` (read-only). The cells with no entry
         are filled from `compute(rows)` over their rows (ascending)."""
-        serial = mesh.serial
-        at, fresh = match_serials(self._serials, serial)
+        if holds(self._serials, mesh):
+            return self._values
+        at, fresh = match_serials(self._serials, mesh.serial)
         out = self._values[at]
         if len(fresh):
             out[fresh] = compute(fresh)
         out.flags.writeable = False
-        self._serials, self._values = serial, out
+        self._serials, self._values = mesh.serial, out
         return out
 
 
@@ -343,34 +350,7 @@ def lshape_mesh(n: int) -> Mesh:
 
 # -- curve queries --------------------------------------------------------
 # Which cells meet the curve is decided in one place, the incidence store of
-# the Curve (`Curve.hits`); the functions here read it or bound distances.
-
-
-def cell_balls(mesh: Mesh, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid of each cell at `rows` and the radius about it that reaches
-    the cell's farthest vertex: the ball holds the whole cell."""
-    p = mesh.cell_coords[rows]
-    cent = p.mean(axis=1)
-    return cent, np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
-
-
-def cells_near(mesh: Mesh, tree, rows: np.ndarray,
-               reach: float) -> np.ndarray:
-    """Mask over the cells at `rows`: cells whose centroid lies within
-    reach + circumradius of a point of the kd-tree `tree`."""
-    cent, circ = cell_balls(mesh, rows)
-    bound = reach + circ + 1e-12
-    # an upper bound prunes the tree search far from the points; cells are
-    # grouped by bound within a factor of two so that small cells are not
-    # searched to the reach of large ones
-    dist = np.empty(len(cent))
-    group = np.floor(np.log2(bound))
-    for g in np.unique(group):
-        sel = group == g
-        dist[sel], _ = tree.query(
-            cent[sel], distance_upper_bound=np.nextafter(bound[sel].max(),
-                                                         np.inf))
-    return dist <= bound
+# the Curve (`Curve.hits`); the functions here read it.
 
 
 def interface_cells(mesh: Mesh, curve: "Curve") -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Shared helpers: brute-force reference quadratures and an edge-by-edge
-segment-triangle predicate used as oracles, sibling meshes for per-cell cache
-checks, and uniformly refined systems for solver checks.
+"""Shared helpers: brute-force reference quadratures, an edge-by-edge
+segment-triangle predicate and an exact cell-support test used as oracles,
+sibling meshes for per-cell cache checks, and uniformly refined systems for
+solver checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from mollifem.fem import DiscreteSystem, assemble
 from mollifem.forcing import DensityForcing
@@ -134,6 +136,54 @@ def segments_intersect_triangles(s0, s1, t0, t1, t2):
                     | segments_intersect(a0, a1, u1, u2)
                     | segments_intersect(a0, a1, u2, u0))
     return hit
+
+
+# -- cells within reach of the mollified forcing ----------------------------
+# Candidate (cell, node) pairs from the centroid test that
+# `RegularizedForcing._near` made before its bin grid took over (a node within
+# reach + circumradius of the centroid, by a kd-tree of the nodes), then an
+# exact test of each pair.
+
+
+def cells_meeting_supports(mesh: Mesh, nodes: np.ndarray, r: float,
+                           support: str, rows: np.ndarray) -> np.ndarray:
+    """Mask over the cells at `rows`: cells whose closure meets the open
+    support of a node, the ball of radius r or the square of half side r
+    about it, by more than 1e-9 r."""
+    reach = r if support == "ball" else np.sqrt(2.0) * r
+    corners = mesh.cell_coords[rows]
+    cent = corners.mean(axis=1)
+    circ = np.hypot(*(corners - cent[:, None, :]).T).max(axis=0)
+    near = cKDTree(nodes).query_ball_point(cent, reach + circ + 1e-12)
+    cell = np.repeat(np.arange(len(rows)), [len(n) for n in near])
+    p = nodes[np.concatenate([np.array(n, dtype=np.int64) for n in near])]
+    tri = mesh.cell_coords[rows[cell]]
+    edges = [(tri[:, k], tri[:, (k + 1) % 3]) for k in range(3)]
+    if support == "ball":
+        inside = np.ones(len(p), dtype=bool)
+        dist = np.full(len(p), np.inf)
+        for a, b in edges:
+            e = b - a
+            t = np.clip(((p - a) * e).sum(-1) / (e * e).sum(-1), 0.0, 1.0)
+            dist = np.minimum(dist, np.hypot(*(a + t[:, None] * e - p).T))
+            inside &= cross2(e, p - a) >= 0.0  # the cells are CCW
+        meets = inside | (dist < r * (1.0 - 1e-9))
+    else:
+        # separating axes: x, y and the normals of the three edges
+        axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        axes += [(b - a)[:, ::-1] * [1.0, -1.0] for a, b in edges]
+        meets = np.ones(len(p), dtype=bool)
+        for n in axes:
+            n = np.broadcast_to(n, p.shape)
+            t = (tri * n[:, None, :]).sum(-1)
+            c = (p * n).sum(-1)
+            half = r * np.abs(n).sum(-1)
+            slack = 1e-9 * r * np.hypot(*n.T)
+            meets &= (t.max(axis=1) > c - half + slack) \
+                & (t.min(axis=1) < c + half - slack)
+    out = np.zeros(len(rows), dtype=bool)
+    out[cell[meets]] = True
+    return out
 
 
 def sibling_refinements(mesh: Mesh, curve) -> tuple[Mesh, Mesh]:

@@ -20,9 +20,10 @@ from mollifem.curves import Curve, SegmentedData
 from mollifem.forcing import (KERNEL_FAMILIES, DensityForcing, Kernel,
                               LineForcing, RegularizedForcing,
                               kernel_moment_check, r_of_tau)
-from mollifem.mesh import Mesh, rect_mesh
+from mollifem.mesh import Mesh, interface_cells, rect_mesh
 
-from conftest import cell_l2_norms, gauss_grid_on_triangle, sibling_refinements
+from conftest import (cell_l2_norms, cells_meeting_supports,
+                      gauss_grid_on_triangle, sibling_refinements)
 
 # -- independent reference integrators ------------------------------------
 
@@ -365,16 +366,28 @@ def test_eval_is_batch_independent(family, pts):
         forcing._PAIR_CHUNK = chunk
 
 
-@pytest.mark.parametrize("family", KERNEL_FAMILIES)
-def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(family):
-    # one batch of cells of depths 2, 3 and 4 equals the rule applied to
-    # `eval` at each cell's own points, cell by cell
-    g = _batch_forcing(family)
+def _area_forcing(kind: str):
+    """The mollified forcing of `_batch_forcing` for a kernel family, or a
+    smooth density for "density"."""
+    if kind == "density":
+        return DensityForcing(lambda p: np.cos(3 * p[:, 0]) * np.exp(p[:, 1]))
+    return _batch_forcing(kind)
+
+
+@pytest.mark.parametrize("kind", [*KERNEL_FAMILIES, "density"])
+def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(kind):
+    # one batch of cells equals the rule applied to `eval` at each cell's own
+    # points, cell by cell: depths 2, 3 and 4 for the mollified forcing, the
+    # 6-point rule (depth 0) on every cell for the density
+    g = _area_forcing(kind)
     mesh = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
     for _ in range(4):
         mesh = mesh.refine(range(0, mesh.num_cells, 3))
-    depths = forcing._subdivision_depths(mesh.h_sizes, g.r)
-    assert len(np.unique(depths)) == 3
+    if kind == "density":
+        depths = np.zeros(mesh.num_cells, dtype=np.int64)
+    else:
+        depths = forcing._subdivision_depths(mesh.h_sizes, g.r)
+        assert len(np.unique(depths)) == 3
     positions = np.arange(mesh.num_cells)
     got = g._cell_integrals(mesh, positions)
     for c in positions:
@@ -385,6 +398,62 @@ def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(family):
         data = mesh.areas[c] * np.einsum("mq,mq,q->m", v, v, w)[0]
         assert got[c, :3].tobytes() == load.tobytes()
         assert got[c, 3] == data
+
+
+@pytest.mark.parametrize("kind", ["radial_c1", "density"])
+def test_cell_integrals_do_not_depend_on_the_batch(kind, monkeypatch):
+    # one-cell batches, and batches of a few cells, give the bits of one
+    # whole-mesh batch; for the mollified forcing the mesh is resolved along
+    # the curve, so its near cells take depths 0 to 3
+    g = _area_forcing(kind)
+    if kind == "density":
+        mesh = rect_mesh(8, 8).uniform_refine(8)  # 32,768 cells
+    else:
+        mesh = interface_loop(rect_mesh(4, 4), g.curve, g.r / 8)
+    rows = np.arange(mesh.num_cells)
+    if kind != "density":
+        assert set(g._depths(mesh, rows)) == {-1, 0, 1, 2, 3}
+    whole = g._cell_integrals(mesh, rows).view(np.int64)
+    some = rows[::len(rows) // 600]
+    ones = np.concatenate([g._cell_integrals(mesh, rows[c:c + 1])
+                           for c in some])
+    assert np.array_equal(ones.view(np.int64), whole[some])
+    monkeypatch.setattr(forcing, "_POINT_CHUNK", 20)  # 3 cells at depth 0
+    assert np.array_equal(g._cell_integrals(mesh, rows).view(np.int64), whole)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(["circle", "open", "closed"]),
+       family=st.sampled_from(KERNEL_FAMILIES),
+       r=st.sampled_from([0.03, 0.1, 0.25]), seed=st.integers(0, 2 ** 16),
+       rounds=st.integers(0, 8))
+def test_near_cells_hold_every_cell_the_forcing_reaches(shape, family, r,
+                                                        seed, rounds):
+    # on a mesh graded towards the curve: every cell `_near` leaves out has
+    # the records (bits, so -0.0 would show) it would get from the rule, and
+    # every cell that meets a node's support is near. (The former centroid
+    # test flags more: cells whose circumball, not the cell, meets a
+    # support, some of which `_near` leaves out.)
+    rng = np.random.default_rng(seed)
+    if shape == "circle":
+        curve = Curve.circle(rng.uniform(0.35, 0.65, 2),
+                             rng.uniform(0.05, 0.3), int(rng.integers(3, 200)))
+    else:
+        curve = Curve(rng.uniform(0.1, 0.9, (int(rng.integers(2, 7)), 2)),
+                      closed=shape == "closed")
+    data = SegmentedData(curve, rng.uniform(-1.0, 1.0, curve.num_segments))
+    g = RegularizedForcing(curve, data, Kernel(family), r)
+    mesh = rect_mesh(4, 4)
+    for _ in range(rounds):
+        mesh = mesh.refine(np.union1d(interface_cells(mesh, curve),
+                                      rng.choice(mesh.num_cells, 3)))
+    rows = np.arange(mesh.num_cells)
+    near = g._near(mesh, rows)
+    got = g._cell_integrals(mesh, rows)
+    g._near = lambda mesh, positions: np.ones(len(positions), dtype=bool)
+    assert g._cell_integrals(mesh, rows).tobytes() == got.tobytes()
+    meets = cells_meeting_supports(mesh, g.node_xy, r, g.kernel.support, rows)
+    assert meets.any() and not (meets & ~near).any()
 
 
 def test_subdivision_depths_follow_h_over_r():

@@ -540,6 +540,16 @@ def test_cell_cache_keeps_the_active_cells_of_the_last_mesh():
         assert len(cache._serials) == mesh.num_cells
 
 
+def test_cell_cache_answers_the_last_mesh_from_its_table():
+    # asked again about the mesh it last saw, the cache computes nothing and
+    # returns the table it holds
+    cache, calls = CellCache((2,)), []
+    mesh = rect_mesh(3, 2)
+    first = cache.values(mesh, _triangle_values(mesh, calls))
+    assert cache.values(mesh, _triangle_values(mesh, calls)) is first
+    assert calls == [mesh.num_cells]
+
+
 def test_cell_cache_shares_no_entry_between_separate_meshes():
     # equal row counts and equal triangles still name other cells
     cache, calls = CellCache((2,)), []

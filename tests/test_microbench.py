@@ -10,7 +10,7 @@ import pytest
 
 from mollifem.afem import interface_loop
 from mollifem.fem import ErrorIntegrator, FeFunction, solve_galerkin
-from mollifem.forcing import Kernel, RegularizedForcing
+from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import interface_cells, rect_mesh
 from mollifem.problems import lshape_problem, square_problem
 
@@ -68,6 +68,21 @@ def test_cold_regularized_forcing_on_a_resolved_mesh(benchmark,
     # (96-point) rule here
     near = g._near(mesh, np.arange(mesh.num_cells))
     assert sum(points) <= 96 * near.sum() / 4
+
+
+def test_cold_density_forcing_on_100k_cells(benchmark):
+    # the forcing layer of the plain (manufactured) runs
+    mesh = rect_mesh(224, 224)  # 100,352 cells
+
+    def cold():
+        g = DensityForcing(lambda p: 1.0 + np.sin(3.0 * p[:, 0]) * p[:, 1])
+        return g.load_vector(mesh), g.data_indicator(mesh)
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    rhs, d = benchmark.pedantic(cold, rounds=5, warmup_rounds=1)
+    # the load sums to the integral of the density, 1 + (1 - cos 3) / 6
+    assert abs(rhs.sum() - (1.0 + (1.0 - np.cos(3.0)) / 6.0)) < 1e-12
+    assert np.all(d > 0.0)
 
 
 def test_refine_1k_marked_on_100k_cells(benchmark):
