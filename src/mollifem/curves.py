@@ -38,7 +38,7 @@ class Curve:
         if self.total_length <= 0:
             raise ValueError("curve has zero length")
         self._serials = np.array([-1])  # a sentinel entry no serial matches
-        self._hits = (np.empty(0, np.int64), np.empty(0, np.int64),
+        self._hits = (np.empty(0, np.int32), np.empty(0, np.int32),
                       np.empty(0), np.empty(0))
 
     @classmethod
@@ -112,9 +112,11 @@ class Curve:
                 self.seg_start[si], self.seg_end[si], *p)
             hits = [np.concatenate((x[on], y[meets])) for x, y in
                     ((cell, ci), (seg, si), (t0, a), (t1, b))]
-            # kept and fresh pairs each ascend by cell, segments in order
+            # kept and fresh pairs each ascend by cell, segments in order;
+            # cells and segments are stored as int32: 24 B a pair
             order = np.argsort(hits[0], kind="stable")
-            self._hits = tuple(x[order] for x in hits)
+            cell, seg, t0, t1 = (x[order] for x in hits)
+            self._hits = (cell.astype(np.int32), seg.astype(np.int32), t0, t1)
             for x in self._hits:
                 x.flags.writeable = False
             self._serials = mesh.serial

@@ -2,9 +2,11 @@
 triangulations.
 
 Assembly of a(u,v) = int grad(u) . grad(v), non-homogeneous Dirichlet data
-by nodal interpolation with symmetric elimination, a preconditioned CG
-solve, and cached energy-norm error integration against closed-form
-solutions whose gradient kinks across the curve.
+by nodal interpolation with symmetric elimination, a BPX-preconditioned CG
+solve (tight, or stopped once the preconditioned residual norm meets a
+target the adaptive driver derives from the estimator), and cached
+energy-norm error integration against closed-form solutions whose gradient
+kinks across the curve.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quadrature as quadr
 from .errors import NumericalError
@@ -22,6 +23,9 @@ from .mesh import CellCache, Mesh
 from .mesh import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 
 CG_RTOL = 5e-11
+# the adaptive driver stops CG once sqrt(r^T B r) <= LAMBDA_ALG * estimator
+# (Gantner, Haberl, Praetorius, Schimanko, Math. Comp. 90, 2021)
+LAMBDA_ALG = 1e-3
 
 
 @dataclass
@@ -44,8 +48,13 @@ class DiscreteSystem:
 
 @dataclass
 class FeFunction:
+    """A P1 function by its nodal values. `residual` is set by
+    `solve_galerkin`: sqrt(r^T B r) of the solve's residual r = b - A x, B
+    the BPX preconditioner; None for any other function."""
+
     mesh: Mesh
     nodal_values: np.ndarray
+    residual: float | None = None
 
     def __post_init__(self):
         if len(self.nodal_values) != self.mesh.num_vertices:
@@ -113,12 +122,13 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
     return DiscreteSystem(mesh, mat, rhs, ubc, free, raw_rhs)
 
 
-def _bpx_preconditioner(system: DiscreteSystem) -> LinearOperator:
+def _bpx_preconditioner(system: DiscreteSystem):
     """Additive multilevel (BPX) preconditioner over the bisection genealogy:
     B = F (sum_w P_w D^-1 P_w^T) F + E, with P_w the prolongation from the
     vertices of level <= w (`Mesh.vertex_level`; a new vertex is the mean of
     its parents), D = diag(A), F and E the projections onto free and boundary
-    vertices. cond(BA) is bounded on graded NVB grids (Chen-Nochetto-Xu 2012)."""
+    vertices. cond(BA) is bounded on graded NVB grids (Chen-Nochetto-Xu 2012).
+    Returns the function r -> B r."""
     d = system.matrix.diagonal()
     if np.any(d <= 0):
         raise NumericalError("non-positive diagonal in assembled matrix")
@@ -144,24 +154,72 @@ def _bpx_preconditioner(system: DiscreteSystem) -> LinearOperator:
                 + scaled.pop()
         return np.where(free, z[rank], r)
 
-    return LinearOperator(system.matrix.shape, matvec=apply)
+    return apply
 
 
-def solve_galerkin(system: DiscreteSystem, initial_guess=None) -> FeFunction:
-    """CG solve to relative residual `CG_RTOL`; returns the FE solution."""
+def cg(A, b, x0=None, *, M, target=None, maxiter=None, callback=None):
+    """Preconditioned CG for the SPD system A x = b, M the function r -> B r
+    of an SPD preconditioner B. With no `target` it stops once
+    ||r||_2 <= CG_RTOL ||b||_2; with one, once sqrt(r^T B r) <= target (the
+    r.z that CG forms anyway; it bounds the energy error ||x* - x||_A up to
+    cond(BA)). `callback(x)` runs after every iteration.
+
+    Returns (x, info) as scipy's `cg` does: info 0 on a stop, `maxiter` when
+    the iterations ran out, and -1 on a breakdown (p.Ap or r.z not finite
+    and positive, a NaN in the data included)."""
+    maxiter = 10 * len(b) if maxiter is None else maxiter
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b - A @ x
+    atol = CG_RTOL * np.linalg.norm(b)
+    p = rz_old = None
+    for it in range(maxiter + 1):
+        if target is None and np.linalg.norm(r) <= atol:
+            return x, 0
+        z = M(r)
+        rz = r @ z
+        if target is not None and rz <= target * target:
+            return x, 0
+        if not (np.isfinite(rz) and rz > 0):
+            return x, -1
+        if it == maxiter:
+            return x, maxiter
+        if p is None:
+            p = z
+        else:
+            p *= rz / rz_old
+            p += z
+        q = A @ p
+        pq = p @ q
+        if not (np.isfinite(pq) and pq > 0):
+            return x, -1
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        rz_old = rz
+        if callback is not None:
+            callback(x)
+
+
+def solve_galerkin(system: DiscreteSystem, initial_guess=None,
+                   target: float | None = None) -> FeFunction:
+    """CG solve; returns the FE solution with its `residual`. With no
+    `target`, to relative residual ||r||_2 <= `CG_RTOL` ||b||_2; with one,
+    until sqrt(r^T B r) <= target, B the BPX preconditioner."""
     mat, rhs = system.matrix, system.rhs
     n = mat.shape[0]
     x0 = None
     if initial_guess is not None and len(initial_guess) == n:
         x0 = np.where(system.free_mask, initial_guess, system.boundary_values)
-    x, info = cg(mat, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
-                 maxiter=10 * n, M=_bpx_preconditioner(system))
+    bpx = _bpx_preconditioner(system)
+    x, info = cg(mat, rhs, x0=x0, M=bpx, target=target)
     if info != 0:
         res = np.linalg.norm(rhs - mat @ x) / max(np.linalg.norm(rhs), 1e-300)
-        raise NumericalError(
-            f"CG failed to converge (info={info}, relative residual {res:.3e})")
+        kind = "breakdown" if info < 0 else "iteration cap"
+        raise NumericalError(f"CG failed to converge (info={info}, {kind}, "
+                             f"relative residual {res:.3e})")
     x[~system.free_mask] = system.boundary_values[~system.free_mask]
-    return FeFunction(system.mesh, x)
+    r = rhs - mat @ x
+    return FeFunction(system.mesh, x, float(np.sqrt(max(r @ bpx(r), 0.0))))
 
 
 def prolong(fn: FeFunction, fine: Mesh) -> FeFunction:

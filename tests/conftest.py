@@ -1,7 +1,7 @@
 """Shared helpers: brute-force reference quadratures, an edge-by-edge
 segment-triangle predicate and an exact cell-support test used as oracles,
-sibling meshes for per-cell cache checks, and uniformly refined systems for
-solver checks.
+sibling meshes for per-cell cache checks, and uniformly refined systems
+with the adaptive driver's warm starts for solver checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from mollifem.fem import DiscreteSystem, assemble
+from mollifem.estimate import estimate
+from mollifem.fem import (LAMBDA_ALG, DiscreteSystem, assemble, prolong,
+                          solve_galerkin)
 from mollifem.forcing import DensityForcing
 from mollifem.geometry import _REL_EPS, cross2
 from mollifem.mesh import Mesh, interface_cells, rect_mesh
@@ -202,9 +204,23 @@ def sibling_refinements(mesh: Mesh, curve) -> tuple[Mesh, Mesh]:
     return siblings[0], siblings[1]
 
 
+def square_load() -> DensityForcing:
+    """The smooth load of `uniform_square_system`, a fresh forcing."""
+    return DensityForcing(lambda p: 1.0 + np.sin(3.0 * p[:, 0]) * p[:, 1])
+
+
 def uniform_square_system(passes: int) -> DiscreteSystem:
-    """Laplace system with a smooth load on the unit square, `rect_mesh(4, 4)`
+    """Laplace system with `square_load` on the unit square, `rect_mesh(4, 4)`
     after `passes` uniform bisection passes, homogeneous Dirichlet data."""
-    mesh = rect_mesh(4, 4).uniform_refine(passes)
-    g = DensityForcing(lambda p: 1.0 + np.sin(3.0 * p[:, 0]) * p[:, 1])
-    return assemble(mesh, g)
+    return assemble(rect_mesh(4, 4).uniform_refine(passes), square_load())
+
+
+def warm_target(passes: int) -> tuple[np.ndarray, float]:
+    """The adaptive driver's warm start and CG target for
+    `uniform_square_system(passes)`: the tight solution one pass coarser,
+    prolonged, and LAMBDA_ALG times its estimator."""
+    coarse = uniform_square_system(passes - 1)
+    w = solve_galerkin(coarse)
+    fine = rect_mesh(4, 4).uniform_refine(passes)
+    eta = estimate(coarse.mesh, w, square_load()).global_total
+    return prolong(w, fine).nodal_values, LAMBDA_ALG * eta

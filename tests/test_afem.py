@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import mollifem.afem as afem
+from mollifem import fem
 from mollifem.afem import (AfemParams, RunRecord, RunRow, data_loop, greedy,
                            interface_loop, mark, solve)
 from mollifem.curves import Curve, SegmentedData
 from mollifem.errors import NonTerminationError
+from mollifem.fem import solve_galerkin
 from mollifem.forcing import DensityForcing, LineForcing
 from mollifem.mesh import interface_cells, rect_mesh
 from mollifem.problems import lshape_problem, smooth_problem, square_problem
@@ -233,6 +235,50 @@ def test_baseline_solve_keeps_no_earlier_solution_at_assembly(monkeypatch):
     assert [alive for _, alive, _ in log[1:]] == [
         None if row.k == 0 else False for row in rec.rows[1:]]
     assert not any(n for _, _, n in log)
+
+
+def _passes(monkeypatch):
+    """Wrap the driver's `assemble` and `estimate`: one entry per pass, the
+    system, then (iterate, estimator) of each estimate on it."""
+    passes, real = [], (afem.assemble, afem.estimate)
+
+    def assemble(*args, **kwargs):
+        passes.append([real[0](*args, **kwargs)])
+        return passes[-1][0]
+
+    def estimate(mesh, w, forcing):
+        ind = real[1](mesh, w, forcing)
+        passes[-1].append((w, ind.global_total))
+        return ind
+
+    monkeypatch.setattr(afem, "assemble", assemble)
+    monkeypatch.setattr(afem, "estimate", estimate)
+    return passes
+
+
+@pytest.mark.parametrize("algorithm", ["plain", "regsolve"])
+def test_every_row_meets_the_algebraic_stop(monkeypatch, algorithm):
+    # the row's iterate u_k has sqrt(r^T B r) <= LAMBDA_ALG * eta(u_k), and
+    # so an energy distance from the exact Galerkin solution u_h of the same
+    # order: cond(BA) is bounded, and 3 leaves room over the 1.72 measured
+    passes = _passes(monkeypatch)
+    if algorithm == "plain":
+        problem, params = smooth_problem(), PLAIN_02
+    else:
+        problem = lshape_problem(n_segments=1024)
+        params = AfemParams(theta=0.7, theta_data=0.7, lam=1.0 / 3.0, mu=0.9,
+                            beta=0.6, tau0=0.6, j_max=1,
+                            kernel_family="tensor_linf")
+    rec = solve(problem, params, algorithm)[2]
+    assert len(passes) == len(rec) >= 4
+    for (system, *estimates), row in zip(passes, rec.rows):
+        w, eta = estimates[-1]
+        assert eta == row.estimator_total
+        bpx = fem._bpx_preconditioner(system)
+        r = system.rhs - system.matrix @ w.nodal_values
+        assert np.sqrt(r @ bpx(r)) <= afem.LAMBDA_ALG * eta
+        e = solve_galerkin(system).nodal_values - w.nodal_values
+        assert np.sqrt(e @ (system.matrix @ e)) <= 3 * afem.LAMBDA_ALG * eta
 
 
 def test_regsolve_schedule_and_branches():

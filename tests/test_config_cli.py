@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mollifem import cli, fem, forcing, problems, vtkio
+from mollifem import afem, cli, fem, forcing, problems, vtkio
 from mollifem.afem import RunRecord, RunRow
 from mollifem.cli import main, slope_fit
 from mollifem.config import (ALGORITHMS, PRESET_NAMES, ExperimentConfig,
@@ -259,6 +259,30 @@ def test_cli_run_exits_2_on_a_numerical_failure(tmp_path, monkeypatch,
     out = tmp_path / "results"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "numerical failure: CG failed to converge" in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
+
+
+def test_cli_run_exits_2_on_a_nan_load_in_a_warm_solve(tmp_path, monkeypatch,
+                                                       capsys):
+    # a NaN in the second pass's load breaks CG down in a solve to a target:
+    # exit 2, and no run.csv to carry a NaN
+    assembled, real = [], afem.assemble
+
+    def poisoned(*args, **kwargs):
+        system = real(*args, **kwargs)
+        assembled.append(system)
+        if len(assembled) == 2:
+            system.rhs[np.flatnonzero(system.free_mask)[0]] = np.nan
+        return system
+
+    monkeypatch.setattr(afem, "assemble", poisoned)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(preset("smooth").to_json())
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert len(assembled) == 2
+    assert "numerical failure: CG failed to converge (info=-1, breakdown" \
+        in capsys.readouterr().err
     assert not (out / "run.csv").exists()
 
 

@@ -21,7 +21,7 @@ from mollifem.geometry import clip_segments_to_triangles
 from mollifem.mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
 from mollifem.problems import RadialLogSolution, SineProduct
 
-from conftest import sibling_refinements, uniform_square_system
+from conftest import sibling_refinements, uniform_square_system, warm_target
 
 
 class Poly2D:
@@ -178,7 +178,7 @@ def test_bpx_preconditioner_is_spd_with_identity_boundary_rows(
         mesh = mesh.refine(data.draw(st.sets(
             st.sampled_from(range(mesh.num_cells)), max_size=12)))
     system = assemble(mesh, None)
-    apply = fem._bpx_preconditioner(system).matvec
+    apply = fem._bpx_preconditioner(system)
     x, y = np.random.default_rng(seed).standard_normal((2, mesh.num_vertices))
     bx, by = apply(x), apply(y)
     assert abs(y @ bx - x @ by) <= 1e-12 * np.linalg.norm(y) * np.linalg.norm(bx)
@@ -235,6 +235,55 @@ def test_solve_raises_when_cg_does_not_converge(monkeypatch):
     monkeypatch.setattr(fem, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 7))
     with pytest.raises(NumericalError, match="info=7"):
         solve_galerkin(uniform_square_system(2))
+
+
+def test_a_warm_target_solve_counts_fewer_iterations_than_a_tight_one(
+        monkeypatch):
+    # the callback runs once per iteration in both modes, as the benchmark's
+    # tracer counts them
+    calls = counting_cg(monkeypatch)
+    system = uniform_square_system(6)
+    guess, target = warm_target(6)
+    w = solve_galerkin(system, guess, target)
+    solve_galerkin(system, guess)
+    warm, tight = calls[-2:]
+    assert 0 < warm < tight, calls
+    assert w.residual <= target
+
+
+def test_cg_stops_at_its_target_or_its_iteration_cap():
+    system = uniform_square_system(4)
+    bpx = fem._bpx_preconditioner(system)
+    iters = []
+    _, info = fem.cg(system.matrix, system.rhs, M=bpx, maxiter=3,
+                     callback=iters.append)
+    assert info == 3 and len(iters) == 3
+    x, info = fem.cg(system.matrix, system.rhs, M=bpx, target=1e-4)
+    r = system.rhs - system.matrix @ x
+    assert info == 0 and np.sqrt(r @ bpx(r)) <= 1e-4
+
+
+def _indefinite(system):
+    """`system` with its free off-diagonal entries tripled: the diagonal
+    stays positive, the matrix indefinite."""
+    mat = system.matrix.copy()
+    row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    off = row != mat.indices
+    mat.data[off] *= 3.0
+    return dataclasses.replace(system, matrix=mat)
+
+
+@pytest.mark.parametrize("target", [None, 1e-6])
+@pytest.mark.parametrize("fault", ["indefinite", "nan load"])
+def test_solve_raises_on_a_cg_breakdown(fault, target):
+    system = uniform_square_system(3)
+    if fault == "indefinite":
+        system = _indefinite(system)
+        assert np.linalg.eigvalsh(system.matrix.toarray()).min() < 0
+    else:
+        system.rhs[np.flatnonzero(system.free_mask)[7]] = np.nan
+    with pytest.raises(NumericalError, match="breakdown"):
+        solve_galerkin(system, target=target)
 
 
 @pytest.mark.parametrize("rounds", [1, 3])

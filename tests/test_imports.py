@@ -78,13 +78,24 @@ def test_the_check_sees_each_kind_of_read():
     assert unused_imports(source) == ["system", "f"]
 
 
-def test_the_cli_imports_neither_scipy_integrate_nor_optimize():
-    # scipy.integrate pulls in scipy.optimize: about 0.2 s of every start
+def cli_imports(modules: set[str]) -> str:
+    """Those of `modules` that `import mollifem.cli` loads, as a sorted list
+    printed by a fresh interpreter."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, mollifem.cli; print(sorted("
-         "{'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"],
+         f"{modules!r} & set(sys.modules)))"],
         check=True, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_the_cli_imports_neither_scipy_integrate_nor_optimize():
+    # scipy.integrate pulls in scipy.optimize: about 0.2 s of every start
+    assert cli_imports({"scipy.integrate", "scipy.optimize"}) == "[]"
+
+
+def test_the_cli_does_not_import_scipy_sparse_linalg():
+    # the solver is the package's own CG loop
+    assert cli_imports({"scipy.sparse.linalg"}) == "[]"

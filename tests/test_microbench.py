@@ -14,6 +14,8 @@ from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import interface_cells, rect_mesh
 from mollifem.problems import lshape_problem, square_problem
 
+from conftest import warm_target
+
 R = 0.1024  # the radius of tau = 0.32, stage 2 of the lshape schedule
 
 
@@ -114,6 +116,15 @@ def test_cg_solve_on_66k_dofs(benchmark, square_66k):
                            warmup_rounds=1)
     res = square_66k.rhs - square_66k.matrix @ w.nodal_values
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(square_66k.rhs)
+
+
+def test_warm_target_solve_on_66k_dofs(benchmark, square_66k):
+    # the adaptive driver's solve: from the tight solution one pass coarser,
+    # prolonged, to LAMBDA_ALG times its estimator; about 8 iterations
+    guess, target = warm_target(12)
+    w = benchmark.pedantic(solve_galerkin, args=(square_66k, guess, target),
+                           rounds=8, warmup_rounds=1)
+    assert w.residual <= target
 
 
 def test_cold_error_integrator_on_curve_cells(benchmark):
