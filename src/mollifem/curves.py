@@ -107,7 +107,7 @@ class Curve:
             cell = row[cell]
             on = cell >= 0
             ci, si = self._candidates(mesh, fresh)
-            p = np.moveaxis(mesh.cell_coords[ci], 1, 0)  # corners 0, 1, 2
+            p = mesh.coords[mesh.triangles[ci].T]  # corners 0, 1, 2
             a, b, meets = clip_segments_to_triangles(
                 self.seg_start[si], self.seg_end[si], *p)
             hits = [np.concatenate((x[on], y[meets])) for x, y in
@@ -134,7 +134,7 @@ class Curve:
         then by ascending segment: a segment is a candidate of a cell when
         its midpoint lies within circumradius + half the longest segment of
         the cell's centroid, so every pair that meets is one."""
-        p = mesh.cell_coords[rows]
+        p = mesh.coords[mesh.triangles[rows]]
         cent = p.mean(axis=1)
         circ = np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
         near = self.midpoint_tree.query_ball_point(

@@ -1,12 +1,13 @@
 """P1 Galerkin discretization of the Laplace problem on conforming
 triangulations.
 
-Assembly of a(u,v) = int grad(u) . grad(v), non-homogeneous Dirichlet data
-by nodal interpolation with symmetric elimination, a BPX-preconditioned CG
-solve (tight, or stopped once the preconditioned residual norm meets a
-target the adaptive driver derives from the estimator), and cached
-energy-norm error integration against closed-form solutions whose gradient
-kinks across the curve.
+Assembly of a(u,v) = int grad(u) . grad(v) from three edge weights per cell
+off the mesh's edge vectors, non-homogeneous Dirichlet data by nodal
+interpolation with symmetric elimination, a BPX-preconditioned CG solve
+(tight, or stopped once the preconditioned residual norm meets a target the
+adaptive driver derives from the estimator), and cached energy-norm error
+integration against closed-form solutions whose gradient kinks across the
+curve.
 """
 from __future__ import annotations
 
@@ -45,6 +46,11 @@ class DiscreteSystem:
     free_mask: np.ndarray
     raw_rhs: np.ndarray
 
+    @cached_property
+    def preconditioner(self):
+        """`_bpx_preconditioner`, built once: a resumed solve reuses it."""
+        return _bpx_preconditioner(self)
+
 
 @dataclass
 class FeFunction:
@@ -62,31 +68,36 @@ class FeFunction:
 
     @cached_property
     def cell_gradients(self) -> np.ndarray:
-        """Constant gradient per active cell, shape (m, 2)."""
-        return np.einsum("mdi,mi->md", _p1_gradients(self.mesh),
-                         self.nodal_values[self.mesh.triangles])
+        """Constant gradient per active cell, shape (m, 2): the terms
+        t_i = u_i perp(e_i) / 2|T| of the corners, summed (t_0 + t_2) + t_1."""
+        ex, ey = self.mesh.edge_vectors
+        t = np.stack((-ey, ex), axis=2) / (2.0 * self.mesh.areas[:, None])
+        t *= self.nodal_values[self.mesh.triangles.T][:, :, None]
+        return (t[0] + t[2]) + t[1]
 
 
-def _p1_gradients(mesh: Mesh) -> np.ndarray:
-    """Basis gradients per cell: (m, 2, 3) with column i = grad(lambda_i)."""
-    p = mesh.cell_coords
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]],
-                 axis=2)
-    perp = np.stack([-e[:, 1, :], e[:, 0, :]], axis=1)
-    perp /= (2.0 * mesh.areas)[:, None, None]
-    return perp
+def _stiffness(mesh: Mesh):
+    """COO triplets (i, j, v) of the stiffness matrix, the diagonal last as
+    minus each row's sum. Edge k of a cell runs from corner i = k + 1 to
+    j = k + 2, and the cell across runs it back, so v sums
+    w_k = e_{k+1} . e_{k+2} / 4|T| over both; a boundary edge adds (j, i)."""
+    ex, ey = mesh.edge_vectors
+    w = (ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) \
+        / (4.0 * mesh.areas)
+    nb, c = mesh.neighbours.T, np.arange(mesh.num_cells, dtype=np.int32)
+    back = (nb[1][nb] == c) + 2 * (nb[2][nb] == c)  # the edge in the cell across
+    v, out = np.where(nb >= 0, w + w[back, nb], w), nb < 0
+    t = mesh.triangles.T  # int32: scipy's index type
+    a, b = t[[1, 2, 0]], t[[2, 0, 1]]
+    i, j, v = np.append(a, b[out]), np.append(b, a[out]), np.append(v, v[out])
+    d = np.arange(mesh.num_vertices, dtype=i.dtype)
+    return np.append(i, d), np.append(j, d), np.append(v, -np.bincount(i, v, len(d)))
 
 
 def form_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Unconstrained stiffness matrix of the Laplace form on the P1 space."""
-    n = mesh.num_vertices
-    tri = mesh.triangles  # int32, scipy's CSR index type: no copy
-    grads = _p1_gradients(mesh)
-    k_loc = np.einsum("mdi,mdj->mij", grads, grads)
-    k_loc *= mesh.areas[:, None, None]
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    i, j, v = _stiffness(mesh)
+    return sp.csr_matrix((v, (i, j)), shape=(mesh.num_vertices,) * 2)
 
 
 def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
@@ -97,7 +108,7 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
     (n, 2) to values; None means homogeneous.
     """
     n = mesh.num_vertices
-    raw = form_matrix(mesh)
+    i, j, v = _stiffness(mesh)
     raw_rhs = forcing.load_vector(mesh) if forcing is not None else np.zeros(n)
 
     bmask = mesh.boundary_vertex_mask
@@ -107,18 +118,15 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
                                 dtype=np.float64)
 
     free = ~bmask
-    rhs = raw_rhs - raw @ ubc
+    fi, fj = free[i], free[j]
+    # the nonzero free-free entries and a unit diagonal alone on each boundary
+    # row; the lift sums each free row over its sorted boundary columns
+    keep, cpl = (fi & fj) | (i == j), fi & ~fj
+    mat = sp.csr_matrix((np.where(fi, v, 1.0)[keep], (i[keep], j[keep])),
+                        shape=(n, n))
+    mat.eliminate_zeros()
+    rhs = raw_rhs - sp.csr_matrix((v[cpl], (i[cpl], j[cpl])), shape=(n, n)) @ ubc
     rhs[bmask] = ubc[bmask]
-    # the nonzero free-free entries in raw's sorted order, and a unit
-    # diagonal alone on each boundary row
-    row = np.repeat(np.arange(n, dtype=raw.indices.dtype), np.diff(raw.indptr))
-    keep = free[row] & free[raw.indices] & (raw.data != 0)
-    row, bnd = row[keep], np.flatnonzero(bmask)
-    at = np.searchsorted(row, bnd)
-    indptr = np.zeros(n + 1, dtype=raw.indptr.dtype)
-    np.cumsum(np.bincount(row, minlength=n) + bmask, out=indptr[1:])
-    mat = sp.csr_matrix((np.insert(raw.data[keep], at, 1.0),
-                         np.insert(raw.indices[keep], at, bnd), indptr), (n, n))
     return DiscreteSystem(mesh, mat, rhs, ubc, free, raw_rhs)
 
 
@@ -210,7 +218,7 @@ def solve_galerkin(system: DiscreteSystem, initial_guess=None,
     x0 = None
     if initial_guess is not None and len(initial_guess) == n:
         x0 = np.where(system.free_mask, initial_guess, system.boundary_values)
-    bpx = _bpx_preconditioner(system)
+    bpx = system.preconditioner
     x, info = cg(mat, rhs, x0=x0, M=bpx, target=target)
     if info != 0:
         res = np.linalg.norm(rhs - mat @ x) / max(np.linalg.norm(rhs), 1e-300)
@@ -324,7 +332,7 @@ class ErrorIntegrator:
 
     def _cell_moments(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """(V_T, m_T) of the active cells at `positions`, shape (n, 3)."""
-        n, coords = len(positions), mesh.cell_coords[positions]
+        n, coords = len(positions), mesh.coords[mesh.triangles[positions]]
         cell, ends, reach = np.empty(0, dtype=np.int64), np.empty((3, 2, 0)), 0.0
         if self.curve is not None:
             cell, seg = self.curve.hits(mesh, positions)[:2]

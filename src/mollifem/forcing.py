@@ -192,7 +192,7 @@ class _CellForcing:
             for lo in range(0, len(grp), step):
                 sel = grp[lo:lo + step]
                 cells = positions[sel]
-                pts = quadr.triangle_points(mesh.cell_coords[cells], bary)
+                pts = quadr.triangle_points(mesh.coords[mesh.triangles[cells]], bary)
                 g = self.eval(pts.reshape(-1, 2)).reshape(len(sel), len(w))
                 areas = mesh.areas[cells]
                 out[sel, :3] = areas[:, None] \
@@ -324,7 +324,7 @@ class RegularizedForcing(_CurveForcing):
         """Mask over the cells at `positions`: cells whose bounding box meets
         a bin that lists a node. `eval` is zero in every other bin, so a cell
         left out has zero records."""
-        p = mesh.cell_coords[positions]
+        p = mesh.coords[mesh.triangles[positions]]
         (i0, j0), (i1, j1) = (self._bin_of(p.min(axis=1) / self.r).T,
                               self._bin_of(p.max(axis=1) / self.r).T + 1)
         s = self._occupied
@@ -393,13 +393,12 @@ class LineForcing(_CurveForcing):
         rows, si, t0, t1 = self.curve.hits(mesh, positions)
         piece = t1 - t0 > 1e-14  # touching pairs carry no length
         rows, si, t0, t1 = rows[piece], si[piece], t0[piece], t1[piece]
-        ci, p = positions[rows], mesh.cell_coords
         gx, gw = quadr.GAUSS3_X, quadr.GAUSS3_W
         a = self.curve.seg_start[si]
         d = self.curve.seg_end[si] - a
         tt = t0[:, None] + (t1 - t0)[:, None] * gx[None, :]
         pts = a[:, None, :] + tt[..., None] * d[:, None, :]
-        lam = quadr.barycentric(p[ci], pts)
+        lam = quadr.barycentric(mesh.coords[mesh.triangles[positions[rows]]], pts)
         length = (t1 - t0) * self.curve.seg_lengths[si]
         f = self.data.values[si]
         np.add.at(out[:, :3], rows,

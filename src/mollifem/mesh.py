@@ -10,8 +10,9 @@ process ever gets, so per-cell caches survive refinement. Vertices are only
 ever created (as edge midpoints, each recording its edge and its bisection
 level), never removed, so the vertex count equals the P1 space dimension.
 
-Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``, and
-``neighbours[c, i]`` is the cell across it (-1 on the boundary). Bisection
+Cell-local numbering: edge ``i`` is the edge opposite vertex ``i``, from
+vertex i + 1 to i + 2 (the geometry cached per mesh is these edge vectors),
+and ``neighbours[c, i]`` is the cell across it (-1 on the boundary). Bisection
 splits the tagged refinement edge at its midpoint; children are stored with
 the new vertex first, so their refinement edge tag is always 0 (the edge
 opposite the newest vertex).
@@ -136,14 +137,19 @@ class Mesh:
         return len(self.triangles)
 
     @cached_property
-    def cell_coords(self) -> np.ndarray:
-        return self.coords[self.triangles]
+    def edge_vectors(self) -> np.ndarray:
+        """(2, 3, M): x and y of edge k, corner k + 1 to k + 2, of each cell."""
+        e = np.empty((2, 3, self.num_cells))
+        for d in range(2):
+            c = self.coords[:, d][self.triangles]
+            for k in range(3):
+                np.subtract(c[:, k - 1], c[:, k - 2], out=e[d, k])
+        return e
 
     @cached_property
     def areas(self) -> np.ndarray:
-        p = self.cell_coords
-        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+        (_, ex1, ex2), (_, ey1, ey2) = self.edge_vectors
+        return 0.5 * (ex1 * ey2 - ex2 * ey1)
 
     @cached_property
     def h_sizes(self) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Shared helpers: brute-force reference quadratures, an edge-by-edge
-segment-triangle predicate and an exact cell-support test used as oracles,
-sibling meshes for per-cell cache checks, and uniformly refined systems
-with the adaptive driver's warm starts for solver checks.
+"""Shared helpers: brute-force reference quadratures, the corner-based
+element formulas, an edge-by-edge segment-triangle predicate and an exact
+cell-support test used as oracles, jittered meshes and sibling meshes for
+per-cell checks, and uniformly refined systems with the adaptive driver's
+warm starts for solver checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from mollifem.estimate import estimate
@@ -18,7 +20,7 @@ from mollifem.fem import (LAMBDA_ALG, DiscreteSystem, assemble, prolong,
                           solve_galerkin)
 from mollifem.forcing import DensityForcing
 from mollifem.geometry import _REL_EPS, cross2
-from mollifem.mesh import Mesh, interface_cells, rect_mesh
+from mollifem.mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +58,7 @@ def integrate_on_mesh(mesh: Mesh, func, n: int = 12) -> float:
     """Integral of func over all active cells by per-cell tensor Gauss."""
     total = 0.0
     for c in range(mesh.num_cells):
-        pts, w = gauss_grid_on_triangle(mesh.cell_coords[c], n)
+        pts, w = gauss_grid_on_triangle(mesh.coords[mesh.triangles[c]], n)
         total += float(w @ np.asarray(func(pts), dtype=np.float64))
     return total
 
@@ -65,10 +67,63 @@ def cell_l2_norms(mesh: Mesh, func, n: int = 12) -> np.ndarray:
     """Per-cell L2 norms of func by the same brute-force rule."""
     out = np.empty(mesh.num_cells)
     for c in range(mesh.num_cells):
-        pts, w = gauss_grid_on_triangle(mesh.cell_coords[c], n)
+        pts, w = gauss_grid_on_triangle(mesh.coords[mesh.triangles[c]], n)
         vals = np.asarray(func(pts), dtype=np.float64)
         out[c] = np.sqrt(max(float(w @ (vals * vals)), 0.0))
     return out
+
+
+# -- the element formulas from the corners -----------------------------------
+# The package derives areas, gradients and stiffness from its cached edge
+# vectors; these are the formulas it used on the corner coordinates before,
+# kept as the oracle (`jittered_mesh` gives them meshes where rounding shows).
+
+
+def corner_areas(mesh: Mesh) -> np.ndarray:
+    """|T| per cell from corners 0, 1, 2: half the cross product of the
+    edges leaving corner 0."""
+    p = mesh.coords[mesh.triangles]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+
+
+def basis_gradients(mesh: Mesh) -> np.ndarray:
+    """(M, 2, 3): column i is the gradient of the hat function of corner i,
+    perp(e_i) / 2|T| with e_i the edge opposite corner i."""
+    p = mesh.coords[mesh.triangles]
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]],
+                 axis=2)
+    perp = np.stack([-e[:, 1, :], e[:, 0, :]], axis=1)
+    perp /= (2.0 * corner_areas(mesh))[:, None, None]
+    return perp
+
+
+def element_matrix_form(mesh: Mesh) -> sp.csr_matrix:
+    """The stiffness matrix from the 3 x 3 element matrices
+    |T| grad(lambda_i) . grad(lambda_j), all nine entries of each cell."""
+    grads = basis_gradients(mesh)
+    k_loc = np.einsum("mdi,mdj->mij", grads, grads)
+    k_loc *= corner_areas(mesh)[:, None, None]
+    tri, n = mesh.triangles, mesh.num_vertices
+    return sp.coo_matrix((k_loc.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
+                                          np.tile(tri, (1, 3)).ravel())),
+                         shape=(n, n)).tocsr()
+
+
+def jittered_mesh(domain: str, rounds: int, seed: int) -> Mesh:
+    """`rect_mesh(5, 3)` or `lshape_mesh(2)` with each vertex moved by up to
+    0.15 of a grid step along each axis, so no coordinate is dyadic, then
+    `rounds` rounds of bisecting a random quarter of the cells."""
+    rng = np.random.default_rng(seed)
+    base = rect_mesh(5, 3) if domain == "rect" else lshape_mesh(2)
+    step = 1.0 / 5.0 if domain == "rect" else 0.5
+    mesh = Mesh.from_arrays(base.coords + rng.uniform(
+        -0.15 * step, 0.15 * step, base.coords.shape), base.triangles)
+    for _ in range(rounds):
+        mesh = mesh.refine(rng.choice(mesh.num_cells,
+                                      max(1, mesh.num_cells // 4),
+                                      replace=False))
+    return mesh
 
 
 # -- the edge-by-edge segment-triangle predicate ----------------------------
@@ -153,13 +208,13 @@ def cells_meeting_supports(mesh: Mesh, nodes: np.ndarray, r: float,
     support of a node, the ball of radius r or the square of half side r
     about it, by more than 1e-9 r."""
     reach = r if support == "ball" else np.sqrt(2.0) * r
-    corners = mesh.cell_coords[rows]
+    corners = mesh.coords[mesh.triangles[rows]]
     cent = corners.mean(axis=1)
     circ = np.hypot(*(corners - cent[:, None, :]).T).max(axis=0)
     near = cKDTree(nodes).query_ball_point(cent, reach + circ + 1e-12)
     cell = np.repeat(np.arange(len(rows)), [len(n) for n in near])
     p = nodes[np.concatenate([np.array(n, dtype=np.int64) for n in near])]
-    tri = mesh.cell_coords[rows[cell]]
+    tri = mesh.coords[mesh.triangles[rows[cell]]]
     edges = [(tri[:, k], tri[:, (k + 1) % 3]) for k in range(3)]
     if support == "ball":
         inside = np.ones(len(p), dtype=bool)

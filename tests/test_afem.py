@@ -281,6 +281,31 @@ def test_every_row_meets_the_algebraic_stop(monkeypatch, algorithm):
         assert np.sqrt(e @ (system.matrix @ e)) <= 3 * afem.LAMBDA_ALG * eta
 
 
+def test_a_resume_reuses_the_preconditioner_of_its_system(monkeypatch):
+    # the first solve of each system gets a target 1e3 times too loose, so
+    # the driver resumes on that system; BPX is built once per system
+    builds, solves = [], []
+    bpx, solve_galerkin = fem._bpx_preconditioner, afem.solve_galerkin
+
+    def counted(system):
+        builds.append(system)
+        return bpx(system)
+
+    def loose_first(system, guess=None, target=None):
+        if target is not None and not any(s is system for s in solves):
+            target *= 1e3
+        solves.append(system)
+        return solve_galerkin(system, guess, target)
+
+    monkeypatch.setattr(fem, "_bpx_preconditioner", counted)
+    monkeypatch.setattr(afem, "solve_galerkin", loose_first)
+    solve(smooth_problem(), PLAIN_02, "plain")
+    systems = [s for i, s in enumerate(solves) if i == 0 or s is not solves[i - 1]]
+    assert len(solves) > len(systems) >= 4
+    assert len(builds) == len(systems)
+    assert all(b is s for b, s in zip(builds, systems))
+
+
 def test_regsolve_schedule_and_branches():
     # 2048-gon joints turn by well under the piece-chaining guard angle
     p = lshape_problem(n_segments=2048)

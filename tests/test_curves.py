@@ -80,8 +80,8 @@ def test_each_fresh_cell_is_queried_once_per_curve():
     _, first = np.unique(serial, return_index=True)
     rows = np.concatenate([np.arange(m.num_cells) for m in seen])[first]
     owner = np.repeat(np.arange(len(seen)), [m.num_cells for m in seen])[first]
-    want = np.concatenate([seen[k].cell_coords[rows[owner == k]].mean(axis=1)
-                           for k in range(len(seen))])
+    want = np.concatenate([m.coords[m.triangles[rows[owner == k]]].mean(axis=1)
+                           for k, m in enumerate(seen)])
     assert len(queried) == len(want) == len(first)
     np.testing.assert_array_equal(np.unique(queried, axis=0),
                                   np.unique(want, axis=0))

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from mollifem.estimate import IndicatorSet, estimate, jump_indicator_sq
 from mollifem.fem import FeFunction
 from mollifem.forcing import DensityForcing
 from mollifem.mesh import Mesh, rect_mesh
+
+from conftest import jittered_mesh
 
 
 def two_triangle_square() -> Mesh:
@@ -31,15 +34,9 @@ def test_jump_vanishes_for_global_linear():
     assert np.abs(jsq).max() < 1e-24
 
 
-def test_jump_matches_an_edge_loop():
-    # an independent loop over the edges of a graded mesh: the two cells of
-    # each interior edge both get h_F^2 ((g_L - g_R) . n)^2
-    rng = np.random.default_rng(5)
-    mesh = rect_mesh(4, 4)
-    for _ in range(4):
-        mesh = mesh.refine(rng.choice(mesh.num_cells, mesh.num_cells // 4,
-                                      replace=False))
-    w = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
+def _edge_loop_jumps(mesh: Mesh, w: FeFunction) -> np.ndarray:
+    """j(T)^2 by an independent loop over the edges: the two cells of each
+    interior edge both get h_F^2 ((g_L - g_R) . n)^2."""
     grads = w.cell_gradients
     owners: dict = {}
     for c, tri in enumerate(mesh.triangles.tolist()):
@@ -54,8 +51,32 @@ def test_jump_matches_an_edge_loop():
             normal = np.array([t[1], -t[0]]) / h_f
             left, right = cells
             want[cells] += h_f ** 2 * ((grads[left] - grads[right]) @ normal) ** 2
+    return want
+
+
+def test_jump_matches_an_edge_loop():
+    # a graded mesh
+    rng = np.random.default_rng(5)
+    mesh = rect_mesh(4, 4)
+    for _ in range(4):
+        mesh = mesh.refine(rng.choice(mesh.num_cells, mesh.num_cells // 4,
+                                      replace=False))
+    w = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
     assert mesh.generation.max() >= 3
-    np.testing.assert_allclose(jump_indicator_sq(mesh, w), want, rtol=1e-13)
+    np.testing.assert_allclose(jump_indicator_sq(mesh, w),
+                               _edge_loop_jumps(mesh, w), rtol=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["rect", "lshape"]), rounds=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_jump_matches_an_edge_loop_on_jittered_meshes(domain, rounds, seed):
+    mesh = jittered_mesh(domain, rounds, seed)
+    w = FeFunction(mesh, np.random.default_rng(seed).standard_normal(
+        mesh.num_vertices))
+    want = _edge_loop_jumps(mesh, w)
+    np.testing.assert_allclose(jump_indicator_sq(mesh, w), want, rtol=1e-12,
+                               atol=1e-14 * want.max())
 
 
 def test_estimate_combines_jump_and_data():

@@ -21,7 +21,8 @@ from mollifem.geometry import clip_segments_to_triangles
 from mollifem.mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
 from mollifem.problems import RadialLogSolution, SineProduct
 
-from conftest import sibling_refinements, uniform_square_system, warm_target
+from conftest import (basis_gradients, element_matrix_form, jittered_mesh,
+                      sibling_refinements, uniform_square_system, warm_target)
 
 
 class Poly2D:
@@ -103,7 +104,7 @@ def _projected_form(mesh):
 
 def _corner_graded(mesh, passes):
     for _ in range(passes):
-        near = np.hypot(*mesh.cell_coords.mean(axis=1).T) < 0.4
+        near = np.hypot(*mesh.coords[mesh.triangles].mean(axis=1).T) < 0.4
         mesh = mesh.refine(np.flatnonzero(near))
     return mesh
 
@@ -127,6 +128,42 @@ def test_assembly_drops_the_exact_zeros_of_a_right_angled_grid():
     mesh = rect_mesh(7, 5)
     assert (form_matrix(mesh).data == 0).any()
     assert (assemble(mesh, None).matrix.data != 0).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["rect", "lshape"]), rounds=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stiffness_and_gradients_match_the_element_formulas(domain, rounds,
+                                                            seed):
+    # no coordinate is dyadic, so the edge weights round differently from
+    # the element matrices; the gradients keep the element formula's
+    # operations and its einsum's summation order, and so its bits
+    mesh = jittered_mesh(domain, rounds, seed)
+    got, want = form_matrix(mesh), element_matrix_form(mesh)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    scale = np.abs(want.data).max()
+    assert np.abs(got.data - want.data).max() <= 1e-13 * scale
+    vals = np.random.default_rng(seed).standard_normal(mesh.num_vertices)
+    grads = FeFunction(mesh, vals).cell_gradients
+    ref = np.einsum("mdi,mi->md", basis_gradients(mesh), vals[mesh.triangles])
+    assert grads.shape == ref.shape and grads.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: rect_mesh(4, 4).uniform_refine(3),
+                                  lambda: _corner_graded(lshape_mesh(2), 6)],
+                         ids=["rect", "graded"])
+def test_stiffness_has_the_element_bits_on_right_isosceles_grids(make):
+    # newest-vertex bisection of a grid of squares with a dyadic step, as on
+    # the benchmark's meshes: every cell is right isosceles with dyadic
+    # corners, so each edge weight and element entry is exactly 0 or +-1/2
+    # (or +-1 on a diagonal), every sum of them is exact, and the matrix has
+    # the element matrices' bits whatever the formula
+    mesh = make()
+    got, want = form_matrix(mesh), element_matrix_form(mesh)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_galerkin_orthogonality():
@@ -193,7 +230,7 @@ def test_bpx_preconditioner_is_spd_with_identity_boundary_rows(
 def test_solve_matches_a_direct_solve_on_a_graded_mesh():
     mesh = lshape_mesh(4).uniform_refine(2)
     for _ in range(16):  # grade toward the reentrant corner: 9 levels
-        near = np.abs(mesh.cell_coords).sum(axis=2).min(axis=1) < 1e-12
+        near = np.abs(mesh.coords[mesh.triangles]).sum(axis=2).min(axis=1) < 1e-12
         mesh = mesh.refine(np.flatnonzero(near))
     plane = Poly2D(sympy.sympify("x - 2*y + x*y"))
     system = assemble(
@@ -343,7 +380,7 @@ def reference_energy_error(u, w: FeFunction, curve=None) -> float:
     for d in np.unique(depths):
         sel = np.nonzero(depths == d)[0]
         bary, wq = quadr.subdivided_rule(int(d))
-        pts = quadr.triangle_points(mesh.cell_coords[sel], bary)
+        pts = quadr.triangle_points(mesh.coords[mesh.triangles[sel]], bary)
         ge = u.gradient(pts.reshape(-1, 2)).reshape(len(sel), -1, 2) \
             - grads[sel][:, None, :]
         total += float((mesh.areas[sel] * ((ge * ge).sum(-1) @ wq)).sum())

@@ -292,7 +292,7 @@ def test_load_vector_against_brute_quadrature():
     rhs = g.load_vector(mesh)
     brute = np.zeros(mesh.num_vertices)
     for c in range(mesh.num_cells):
-        tri = mesh.cell_coords[c]
+        tri = mesh.coords[mesh.triangles[c]]
         pts, w = gauss_grid_on_triangle(tri, 40)
         vals = g.eval(pts)
         # hat functions via barycentric solve
@@ -392,7 +392,7 @@ def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(kind):
     got = g._cell_integrals(mesh, positions)
     for c in positions:
         bary, w = quadr.subdivided_rule(int(depths[c]))
-        pts = quadr.triangle_points(mesh.cell_coords[c:c + 1], bary)
+        pts = quadr.triangle_points(mesh.coords[mesh.triangles[c:c + 1]], bary)
         v = g.eval(pts.reshape(-1, 2))[None, :]
         load = mesh.areas[c] * np.einsum("mq,q,qi->mi", v, w, bary)[0]
         data = mesh.areas[c] * np.einsum("mq,mq,q->m", v, v, w)[0]
@@ -483,7 +483,7 @@ def _rule_integrals(g: RegularizedForcing, mesh: Mesh, rows: np.ndarray,
     out = np.empty((len(rows), 4))
     for lo in range(0, len(rows), 50):
         sel = rows[lo:lo + 50]
-        pts = quadr.triangle_points(mesh.cell_coords[sel], bary)
+        pts = quadr.triangle_points(mesh.coords[mesh.triangles[sel]], bary)
         v = g.eval(pts.reshape(-1, 2)).reshape(len(sel), -1)
         out[lo:lo + 50, :3] = mesh.areas[sel, None] \
             * np.einsum("mq,q,qi->mi", v, w, bary)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import segments_intersect_triangles
+from conftest import (corner_areas, jittered_mesh,
+                      segments_intersect_triangles)
 from mollifem.curves import Curve
 from mollifem.geometry import clip_segments_to_triangles
 from mollifem.mesh import (CellCache, Mesh, interface_cells,
@@ -41,8 +42,22 @@ def test_lshape_mesh_covers_three_quadrants():
     assert abs(mesh.areas.sum() - 3.0) < 1e-13
     assert mesh.is_conforming()
     # no cell may reach into the removed closed quadrant
-    c = mesh.cell_coords.reshape(-1, 2)
+    c = mesh.coords[mesh.triangles].reshape(-1, 2)
     assert not np.any((c[:, 0] > 1e-12) & (c[:, 1] > 1e-12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["rect", "lshape"]), rounds=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_edge_vectors_and_areas_have_the_bits_of_the_corners(domain, rounds,
+                                                             seed):
+    mesh = jittered_mesh(domain, rounds, seed)
+    p, e = mesh.coords[mesh.triangles], mesh.edge_vectors
+    assert e.shape == (2, 3, mesh.num_cells)
+    for k in range(3):  # edge k runs from corner k + 1 to corner k + 2
+        np.testing.assert_array_equal(e[:, k].T,
+                                      p[:, (k + 2) % 3] - p[:, (k + 1) % 3])
+    assert mesh.areas.tobytes() == corner_areas(mesh).tobytes()
 
 
 def test_refine_single_marked_cell_hand_count():
@@ -68,7 +83,7 @@ def _inside(tri: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def _descends_from(fine: Mesh, coarse: Mesh) -> bool:
     """Every active cell of `fine` lies in an active cell of `coarse`: the
     coarse cell that holds its centroid holds its three corners."""
-    p, q = fine.cell_coords, coarse.cell_coords
+    p, q = fine.coords[fine.triangles], coarse.coords[coarse.triangles]
     host = np.argmax(_inside(q[None], p.mean(axis=1)[:, None]), axis=1)
     return bool(_inside(q[host][:, None], p).all())
 
@@ -175,7 +190,7 @@ class _ReferenceNVB:
         """The ids of the active cells with the corners of `mesh`'s cells at
         `rows`."""
         at = {self._corners(cid): cid for cid in self.active}
-        return [at[tuple(map(tuple, mesh.cell_coords[r]))] for r in rows]
+        return [at[tuple(map(tuple, mesh.coords[mesh.triangles[r]]))] for r in rows]
 
     def refine(self, marked) -> None:
         self.bisections = 0
@@ -198,7 +213,7 @@ class _ReferenceNVB:
         want = sorted((self._corners(cid), self.cells[cid][1])
                       for cid in self.active)
         got = sorted((tuple(map(tuple, p)), int(e)) for p, e in
-                     zip(mesh.cell_coords, mesh.refinement_edge))
+                     zip(mesh.coords[mesh.triangles], mesh.refinement_edge))
         assert got == want
         assert mesh.num_vertices == len(self.coords)
         np.testing.assert_array_equal(np.unique(mesh.coords, axis=0),
@@ -246,7 +261,7 @@ def test_refine_numbering_is_pinned():
     n = coarse.num_cells - len(refined)
     np.testing.assert_array_equal(mesh.triangles[:n],
                                   np.delete(coarse.triangles, refined, axis=0))
-    p, q = mesh.cell_coords[n:], coarse.cell_coords
+    p, q = mesh.coords[mesh.triangles[n:]], coarse.coords[coarse.triangles]
     host = np.argmax(_inside(q[None], p.mean(axis=1)[:, None]), axis=1)
     assert np.all(np.diff(host) >= 0)
     np.testing.assert_array_equal(np.unique(host), refined)
@@ -369,7 +384,7 @@ def test_curve_cell_pairs_is_superset_of_hits():
         ci, si = curve._candidates(mesh, np.arange(mesh.num_cells))
         # the oracle tests every (cell, segment) pair of the mesh
         c, s = _all_pairs(mesh, curve)
-        p = mesh.cell_coords[c]
+        p = mesh.coords[mesh.triangles[c]]
         hit = segments_intersect_triangles(curve.seg_start[s],
                                            curve.seg_end[s],
                                            p[:, 0], p[:, 1], p[:, 2])
@@ -389,7 +404,7 @@ def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
               Curve(rng.uniform(-0.3, 1.3, size=(25, 2)), closed=False))
     for curve in curves:
         c, s = _all_pairs(mesh, curve)
-        p = mesh.cell_coords[c]
+        p = mesh.coords[mesh.triangles[c]]
         cent = p.mean(axis=1)
         circ = np.linalg.norm(p - cent[:, None], axis=2).max(axis=1)
         mid = 0.5 * (curve.seg_start[s] + curve.seg_end[s])
@@ -419,7 +434,7 @@ def _assert_hits_are_the_oracle_pairs(curve: Curve, meshes) -> None:
         cold = Curve(curve.points, curve.closed).hits(mesh)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(warm, cold))
         c, s = _all_pairs(mesh, curve)
-        p = mesh.cell_coords[c]
+        p = mesh.coords[mesh.triangles[c]]
         hit = segments_intersect_triangles(curve.seg_start[s], curve.seg_end[s],
                                            p[:, 0], p[:, 1], p[:, 2])
         cell, seg, t0, t1 = warm
@@ -427,7 +442,7 @@ def _assert_hits_are_the_oracle_pairs(curve: Curve, meshes) -> None:
                                       np.flatnonzero(hit))
         want = clip_segments_to_triangles(
             curve.seg_start[seg], curve.seg_end[seg],
-            *np.moveaxis(mesh.cell_coords[cell], 1, 0))
+            *np.moveaxis(mesh.coords[mesh.triangles[cell]], 1, 0))
         assert want[0].tobytes() == t0.tobytes()
         assert want[1].tobytes() == t1.tobytes()
 
@@ -507,7 +522,7 @@ def _triangle_values(mesh, calls):
     alone; it notes how many cells it was asked for."""
     def compute(positions):
         calls.append(len(positions))
-        p = mesh.cell_coords[positions]
+        p = mesh.coords[mesh.triangles[positions]]
         return np.stack([np.sin(7 * p).sum(axis=(1, 2)),
                          np.cos(3 * p).prod(axis=(1, 2))], axis=1)
     return compute

@@ -5,11 +5,14 @@ input, so a regression there shows without running a whole workload.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mollifem.afem import interface_loop
-from mollifem.fem import ErrorIntegrator, FeFunction, solve_galerkin
+from mollifem.estimate import estimate
+from mollifem.fem import ErrorIntegrator, FeFunction, assemble, solve_galerkin
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import interface_cells, rect_mesh
 from mollifem.problems import lshape_problem, square_problem
@@ -85,6 +88,44 @@ def test_cold_density_forcing_on_100k_cells(benchmark):
     # the load sums to the integral of the density, 1 + (1 - cos 3) / 6
     assert abs(rhs.sum() - (1.0 + (1.0 - np.cos(3.0)) / 6.0)) < 1e-12
     assert np.all(d > 0.0)
+
+
+def _fresh(mesh):
+    """Setup for a round: a copy of `mesh` with no cached geometry (its edge
+    vectors, areas and boundary mask are paid for inside the round), the same
+    cells and serials."""
+    return (replace(mesh),), {}
+
+
+def test_assemble_on_100k_cells(benchmark):
+    # the stiffness matrix, the boundary lift and the constrained matrix
+    mesh = rect_mesh(224, 224)  # 100,352 cells
+
+    def plane(p):
+        return 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 1]
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    system = benchmark.pedantic(lambda m: assemble(m, None, plane),
+                                setup=lambda: _fresh(mesh), rounds=8,
+                                warmup_rounds=1)
+    # the plane is discrete harmonic: its free values solve the system
+    u = plane(mesh.coords)
+    res = system.matrix @ u - system.rhs
+    assert np.abs(res).max() <= 1e-12 * np.abs(system.rhs).max()
+
+
+def test_estimate_on_100k_cells(benchmark):
+    # the gradients, the jumps and the data indicator of a warm forcing
+    mesh = rect_mesh(224, 224)  # 100,352 cells
+    vals = np.sin(3.0 * mesh.coords[:, 0]) * mesh.coords[:, 1]
+    g = DensityForcing(lambda p: 1.0 + p[:, 0])
+    g.data_indicator(mesh)  # the records, once; a copy shares its serials
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    ind = benchmark.pedantic(lambda m: estimate(m, FeFunction(m, vals), g),
+                             setup=lambda: _fresh(mesh), rounds=8,
+                             warmup_rounds=1)
+    assert np.all(ind.data_sq > 0.0) and ind.global_jump > 0.0
 
 
 def test_refine_1k_marked_on_100k_cells(benchmark):
