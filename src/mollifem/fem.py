@@ -119,12 +119,12 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
 
     free = ~bmask
     fi, fj = free[i], free[j]
-    # the nonzero free-free entries and a unit diagonal alone on each boundary
-    # row; the lift sums each free row over its sorted boundary columns
-    keep, cpl = (fi & fj) | (i == j), fi & ~fj
+    # the nonzero free-free entries (each already summed over its cells) and
+    # a unit diagonal alone on each boundary row; the lift sums each free row
+    # over its sorted boundary columns
+    keep, cpl = (fi & fj & (v != 0)) | (i == j), fi & ~fj
     mat = sp.csr_matrix((np.where(fi, v, 1.0)[keep], (i[keep], j[keep])),
                         shape=(n, n))
-    mat.eliminate_zeros()
     rhs = raw_rhs - sp.csr_matrix((v[cpl], (i[cpl], j[cpl])), shape=(n, n)) @ ubc
     rhs[bmask] = ubc[bmask]
     return DiscreteSystem(mesh, mat, rhs, ubc, free, raw_rhs)
