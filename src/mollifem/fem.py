@@ -68,12 +68,12 @@ class FeFunction:
 
     @cached_property
     def cell_gradients(self) -> np.ndarray:
-        """Constant gradient per active cell, shape (m, 2): the terms
-        t_i = u_i perp(e_i) / 2|T| of the corners, summed (t_0 + t_2) + t_1."""
+        """Constant gradient per active cell, (m, 2) over rows of x and y:
+        the corners' t_i = u_i perp(e_i) / 2|T|, summed (t_0 + t_2) + t_1."""
         ex, ey = self.mesh.edge_vectors
-        t = np.stack((-ey, ex), axis=2) / (2.0 * self.mesh.areas[:, None])
-        t *= self.nodal_values[self.mesh.triangles.T][:, :, None]
-        return (t[0] + t[2]) + t[1]
+        t = np.stack((-ey, ex)) / (2.0 * self.mesh.areas)
+        t *= self.nodal_values[self.mesh.triangles.T]
+        return ((t[:, 0] + t[:, 2]) + t[:, 1]).T
 
 
 def _stiffness(mesh: Mesh):
