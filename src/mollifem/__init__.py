@@ -11,8 +11,7 @@ from .fem import (DiscreteSystem, ErrorIntegrator, FeFunction, assemble,
                   energy_error, form_matrix, prolong, solve_galerkin)
 from .forcing import (DensityForcing, Kernel, LineForcing, RegularizedForcing,
                       kernel_moment_check, r_of_tau)
-from .mesh import (Mesh, interface_cells, interface_diameter, lshape_mesh,
-                   rect_mesh)
+from .mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
 from .problems import (TestProblem, lshape_problem, make_problem,
                        smooth_problem, square_problem)
 from .vtkio import write_vtk
@@ -26,7 +25,7 @@ __all__ = [
     "RegularizedForcing", "RunRecord", "RunRow", "SegmentedData",
     "TestProblem", "assemble", "data_loop", "energy_error",
     "estimate", "form_matrix", "greedy", "interface_cells",
-    "interface_diameter", "interface_loop", "jump_indicator_sq",
+    "interface_loop", "jump_indicator_sq",
     "kernel_moment_check", "lshape_mesh", "lshape_problem", "make_problem",
     "mark", "preset", "prolong", "r_of_tau", "rect_mesh", "smooth_problem",
     "solve", "solve_galerkin", "square_problem", "write_vtk",

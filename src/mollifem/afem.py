@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .fem import (LAMBDA_ALG, ErrorIntegrator, assemble, prolong,
 from .fem import energy_error  # noqa: F401  (perfbench/layers.py traces it)
 from .forcing import (KERNEL_FAMILIES, Kernel, LineForcing,
                       RegularizedForcing, r_of_tau)
-from .mesh import Mesh, interface_cells, interface_diameter
+from .mesh import Mesh, interface_cells
 
 logger = logging.getLogger("mollifem")
 
@@ -117,10 +117,10 @@ class RunRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(RunRow))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# each column's type, from its field's annotation; floats are written with
+# ".17g", so they read back exactly
+_CSV_TYPES = tuple({"int": int, "float": float, "str": str}[f.type]
+                   for f in fields(RunRow))
 
 
 @dataclass
@@ -138,13 +138,10 @@ class RunRecord:
     def to_csv(self, path, deterministic: bool = False) -> None:
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            wall = 0.0 if deterministic else row.wall_ms
-            lines.append(",".join([
-                str(row.j), str(row.k), _fmt(row.tau), _fmt(row.r),
-                str(row.dofs), str(row.cells), _fmt(row.estimator_total),
-                _fmt(row.estimator_jump), _fmt(row.estimator_data),
-                _fmt(row.energy_error), row.branch, _fmt(wall),
-            ]))
+            row = replace(row, wall_ms=0.0) if deterministic else row
+            lines.append(",".join(
+                format(float(x), ".17g") if t is float else str(x)
+                for t, x in zip(_CSV_TYPES, astuple(row))))
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -159,9 +156,7 @@ class RunRecord:
             p = ln.split(",")
             if len(p) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: malformed row {ln!r}")
-            rec.append(RunRow(int(p[0]), int(p[1]), float(p[2]), float(p[3]),
-                              int(p[4]), int(p[5]), float(p[6]), float(p[7]),
-                              float(p[8]), float(p[9]), p[10], float(p[11])))
+            rec.append(RunRow(*(t(x) for t, x in zip(_CSV_TYPES, p))))
         return rec
 
     def u_samples(self) -> list[RunRow]:
@@ -233,9 +228,10 @@ def interface_loop(mesh: Mesh, curve: Curve, r: float) -> Mesh:
         raise ValueError("r must be positive")
     for _ in range(INTERFACE_PASS_CAP):
         cells = interface_cells(mesh, curve)
-        if interface_diameter(mesh, cells) <= 0.5 * r:
+        coarse = cells[mesh.h_sizes[cells] > 0.5 * r]
+        if not len(coarse):
             return mesh
-        mesh = mesh.refine(cells[mesh.h_sizes[cells] > 0.5 * r])
+        mesh = mesh.refine(coarse)
     raise NonTerminationError(
         f"interface resolution to r={r:.3g} exceeded {INTERFACE_PASS_CAP} passes")
 

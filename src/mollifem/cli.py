@@ -125,12 +125,7 @@ def _cmd_slopes(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    try:
-        cfg = preset(args.name)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = cfg.to_json()
+    text = preset(args.name).to_json()  # argparse admits preset names only
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

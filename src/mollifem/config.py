@@ -22,23 +22,14 @@ Schema (all keys optional, defaults shown):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .afem import ALGORITHMS, AfemParams, is_int
 from .problems import PROBLEM_NAMES
 
-_PARAM_KEYS = {
-    "theta": "theta",
-    "theta_data": "theta_data",
-    "lambda": "lam",
-    "mu": "mu",
-    "beta": "beta",
-    "tau0": "tau0",
-    "j_max": "j_max",
-    "single_shot": "single_shot",
-    "kernel_family": "kernel_family",
-    "extra_final_step": "extra_final_step",
-}
+# JSON key -> AfemParams field; "lambda" is a Python keyword
+_PARAM_KEYS = {"lambda" if f.name == "lam" else f.name: f.name
+               for f in fields(AfemParams)}
 
 
 @dataclass(frozen=True)
@@ -78,24 +69,16 @@ class ExperimentConfig:
         return bad
 
     def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "problem": self.problem,
-            "algorithm": self.algorithm,
-            "curve_segments": self.curve_segments,
-            "initial_divisions": self.initial_divisions,
-            "output_dir": self.output_dir,
-            "deterministic": self.deterministic,
-            "params": {k: getattr(p, attr) for k, attr in _PARAM_KEYS.items()},
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["params"] = {k: getattr(self.params, attr)
+                         for k, attr in _PARAM_KEYS.items()}
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ValueError("config root must be a JSON object")
-        known = {"problem", "algorithm", "curve_segments", "initial_divisions",
-                 "output_dir", "deterministic", "params"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         pdict = raw.get("params", {})
@@ -105,8 +88,7 @@ class ExperimentConfig:
         if unknown_p:
             raise ValueError(f"unknown params keys: {sorted(unknown_p)}")
         params = AfemParams(**{_PARAM_KEYS[k]: v for k, v in pdict.items()})
-        fields = {k: raw[k] for k in known - {"params"} if k in raw}
-        return cls(params=params, **fields)
+        return cls(**{**raw, "params": params})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -80,13 +80,13 @@ def _stiffness(mesh: Mesh):
     """COO triplets (i, j, v) of the stiffness matrix, the diagonal last as
     minus each row's sum. Edge k of a cell runs from corner i = k + 1 to
     j = k + 2, and the cell across runs it back, so v sums
-    w_k = e_{k+1} . e_{k+2} / 4|T| over both; a boundary edge adds (j, i)."""
+    w_k = e_{k+1} . e_{k+2} / 4|T| over the edge and its twin; a boundary
+    edge adds (j, i)."""
     ex, ey = mesh.edge_vectors
     w = (ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) \
         / (4.0 * mesh.areas)
-    nb, c = mesh.neighbours.T, np.arange(mesh.num_cells, dtype=np.int32)
-    back = (nb[1][nb] == c) + 2 * (nb[2][nb] == c)  # the edge in the cell across
-    v, out = np.where(nb >= 0, w + w[back, nb], w), nb < 0
+    tw = mesh.twins.T
+    v, out = np.where(tw >= 0, w + w.T.ravel()[tw], w), tw < 0
     t = mesh.triangles.T  # int32: scipy's index type
     a, b = t[[1, 2, 0]], t[[2, 0, 1]]
     i, j, v = np.append(a, b[out]), np.append(b, a[out]), np.append(v, v[out])
@@ -216,7 +216,10 @@ def solve_galerkin(system: DiscreteSystem, initial_guess=None,
     mat, rhs = system.matrix, system.rhs
     n = mat.shape[0]
     x0 = None
-    if initial_guess is not None and len(initial_guess) == n:
+    if initial_guess is not None:
+        if len(initial_guess) != n:
+            raise ValueError(f"initial guess has {len(initial_guess)} values, "
+                             f"the system {n}")
         x0 = np.where(system.free_mask, initial_guess, system.boundary_values)
     bpx = system.preconditioner
     x, info = cg(mat, rhs, x0=x0, M=bpx, target=target)

@@ -9,7 +9,7 @@ _CHUNK_ROWS = 1 << 16  # rows formatted per write: the text stays bounded
 
 
 def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
-              cell_data: dict | None = None, title: str = "mollifem output") -> None:
+              cell_data: dict | None = None) -> None:
     """Write the active triangulation as an unstructured grid (cell type 5).
 
     `point_data` maps field names to per-vertex arrays, `cell_data` to
@@ -20,8 +20,8 @@ def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
     n = mesh.num_vertices
     m = mesh.num_cells
     # (text, row template, table): the text, then one row per table row
-    items = [("# vtk DataFile Version 3.0\n"
-              f"{title}\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
+    items = [("# vtk DataFile Version 3.0\nmollifem output\nASCII\n"
+              f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
               "%.17g %.17g 0\n", mesh.coords),
              (f"CELLS {m} {4 * m}\n", "3 %d %d %d\n", mesh.triangles),
              (f"CELL_TYPES {m}\n", "5\n", np.empty((m, 0)))]

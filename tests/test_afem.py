@@ -394,6 +394,14 @@ def test_run_record_csv_round_trip(tmp_path):
                       2.0 / 7.0, float("nan"), "MARK", 3.25))
     path = tmp_path / "run.csv"
     rec.to_csv(path)
+    assert path.read_text() == (
+        "j,k,tau,r,dofs,cells,estimator_total,estimator_jump,estimator_data,"
+        "energy_error,branch,wall_ms\n"
+        "0,0,0.59999999999999998,0.35999999999999999,25,32,0.5,"
+        "0.29999999999999999,0.40000000000000002,0.20999999999999999,"
+        "INTERFACE,12.5\n"
+        "1,3,0.47999999999999998,0.23039999999999999,113,208,"
+        "0.33333333333333331,0.25,0.2857142857142857,nan,MARK,3.25\n")
     back = RunRecord.from_csv(path)
     assert len(back) == 2
     for a, b in zip(rec.rows, back.rows):

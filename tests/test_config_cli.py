@@ -191,6 +191,42 @@ def test_cli_preset_prints_json(capsys):
     assert got == preset("lshape").to_dict()
 
 
+LSHAPE_JSON = {
+    "problem": "lshape", "algorithm": "regsolve", "curve_segments": 16384,
+    "initial_divisions": None, "output_dir": "out", "deterministic": False,
+    "params": {"theta": 0.7, "theta_data": 0.7, "lambda": 1.0 / 3.0,
+               "mu": 0.5, "beta": 0.8, "tau0": 0.6, "j_max": 6,
+               "single_shot": False, "kernel_family": "radial_c1",
+               "extra_final_step": True}}
+
+
+def _preset_json(top: dict, params: dict) -> str:
+    """The text of LSHAPE_JSON with some values changed, keys in place."""
+    raw = {**LSHAPE_JSON, **top,
+           "params": {**LSHAPE_JSON["params"], **params}}
+    return json.dumps(raw, indent=2) + "\n"
+
+
+SQUARE = ({"problem": "square"},
+          {"theta": 0.55, "theta_data": 0.55, "beta": 0.7, "tau0": 0.3,
+           "j_max": 8, "kernel_family": "tensor_linf"})
+
+
+@pytest.mark.parametrize("name, top, params", [
+    ("lshape", {}, {}),
+    ("lshape-single", {}, {"j_max": 14, "single_shot": True}),
+    ("square", *SQUARE),
+    ("square-baseline", {**SQUARE[0], "algorithm": "baseline"}, SQUARE[1]),
+    ("smooth", {"problem": "smooth", "algorithm": "plain"},
+     {"theta": 0.5, "theta_data": 0.5, "lambda": 1.0, "beta": 0.5,
+      "tau0": 0.1, "j_max": 0, "extra_final_step": False}),
+])
+def test_cli_preset_prints_the_same_text(capsys, name, top, params):
+    # the bytes, key order included; comparing parsed dicts ignores order
+    assert main(["preset", name]) == 0
+    assert capsys.readouterr().out == _preset_json(top, params)
+
+
 def test_cli_preset_writes_file(tmp_path):
     out = tmp_path / "p.json"
     assert main(["preset", "square", "--out", str(out)]) == 0
@@ -426,12 +462,12 @@ def _check_vtk_bytes(tmp_path, rng):
     u[:4] = [np.nan, -0.0, np.inf, 5e-324]
     q = rng.standard_normal(mesh.num_cells)
     path = tmp_path / "m.vtk"
-    write_vtk(path, mesh, point_data={"u": u}, cell_data={"q": q}, title="t")
+    write_vtk(path, mesh, point_data={"u": u}, cell_data={"q": q})
 
     def fmt(x):
         return format(float(x), ".17g")
 
-    lines = ["# vtk DataFile Version 3.0", "t", "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "mollifem output", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
     lines += [f"{fmt(x)} {fmt(y)} 0" for x, y in mesh.coords]
     lines.append(f"CELLS {mesh.num_cells} {4 * mesh.num_cells}")

@@ -184,6 +184,15 @@ def test_solve_warm_start_agrees_with_cold():
     assert np.abs(cold - warm).max() < 1e-8
 
 
+def test_solve_rejects_a_guess_of_the_wrong_length():
+    # a guess left on the coarse mesh (a forgotten prolong) is an error,
+    # not a cold start
+    mesh = rect_mesh(4, 4)
+    system = assemble(mesh.refine([0]), DensityForcing(lambda p: p[:, 0]))
+    with pytest.raises(ValueError, match="initial guess has 25 values"):
+        solve_galerkin(system, np.zeros(mesh.num_vertices))
+
+
 def counting_cg(monkeypatch) -> list[int]:
     """Route `fem.cg` through a wrapper, as the benchmark's tracer does; the
     returned list gets each call's iteration count."""

@@ -13,8 +13,8 @@ from conftest import (corner_areas, jittered_mesh,
                       segments_intersect_triangles)
 from mollifem.curves import Curve
 from mollifem.geometry import clip_segments_to_triangles
-from mollifem.mesh import (CellCache, Mesh, interface_cells,
-                           interface_diameter, lshape_mesh, rect_mesh)
+from mollifem.mesh import (CellCache, Mesh, interface_cells, lshape_mesh,
+                           rect_mesh)
 
 
 def two_triangle_square() -> Mesh:
@@ -88,23 +88,24 @@ def _descends_from(fine: Mesh, coarse: Mesh) -> bool:
     return bool(_inside(q[host][:, None], p).all())
 
 
-def _check_neighbours(mesh: Mesh) -> None:
-    """The neighbour table is symmetric over rows, and each pair shares the
-    vertex pair of the edges they name."""
-    nb = mesh.neighbours
-    assert np.all(nb < mesh.num_cells) and np.all(nb >= -1)
-    cell, k = np.nonzero(nb >= 0)
-    other = nb[cell, k]
-    back = mesh.neighbours[other]
-    assert np.all((back == cell[:, None]).sum(axis=1) == 1)
-    kb = np.argmax(back == cell[:, None], axis=1)
-    tri = mesh.triangles
-
-    def edge(c, j):
-        return np.sort(np.stack([tri[c, (j + 1) % 3], tri[c, (j + 2) % 3]],
-                                axis=1), axis=1)
-
-    np.testing.assert_array_equal(edge(cell, k), edge(other, kb))
+def _check_twins(mesh: Mesh) -> None:
+    """The twin table is an involution on the interior edges, each pair runs
+    the same vertex pair in opposite directions, and the -1 entries are the
+    edges no other cell has; `neighbours` is the rows of the twins."""
+    tw = mesh.twins.ravel()
+    assert mesh.twins.dtype == np.int32
+    assert mesh.twins.shape == (mesh.num_cells, 3)
+    assert np.all((tw >= -1) & (tw < tw.size))
+    e = np.flatnonzero(tw >= 0)
+    np.testing.assert_array_equal(tw[tw[e]], e)
+    start = mesh.triangles[:, [1, 2, 0]].ravel().astype(np.int64)
+    end = mesh.triangles[:, [2, 0, 1]].ravel().astype(np.int64)
+    np.testing.assert_array_equal(start[tw[e]], end[e])
+    np.testing.assert_array_equal(end[tw[e]], start[e])
+    key = np.minimum(start, end) * mesh.num_vertices + np.maximum(start, end)
+    assert len(np.unique(key)) == tw.size - len(e) // 2
+    np.testing.assert_array_equal(mesh.neighbours,
+                                  np.where(mesh.twins >= 0, mesh.twins // 3, -1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,7 +115,7 @@ def test_refine_preserves_area_and_nesting(domain, rounds, data):
     mesh = rect_mesh(2, 3, 0.0, 0.0, 1.0, 1.5) if domain == "rect" \
         else lshape_mesh(1)
     area = mesh.areas.sum()
-    _check_neighbours(mesh)
+    _check_twins(mesh)
     for _ in range(rounds):
         marked = data.draw(st.sets(
             st.sampled_from(range(mesh.num_cells)), max_size=12))
@@ -127,7 +128,7 @@ def test_refine_preserves_area_and_nesting(domain, rounds, data):
             a, b = fine.vertex_parents[v]
             np.testing.assert_array_equal(
                 fine.coords[v], 0.5 * (fine.coords[a] + fine.coords[b]))
-        _check_neighbours(fine)
+        _check_twins(fine)
         mesh = fine
 
 
@@ -240,7 +241,7 @@ def test_refine_numbers_like_the_reference_closure(seed, rounds, fraction,
         ref.refine(ref.ids(mesh, marked))
         mesh = mesh.refine(marked)
         ref.assert_same(mesh)
-        _check_neighbours(mesh)
+        _check_twins(mesh)
 
 
 def test_refine_numbering_is_pinned():
@@ -338,13 +339,13 @@ def test_cell_ids_persist_across_refinement():
 
 
 def test_active_ids_sorted_and_match_positions():
-    # serials ascend along the rows, and every row's neighbours are rows
+    # serials ascend along the rows, and every edge's twin names it back
     coarse = lshape_mesh(2)
     mesh = coarse.refine(range(5))
     assert np.all(np.diff(mesh.serial) > 0)
     assert np.all(np.diff(coarse.serial) > 0)
     assert mesh.serial[0] > coarse.serial[4]  # rows 0-4 were bisected
-    _check_neighbours(mesh)
+    _check_twins(mesh)
 
 
 def test_boundary_vertex_mask_rect():
@@ -482,13 +483,6 @@ def test_curve_hits_match_the_all_pairs_oracle(points, closed, graded, left,
     _assert_hits_are_the_oracle_pairs(curve, [base, a, b, a, base, b])
 
 
-def test_interface_diameter_is_max_h():
-    mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
-    expect = mesh.h_sizes[:3].max()
-    assert abs(interface_diameter(mesh, np.arange(3)) - expect) < 1e-14
-    assert interface_diameter(mesh, np.empty(0, dtype=np.int64)) == 0.0
-
-
 def test_refinement_terminates_on_deep_marking():
     mesh = two_triangle_square()
     for _ in range(12):
@@ -587,7 +581,7 @@ def test_refine_rejects_rows_outside_the_mesh():
 @given(seed=st.integers(0, 2 ** 16), rounds=st.integers(1, 4))
 def test_refine_keeps_the_neighbour_table_symmetric(seed, rounds):
     # random refinement edges and marked sets on a jittered grid: after every
-    # refine each row's neighbours are rows that name it back
+    # refine each edge's twin names it back
     rng = np.random.default_rng(seed)
     grid = rect_mesh(4, 3)
     mesh = Mesh.from_arrays(
@@ -596,4 +590,4 @@ def test_refine_keeps_the_neighbour_table_symmetric(seed, rounds):
     for _ in range(rounds):
         mesh = mesh.refine(rng.choice(mesh.num_cells,
                                       rng.integers(1, 6), replace=False))
-        _check_neighbours(mesh)
+        _check_twins(mesh)
