@@ -1,8 +1,8 @@
 """Adaptive P1 finite elements for elliptic problems with a line source on
 an immersed curve, approximated by mollified Dirac densities."""
 
-from .afem import (AfemParams, RunRecord, RunRow, data_loop, greedy,
-                   interface_loop, mark, solve)
+from .afem import (AfemParams, RunRecord, RunRow, data_loop, interface_loop,
+                   mark, solve)
 from .config import ExperimentConfig, preset
 from .curves import Curve, SegmentedData
 from .errors import NonTerminationError, NumericalError
@@ -23,9 +23,8 @@ __all__ = [
     "ErrorIntegrator", "ExperimentConfig", "FeFunction", "IndicatorSet",
     "Kernel", "LineForcing", "Mesh", "NonTerminationError", "NumericalError",
     "RegularizedForcing", "RunRecord", "RunRow", "SegmentedData",
-    "TestProblem", "assemble", "data_loop", "energy_error",
-    "estimate", "form_matrix", "greedy", "interface_cells",
-    "interface_loop", "jump_indicator_sq",
+    "TestProblem", "assemble", "data_loop", "energy_error", "estimate",
+    "form_matrix", "interface_cells", "interface_loop", "jump_indicator_sq",
     "kernel_moment_check", "lshape_mesh", "lshape_problem", "make_problem",
     "mark", "preset", "prolong", "r_of_tau", "rect_mesh", "smooth_problem",
     "solve", "solve_galerkin", "square_problem", "write_vtk",

@@ -44,7 +44,6 @@ from .mesh import Mesh, interface_cells
 logger = logging.getLogger("mollifem")
 
 DATA_PASS_CAP = 10_000
-GREEDY_PASS_CAP = 10_000
 SOLVE_PASS_CAP = 1_000
 INTERFACE_PASS_CAP = 10_000
 
@@ -206,20 +205,6 @@ def data_loop(mesh: Mesh, g, tau: float, theta_data: float) -> Mesh:
         mesh = mesh.refine(mark(d, theta_data))
     raise NonTerminationError(
         f"data reduction did not reach tau={tau:.3g} in {DATA_PASS_CAP} passes")
-
-
-def greedy(mesh: Mesh, g, tau: float) -> Mesh:
-    """Bisect the single worst data-indicator cell until the total is <= tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    for _ in range(GREEDY_PASS_CAP):
-        d = g.data_indicator(mesh)
-        total = float(np.sqrt((d * d).sum()))
-        if total <= tau:
-            return mesh
-        mesh = mesh.refine([int(np.argmax(d))])
-    raise NonTerminationError(
-        f"greedy reduction did not reach tau={tau:.3g} in {GREEDY_PASS_CAP} passes")
 
 
 def interface_loop(mesh: Mesh, curve: Curve, r: float) -> Mesh:

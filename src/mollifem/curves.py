@@ -2,7 +2,7 @@
 
 The immersed curve gamma is always handled through its polyline
 discretization; a circle is represented by an inscribed regular polygon.
-A curve's points never change. It owns the spatial index of its segments,
+A curve's points never change. It owns a bin grid of its segment midpoints,
 used for proximity queries, and the incidence of its segments and the cells
 of the last mesh asked about (`Curve.hits`), the one place where the program
 decides which cells the curve meets.
@@ -10,12 +10,10 @@ decides which cells the curve meets.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import clip_segments_to_triangles
+from .geometry import BinGrid, clip_segments_to_triangles
 from .mesh import Mesh, holds, match_serials
 
 
@@ -81,10 +79,14 @@ class Curve:
         return float(self.seg_lengths.max())
 
     @cached_property
-    def midpoint_tree(self) -> cKDTree:
-        """kd-tree of the segment midpoints; a segment that comes within rho
-        of x has its midpoint within rho + max_seg_len / 2 of x."""
-        return cKDTree(0.5 * (self.seg_start + self.seg_end))
+    def midpoint_grid(self) -> BinGrid:
+        """The n segment midpoints, `extent` wide, on bins of side max(extent /
+        (4 sqrt(n)), longest segment): about 16 bins a segment."""
+        mid = 0.5 * (self.seg_start + self.seg_end)
+        side = max(np.ptp(mid, axis=0).max() / (4.0 * np.sqrt(len(mid))),
+                   self.max_seg_len)
+        lo = mid.min(axis=0) - side
+        return BinGrid(lo, side, np.floor((mid - lo) / side).astype(np.int64))
 
     def hits(self, mesh: Mesh, rows: np.ndarray | None = None,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,15 +135,29 @@ class Curve:
         """(row, segment) pairs of the cells at `rows` (ascending), by row,
         then by ascending segment: a segment is a candidate of a cell when
         its midpoint lies within circumradius + half the longest segment of
-        the cell's centroid, so every pair that meets is one."""
+        the cell's centroid, so every pair that meets is one. A cell whose
+        ball's box meets a midpoint tests one run of them per bin row."""
         p = mesh.coords[mesh.triangles[rows]]
-        cent = p.mean(axis=1)
-        circ = np.sqrt(((p - cent[:, None, :]) ** 2).sum(-1)).max(axis=1)
-        near = self.midpoint_tree.query_ball_point(
-            cent, circ + 0.5 * self.max_seg_len + 1e-12, return_sorted=True)
-        count = np.fromiter(map(len, near), np.int64, len(near))
-        seg = np.fromiter(chain.from_iterable(near), np.int64, count.sum())
-        return np.repeat(rows, count), seg
+        cent = (p[:, 0] + p[:, 1] + p[:, 2]) / 3  # the bits of p.mean(axis=1)
+        d = p - cent[:, None, :]
+        reach = (np.sqrt((d[..., 0] ** 2 + d[..., 1] ** 2).max(axis=1))
+                 + 0.5 * self.max_seg_len + 1e-12)[:, None]
+        grid = self.midpoint_grid
+        (i0, j0, i1, j1), near = grid.box(cent - reach, cent + reach)
+        cell, i = _ranges(i0, np.where(near, i1, i0))  # rows of near boxes
+        b = i * grid.shape[1]
+        run, e = _ranges(grid.first[b + j0[cell]], grid.first[b + j1[cell]])
+        cell, seg = cell[run], grid.order[e]
+        d = 0.5 * (self.seg_start[seg] + self.seg_end[seg]) - cent[cell]
+        ball = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) <= reach[cell, 0]
+        key = np.sort(cell[ball] * self.num_segments + seg[ball])
+        return rows[key // self.num_segments], key % self.num_segments
+
+
+def _ranges(start: np.ndarray, stop: np.ndarray):
+    """The ranges [start[k], stop[k]) end to end, and the k of each value."""
+    k = np.repeat(np.arange(len(start)), stop - start)
+    return k, np.arange(len(k)) + (stop - np.cumsum(stop - start))[k]
 
 
 class SegmentedData:
@@ -155,7 +171,3 @@ class SegmentedData:
         if v.shape != (curve.num_segments,):
             raise ValueError("need one value per curve segment")
         self.values = v
-
-    @classmethod
-    def constant(cls, curve: Curve, value: float) -> "SegmentedData":
-        return cls(curve, value)

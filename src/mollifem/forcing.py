@@ -22,6 +22,7 @@ import numpy as np
 
 from . import quadrature as quadr
 from .curves import Curve, SegmentedData
+from .geometry import BinGrid
 from .mesh import CellCache, Mesh
 
 logger = logging.getLogger("mollifem")
@@ -282,53 +283,37 @@ class RegularizedForcing(_CurveForcing):
         self.node_fw = self.data.values[seg] * w
 
     def _build_bins(self) -> None:
-        """Fine bins of side r / n on a dense grid over the nodes' bounding
-        box widened by 3 r. A bin lists, in node order, every node whose
-        support meets it: at most n bins away along each axis and within
-        reach (the support's circumradius) + half a bin diagonal of its
-        centre. A bin with k nodes is row `_bin[b, 1]` of `_tables[k]`
-        (x / r, y / r, f w); `_bin[b, 0]` is k. Here n = _BINS_PER_R."""
+        """Bins of side r / n = r / _BINS_PER_R, in units of r, from 3 r below
+        the nodes. A bin lists, in node order, every node whose support meets
+        it: at most n bins away along each axis and within reach (the
+        support's circumradius) + half a bin diagonal of its centre. A bin
+        with k nodes is row `_row[b]` of `_tables[k]` (x / r, y / r, f w)."""
         n = _BINS_PER_R
         xy = self.node_xy / self.r
-        self._lo = np.floor(xy.min(axis=0)) - 3.0
-        self._shape = n * (np.ceil(xy.max(axis=0) - self._lo) + 3).astype(int)
+        lo = np.floor(xy.min(axis=0)) - 3.0
         off = np.indices((2 * n + 1, 2 * n + 1)).reshape(2, -1).T - n
-        bins = (np.floor((xy - self._lo) * n).astype(int)[:, None]
+        bins = (np.floor((xy - lo) * n).astype(int)[:, None]
                 + off).reshape(-1, 2)
         node = np.repeat(np.arange(len(xy)), len(off))
-        d = self._lo + (bins + 0.5) / n - xy[node]
+        d = lo + (bins + 0.5) / n - xy[node]
         keep = np.hypot(*d.T) <= self._reach + np.sqrt(0.5) / n + 1e-9
-        fid = bins[keep, 0] * self._shape[1] + bins[keep, 1]
-        node = node[keep][np.argsort(fid, kind="stable")]  # by bin, node
-        count = np.bincount(fid, minlength=self._shape.prod())
-        first = np.cumsum(count) - count
-        self._bin = np.stack([count, 0 * count], axis=1).astype(np.int32)
-        # occupied bins in [0, i) x [0, j): `_near`'s summed-area table
-        self._occupied = np.zeros(self._shape + 1, dtype=np.int32)
-        self._occupied[1:, 1:] = (count > 0).reshape(self._shape) \
-            .cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
+        self.grid = BinGrid(lo, 1.0 / n, bins[keep])
+        node = node[keep][self.grid.order]  # by bin, node
+        count = np.diff(self.grid.first)
+        self._row = np.zeros(len(count), dtype=np.int32)
         self._tables = []
         for k in range(count.max() + 1):
             sel = np.flatnonzero(count == k)
-            self._bin[sel, 1] = np.arange(len(sel))
-            ent = node[(first[sel, None] + np.arange(k)).ravel()]
+            self._row[sel] = np.arange(len(sel))
+            ent = node[(self.grid.first[sel, None] + np.arange(k)).ravel()]
             self._tables.append(tuple(v[ent].reshape(len(sel), k) for v in
                                       (xy[:, 0], xy[:, 1], self.node_fw)))
 
-    def _bin_of(self, p: np.ndarray) -> np.ndarray:
-        """Bin (i, j) of each point p (in units of r), clipped to the grid."""
-        return np.clip(np.floor((p - self._lo) * _BINS_PER_R), 0,
-                       self._shape - 1).astype(int)
-
     def _near(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        """Mask over the cells at `positions`: cells whose bounding box meets
-        a bin that lists a node. `eval` is zero in every other bin, so a cell
-        left out has zero records."""
+        """Mask over the cells at `positions` whose bounding box meets a bin
+        that lists a node: `eval` is zero in every other bin."""
         p = mesh.coords[mesh.triangles[positions]]
-        (i0, j0), (i1, j1) = (self._bin_of(p.min(axis=1) / self.r).T,
-                              self._bin_of(p.max(axis=1) / self.r).T + 1)
-        s = self._occupied
-        return s[i1, j1] - s[i0, j1] - s[i1, j0] + s[i0, j0] > 0
+        return self.grid.box(p.min(axis=1) / self.r, p.max(axis=1) / self.r)[1]
 
     def _depths(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         depths = _subdivision_depths(mesh.h_sizes[positions], self.r,
@@ -340,8 +325,8 @@ class RegularizedForcing(_CurveForcing):
 
         Each value depends on its own point only, not on the batch."""
         p = np.asarray(points, dtype=np.float64).reshape(-1, 2) / self.r
-        f = self._bin_of(p)
-        count, row = self._bin[f[:, 0] * self._shape[1] + f[:, 1]].T
+        b = np.ravel_multi_index(self.grid.bin_of(p).T, self.grid.shape)
+        count, row = self.grid.first[b + 1] - self.grid.first[b], self._row[b]
         # points grouped by count (a radix sort while counts fit 16 bits)
         order = np.argsort(count.astype(np.min_scalar_type(len(self._tables))),
                            kind="stable")

@@ -1,4 +1,4 @@
-"""Planar predicates used by the curve's incidence store and the error rule.
+"""Planar predicates, and the bin grid behind every spatial query.
 
 Vectorized over pair arrays; inputs are float64 arrays of shape (..., 2).
 """
@@ -46,3 +46,32 @@ def clip_segments_to_triangles(p0, p1, t0, t1, t2):
         tmax = np.where(~par & (c1 < 0), np.minimum(tmax, tcut), tmax)
         ok &= ~(par & (c0 < -eps))
     return tmin, tmax, ok & (tmax - tmin >= -_TOUCH)
+
+
+class BinGrid:
+    """Entries on square bins, entry e in bin ij[e] >= 0, up to a ring of
+    empty bins: bin (i, j) covers lo + side * [i, i + 1) x [j, j + 1). Bin
+    b = i * shape[1] + j holds order[first[b]:first[b + 1]]; occupied[i, j]
+    counts the bins in [0, i) x [0, j) that hold one (a summed-area table)."""
+
+    def __init__(self, lo, side: float, ij: np.ndarray):
+        self.lo, self.side, self.shape = lo, side, ij.max(axis=0) + 2
+        fid = np.ravel_multi_index(ij.T, self.shape)
+        count = np.bincount(fid, minlength=self.shape.prod())
+        self.order = np.argsort(fid, kind="stable")
+        self.first = np.concatenate(([0], np.cumsum(count)))
+        self.occupied = np.pad((count > 0).reshape(self.shape).cumsum(
+            axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32), (1, 0))
+
+    def bin_of(self, p: np.ndarray) -> np.ndarray:
+        """Bin (i, j) of each point, clipped to the grid."""
+        return np.clip(np.floor((p - self.lo) / self.side), 0,
+                       self.shape - 1).astype(np.int64)
+
+    def box(self, lo: np.ndarray, hi: np.ndarray):
+        """Bins [i0, i1) x [j0, j1) holding each box [lo, hi] (bin_of is
+        monotone), and a mask of the boxes whose bins hold an entry."""
+        (i0, j0), (i1, j1) = self.bin_of(lo).T, (self.bin_of(hi) + 1).T
+        s = self.occupied
+        return (i0, j0, i1, j1), \
+            s[i1, j1] - s[i0, j1] - s[i1, j0] + s[i0, j0] > 0

@@ -110,7 +110,7 @@ def _circle_problem(name: str, center, radius: float, gap: float,
     curve = Curve.circle(center, radius, n_segments, boundary_gap=gap)
     exact = RadialLogSolution(center, radius, corner_mode=corner_mode)
     return TestProblem(name=name, curve=curve,
-                       f=SegmentedData.constant(curve, 1.0 / radius),
+                       f=SegmentedData(curve, 1.0 / radius),
                        boundary_data=exact.value, exact=exact,
                        initial_mesh=initial_mesh)
 

@@ -11,12 +11,11 @@ import pytest
 
 import mollifem.afem as afem
 from mollifem import fem
-from mollifem.afem import (AfemParams, RunRecord, RunRow, data_loop, greedy,
+from mollifem.afem import (AfemParams, RunRecord, RunRow, data_loop,
                            interface_loop, mark, solve)
-from mollifem.curves import Curve, SegmentedData
 from mollifem.errors import NonTerminationError
 from mollifem.fem import solve_galerkin
-from mollifem.forcing import DensityForcing, LineForcing
+from mollifem.forcing import DensityForcing
 from mollifem.mesh import interface_cells, rect_mesh
 from mollifem.problems import lshape_problem, smooth_problem, square_problem
 
@@ -92,27 +91,6 @@ def test_data_loop_cap_raises(monkeypatch):
     monkeypatch.setattr(afem, "DATA_PASS_CAP", 2)
     with pytest.raises(NonTerminationError):
         data_loop(mesh, g, 1e-9, 0.5)
-
-
-def test_greedy_bisects_worst_cell_first():
-    mesh = rect_mesh(2, 1, 0.0, 0.0, 1.0, 0.5)
-    curve = Curve(np.array([[0.05, 0.25], [0.45, 0.25]]), closed=False)
-    data = SegmentedData.constant(curve, 1.0)
-    g = LineForcing(curve, data)
-    d = g.data_indicator(mesh)
-    worst = mesh.serial[int(np.argmax(d))]
-    total = float(np.sqrt((d * d).sum()))
-    out = greedy(mesh, g, 0.95 * total)
-    assert worst not in out.serial
-
-
-def test_greedy_tolerance_already_met_returns_same_mesh():
-    mesh = rect_mesh(2, 2, 0.0, 0.0, 1.0, 1.0)
-    curve = Curve(np.array([[0.1, 0.3], [0.6, 0.3]]), closed=False)
-    data = SegmentedData.constant(curve, 1.0)
-    g = LineForcing(curve, data)
-    out = greedy(mesh, g, 1e9)
-    assert out is mesh
 
 
 def test_interface_loop_postcondition():

@@ -46,15 +46,16 @@ def test_circle_boundary_gap_recorded():
     assert abs(c.boundary_gap - 0.3) < 1e-15
 
 
-class _CountingTree:
-    """A curve's midpoint tree that records the centres it is asked about."""
+class _CountingCandidates:
+    """A curve's `_candidates` that records the centroids of the cells it is
+    asked about."""
 
-    def __init__(self, tree):
-        self.tree, self.centres = tree, []
+    def __init__(self, candidates):
+        self.candidates, self.centres = candidates, []
 
-    def query_ball_point(self, x, r, **kwargs):
-        self.centres.append(np.array(x))
-        return self.tree.query_ball_point(x, r, **kwargs)
+    def __call__(self, mesh, rows):
+        self.centres.append(mesh.coords[mesh.triangles[rows]].mean(axis=1))
+        return self.candidates(mesh, rows)
 
 
 def test_each_fresh_cell_is_queried_once_per_curve():
@@ -63,7 +64,7 @@ def test_each_fresh_cell_is_queried_once_per_curve():
     # comes first
     problem = square_problem(n_segments=512)
     curve = problem.curve
-    tree = curve.midpoint_tree = _CountingTree(curve.midpoint_tree)
+    counted = curve._candidates = _CountingCandidates(curve._candidates)
     error = ErrorIntegrator(problem.exact, curve)
     line = LineForcing(curve, problem.f)
     mesh = problem.initial_mesh()
@@ -75,7 +76,7 @@ def test_each_fresh_cell_is_queried_once_per_curve():
         error(FeFunction(mesh, problem.exact.value(mesh.coords)))
         line.load_vector(mesh)
         seen.append(mesh)
-    queried = np.concatenate(tree.centres)
+    queried = np.concatenate(counted.centres)
     serial = np.concatenate([m.serial for m in seen])
     _, first = np.unique(serial, return_index=True)
     rows = np.concatenate([np.arange(m.num_cells) for m in seen])[first]
@@ -88,9 +89,9 @@ def test_each_fresh_cell_is_queried_once_per_curve():
     # a later stage's interface loop starts on a mesh the curve has seen:
     # it queries only the cells its own refinements create
     last = seen[-1]
-    tree.centres.clear()
+    counted.centres.clear()
     assert interface_loop(last, curve, 1.0) is last
-    assert not tree.centres
+    assert not counted.centres
     fine = interface_loop(last, curve, 0.5 * last.h_sizes[
         interface_cells(last, curve)].max())
-    assert sum(map(len, tree.centres)) == fine.serial[-1] - last.serial[-1]
+    assert sum(map(len, counted.centres)) == fine.serial[-1] - last.serial[-1]

@@ -399,7 +399,7 @@ def reference_energy_error(u, w: FeFunction, curve=None) -> float:
 def test_error_integrator_matches_direct():
     center, radius = (0.5, 0.5), 0.25
     curve = Curve.circle(center, radius, 512, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 1.0)
+    data = SegmentedData(curve, 1.0)
     g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.1)
     u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
     integ = ErrorIntegrator(u, curve)

@@ -206,7 +206,7 @@ def straight_line_setup(r: float, family: str, f: float = 3.0):
     xs = np.linspace(-5 * r, 5 * r, 9)
     pts = np.column_stack([xs, np.zeros_like(xs)])
     curve = Curve(pts, closed=False, boundary_gap=1.0)
-    data = SegmentedData.constant(curve, f)
+    data = SegmentedData(curve, f)
     return RegularizedForcing(curve, data, Kernel(family), r)
 
 
@@ -237,7 +237,7 @@ def test_smooth_kernel_profile_matches_section(family):
 def test_eval_matches_brute_force_node_sum(rng):
     r = 0.15
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 2.0)
+    data = SegmentedData(curve, 2.0)
     g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     pts = rng.uniform(0.0, 1.0, size=(500, 2))
     diff = g.node_xy[None, :, :] - pts[:, None, :]
@@ -250,7 +250,7 @@ def test_eval_matches_brute_force_on_square_supports(family, rng):
     # a square support reaches sqrt(2) r along the diagonals
     r = 0.1
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    g = RegularizedForcing(curve, SegmentedData.constant(curve, 2.0),
+    g = RegularizedForcing(curve, SegmentedData(curve, 2.0),
                            Kernel(family), r)
     ang = rng.uniform(0.0, 2.0 * np.pi, 2000)
     rad = 0.25 + rng.uniform(-1.5 * r, 1.5 * r, 2000)
@@ -263,7 +263,7 @@ def test_eval_matches_brute_force_on_square_supports(family, rng):
 
 def test_node_count_tracks_radius_not_segments():
     curve = Curve.circle((0.0, 0.0), 0.2, 2 ** 14, boundary_gap=1.0)
-    data = SegmentedData.constant(curve, 1.0)
+    data = SegmentedData(curve, 1.0)
     r = 0.1
     g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     budget = 4 * int(np.ceil(curve.total_length / (r / 4.0))) + 64
@@ -275,7 +275,7 @@ def test_regularized_mass_conservation():
     # sum of the load vector is the integral of F_r, which carries the full
     # line mass f * |gamma| whenever the support stays inside the domain
     curve = Curve.circle((0.5, 0.5), 0.25, 512, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 5.0)
+    data = SegmentedData(curve, 5.0)
     g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.1)
     mesh = rect_mesh(16, 16, 0.0, 0.0, 1.0, 1.0)
     rhs = g.load_vector(mesh)
@@ -286,7 +286,7 @@ def test_regularized_mass_conservation():
 def test_load_vector_against_brute_quadrature():
     r = 0.15
     curve = Curve.circle((0.5, 0.5), 0.25, 128, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 2.0)
+    data = SegmentedData(curve, 2.0)
     g = RegularizedForcing(curve, data, Kernel("tensor_cinf"), r)
     mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
     rhs = g.load_vector(mesh)
@@ -307,7 +307,7 @@ def test_load_vector_against_brute_quadrature():
 def test_data_indicator_against_brute_norms():
     r = 0.15
     curve = Curve.circle((0.5, 0.5), 0.25, 128, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 2.0)
+    data = SegmentedData(curve, 2.0)
     g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
     d = g.data_indicator(mesh)
@@ -318,7 +318,7 @@ def test_data_indicator_against_brute_norms():
 def test_caches_survive_refinement():
     r = 0.12
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 1.0)
+    data = SegmentedData(curve, 1.0)
     mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
     g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
     g.load_vector(mesh)
@@ -343,7 +343,7 @@ def test_caches_survive_refinement():
 @lru_cache(maxsize=None)
 def _batch_forcing(family: str) -> RegularizedForcing:
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 1.5)
+    data = SegmentedData(curve, 1.5)
     return RegularizedForcing(curve, data, Kernel(family), 0.12)
 
 
@@ -499,7 +499,7 @@ def test_graded_depths_match_a_depth_5_rule(family, rng):
     # (7.4e-5 for radial_c1 here)
     r = 0.06
     curve = Curve.circle((0.5, 0.5), 0.25, 1024, boundary_gap=0.25)
-    g = RegularizedForcing(curve, SegmentedData.constant(curve, 1.5),
+    g = RegularizedForcing(curve, SegmentedData(curve, 1.5),
                            Kernel(family), r)
     mesh = interface_loop(rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0), curve, r / 8)
     near = np.flatnonzero(g._near(mesh, np.arange(mesh.num_cells)))
@@ -523,7 +523,7 @@ def test_near_cells_cover_the_corners_of_a_square_support():
     r = 0.1
     curve = Curve(np.array([[0.5, 0.5], [0.52, 0.5]]), closed=False,
                   boundary_gap=0.3)
-    g = RegularizedForcing(curve, SegmentedData.constant(curve, 1.0),
+    g = RegularizedForcing(curve, SegmentedData(curve, 1.0),
                            Kernel("tensor_linf"), r)
     corner = np.array([0.52, 0.5]) + 0.9 * r
     assert g.eval(corner[None, :])[0] > 0.0
@@ -536,7 +536,7 @@ def test_near_cells_cover_the_corners_of_a_square_support():
 @pytest.mark.parametrize("kind", ["regularized", "line"])
 def test_each_cell_integrated_once(kind, monkeypatch):
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 1.0)
+    data = SegmentedData(curve, 1.0)
     if kind == "regularized":
         g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.12)
     else:
@@ -566,7 +566,7 @@ def test_each_cell_integrated_once(kind, monkeypatch):
 
 def test_load_pass_fills_data_without_eval(monkeypatch):
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 1.0)
+    data = SegmentedData(curve, 1.0)
     g = RegularizedForcing(curve, data, Kernel("tensor_cinf"), 0.12)
     calls = []
     inner = g.eval
@@ -583,7 +583,7 @@ def test_load_pass_fills_data_without_eval(monkeypatch):
 
 def test_sup_norm_scales_inverse_with_radius():
     curve = Curve.circle((0.0, 0.0), 0.5, 4096, boundary_gap=1.0)
-    data = SegmentedData.constant(curve, 1.0)
+    data = SegmentedData(curve, 1.0)
     radii = np.array([0.2, 0.1, 0.05, 0.025])
     peak = []
     for r in radii:
@@ -596,7 +596,7 @@ def test_sup_norm_scales_inverse_with_radius():
 def test_global_data_term_grows_sqrt2_per_halving():
     # halving r raises ||F_r||_L2 by sqrt(2) on a mesh that resolves both
     curve = Curve.circle((0.5, 0.5), 0.25, 1024, boundary_gap=0.25)
-    data = SegmentedData.constant(curve, 1.0)
+    data = SegmentedData(curve, 1.0)
     mesh = rect_mesh(64, 64, 0.0, 0.0, 1.0, 1.0)
     r1 = 0.1
     k = Kernel("radial_c1")
@@ -610,7 +610,7 @@ def test_global_data_term_grows_sqrt2_per_halving():
 def test_rejects_mismatched_data():
     c1 = Curve.circle((0.0, 0.0), 0.2, 64, boundary_gap=0.1)
     c2 = Curve.circle((0.0, 0.0), 0.2, 64, boundary_gap=0.1)
-    data = SegmentedData.constant(c1, 1.0)
+    data = SegmentedData(c1, 1.0)
     with pytest.raises(ValueError):
         RegularizedForcing(c2, data, Kernel("radial_c1"), 0.05)
     with pytest.raises(ValueError):
@@ -637,7 +637,7 @@ def test_line_load_vector_hand_chord():
     mesh = two_triangle_square_mesh()
     curve = Curve(np.array([[0.0, 0.25], [1.0, 0.25]]), closed=False)
     f = 2.0
-    data = SegmentedData.constant(curve, f)
+    data = SegmentedData(curve, f)
     rhs = LineForcing(curve, data).load_vector(mesh)
 
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -655,7 +655,7 @@ def test_line_load_vector_hand_chord():
 def test_line_load_total_is_line_mass():
     mesh = rect_mesh(16, 16, 0.0, 0.0, 1.0, 1.0)
     curve = Curve.circle((0.5, 0.5), 0.3, 512, boundary_gap=0.2)
-    data = SegmentedData.constant(curve, 4.0)
+    data = SegmentedData(curve, 4.0)
     rhs = LineForcing(curve, data).load_vector(mesh)
     want = 4.0 * curve.total_length
     assert abs(rhs.sum() - want) < 1e-10 * want
@@ -665,7 +665,7 @@ def test_line_surrogate_indicator_hand_values():
     mesh = two_triangle_square_mesh()
     curve = Curve(np.array([[0.0, 0.25], [1.0, 0.25]]), closed=False)
     f = 2.0
-    data = SegmentedData.constant(curve, f)
+    data = SegmentedData(curve, f)
     d = LineForcing(curve, data).data_indicator(mesh)
     h = np.sqrt(0.5)
     # clipped lengths: 0.75 in the lower cell, 0.25 in the upper cell
@@ -676,7 +676,7 @@ def test_line_surrogate_indicator_hand_values():
 def test_line_cache_survives_refinement():
     mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
     curve = Curve.circle((0.5, 0.5), 0.3, 256, boundary_gap=0.2)
-    data = SegmentedData.constant(curve, 1.0)
+    data = SegmentedData(curve, 1.0)
     g = LineForcing(curve, data)
     g.load_vector(mesh)
     g.data_indicator(mesh)

@@ -12,9 +12,12 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from mollifem.config import preset
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
@@ -78,17 +81,17 @@ def test_the_check_sees_each_kind_of_read():
     assert unused_imports(source) == ["system", "f"]
 
 
-def cli_imports(modules: set[str]) -> str:
-    """Those of `modules` that `import mollifem.cli` loads, as a sorted list
-    printed by a fresh interpreter."""
+def cli_imports(modules: set[str], code: str = "") -> str:
+    """Those of `modules` that `import mollifem.cli` and then `code` load, as
+    a sorted list: the last line a fresh interpreter prints."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, mollifem.cli; print(sorted("
-         f"{modules!r} & set(sys.modules)))"],
+        [sys.executable, "-c", f"import sys, mollifem.cli\n{code}\n"
+         f"print(sorted({modules!r} & set(sys.modules)))"],
         check=True, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path})
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
 
 
 def test_the_cli_imports_neither_scipy_integrate_nor_optimize():
@@ -99,3 +102,16 @@ def test_the_cli_imports_neither_scipy_integrate_nor_optimize():
 def test_the_cli_does_not_import_scipy_sparse_linalg():
     # the solver is the package's own CG loop
     assert cli_imports({"scipy.sparse.linalg"}) == "[]"
+
+
+def test_a_curve_run_does_not_import_scipy_spatial(tmp_path):
+    # the curve's proximity queries read the package's own bin grid
+    base = preset("lshape")
+    cfg = replace(base, curve_segments=2048,
+                  params=replace(base.params, mu=0.8, tau0=0.7, j_max=0))
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    run = (f"assert mollifem.cli.main(['run', '--config', {str(path)!r}, "
+           f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert cli_imports({"scipy.spatial"}, run) == "[]"
+    assert (tmp_path / "out" / "run.csv").stat().st_size > 0

@@ -426,6 +426,44 @@ def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
                 key, np.flatnonzero(ball & np.isin(c, positions)))
 
 
+# coordinates that repeat (vertical and horizontal runs) and coordinates that
+# do not, from outside the unit square to across it
+_coord = st.one_of(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
+                   st.floats(-1.5, 2.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=st.lists(st.tuples(_coord, _coord), min_size=2, max_size=41),
+       closed=st.booleans(), scale=st.sampled_from([1e-3, 0.1, 1.0, 8.0]),
+       graded=st.lists(st.lists(st.integers(0, 1 << 20), min_size=1,
+                                max_size=6), max_size=3),
+       pick=st.lists(st.integers(0, 1 << 20), max_size=40))
+def test_curve_candidates_are_the_all_pairs_ball_pairs(points, closed, scale,
+                                                       graded, pick):
+    # 1 to 40 segments, shrunk into one cell or grown past the mesh, against
+    # a graded mesh, on all its rows and on an ascending subset of them
+    pts = 0.5 + scale * (np.array(points) - 0.5)
+    assume(np.ptp(pts, axis=0).max() > 0)
+    curve = Curve(pts, closed=closed)
+    mesh = rect_mesh(4, 4)
+    for marks in graded:
+        mesh = mesh.refine(np.array(marks) % mesh.num_cells)
+    c, s = _all_pairs(mesh, curve)
+    p = mesh.coords[mesh.triangles[c]]
+    cent = p.mean(axis=1)
+    circ = np.linalg.norm(p - cent[:, None], axis=2).max(axis=1)
+    mid = 0.5 * (curve.seg_start[s] + curve.seg_end[s])
+    ball = np.linalg.norm(mid - cent, axis=1) \
+        <= circ + 0.5 * curve.max_seg_len + 1e-12
+    for positions in (np.arange(mesh.num_cells),
+                      np.unique(np.array(pick, dtype=np.int64)
+                                % mesh.num_cells)):
+        ci, si = curve._candidates(mesh, positions)
+        np.testing.assert_array_equal(
+            ci * curve.num_segments + si,
+            np.flatnonzero(ball & np.isin(c, positions)))
+
+
 def _assert_hits_are_the_oracle_pairs(curve: Curve, meshes) -> None:
     """`curve.hits` on each of `meshes` in turn, warm from the one before,
     and cold on a fresh copy of the curve: the pairs the all-pairs oracle

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mollifem.afem import interface_loop
+from mollifem.curves import Curve
 from mollifem.estimate import estimate
 from mollifem.fem import ErrorIntegrator, FeFunction, assemble, solve_galerkin
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
@@ -189,3 +190,26 @@ def test_cold_error_integrator_on_curve_cells(benchmark):
     err = benchmark.pedantic(cold, setup=fresh_curve, rounds=8,
                              warmup_rounds=1)
     assert 0.0 < err < 0.5
+
+
+def test_cold_curve_hits(benchmark, lshape_resolved):
+    # the curve's incidence on 90,260 cells, 2,792 of them crossed: as on
+    # the workloads' refined meshes, most cells are far from the curve
+    problem, mesh = lshape_resolved
+    mesh = mesh.uniform_refine(4)
+    curve = problem.curve
+
+    def fresh_curve():
+        # a copy of the curve per round: its midpoint grid and incidence are
+        # paid for inside the round
+        return (Curve(curve.points, curve.closed),), {}
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    cell, seg, t0, t1 = benchmark.pedantic(lambda c: c.hits(mesh),
+                                           setup=fresh_curve, rounds=5,
+                                           warmup_rounds=1)
+    # the pieces of the closed curve, which lies inside the domain, add up
+    # to its length
+    length = ((t1 - t0) * curve.seg_lengths[seg]).sum()
+    assert abs(length - curve.total_length) <= 1e-12 * curve.total_length
+    assert len(np.unique(cell)) == 2792
