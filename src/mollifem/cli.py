@@ -1,6 +1,7 @@
 """Benchmark command line: run experiments, validate configs, fit slopes.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical or memory failure.
+Exit codes: 0 success, 1 invalid config or unusable file (the output directory
+is made before the solve), 2 numerical or memory failure.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ def _load(path, **overrides) -> ExperimentConfig | None:
     reasons it cannot run are printed."""
     try:
         cfg = replace(ExperimentConfig.load(path), **overrides)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     issues = cfg.issues()
@@ -61,6 +62,8 @@ def _cmd_run(args) -> int:
     cfg = _load(args.config, **overrides)
     if cfg is None:
         return 1
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable path fails here
 
     logging.basicConfig(level=logging.INFO, format="%(message)s",
                         stream=sys.stderr)
@@ -68,9 +71,6 @@ def _cmd_run(args) -> int:
     problem = make_problem(cfg.problem, cfg.curve_segments,
                            cfg.initial_divisions)
     w, mesh, record, g = solve(problem, cfg.params, cfg.algorithm)
-
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "run.csv", deterministic=cfg.deterministic)
 
     # the run's last forcing: a curve forcing has this mesh's records cached
@@ -117,7 +117,7 @@ def _cmd_slopes(args) -> int:
     try:
         record = RunRecord.from_csv(args.csv)
         slope = slope_fit(record.u_samples(), n_last=args.last)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{slope:.6g}")
@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (NumericalError, MemoryError) as exc:
         kind = "numerical failure" if isinstance(exc, NumericalError) \
             else "out of memory"

@@ -133,12 +133,11 @@ class Kernel:
         return i0 * i0, np.array([i1 * i0, i0 * i1])
 
 
-def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0,
-                        sample_points=None) -> float:
-    """Max defect of the moment condition of the given order over sample points.
+def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0) -> float:
+    """Max defect of the moment condition of the given order on a 5 x 5 grid.
 
     Order 0: |int delta_r(x - y) dy - 1|; order 1: the same for first moments,
-    which reduces to |x (M0 - 1) + r M1| by substitution.
+    which reduces to |x (M0 - 1) + r M1| by substitution, x in [-1, 1]^2.
     """
     if order not in (0, 1):
         raise ValueError("moment order must be 0 or 1")
@@ -147,10 +146,8 @@ def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0,
     m0, m1 = kernel.moments
     if order == 0:
         return abs(m0 - 1.0)
-    if sample_points is None:
-        g = np.linspace(-1.0, 1.0, 5)
-        sample_points = np.array([(a, b) for a in g for b in g])
-    pts = np.asarray(sample_points, dtype=np.float64).reshape(-1, 2)
+    g = np.linspace(-1.0, 1.0, 5)
+    pts = np.array([(a, b) for a in g for b in g])
     defect = pts * (m0 - 1.0) + r * m1[None, :]
     return float(np.abs(defect).max())
 

@@ -1,16 +1,19 @@
 """Acceptance gate: one check per benchmark claim, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the line per check.
-The file holds checks 03 to 11; the convergence-slope checks of the two
-curve algorithms through the CLI (01 regsolve, 02 baseline) are not written
-yet.
+The file holds checks 01 and 03 to 11. Check 02, the convergence slope of
+`baseline` through the CLI, is not written yet: the full `square-baseline`
+preset does not fit a small host, so it needs a prefix of stages stated in
+advance.
 Check 08's quarter bound is a strict xfail, because the implemented data
 term provably cannot meet it; its companion check asserts the measured
-behaviour, so a regression is still caught. Check 11 drives the CLI end to
-end (two short runs) and is the slowest check.
+behaviour, so a regression is still caught. Checks 01 and 11 drive the CLI
+end to end; check 01 runs the full `lshape` preset (about 15 s) and is the
+slowest check.
 """
 import filecmp
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +32,41 @@ from mollifem.problems import smooth_problem, square_problem
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"check {num:02d} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
+
+
+# ---------------------------------------------------------------------------
+# check 01: regsolve through the CLI converges at the 2D rate dofs^(-1/2)
+
+
+def test_a01_regsolve_rate_through_the_cli(tmp_path):
+    """The full `lshape` preset, run by `mollifem run --deterministic`.
+
+    The paper claims quasi-optimal decay, energy error ~ dofs^(-1/2) for P1
+    in 2D. The gate is the least-squares slope of log(energy error) against
+    log(dofs) over every accepted sample, at -1/2 +/- 0.15 (check 03's width
+    for a rate claim). The error column is 1.60-1.64 tau, the regularization
+    error ||u - u_r|| ~ sqrt(r) = tau, so the slope measures how many dofs
+    each tau stage buys. Each DATA row multiplies the dofs by about 4, and
+    where those lumps fall moves the CLI's 5-sample window by +/- 0.07; the
+    window and the endpoint slope are printed, not gated.
+    """
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(preset("lshape").to_json())
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--deterministic"]) == 0
+    samples = RunRecord.from_csv(out / "run.csv").u_samples()
+    dofs = np.log([row.dofs for row in samples])
+    errs = np.log([row.energy_error for row in samples])
+    slope = float(np.polyfit(dofs, errs, 1)[0])
+    endpoint = float((errs[-1] - errs[0]) / (dofs[-1] - dofs[0]))
+    last5 = json.loads((out / "summary.json").read_text())["slope"]
+    ok = -0.65 <= slope <= -0.35
+    _report(1, ok, f"least-squares slope {slope:.3f} over {len(samples)} "
+                   f"samples within -0.5 +/- 0.15; endpoint {endpoint:.3f}, "
+                   f"CLI last 5 {last5:.3f} (not gated)")
+    assert len(samples) >= 5
+    assert -0.65 <= slope <= -0.35
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mollifem import afem, cli, fem, forcing, problems, vtkio
+from mollifem import afem, cli, fem, forcing, problems
 from mollifem.afem import RunRecord, RunRow
 from mollifem.cli import main, slope_fit
 from mollifem.config import (ALGORITHMS, PRESET_NAMES, ExperimentConfig,
@@ -233,6 +233,32 @@ def test_cli_preset_writes_file(tmp_path):
     assert ExperimentConfig.load(out) == preset("square")
 
 
+def test_cli_run_rejects_an_unusable_output_dir_before_the_solve(
+        tmp_path, monkeypatch, capsys):
+    # --out naming a file: one error line and exit 1, before any solve
+    def never(*args, **kwargs):
+        pytest.fail("solve ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "solve", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(preset("smooth").to_json())
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_cli_preset_into_a_missing_dir_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "p.json"
+    assert main(["preset", "smooth", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_cli_preset_unknown_name_exits():
     with pytest.raises(SystemExit):
         main(["preset", "dodecahedron"])
@@ -279,9 +305,13 @@ def test_cli_run_smooth_end_to_end(tmp_path, capsys):
     assert summary["slope"] is None
     assert "slope_note" in summary
 
-    text = (out / "solution.vtk").read_text().splitlines()
+    text, arrays = _read_vtk(out / "solution.vtk")
     assert text[0] == "# vtk DataFile Version 3.0"
     assert any(ln.startswith("CELL_TYPES") for ln in text)
+    assert len(arrays["CELLS"]) == rec.rows[-1].cells
+    assert list(arrays)[3:] == ["generation", "indicator_total",
+                                "indicator_jump", "indicator_data",
+                                "solution"]
     stdout = capsys.readouterr().out
     assert "final_estimator" in stdout
 
@@ -441,42 +471,78 @@ def test_cli_run_integrates_each_cell_once(tmp_path, monkeypatch):
     assert len(cells) >= rows[-1].cells
 
 
-def test_write_vtk_bytes_match_per_value_formatting(tmp_path, rng):
-    _check_vtk_bytes(tmp_path, rng)
+def _read_vtk(path):
+    """The header lines and the blocks of a legacy binary VTK file, read
+    after the legacy spec: each keyword line is followed by its big-endian
+    values and a newline. Returns (lines, {keyword or field name: array})."""
+    data = path.read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        return text
+
+    def block(dtype, count):
+        nonlocal pos
+        values = np.frombuffer(data, dtype, count, pos)
+        pos += values.nbytes
+        assert data[pos:pos + 1] == b"\n"
+        pos += 1
+        return values
+
+    lines = [line() for _ in range(4)]
+    arrays = {}
+    while pos < len(data):
+        lines.append(line())
+        word, *rest = lines[-1].split()
+        if word == "POINTS":
+            arrays[word] = block(">f8", 3 * int(rest[0])).reshape(-1, 3)
+        elif word == "CELLS":
+            arrays[word] = block(">i4", int(rest[1])).reshape(-1, 4)
+        elif word == "CELL_TYPES":
+            arrays[word] = block(">i4", int(rest[0]))
+        elif word in ("CELL_DATA", "POINT_DATA"):
+            count = int(rest[0])  # the length of each field that follows
+        elif word == "SCALARS":
+            lines.append(line())  # LOOKUP_TABLE default
+            arrays[rest[0]] = block(">f8", count)
+    assert pos == len(data)  # the file ends after the last block
+    return lines, arrays
 
 
-def test_write_vtk_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng,
-                                                         monkeypatch):
-    # 3 rows a chunk: every block spans several chunks and most end short
-    monkeypatch.setattr(vtkio, "_CHUNK_ROWS", 3)
-    _check_vtk_bytes(tmp_path, rng)
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=np.float64).view(np.uint64),
+                          np.asarray(b, dtype=np.float64).view(np.uint64))
 
 
-def _check_vtk_bytes(tmp_path, rng):
-    # the writer formats whole chunks of rows at once; each value must still
-    # read exactly as format(x, ".17g") writes it, line by line
+def test_write_vtk_blocks_read_back_bit_for_bit(tmp_path, rng):
     mesh = rect_mesh(3, 2, -0.3, 0.1, 1.7, 2.9)
     mesh = mesh.refine(range(0, mesh.num_cells, 3))
     u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(
         -300, 300, mesh.num_vertices)
     u[:4] = [np.nan, -0.0, np.inf, 5e-324]
     q = rng.standard_normal(mesh.num_cells)
+    q[:2] = [-np.inf, -5e-324]
     path = tmp_path / "m.vtk"
     write_vtk(path, mesh, point_data={"u": u}, cell_data={"q": q})
 
-    def fmt(x):
-        return format(float(x), ".17g")
-
-    lines = ["# vtk DataFile Version 3.0", "mollifem output", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
-    lines += [f"{fmt(x)} {fmt(y)} 0" for x, y in mesh.coords]
-    lines.append(f"CELLS {mesh.num_cells} {4 * mesh.num_cells}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
-    lines += [f"CELL_TYPES {mesh.num_cells}"] + ["5"] * mesh.num_cells
-    for header, name, values in (("CELL_DATA", "q", q), ("POINT_DATA", "u", u)):
-        lines += [f"{header} {len(values)}", f"SCALARS {name} double 1",
-                  "LOOKUP_TABLE default"] + [fmt(v) for v in values]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    lines, arrays = _read_vtk(path)
+    n, m = mesh.num_vertices, mesh.num_cells
+    assert lines == ["# vtk DataFile Version 3.0", "mollifem output", "BINARY",
+                     "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double",
+                     f"CELLS {m} {4 * m}", f"CELL_TYPES {m}", f"CELL_DATA {m}",
+                     "SCALARS q double 1", "LOOKUP_TABLE default",
+                     f"POINT_DATA {n}", "SCALARS u double 1",
+                     "LOOKUP_TABLE default"]
+    assert _same_bits(arrays["POINTS"][:, :2], mesh.coords)
+    assert _same_bits(arrays["POINTS"][:, 2], np.zeros(n))
+    assert np.array_equal(arrays["CELLS"][:, 0], np.full(m, 3))
+    assert np.array_equal(arrays["CELLS"][:, 1:], mesh.triangles)
+    assert np.array_equal(arrays["CELL_TYPES"], np.full(m, 5))
+    assert _same_bits(arrays["q"], q)
+    assert _same_bits(arrays["u"], u)
 
 
 def test_write_vtk_counts_and_validation(tmp_path):
@@ -484,7 +550,7 @@ def test_write_vtk_counts_and_validation(tmp_path):
     path = tmp_path / "m.vtk"
     write_vtk(path, mesh, point_data={"u": np.arange(4.0)},
               cell_data={"q": np.array([2.0, 7.0])})
-    lines = path.read_text().splitlines()
+    lines = _read_vtk(path)[0]
     assert f"POINTS {mesh.num_vertices} double" in lines
     assert f"CELLS {mesh.num_cells} {4 * mesh.num_cells}" in lines
     assert "SCALARS u double 1" in lines

@@ -17,6 +17,7 @@ from mollifem.fem import ErrorIntegrator, FeFunction, assemble, solve_galerkin
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import interface_cells, rect_mesh
 from mollifem.problems import lshape_problem, square_problem
+from mollifem.vtkio import write_vtk
 
 from conftest import warm_target
 
@@ -213,3 +214,24 @@ def test_cold_curve_hits(benchmark, lshape_resolved):
     length = ((t1 - t0) * curve.seg_lengths[seg]).sum()
     assert abs(length - curve.total_length) <= 1e-12 * curve.total_length
     assert len(np.unique(cell)) == 2792
+
+
+def test_write_vtk(benchmark, tmp_path):
+    # the CLI's output: one point field and four cell fields
+    mesh = rect_mesh(16, 16).uniform_refine(8)  # 131,072 cells
+    vals = np.sin(3.0 * mesh.coords[:, 0]) * mesh.coords[:, 1]
+    cell = np.linspace(0.0, 1.0, mesh.num_cells)
+    path = tmp_path / "solution.vtk"
+
+    def write():
+        write_vtk(path, mesh, point_data={"solution": vals},
+                  cell_data={"generation": mesh.generation,
+                             "indicator_total": cell, "indicator_jump": cell,
+                             "indicator_data": cell})
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    benchmark.pedantic(write, rounds=5, warmup_rounds=1)
+    # 8 bytes a coordinate or field value, 4 an int, and 432 bytes of
+    # keyword lines and block newlines
+    n, m = mesh.num_vertices, mesh.num_cells
+    assert path.stat().st_size == 24 * n + 20 * m + 8 * n + 32 * m + 432
