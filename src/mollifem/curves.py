@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import BinGrid, clip_segments_to_triangles
-from .mesh import Mesh, holds, match_serials
+from .mesh import Mesh, match_serials
 
 
 class Curve:
@@ -101,7 +101,7 @@ class Curve:
         The pairs of the last mesh asked about are kept, keyed by cell
         serial (`match_serials`): only cells that mesh lacks are clipped.
         """
-        if not holds(self._serials, mesh):
+        if self._serials is not mesh.serial:  # a mesh's serial array never changes
             fresh = match_serials(self._serials, mesh.serial)[1]
             row, gone = match_serials(mesh.serial, self._serials)
             row[gone] = -1  # each known cell's row in `mesh`, or -1

@@ -250,7 +250,6 @@ def prolong(fn: FeFunction, fine: Mesh) -> FeFunction:
 
 
 _KINK_DEPTH = 4
-_POINT_CHUNK = 1 << 20  # exact-gradient points per ErrorIntegrator batch
 
 
 def energy_error(u_exact, w: FeFunction, curve=None) -> float:
@@ -275,8 +274,6 @@ def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray,
     from the segment by more than `reach` (the curve's sagitta: the kink
     lies on the exact curve, up to that far from the polyline)."""
     owner, leaves = np.arange(len(tri)), []
-    if len(pair_tri) == 0:  # no curve in the batch: the level-0 rule alone
-        return owner, quadr.triangle_points(tri, quadr.TRI_BARY), np.ones(len(tri))
     # `reach` in each pair's barycentric units: coordinate k is the distance
     # from edge k over that edge's height, and side[k] below is the segment's
     # length times corner k's distance from its line over twice the area; a
@@ -345,8 +342,8 @@ class ErrorIntegrator:
         # batches of whole cells, by the points a cell may need; each sum runs
         # along one cell's points in a fixed order, unmoved by the batch
         cost = np.where(np.bincount(cell, minlength=n) > 0, 6 * 4 ** _KINK_DEPTH, 6)
-        cuts = np.flatnonzero(np.diff((np.cumsum(cost) - cost) // _POINT_CHUNK,
-                                      prepend=-1))
+        start = np.cumsum(cost) - cost
+        cuts = np.flatnonzero(np.diff(start // quadr.POINT_CHUNK, prepend=-1))
         areas, out, wq = mesh.areas[positions], np.empty((n, 3)), quadr.TRI_WEIGHTS
         for lo, hi in zip(cuts, np.append(cuts[1:], n)):
             a, b = np.searchsorted(cell, [lo, hi])

@@ -179,14 +179,14 @@ class _CellForcing:
 
     def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """int_T F phi_i (i = 0, 1, 2) and int_T F^2 for the cells at
-        `positions`, by depth in batches of about `_POINT_CHUNK` points; each
-        is a sum over its own cell's points, so no batch changes its bits."""
+        `positions`, by depth in batches of about `quadr.POINT_CHUNK` points;
+        each is a sum over its own cell's points, so no batch changes its bits."""
         out = np.zeros((len(positions), 4))
         depths = self._depths(mesh, positions)
         for d in np.setdiff1d(depths, -1):
             grp = np.flatnonzero(depths == d)
             bary, w = quadr.subdivided_rule(int(d))
-            step = max(1, _POINT_CHUNK // len(w))
+            step = max(1, quadr.POINT_CHUNK // len(w))
             for lo in range(0, len(grp), step):
                 sel = grp[lo:lo + step]
                 cells = positions[sel]
@@ -225,11 +225,10 @@ def _subdivision_depths(h: np.ndarray, r: float,
     return np.maximum(d + 2, 0).astype(np.int64)
 
 
-# Fine bins per radius, quadrature points per batch of cells, and (point,
-# node) pairs per kernel batch (temporaries this size stay in cache). A value
-# is a row sum of a length set by its bin, so no batch size changes it.
+# Fine bins per radius, and (point, node) pairs per kernel batch (temporaries
+# this size stay in cache). A value is a row sum of a length set by its bin,
+# so no batch size changes it.
 _BINS_PER_R = 8
-_POINT_CHUNK = 1 << 18
 _PAIR_CHUNK = 1 << 15
 
 

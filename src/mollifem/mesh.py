@@ -291,12 +291,6 @@ class Mesh:
         return mesh
 
 
-def holds(known: np.ndarray, mesh: Mesh) -> bool:
-    """Whether a table kept for the serials `known` is that of `mesh`, row
-    for row: `known` is the serial array of `mesh`, which never changes."""
-    return known is mesh.serial
-
-
 def match_serials(known: np.ndarray, serial: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Where each of `serial` sits in the ascending `known` (an index into
@@ -319,7 +313,7 @@ class CellCache:
     def values(self, mesh: Mesh, compute) -> np.ndarray:
         """Values of all cells of `mesh` (read-only). The cells with no entry
         are filled from `compute(rows)` over their rows (ascending)."""
-        if holds(self._serials, mesh):
+        if self._serials is mesh.serial:  # a mesh's serial array never changes
             return self._values
         at, fresh = match_serials(self._serials, mesh.serial)
         out = self._values[at]

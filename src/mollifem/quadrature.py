@@ -29,6 +29,10 @@ _G4W = np.array([0.652145154862546, 0.347854845137454])
 GAUSS4_X = np.concatenate([(1 - _G4[::-1]) / 2, (1 + _G4) / 2])
 GAUSS4_W = np.concatenate([_G4W[::-1], _G4W]) / 2
 
+# Quadrature points per batch of whole cells, in the forcing rule loop and the
+# error pass: their temporaries scale with it, not with the mesh.
+POINT_CHUNK = 1 << 18
+
 
 def split4(corners: np.ndarray) -> np.ndarray:
     """Midpoint children (..., 4, 3, k) of triangles (..., 3, k): those at

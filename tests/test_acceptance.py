@@ -1,15 +1,14 @@
 """Acceptance gate: one check per benchmark claim, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the line per check.
-The file holds checks 01 and 03 to 11. Check 02, the convergence slope of
-`baseline` through the CLI, is not written yet: the full `square-baseline`
-preset does not fit a small host, so it needs a prefix of stages stated in
-advance.
+The file holds checks 01 to 11.
 Check 08's quarter bound is a strict xfail, because the implemented data
 term provably cannot meet it; its companion check asserts the measured
-behaviour, so a regression is still caught. Checks 01 and 11 drive the CLI
-end to end; check 01 runs the full `lshape` preset (about 15 s) and is the
-slowest check.
+behaviour, so a regression is still caught. Checks 01, 02 and 11 drive the
+CLI end to end; check 01 runs the full `lshape` preset (about 15 s) and is
+the slowest check. Check 02 runs `square-baseline` on a prefix of stages
+stated in advance (about 7 s), because the full preset does not fit a
+small host.
 """
 import filecmp
 import itertools
@@ -50,8 +49,21 @@ def test_a01_regsolve_rate_through_the_cli(tmp_path):
     where those lumps fall moves the CLI's 5-sample window by +/- 0.07; the
     window and the endpoint slope are printed, not gated.
     """
+    n, slope, endpoint, last5 = _cli_rate(preset("lshape"), tmp_path)
+    ok = -0.65 <= slope <= -0.35
+    _report(1, ok, f"least-squares slope {slope:.3f} over {n} "
+                   f"samples within -0.5 +/- 0.15; endpoint {endpoint:.3f}, "
+                   f"CLI last 5 {last5:.3f} (not gated)")
+    assert n >= 5
+    assert -0.65 <= slope <= -0.35
+
+
+def _cli_rate(cfg, tmp_path) -> tuple[int, float, float, float]:
+    """Run `cfg` by `mollifem run --deterministic`; return the accepted
+    sample count, the least-squares and endpoint slopes of log(energy
+    error) against log(dofs) over them, and the CLI's `summary["slope"]`."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(preset("lshape").to_json())
+    cfg_path.write_text(cfg.to_json())
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--deterministic"]) == 0
@@ -60,12 +72,37 @@ def test_a01_regsolve_rate_through_the_cli(tmp_path):
     errs = np.log([row.energy_error for row in samples])
     slope = float(np.polyfit(dofs, errs, 1)[0])
     endpoint = float((errs[-1] - errs[0]) / (dofs[-1] - dofs[0]))
-    last5 = json.loads((out / "summary.json").read_text())["slope"]
+    last = json.loads((out / "summary.json").read_text())["slope"]
+    return len(samples), slope, endpoint, last
+
+
+# ---------------------------------------------------------------------------
+# check 02: baseline through the CLI converges at the 2D rate dofs^(-1/2)
+
+
+def test_a02_baseline_rate_through_the_cli(tmp_path):
+    """Preset `square-baseline` cut to the prefix `tau0 = 0.9, j_max = 2`
+    (stated in advance: the full preset needs about 55M dofs), run by
+    `mollifem run --deterministic`.
+
+    The claim and the gate are check 01's: the least-squares slope of
+    log(energy error) against log(dofs) over every accepted sample, at
+    -1/2 +/- 0.15. The error column is about 0.10 tau, so again the slope
+    measures how many dofs each tau stage buys. It sits near the bound
+    (-0.384 over 3 samples) because stage 1's last DATA row overshoots,
+    21,618 -> 86,449 dofs, and stage 2 then adds only 2.5 % (87,168 ->
+    89,373). The endpoint slope (-0.498) and the CLI's slope (its last-5
+    window, here all 3 samples) are printed, not gated. `j_max = 3` reads
+    -0.399 but took 24 s and 403 MB against 7 s and 152 MB (2-core host).
+    """
+    base = preset("square-baseline")
+    cfg = replace(base, params=replace(base.params, tau0=0.9, j_max=2))
+    n, slope, endpoint, last = _cli_rate(cfg, tmp_path)
     ok = -0.65 <= slope <= -0.35
-    _report(1, ok, f"least-squares slope {slope:.3f} over {len(samples)} "
+    _report(2, ok, f"least-squares slope {slope:.3f} over {n} "
                    f"samples within -0.5 +/- 0.15; endpoint {endpoint:.3f}, "
-                   f"CLI last 5 {last5:.3f} (not gated)")
-    assert len(samples) >= 5
+                   f"CLI {last:.3f} (not gated)")
+    assert n == 3
     assert -0.65 <= slope <= -0.35
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mollifem import fem
+from mollifem.afem import interface_loop
 from mollifem.curves import Curve, SegmentedData
 from mollifem import quadrature as quadr
 from mollifem.fem import (ErrorIntegrator, FeFunction, assemble, energy_error,
@@ -19,7 +21,7 @@ from mollifem.errors import NumericalError
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.geometry import clip_segments_to_triangles
 from mollifem.mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
-from mollifem.problems import RadialLogSolution, SineProduct
+from mollifem.problems import RadialLogSolution, SineProduct, square_problem
 
 from conftest import (basis_gradients, element_matrix_form, jittered_mesh,
                       sibling_refinements, uniform_square_system, warm_target)
@@ -446,10 +448,32 @@ def test_error_integrator_batches_do_not_move_bits(monkeypatch):
     # one batch, then batches of at most 3 curve cells or 768 others (a
     # curve cell counts the 6 * 4**depth points it can need at most)
     for chunk in (1 << 30, 3 * 6 * 4 ** fem._KINK_DEPTH):
-        monkeypatch.setattr(fem, "_POINT_CHUNK", chunk)
+        monkeypatch.setattr(quadr, "POINT_CHUNK", chunk)
         moments.append(ErrorIntegrator(u, curve)._cell_moments(mesh,
                                                                positions))
     np.testing.assert_array_equal(moments[0], moments[1])
+
+
+def test_cold_error_pass_holds_about_one_batch():
+    """A cold pass holds one batch of `quadrature.POINT_CHUNK` points (2^18:
+    4 MB of points and 4 MB of exact gradients at most), not the points of
+    the whole cell set. On the square problem's 4,096-gon resolved to
+    h_T <= 2^-9 (4,636 cells, 990 crossed, up to 1,536 points each) the
+    traced peak read 16.5 MB with batches of 2^20 points and 6.1 MB with
+    batches of 2^18."""
+    problem = square_problem(n_segments=4096)
+    mesh = interface_loop(problem.initial_mesh(), problem.curve, 2.0 ** -8)
+    w = FeFunction(mesh, problem.exact.value(mesh.coords))
+    assert mesh.num_cells == 4636
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ErrorIntegrator(problem.exact, problem.curve)(w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_error_integrator_matches_direct_across_the_kink():

@@ -418,7 +418,7 @@ def test_cell_integrals_do_not_depend_on_the_batch(kind, monkeypatch):
     ones = np.concatenate([g._cell_integrals(mesh, rows[c:c + 1])
                            for c in some])
     assert np.array_equal(ones.view(np.int64), whole[some])
-    monkeypatch.setattr(forcing, "_POINT_CHUNK", 20)  # 3 cells at depth 0
+    monkeypatch.setattr(quadr, "POINT_CHUNK", 20)  # 3 cells at depth 0
     assert np.array_equal(g._cell_integrals(mesh, rows).view(np.int64), whole)
 
 

@@ -16,7 +16,7 @@ from mollifem.estimate import estimate
 from mollifem.fem import ErrorIntegrator, FeFunction, assemble, solve_galerkin
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import interface_cells, rect_mesh
-from mollifem.problems import lshape_problem, square_problem
+from mollifem.problems import SineProduct, lshape_problem, square_problem
 from mollifem.vtkio import write_vtk
 
 from conftest import warm_target
@@ -191,6 +191,20 @@ def test_cold_error_integrator_on_curve_cells(benchmark):
     err = benchmark.pedantic(cold, setup=fresh_curve, rounds=8,
                              warmup_rounds=1)
     assert 0.0 < err < 0.5
+
+
+def test_cold_error_integrator_without_a_curve(benchmark):
+    # the error pass of the plain runs: no cell is crossed, so every cell
+    # takes the 6-point rule that starts the kink rule's level loop
+    mesh = rect_mesh(8, 8).uniform_refine(10)  # 131,072 cells
+    u = SineProduct()
+    w = FeFunction(mesh, u.value(mesh.coords))
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    err = benchmark.pedantic(lambda: ErrorIntegrator(u)(w), rounds=5,
+                             warmup_rounds=1)
+    # the interpolant's error is O(h): 0.0273 on a quarter of the cells
+    assert 0.0 < err < 0.02
 
 
 def test_cold_curve_hits(benchmark, lshape_resolved):
