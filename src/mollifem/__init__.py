@@ -4,14 +4,14 @@ an immersed curve, approximated by mollified Dirac densities."""
 from .afem import (AfemParams, RunRecord, RunRow, data_loop, interface_loop,
                    mark, solve)
 from .config import ExperimentConfig, preset
-from .curves import Curve, SegmentedData
+from .curves import Curve, SegmentedData, interface_cells
 from .errors import NonTerminationError, NumericalError
 from .estimate import IndicatorSet, estimate, jump_indicator_sq
 from .fem import (DiscreteSystem, ErrorIntegrator, FeFunction, assemble,
                   energy_error, form_matrix, prolong, solve_galerkin)
 from .forcing import (DensityForcing, Kernel, LineForcing, RegularizedForcing,
                       kernel_moment_check, r_of_tau)
-from .mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
+from .mesh import Mesh, lshape_mesh, rect_mesh
 from .problems import (TestProblem, lshape_problem, make_problem,
                        smooth_problem, square_problem)
 from .vtkio import write_vtk

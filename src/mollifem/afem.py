@@ -31,7 +31,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .curves import Curve
+from .curves import Curve, interface_cells
 from .errors import NonTerminationError
 from .estimate import estimate
 from .fem import (LAMBDA_ALG, ErrorIntegrator, assemble, prolong,
@@ -39,7 +39,7 @@ from .fem import (LAMBDA_ALG, ErrorIntegrator, assemble, prolong,
 from .fem import energy_error  # noqa: F401  (perfbench/layers.py traces it)
 from .forcing import (KERNEL_FAMILIES, Kernel, LineForcing,
                       RegularizedForcing, r_of_tau)
-from .mesh import Mesh, interface_cells
+from .mesh import Mesh
 
 logger = logging.getLogger("mollifem")
 
@@ -272,17 +272,18 @@ def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
     for j, (tau, tol) in enumerate(_stages(params, algorithm)):
         t_stage = time.perf_counter()
         if algorithm == "regsolve":
-            r = r_of_tau(tau)
+            r, g = r_of_tau(tau), None
             mesh = interface_loop(mesh, problem.curve, r)
-        # the warm start first: then nothing holds the last solution, its
-        # indicators, its mesh or (regsolve) its forcing while this allocates
-        guess = None if w is None else prolong(w, mesh).nodal_values
-        w = ind = None
-        if algorithm == "regsolve":
-            g = None
-            g = RegularizedForcing(problem.curve, problem.f, kernel, r)
-        k, branch, t0 = 0, first_branch, time.perf_counter()
+        k, branch = 0, first_branch
         while True:
+            # the warm start first: then nothing holds the last solution, its
+            # indicators, its mesh or (regsolve, a stage's first pass) its
+            # forcing while this pass allocates
+            t0 = time.perf_counter()
+            guess = None if w is None else prolong(w, mesh).nodal_values
+            w = ind = None
+            if g is None:
+                g = RegularizedForcing(problem.curve, problem.f, kernel, r)
             system = assemble(mesh, g, problem.boundary_data)
             w = solve_galerkin(system, guess,
                                None if eta is None else LAMBDA_ALG * eta)
@@ -314,11 +315,7 @@ def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
             else:
                 mesh = mesh.refine(mark(ind.total, params.theta))
                 branch = "MARK"
-            k, t0 = k + 1, time.perf_counter()
-            # as between stages: the last solution, its indicators and with
-            # them the last mesh are gone before this pass allocates
-            guess = prolong(w, mesh).nodal_values
-            w = ind = None
+            k += 1
         logger.info("%s stage j=%d: tau=%.4g r=%.4g dofs=%d (%.1fs)",
                     algorithm, j, tau, r, mesh.num_vertices,
                     time.perf_counter() - t_stage)

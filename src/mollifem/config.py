@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 
 from .afem import ALGORITHMS, AfemParams, is_int
-from .problems import PROBLEM_NAMES
+from .problems import DEFAULT_SEGMENTS, PROBLEM_NAMES
 
 # JSON key -> AfemParams field; "lambda" is a Python keyword
 _PARAM_KEYS = {"lambda" if f.name == "lam" else f.name: f.name
@@ -36,7 +36,7 @@ _PARAM_KEYS = {"lambda" if f.name == "lam" else f.name: f.name
 class ExperimentConfig:
     problem: str = "lshape"
     algorithm: str = "regsolve"
-    curve_segments: int = 2 ** 14
+    curve_segments: int = DEFAULT_SEGMENTS
     initial_divisions: int | None = None
     output_dir: str = "out"
     deterministic: bool = False

@@ -5,7 +5,7 @@ discretization; a circle is represented by an inscribed regular polygon.
 A curve's points never change. It owns a bin grid of its segment midpoints,
 used for proximity queries, and the incidence of its segments and the cells
 of the last mesh asked about (`Curve.hits`), the one place where the program
-decides which cells the curve meets.
+decides which cells the curve meets; `interface_cells` reads it.
 """
 from __future__ import annotations
 
@@ -152,6 +152,11 @@ class Curve:
         ball = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) <= reach[cell, 0]
         key = np.sort(cell[ball] * self.num_segments + seg[ball])
         return rows[key // self.num_segments], key % self.num_segments
+
+
+def interface_cells(mesh: Mesh, curve: Curve) -> np.ndarray:
+    """Rows of the cells whose closure meets the curve polyline, ascending."""
+    return np.unique(curve.hits(mesh)[0])
 
 
 def _ranges(start: np.ndarray, stop: np.ndarray):

@@ -5,9 +5,9 @@ Assembly of a(u,v) = int grad(u) . grad(v) from three edge weights per cell
 off the mesh's edge vectors, non-homogeneous Dirichlet data by nodal
 interpolation with symmetric elimination, a BPX-preconditioned CG solve
 (tight, or stopped once the preconditioned residual norm meets a target the
-adaptive driver derives from the estimator), and cached energy-norm error
-integration against closed-form solutions whose gradient kinks across the
-curve.
+adaptive driver derives from the estimator; it raises NumericalError on a
+breakdown or at its iteration cap), and cached energy-norm error integration
+against closed-form solutions whose gradient kinks across the curve.
 """
 from __future__ import annotations
 
@@ -18,10 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature as quadr
+from .curves import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 from .errors import NumericalError
 from .geometry import cross2
 from .mesh import CellCache, Mesh
-from .mesh import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 
 CG_RTOL = 5e-11
 # the adaptive driver stops CG once sqrt(r^T B r) <= LAMBDA_ALG * estimator
@@ -34,17 +34,14 @@ class DiscreteSystem:
     """Assembled linear system with boundary conditions eliminated.
 
     `matrix` is the SPD operator actually solved (identity rows/columns on
-    boundary vertices); `raw_rhs` is the unconstrained load vector. The
-    unconstrained matrix is not kept: `form_matrix(mesh)` rebuilds it for
-    residual checks.
+    `mesh.boundary_vertex_mask`), and `rhs` holds the Dirichlet values on
+    those rows. `form_matrix(mesh)` rebuilds the unconstrained matrix, and
+    the forcing's `load_vector(mesh)` returns the unconstrained load.
     """
 
     mesh: Mesh
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    boundary_values: np.ndarray
-    free_mask: np.ndarray
-    raw_rhs: np.ndarray
 
     @cached_property
     def preconditioner(self):
@@ -127,7 +124,7 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
                         shape=(n, n))
     rhs = raw_rhs - sp.csr_matrix((v[cpl], (i[cpl], j[cpl])), shape=(n, n)) @ ubc
     rhs[bmask] = ubc[bmask]
-    return DiscreteSystem(mesh, mat, rhs, ubc, free, raw_rhs)
+    return DiscreteSystem(mesh, mat, rhs)
 
 
 def _bpx_preconditioner(system: DiscreteSystem):
@@ -140,7 +137,7 @@ def _bpx_preconditioner(system: DiscreteSystem):
     d = system.matrix.diagonal()
     if np.any(d <= 0):
         raise NumericalError("non-positive diagonal in assembled matrix")
-    free, level = system.free_mask, system.mesh.vertex_level
+    free, level = ~system.mesh.boundary_vertex_mask, system.mesh.vertex_level
     # sorted by level, the vertices of levels <= w are the first ends[w]
     order = np.argsort(level, kind="stable")
     ends = np.cumsum(np.bincount(level))
@@ -172,25 +169,30 @@ def cg(A, b, x0=None, *, M, target=None, maxiter=None, callback=None):
     r.z that CG forms anyway; it bounds the energy error ||x* - x||_A up to
     cond(BA)). `callback(x)` runs after every iteration.
 
-    Returns (x, info) as scipy's `cg` does: info 0 on a stop, `maxiter` when
-    the iterations ran out, and -1 on a breakdown (p.Ap or r.z not finite
-    and positive, a NaN in the data included)."""
+    Returns the iterate. A breakdown (p.Ap or r.z not finite and positive, a
+    NaN in the data included) or `maxiter` iterations raise NumericalError,
+    naming which, the iterations run and the relative residual."""
     maxiter = 10 * len(b) if maxiter is None else maxiter
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A @ x
     atol = CG_RTOL * np.linalg.norm(b)
     p = rz_old = None
+
+    def failure(kind: str) -> NumericalError:
+        res = np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300)
+        return NumericalError(f"CG failed to converge ({kind} after {it} "
+                              f"iterations, relative residual {res:.3e})")
     for it in range(maxiter + 1):
         if target is None and np.linalg.norm(r) <= atol:
-            return x, 0
+            return x
         z = M(r)
         rz = r @ z
         if target is not None and rz <= target * target:
-            return x, 0
+            return x
         if not (np.isfinite(rz) and rz > 0):
-            return x, -1
+            raise failure("breakdown")
         if it == maxiter:
-            return x, maxiter
+            raise failure("iteration cap")
         if p is None:
             p = z
         else:
@@ -199,7 +201,7 @@ def cg(A, b, x0=None, *, M, target=None, maxiter=None, callback=None):
         q = A @ p
         pq = p @ q
         if not (np.isfinite(pq) and pq > 0):
-            return x, -1
+            raise failure("breakdown")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
@@ -214,21 +216,16 @@ def solve_galerkin(system: DiscreteSystem, initial_guess=None,
     `target`, to relative residual ||r||_2 <= `CG_RTOL` ||b||_2; with one,
     until sqrt(r^T B r) <= target, B the BPX preconditioner."""
     mat, rhs = system.matrix, system.rhs
-    n = mat.shape[0]
+    n, boundary = mat.shape[0], system.mesh.boundary_vertex_mask
     x0 = None
     if initial_guess is not None:
         if len(initial_guess) != n:
             raise ValueError(f"initial guess has {len(initial_guess)} values, "
                              f"the system {n}")
-        x0 = np.where(system.free_mask, initial_guess, system.boundary_values)
+        x0 = np.where(boundary, rhs, initial_guess)
     bpx = system.preconditioner
-    x, info = cg(mat, rhs, x0=x0, M=bpx, target=target)
-    if info != 0:
-        res = np.linalg.norm(rhs - mat @ x) / max(np.linalg.norm(rhs), 1e-300)
-        kind = "breakdown" if info < 0 else "iteration cap"
-        raise NumericalError(f"CG failed to converge (info={info}, {kind}, "
-                             f"relative residual {res:.3e})")
-    x[~system.free_mask] = system.boundary_values[~system.free_mask]
+    x = cg(mat, rhs, x0=x0, M=bpx, target=target)
+    x[boundary] = rhs[boundary]
     r = rhs - mat @ x
     return FeFunction(system.mesh, x, float(np.sqrt(max(r @ bpx(r), 0.0))))
 

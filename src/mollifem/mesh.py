@@ -21,12 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .curves import Curve
 
 _serials_issued = 0  # cell serials are drawn from here and never reused
 
@@ -356,13 +353,3 @@ def lshape_mesh(n: int) -> Mesh:
     used, tris = np.unique(tris.ravel(), return_inverse=True)
     return Mesh.from_arrays(np.column_stack([xx.ravel(), yy.ravel()])[used],
                             tris.reshape(-1, 3))
-
-
-# -- curve queries --------------------------------------------------------
-# Which cells meet the curve is decided in one place, the incidence store of
-# the Curve (`Curve.hits`); the functions here read it.
-
-
-def interface_cells(mesh: Mesh, curve: "Curve") -> np.ndarray:
-    """Rows of the cells whose closure meets the curve polyline, ascending."""
-    return np.unique(curve.hits(mesh)[0])

@@ -42,16 +42,19 @@ class RadialLogSolution:
         return np.divide(-d, rho_sq, out=np.zeros_like(d),
                          where=rho_sq > self.radius ** 2)
 
-    def _corner_part(self, pts: np.ndarray) -> np.ndarray:
-        rho = np.sqrt((pts * pts).sum(-1))
+    @staticmethod
+    def _polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """rho and phi, phi moved past the branch cut at pi/2."""
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         phi = np.where(phi < 0.5 * np.pi - 1e-14, phi + 2.0 * np.pi, phi)
+        return np.sqrt((pts * pts).sum(-1)), phi
+
+    def _corner_part(self, pts: np.ndarray) -> np.ndarray:
+        rho, phi = self._polar(pts)
         return rho ** (2.0 / 3.0) * np.sin((2.0 / 3.0) * (phi - 0.5 * np.pi))
 
     def _corner_grad(self, pts: np.ndarray) -> np.ndarray:
-        rho = np.sqrt((pts * pts).sum(-1))
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        phi = np.where(phi < 0.5 * np.pi - 1e-14, phi + 2.0 * np.pi, phi)
+        rho, phi = self._polar(pts)
         arg = (2.0 / 3.0) * (phi - 0.5 * np.pi)
         safe = np.maximum(rho, 1e-300)
         dr = (2.0 / 3.0) * safe ** (-1.0 / 3.0) * np.sin(arg)

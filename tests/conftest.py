@@ -15,12 +15,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from mollifem.curves import interface_cells
 from mollifem.estimate import estimate
 from mollifem.fem import (LAMBDA_ALG, DiscreteSystem, assemble, prolong,
                           solve_galerkin)
 from mollifem.forcing import DensityForcing
 from mollifem.geometry import _REL_EPS, cross2
-from mollifem.mesh import Mesh, interface_cells, lshape_mesh, rect_mesh
+from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
 
 
 @pytest.fixture(scope="session")

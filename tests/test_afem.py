@@ -13,10 +13,11 @@ import mollifem.afem as afem
 from mollifem import fem
 from mollifem.afem import (AfemParams, RunRecord, RunRow, data_loop,
                            interface_loop, mark, solve)
+from mollifem.curves import interface_cells
 from mollifem.errors import NonTerminationError
 from mollifem.fem import solve_galerkin
 from mollifem.forcing import DensityForcing
-from mollifem.mesh import interface_cells, rect_mesh
+from mollifem.mesh import rect_mesh
 from mollifem.problems import lshape_problem, smooth_problem, square_problem
 
 

@@ -12,6 +12,7 @@ from mollifem.afem import RunRecord, RunRow
 from mollifem.cli import main, slope_fit
 from mollifem.config import (ALGORITHMS, PRESET_NAMES, ExperimentConfig,
                              preset)
+from mollifem.errors import NumericalError
 from mollifem.mesh import rect_mesh
 from mollifem.vtkio import write_vtk
 
@@ -318,13 +319,18 @@ def test_cli_run_smooth_end_to_end(tmp_path, capsys):
 
 def test_cli_run_exits_2_on_a_numerical_failure(tmp_path, monkeypatch,
                                                 capsys):
-    # CG reporting no convergence stops the run before anything is written
-    monkeypatch.setattr(fem, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 1))
+    # CG failing to converge stops the run before anything is written
+    def capped(A, b, **kwargs):
+        raise NumericalError("CG failed to converge (iteration cap after 1 "
+                             "iterations, relative residual 1.000e+00)")
+
+    monkeypatch.setattr(fem, "cg", capped)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(preset("smooth").to_json())
     out = tmp_path / "results"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "numerical failure: CG failed to converge" in capsys.readouterr().err
+    assert "numerical failure: CG failed to converge (iteration cap" \
+        in capsys.readouterr().err
     assert not (out / "run.csv").exists()
 
 
@@ -338,7 +344,8 @@ def test_cli_run_exits_2_on_a_nan_load_in_a_warm_solve(tmp_path, monkeypatch,
         system = real(*args, **kwargs)
         assembled.append(system)
         if len(assembled) == 2:
-            system.rhs[np.flatnonzero(system.free_mask)[0]] = np.nan
+            system.rhs[np.flatnonzero(~system.mesh.boundary_vertex_mask)[0]] \
+                = np.nan
         return system
 
     monkeypatch.setattr(afem, "assemble", poisoned)
@@ -347,7 +354,7 @@ def test_cli_run_exits_2_on_a_nan_load_in_a_warm_solve(tmp_path, monkeypatch,
     out = tmp_path / "results"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert len(assembled) == 2
-    assert "numerical failure: CG failed to converge (info=-1, breakdown" \
+    assert "numerical failure: CG failed to converge (breakdown after" \
         in capsys.readouterr().err
     assert not (out / "run.csv").exists()
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from mollifem.afem import interface_loop
-from mollifem.curves import Curve, SegmentedData
+from mollifem.curves import Curve, SegmentedData, interface_cells
 from mollifem.fem import ErrorIntegrator, FeFunction
 from mollifem.forcing import LineForcing
-from mollifem.mesh import interface_cells
 from mollifem.problems import square_problem
 
 

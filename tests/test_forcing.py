@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 from mollifem import forcing
 from mollifem import quadrature as quadr
 from mollifem.afem import interface_loop
-from mollifem.curves import Curve, SegmentedData
+from mollifem.curves import Curve, SegmentedData, interface_cells
 from mollifem.forcing import (KERNEL_FAMILIES, DensityForcing, Kernel,
                               LineForcing, RegularizedForcing,
                               kernel_moment_check, r_of_tau)
-from mollifem.mesh import Mesh, interface_cells, rect_mesh
+from mollifem.mesh import Mesh, rect_mesh
 
 from conftest import (cell_l2_norms, cells_meeting_supports,
                       gauss_grid_on_triangle, sibling_refinements)

@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and the
-package starts without the slow scipy modules.
+"""Every name a module imports is read somewhere in that module, the
+package's modules import each other without a cycle, and the package starts
+without the slow scipy modules.
 
 The AST of each file under ``src/`` and ``tests/`` is walked: a name bound
 by an import and never loaded fails, unless the import's lines say
@@ -9,6 +10,7 @@ annotations count as reads of the names they hold.
 from __future__ import annotations
 
 import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -79,6 +81,52 @@ def test_the_check_sees_each_kind_of_read():
         "def k(x: 'H') -> None:\n"
         "    return os.sep\n")
     assert unused_imports(source) == ["system", "f"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that `source`, one of its modules, imports
+    anywhere: `TYPE_CHECKING` blocks and function bodies included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module.split(".")[0]} if node.module
+                      else {alias.name for alias in node.names})
+    return found
+
+
+def import_graph() -> dict[str, set[str]]:
+    """Module name -> the package modules it imports, over src/mollifem."""
+    return {path.stem: package_imports(path.read_text())
+            for path in sorted(ROOT.glob("src/mollifem/*.py"))}
+
+
+def test_the_package_imports_form_no_cycle():
+    graph = import_graph()
+    assert {"mesh", "curves", "fem", "afem"} <= graph.keys()
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle {err.args[1]}")
+
+
+def test_the_mesh_imports_no_curve_forcing_or_solver():
+    # a mesh is cells and vertices; the curve's incidence with them, the
+    # loads on them and the solves over them live in the modules above it
+    assert not import_graph()["mesh"] & {"curves", "forcing", "fem", "afem"}
+
+
+def test_the_layering_check_sees_each_kind_of_import():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np\n"
+        "from . import quadrature as quadr\n"
+        "from .geometry import cross2\n"
+        "if TYPE_CHECKING:\n"
+        "    from .curves import Curve\n"
+        "def f():\n"
+        "    from .fem import cg\n")
+    assert package_imports(source) == {"quadrature", "geometry", "curves",
+                                       "fem"}
 
 
 def cli_imports(modules: set[str], code: str = "") -> str:

@@ -11,10 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (corner_areas, jittered_mesh,
                       segments_intersect_triangles)
-from mollifem.curves import Curve
+from mollifem.curves import Curve, interface_cells
 from mollifem.geometry import clip_segments_to_triangles
-from mollifem.mesh import (CellCache, Mesh, interface_cells, lshape_mesh,
-                           rect_mesh)
+from mollifem.mesh import CellCache, Mesh, lshape_mesh, rect_mesh
 
 
 def two_triangle_square() -> Mesh:

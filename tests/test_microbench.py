@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from mollifem.afem import interface_loop
-from mollifem.curves import Curve
+from mollifem.curves import Curve, interface_cells
 from mollifem.estimate import estimate
 from mollifem.fem import ErrorIntegrator, FeFunction, assemble, solve_galerkin
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
-from mollifem.mesh import interface_cells, rect_mesh
+from mollifem.mesh import rect_mesh
 from mollifem.problems import SineProduct, lshape_problem, square_problem
 from mollifem.vtkio import write_vtk
 
