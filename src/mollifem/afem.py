@@ -5,11 +5,12 @@ one loop over the tolerance schedule.
 tau_j = tau0 * beta^j (j = 0..j_max): each stage resolves the curve
 neighbourhood to the mollification radius r_j = tau_j^2 (interface_loop),
 then refines until the total estimator is at most mu * tau_j; an optional
-last stage only updates the radius. `baseline` walks the same stages on the
-unmollified line source, and `plain` is one stage on a volume density. Every
-pass is SOLVE, ESTIMATE, then MARK and REFINE: when the data part dominates
-(D > lambda * theta * E) it drives D down with Doerfler marking on the data
-indicators alone (data_loop); otherwise it marks on the total indicators.
+last stage only updates the radius, in one row of branch RADIUS. `baseline`
+walks the same stages on the unmollified line source, and `plain` is one
+stage on a volume density. Every pass is SOLVE, ESTIMATE, then MARK and
+REFINE: when the data part dominates (D > lambda * theta * E) it drives D
+down with Doerfler marking on the data indicators alone (data_loop);
+otherwise it marks on the total indicators.
 
 SOLVE is CG from the prolonged last solution. The first solve of a run is
 tight (`fem.CG_RTOL`); every later one stops once the preconditioned
@@ -48,7 +49,7 @@ SOLVE_PASS_CAP = 1_000
 INTERFACE_PASS_CAP = 10_000
 
 ALGORITHMS = ("regsolve", "baseline", "plain")
-BRANCHES = ("INIT", "INTERFACE", "DATA", "MARK")
+BRANCHES = ("INIT", "INTERFACE", "DATA", "MARK", "RADIUS")
 
 
 def is_int(x) -> bool:
@@ -159,20 +160,14 @@ class RunRecord:
         return rec
 
     def u_samples(self) -> list[RunRow]:
-        """Last row of each outer stage (the accepted approximations).
-
-        A trailing stage made of a single interface-branch row is the
-        post-loop radius update, not an accepted approximation, and is
-        dropped.
-        """
-        stages: dict[int, list[RunRow]] = {}  # in order of first row
+        """Last row of each outer stage (the accepted approximations), in
+        order of the stages' first rows; the radius update (`RADIUS`) is no
+        accepted approximation and is skipped."""
+        last: dict[int, RunRow] = {}
         for row in self.rows:
-            stages.setdefault(row.j, []).append(row)
-        rows = [stage[-1] for stage in stages.values()]
-        if len(rows) > 1 and len(stages[rows[-1].j]) == 1 \
-                and rows[-1].branch == "INTERFACE":
-            rows.pop()
-        return rows
+            if row.branch != "RADIUS":
+                last[row.j] = row
+        return list(last.values())
 
 
 def mark(values: np.ndarray, theta: float) -> np.ndarray:
@@ -246,10 +241,10 @@ def _stages(params: AfemParams, algorithm: str) -> list[tuple[float, float]]:
 def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
     """Walk the tolerance schedule of `algorithm` (one of ALGORITHMS).
 
-    `problem` supplies the domain mesh, curve, data, boundary values and
-    (optionally) the exact solution; see the problems module. Returns
-    (solution, mesh, record, forcing), the forcing being that of the last
-    solve, with its per-cell integrals of the final mesh cached.
+    `problem` supplies the domain mesh, the curve with its density, boundary
+    values and (optionally) the exact solution; see the problems module.
+    Returns (solution, mesh, record, forcing), the forcing being that of the
+    last solve, with its per-cell integrals of the final mesh cached.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick one of "
@@ -265,7 +260,7 @@ def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
     if algorithm == "regsolve":
         kernel, first_branch = Kernel(params.kernel_family), "INTERFACE"
     elif algorithm == "baseline":
-        g = LineForcing(problem.curve, problem.f)
+        g = LineForcing(problem.curve)
     else:
         g = problem.density
 
@@ -274,7 +269,7 @@ def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
         if algorithm == "regsolve":
             r, g = r_of_tau(tau), None
             mesh = interface_loop(mesh, problem.curve, r)
-        k, branch = 0, first_branch
+        k, branch = 0, first_branch if math.isfinite(tol) else "RADIUS"
         while True:
             # the warm start first: then nothing holds the last solution, its
             # indicators, its mesh or (regsolve, a stage's first pass) its
@@ -283,15 +278,15 @@ def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
             guess = None if w is None else prolong(w, mesh).nodal_values
             w = ind = None
             if g is None:
-                g = RegularizedForcing(problem.curve, problem.f, kernel, r)
+                g = RegularizedForcing(problem.curve, kernel, r)
             system = assemble(mesh, g, problem.boundary_data)
             w = solve_galerkin(system, guess,
                                None if eta is None else LAMBDA_ALG * eta)
-            ind = estimate(mesh, w, g)
+            ind = estimate(w, g)
             while w.residual > LAMBDA_ALG * ind.global_total:
                 w = solve_galerkin(system, w.nodal_values,
                                    LAMBDA_ALG * ind.global_total)
-                ind = estimate(mesh, w, g)
+                ind = estimate(w, g)
             system, eta = None, ind.global_total
             err = float("nan") if err_fn is None else err_fn(w)
             record.append(RunRow(j, k, tau, r, mesh.num_vertices,

@@ -36,6 +36,9 @@ def slope_fit(rows, n_last: int = 5) -> float:
     errs = np.array([row.energy_error for row in tail], dtype=np.float64)
     if not np.all(np.isfinite(errs)) or np.any(errs <= 0) or np.any(dofs <= 0):
         raise ValueError("samples must have positive finite energy errors")
+    if len(np.unique(dofs)) < 2:
+        raise ValueError(f"all {len(tail)} samples have {int(dofs[0])} dofs; "
+                         "a slope needs two distinct dof counts")
     return float(np.polyfit(np.log(dofs), np.log(errs), 1)[0])
 
 
@@ -74,7 +77,7 @@ def _cmd_run(args) -> int:
     record.to_csv(out / "run.csv", deterministic=cfg.deterministic)
 
     # the run's last forcing: a curve forcing has this mesh's records cached
-    ind = estimate(mesh, w, g)
+    ind = estimate(w, g)
     write_vtk(out / "solution.vtk", mesh,
               point_data={"solution": w.nodal_values},
               cell_data={"generation": mesh.generation,

@@ -1,11 +1,12 @@
-"""Polyline curves carrying piecewise line-source data.
+"""Polyline curves carrying the line-source density.
 
 The immersed curve gamma is always handled through its polyline
 discretization; a circle is represented by an inscribed regular polygon.
-A curve's points never change. It owns a bin grid of its segment midpoints,
-used for proximity queries, and the incidence of its segments and the cells
-of the last mesh asked about (`Curve.hits`), the one place where the program
-decides which cells the curve meets; `interface_cells` reads it.
+A curve's points and its density f, piecewise constant per segment, never
+change. It owns a bin grid of its segment midpoints, used for proximity
+queries, and the incidence of its segments and the cells of the last mesh
+asked about (`Curve.hits`), the one place where the program decides which
+cells the curve meets; `interface_cells` reads it.
 """
 from __future__ import annotations
 
@@ -18,13 +19,15 @@ from .mesh import Mesh, match_serials
 
 
 class Curve:
-    """Connected polyline, optionally closed."""
+    """Connected polyline, optionally closed, with the line-source density
+    `f`: one value per segment, read-only."""
 
     # how far the curve the polyline stands for may stray from a segment;
     # `circle` records the sagitta of its inscribed polygon
     sagitta = 0.0
 
-    def __init__(self, points, closed: bool = True, boundary_gap: float = 1.0):
+    def __init__(self, points, f=1.0, closed: bool = True,
+                 boundary_gap: float = 1.0):
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ValueError("points must have shape (n >= 2, 2)")
@@ -35,12 +38,19 @@ class Curve:
         self.boundary_gap = float(boundary_gap)
         if self.total_length <= 0:
             raise ValueError("curve has zero length")
+        f = np.array(f, dtype=np.float64)  # a copy: the caller's stays writable
+        if f.ndim == 0:
+            f = np.full(self.num_segments, float(f))
+        if f.shape != (self.num_segments,):
+            raise ValueError("need one value per curve segment")
+        f.flags.writeable = False
+        self.f = f
         self._serials = np.array([-1])  # a sentinel entry no serial matches
         self._hits = (np.empty(0, np.int32), np.empty(0, np.int32),
                       np.empty(0), np.empty(0))
 
     @classmethod
-    def circle(cls, center, radius: float, n_segments: int = 2 ** 14,
+    def circle(cls, center, radius: float, n_segments: int = 2 ** 14, f=1.0,
                boundary_gap: float = 1.0) -> "Curve":
         """Inscribed regular polygon approximating a circle."""
         if radius <= 0:
@@ -50,7 +60,7 @@ class Curve:
         t = 2 * np.pi * np.arange(n_segments) / n_segments
         pts = np.column_stack([center[0] + radius * np.cos(t),
                                center[1] + radius * np.sin(t)])
-        curve = cls(pts, closed=True, boundary_gap=boundary_gap)
+        curve = cls(pts, f, closed=True, boundary_gap=boundary_gap)
         curve.sagitta = radius * (1.0 - np.cos(np.pi / n_segments))
         return curve
 
@@ -164,15 +174,3 @@ def _ranges(start: np.ndarray, stop: np.ndarray):
     k = np.repeat(np.arange(len(start)), stop - start)
     return k, np.arange(len(k)) + (stop - np.cumsum(stop - start))[k]
 
-
-class SegmentedData:
-    """Line-source density f, piecewise constant per curve segment."""
-
-    def __init__(self, curve: Curve, values):
-        self.curve = curve
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim == 0:
-            v = np.full(curve.num_segments, float(v))
-        if v.shape != (curve.num_segments,):
-            raise ValueError("need one value per curve segment")
-        self.values = v

@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .fem import FeFunction
-from .mesh import Mesh
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,10 @@ class IndicatorSet:
         return float(np.sqrt(self.jump_sq.sum() + self.data_sq.sum()))
 
 
-def jump_indicator_sq(mesh: Mesh, w: FeFunction) -> np.ndarray:
-    """Per-cell j(T)^2, one per cell row: each cell sums its interior edges
-    in local order."""
+def jump_indicator_sq(w: FeFunction) -> np.ndarray:
+    """Per-cell j(T)^2 on `w.mesh`, one per cell row: each cell sums its
+    interior edges in local order."""
+    mesh = w.mesh
     (gx, gy), (ex, ey) = w.cell_gradients.T, mesh.edge_vectors
     jsq = np.zeros(mesh.num_cells)
     for k, n in enumerate(mesh.neighbours.T):
@@ -63,8 +63,8 @@ def jump_indicator_sq(mesh: Mesh, w: FeFunction) -> np.ndarray:
     return jsq
 
 
-def estimate(mesh: Mesh, w: FeFunction, forcing) -> IndicatorSet:
-    """Jump and data indicators for the current Galerkin solution."""
-    jsq = jump_indicator_sq(mesh, w)
-    d = forcing.data_indicator(mesh)
+def estimate(w: FeFunction, forcing) -> IndicatorSet:
+    """Jump and data indicators of the Galerkin solution `w` on its mesh."""
+    jsq = jump_indicator_sq(w)
+    d = forcing.data_indicator(w.mesh)
     return IndicatorSet(jsq, d * d)

@@ -21,7 +21,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import quadrature as quadr
-from .curves import Curve, SegmentedData
+from .curves import Curve
 from .geometry import BinGrid
 from .mesh import CellCache, Mesh
 
@@ -199,18 +199,6 @@ class _CellForcing:
         return out
 
 
-class _CurveForcing(_CellForcing):
-    """A forcing carried by the curve: its records are zero on cells it does
-    not reach."""
-
-    def __init__(self, curve: Curve, data: SegmentedData):
-        if data.curve is not curve:
-            raise ValueError("data is attached to a different curve")
-        super().__init__()
-        self.curve = curve
-        self.data = data
-
-
 def _subdivision_depths(h: np.ndarray, r: float,
                         continuous: bool = True) -> np.ndarray:
     """Depth of the subdivided rule for cells of size h = |T|^(1/2), with
@@ -232,13 +220,14 @@ _BINS_PER_R = 8
 _PAIR_CHUNK = 1 << 15
 
 
-class RegularizedForcing(_CurveForcing):
+class RegularizedForcing(_CellForcing):
     """Mollified line source F_r for a fixed radius r."""
 
-    def __init__(self, curve: Curve, data: SegmentedData, kernel: Kernel, r: float):
+    def __init__(self, curve: Curve, kernel: Kernel, r: float):
         if r <= 0:
             raise ValueError("r must be positive")
-        super().__init__(curve, data)
+        super().__init__()
+        self.curve = curve
         if r >= curve.boundary_gap:
             logger.warning("mollification radius %.3g >= boundary gap %.3g; "
                            "density overlaps the domain boundary", r, curve.boundary_gap)
@@ -276,7 +265,7 @@ class RegularizedForcing(_CurveForcing):
         self.node_xy = self.curve.seg_start[seg] + frac[:, None] \
             * (self.curve.seg_end[seg] - self.curve.seg_start[seg])
         self.node_w = w
-        self.node_fw = self.data.values[seg] * w
+        self.node_fw = self.curve.f[seg] * w
 
     def _build_bins(self) -> None:
         """Bins of side r / n = r / _BINS_PER_R, in units of r, from 3 r below
@@ -359,7 +348,7 @@ class DensityForcing(_CellForcing):
         return np.zeros(len(positions), dtype=np.int64)  # the 6-point rule
 
 
-class LineForcing(_CurveForcing):
+class LineForcing(_CellForcing):
     """Exact (clipped) line source; data indicator is the surrogate
     h_T^(1/2) ||f||_{L2(T cap gamma)}.
 
@@ -367,6 +356,10 @@ class LineForcing(_CurveForcing):
     and the integrals are cached per cell, so repeated refinement passes only
     touch newly created cells.
     """
+
+    def __init__(self, curve: Curve):
+        super().__init__()
+        self.curve = curve
 
     def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """int_{T cap gamma} f phi_i (i = 0, 1, 2) and int_{T cap gamma} f^2."""
@@ -381,7 +374,7 @@ class LineForcing(_CurveForcing):
         pts = a[:, None, :] + tt[..., None] * d[:, None, :]
         lam = quadr.barycentric(mesh.coords[mesh.triangles[positions[rows]]], pts)
         length = (t1 - t0) * self.curve.seg_lengths[si]
-        f = self.data.values[si]
+        f = self.curve.f[si]
         np.add.at(out[:, :3], rows,
                   np.einsum("p,q,pqi->pi", length * f, gw, lam))
         np.add.at(out[:, 3], rows, length * f ** 2)

@@ -87,12 +87,12 @@ class Mesh:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_arrays(cls, coords, triangles, refinement_edges=None) -> "Mesh":
+    def from_arrays(cls, coords, triangles) -> "Mesh":
         """Build an initial mesh from vertex coordinates and vertex triples.
 
-        Triangles are reoriented CCW if needed. Without explicit tags the
-        refinement edge of each cell is its longest edge, ties broken by the
-        lowest opposite-vertex id. The input must be conforming.
+        Triangles are reoriented CCW if needed. The refinement edge of each
+        cell is its longest edge, ties broken by the lowest opposite-vertex
+        id. The input must be conforming.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         tris = np.array(triangles, dtype=np.int64)
@@ -111,16 +111,11 @@ class Mesh:
         flip = area2 < 0
         tris[flip] = tris[flip][:, [0, 2, 1]]
 
-        if refinement_edges is None:
-            p = coords[tris]
-            lens = np.linalg.norm(p[:, [1, 2, 0]] - p[:, [2, 0, 1]], axis=2)
-            tied = lens >= lens.max(axis=1, keepdims=True) * (1 - 1e-12)
-            opp = np.where(tied, tris, np.iinfo(np.int64).max)
-            tags = np.argmin(opp, axis=1)
-        else:
-            tags = np.asarray(refinement_edges, dtype=np.int64)
-            if tags.shape != (len(tris),) or tags.min() < 0 or tags.max() > 2:
-                raise ValueError("refinement_edges must be per-cell values in {0,1,2}")
+        p = coords[tris]
+        lens = np.linalg.norm(p[:, [1, 2, 0]] - p[:, [2, 0, 1]], axis=2)
+        tied = lens >= lens.max(axis=1, keepdims=True) * (1 - 1e-12)
+        opp = np.where(tied, tris, np.iinfo(np.int64).max)
+        tags = np.argmin(opp, axis=1)
 
         n = len(tris)
         return cls(coords, np.full((len(coords), 2), -1, dtype=np.int32),

@@ -1,7 +1,7 @@
 """Built-in benchmark problems with closed-form solutions.
 
-Each problem bundles the domain mesh factory, the immersed circle with its
-flux data, Dirichlet boundary values, and the exact solution used for the
+Each problem bundles the domain mesh factory, the immersed circle carrying
+its flux density f, Dirichlet boundary values, and the exact solution used for the
 energy-error column. The exact solutions are continuous across the circle
 with normal-derivative jump equal to f, and harmonic elsewhere.
 """
@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import Curve, SegmentedData
+from .curves import Curve
 from .forcing import DensityForcing
 from .mesh import Mesh, lshape_mesh, rect_mesh
 
@@ -99,7 +99,6 @@ class SineProduct:
 class TestProblem:
     name: str
     curve: Curve | None
-    f: SegmentedData | None
     boundary_data: Callable | None
     exact: object | None
     initial_mesh: Callable[[], Mesh]
@@ -110,12 +109,11 @@ def _circle_problem(name: str, center, radius: float, gap: float,
                     corner_mode: bool, initial_mesh, n_segments: int):
     """f = 1/radius on the circle of `radius` about `center`, `gap` from the
     boundary, with the exact solution RadialLogSolution."""
-    curve = Curve.circle(center, radius, n_segments, boundary_gap=gap)
+    curve = Curve.circle(center, radius, n_segments, f=1.0 / radius,
+                         boundary_gap=gap)
     exact = RadialLogSolution(center, radius, corner_mode=corner_mode)
-    return TestProblem(name=name, curve=curve,
-                       f=SegmentedData(curve, 1.0 / radius),
-                       boundary_data=exact.value, exact=exact,
-                       initial_mesh=initial_mesh)
+    return TestProblem(name=name, curve=curve, boundary_data=exact.value,
+                       exact=exact, initial_mesh=initial_mesh)
 
 
 def lshape_problem(n_segments: int = DEFAULT_SEGMENTS,
@@ -141,7 +139,6 @@ def smooth_problem(initial_divisions: int = 8) -> TestProblem:
     return TestProblem(
         name="smooth",
         curve=None,
-        f=None,
         boundary_data=None,
         exact=exact,
         initial_mesh=lambda: rect_mesh(initial_divisions, initial_divisions,

@@ -278,5 +278,5 @@ def warm_target(passes: int) -> tuple[np.ndarray, float]:
     coarse = uniform_square_system(passes - 1)
     w = solve_galerkin(coarse)
     fine = rect_mesh(4, 4).uniform_refine(passes)
-    eta = estimate(coarse.mesh, w, square_load()).global_total
+    eta = estimate(w, square_load()).global_total
     return prolong(w, fine).nodal_values, LAMBDA_ALG * eta

@@ -120,7 +120,7 @@ def test_a03_regularization_error_rate():
     for k in range(3, 8):
         # at k=3 the support overlaps the boundary; the logged warning is
         # expected and the leaked mass is negligible for this metric
-        g = RegularizedForcing(p.curve, p.f, kernel, 2.0 ** -k)
+        g = RegularizedForcing(p.curve, kernel, 2.0 ** -k)
         system = assemble(mesh, g, p.boundary_data)
         w = solve_galerkin(system)
         errs.append(err_fn(w))
@@ -241,7 +241,7 @@ def test_a07_greedy_growth():
     for r in (0.04, 0.02):
         for tau in (0.6, 0.3, 0.15):
             mesh = p.initial_mesh()
-            g = RegularizedForcing(p.curve, p.f, kernel, r)
+            g = RegularizedForcing(p.curve, kernel, r)
             out = greedy(mesh, g, tau)
             counts[(r, tau)] = out.total_marked() - mesh.total_marked()
     ratios = [counts[(0.02, 0.3)] / counts[(0.02, 0.6)],
@@ -267,8 +267,8 @@ def _data_halving_ratio():
     kernel = Kernel("tensor_linf")
     r1 = 0.04
     mesh = interface_loop(p.initial_mesh(), p.curve, r1 / 2)
-    g1 = RegularizedForcing(p.curve, p.f, kernel, r1)
-    g2 = RegularizedForcing(p.curve, p.f, kernel, r1 / 2)
+    g1 = RegularizedForcing(p.curve, kernel, r1)
+    g2 = RegularizedForcing(p.curve, kernel, r1 / 2)
     d1 = g1.data_indicator(mesh)
     d2 = g2.data_indicator(mesh)
     big1 = float(np.sqrt((d1 * d1).sum()))
@@ -307,7 +307,7 @@ def test_a08_data_term_halving_measured():
 def test_a09_solver_correctness():
     p = square_problem(n_segments=1024)
     mesh = rect_mesh(16, 16, 0.0, 0.0, 1.0, 1.0)
-    g = RegularizedForcing(p.curve, p.f, Kernel("tensor_linf"), 0.05)
+    g = RegularizedForcing(p.curve, Kernel("tensor_linf"), 0.05)
     system = assemble(mesh, g, p.boundary_data)
 
     raw = form_matrix(system.mesh)
@@ -396,4 +396,4 @@ def test_a11_deterministic_csv_byte_identical(tmp_path):
                       f"{sorted(branches)}) byte-identical: {same}")
     assert same
     assert {"INTERFACE", "DATA", "MARK"} <= branches
-    assert (rows[-1].j, rows[-1].k, rows[-1].branch) == (1, 0, "INTERFACE")
+    assert (rows[-1].j, rows[-1].k, rows[-1].branch) == (1, 0, "RADIUS")

@@ -225,8 +225,8 @@ def _passes(monkeypatch):
         passes.append([real[0](*args, **kwargs)])
         return passes[-1][0]
 
-    def estimate(mesh, w, forcing):
-        ind = real[1](mesh, w, forcing)
+    def estimate(w, forcing):
+        ind = real[1](w, forcing)
         passes[-1].append((w, ind.global_total))
         return ind
 
@@ -305,12 +305,14 @@ def test_regsolve_schedule_and_branches():
     for row in rec.rows:
         stages.setdefault(row.j, []).append(row)
     for j, rows in stages.items():
-        assert rows[0].branch == "INTERFACE"
+        assert rows[0].branch == ("RADIUS" if j == max(stages)
+                                  else "INTERFACE")
         ks = [r.k for r in rows]
         assert ks == list(range(len(ks)))
     # extra radius-update row: one final single-row stage
     last = stages[max(stages)]
     assert len(last) == 1
+    assert [r.branch for r in rec.rows].count("RADIUS") == 1
     samples = rec.u_samples()
     assert len(samples) == params.j_max + 1
     for row in samples:
@@ -410,6 +412,8 @@ def test_run_record_rejects_malformed(tmp_path):
 
 
 def test_u_samples_drops_trailing_radius_update():
+    # the radius update is the row labelled RADIUS; a stage accepted on its
+    # first pass is one INTERFACE row, and a sample
     rec = RunRecord()
     rec.append(RunRow(0, 0, 0.6, 0.36, 10, 8, 0.5, 0.3, 0.4, 0.2, "INTERFACE",
                       0.0))
@@ -417,7 +421,7 @@ def test_u_samples_drops_trailing_radius_update():
                       0.0))
     rec.append(RunRow(1, 0, 0.48, 0.2304, 30, 28, 0.1, 0.05, 0.05, 0.05,
                       "INTERFACE", 0.0))
-    samples = rec.u_samples()
-    assert [(s.j, s.k) for s in samples] == [(0, 1)]
-    rec.rows[-1].branch = "MARK"
+    assert [(s.j, s.k) for s in rec.u_samples()] == [(0, 1), (1, 0)]
+    rec.append(RunRow(2, 0, 0.384, 0.147456, 30, 28, 0.2, 0.1, 0.1, 0.05,
+                      "RADIUS", 0.0))
     assert [(s.j, s.k) for s in rec.u_samples()] == [(0, 1), (1, 0)]

@@ -149,6 +149,16 @@ def test_slope_fit_error_cases():
         slope_fit(bad)
 
 
+def test_slope_fit_needs_two_distinct_dof_counts():
+    # one dof count leaves log(dofs) with no spread, and np.polyfit would
+    # fit a line to a single abscissa
+    rows = [synthetic_row(0, 1495, 1.11), synthetic_row(1, 1495, 1.06)]
+    with pytest.raises(ValueError, match="two distinct dof counts"):
+        slope_fit(rows)
+    rows.append(synthetic_row(2, 2990, 0.8))
+    assert slope_fit(rows) < 0.0
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(preset("smooth").to_json())
@@ -280,6 +290,32 @@ def test_cli_slopes_rejects_bad_csv(tmp_path, capsys):
     path = tmp_path / "junk.csv"
     path.write_text("j,k\n0,1\n")
     assert main(["slopes", "--csv", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_keeps_a_last_stage_accepted_on_its_first_pass(tmp_path,
+                                                               capsys):
+    # without the radius update, a last stage accepted on its first pass is
+    # one INTERFACE row: an accepted approximation, and a sample. Both
+    # samples have the same dof count, so there is no slope to fit.
+    base = preset("lshape")
+    cfg = replace(base, curve_segments=1024, params=replace(
+        base.params, tau0=0.7, beta=0.95, mu=0.9, j_max=1,
+        extra_final_step=False))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 "--deterministic"]) == 0
+    rows = RunRecord.from_csv(out / "run.csv").rows
+    assert [(r.j, r.branch) for r in rows[-2:]] == [(0, "MARK"),
+                                                    (1, "INTERFACE")]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["u_samples"] == 2
+    assert summary["slope"] is None
+    assert "two distinct dof counts" in summary["slope_note"]
+    capsys.readouterr()
+    assert main(["slopes", "--csv", str(out / "run.csv")]) == 1
     assert "error:" in capsys.readouterr().err
 
 

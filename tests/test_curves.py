@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mollifem.afem import interface_loop
-from mollifem.curves import Curve, SegmentedData, interface_cells
+from mollifem.curves import Curve, interface_cells
 from mollifem.fem import ErrorIntegrator, FeFunction
 from mollifem.forcing import LineForcing
 from mollifem.problems import square_problem
@@ -34,10 +34,17 @@ def test_open_polyline_segments():
     assert c.sagitta == 0.0
 
 
-def test_segmented_data_length_mismatch_rejected():
-    c = Curve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), closed=False)
-    with pytest.raises(ValueError):
-        SegmentedData(c, np.array([1.0]))
+def test_curve_density_is_one_read_only_value_per_segment():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="one value per curve segment"):
+        Curve(pts, np.array([1.0]), closed=False)
+    np.testing.assert_array_equal(Curve(pts, 2.5).f, [2.5, 2.5, 2.5])
+    f = np.array([1.0, -2.0])
+    c = Curve(pts, f, closed=False)
+    np.testing.assert_array_equal(c.f, f)
+    assert f.flags.writeable and not c.f.flags.writeable
+    np.testing.assert_array_equal(Curve.circle((0.0, 0.0), 1.0, 8, f=3.0).f,
+                                  np.full(8, 3.0))
 
 
 def test_circle_boundary_gap_recorded():
@@ -65,7 +72,7 @@ def test_each_fresh_cell_is_queried_once_per_curve():
     curve = problem.curve
     counted = curve._candidates = _CountingCandidates(curve._candidates)
     error = ErrorIntegrator(problem.exact, curve)
-    line = LineForcing(curve, problem.f)
+    line = LineForcing(curve)
     mesh = problem.initial_mesh()
     seen = []
     for _ in range(2):

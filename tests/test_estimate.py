@@ -23,14 +23,14 @@ def test_jump_hand_value_single_interior_edge():
     # j(T)^2 = h_F^2 * (jump . n)^2 = 2 * 2 = 4 on both cells
     mesh = two_triangle_square()
     w = FeFunction(mesh, np.array([0.0, 0.0, 0.0, 1.0]))
-    jsq = jump_indicator_sq(mesh, w)
+    jsq = jump_indicator_sq(w)
     np.testing.assert_allclose(jsq, [4.0, 4.0], atol=1e-13)
 
 
 def test_jump_vanishes_for_global_linear():
     mesh = rect_mesh(5, 5, 0.0, 0.0, 1.0, 1.0)
     w = FeFunction(mesh, 2.0 * mesh.coords[:, 0] + mesh.coords[:, 1])
-    jsq = jump_indicator_sq(mesh, w)
+    jsq = jump_indicator_sq(w)
     assert np.abs(jsq).max() < 1e-24
 
 
@@ -63,7 +63,7 @@ def test_jump_matches_an_edge_loop():
                                       replace=False))
     w = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
     assert mesh.generation.max() >= 3
-    np.testing.assert_allclose(jump_indicator_sq(mesh, w),
+    np.testing.assert_allclose(jump_indicator_sq(w),
                                _edge_loop_jumps(mesh, w), rtol=1e-13)
 
 
@@ -75,7 +75,7 @@ def test_jump_matches_an_edge_loop_on_jittered_meshes(domain, rounds, seed):
     w = FeFunction(mesh, np.random.default_rng(seed).standard_normal(
         mesh.num_vertices))
     want = _edge_loop_jumps(mesh, w)
-    np.testing.assert_allclose(jump_indicator_sq(mesh, w), want, rtol=1e-12,
+    np.testing.assert_allclose(jump_indicator_sq(w), want, rtol=1e-12,
                                atol=1e-14 * want.max())
 
 
@@ -84,7 +84,7 @@ def test_estimate_combines_jump_and_data():
     rng = np.random.default_rng(11)
     w = FeFunction(mesh, rng.standard_normal(mesh.num_vertices))
     g = DensityForcing(lambda p: np.ones(len(p)))
-    ind = estimate(mesh, w, g)
+    ind = estimate(w, g)
     np.testing.assert_allclose(ind.total ** 2, ind.jump_sq + ind.data_sq,
                                rtol=1e-14)
     np.testing.assert_allclose(ind.jump ** 2, ind.jump_sq, rtol=1e-14)

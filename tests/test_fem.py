@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mollifem import fem
 from mollifem.afem import interface_loop
-from mollifem.curves import Curve, SegmentedData, interface_cells
+from mollifem.curves import Curve, interface_cells
 from mollifem import quadrature as quadr
 from mollifem.fem import (ErrorIntegrator, FeFunction, assemble, energy_error,
                           form_matrix, prolong, solve_galerkin)
@@ -406,8 +406,7 @@ def reference_energy_error(u, w: FeFunction, curve=None) -> float:
 def test_error_integrator_matches_direct():
     center, radius = (0.5, 0.5), 0.25
     curve = Curve.circle(center, radius, 512, boundary_gap=0.25)
-    data = SegmentedData(curve, 1.0)
-    g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.1)
+    g = RegularizedForcing(curve, Kernel("radial_c1"), 0.1)
     u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
     integ = ErrorIntegrator(u, curve)
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)

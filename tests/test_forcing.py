@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mollifem import forcing
 from mollifem import quadrature as quadr
 from mollifem.afem import interface_loop
-from mollifem.curves import Curve, SegmentedData, interface_cells
+from mollifem.curves import Curve, interface_cells
 from mollifem.forcing import (KERNEL_FAMILIES, DensityForcing, Kernel,
                               LineForcing, RegularizedForcing,
                               kernel_moment_check, r_of_tau)
@@ -205,9 +205,8 @@ def straight_line_setup(r: float, family: str, f: float = 3.0):
     # long horizontal polyline so the profile at x = 0 is the pure 1D section
     xs = np.linspace(-5 * r, 5 * r, 9)
     pts = np.column_stack([xs, np.zeros_like(xs)])
-    curve = Curve(pts, closed=False, boundary_gap=1.0)
-    data = SegmentedData(curve, f)
-    return RegularizedForcing(curve, data, Kernel(family), r)
+    curve = Curve(pts, f, closed=False, boundary_gap=1.0)
+    return RegularizedForcing(curve, Kernel(family), r)
 
 
 def test_box_kernel_profile_is_exact():
@@ -236,9 +235,8 @@ def test_smooth_kernel_profile_matches_section(family):
 
 def test_eval_matches_brute_force_node_sum(rng):
     r = 0.15
-    curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData(curve, 2.0)
-    g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
+    curve = Curve.circle((0.5, 0.5), 0.25, 256, f=2.0, boundary_gap=0.25)
+    g = RegularizedForcing(curve, Kernel("radial_c1"), r)
     pts = rng.uniform(0.0, 1.0, size=(500, 2))
     diff = g.node_xy[None, :, :] - pts[:, None, :]
     brute = (g.kernel.psi(diff / r) / r ** 2) @ g.node_fw
@@ -249,9 +247,8 @@ def test_eval_matches_brute_force_node_sum(rng):
 def test_eval_matches_brute_force_on_square_supports(family, rng):
     # a square support reaches sqrt(2) r along the diagonals
     r = 0.1
-    curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    g = RegularizedForcing(curve, SegmentedData(curve, 2.0),
-                           Kernel(family), r)
+    curve = Curve.circle((0.5, 0.5), 0.25, 256, f=2.0, boundary_gap=0.25)
+    g = RegularizedForcing(curve, Kernel(family), r)
     ang = rng.uniform(0.0, 2.0 * np.pi, 2000)
     rad = 0.25 + rng.uniform(-1.5 * r, 1.5 * r, 2000)
     pts = 0.5 + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], 1)
@@ -263,9 +260,8 @@ def test_eval_matches_brute_force_on_square_supports(family, rng):
 
 def test_node_count_tracks_radius_not_segments():
     curve = Curve.circle((0.0, 0.0), 0.2, 2 ** 14, boundary_gap=1.0)
-    data = SegmentedData(curve, 1.0)
     r = 0.1
-    g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
+    g = RegularizedForcing(curve, Kernel("radial_c1"), r)
     budget = 4 * int(np.ceil(curve.total_length / (r / 4.0))) + 64
     assert len(g.node_w) <= budget
     assert abs(g.node_w.sum() - curve.total_length) < 1e-10
@@ -274,9 +270,8 @@ def test_node_count_tracks_radius_not_segments():
 def test_regularized_mass_conservation():
     # sum of the load vector is the integral of F_r, which carries the full
     # line mass f * |gamma| whenever the support stays inside the domain
-    curve = Curve.circle((0.5, 0.5), 0.25, 512, boundary_gap=0.25)
-    data = SegmentedData(curve, 5.0)
-    g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.1)
+    curve = Curve.circle((0.5, 0.5), 0.25, 512, f=5.0, boundary_gap=0.25)
+    g = RegularizedForcing(curve, Kernel("radial_c1"), 0.1)
     mesh = rect_mesh(16, 16, 0.0, 0.0, 1.0, 1.0)
     rhs = g.load_vector(mesh)
     want = 5.0 * curve.total_length
@@ -285,9 +280,8 @@ def test_regularized_mass_conservation():
 
 def test_load_vector_against_brute_quadrature():
     r = 0.15
-    curve = Curve.circle((0.5, 0.5), 0.25, 128, boundary_gap=0.25)
-    data = SegmentedData(curve, 2.0)
-    g = RegularizedForcing(curve, data, Kernel("tensor_cinf"), r)
+    curve = Curve.circle((0.5, 0.5), 0.25, 128, f=2.0, boundary_gap=0.25)
+    g = RegularizedForcing(curve, Kernel("tensor_cinf"), r)
     mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
     rhs = g.load_vector(mesh)
     brute = np.zeros(mesh.num_vertices)
@@ -306,9 +300,8 @@ def test_load_vector_against_brute_quadrature():
 
 def test_data_indicator_against_brute_norms():
     r = 0.15
-    curve = Curve.circle((0.5, 0.5), 0.25, 128, boundary_gap=0.25)
-    data = SegmentedData(curve, 2.0)
-    g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
+    curve = Curve.circle((0.5, 0.5), 0.25, 128, f=2.0, boundary_gap=0.25)
+    g = RegularizedForcing(curve, Kernel("radial_c1"), r)
     mesh = rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0)
     d = g.data_indicator(mesh)
     want = mesh.h_sizes * cell_l2_norms(mesh, g.eval, n=40)
@@ -318,22 +311,21 @@ def test_data_indicator_against_brute_norms():
 def test_caches_survive_refinement():
     r = 0.12
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData(curve, 1.0)
     mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
-    g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
+    g = RegularizedForcing(curve, Kernel("radial_c1"), r)
     g.load_vector(mesh)
     g.data_indicator(mesh)
     fine = mesh.refine(range(0, mesh.num_cells, 3))
     warm_rhs = g.load_vector(fine)
     warm_d = g.data_indicator(fine)
-    cold = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
+    cold = RegularizedForcing(curve, Kernel("radial_c1"), r)
     np.testing.assert_array_equal(warm_rhs, cold.load_vector(fine))
     np.testing.assert_array_equal(warm_d, cold.data_indicator(fine))
     # sibling refinements put different triangles in the same new rows
     first, second = sibling_refinements(mesh, curve)
     g.load_vector(first)
     g.data_indicator(first)
-    cold = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
+    cold = RegularizedForcing(curve, Kernel("radial_c1"), r)
     np.testing.assert_array_equal(g.load_vector(second),
                                   cold.load_vector(second))
     np.testing.assert_array_equal(g.data_indicator(second),
@@ -342,9 +334,8 @@ def test_caches_survive_refinement():
 
 @lru_cache(maxsize=None)
 def _batch_forcing(family: str) -> RegularizedForcing:
-    curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData(curve, 1.5)
-    return RegularizedForcing(curve, data, Kernel(family), 0.12)
+    curve = Curve.circle((0.5, 0.5), 0.25, 256, f=1.5, boundary_gap=0.25)
+    return RegularizedForcing(curve, Kernel(family), 0.12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -441,8 +432,10 @@ def test_near_cells_hold_every_cell_the_forcing_reaches(shape, family, r,
     else:
         curve = Curve(rng.uniform(0.1, 0.9, (int(rng.integers(2, 7)), 2)),
                       closed=shape == "closed")
-    data = SegmentedData(curve, rng.uniform(-1.0, 1.0, curve.num_segments))
-    g = RegularizedForcing(curve, data, Kernel(family), r)
+    # the same points, with a random density
+    curve = Curve(curve.points, rng.uniform(-1.0, 1.0, curve.num_segments),
+                  closed=curve.closed)
+    g = RegularizedForcing(curve, Kernel(family), r)
     mesh = rect_mesh(4, 4)
     for _ in range(rounds):
         mesh = mesh.refine(np.union1d(interface_cells(mesh, curve),
@@ -498,9 +491,8 @@ def test_graded_depths_match_a_depth_5_rule(family, rng):
     # hold 1e-5 up to h/r = 1/2, and (1/2, 1] keeps depth 2 and its error
     # (7.4e-5 for radial_c1 here)
     r = 0.06
-    curve = Curve.circle((0.5, 0.5), 0.25, 1024, boundary_gap=0.25)
-    g = RegularizedForcing(curve, SegmentedData(curve, 1.5),
-                           Kernel(family), r)
+    curve = Curve.circle((0.5, 0.5), 0.25, 1024, f=1.5, boundary_gap=0.25)
+    g = RegularizedForcing(curve, Kernel(family), r)
     mesh = interface_loop(rect_mesh(4, 4, 0.0, 0.0, 1.0, 1.0), curve, r / 8)
     near = np.flatnonzero(g._near(mesh, np.arange(mesh.num_cells)))
     ratio = mesh.h_sizes[near] / r
@@ -523,8 +515,7 @@ def test_near_cells_cover_the_corners_of_a_square_support():
     r = 0.1
     curve = Curve(np.array([[0.5, 0.5], [0.52, 0.5]]), closed=False,
                   boundary_gap=0.3)
-    g = RegularizedForcing(curve, SegmentedData(curve, 1.0),
-                           Kernel("tensor_linf"), r)
+    g = RegularizedForcing(curve, Kernel("tensor_linf"), r)
     corner = np.array([0.52, 0.5]) + 0.9 * r
     assert g.eval(corner[None, :])[0] > 0.0
     tri = corner + 0.002 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -536,11 +527,10 @@ def test_near_cells_cover_the_corners_of_a_square_support():
 @pytest.mark.parametrize("kind", ["regularized", "line"])
 def test_each_cell_integrated_once(kind, monkeypatch):
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData(curve, 1.0)
     if kind == "regularized":
-        g = RegularizedForcing(curve, data, Kernel("radial_c1"), 0.12)
+        g = RegularizedForcing(curve, Kernel("radial_c1"), 0.12)
     else:
-        g = LineForcing(curve, data)
+        g = LineForcing(curve)
     integrated = []
     inner = g._cell_integrals
 
@@ -566,8 +556,7 @@ def test_each_cell_integrated_once(kind, monkeypatch):
 
 def test_load_pass_fills_data_without_eval(monkeypatch):
     curve = Curve.circle((0.5, 0.5), 0.25, 256, boundary_gap=0.25)
-    data = SegmentedData(curve, 1.0)
-    g = RegularizedForcing(curve, data, Kernel("tensor_cinf"), 0.12)
+    g = RegularizedForcing(curve, Kernel("tensor_cinf"), 0.12)
     calls = []
     inner = g.eval
     monkeypatch.setattr(g, "eval", lambda pts: calls.append(len(pts))
@@ -583,11 +572,10 @@ def test_load_pass_fills_data_without_eval(monkeypatch):
 
 def test_sup_norm_scales_inverse_with_radius():
     curve = Curve.circle((0.0, 0.0), 0.5, 4096, boundary_gap=1.0)
-    data = SegmentedData(curve, 1.0)
     radii = np.array([0.2, 0.1, 0.05, 0.025])
     peak = []
     for r in radii:
-        g = RegularizedForcing(curve, data, Kernel("radial_c1"), r)
+        g = RegularizedForcing(curve, Kernel("radial_c1"), r)
         peak.append(float(g.eval(np.array([[0.5, 0.0]]))[0]))
     slope = np.polyfit(np.log(radii), np.log(peak), 1)[0]
     assert abs(slope - (-1.0)) < 0.05
@@ -596,25 +584,14 @@ def test_sup_norm_scales_inverse_with_radius():
 def test_global_data_term_grows_sqrt2_per_halving():
     # halving r raises ||F_r||_L2 by sqrt(2) on a mesh that resolves both
     curve = Curve.circle((0.5, 0.5), 0.25, 1024, boundary_gap=0.25)
-    data = SegmentedData(curve, 1.0)
     mesh = rect_mesh(64, 64, 0.0, 0.0, 1.0, 1.0)
     r1 = 0.1
     k = Kernel("radial_c1")
-    d1 = RegularizedForcing(curve, data, k, r1).data_indicator(mesh)
-    d2 = RegularizedForcing(curve, data, k, 0.5 * r1).data_indicator(mesh)
+    d1 = RegularizedForcing(curve, k, r1).data_indicator(mesh)
+    d2 = RegularizedForcing(curve, k, 0.5 * r1).data_indicator(mesh)
     g1 = float(np.sqrt((d1 * d1).sum()))
     g2 = float(np.sqrt((d2 * d2).sum()))
     assert 1.2 < g2 / g1 < 1.7
-
-
-def test_rejects_mismatched_data():
-    c1 = Curve.circle((0.0, 0.0), 0.2, 64, boundary_gap=0.1)
-    c2 = Curve.circle((0.0, 0.0), 0.2, 64, boundary_gap=0.1)
-    data = SegmentedData(c1, 1.0)
-    with pytest.raises(ValueError):
-        RegularizedForcing(c2, data, Kernel("radial_c1"), 0.05)
-    with pytest.raises(ValueError):
-        LineForcing(c2, data)
 
 
 # -- exact clipped line source --------------------------------------------
@@ -635,10 +612,9 @@ def test_line_load_vector_hand_chord():
     # chord y = 1/4 from x = 0 to 1; the hats are linear along it, so the
     # per-piece integral is the exact endpoint trapezoid f * len * avg(hat)
     mesh = two_triangle_square_mesh()
-    curve = Curve(np.array([[0.0, 0.25], [1.0, 0.25]]), closed=False)
     f = 2.0
-    data = SegmentedData(curve, f)
-    rhs = LineForcing(curve, data).load_vector(mesh)
+    curve = Curve(np.array([[0.0, 0.25], [1.0, 0.25]]), f, closed=False)
+    rhs = LineForcing(curve).load_vector(mesh)
 
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
@@ -654,19 +630,17 @@ def test_line_load_vector_hand_chord():
 
 def test_line_load_total_is_line_mass():
     mesh = rect_mesh(16, 16, 0.0, 0.0, 1.0, 1.0)
-    curve = Curve.circle((0.5, 0.5), 0.3, 512, boundary_gap=0.2)
-    data = SegmentedData(curve, 4.0)
-    rhs = LineForcing(curve, data).load_vector(mesh)
+    curve = Curve.circle((0.5, 0.5), 0.3, 512, f=4.0, boundary_gap=0.2)
+    rhs = LineForcing(curve).load_vector(mesh)
     want = 4.0 * curve.total_length
     assert abs(rhs.sum() - want) < 1e-10 * want
 
 
 def test_line_surrogate_indicator_hand_values():
     mesh = two_triangle_square_mesh()
-    curve = Curve(np.array([[0.0, 0.25], [1.0, 0.25]]), closed=False)
     f = 2.0
-    data = SegmentedData(curve, f)
-    d = LineForcing(curve, data).data_indicator(mesh)
+    curve = Curve(np.array([[0.0, 0.25], [1.0, 0.25]]), f, closed=False)
+    d = LineForcing(curve).data_indicator(mesh)
     h = np.sqrt(0.5)
     # clipped lengths: 0.75 in the lower cell, 0.25 in the upper cell
     want = np.sqrt(h * f ** 2 * np.array([0.75, 0.25]))
@@ -676,12 +650,11 @@ def test_line_surrogate_indicator_hand_values():
 def test_line_cache_survives_refinement():
     mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0)
     curve = Curve.circle((0.5, 0.5), 0.3, 256, boundary_gap=0.2)
-    data = SegmentedData(curve, 1.0)
-    g = LineForcing(curve, data)
+    g = LineForcing(curve)
     g.load_vector(mesh)
     g.data_indicator(mesh)
     fine = mesh.refine(range(0, mesh.num_cells, 2))
-    cold = LineForcing(curve, data)
+    cold = LineForcing(curve)
     np.testing.assert_array_equal(g.load_vector(fine), cold.load_vector(fine))
     np.testing.assert_array_equal(g.data_indicator(fine),
                                   cold.data_indicator(fine))
@@ -689,7 +662,7 @@ def test_line_cache_survives_refinement():
     first, second = sibling_refinements(mesh, curve)
     g.load_vector(first)
     g.data_indicator(first)
-    cold = LineForcing(curve, data)
+    cold = LineForcing(curve)
     np.testing.assert_array_equal(g.load_vector(second),
                                   cold.load_vector(second))
     np.testing.assert_array_equal(g.data_indicator(second),

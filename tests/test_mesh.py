@@ -22,6 +22,13 @@ def two_triangle_square() -> Mesh:
     return Mesh.from_arrays(coords, tris)
 
 
+def _random_refinement_edges(mesh: Mesh, rng) -> Mesh:
+    """`mesh` with each cell's refinement edge drawn at random in place of
+    its longest edge."""
+    return replace(mesh, refinement_edge=rng.integers(
+        0, 3, mesh.num_cells).astype(np.int8))
+
+
 def test_rect_mesh_counts_and_area():
     mesh = rect_mesh(2, 3, 0.0, 0.0, 1.0, 1.0)
     assert mesh.num_vertices == 3 * 4
@@ -231,8 +238,8 @@ def test_refine_numbers_like_the_reference_closure(seed, rounds, fraction,
     rng = np.random.default_rng(seed)
     grid = rect_mesh(3, 3)
     coords = grid.coords + rng.uniform(-0.08, 0.08, grid.coords.shape)
-    mesh = Mesh.from_arrays(coords, grid.triangles,
-                            rng.integers(0, 3, grid.num_cells))
+    mesh = _random_refinement_edges(Mesh.from_arrays(coords, grid.triangles),
+                                    rng)
     ref = _ReferenceNVB(mesh)
     for _ in range(rounds):
         n = mesh.num_cells
@@ -469,7 +476,7 @@ def _assert_hits_are_the_oracle_pairs(curve: Curve, meshes) -> None:
     finds, by cell and then segment, with the pieces a direct clip gives."""
     for mesh in meshes:
         warm = curve.hits(mesh)
-        cold = Curve(curve.points, curve.closed).hits(mesh)
+        cold = Curve(curve.points, closed=curve.closed).hits(mesh)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(warm, cold))
         c, s = _all_pairs(mesh, curve)
         p = mesh.coords[mesh.triangles[c]]
@@ -621,9 +628,9 @@ def test_refine_keeps_the_neighbour_table_symmetric(seed, rounds):
     # refine each edge's twin names it back
     rng = np.random.default_rng(seed)
     grid = rect_mesh(4, 3)
-    mesh = Mesh.from_arrays(
+    mesh = _random_refinement_edges(Mesh.from_arrays(
         grid.coords + rng.uniform(-0.05, 0.05, grid.coords.shape),
-        grid.triangles, rng.integers(0, 3, grid.num_cells))
+        grid.triangles), rng)
     for _ in range(rounds):
         mesh = mesh.refine(rng.choice(mesh.num_cells,
                                       rng.integers(1, 6), replace=False))

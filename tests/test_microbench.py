@@ -34,8 +34,7 @@ def test_cold_regularized_forcing(benchmark, lshape_at_r):
     problem, mesh = lshape_at_r
 
     def cold():
-        g = RegularizedForcing(problem.curve, problem.f,
-                               Kernel("radial_c1"), R)
+        g = RegularizedForcing(problem.curve, Kernel("radial_c1"), R)
         return g.load_vector(mesh), g.data_indicator(mesh)
 
     # a fixed round count keeps the Tier-1 cost at about half a second
@@ -61,8 +60,7 @@ def test_cold_regularized_forcing_on_a_resolved_mesh(benchmark,
 
     def cold():
         points.clear()
-        g = RegularizedForcing(problem.curve, problem.f,
-                               Kernel("radial_c1"), R)
+        g = RegularizedForcing(problem.curve, Kernel("radial_c1"), R)
         inner = g.eval
         g.eval = lambda pts: points.append(len(pts)) or inner(pts)
         return g, g.load_vector(mesh), g.data_indicator(mesh)
@@ -124,7 +122,7 @@ def test_estimate_on_100k_cells(benchmark):
     g.data_indicator(mesh)  # the records, once; a copy shares its serials
 
     # a fixed round count keeps the Tier-1 cost well under a second
-    ind = benchmark.pedantic(lambda m: estimate(m, FeFunction(m, vals), g),
+    ind = benchmark.pedantic(lambda m: estimate(FeFunction(m, vals), g),
                              setup=lambda: _fresh(mesh), rounds=8,
                              warmup_rounds=1)
     assert np.all(ind.data_sq > 0.0) and ind.global_jump > 0.0
@@ -217,7 +215,7 @@ def test_cold_curve_hits(benchmark, lshape_resolved):
     def fresh_curve():
         # a copy of the curve per round: its midpoint grid and incidence are
         # paid for inside the round
-        return (Curve(curve.points, curve.closed),), {}
+        return (Curve(curve.points, curve.f, curve.closed),), {}
 
     # a fixed round count keeps the Tier-1 cost well under a second
     cell, seg, t0, t1 = benchmark.pedantic(lambda c: c.hits(mesh),
