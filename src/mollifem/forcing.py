@@ -298,7 +298,8 @@ class RegularizedForcing(_CellForcing):
         """Mask over the cells at `positions` whose bounding box meets a bin
         that lists a node: `eval` is zero in every other bin."""
         p = mesh.coords[mesh.triangles[positions]]
-        return self.grid.box(p.min(axis=1) / self.r, p.max(axis=1) / self.r)[1]
+        lo, hi = p.min(axis=1).T / self.r, p.max(axis=1).T / self.r
+        return self.grid.box(lo, hi)[1] > 0
 
     def _depths(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         depths = _subdivision_depths(mesh.h_sizes[positions], self.r,
@@ -363,7 +364,6 @@ class LineForcing(_CellForcing):
 
     def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """int_{T cap gamma} f phi_i (i = 0, 1, 2) and int_{T cap gamma} f^2."""
-        out = np.zeros((len(positions), 4))
         rows, si, t0, t1 = self.curve.hits(mesh, positions)
         piece = t1 - t0 > 1e-14  # touching pairs carry no length
         rows, si, t0, t1 = rows[piece], si[piece], t0[piece], t1[piece]
@@ -375,10 +375,10 @@ class LineForcing(_CellForcing):
         lam = quadr.barycentric(mesh.coords[mesh.triangles[positions[rows]]], pts)
         length = (t1 - t0) * self.curve.seg_lengths[si]
         f = self.curve.f[si]
-        np.add.at(out[:, :3], rows,
-                  np.einsum("p,q,pqi->pi", length * f, gw, lam))
-        np.add.at(out[:, 3], rows, length * f ** 2)
-        return out
+        part = np.einsum("p,q,pqi->pi", length * f, gw, lam)
+        # each cell sums its pieces in the order of the pairs
+        return np.stack([np.bincount(rows, x, len(positions)) for x in
+                         (*part.T, length * f ** 2)], axis=1)
 
     def data_indicator(self, mesh: Mesh) -> np.ndarray:
         return np.sqrt(mesh.h_sizes * self._records(mesh)[:, 3])

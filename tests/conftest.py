@@ -1,8 +1,8 @@
 """Shared helpers: brute-force reference quadratures, the corner-based
-element formulas, an edge-by-edge segment-triangle predicate and an exact
-cell-support test used as oracles, jittered meshes and sibling meshes for
-per-cell checks, and uniformly refined systems with the adaptive driver's
-warm starts for solver checks.
+element formulas, an edge-by-edge segment-triangle predicate, the per-pair
+segment clip and an exact cell-support test used as oracles, jittered
+meshes and sibling meshes for per-cell checks, and uniformly refined
+systems with the adaptive driver's warm starts for solver checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -20,7 +20,7 @@ from mollifem.estimate import estimate
 from mollifem.fem import (LAMBDA_ALG, DiscreteSystem, assemble, prolong,
                           solve_galerkin)
 from mollifem.forcing import DensityForcing
-from mollifem.geometry import _REL_EPS, cross2
+from mollifem.geometry import _REL_EPS, _TOUCH, cross2
 from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
 
 
@@ -194,6 +194,40 @@ def segments_intersect_triangles(s0, s1, t0, t1, t2):
                     | segments_intersect(a0, a1, u1, u2)
                     | segments_intersect(a0, a1, u2, u0))
     return hit
+
+
+# -- the per-pair clip -------------------------------------------------------
+# The package's clip before it read its factors once per cell and segment:
+# every expression per pair, from the raw coordinates. The package's clip
+# must give the same bits.
+
+
+def clip_segments_to_triangles(p0, p1, t0, t1, t2):
+    """Clip segments against closed CCW triangles (Cyrus-Beck half-planes).
+
+    Returns (tmin, tmax, meets): the parameter interval of each segment
+    inside its triangle, and the inclusive incidence test: meets is True
+    where the segment meets the closed triangle, touching included, so the
+    interval may be empty (tmax < tmin) by up to `_TOUCH`.
+    """
+    n = p0.shape[0]
+    tmin = np.zeros(n)
+    tmax = np.ones(n)
+    ok = np.ones(n, dtype=bool)
+    d = p1 - p0
+    for e0, e1 in ((t0, t1), (t1, t2), (t2, t0)):
+        ev = e1 - e0
+        c0 = cross2(ev, p0 - e0)  # >= 0 means p0 inside this half-plane
+        c1 = cross2(ev, d)
+        scale = np.sqrt((ev * ev).sum(-1)) * (np.sqrt((d * d).sum(-1)) + 1.0)
+        eps = _REL_EPS * (scale + np.abs(c0))
+        par = np.abs(c1) <= eps
+        tcut = np.where(par, 0.0, -c0 / np.where(par, 1.0, c1))
+        # c1 > 0: constraint satisfied for t >= tcut; c1 < 0: for t <= tcut.
+        tmin = np.where(~par & (c1 > 0), np.maximum(tmin, tcut), tmin)
+        tmax = np.where(~par & (c1 < 0), np.minimum(tmax, tcut), tmax)
+        ok &= ~(par & (c0 < -eps))
+    return tmin, tmax, ok & (tmax - tmin >= -_TOUCH)
 
 
 # -- cells within reach of the mollified forcing ----------------------------

@@ -19,12 +19,12 @@ from mollifem.fem import (ErrorIntegrator, FeFunction, assemble, energy_error,
                           form_matrix, prolong, solve_galerkin)
 from mollifem.errors import NumericalError
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
-from mollifem.geometry import clip_segments_to_triangles
 from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
 from mollifem.problems import RadialLogSolution, SineProduct, square_problem
 
-from conftest import (basis_gradients, element_matrix_form, jittered_mesh,
-                      sibling_refinements, uniform_square_system, warm_target)
+from conftest import (basis_gradients, clip_segments_to_triangles,
+                      element_matrix_form, jittered_mesh, sibling_refinements,
+                      uniform_square_system, warm_target)
 
 
 class Poly2D:

@@ -1,5 +1,6 @@
 """Hand-worked cases for the geometric predicates (the package's clip and the
-tests' edge-by-edge oracle), and their invariances under exact transforms."""
+tests' edge-by-edge oracle), and their invariances under exact transforms.
+The package's clip is called here one cell and one segment per pair."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,9 +9,17 @@ from hypothesis import assume, given, settings, strategies as st
 import conftest
 from conftest import (points_in_triangles, segments_intersect,
                       segments_intersect_triangles)
-from mollifem.geometry import clip_segments_to_triangles
+from mollifem.geometry import cell_factors, clip_pairs, segment_factors
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _clip(p0, p1, t0, t1, t2):
+    """The package's clip of segment p0[i] -> p1[i] against triangle (t0[i],
+    t1[i], t2[i]), for each i."""
+    i = np.arange(len(p0))
+    return clip_pairs(segment_factors(p0, p1),
+                      cell_factors(np.stack([t0, t1, t2])), i, i)
 
 
 def _seg(a, b):
@@ -86,7 +95,7 @@ def test_clip_horizontal_chord():
     # y = 0.25 chord of the right triangle: x in [0, 0.75]
     p0 = np.array([[-5.0, 0.25]])
     p1 = np.array([[5.0, 0.25]])
-    tmin, tmax, ok = clip_segments_to_triangles(
+    tmin, tmax, ok = _clip(
         p0, p1, RIGHT[None, 0], RIGHT[None, 1], RIGHT[None, 2])
     a = p0[0] + tmin[0] * (p1[0] - p0[0])
     b = p0[0] + tmax[0] * (p1[0] - p0[0])
@@ -98,7 +107,7 @@ def test_clip_horizontal_chord():
 def test_clip_miss_reports_empty():
     p0 = np.array([[-5.0, 2.0]])
     p1 = np.array([[5.0, 2.0]])
-    t0, t1, inside = clip_segments_to_triangles(
+    t0, t1, inside = _clip(
         p0, p1, RIGHT[None, 0], RIGHT[None, 1], RIGHT[None, 2])
     assert not inside[0] or t1[0] <= t0[0]
 
@@ -106,7 +115,7 @@ def test_clip_miss_reports_empty():
 def test_clip_contained_segment_keeps_full_range():
     p0 = np.array([[0.1, 0.1]])
     p1 = np.array([[0.3, 0.2]])
-    t0, t1, inside = clip_segments_to_triangles(
+    t0, t1, inside = _clip(
         p0, p1, RIGHT[None, 0], RIGHT[None, 1], RIGHT[None, 2])
     assert inside[0]
     np.testing.assert_allclose([t0[0], t1[0]], [0.0, 1.0], atol=1e-12)
@@ -184,7 +193,7 @@ def test_points_in_triangles_invariances(p, t, shift, scale):
 
 
 def _clip_meets(*args):
-    return clip_segments_to_triangles(*args)[2]
+    return _clip(*args)[2]
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,13 +215,13 @@ def test_segments_intersect_triangles_invariances(s0, s1, t, shift, scale):
        shift=_shift, scale=_scale)
 def test_clip_segments_to_triangles_invariances(p0, p1, t, shift, scale):
     args = _arr(p0, p1, *_ccw(*t))
-    want = clip_segments_to_triangles(*args)
+    want = _clip(*args)
     for moved in ([a + shift for a in args], [a * scale for a in args]):
-        got = clip_segments_to_triangles(*moved)
+        got = _clip(*moved)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
     # swapped ends: the same piece, with t -> 1 - t
     p0, p1, t0, t1, t2 = args
-    tmin, tmax, ok = clip_segments_to_triangles(p1, p0, t0, t1, t2)
+    tmin, tmax, ok = _clip(p1, p0, t0, t1, t2)
     assert ok[0] == want[2][0]
     if ok[0]:
         assert abs((1.0 - tmax[0]) - want[0][0]) <= 1e-14

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (corner_areas, jittered_mesh,
+from conftest import (clip_segments_to_triangles, corner_areas, jittered_mesh,
                       segments_intersect_triangles)
 from mollifem.curves import Curve, interface_cells
-from mollifem.geometry import clip_segments_to_triangles
+from mollifem.geometry import _REL_EPS, _TOUCH
 from mollifem.mesh import CellCache, Mesh, lshape_mesh, rect_mesh
 
 
@@ -401,7 +401,27 @@ def test_curve_cell_pairs_is_superset_of_hits():
         assert len(si) == len(ci)
 
 
-def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
+def _box_pairs(mesh: Mesh, curve: Curve) -> np.ndarray:
+    """All-pairs oracle of the candidate rule: which of `_all_pairs` have
+    boxes that meet, the segment's widened by its slack w(|d|) = 1e-9 |d| +
+    3e-12 (|d| + 1) and the cell's by w(longest segment) (k - 1), with k =
+    3 (box diagonal)^2 / (2 |T|)."""
+    def slack(length):
+        return _TOUCH * length + 3 * _REL_EPS * (length + 1)
+
+    p = mesh.coords[mesh.triangles]
+    lo, hi = p.min(axis=1), p.max(axis=1)
+    k = 3 * ((hi - lo) ** 2).sum(axis=1) / (2 * corner_areas(mesh))
+    margin = (slack(curve.max_seg_len) * (k - 1))[:, None]
+    lo, hi = lo - margin, hi + margin
+    ends = np.stack([curve.seg_start, curve.seg_end])
+    w = slack(curve.seg_lengths)[:, None]
+    s_lo, s_hi = ends.min(axis=0) - w, ends.max(axis=0) + w
+    c, s = _all_pairs(mesh, curve)
+    return ((s_lo[s] <= hi[c]) & (lo[c] <= s_hi[s])).all(axis=1)
+
+
+def test_curve_cell_pairs_are_the_box_pairs(rng):
     # a closed curve and a coarse random polyline whose long segments cross
     # many cells of a graded mesh
     mesh = rect_mesh(6, 6, -0.5, -0.5, 1.5, 1.5)
@@ -412,16 +432,12 @@ def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
     for curve in curves:
         c, s = _all_pairs(mesh, curve)
         p = mesh.coords[mesh.triangles[c]]
-        cent = p.mean(axis=1)
-        circ = np.linalg.norm(p - cent[:, None], axis=2).max(axis=1)
-        mid = 0.5 * (curve.seg_start[s] + curve.seg_end[s])
-        ball = np.linalg.norm(mid - cent, axis=1) \
-            <= circ + 0.5 * curve.max_seg_len + 1e-12
+        box = _box_pairs(mesh, curve)
         hit = segments_intersect_triangles(curve.seg_start[s],
                                            curve.seg_end[s],
                                            p[:, 0], p[:, 1], p[:, 2])
-        assert hit.sum() > 0 and ball.sum() < len(ball)
-        assert not (hit & ~ball).any()
+        assert hit.sum() > 0 and box.sum() < len(box)
+        assert not (hit & ~box).any()
         subset = np.sort(rng.choice(mesh.num_cells, mesh.num_cells // 3,
                                     replace=False))
         for positions in (np.arange(mesh.num_cells), subset):
@@ -429,7 +445,7 @@ def test_curve_cell_pairs_are_the_midpoint_ball_pairs(rng):
             key = ci * curve.num_segments + si
             assert np.all(np.diff(key) > 0)  # unique, by cell then segment
             np.testing.assert_array_equal(
-                key, np.flatnonzero(ball & np.isin(c, positions)))
+                key, np.flatnonzero(box & np.isin(c, positions)))
 
 
 # coordinates that repeat (vertical and horizontal runs) and coordinates that
@@ -444,8 +460,8 @@ _coord = st.one_of(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
        graded=st.lists(st.lists(st.integers(0, 1 << 20), min_size=1,
                                 max_size=6), max_size=3),
        pick=st.lists(st.integers(0, 1 << 20), max_size=40))
-def test_curve_candidates_are_the_all_pairs_ball_pairs(points, closed, scale,
-                                                       graded, pick):
+def test_curve_candidates_are_the_all_pairs_box_pairs(points, closed, scale,
+                                                      graded, pick):
     # 1 to 40 segments, shrunk into one cell or grown past the mesh, against
     # a graded mesh, on all its rows and on an ascending subset of them
     pts = 0.5 + scale * (np.array(points) - 0.5)
@@ -454,20 +470,15 @@ def test_curve_candidates_are_the_all_pairs_ball_pairs(points, closed, scale,
     mesh = rect_mesh(4, 4)
     for marks in graded:
         mesh = mesh.refine(np.array(marks) % mesh.num_cells)
-    c, s = _all_pairs(mesh, curve)
-    p = mesh.coords[mesh.triangles[c]]
-    cent = p.mean(axis=1)
-    circ = np.linalg.norm(p - cent[:, None], axis=2).max(axis=1)
-    mid = 0.5 * (curve.seg_start[s] + curve.seg_end[s])
-    ball = np.linalg.norm(mid - cent, axis=1) \
-        <= circ + 0.5 * curve.max_seg_len + 1e-12
+    c = _all_pairs(mesh, curve)[0]
+    box = _box_pairs(mesh, curve)
     for positions in (np.arange(mesh.num_cells),
                       np.unique(np.array(pick, dtype=np.int64)
                                 % mesh.num_cells)):
         ci, si = curve._candidates(mesh, positions)
         np.testing.assert_array_equal(
             ci * curve.num_segments + si,
-            np.flatnonzero(ball & np.isin(c, positions)))
+            np.flatnonzero(box & np.isin(c, positions)))
 
 
 def _assert_hits_are_the_oracle_pairs(curve: Curve, meshes) -> None:
