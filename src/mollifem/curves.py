@@ -16,8 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature as quadr
-from .geometry import (_REL_EPS, _TOUCH, BinGrid, cell_factors, clip_pairs,
-                       segment_factors)
+from .geometry import _REL_EPS, _TOUCH, BinGrid, clip_pairs
 from .mesh import Mesh, match_serials
 
 
@@ -103,8 +102,10 @@ class Curve:
 
     @cached_property
     def seg_factors(self):
-        """What the clip reads of each segment (`segment_factors`)."""
-        return segment_factors(self.seg_start, self.seg_end)
+        """What the clip reads of each segment: its start, its direction d
+        and |d| + 1."""
+        return self.seg_start, self.seg_end - self.seg_start, \
+            self.seg_lengths + 1.0
 
     @cached_property
     def seg_boxes(self) -> np.ndarray:
@@ -124,26 +125,25 @@ class Curve:
         by its place in `rows`. The arrays are read-only.
 
         The pairs of the last mesh asked about are kept, keyed by cell
-        serial (`match_serials`): only cells that mesh lacks are clipped,
-        against their `_candidates`, in batches of whole cells of about
-        `quadrature.POINT_CHUNK` midpoints listed by their bin queries.
+        serial (`match_serials`): only cells that mesh lacks are queried, once
+        (`_query`), and clipped against their `_candidates`, in batches of
+        whole cells of about `quadrature.POINT_CHUNK` midpoints listed by
+        the query.
         """
         if self._serials is not mesh.serial:  # a mesh's serial array never changes
             fresh = match_serials(self._serials, mesh.serial)[1]
-            count = self._query(mesh, fresh)[2]
-            start = np.cumsum(count) - count
+            query = self._query(mesh, fresh)
+            start = np.cumsum(query[-1]) - query[-1]
             cuts = np.flatnonzero(np.diff(start // quadr.POINT_CHUNK,
                                           prepend=-1))
-            del count, start
+            del start
             hits = []
             for lo, hi in zip(cuts, np.append(cuts[1:], len(fresh))):
-                ci, si = self._candidates(mesh, fresh[lo:hi])
-                new = np.diff(ci, prepend=-1) > 0  # a cell's first pair
-                cells = cell_factors(mesh.coords.take(
-                    mesh.triangles[ci[new]].T, axis=0))
-                a, b, meets = clip_pairs(self.seg_factors, cells, si,
-                                         np.cumsum(new) - 1)
+                ci, si = self._candidates(*(x[..., lo:hi] for x in query))
+                ci = fresh[lo + ci]
+                a, b, meets = clip_pairs(self.seg_factors, mesh, si, ci)
                 hits.append((ci[meets], si[meets], a[meets], b[meets]))
+            del query
             row, gone = match_serials(mesh.serial, self._serials)
             row[gone] = -1  # each known cell's row in `mesh`, or -1
             cell, seg, t0, t1 = self._hits
@@ -161,43 +161,31 @@ class Curve:
             self._serials = mesh.serial
         if rows is None:
             return self._hits
-        place = np.full(mesh.num_cells, -1)
-        place[rows] = np.arange(len(rows))
-        cell = place[self._hits[0]]
-        sel = cell >= 0
-        return (cell[sel], *(x[sel] for x in self._hits[1:]))
+        cell = self._hits[0]
+        k, i = _ranges(*(np.searchsorted(cell, rows, side)
+                         for side in ("left", "right")))
+        return (k, *(x[i] for x in self._hits[1:]))
 
     def _query(self, mesh: Mesh, rows: np.ndarray):
-        """The boxes of the cells at `rows`, widened as `_candidates` says,
-        (4, m) like `seg_boxes`, and `BinGrid.box` of the midpoints that a
-        segment whose box meets one can have."""
-        tri = mesh.triangles.take(rows, axis=0)
-        box = np.empty((4, len(rows)))
-        edges = []
-        for k in (0, 1):  # one coordinate at a time, to save memory
-            c = mesh.coords[:, k][tri]
-            lo, hi = box[k], box[k + 2]
-            np.minimum(np.minimum(c[:, 0], c[:, 1], out=lo), c[:, 2], out=lo)
-            np.maximum(np.maximum(c[:, 0], c[:, 1], out=hi), c[:, 2], out=hi)
-            edges.append((c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
-            del c
-        del tri
-        (ux, vx), (uy, vy) = edges
-        area2 = np.abs(ux * vy - uy * vx)  # twice the cell's area
-        del edges, ux, vx, uy, vy
+        """(box, i0, j0, i1, j1, count): the boxes of the cells at `rows`
+        (`Mesh.boxes`), widened as `_candidates` says, and `BinGrid.box` of
+        the midpoints that a segment whose box meets one can have."""
+        box = mesh.boxes(rows)
         w = _slack(self.max_seg_len)
         margin = (box[2] - box[0]) ** 2 + (box[3] - box[1]) ** 2
-        margin = w * (3 * margin / area2 - 1)
+        margin = w * (3 * margin / (2 * mesh.areas[rows]) - 1)
         box[:2] -= margin
         box[2:] += margin
-        return box, *self.midpoint_grid.box(
+        bins, count = self.midpoint_grid.box(
             box[:2], box[2:], pad=0.5 * self.max_seg_len + 2 * w)
+        return box, *bins, count
 
-    def _candidates(self, mesh: Mesh, rows: np.ndarray,
+    def _candidates(self, box, i0, j0, i1, j1, count,
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """(row, segment) pairs of the cells at `rows` (ascending), by row,
-        then by ascending segment: a segment is a candidate of a cell when
-        their bounding boxes, widened by the margins below, meet.
+        """(k, segment) pairs of the cells whose `_query` (or a slice of it)
+        is given, k the cell's place in it, by k, then by ascending segment:
+        a segment is a candidate of a cell when their bounding boxes,
+        widened by the margins below, meet.
 
         The margins cover the clip's slack, so every pair that meets is a
         candidate. Let the clip keep the segment S(t) = p + t d, t in
@@ -215,13 +203,13 @@ class Curve:
         its incentre, rho the inradius, so q is within w0 h / rho of the
         cell's box, h the longest edge. As the perimeter is at most 3 h and
         h^2 at most D^2, the box's squared diagonal, h / rho <= k =
-        3 D^2 / (2 |T|). The clip's rounding, a few ulps of the coordinates,
-        of |d| and of h, stays below _REL_EPS (|d| + 1) for coordinates
-        below 100 in magnitude, so w = _TOUCH |d| + 3 _REL_EPS (|d| + 1)
-        (`_slack`) bounds how far q is from every edge line. A segment's
-        box is widened by its w, and the cell's by W (k - 1), W the w of the
-        longest segment: together by w + W (k - 1) >= w k, so the two boxes
-        meet.
+        3 D^2 / (2 |T|) (`Mesh.areas`). The clip's rounding, a few ulps of
+        the coordinates, of |d| and of h, stays below _REL_EPS (|d| + 1)
+        for coordinates below 100 in magnitude, so w = _TOUCH |d| + 3
+        _REL_EPS (|d| + 1) (`_slack`) bounds how far q is from every edge
+        line. A segment's box is widened by its w, and the cell's by W (k -
+        1), W the w of the longest segment: together by w + W (k - 1) >= w
+        k, so the two boxes meet.
 
         A cell's query box is its widened box grown by half the longest
         segment and 2 W, which holds the midpoint of every widened segment
@@ -229,7 +217,6 @@ class Curve:
         four lookups (`BinGrid.box`); each other cell tests one run of
         midpoints per bin row of that box.
         """
-        box, (i0, j0, i1, j1), count = self._query(mesh, rows)
         grid, sb = self.midpoint_grid, self.seg_boxes
         cell, i = _ranges(i0, np.where(count > 0, i1, i0))  # near boxes' rows
         b = i * grid.shape[1]
@@ -239,8 +226,8 @@ class Curve:
         for k in (0, 1):
             meet &= sb[k].take(seg) <= box[k + 2].take(cell)
             meet &= box[k].take(cell) <= sb[k + 2].take(seg)
-        key = np.sort(cell[meet] * self.num_segments + seg[meet])
-        return rows[key // self.num_segments], key % self.num_segments
+        return np.divmod(np.sort(cell[meet] * self.num_segments + seg[meet]),
+                         self.num_segments)
 
 
 def interface_cells(mesh: Mesh, curve: Curve) -> np.ndarray:

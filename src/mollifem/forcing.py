@@ -243,11 +243,10 @@ class RegularizedForcing(_CellForcing):
         # count tracks length/r, not the segment count; joints turning more
         # than ~0.01 rad force a piece boundary so no piece straddles a kink.
         target = self.r / 4.0
-        lengths = self.curve.seg_lengths
+        lengths, (start, d, _) = self.curve.seg_lengths, self.curve.seg_factors
         cum = np.concatenate(([0.0], np.cumsum(lengths)))
         total = cum[-1]
-        tang = (self.curve.seg_end - self.curve.seg_start) \
-            / np.maximum(lengths, 1e-300)[:, None]
+        tang = d / np.maximum(lengths, 1e-300)[:, None]
         dots = np.einsum("ij,ij->i", tang[:-1], tang[1:])
         sharp = cum[1:-1][dots < np.cos(0.01)]
         n_pieces = max(1, int(np.ceil(total / target)))
@@ -262,8 +261,7 @@ class RegularizedForcing(_CellForcing):
         seg = np.clip(np.searchsorted(cum, s, side="right") - 1,
                       0, len(lengths) - 1)
         frac = (s - cum[seg]) / np.maximum(lengths[seg], 1e-300)
-        self.node_xy = self.curve.seg_start[seg] + frac[:, None] \
-            * (self.curve.seg_end[seg] - self.curve.seg_start[seg])
+        self.node_xy = start[seg] + frac[:, None] * d[seg]
         self.node_w = w
         self.node_fw = self.curve.f[seg] * w
 
@@ -297,9 +295,8 @@ class RegularizedForcing(_CellForcing):
     def _near(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """Mask over the cells at `positions` whose bounding box meets a bin
         that lists a node: `eval` is zero in every other bin."""
-        p = mesh.coords[mesh.triangles[positions]]
-        lo, hi = p.min(axis=1).T / self.r, p.max(axis=1).T / self.r
-        return self.grid.box(lo, hi)[1] > 0
+        box = mesh.boxes(positions) / self.r
+        return self.grid.box(box[:2], box[2:])[1] > 0
 
     def _depths(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         depths = _subdivision_depths(mesh.h_sizes[positions], self.r,
@@ -368,8 +365,7 @@ class LineForcing(_CellForcing):
         piece = t1 - t0 > 1e-14  # touching pairs carry no length
         rows, si, t0, t1 = rows[piece], si[piece], t0[piece], t1[piece]
         gx, gw = quadr.GAUSS3_X, quadr.GAUSS3_W
-        a = self.curve.seg_start[si]
-        d = self.curve.seg_end[si] - a
+        a, d = (x[si] for x in self.curve.seg_factors[:2])
         tt = t0[:, None] + (t1 - t0)[:, None] * gx[None, :]
         pts = a[:, None, :] + tt[..., None] * d[:, None, :]
         lam = quadr.barycentric(mesh.coords[mesh.triangles[positions[rows]]], pts)

@@ -1,8 +1,8 @@
 """Planar predicates, and the bin grid behind every spatial query.
 
 Vectorized over pair arrays; inputs are float64 arrays of shape (..., 2).
-The segment clip reads per-segment and per-cell factors, formed once, and
-gathers them per pair.
+The segment clip reads what the curve and the mesh already hold: each
+segment's direction and length, each cell's corners and edge vectors.
 """
 from __future__ import annotations
 
@@ -22,25 +22,12 @@ def cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def segment_factors(start: np.ndarray, end: np.ndarray):
-    """What the clip reads of each segment start -> end, formed once: the
-    start, the direction d and |d| + 1."""
-    d = end - start
-    return start, d, np.sqrt((d * d).sum(-1)) + 1.0
-
-
-def cell_factors(corners: np.ndarray):
-    """What the clip reads of each CCW triangle, formed once: its corners k
-    = 0, 1, 2 (3, m, 2), the edge vectors from corner k to k + 1 and their
-    lengths (3, m)."""
-    edges = np.roll(corners, -1, axis=0) - corners
-    return corners, edges, np.sqrt((edges * edges).sum(-1))
-
-
-def clip_pairs(segments, cells, seg: np.ndarray, cell: np.ndarray):
-    """Clip segment seg[i] against closed triangle cell[i] (Cyrus-Beck
-    half-planes), for each pair i; `segments` and `cells` are the factors of
-    `segment_factors` and `cell_factors`, gathered here per pair.
+def clip_pairs(segments, mesh, seg: np.ndarray, row: np.ndarray):
+    """Clip segment seg[i] against the closed cell at row[i] of `mesh`
+    (Cyrus-Beck half-planes), for each pair i. `segments` holds each
+    segment's start, direction d and |d| + 1 (`Curve.seg_factors`); each
+    cell's corners and its edge vectors (`Mesh.edge_vectors`, CCW) are read
+    from the mesh. Both are gathered here per pair.
 
     Returns (tmin, tmax, meets): the parameter interval of each segment
     inside its triangle, and the inclusive incidence test: meets is True
@@ -53,8 +40,10 @@ def clip_pairs(segments, cells, seg: np.ndarray, cell: np.ndarray):
     tmin = np.zeros(n)
     tmax = np.ones(n)
     ok = np.ones(n, dtype=bool)
-    for e0, ev, elen in zip(*cells):
-        e0, ev, elen = (x.take(cell, axis=0) for x in (e0, ev, elen))
+    for k in range(3):  # the mesh's edge k - 1 runs from corner k to k + 1
+        e0 = mesh.coords.take(mesh.triangles[:, k].take(row), axis=0)
+        ev = mesh.edge_vectors[:, k - 1].take(row, axis=1).T
+        elen = np.sqrt((ev * ev).sum(-1))
         c0 = cross2(ev, p0 - e0)  # >= 0 means p0 inside this half-plane
         c1 = cross2(ev, d)
         eps = _REL_EPS * (elen * dlen1 + np.abs(c0))

@@ -154,6 +154,17 @@ class Mesh:
         (_, ex1, ex2), (_, ey1, ey2) = self.edge_vectors
         return 0.5 * (ex1 * ey2 - ex2 * ey1)
 
+    def boxes(self, rows: np.ndarray) -> np.ndarray:
+        """(4, m): x lo, y lo, x hi, y hi of the cells at `rows`."""
+        tri = self.triangles.take(rows, axis=0)
+        box = np.empty((4, len(rows)))
+        for k in (0, 1):  # one coordinate at a time, to save memory
+            c = self.coords[:, k][tri]
+            lo, hi = box[k], box[k + 2]
+            np.minimum(np.minimum(c[:, 0], c[:, 1], out=lo), c[:, 2], out=lo)
+            np.maximum(np.maximum(c[:, 0], c[:, 1], out=hi), c[:, 2], out=hi)
+        return box
+
     @cached_property
     def h_sizes(self) -> np.ndarray:
         """Cell size h_T = |T|^(1/2)."""

@@ -13,7 +13,7 @@ from mollifem.afem import interface_loop
 from mollifem.curves import Curve, interface_cells
 from mollifem.fem import ErrorIntegrator, FeFunction
 from mollifem.forcing import LineForcing
-from mollifem.geometry import cell_factors, clip_pairs
+from mollifem.geometry import clip_pairs
 from mollifem.mesh import rect_mesh
 from mollifem.problems import square_problem
 
@@ -59,25 +59,25 @@ def test_circle_boundary_gap_recorded():
     assert abs(c.boundary_gap - 0.3) < 1e-15
 
 
-class _CountingCandidates:
-    """A curve's `_candidates` that records the centroids of the cells it is
+class _CountingQueries:
+    """A curve's `_query` that records the centroids of the cells it is
     asked about."""
 
-    def __init__(self, candidates):
-        self.candidates, self.centres = candidates, []
+    def __init__(self, query):
+        self.query, self.centres = query, []
 
     def __call__(self, mesh, rows):
         self.centres.append(mesh.coords[mesh.triangles[rows]].mean(axis=1))
-        return self.candidates(mesh, rows)
+        return self.query(mesh, rows)
 
 
 def test_each_fresh_cell_is_queried_once_per_curve():
     # the three readers of the incidence on two meshes of a lineage: each
-    # cell's candidates are queried (and clipped) once, by whichever reader
-    # comes first
+    # cell's bins are queried (and its candidates clipped) once, by whichever
+    # reader comes first
     problem = square_problem(n_segments=512)
     curve = problem.curve
-    counted = curve._candidates = _CountingCandidates(curve._candidates)
+    counted = curve._query = _CountingQueries(curve._query)
     error = ErrorIntegrator(problem.exact, curve)
     line = LineForcing(curve)
     mesh = problem.initial_mesh()
@@ -162,10 +162,9 @@ def test_factored_clip_is_the_per_pair_clip(domain, rounds, seed, kinds,
     corners = mesh.coords[mesh.triangles]
     want = clip_segments_to_triangles(curve.seg_start[s], curve.seg_end[s],
                                       *np.moveaxis(corners[c], 1, 0))
-    got = clip_pairs(curve.seg_factors,
-                     cell_factors(np.moveaxis(corners, 1, 0).copy()), s, c)
+    got = clip_pairs(curve.seg_factors, mesh, s, c)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-    ci, si = curve._candidates(mesh, np.arange(mesh.num_cells))
+    ci, si = curve._candidates(*curve._query(mesh, np.arange(mesh.num_cells)))
     meets = c[want[2]] * curve.num_segments + s[want[2]]
     assert np.isin(meets, ci * curve.num_segments + si).all()
 
@@ -175,17 +174,18 @@ def test_curve_hits_batches_do_not_move_bits(monkeypatch):
     curve = Curve.circle((0.5, 0.5), 0.25, 512, boundary_gap=0.25)
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     mesh = mesh.refine(range(0, mesh.num_cells, 2))
-    count = curve._query(mesh, np.arange(mesh.num_cells))[2]
+    # (a batch is known by its cells' query boxes, which hold the cells'
+    # boxes in row order)
+    box, *_, count = curve._query(mesh, np.arange(mesh.num_cells))
     hits, batches = [], []
     for chunk in (1 << 30, 3 * int(np.median(count[count > 0]))):
         monkeypatch.setattr(quadr, "POINT_CHUNK", chunk)
         fresh = Curve(curve.points, closed=True)
         candidates = fresh._candidates
-        fresh._candidates = lambda mesh, rows: (
-            batches.append(rows) or candidates(mesh, rows))
+        fresh._candidates = lambda *query: (
+            batches.append(query[0]) or candidates(*query))
         hits.append(fresh.hits(mesh))
     assert len(batches) > 10
-    assert batches[0].tolist() == list(range(mesh.num_cells))
-    np.testing.assert_array_equal(np.concatenate(batches[1:]),
-                                  np.arange(mesh.num_cells))
+    assert batches[0].tobytes() == box.tobytes()
+    np.testing.assert_array_equal(np.concatenate(batches[1:], axis=1), box)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(*hits))

@@ -9,17 +9,21 @@ from hypothesis import assume, given, settings, strategies as st
 import conftest
 from conftest import (points_in_triangles, segments_intersect,
                       segments_intersect_triangles)
-from mollifem.geometry import cell_factors, clip_pairs, segment_factors
+from mollifem.geometry import clip_pairs
+from mollifem.mesh import Mesh
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def _clip(p0, p1, t0, t1, t2):
     """The package's clip of segment p0[i] -> p1[i] against triangle (t0[i],
-    t1[i], t2[i]), for each i."""
+    t1[i], t2[i]), CCW and not degenerate, for each i: on a mesh with one
+    cell a pair, whose cell i has corners 3 i, 3 i + 1 and 3 i + 2."""
     i = np.arange(len(p0))
-    return clip_pairs(segment_factors(p0, p1),
-                      cell_factors(np.stack([t0, t1, t2])), i, i)
+    d = p1 - p0
+    mesh = Mesh.from_arrays(np.stack([t0, t1, t2], axis=1).reshape(-1, 2),
+                            np.arange(3 * len(i)).reshape(-1, 3))
+    return clip_pairs((p0, d, np.linalg.norm(d, axis=1) + 1), mesh, i, i)
 
 
 def _seg(a, b):

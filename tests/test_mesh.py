@@ -383,12 +383,18 @@ def _all_pairs(mesh: Mesh, curve: Curve) -> tuple[np.ndarray, np.ndarray]:
                      curve.num_segments)
 
 
+def _candidates(curve: Curve, mesh: Mesh, rows: np.ndarray):
+    """`Curve._candidates` of the cells at `rows` (ascending), by row."""
+    ci, si = curve._candidates(*curve._query(mesh, rows))
+    return rows[ci], si
+
+
 def test_curve_cell_pairs_is_superset_of_hits():
     # segments short next to the cells, then long next to them
     for n, segments in ((6, 128), (16, 12)):
         mesh = rect_mesh(n, n, 0.0, 0.0, 1.0, 1.0)
         curve = Curve.circle((0.5, 0.5), 0.3, segments, boundary_gap=0.2)
-        ci, si = curve._candidates(mesh, np.arange(mesh.num_cells))
+        ci, si = _candidates(curve, mesh, np.arange(mesh.num_cells))
         # the oracle tests every (cell, segment) pair of the mesh
         c, s = _all_pairs(mesh, curve)
         p = mesh.coords[mesh.triangles[c]]
@@ -441,7 +447,7 @@ def test_curve_cell_pairs_are_the_box_pairs(rng):
         subset = np.sort(rng.choice(mesh.num_cells, mesh.num_cells // 3,
                                     replace=False))
         for positions in (np.arange(mesh.num_cells), subset):
-            ci, si = curve._candidates(mesh, positions)
+            ci, si = _candidates(curve, mesh, positions)
             key = ci * curve.num_segments + si
             assert np.all(np.diff(key) > 0)  # unique, by cell then segment
             np.testing.assert_array_equal(
@@ -475,7 +481,7 @@ def test_curve_candidates_are_the_all_pairs_box_pairs(points, closed, scale,
     for positions in (np.arange(mesh.num_cells),
                       np.unique(np.array(pick, dtype=np.int64)
                                 % mesh.num_cells)):
-        ci, si = curve._candidates(mesh, positions)
+        ci, si = _candidates(curve, mesh, positions)
         np.testing.assert_array_equal(
             ci * curve.num_segments + si,
             np.flatnonzero(box & np.isin(c, positions)))
