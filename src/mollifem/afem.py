@@ -49,7 +49,6 @@ SOLVE_PASS_CAP = 1_000
 INTERFACE_PASS_CAP = 10_000
 
 ALGORITHMS = ("regsolve", "baseline", "plain")
-BRANCHES = ("INIT", "INTERFACE", "DATA", "MARK", "RADIUS")
 
 
 def is_int(x) -> bool:

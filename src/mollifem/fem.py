@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from . import quadrature as quadr
 from .curves import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 from .errors import NumericalError
-from .geometry import cross2
 from .mesh import CellCache, Mesh
 
 CG_RTOL = 5e-11
@@ -262,24 +261,29 @@ _SLACK = 1e-9  # in child heights: far above the round-off of mapped points
 _CHILD_EDGE = np.array([[0, 1, 2], [0, 1, 2], [0, 1, 2], [2, 0, 1]])
 
 
-def _kink_leaves(tri: np.ndarray, pair_tri: np.ndarray, ends: np.ndarray,
-                 reach: float):
-    """Leaves (owner, 6 points, area / owner's) of the error rule on `tri`
-    (n, 3, 2), by level, then owner. `ends` (3, 2, k): barycentric ends in
-    triangle `pair_tri` of each segment meeting it. A 4-split child counts
-    as crossed unless one of its edge lines or the segment's line parts it
-    from the segment by more than `reach` (the curve's sagitta: the kink
-    lies on the exact curve, up to that far from the polyline)."""
-    owner, leaves = np.arange(len(tri)), []
-    # `reach` in each pair's barycentric units: coordinate k is the distance
-    # from edge k over that edge's height, and side[k] below is the segment's
-    # length times corner k's distance from its line over twice the area; a
-    # child halves the heights and quarters the area
-    c = tri[pair_tri]
-    w = reach / np.abs(cross2(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
-    edge = w * np.linalg.norm(c[:, [2, 0, 1]] - c[:, [1, 2, 0]], axis=2).T
-    line = w * np.linalg.norm(np.einsum("ik,kid->kd", ends[:, 1] - ends[:, 0],
-                                        c), axis=1)
+def _kink_leaves(mesh: Mesh, rows: np.ndarray, curve, pair_tri: np.ndarray,
+                 seg: np.ndarray):
+    """Leaves (owner, 6 points, area / owner's) of the error rule on the
+    cells at `rows`, by level, then owner; pair i puts segment seg[i] of
+    `curve` in the cell at rows[pair_tri[i]]. A 4-split child counts as
+    crossed unless one of its edge lines or the segment's line parts it
+    from the segment by more than the curve's sagitta (the kink lies on the
+    exact curve, up to that far from the polyline). Each pair reads 2|T|
+    and the edge vectors of its cell from the mesh, not from corners."""
+    tri = mesh.coords[mesh.triangles[rows]]
+    owner, leaves = np.arange(len(rows)), []
+    if len(pair_tri):
+        # the sagitta in each pair's barycentric units: coordinate k is the
+        # distance from edge k over that edge's height, and side[k] below is
+        # the segment's length times corner k's distance from its line over
+        # twice the area; a child halves the heights and quarters the area
+        cell = rows[pair_tri]
+        ends = mesh.barycentric(cell, np.stack(
+            [curve.seg_start[seg], curve.seg_end[seg]], axis=1)).T
+        w = curve.sagitta / (2.0 * mesh.areas[cell])
+        ev = mesh.edge_vectors[:, :, cell]
+        edge = w * np.sqrt((ev * ev).sum(axis=0))
+        line = w * curve.seg_lengths[seg]
     for level in range(_KINK_DEPTH):
         crossed = np.zeros(len(tri), dtype=bool)
         crossed[pair_tri] = True
@@ -328,14 +332,12 @@ class ErrorIntegrator:
         self._moments = CellCache((3,))  # V_T, m_T
 
     def _cell_moments(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-        """(V_T, m_T) of the active cells at `positions`, shape (n, 3)."""
-        n, coords = len(positions), mesh.coords[mesh.triangles[positions]]
-        cell, ends, reach = np.empty(0, dtype=np.int64), np.empty((3, 2, 0)), 0.0
+        """(V_T, m_T) of the active cells at `positions`, shape (n, 3), in
+        batches of whole cells; `_kink_leaves` reads each batch's facts."""
+        n = len(positions)
+        cell = seg = np.empty(0, dtype=np.int64)
         if self.curve is not None:
             cell, seg = self.curve.hits(mesh, positions)[:2]
-            ends = quadr.barycentric(coords[cell], np.stack(
-                [self.curve.seg_start[seg], self.curve.seg_end[seg]], axis=1)).T
-            reach = self.curve.sagitta
         # batches of whole cells, by the points a cell may need; each sum runs
         # along one cell's points in a fixed order, unmoved by the batch
         cost = np.where(np.bincount(cell, minlength=n) > 0, 6 * 4 ** _KINK_DEPTH, 6)
@@ -344,8 +346,8 @@ class ErrorIntegrator:
         areas, out, wq = mesh.areas[positions], np.empty((n, 3)), quadr.TRI_WEIGHTS
         for lo, hi in zip(cuts, np.append(cuts[1:], n)):
             a, b = np.searchsorted(cell, [lo, hi])
-            owner, pts, scale = _kink_leaves(coords[lo:hi], cell[a:b] - lo,
-                                             ends[:, :, a:b], reach)
+            owner, pts, scale = _kink_leaves(mesh, positions[lo:hi], self.curve,
+                                             cell[a:b] - lo, seg[a:b])
             gu = np.array(self.exact.gradient(pts.reshape(-1, 2)),
                           dtype=np.float64).reshape(len(owner), -1, 2)
             part = np.einsum("lqd,q->ld", gu, wq) * scale[:, None]

@@ -308,7 +308,8 @@ class RegularizedForcing(_CellForcing):
 
         Each value depends on its own point only, not on the batch."""
         p = np.asarray(points, dtype=np.float64).reshape(-1, 2) / self.r
-        b = np.ravel_multi_index(self.grid.bin_of(p).T, self.grid.shape)
+        b = self.grid.bin_of(p[:, 0], 0) * self.grid.shape[1] \
+            + self.grid.bin_of(p[:, 1], 1)  # int64, as shape is
         count, row = self.grid.first[b + 1] - self.grid.first[b], self._row[b]
         # points grouped by count (a radix sort while counts fit 16 bits)
         order = np.argsort(count.astype(np.min_scalar_type(len(self._tables))),
@@ -350,9 +351,10 @@ class LineForcing(_CellForcing):
     """Exact (clipped) line source; data indicator is the surrogate
     h_T^(1/2) ||f||_{L2(T cap gamma)}.
 
-    The clipped pieces come from the curve's incidence store (`Curve.hits`),
-    and the integrals are cached per cell, so repeated refinement passes only
-    touch newly created cells.
+    The clipped pieces come from the curve's incidence store (`Curve.hits`);
+    phi_i is linear and f constant along each, so its midpoint rule is
+    exact. The integrals are cached per cell, so repeated refinement passes
+    only touch newly created cells.
     """
 
     def __init__(self, curve: Curve):
@@ -364,14 +366,12 @@ class LineForcing(_CellForcing):
         rows, si, t0, t1 = self.curve.hits(mesh, positions)
         piece = t1 - t0 > 1e-14  # touching pairs carry no length
         rows, si, t0, t1 = rows[piece], si[piece], t0[piece], t1[piece]
-        gx, gw = quadr.GAUSS3_X, quadr.GAUSS3_W
         a, d = (x[si] for x in self.curve.seg_factors[:2])
-        tt = t0[:, None] + (t1 - t0)[:, None] * gx[None, :]
-        pts = a[:, None, :] + tt[..., None] * d[:, None, :]
-        lam = quadr.barycentric(mesh.coords[mesh.triangles[positions[rows]]], pts)
+        mid = a + (0.5 * (t0 + t1))[:, None] * d
+        lam = mesh.barycentric(positions[rows], mid[:, None])[:, 0]
         length = (t1 - t0) * self.curve.seg_lengths[si]
         f = self.curve.f[si]
-        part = np.einsum("p,q,pqi->pi", length * f, gw, lam)
+        part = (length * f)[:, None] * lam
         # each cell sums its pieces in the order of the pairs
         return np.stack([np.bincount(rows, x, len(positions)) for x in
                          (*part.T, length * f ** 2)], axis=1)

@@ -71,21 +71,19 @@ class BinGrid:
         self.entries = np.pad(count.reshape(self.shape).cumsum(
             axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32), (1, 0))
 
-    def bin_of(self, p: np.ndarray) -> np.ndarray:
-        """Bin (i, j) of each point, clipped to the grid."""
-        return np.clip(np.floor((p - self.lo) / self.side), 0,
-                       self.shape - 1).astype(np.int64)
+    def bin_of(self, v: np.ndarray, axis: int) -> np.ndarray:
+        """Bin index along `axis` of the coordinates `v`, clipped to the
+        grid, in int32."""
+        return np.clip(np.floor((v - self.lo[axis]) / self.side), 0,
+                       self.shape[axis] - 1).astype(np.int32)
 
     def box(self, lo, hi, pad: float = 0.0):
         """Bins [i0, i1) x [j0, j1) holding each box [lo - pad, hi + pad],
         lo and hi given as rows of x and y (bin_of is monotone), and the
-        number of entries in each box's bins. One axis at a time and in
-        int32, to save memory."""
-        def bins(v, a):  # `bin_of` along axis a
-            return np.clip(np.floor((v - self.lo[a]) / self.side), 0,
-                           self.shape[a] - 1).astype(np.int32)
-        i0, j0 = bins(lo[0] - pad, 0), bins(lo[1] - pad, 1)
-        i1, j1 = bins(hi[0] + pad, 0) + 1, bins(hi[1] + pad, 1) + 1
+        number of entries in each box's bins. One axis at a time, to save
+        memory."""
+        i0, j0 = self.bin_of(lo[0] - pad, 0), self.bin_of(lo[1] - pad, 1)
+        i1, j1 = self.bin_of(hi[0] + pad, 0) + 1, self.bin_of(hi[1] + pad, 1) + 1
         s, n = self.entries.ravel(), self.entries.shape[1]
         count = s[i1 * n + j1]
         count -= s[i0 * n + j1]

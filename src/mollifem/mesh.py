@@ -165,6 +165,17 @@ class Mesh:
             np.maximum(np.maximum(c[:, 0], c[:, 1], out=hi), c[:, 2], out=hi)
         return box
 
+    def barycentric(self, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """(m, q, 3): barycentric coordinates of the points `pts` (m, q, 2)
+        in the cells at `rows`, from corner 0: c1 - c0 = e2, c2 - c0 = -e1
+        and 2|T| = e1 x e2."""
+        v = pts - self.coords[self.triangles[rows, 0]][:, None]
+        (e1x, e2x), (e1y, e2y) = self.edge_vectors[:, 1:, rows, None]
+        det = 2.0 * self.areas[rows, None]
+        l1 = (v[..., 1] * e1x - v[..., 0] * e1y) / det
+        l2 = (e2x * v[..., 1] - e2y * v[..., 0]) / det
+        return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
     @cached_property
     def h_sizes(self) -> np.ndarray:
         """Cell size h_T = |T|^(1/2)."""

@@ -20,10 +20,7 @@ TRI_BARY = np.array(
 )
 TRI_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])  # sums to 1
 
-# Gauss-Legendre nodes/weights mapped to [0, 1].
-GAUSS3_X = np.array([0.5 - np.sqrt(3.0 / 5.0) / 2, 0.5, 0.5 + np.sqrt(3.0 / 5.0) / 2])
-GAUSS3_W = np.array([5.0, 8.0, 5.0]) / 18.0
-
+# 4-point Gauss-Legendre nodes and weights mapped to [0, 1].
 _G4 = np.array([0.339981043584856, 0.861136311594053])
 _G4W = np.array([0.652145154862546, 0.347854845137454])
 GAUSS4_X = np.concatenate([(1 - _G4[::-1]) / 2, (1 + _G4) / 2])
@@ -67,13 +64,3 @@ def triangle_points(cell_coords: np.ndarray, bary: np.ndarray) -> np.ndarray:
         c = cell_coords[:, :, x, None]
         out[..., x] = b[0] * c[:, 0] + b[1] * c[:, 1] + b[2] * c[:, 2]
     return out
-
-
-def barycentric(cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of pts (m, q, 2) w.r.t. cells (m, 3, 2)."""
-    a = cells[:, None, 0]
-    v0, v1, v2 = cells[:, None, 1] - a, cells[:, None, 2] - a, pts - a
-    det = (v0[..., 0] * v1[..., 1] - v0[..., 1] * v1[..., 0])
-    l1 = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) / det
-    l2 = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) / det
-    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)

@@ -619,9 +619,11 @@ def test_kink_leaves_reach_every_child_near_the_segment(ends, reach):
     t0, t1, meets = clip_segments_to_triangles(a[None], b[None], *tri[:, None])
     assume(meets[0] and t1[0] - t0[0] > 1e-6
            and np.linalg.norm(b - a) > 1e-3)
+    curve = Curve(np.stack([a, b]), closed=False)
+    curve.sagitta = reach
+    one = np.zeros(1, dtype=np.int64)
     owner, pts, scale = fem._kink_leaves(
-        tri[None], np.zeros(1, dtype=np.int64),
-        quadr.barycentric(tri[None], np.stack([a, b])[None]).T, reach)
+        Mesh.from_arrays(tri, [[0, 1, 2]]), one, curve, one, one)
     deep = pts[scale == 0.25 ** fem._KINK_DEPTH].mean(axis=1)
     kids = tri[None]
     for _ in range(fem._KINK_DEPTH):

@@ -609,23 +609,28 @@ def _bary_of(tri: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def test_line_load_vector_hand_chord():
-    # chord y = 1/4 from x = 0 to 1; the hats are linear along it, so the
-    # per-piece integral is the exact endpoint trapezoid f * len * avg(hat)
+    # a chord from the upper cell into the lower one, cut by the diagonal;
+    # the hats are linear along each piece, so the per-piece integral is
+    # the exact endpoint trapezoid f * len * avg(hat), which the midpoint
+    # rule must match
     mesh = two_triangle_square_mesh()
     f = 2.0
-    curve = Curve(np.array([[0.0, 0.25], [1.0, 0.25]]), f, closed=False)
-    rhs = LineForcing(curve).load_vector(mesh)
-
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
-    pieces = [(0, np.array([0.25, 0.25]), np.array([1.0, 0.25])),
-              (1, np.array([0.0, 0.25]), np.array([0.25, 0.25]))]
-    want = np.zeros(4)
-    for cell, a, b in pieces:
-        tri = verts[tris[cell]]
-        avg = 0.5 * (_bary_of(tri, a) + _bary_of(tri, b))
-        want[tris[cell]] += f * np.linalg.norm(b - a) * avg
-    np.testing.assert_allclose(rhs, want, atol=1e-13)
+    for a, b, cut in (
+            # y = 1/4 from x = 0 to 1
+            ((0.0, 0.25), (1.0, 0.25), (0.25, 0.25)),
+            # oblique: it meets the diagonal at t = 6/13
+            ((0.1, 0.7), (0.9, 0.2), (6.1 / 13, 6.1 / 13))):
+        a, b, cut = np.array(a), np.array(b), np.array(cut)
+        curve = Curve(np.stack([a, b]), f, closed=False)
+        rhs = LineForcing(curve).load_vector(mesh)
+        want = np.zeros(4)
+        for cell, p, q in ((1, a, cut), (0, cut, b)):
+            tri = verts[tris[cell]]
+            avg = 0.5 * (_bary_of(tri, p) + _bary_of(tri, q))
+            want[tris[cell]] += f * np.linalg.norm(q - p) * avg
+        np.testing.assert_allclose(rhs, want, atol=1e-13)
 
 
 def test_line_load_total_is_line_mass():

@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module, the
+"""Every name a module imports is read somewhere in that module, every
+public name the package defines is reached from outside the unit tests, the
 package's modules import each other without a cycle, and the package starts
 without the slow scipy modules.
 
@@ -54,12 +55,16 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
             read |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
                      if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            read |= set(ast.literal_eval(node.value))
+    read |= exported(tree)
     return sorted((name for name in bound if name not in read), key=bound.get)
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module's `__all__` lists."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
 
 
 @pytest.mark.parametrize("path", FILES,
@@ -81,6 +86,60 @@ def test_the_check_sees_each_kind_of_read():
         "def k(x: 'H') -> None:\n"
         "    return os.sep\n")
     assert unused_imports(source) == ["system", "f"]
+
+
+def public_definitions(source: str) -> list[str]:
+    """The public names that `source` defines at module level (by def,
+    class or assignment, not by import), in line order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def names_read(source: str, strings: bool = False) -> set[str]:
+    """The names `source` loads, bare or as attributes, or imports by name;
+    with `strings`, its string constants too (perfbench/layers.py looks the
+    traced callables up by name)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Name, ast.Attribute)) \
+                and not isinstance(node.ctx, ast.Store):
+            read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def unreached_names(root: Path) -> list[str]:
+    """`module.name` for each public module-level name of src/mollifem that
+    no file of src/ or perfbench/ and no acceptance check reads, and that
+    `mollifem.__all__` does not list."""
+    modules = sorted((root / "src/mollifem").glob("*.py"))
+    read = set().union(
+        *(names_read(p.read_text()) for p in modules),
+        *(names_read(p.read_text(), strings=True)
+          for p in sorted((root / "perfbench").glob("*.py"))),
+        names_read((root / "tests/test_acceptance.py").read_text()))
+    read |= exported(ast.parse((root / "src/mollifem/__init__.py").read_text()))
+    return [f"{p.stem}.{name}" for p in modules
+            for name in public_definitions(p.read_text()) if name not in read]
+
+
+def test_every_public_name_is_reached():
+    # no public name that only unit tests reach: the package, the CLI, the
+    # benchmark or an acceptance check reads it, or the package exports it
+    assert unreached_names(ROOT) == []
 
 
 def package_imports(source: str) -> set[str]:

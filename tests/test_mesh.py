@@ -64,6 +64,25 @@ def test_edge_vectors_and_areas_have_the_bits_of_the_corners(domain, rounds,
         np.testing.assert_array_equal(e[:, k].T,
                                       p[:, (k + 2) % 3] - p[:, (k + 1) % 3])
     assert mesh.areas.tobytes() == corner_areas(mesh).tobytes()
+    # the facts the error pass and the line source read from the mesh have
+    # the bits of the corner formulas they replace: 2|T|, the edge lengths
+    # and the barycentric map
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    assert (2 * mesh.areas).tobytes() \
+        == np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]).tobytes()
+    assert np.sqrt((e * e).sum(axis=0)).tobytes() == np.linalg.norm(
+        p[:, [2, 0, 1]] - p[:, [1, 2, 0]], axis=2).T.tobytes()
+    rng = np.random.default_rng(seed)
+    pts = np.einsum("mqc,mcx->mqx",
+                    rng.uniform(-0.5, 1.5, (mesh.num_cells, 4, 3)), p)
+    a = p[:, None, 0]
+    v0, v1, v2 = p[:, None, 1] - a, p[:, None, 2] - a, pts - a
+    det = v0[..., 0] * v1[..., 1] - v0[..., 1] * v1[..., 0]
+    l1 = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) / det
+    l2 = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) / det
+    want = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+    rows = rng.permutation(mesh.num_cells)
+    assert mesh.barycentric(rows, pts[rows]).tobytes() == want[rows].tobytes()
 
 
 def test_refine_single_marked_cell_hand_count():

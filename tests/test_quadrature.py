@@ -97,12 +97,11 @@ def test_triangle_points_affine_map():
 
 
 def test_gauss_line_rules():
-    # GAUSS3 on [0,1] is exact through degree 5, GAUSS4 through degree 7
-    for xs, ws, deg in ((quadr.GAUSS3_X, quadr.GAUSS3_W, 5),
-                        (quadr.GAUSS4_X, quadr.GAUSS4_W, 7)):
-        assert abs(ws.sum() - 1.0) < 1e-14
-        for p in range(deg + 1):
-            got = float(ws @ xs ** p)
-            assert abs(got - 1.0 / (p + 1)) < 1e-14, p
-        beyond = float(ws @ xs ** (deg + 1))
-        assert abs(beyond - 1.0 / (deg + 2)) > 1e-9
+    # GAUSS4 on [0,1] is exact through degree 7
+    xs, ws, deg = quadr.GAUSS4_X, quadr.GAUSS4_W, 7
+    assert abs(ws.sum() - 1.0) < 1e-14
+    for p in range(deg + 1):
+        got = float(ws @ xs ** p)
+        assert abs(got - 1.0 / (p + 1)) < 1e-14, p
+    beyond = float(ws @ xs ** (deg + 1))
+    assert abs(beyond - 1.0 / (deg + 2)) > 1e-9
