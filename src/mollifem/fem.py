@@ -246,6 +246,12 @@ def prolong(fn: FeFunction, fine: Mesh) -> FeFunction:
 
 
 _KINK_DEPTH = 4
+# a crossing pair's cost in the error pass's batches, in points: one level's
+# child tests hold 4 x (6 ends, 3 sides, 3 edge terms and sums, a tolerance,
+# a row) and |ends|, about 96 float64 (770 B traced), a point 4 (coordinates
+# and exact gradient); a level tests up to 1.58x the cell's pairs (4,096-gon,
+# h = 2^-9): 24 x 1.58 = 38, rounded up to a power of two
+_PAIR_POINTS = 64
 
 
 def energy_error(u_exact, w: FeFunction, curve=None) -> float:
@@ -256,9 +262,6 @@ def energy_error(u_exact, w: FeFunction, curve=None) -> float:
 # barycentric coordinates in a triangle -> in its split4 child c (integers)
 _TO_CHILD = np.rint(np.linalg.inv(quadr.split4(np.eye(3)))).transpose(0, 2, 1)
 _SLACK = 1e-9  # in child heights: far above the round-off of mapped points
-# edge k of split4 child c is parallel to its parent's edge _CHILD_EDGE[c, k]
-# (the middle child is its parent turned by half a turn)
-_CHILD_EDGE = np.array([[0, 1, 2], [0, 1, 2], [0, 1, 2], [2, 0, 1]])
 
 
 def _kink_leaves(mesh: Mesh, rows: np.ndarray, curve, pair_tri: np.ndarray,
@@ -269,7 +272,8 @@ def _kink_leaves(mesh: Mesh, rows: np.ndarray, curve, pair_tri: np.ndarray,
     crossed unless one of its edge lines or the segment's line parts it
     from the segment by more than the curve's sagitta (the kink lies on the
     exact curve, up to that far from the polyline). Each pair reads 2|T|
-    and the edge vectors of its cell from the mesh, not from corners."""
+    and its cell's edge vectors from the mesh; a level tests its children
+    on views of their mapped ends and keeps only the hits."""
     tri = mesh.coords[mesh.triangles[rows]]
     owner, leaves = np.arange(len(rows)), []
     if len(pair_tri):
@@ -293,20 +297,24 @@ def _kink_leaves(mesh: Mesh, rows: np.ndarray, curve, pair_tri: np.ndarray,
             break
         tri = quadr.split4(tri[crossed]).reshape(-1, 3, 2)
         owner = np.repeat(owner[crossed], 4)
-        # each pair once per child, child by child
-        kid = (4 * (np.cumsum(crossed) - 1)[pair_tri]
-               + np.arange(4)[:, None]).ravel()
-        ends = np.moveaxis((_TO_CHILD @ ends.reshape(3, -1)).reshape(
-            4, 3, 2, -1), 0, 2).reshape(3, 2, -1)
-        a, b = ends[:, 0], ends[:, 1]  # cross(a, b)[k]: corner k's side
-        side = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
-        tol = _SLACK * np.abs(ends).max(axis=(0, 1)) ** 2
-        edge = 2 * np.moveaxis(edge[_CHILD_EDGE], 0, 1).reshape(3, -1)
-        line = np.tile(4 * line, 4)
-        hit = ((np.maximum(a, b) + edge).min(axis=0) >= -_SLACK) \
-            & (side.max(axis=0) >= -tol - line) & (side.min(axis=0) <= tol + line)
-        pair_tri, ends = kid[hit], ends[:, :, hit]
-        edge, line = edge[:, hit], line[hit]
+        # each pair once per child, as (child, pair); hits kept child by child
+        kid = 4 * (np.cumsum(crossed) - 1)[pair_tri] + np.arange(4)[:, None]
+        ends = (_TO_CHILD @ ends.reshape(3, -1)).reshape(4, 3, 2, -1)
+        a, b = ends[:, :, 0], ends[:, :, 1]  # (child, coordinate, pair)
+        # side[k] = cross(a, b)[k]: corner k's side of the segment's line
+        side = [a[:, i] * b[:, j] - a[:, j] * b[:, i]
+                for i, j in ((1, 2), (2, 0), (0, 1))]
+        tol = _SLACK * np.abs(ends).max(axis=(1, 2)) ** 2
+        # heights halve; edge k of a corner child is parallel to its parent's
+        # edge k, of the middle one (turned by half a turn) to edge k - 1
+        twice, edge = 2 * edge, np.empty((4, 3, len(line)))
+        edge[:3], edge[3, 0], edge[3, 1:] = twice, twice[2], twice[:2]
+        line = np.broadcast_to(4 * line, kid.shape)
+        hit = ((np.maximum(a, b) + edge).min(axis=1) >= -_SLACK) \
+            & (np.maximum(np.maximum(*side[:2]), side[2]) >= -tol - line) \
+            & (np.minimum(np.minimum(*side[:2]), side[2]) <= tol + line)
+        pair_tri, ends = kid[hit], ends.transpose(1, 2, 0, 3)[:, :, hit]
+        edge, line = edge.transpose(1, 0, 2)[:, hit], line[hit]
     # every deepest child is a leaf: their rules make the parent's depth-1 rule
     pts = quadr.triangle_points(tri[crossed], quadr.subdivided_rule(1)[0])
     owner = np.repeat(owner[crossed], 4)
@@ -333,14 +341,16 @@ class ErrorIntegrator:
 
     def _cell_moments(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """(V_T, m_T) of the active cells at `positions`, shape (n, 3), in
-        batches of whole cells; `_kink_leaves` reads each batch's facts."""
+        batches of whole cells, costed by their points and crossing pairs;
+        `_kink_leaves` reads each batch's facts."""
         n = len(positions)
         cell = seg = np.empty(0, dtype=np.int64)
         if self.curve is not None:
             cell, seg = self.curve.hits(mesh, positions)[:2]
-        # batches of whole cells, by the points a cell may need; each sum runs
-        # along one cell's points in a fixed order, unmoved by the batch
-        cost = np.where(np.bincount(cell, minlength=n) > 0, 6 * 4 ** _KINK_DEPTH, 6)
+        # batches of whole cells, by the points a cell may need and its pairs;
+        # each sum runs over one cell's points in one order, whatever the batch
+        pairs = np.bincount(cell, minlength=n)
+        cost = np.where(pairs > 0, 6 * 4 ** _KINK_DEPTH, 6) + _PAIR_POINTS * pairs
         start = np.cumsum(cost) - cost
         cuts = np.flatnonzero(np.diff(start // quadr.POINT_CHUNK, prepend=-1))
         areas, out, wq = mesh.areas[positions], np.empty((n, 3)), quadr.TRI_WEIGHTS

@@ -26,8 +26,8 @@ _G4W = np.array([0.652145154862546, 0.347854845137454])
 GAUSS4_X = np.concatenate([(1 - _G4[::-1]) / 2, (1 + _G4) / 2])
 GAUSS4_W = np.concatenate([_G4W[::-1], _G4W]) / 2
 
-# Quadrature points per batch of whole cells, in the forcing rule loop and the
-# error pass: their temporaries scale with it, not with the mesh.
+# Points per batch of whole cells in the forcing rule loop and the error pass
+# (a pair counts `fem._PAIR_POINTS`): temporaries scale with it, not the mesh.
 POINT_CHUNK = 1 << 18
 
 

@@ -20,7 +20,8 @@ from mollifem.fem import (ErrorIntegrator, FeFunction, assemble, energy_error,
 from mollifem.errors import NumericalError
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
-from mollifem.problems import RadialLogSolution, SineProduct, square_problem
+from mollifem.problems import (RadialLogSolution, SineProduct, lshape_problem,
+                               square_problem)
 
 from conftest import (basis_gradients, clip_segments_to_triangles,
                       element_matrix_form, jittered_mesh, sibling_refinements,
@@ -443,41 +444,67 @@ def test_error_integrator_survives_heavy_cancellation():
 
 
 def test_error_integrator_batches_do_not_move_bits(monkeypatch):
-    curve = Curve.circle((0.5, 0.5), 0.25, 512, boundary_gap=0.25)
     u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     mesh = mesh.refine(range(0, mesh.num_cells, 2))
     positions = np.arange(mesh.num_cells)
-    moments = []
-    # one batch, then batches of at most 3 curve cells or 768 others (a
-    # curve cell counts the 6 * 4**depth points it can need at most)
-    for chunk in (1 << 30, 3 * 6 * 4 ** fem._KINK_DEPTH):
-        monkeypatch.setattr(quadr, "POINT_CHUNK", chunk)
-        moments.append(ErrorIntegrator(u, curve)._cell_moments(mesh,
-                                                               positions))
-    np.testing.assert_array_equal(moments[0], moments[1])
+    kink_leaves, batches = fem._kink_leaves, []
+
+    def counted(*args):
+        batches.append(len(args[1]))
+        return kink_leaves(*args)
+
+    monkeypatch.setattr(fem, "_kink_leaves", counted)
+    # one batch, then smaller ones; a curve cell counts the 6 * 4**depth
+    # points it can need at most plus `fem._PAIR_POINTS` a crossing pair.
+    # The 512-gon puts 6-25 pairs on a curve cell: batches of 3 * 1,536
+    # points hold at most 3 curve cells or 768 others. The 4,096-gon puts
+    # 38-193, and its pairs set the cuts of batches of 8,192 points: the
+    # points alone would cut 7 batches
+    for n_segments, chunk in ((512, 3 * 6 * 4 ** fem._KINK_DEPTH),
+                              (4096, 8192)):
+        curve = Curve.circle((0.5, 0.5), 0.25, n_segments, boundary_gap=0.25)
+        moments = []
+        for size in (1 << 30, chunk):
+            monkeypatch.setattr(quadr, "POINT_CHUNK", size)
+            batches.clear()
+            moments.append(ErrorIntegrator(u, curve)._cell_moments(mesh,
+                                                                   positions))
+        np.testing.assert_array_equal(moments[0], moments[1])
+    assert len(batches) > 7
 
 
 def test_cold_error_pass_holds_about_one_batch():
     """A cold pass holds one batch of `quadrature.POINT_CHUNK` points (2^18:
     4 MB of points and 4 MB of exact gradients at most), not the points of
-    the whole cell set. On the square problem's 4,096-gon resolved to
-    h_T <= 2^-9 (4,636 cells, 990 crossed, up to 1,536 points each) the
-    traced peak read 16.5 MB with batches of 2^20 points and 6.1 MB with
-    batches of 2^18."""
-    problem = square_problem(n_segments=4096)
-    mesh = interface_loop(problem.initial_mesh(), problem.curve, 2.0 ** -8)
-    w = FeFunction(mesh, problem.exact.value(mesh.coords))
-    assert mesh.num_cells == 4636
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        ErrorIntegrator(problem.exact, problem.curve)(w)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10e6
+    the whole cell set; a crossing pair counts `fem._PAIR_POINTS` points in
+    that budget as well as its cell's points. On the square problem's
+    4,096-gon resolved to h_T <= 2^-9 (4,636 cells, 990 crossed, up to 1,536
+    points each) the traced peak read 16.5 MB with batches of 2^20 points
+    and 6.1 MB with batches of 2^18. On `lshape`'s initial mesh the pairs
+    set the peak: its 2^14-gon puts 16,400 pairs on 8 of the 96 cells, and
+    with the points alone counted all 8 shared one batch and the peak read
+    14.9 MB; with 64 points a pair it reads 3.4 MB (12.9 MB at 16, 6.6 MB
+    at 32)."""
+    square = square_problem(n_segments=4096)
+    lshape = lshape_problem()
+    cases = [(square, interface_loop(square.initial_mesh(), square.curve,
+                                     2.0 ** -8), 4636, 5090, 10e6),
+             (lshape, lshape.initial_mesh(), 96, 16400, 6e6)]
+    for problem, mesh, cells, pairs, bound in cases:
+        # the curve keeps the incidence, as a run's interface loop leaves it
+        assert mesh.num_cells == cells
+        assert len(problem.curve.hits(mesh)[0]) == pairs
+        w = FeFunction(mesh, problem.exact.value(mesh.coords))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ErrorIntegrator(problem.exact, problem.curve)(w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_error_integrator_matches_direct_across_the_kink():

@@ -191,6 +191,27 @@ def test_cold_error_integrator_on_curve_cells(benchmark):
     assert 0.0 < err < 0.5
 
 
+def test_cold_error_integrator_on_coarse_curve_cells(benchmark):
+    # `lshape`'s initial mesh, where the pairs outweigh the points: its
+    # 2^14-gon puts 16,400 crossing pairs on 8 of the 96 cells
+    problem = lshape_problem()
+    mesh = problem.initial_mesh()
+    w = FeFunction(mesh, problem.exact.value(mesh.coords))
+
+    def fresh_curve():
+        # a fresh curve per round, so the rounds time the incidence too
+        return (lshape_problem().curve,), {}
+
+    def cold(curve):
+        return ErrorIntegrator(problem.exact, curve)(w)
+
+    # a fixed round count keeps the Tier-1 cost well under a second
+    err = benchmark.pedantic(cold, setup=fresh_curve, rounds=8,
+                             warmup_rounds=1)
+    # the interpolant's error on these 96 cells reads 1.27164
+    assert 1.27 < err < 1.275
+
+
 def test_cold_error_integrator_without_a_curve(benchmark):
     # the error pass of the plain runs: no cell is crossed, so every cell
     # takes the 6-point rule that starts the kink rule's level loop
