@@ -2,10 +2,10 @@
 triangulations.
 
 Assembly of a(u,v) = int grad(u) . grad(v) from three edge weights per cell
-off the mesh's edge vectors, non-homogeneous Dirichlet data by nodal
-interpolation with symmetric elimination, a BPX-preconditioned CG solve
-(tight, or stopped once the preconditioned residual norm meets a target the
-adaptive driver derives from the estimator; it raises NumericalError on a
+into a diagonal and off-diagonal triplets (`SparseMatrix`), Dirichlet data
+by nodal interpolation with symmetric elimination, a BPX-preconditioned CG
+solve (tight, or stopped once the preconditioned residual norm meets a
+target the driver derives from the estimator; it raises NumericalError on a
 breakdown or at its iteration cap), and cached energy-norm error integration
 against closed-form solutions whose gradient kinks across the curve.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import quadrature as quadr
 from .curves import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
@@ -26,6 +25,24 @@ CG_RTOL = 5e-11
 # the adaptive driver stops CG once sqrt(r^T B r) <= LAMBDA_ALG * estimator
 # (Gantner, Haberl, Praetorius, Schimanko, Math. Comp. 90, 2021)
 LAMBDA_ALG = 1e-3
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A symmetric matrix by its diagonal and its off-diagonal triplets
+    (i, j, v), each (i, j) once: A @ x is a gather and a `bincount`."""
+
+    diag: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    v: np.ndarray
+    shape = property(lambda self: (len(self.diag),) * 2)
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.diag * x + np.bincount(self.i, self.v * x.take(self.j), len(x))
 
 
 @dataclass
@@ -39,7 +56,7 @@ class DiscreteSystem:
     """
 
     mesh: Mesh
-    matrix: sp.csr_matrix
+    matrix: SparseMatrix
     rhs: np.ndarray
 
     @cached_property
@@ -73,27 +90,25 @@ class FeFunction:
 
 
 def _stiffness(mesh: Mesh):
-    """COO triplets (i, j, v) of the stiffness matrix, the diagonal last as
-    minus each row's sum. Edge k of a cell runs from corner i = k + 1 to
-    j = k + 2, and the cell across runs it back, so v sums
-    w_k = e_{k+1} . e_{k+2} / 4|T| over the edge and its twin; a boundary
-    edge adds (j, i)."""
+    """The stiffness matrix's diagonal, minus each row's sum, and its
+    off-diagonal triplets (i, j, v), each directed (i, j) once. Edge k of a
+    cell runs from corner i = k + 1 to j = k + 2, and the cell across runs
+    it back, so v sums w_k = e_{k+1} . e_{k+2} / 4|T| over the edge and its
+    twin; a boundary edge adds (j, i)."""
     ex, ey = mesh.edge_vectors
     w = (ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) \
         / (4.0 * mesh.areas)
     tw = mesh.twins.T
     v, out = np.where(tw >= 0, w + w.T.ravel()[tw], w), tw < 0
-    t = mesh.triangles.T  # int32: scipy's index type
+    t = mesh.triangles.T.astype(np.intp)  # the index type of take and bincount
     a, b = t[[1, 2, 0]], t[[2, 0, 1]]
     i, j, v = np.append(a, b[out]), np.append(b, a[out]), np.append(v, v[out])
-    d = np.arange(mesh.num_vertices, dtype=i.dtype)
-    return np.append(i, d), np.append(j, d), np.append(v, -np.bincount(i, v, len(d)))
+    return -np.bincount(i, v, mesh.num_vertices), i, j, v
 
 
-def form_matrix(mesh: Mesh) -> sp.csr_matrix:
+def form_matrix(mesh: Mesh) -> SparseMatrix:
     """Unconstrained stiffness matrix of the Laplace form on the P1 space."""
-    i, j, v = _stiffness(mesh)
-    return sp.csr_matrix((v, (i, j)), shape=(mesh.num_vertices,) * 2)
+    return SparseMatrix(*_stiffness(mesh))
 
 
 def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
@@ -104,7 +119,7 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
     (n, 2) to values; None means homogeneous.
     """
     n = mesh.num_vertices
-    i, j, v = _stiffness(mesh)
+    d, i, j, v = _stiffness(mesh)
     raw_rhs = forcing.load_vector(mesh) if forcing is not None else np.zeros(n)
 
     bmask = mesh.boundary_vertex_mask
@@ -113,15 +128,10 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
         ubc[bmask] = np.asarray(boundary_data(mesh.coords[bmask]),
                                 dtype=np.float64)
 
-    free = ~bmask
-    fi, fj = free[i], free[j]
-    # the nonzero free-free entries (each already summed over its cells) and
-    # a unit diagonal alone on each boundary row; the lift sums each free row
-    # over its sorted boundary columns
-    keep, cpl = (fi & fj & (v != 0)) | (i == j), fi & ~fj
-    mat = sp.csr_matrix((np.where(fi, v, 1.0)[keep], (i[keep], j[keep])),
-                        shape=(n, n))
-    rhs = raw_rhs - sp.csr_matrix((v[cpl], (i[cpl], j[cpl])), shape=(n, n)) @ ubc
+    # the free-free nonzeros and a unit boundary diagonal; ubc is 0 on free rows
+    keep = ~(bmask[i] | bmask[j]) & (v != 0)
+    mat = SparseMatrix(np.where(bmask, 1.0, d), i[keep], j[keep], v[keep])
+    rhs = raw_rhs - SparseMatrix(d, i, j, v) @ ubc
     rhs[bmask] = ubc[bmask]
     return DiscreteSystem(mesh, mat, rhs)
 
@@ -285,9 +295,9 @@ def _kink_leaves(mesh: Mesh, rows: np.ndarray, curve, pair_tri: np.ndarray,
         ends = mesh.barycentric(cell, np.stack(
             [curve.seg_start[seg], curve.seg_end[seg]], axis=1)).T
         w = curve.sagitta / (2.0 * mesh.areas[cell])
-        ev = mesh.edge_vectors[:, :, cell]
-        edge = w * np.sqrt((ev * ev).sum(axis=0))
+        edge = w * np.sqrt(np.square(mesh.edge_vectors[:, :, cell]).sum(axis=0))
         line = w * curve.seg_lengths[seg]
+        del cell, w  # the level loop reads ends, edge and line
     for level in range(_KINK_DEPTH):
         crossed = np.zeros(len(tri), dtype=bool)
         crossed[pair_tri] = True

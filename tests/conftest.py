@@ -1,8 +1,9 @@
 """Shared helpers: brute-force reference quadratures, the corner-based
-element formulas, an edge-by-edge segment-triangle predicate, the per-pair
-segment clip and an exact cell-support test used as oracles, jittered
-meshes and sibling meshes for per-cell checks, and uniformly refined
-systems with the adaptive driver's warm starts for solver checks.
+element formulas, scipy's CSR rebuilt from the package's matrix, an
+edge-by-edge segment-triangle predicate, the per-pair segment clip and an
+exact cell-support test used as oracles, jittered meshes and sibling
+meshes for per-cell checks, and uniformly refined systems with the
+adaptive driver's warm starts for solver checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -17,8 +18,8 @@ from scipy.spatial import cKDTree
 
 from mollifem.curves import interface_cells
 from mollifem.estimate import estimate
-from mollifem.fem import (LAMBDA_ALG, DiscreteSystem, assemble, prolong,
-                          solve_galerkin)
+from mollifem.fem import (LAMBDA_ALG, DiscreteSystem, SparseMatrix, assemble,
+                          prolong, solve_galerkin)
 from mollifem.forcing import DensityForcing
 from mollifem.geometry import _REL_EPS, _TOUCH, cross2
 from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
@@ -109,6 +110,16 @@ def element_matrix_form(mesh: Mesh) -> sp.csr_matrix:
     return sp.coo_matrix((k_loc.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
                                           np.tile(tri, (1, 3)).ravel())),
                          shape=(n, n)).tocsr()
+
+
+def csr(mat: SparseMatrix) -> sp.csr_matrix:
+    """`mat` rebuilt as scipy's CSR from its off-diagonal triplets and its
+    diagonal, each entry kept as stored (an exact zero too): the oracle the
+    package's own matrix is checked against."""
+    r = np.arange(mat.shape[0])
+    return sp.csr_matrix((np.append(mat.v, mat.diag),
+                          (np.append(mat.i, r), np.append(mat.j, r))),
+                         shape=mat.shape)
 
 
 def jittered_mesh(domain: str, rounds: int, seed: int) -> Mesh:

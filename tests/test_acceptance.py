@@ -28,6 +28,8 @@ from mollifem.forcing import (KERNEL_FAMILIES, Kernel, RegularizedForcing,
 from mollifem.mesh import rect_mesh
 from mollifem.problems import smooth_problem, square_problem
 
+from conftest import csr
+
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"check {num:02d} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
@@ -310,7 +312,8 @@ def test_a09_solver_correctness():
     g = RegularizedForcing(p.curve, Kernel("tensor_linf"), 0.05)
     system = assemble(mesh, g, p.boundary_data)
 
-    raw = form_matrix(system.mesh)
+    op = form_matrix(system.mesh)
+    raw = csr(op)
     asym = abs((raw - raw.T)).max()
     scale = abs(raw).max()
     sym_rel = asym / scale
@@ -320,7 +323,7 @@ def test_a09_solver_correctness():
     cg_rel = np.linalg.norm(res) / np.linalg.norm(system.rhs)
 
     free, load = ~mesh.boundary_vertex_mask, g.load_vector(mesh)
-    raw_res = load - raw @ w.nodal_values
+    raw_res = load - op @ w.nodal_values
     ortho = np.abs(raw_res[free]).max() / np.linalg.norm(load)
 
     def affine(pts):

@@ -23,7 +23,7 @@ from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
 from mollifem.problems import (RadialLogSolution, SineProduct, lshape_problem,
                                square_problem)
 
-from conftest import (basis_gradients, clip_segments_to_triangles,
+from conftest import (basis_gradients, clip_segments_to_triangles, csr,
                       element_matrix_form, jittered_mesh, sibling_refinements,
                       uniform_square_system, warm_target)
 
@@ -72,7 +72,7 @@ def test_stiffness_kernel_contains_constants():
 
 def test_assembled_matrix_symmetry():
     mesh = rect_mesh(8, 8, 0.0, 0.0, 1.0, 1.0).uniform_refine()
-    k = form_matrix(mesh)
+    k = csr(form_matrix(mesh))
     asym = abs(k - k.T).max()
     assert asym <= 1e-14 * abs(k).max()
 
@@ -101,7 +101,7 @@ def _projected_form(mesh):
     and a sum, which drop exact zeros and sort each row."""
     bmask = mesh.boundary_vertex_mask
     keep = sp.diags((~bmask).astype(np.float64))
-    return (keep @ form_matrix(mesh) @ keep
+    return (keep @ csr(form_matrix(mesh)) @ keep
             + sp.diags(bmask.astype(np.float64))).tocsr()
 
 
@@ -118,7 +118,7 @@ def _corner_graded(mesh, passes):
                          ids=["rect", "lshape", "graded"])
 def test_assemble_matrix_has_the_bits_of_the_projected_form(make):
     mesh = make()
-    got = assemble(mesh, None).matrix
+    got = csr(assemble(mesh, None).matrix)
     want = _projected_form(mesh)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
@@ -129,8 +129,8 @@ def test_assemble_matrix_has_the_bits_of_the_projected_form(make):
 def test_assembly_drops_the_exact_zeros_of_a_right_angled_grid():
     # the off-diagonal of each square's diagonal edge vanishes exactly
     mesh = rect_mesh(7, 5)
-    assert (form_matrix(mesh).data == 0).any()
-    assert (assemble(mesh, None).matrix.data != 0).all()
+    assert (csr(form_matrix(mesh)).data == 0).any()
+    assert (csr(assemble(mesh, None).matrix).data != 0).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,7 +142,7 @@ def test_stiffness_and_gradients_match_the_element_formulas(domain, rounds,
     # the element matrices; the gradients keep the element formula's
     # operations and its einsum's summation order, and so its bits
     mesh = jittered_mesh(domain, rounds, seed)
-    got, want = form_matrix(mesh), element_matrix_form(mesh)
+    got, want = csr(form_matrix(mesh)), element_matrix_form(mesh)
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
     scale = np.abs(want.data).max()
@@ -151,6 +151,28 @@ def test_stiffness_and_gradients_match_the_element_formulas(domain, rounds,
     grads = FeFunction(mesh, vals).cell_gradients
     ref = np.einsum("mdi,mi->md", basis_gradients(mesh), vals[mesh.triangles])
     assert grads.shape == ref.shape and grads.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["rect", "lshape"]), rounds=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stiffness_pairs_are_unique_and_mirrored(domain, rounds, seed):
+    # the matrix skips CSR's sort and duplicate sum: each directed
+    # off-diagonal (i, j) comes once, with its mirror (j, i) of the same
+    # bits, and the product matches scipy's CSR of the same triplets
+    mesh = jittered_mesh(domain, rounds, seed)
+    _, i, j, v = fem._stiffness(mesh)
+    n = mesh.num_vertices
+    key = i * n + j
+    order = np.argsort(key)
+    assert (i != j).all() and (np.diff(key[order]) > 0).all()
+    mirror = order[np.searchsorted(key[order], j * n + i)]
+    np.testing.assert_array_equal(key[mirror], j * n + i)
+    assert v[mirror].tobytes() == v.tobytes()
+    x = np.random.default_rng(seed).standard_normal(n)
+    for mat in (form_matrix(mesh), assemble(mesh, None).matrix):
+        got, want = mat @ x, csr(mat) @ x
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("make", [lambda: rect_mesh(4, 4).uniform_refine(3),
@@ -163,7 +185,7 @@ def test_stiffness_has_the_element_bits_on_right_isosceles_grids(make):
     # (or +-1 on a diagonal), every sum of them is exact, and the matrix has
     # the element matrices' bits whatever the formula
     mesh = make()
-    got, want = form_matrix(mesh), element_matrix_form(mesh)
+    got, want = csr(form_matrix(mesh)), element_matrix_form(mesh)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -249,7 +271,7 @@ def test_solve_matches_a_direct_solve_on_a_graded_mesh():
         mesh, DensityForcing(lambda p: np.cos(p[:, 0] + 2 * p[:, 1])),
         boundary_data=plane.value)
     w = solve_galerkin(system).nodal_values
-    direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    direct = spla.spsolve(csr(system.matrix).tocsc(), system.rhs)
     assert np.linalg.norm(w - direct) <= 1e-9 * np.linalg.norm(direct)
 
 
@@ -273,11 +295,11 @@ def test_solve_makes_one_call_through_fem_cg(monkeypatch):
 
 def test_solve_rejects_a_non_positive_diagonal():
     system = uniform_square_system(2)
-    mat = system.matrix.tolil()
-    v = int(np.flatnonzero(~system.mesh.boundary_vertex_mask)[0])
-    mat[v, v] = 0.0
+    diag = system.matrix.diagonal().copy()
+    diag[np.flatnonzero(~system.mesh.boundary_vertex_mask)[0]] = 0.0
+    mat = dataclasses.replace(system.matrix, diag=diag)
     with pytest.raises(NumericalError, match="non-positive diagonal"):
-        solve_galerkin(dataclasses.replace(system, matrix=mat.tocsr()))
+        solve_galerkin(dataclasses.replace(system, matrix=mat))
 
 
 def test_solve_raises_when_cg_does_not_converge(monkeypatch):
@@ -319,10 +341,7 @@ def test_cg_stops_at_its_target_or_its_iteration_cap():
 def _indefinite(system):
     """`system` with its free off-diagonal entries tripled: the diagonal
     stays positive, the matrix indefinite."""
-    mat = system.matrix.copy()
-    row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    off = row != mat.indices
-    mat.data[off] *= 3.0
+    mat = dataclasses.replace(system.matrix, v=3.0 * system.matrix.v)
     return dataclasses.replace(system, matrix=mat)
 
 
@@ -332,7 +351,7 @@ def test_solve_raises_on_a_cg_breakdown(fault, target):
     system = uniform_square_system(3)
     if fault == "indefinite":
         system = _indefinite(system)
-        assert np.linalg.eigvalsh(system.matrix.toarray()).min() < 0
+        assert np.linalg.eigvalsh(csr(system.matrix).toarray()).min() < 0
     else:
         free = ~system.mesh.boundary_vertex_mask
         system.rhs[np.flatnonzero(free)[7]] = np.nan

@@ -1,7 +1,7 @@
 """Every name a module imports is read somewhere in that module, every
 public name the package defines is reached from outside the unit tests, the
-package's modules import each other without a cycle, and the package starts
-without the slow scipy modules.
+package's modules import each other without a cycle, and neither the
+package's start nor a run imports scipy.
 
 The AST of each file under ``src/`` and ``tests/`` is walked: a name bound
 by an import and never loaded fails, unless the import's lines say
@@ -190,15 +190,25 @@ def test_the_layering_check_sees_each_kind_of_import():
 
 def cli_imports(modules: set[str], code: str = "") -> str:
     """Those of `modules` that `import mollifem.cli` and then `code` load, as
-    a sorted list: the last line a fresh interpreter prints."""
+    a sorted list: the last line a fresh interpreter prints. A top-level
+    name in `modules` stands for its whole package."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c", f"import sys, mollifem.cli\n{code}\n"
-         f"print(sorted({modules!r} & set(sys.modules)))"],
+         f"print(sorted(m for m in sys.modules if m in {modules!r} "
+         f"or m.partition('.')[0] in {modules!r}))"],
         check=True, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path})
     return out.stdout.strip().splitlines()[-1]
+
+
+def cli_run(tmp_path, cfg) -> str:
+    """The code that runs the CLI on `cfg` into `tmp_path / "out"`."""
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    return (f"assert mollifem.cli.main(['run', '--config', {str(path)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
 
 
 def test_the_cli_imports_neither_scipy_integrate_nor_optimize():
@@ -206,19 +216,23 @@ def test_the_cli_imports_neither_scipy_integrate_nor_optimize():
     assert cli_imports({"scipy.integrate", "scipy.optimize"}) == "[]"
 
 
-def test_the_cli_does_not_import_scipy_sparse_linalg():
-    # the solver is the package's own CG loop
+def test_the_cli_does_not_import_scipy_sparse_linalg(tmp_path):
+    # the solver is the package's own CG loop on its own matrix: neither
+    # the start nor a plain run loads any scipy module
     assert cli_imports({"scipy.sparse.linalg"}) == "[]"
+    base = preset("smooth")
+    run = cli_run(tmp_path, replace(base, params=replace(base.params,
+                                                         tau0=0.5)))
+    assert cli_imports({"scipy", "scipy.sparse.linalg"}, run) == "[]"
+    assert (tmp_path / "out" / "run.csv").stat().st_size > 0
 
 
 def test_a_curve_run_does_not_import_scipy_spatial(tmp_path):
-    # the curve's proximity queries read the package's own bin grid
+    # the curve's proximity queries read the package's own bin grid, and
+    # the run loads no other scipy module either
     base = preset("lshape")
     cfg = replace(base, curve_segments=2048,
                   params=replace(base.params, mu=0.8, tau0=0.7, j_max=0))
-    path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
-    run = (f"assert mollifem.cli.main(['run', '--config', {str(path)!r}, "
-           f"'--out', {str(tmp_path / 'out')!r}]) == 0")
-    assert cli_imports({"scipy.spatial"}, run) == "[]"
+    run = cli_run(tmp_path, cfg)
+    assert cli_imports({"scipy", "scipy.spatial"}, run) == "[]"
     assert (tmp_path / "out" / "run.csv").stat().st_size > 0
