@@ -36,7 +36,7 @@ def slope_fit(rows, n_last: int = 5) -> float:
     errs = np.array([row.energy_error for row in tail], dtype=np.float64)
     if not np.all(np.isfinite(errs)) or np.any(errs <= 0) or np.any(dofs <= 0):
         raise ValueError("samples must have positive finite energy errors")
-    if len(np.unique(dofs)) < 2:
+    if dofs.min() == dofs.max():
         raise ValueError(f"all {len(tail)} samples have {int(dofs[0])} dofs; "
                          "a slope needs two distinct dof counts")
     return float(np.polyfit(np.log(dofs), np.log(errs), 1)[0])

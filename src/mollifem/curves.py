@@ -19,6 +19,8 @@ from . import quadrature as quadr
 from .geometry import _REL_EPS, _TOUCH, BinGrid, clip_pairs
 from .mesh import Mesh, match_serials
 
+_CLIP_POINTS = 2  # a midpoint `Curve.hits` lists holds about 178 B in its clip
+
 
 class Curve:
     """Connected polyline, optionally closed, with the line-source density
@@ -126,19 +128,15 @@ class Curve:
 
         The pairs of the last mesh asked about are kept, keyed by cell
         serial (`match_serials`): only cells that mesh lacks are queried, once
-        (`_query`), and clipped against their `_candidates`, in batches of
-        whole cells of about `quadrature.POINT_CHUNK` midpoints listed by
-        the query.
+        (`_query`), and clipped against their `_candidates` in
+        `quadrature.batches`, a cell priced at `_CLIP_POINTS` a midpoint
+        that the query lists.
         """
         if self._serials is not mesh.serial:  # a mesh's serial array never changes
             fresh = match_serials(self._serials, mesh.serial)[1]
             query = self._query(mesh, fresh)
-            start = np.cumsum(query[-1]) - query[-1]
-            cuts = np.flatnonzero(np.diff(start // quadr.POINT_CHUNK,
-                                          prepend=-1))
-            del start
             hits = []
-            for lo, hi in zip(cuts, np.append(cuts[1:], len(fresh))):
+            for lo, hi in quadr.batches(_CLIP_POINTS * query[-1]):
                 ci, si = self._candidates(*(x[..., lo:hi] for x in query))
                 ci = fresh[lo + ci]
                 a, b, meets = clip_pairs(self.seg_factors, mesh, si, ci)
@@ -232,7 +230,7 @@ class Curve:
 
 def interface_cells(mesh: Mesh, curve: Curve) -> np.ndarray:
     """Rows of the cells whose closure meets the curve polyline, ascending."""
-    return np.unique(curve.hits(mesh)[0])
+    return np.flatnonzero(np.bincount(curve.hits(mesh)[0]))
 
 
 def _slack(length):

@@ -38,9 +38,6 @@ class SparseMatrix:
     v: np.ndarray
     shape = property(lambda self: (len(self.diag),) * 2)
 
-    def diagonal(self) -> np.ndarray:
-        return self.diag
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.diag * x + np.bincount(self.i, self.v * x.take(self.j), len(x))
 
@@ -143,7 +140,7 @@ def _bpx_preconditioner(system: DiscreteSystem):
     its parents), D = diag(A), F and E the projections onto free and boundary
     vertices. cond(BA) is bounded on graded NVB grids (Chen-Nochetto-Xu 2012).
     Returns the function r -> B r."""
-    d = system.matrix.diagonal()
+    d = system.matrix.diag
     if np.any(d <= 0):
         raise NumericalError("non-positive diagonal in assembled matrix")
     free, level = ~system.mesh.boundary_vertex_mask, system.mesh.vertex_level
@@ -248,7 +245,7 @@ def prolong(fn: FeFunction, fine: Mesh) -> FeFunction:
     vals = np.empty(nf)
     vals[:nc] = fn.nodal_values
     new, level = np.arange(nc, nf), fine.vertex_level[nc:]
-    for wave in np.unique(level):  # a vertex's ends have lower levels
+    for wave in np.flatnonzero(np.bincount(level)):  # ends have lower levels
         v = new[level == wave]
         a, b = fine.vertex_parents[v].T
         vals[v] = 0.5 * (vals[a] + vals[b])
@@ -351,20 +348,18 @@ class ErrorIntegrator:
 
     def _cell_moments(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """(V_T, m_T) of the active cells at `positions`, shape (n, 3), in
-        batches of whole cells, costed by their points and crossing pairs;
+        `quadr.batches` of whole cells, priced by their points and pairs;
         `_kink_leaves` reads each batch's facts."""
         n = len(positions)
         cell = seg = np.empty(0, dtype=np.int64)
         if self.curve is not None:
             cell, seg = self.curve.hits(mesh, positions)[:2]
-        # batches of whole cells, by the points a cell may need and its pairs;
-        # each sum runs over one cell's points in one order, whatever the batch
+        # a cell is priced at the points it may need and its pairs; each sum
+        # runs over one cell's points in one order, whatever the batch
         pairs = np.bincount(cell, minlength=n)
         cost = np.where(pairs > 0, 6 * 4 ** _KINK_DEPTH, 6) + _PAIR_POINTS * pairs
-        start = np.cumsum(cost) - cost
-        cuts = np.flatnonzero(np.diff(start // quadr.POINT_CHUNK, prepend=-1))
         areas, out, wq = mesh.areas[positions], np.empty((n, 3)), quadr.TRI_WEIGHTS
-        for lo, hi in zip(cuts, np.append(cuts[1:], n)):
+        for lo, hi in quadr.batches(cost):
             a, b = np.searchsorted(cell, [lo, hi])
             owner, pts, scale = _kink_leaves(mesh, positions[lo:hi], self.curve,
                                              cell[a:b] - lo, seg[a:b])

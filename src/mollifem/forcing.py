@@ -179,16 +179,15 @@ class _CellForcing:
 
     def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """int_T F phi_i (i = 0, 1, 2) and int_T F^2 for the cells at
-        `positions`, by depth in batches of about `quadr.POINT_CHUNK` points;
+        `positions`, by depth in `quadr.batches`, a cell priced at its points;
         each is a sum over its own cell's points, so no batch changes its bits."""
         out = np.zeros((len(positions), 4))
         depths = self._depths(mesh, positions)
-        for d in np.setdiff1d(depths, -1):
+        for d in np.flatnonzero(np.bincount(depths + 1)[1:]):  # those present
             grp = np.flatnonzero(depths == d)
             bary, w = quadr.subdivided_rule(int(d))
-            step = max(1, quadr.POINT_CHUNK // len(w))
-            for lo in range(0, len(grp), step):
-                sel = grp[lo:lo + step]
+            for lo, hi in quadr.batches(np.full(len(grp), len(w))):
+                sel = grp[lo:hi]
                 cells = positions[sel]
                 pts = quadr.triangle_points(mesh.coords[mesh.triangles[cells]], bary)
                 g = self.eval(pts.reshape(-1, 2)).reshape(len(sel), len(w))
@@ -250,7 +249,7 @@ class RegularizedForcing(_CellForcing):
         dots = np.einsum("ij,ij->i", tang[:-1], tang[1:])
         sharp = cum[1:-1][dots < np.cos(0.01)]
         n_pieces = max(1, int(np.ceil(total / target)))
-        breaks = np.unique(np.concatenate(
+        breaks = np.sort(np.concatenate(  # `keep` drops repeated breaks
             (np.linspace(0.0, total, n_pieces + 1), sharp)))
         a, b = breaks[:-1], breaks[1:]
         keep = (b - a) > 1e-12 * total

@@ -134,11 +134,6 @@ class Mesh:
     def num_cells(self) -> int:
         return len(self.triangles)
 
-    @property
-    def neighbours(self) -> np.ndarray:
-        """(M, 3) row of the cell across each local edge; -1 on the boundary."""
-        return self.twins // 3
-
     @cached_property
     def edge_vectors(self) -> np.ndarray:
         """(2, 3, M): x and y of edge k, corner k + 1 to k + 2, of each cell."""

@@ -26,9 +26,20 @@ _G4W = np.array([0.652145154862546, 0.347854845137454])
 GAUSS4_X = np.concatenate([(1 - _G4[::-1]) / 2, (1 + _G4) / 2])
 GAUSS4_W = np.concatenate([_G4W[::-1], _G4W]) / 2
 
-# Points per batch of whole cells in the forcing rule loop and the error pass
-# (a pair counts `fem._PAIR_POINTS`): temporaries scale with it, not the mesh.
+# Points per batch of a cold per-cell pass (`batches`): temporaries scale with
+# it, not the mesh. Each pass prices its items in points of about 120 B.
 POINT_CHUNK = 1 << 18
+
+
+def batches(cost: np.ndarray):
+    """The (lo, hi) runs, end to end, of consecutive items whose costs sum to
+    at most `POINT_CHUNK`, each as long as that allows, or one item alone."""
+    end, lo = np.cumsum(cost), 0
+    while lo < len(end):
+        cap = end[lo] - cost[lo] + POINT_CHUNK  # the most `end` may reach
+        hi = max(lo + 1, int(np.searchsorted(end, cap, "right")))
+        yield lo, hi
+        lo = hi
 
 
 def split4(corners: np.ndarray) -> np.ndarray:

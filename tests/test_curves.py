@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import clip_segments_to_triangles, jittered_mesh
-from mollifem import quadrature as quadr
+from mollifem import curves, quadrature as quadr
 from mollifem.afem import interface_loop
 from mollifem.curves import Curve, interface_cells
 from mollifem.fem import ErrorIntegrator, FeFunction
@@ -167,6 +167,25 @@ def test_factored_clip_is_the_per_pair_clip(domain, rounds, seed, kinds,
     ci, si = curve._candidates(*curve._query(mesh, np.arange(mesh.num_cells)))
     meets = c[want[2]] * curve.num_segments + s[want[2]]
     assert np.isin(meets, ci * curve.num_segments + si).all()
+
+
+def test_curve_hits_batches_price_the_listed_midpoints(monkeypatch):
+    # `_CLIP_POINTS` a midpoint the query lists: at a budget of about four
+    # cells, each batch's price stays within the budget plus one cell
+    curve = Curve.circle((0.5, 0.5), 0.25, 512, boundary_gap=0.25)
+    mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
+    mesh = mesh.refine(range(0, mesh.num_cells, 2))
+    count = curve._query(mesh, np.arange(mesh.num_cells))[-1]
+    chunk = 4 * curves._CLIP_POINTS * int(np.median(count[count > 0]))
+    monkeypatch.setattr(quadr, "POINT_CHUNK", chunk)
+    listed, candidates = [], curve._candidates
+    curve._candidates = lambda *query: (
+        listed.append(query[-1]) or candidates(*query))
+    curve.hits(mesh)
+    np.testing.assert_array_equal(np.concatenate(listed), count)
+    for c in listed:
+        assert curves._CLIP_POINTS * (c.sum() - c.max()) <= chunk
+    assert len(listed) > 10
 
 
 def test_curve_hits_batches_do_not_move_bits(monkeypatch):

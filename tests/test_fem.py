@@ -295,7 +295,7 @@ def test_solve_makes_one_call_through_fem_cg(monkeypatch):
 
 def test_solve_rejects_a_non_positive_diagonal():
     system = uniform_square_system(2)
-    diag = system.matrix.diagonal().copy()
+    diag = system.matrix.diag.copy()
     diag[np.flatnonzero(~system.mesh.boundary_vertex_mask)[0]] = 0.0
     mat = dataclasses.replace(system.matrix, diag=diag)
     with pytest.raises(NumericalError, match="non-positive diagonal"):

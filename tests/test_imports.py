@@ -1,7 +1,7 @@
 """Every name a module imports is read somewhere in that module, every
 public name the package defines is reached from outside the unit tests, the
 package's modules import each other without a cycle, and neither the
-package's start nor a run imports scipy.
+package's start nor a run imports scipy or `numpy.ma`.
 
 The AST of each file under ``src/`` and ``tests/`` is walked: a name bound
 by an import and never loaded fails, unless the import's lines say
@@ -216,13 +216,24 @@ def test_the_cli_imports_neither_scipy_integrate_nor_optimize():
     assert cli_imports({"scipy.integrate", "scipy.optimize"}) == "[]"
 
 
+def plain_config():
+    """A short `smooth` run: no curve, a plain density load."""
+    base = preset("smooth")
+    return replace(base, params=replace(base.params, tau0=0.5))
+
+
+def curve_config():
+    """A short `lshape` run: the mollified load of a 2,048-gon."""
+    base = preset("lshape")
+    return replace(base, curve_segments=2048,
+                   params=replace(base.params, mu=0.8, tau0=0.7, j_max=0))
+
+
 def test_the_cli_does_not_import_scipy_sparse_linalg(tmp_path):
     # the solver is the package's own CG loop on its own matrix: neither
     # the start nor a plain run loads any scipy module
     assert cli_imports({"scipy.sparse.linalg"}) == "[]"
-    base = preset("smooth")
-    run = cli_run(tmp_path, replace(base, params=replace(base.params,
-                                                         tau0=0.5)))
+    run = cli_run(tmp_path, plain_config())
     assert cli_imports({"scipy", "scipy.sparse.linalg"}, run) == "[]"
     assert (tmp_path / "out" / "run.csv").stat().st_size > 0
 
@@ -230,9 +241,17 @@ def test_the_cli_does_not_import_scipy_sparse_linalg(tmp_path):
 def test_a_curve_run_does_not_import_scipy_spatial(tmp_path):
     # the curve's proximity queries read the package's own bin grid, and
     # the run loads no other scipy module either
-    base = preset("lshape")
-    cfg = replace(base, curve_segments=2048,
-                  params=replace(base.params, mu=0.8, tau0=0.7, j_max=0))
-    run = cli_run(tmp_path, cfg)
+    run = cli_run(tmp_path, curve_config())
     assert cli_imports({"scipy", "scipy.spatial"}, run) == "[]"
+    assert (tmp_path / "out" / "run.csv").stat().st_size > 0
+
+
+@pytest.mark.parametrize("config", [plain_config, curve_config],
+                         ids=["plain", "curve"])
+def test_a_run_does_not_import_numpy_ma(tmp_path, config):
+    # numpy 2.4's `np.unique` without return options reads
+    # `np.ma.is_masked`, and its first call imports `numpy.ma` (8-22 ms);
+    # the run's set operations are bincounts and sorts instead
+    run = cli_run(tmp_path, config())
+    assert cli_imports({"numpy.ma"}, run) == "[]"
     assert (tmp_path / "out" / "run.csv").stat().st_size > 0

@@ -116,7 +116,7 @@ def _descends_from(fine: Mesh, coarse: Mesh) -> bool:
 def _check_twins(mesh: Mesh) -> None:
     """The twin table is an involution on the interior edges, each pair runs
     the same vertex pair in opposite directions, and the -1 entries are the
-    edges no other cell has; `neighbours` is the rows of the twins."""
+    edges no other cell has."""
     tw = mesh.twins.ravel()
     assert mesh.twins.dtype == np.int32
     assert mesh.twins.shape == (mesh.num_cells, 3)
@@ -129,8 +129,6 @@ def _check_twins(mesh: Mesh) -> None:
     np.testing.assert_array_equal(end[tw[e]], start[e])
     key = np.minimum(start, end) * mesh.num_vertices + np.maximum(start, end)
     assert len(np.unique(key)) == tw.size - len(e) // 2
-    np.testing.assert_array_equal(mesh.neighbours,
-                                  np.where(mesh.twins >= 0, mesh.twins // 3, -1))
 
 
 @settings(max_examples=40, deadline=None)

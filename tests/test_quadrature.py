@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
 
 from mollifem import quadrature as quadr
 
@@ -105,3 +107,17 @@ def test_gauss_line_rules():
         assert abs(got - 1.0 / (p + 1)) < 1e-14, p
     beyond = float(ws @ xs ** (deg + 1))
     assert abs(beyond - 1.0 / (deg + 2)) > 1e-9
+
+
+@given(cost=st.lists(st.integers(0, 40), max_size=60),
+       chunk=st.integers(1, 50))
+def test_batches_cover_the_items_in_order_within_the_budget(cost, chunk):
+    # every item once, in order; a run of two or more items costs at most
+    # the budget, and the next item would take it over
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadr, "POINT_CHUNK", chunk)
+        runs = list(quadr.batches(np.array(cost, dtype=np.int64)))
+    assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(len(cost)))
+    for lo, hi in runs:
+        assert hi == lo + 1 or sum(cost[lo:hi]) <= chunk
+        assert hi == len(cost) or sum(cost[lo:hi + 1]) > chunk
