@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature as quadr
-from .geometry import _REL_EPS, _TOUCH, BinGrid, clip_pairs
+from .geometry import BinGrid, clip_pairs, clip_slack
 from .mesh import Mesh, match_serials
 
 _CLIP_POINTS = 2  # a midpoint `Curve.hits` lists holds about 178 B in its clip
@@ -103,17 +103,10 @@ class Curve:
         return BinGrid(lo, side, np.floor((mid - lo) / side).astype(np.int64))
 
     @cached_property
-    def seg_factors(self):
-        """What the clip reads of each segment: its start, its direction d
-        and |d| + 1."""
-        return self.seg_start, self.seg_end - self.seg_start, \
-            self.seg_lengths + 1.0
-
-    @cached_property
     def seg_boxes(self) -> np.ndarray:
         """(4, n): x lo, y lo, x hi, y hi of each segment's bounding box,
         widened by the segment's slack in the clip (`_candidates`)."""
-        a, b, w = self.seg_start, self.seg_end, _slack(self.seg_lengths)
+        a, b, w = self.seg_start, self.seg_end, clip_slack(self.seg_lengths)
         return np.concatenate([np.minimum(a, b).T - w, np.maximum(a, b).T + w])
 
     def hits(self, mesh: Mesh, rows: np.ndarray | None = None,
@@ -139,7 +132,7 @@ class Curve:
             for lo, hi in quadr.batches(_CLIP_POINTS * query[-1]):
                 ci, si = self._candidates(*(x[..., lo:hi] for x in query))
                 ci = fresh[lo + ci]
-                a, b, meets = clip_pairs(self.seg_factors, mesh, si, ci)
+                a, b, meets = clip_pairs(self, mesh, si, ci)
                 hits.append((ci[meets], si[meets], a[meets], b[meets]))
             del query
             row, gone = match_serials(mesh.serial, self._serials)
@@ -169,7 +162,7 @@ class Curve:
         (`Mesh.boxes`), widened as `_candidates` says, and `BinGrid.box` of
         the midpoints that a segment whose box meets one can have."""
         box = mesh.boxes(rows)
-        w = _slack(self.max_seg_len)
+        w = clip_slack(self.max_seg_len)
         margin = (box[2] - box[0]) ** 2 + (box[3] - box[1]) ** 2
         margin = w * (3 * margin / (2 * mesh.areas[rows]) - 1)
         box[:2] -= margin
@@ -186,28 +179,15 @@ class Curve:
         widened by the margins below, meet.
 
         The margins cover the clip's slack, so every pair that meets is a
-        candidate. Let the clip keep the segment S(t) = p + t d, t in
-        [0, 1], with [tmin, tmax], and take q = S(min(tmin, 1)). Against
-        each edge e of the cell, q is
-        - inside, if the edge cuts the range from below (tcut <= tmin);
-        - at most _TOUCH |d| outside, if it cuts the range from above,
-          since tcut >= tmax >= tmin - _TOUCH and |c1| <= |e| |d|;
-        - at most 2 eps / |e| outside, if it is parallel (|c1| <= eps,
-          kept only when c0 >= -eps). The `+ 1` in eps = _REL_EPS (|e|
-          (|d| + 1) + |c0|) makes this an absolute length, 2 _REL_EPS
-          (|d| + 1).
-        So q lies within w0 = _TOUCH |d| + 2 _REL_EPS (|d| + 1) of every
-        edge line. Those points form the cell scaled by 1 + w0 / rho about
-        its incentre, rho the inradius, so q is within w0 h / rho of the
-        cell's box, h the longest edge. As the perimeter is at most 3 h and
-        h^2 at most D^2, the box's squared diagonal, h / rho <= k =
-        3 D^2 / (2 |T|) (`Mesh.areas`). The clip's rounding, a few ulps of
-        the coordinates, of |d| and of h, stays below _REL_EPS (|d| + 1)
-        for coordinates below 100 in magnitude, so w = _TOUCH |d| + 3
-        _REL_EPS (|d| + 1) (`_slack`) bounds how far q is from every edge
-        line. A segment's box is widened by its w, and the cell's by W (k -
-        1), W the w of the longest segment: together by w + W (k - 1) >= w
-        k, so the two boxes meet.
+        candidate. A point q the clip keeps of a segment lies within w =
+        `geometry.clip_slack` of its length of every edge line of the cell.
+        Those points form the cell scaled by 1 + w / rho about its incentre,
+        rho the inradius, so q is within w h / rho of the cell's box, h the
+        longest edge. As the perimeter is at most 3 h and h^2 at most D^2,
+        the box's squared diagonal, h / rho <= k = 3 D^2 / (2 |T|)
+        (`Mesh.areas`). A segment's box is widened by its w, and the cell's
+        by W (k - 1), W the w of the longest segment: together by w + W (k -
+        1) >= w k, so the two boxes meet.
 
         A cell's query box is its widened box grown by half the longest
         segment and 2 W, which holds the midpoint of every widened segment
@@ -231,12 +211,6 @@ class Curve:
 def interface_cells(mesh: Mesh, curve: Curve) -> np.ndarray:
     """Rows of the cells whose closure meets the curve polyline, ascending."""
     return np.flatnonzero(np.bincount(curve.hits(mesh)[0]))
-
-
-def _slack(length):
-    """How far outside a cell the clip may keep a segment of `length`, up
-    to the cell's shape (`Curve._candidates`)."""
-    return _TOUCH * length + 3 * _REL_EPS * (length + 1)
 
 
 def _ranges(start: np.ndarray, stop: np.ndarray):

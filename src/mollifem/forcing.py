@@ -138,6 +138,8 @@ def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0) -> float:
 
     Order 0: |int delta_r(x - y) dy - 1|; order 1: the same for first moments,
     which reduces to |x (M0 - 1) + r M1| by substitution, x in [-1, 1]^2.
+    That is largest at a corner of the grid, where it is |M0 - 1| + r max
+    |M1|.
     """
     if order not in (0, 1):
         raise ValueError("moment order must be 0 or 1")
@@ -146,10 +148,7 @@ def kernel_moment_check(kernel: Kernel, order: int, r: float = 1.0) -> float:
     m0, m1 = kernel.moments
     if order == 0:
         return abs(m0 - 1.0)
-    g = np.linspace(-1.0, 1.0, 5)
-    pts = np.array([(a, b) for a in g for b in g])
-    defect = pts * (m0 - 1.0) + r * m1[None, :]
-    return float(np.abs(defect).max())
+    return abs(m0 - 1.0) + r * float(np.abs(m1).max())
 
 
 # -- per-cell records shared by all forcings --------------------------------
@@ -242,7 +241,8 @@ class RegularizedForcing(_CellForcing):
         # count tracks length/r, not the segment count; joints turning more
         # than ~0.01 rad force a piece boundary so no piece straddles a kink.
         target = self.r / 4.0
-        lengths, (start, d, _) = self.curve.seg_lengths, self.curve.seg_factors
+        lengths, start = self.curve.seg_lengths, self.curve.seg_start
+        d = self.curve.seg_end - start
         cum = np.concatenate(([0.0], np.cumsum(lengths)))
         total = cum[-1]
         tang = d / np.maximum(lengths, 1e-300)[:, None]
@@ -365,8 +365,8 @@ class LineForcing(_CellForcing):
         rows, si, t0, t1 = self.curve.hits(mesh, positions)
         piece = t1 - t0 > 1e-14  # touching pairs carry no length
         rows, si, t0, t1 = rows[piece], si[piece], t0[piece], t1[piece]
-        a, d = (x[si] for x in self.curve.seg_factors[:2])
-        mid = a + (0.5 * (t0 + t1))[:, None] * d
+        a, b = self.curve.seg_start[si], self.curve.seg_end[si]
+        mid = a + (0.5 * (t0 + t1))[:, None] * (b - a)
         lam = mesh.barycentric(positions[rows], mid[:, None])[:, 0]
         length = (t1 - t0) * self.curve.seg_lengths[si]
         f = self.curve.f[si]

@@ -2,7 +2,7 @@
 
 Vectorized over pair arrays; inputs are float64 arrays of shape (..., 2).
 The segment clip reads what the curve and the mesh already hold: each
-segment's direction and length, each cell's corners and edge vectors.
+segment's ends and length, each cell's corners and edge vectors.
 """
 from __future__ import annotations
 
@@ -22,12 +22,12 @@ def cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def clip_pairs(segments, mesh, seg: np.ndarray, row: np.ndarray):
-    """Clip segment seg[i] against the closed cell at row[i] of `mesh`
-    (Cyrus-Beck half-planes), for each pair i. `segments` holds each
-    segment's start, direction d and |d| + 1 (`Curve.seg_factors`); each
-    cell's corners and its edge vectors (`Mesh.edge_vectors`, CCW) are read
-    from the mesh. Both are gathered here per pair.
+def clip_pairs(curve, mesh, seg: np.ndarray, row: np.ndarray):
+    """Clip segment seg[i] of `curve` against the closed cell at row[i] of
+    `mesh` (Cyrus-Beck half-planes), for each pair i. Each segment's start,
+    end and length are read from the curve, each cell's corners and its
+    edge vectors (`Mesh.edge_vectors`, CCW) from the mesh, and both are
+    gathered here per pair.
 
     Returns (tmin, tmax, meets): the parameter interval of each segment
     inside its triangle, and the inclusive incidence test: meets is True
@@ -35,7 +35,9 @@ def clip_pairs(segments, mesh, seg: np.ndarray, row: np.ndarray):
     interval may be empty (tmax < tmin) by up to `_TOUCH`.
     """
     # `take` gathers rows several times faster than indexing does
-    p0, d, dlen1 = (x.take(seg, axis=0) for x in segments)
+    p0 = curve.seg_start.take(seg, axis=0)
+    d = curve.seg_end.take(seg, axis=0) - p0
+    dlen1 = curve.seg_lengths.take(seg) + 1.0
     n = len(seg)
     tmin = np.zeros(n)
     tmax = np.ones(n)
@@ -54,6 +56,27 @@ def clip_pairs(segments, mesh, seg: np.ndarray, row: np.ndarray):
         tmax = np.where(~par & (c1 < 0), np.minimum(tmax, tcut), tmax)
         ok &= ~(par & (c0 < -eps))
     return tmin, tmax, ok & (tmax - tmin >= -_TOUCH)
+
+
+def clip_slack(length):
+    """How far outside each edge line of a cell `clip_pairs` may keep a
+    point of a segment of `length` (`Curve._candidates` turns this into a
+    distance from the cell, by the cell's shape).
+
+    Let the clip keep the segment S(t) = p + t d, t in [0, 1], with [tmin,
+    tmax], and take q = S(min(tmin, 1)). Against each edge e of the cell, q
+    is
+    - inside, if the edge cuts the range from below (tcut <= tmin);
+    - at most _TOUCH |d| outside, if it cuts the range from above, since
+      tcut >= tmax >= tmin - _TOUCH and |c1| <= |e| |d|;
+    - at most 2 eps / |e| outside, if it is parallel (|c1| <= eps, kept
+      only when c0 >= -eps). The `+ 1` in eps = _REL_EPS (|e| (|d| + 1) +
+      |c0|) makes this an absolute length, 2 _REL_EPS (|d| + 1).
+    The clip's rounding, a few ulps of the coordinates, of |d| and of |e|,
+    stays below _REL_EPS (|d| + 1) for coordinates below 100 in magnitude,
+    so q lies within _TOUCH |d| + 3 _REL_EPS (|d| + 1) of every edge line.
+    """
+    return _TOUCH * length + 3 * _REL_EPS * (length + 1)
 
 
 class BinGrid:

@@ -1,14 +1,15 @@
 """Acceptance gate: one check per benchmark claim, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the line per check.
-The file holds checks 01 to 11.
+The file holds checks 01 to 12.
 Check 08's quarter bound is a strict xfail, because the implemented data
 term provably cannot meet it; its companion check asserts the measured
 behaviour, so a regression is still caught. Checks 01, 02 and 11 drive the
 CLI end to end; check 01 runs the full `lshape` preset (about 15 s) and is
 the slowest check. Check 02 runs `square-baseline` on a prefix of stages
 stated in advance (about 7 s), because the full preset does not fit a
-small host.
+small host. Check 12 solves four adaptive stages and their twice refined
+oracles, and one `smooth` run (about 10 s).
 """
 import filecmp
 import itertools
@@ -21,12 +22,12 @@ import pytest
 from mollifem.afem import AfemParams, RunRecord, interface_loop, mark, solve
 from mollifem.cli import main as cli_main
 from mollifem.config import preset
-from mollifem.fem import (ErrorIntegrator, assemble, form_matrix,
+from mollifem.fem import (ErrorIntegrator, assemble, form_matrix, prolong,
                           solve_galerkin)
 from mollifem.forcing import (KERNEL_FAMILIES, Kernel, RegularizedForcing,
                               kernel_moment_check)
 from mollifem.mesh import rect_mesh
-from mollifem.problems import smooth_problem, square_problem
+from mollifem.problems import make_problem, smooth_problem, square_problem
 
 from conftest import csr
 
@@ -400,3 +401,69 @@ def test_a11_deterministic_csv_byte_identical(tmp_path):
     assert same
     assert {"INTERFACE", "DATA", "MARK"} <= branches
     assert (rows[-1].j, rows[-1].k, rows[-1].branch) == (1, 0, "RADIUS")
+
+
+# ---------------------------------------------------------------------------
+# check 12: the estimator measures the discrete error at a fixed ratio
+
+
+def _discrete_index(name: str, **params) -> tuple[int, float, float]:
+    """One `regsolve` stage of preset `name` with `params` (4,096 curve
+    segments, no radius update): the accepted sample's dofs, eta / ||U* -
+    U|| and the discrete share ||U* - U|| / energy error. U* is the tightly
+    solved Galerkin solution of the same forcing on the sample's mesh
+    refined uniformly twice, and ||U* - U||^2 = e^T A e with A the
+    stiffness matrix there and e = U* - U prolonged."""
+    cfg = preset(name)
+    problem = make_problem(cfg.problem, 4096)
+    w, mesh, record, g = solve(problem, replace(
+        cfg.params, j_max=0, extra_final_step=False, **params))
+    row = record.rows[-1]
+    fine = mesh.uniform_refine(2)
+    star = solve_galerkin(assemble(fine, g, problem.boundary_data))
+    e = star.nodal_values - prolong(w, fine).nodal_values
+    disc = float(np.sqrt(e @ (form_matrix(fine) @ e)))
+    return row.dofs, row.estimator_total / disc, disc / row.energy_error
+
+
+def test_a12_estimator_against_the_discrete_error():
+    """The quasi-optimality argument (Cascon, Kreuzer, Nochetto and
+    Siebert, SIAM J. Numer. Anal. 46, 2008) needs eta to be reliable and
+    efficient for the discrete error ||u_r - U||, up to oscillation, with
+    constants free of the mesh and of r. With U* on the twice refined mesh
+    standing in for u_r, the index eta / ||U* - U|| should therefore stay
+    put across meshes and radii.
+
+    The samples are two radii of `lshape` (`radial_c1`) and two of `square`
+    (`tensor_linf`), each one accepted stage. The gate, fixed before the
+    first run, is a spread max / min of the index of at most 1.25 over all
+    four, and the same for eta / energy error over every row of
+    `smooth-plain`'s `run.csv` (preset `smooth`, tau0 = 0.12), whose exact
+    solution is smooth and whose data is unmollified. The discrete share
+    printed per sample shows how little of a curve preset's energy error
+    the estimator controls: the rest is the regularization error ||u -
+    u_r||.
+    """
+    cases = [("lshape", dict(mu=0.8, tau0=0.5)),
+             ("lshape", dict(mu=0.8, tau0=0.4)),
+             ("square", dict(mu=0.9, tau0=0.31)),
+             ("square", dict(mu=0.95, tau0=0.28))]
+    samples = [_discrete_index(name, **params) for name, params in cases]
+    index = [x[1] for x in samples]
+    spread = max(index) / min(index)
+    base = preset("smooth")
+    _, _, record, _ = solve(smooth_problem(),
+                            replace(base.params, tau0=0.12), "plain")
+    plain = [row.estimator_total / row.energy_error for row in record.rows]
+    plain_spread = max(plain) / min(plain)
+    ok = spread <= 1.25 and plain_spread <= 1.25
+    for (name, params), (dofs, ratio, share) in zip(cases, samples):
+        _report(12, ok, f"{name} mu={params['mu']} tau0={params['tau0']}: "
+                        f"{dofs} dofs, eta/||U*-U|| {ratio:.3f}, discrete "
+                        f"share ||U*-U||/error {share:.3f}")
+    _report(12, ok, f"index spread {spread:.3f} over {len(index)} samples "
+                    f"<= 1.25; smooth eta/error {min(plain):.2f}-"
+                    f"{max(plain):.2f}, spread {plain_spread:.3f} over "
+                    f"{len(plain)} rows <= 1.25")
+    assert spread <= 1.25
+    assert plain_spread <= 1.25

@@ -162,7 +162,7 @@ def test_factored_clip_is_the_per_pair_clip(domain, rounds, seed, kinds,
     corners = mesh.coords[mesh.triangles]
     want = clip_segments_to_triangles(curve.seg_start[s], curve.seg_end[s],
                                       *np.moveaxis(corners[c], 1, 0))
-    got = clip_pairs(curve.seg_factors, mesh, s, c)
+    got = clip_pairs(curve, mesh, s, c)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
     ci, si = curve._candidates(*curve._query(mesh, np.arange(mesh.num_cells)))
     meets = c[want[2]] * curve.num_segments + s[want[2]]

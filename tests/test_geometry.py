@@ -3,6 +3,8 @@ tests' edge-by-edge oracle), and their invariances under exact transforms.
 The package's clip is called here one cell and one segment per pair."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -20,10 +22,11 @@ def _clip(p0, p1, t0, t1, t2):
     t1[i], t2[i]), CCW and not degenerate, for each i: on a mesh with one
     cell a pair, whose cell i has corners 3 i, 3 i + 1 and 3 i + 2."""
     i = np.arange(len(p0))
-    d = p1 - p0
+    segments = SimpleNamespace(seg_start=p0, seg_end=p1,
+                               seg_lengths=np.linalg.norm(p1 - p0, axis=1))
     mesh = Mesh.from_arrays(np.stack([t0, t1, t2], axis=1).reshape(-1, 2),
                             np.arange(3 * len(i)).reshape(-1, 3))
-    return clip_pairs((p0, d, np.linalg.norm(d, axis=1) + 1), mesh, i, i)
+    return clip_pairs(segments, mesh, i, i)
 
 
 def _seg(a, b):

@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module, every
 public name the package defines is reached from outside the unit tests, the
-package's modules import each other without a cycle, and neither the
-package's start nor a run imports scipy or `numpy.ma`.
+package's modules import each other without a cycle and read none of each
+other's underscore names, and neither the package's start nor a run imports
+scipy or `numpy.ma`.
 
 The AST of each file under ``src/`` and ``tests/`` is walked: a name bound
 by an import and never loaded fails, unless the import's lines say
@@ -186,6 +187,60 @@ def test_the_layering_check_sees_each_kind_of_import():
         "    from .fem import cg\n")
     assert package_imports(source) == {"quadrature", "geometry", "curves",
                                        "fem"}
+
+
+def private_reads(source: str) -> list[tuple[int, str]]:
+    """(line, `module.name`) for each underscore name of another package
+    module that `source`, one of the package's modules, imports by name or
+    reads as an attribute of a package module it imports, in line order.
+    Dunder names are not private."""
+    tree = ast.parse(source)
+    found, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if not node.module:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append((node.lineno, f"{node.module.split('.')[0]}"
+                                               f".{alias.name}"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            found.append((node.lineno,
+                          f"{modules[node.value.id]}.{node.attr}"))
+    return sorted(found)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a decision two modules need, such as how far the clip may keep a
+    # segment outside a cell, is stated once, in a public name
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted(ROOT.glob("src/mollifem/*.py"))
+             for line, name in private_reads(path.read_text())]
+    assert found == []
+
+
+def test_the_privacy_check_sees_each_kind_of_read():
+    source = (
+        "import numpy as np\n"
+        "from . import quadrature as quadr, mesh\n"
+        "from .geometry import _TOUCH, BinGrid\n"
+        "from .fem import (cg,\n"
+        "                  _stiffness)\n"
+        "from . import __version__\n"
+        "def f(x):\n"
+        "    from .forcing import _radial_profile\n"
+        "    return (quadr._points, quadr.batches, mesh.Mesh, np._x,\n"
+        "            x._y, mesh.__name__)\n")
+    assert private_reads(source) == [
+        (3, "geometry._TOUCH"), (4, "fem._stiffness"),
+        (8, "forcing._radial_profile"), (9, "quadrature._points")]
 
 
 def cli_imports(modules: set[str], code: str = "") -> str:
