@@ -252,7 +252,7 @@ def solve(problem, params: AfemParams, algorithm: str = "regsolve"):
     record = RunRecord()
     err_fn = None
     if problem.exact is not None:
-        err_fn = ErrorIntegrator(problem.exact, problem.curve)
+        err_fn = ErrorIntegrator(problem.exact)
     mesh = problem.initial_mesh()
     w = ind = eta = None  # the last solve, its indicators and estimator
     r, first_branch = 0.0, "INIT"

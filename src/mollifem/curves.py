@@ -7,7 +7,7 @@ change. It owns a bin grid of its segment midpoints and the bounding boxes
 of its segments, used for proximity queries, and the incidence of its
 segments and the cells of the last mesh asked about (`Curve.hits`), the
 one place where the program decides which cells the curve meets;
-`interface_cells` reads it.
+`interface_cells` and the line source read it.
 """
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ _CLIP_POINTS = 2  # a midpoint `Curve.hits` lists holds about 178 B in its clip
 class Curve:
     """Connected polyline, optionally closed, with the line-source density
     `f`: one value per segment, read-only."""
-
-    # how far the curve the polyline stands for may stray from a segment;
-    # `circle` records the sagitta of its inscribed polygon
-    sagitta = 0.0
 
     def __init__(self, points, f=1.0, closed: bool = True,
                  boundary_gap: float = 1.0):
@@ -64,9 +60,7 @@ class Curve:
         t = 2 * np.pi * np.arange(n_segments) / n_segments
         pts = np.column_stack([center[0] + radius * np.cos(t),
                                center[1] + radius * np.sin(t)])
-        curve = cls(pts, f, closed=True, boundary_gap=boundary_gap)
-        curve.sagitta = radius * (1.0 - np.cos(np.pi / n_segments))
-        return curve
+        return cls(pts, f, closed=True, boundary_gap=boundary_gap)
 
     @property
     def num_segments(self) -> int:

@@ -7,7 +7,7 @@ by nodal interpolation with symmetric elimination, a BPX-preconditioned CG
 solve (tight, or stopped once the preconditioned residual norm meets a
 target the driver derives from the estimator; it raises NumericalError on a
 breakdown or at its iteration cap), and cached energy-norm error integration
-against closed-form solutions whose gradient kinks across the curve.
+against closed-form solutions whose gradient kinks on a circle they name.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import numpy as np
 from . import quadrature as quadr
 from .curves import interface_cells  # noqa: F401  (perfbench/layers.py traces it)
 from .errors import NumericalError
+from .geometry import circle_meets
 from .mesh import CellCache, Mesh
 
 CG_RTOL = 5e-11
@@ -253,75 +254,29 @@ def prolong(fn: FeFunction, fine: Mesh) -> FeFunction:
 
 
 _KINK_DEPTH = 4
-# a crossing pair's cost in the error pass's batches, in points: one level's
-# child tests hold 4 x (6 ends, 3 sides, 3 edge terms and sums, a tolerance,
-# a row) and |ends|, about 96 float64 (770 B traced), a point 4 (coordinates
-# and exact gradient); a level tests up to 1.58x the cell's pairs (4,096-gon,
-# h = 2^-9): 24 x 1.58 = 38, rounded up to a power of two
-_PAIR_POINTS = 64
 
 
-def energy_error(u_exact, w: FeFunction, curve=None) -> float:
+def energy_error(u_exact, w: FeFunction) -> float:
     """|u_exact - w|_{H^1} by a one-shot ErrorIntegrator."""
-    return ErrorIntegrator(u_exact, curve)(w)
+    return ErrorIntegrator(u_exact)(w)
 
 
-# barycentric coordinates in a triangle -> in its split4 child c (integers)
-_TO_CHILD = np.rint(np.linalg.inv(quadr.split4(np.eye(3)))).transpose(0, 2, 1)
-_SLACK = 1e-9  # in child heights: far above the round-off of mapped points
-
-
-def _kink_leaves(mesh: Mesh, rows: np.ndarray, curve, pair_tri: np.ndarray,
-                 seg: np.ndarray):
+def _kink_leaves(mesh: Mesh, rows: np.ndarray, kink, crossed: np.ndarray):
     """Leaves (owner, 6 points, area / owner's) of the error rule on the
-    cells at `rows`, by level, then owner; pair i puts segment seg[i] of
-    `curve` in the cell at rows[pair_tri[i]]. A 4-split child counts as
-    crossed unless one of its edge lines or the segment's line parts it
-    from the segment by more than the curve's sagitta (the kink lies on the
-    exact curve, up to that far from the polyline). Each pair reads 2|T|
-    and its cell's edge vectors from the mesh; a level tests its children
-    on views of their mapped ends and keeps only the hits."""
+    cells at `rows`, by level, then owner; `crossed` marks the cells that
+    the circle `kink` = (center, radius) meets. A 4-split child of a
+    crossed cell counts as crossed when the circle meets it
+    (`geometry.circle_meets`)."""
     tri = mesh.coords[mesh.triangles[rows]]
     owner, leaves = np.arange(len(rows)), []
-    if len(pair_tri):
-        # the sagitta in each pair's barycentric units: coordinate k is the
-        # distance from edge k over that edge's height, and side[k] below is
-        # the segment's length times corner k's distance from its line over
-        # twice the area; a child halves the heights and quarters the area
-        cell = rows[pair_tri]
-        ends = mesh.barycentric(cell, np.stack(
-            [curve.seg_start[seg], curve.seg_end[seg]], axis=1)).T
-        w = curve.sagitta / (2.0 * mesh.areas[cell])
-        edge = w * np.sqrt(np.square(mesh.edge_vectors[:, :, cell]).sum(axis=0))
-        line = w * curve.seg_lengths[seg]
-        del cell, w  # the level loop reads ends, edge and line
     for level in range(_KINK_DEPTH):
-        crossed = np.zeros(len(tri), dtype=bool)
-        crossed[pair_tri] = True
         leaves.append((owner[~crossed], quadr.triangle_points(
             tri[~crossed], quadr.TRI_BARY), np.full((~crossed).sum(), level)))
         if level + 1 == _KINK_DEPTH or not crossed.any():
             break
         tri = quadr.split4(tri[crossed]).reshape(-1, 3, 2)
         owner = np.repeat(owner[crossed], 4)
-        # each pair once per child, as (child, pair); hits kept child by child
-        kid = 4 * (np.cumsum(crossed) - 1)[pair_tri] + np.arange(4)[:, None]
-        ends = (_TO_CHILD @ ends.reshape(3, -1)).reshape(4, 3, 2, -1)
-        a, b = ends[:, :, 0], ends[:, :, 1]  # (child, coordinate, pair)
-        # side[k] = cross(a, b)[k]: corner k's side of the segment's line
-        side = [a[:, i] * b[:, j] - a[:, j] * b[:, i]
-                for i, j in ((1, 2), (2, 0), (0, 1))]
-        tol = _SLACK * np.abs(ends).max(axis=(1, 2)) ** 2
-        # heights halve; edge k of a corner child is parallel to its parent's
-        # edge k, of the middle one (turned by half a turn) to edge k - 1
-        twice, edge = 2 * edge, np.empty((4, 3, len(line)))
-        edge[:3], edge[3, 0], edge[3, 1:] = twice, twice[2], twice[:2]
-        line = np.broadcast_to(4 * line, kid.shape)
-        hit = ((np.maximum(a, b) + edge).min(axis=1) >= -_SLACK) \
-            & (np.maximum(np.maximum(*side[:2]), side[2]) >= -tol - line) \
-            & (np.minimum(np.minimum(*side[:2]), side[2]) <= tol + line)
-        pair_tri, ends = kid[hit], ends.transpose(1, 2, 0, 3)[:, :, hit]
-        edge, line = edge.transpose(1, 0, 2)[:, hit], line[hit]
+        crossed = circle_meets(*kink, tri)
     # every deepest child is a leaf: their rules make the parent's depth-1 rule
     pts = quadr.triangle_points(tri[crossed], quadr.subdivided_rule(1)[0])
     owner = np.repeat(owner[crossed], 4)
@@ -338,31 +293,32 @@ class ErrorIntegrator:
     V_T = int_T |grad u - m_T|^2, which depend on geometry alone. A P1
     function with gradient g on T then has int_T |grad(u - w)|^2 =
     V_T + |T| |m_T - g|^2: a sum of two nonnegative terms, so no exact
-    quadrature is repeated and no large moments cancel. The leaves of
-    `_kink_leaves` put the kink of grad(u) on depth-`_KINK_DEPTH` leaves.
+    quadrature is repeated and no large moments cancel. Where grad(u) kinks
+    is read from the solution: its `kink`, a circle (center, radius), or
+    none when it has no such attribute. The leaves of `_kink_leaves` put
+    that circle on depth-`_KINK_DEPTH` leaves.
     """
 
-    def __init__(self, u_exact, curve=None):
-        self.exact, self.curve = u_exact, curve
+    def __init__(self, u_exact):
+        self.exact, self.kink = u_exact, getattr(u_exact, "kink", None)
         self._moments = CellCache((3,))  # V_T, m_T
 
     def _cell_moments(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """(V_T, m_T) of the active cells at `positions`, shape (n, 3), in
-        `quadr.batches` of whole cells, priced by their points and pairs;
-        `_kink_leaves` reads each batch's facts."""
+        `quadr.batches` of whole cells: a cell the circle meets is priced at
+        the 6 * 4^`_KINK_DEPTH` points it may need, any other at 6, and each
+        sum runs over one cell's points in one order, whatever the batch."""
         n = len(positions)
-        cell = seg = np.empty(0, dtype=np.int64)
-        if self.curve is not None:
-            cell, seg = self.curve.hits(mesh, positions)[:2]
-        # a cell is priced at the points it may need and its pairs; each sum
-        # runs over one cell's points in one order, whatever the batch
-        pairs = np.bincount(cell, minlength=n)
-        cost = np.where(pairs > 0, 6 * 4 ** _KINK_DEPTH, 6) + _PAIR_POINTS * pairs
+        crossed = np.zeros(n, dtype=bool)
+        if self.kink is not None:
+            for lo, hi in quadr.batches(np.full(n, 6)):
+                crossed[lo:hi] = circle_meets(*self.kink, mesh.coords[
+                    mesh.triangles[positions[lo:hi]]])
+        cost = np.where(crossed, 6 * 4 ** _KINK_DEPTH, 6)
         areas, out, wq = mesh.areas[positions], np.empty((n, 3)), quadr.TRI_WEIGHTS
         for lo, hi in quadr.batches(cost):
-            a, b = np.searchsorted(cell, [lo, hi])
-            owner, pts, scale = _kink_leaves(mesh, positions[lo:hi], self.curve,
-                                             cell[a:b] - lo, seg[a:b])
+            owner, pts, scale = _kink_leaves(mesh, positions[lo:hi], self.kink,
+                                             crossed[lo:hi])
             gu = np.array(self.exact.gradient(pts.reshape(-1, 2)),
                           dtype=np.float64).reshape(len(owner), -1, 2)
             part = np.einsum("lqd,q->ld", gu, wq) * scale[:, None]

@@ -2,7 +2,8 @@
 
 Vectorized over pair arrays; inputs are float64 arrays of shape (..., 2).
 The segment clip reads what the curve and the mesh already hold: each
-segment's ends and length, each cell's corners and edge vectors.
+segment's ends and length, each cell's corners and edge vectors; the
+circle test reads corners alone.
 """
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import numpy as np
 # involved so that the predicates are invariant under uniform scaling.
 _REL_EPS = 1e-12
 # A segment touches a cell when its clipped parameter interval is empty by at
-# most this: far above the round-off of the cuts, and a fraction of the
-# segment, so the test does not change under uniform scaling. Without it,
+# most this, and a circle a cell when their squared distances miss its
+# squared radius by at most this fraction: far above the round-off, and
+# relative, so the tests do not change under uniform scaling. Without it,
 # exact touches (a polyline vertex on a cell's corner or edge) can be lost.
 _TOUCH = 1e-9
 
@@ -77,6 +79,24 @@ def clip_slack(length):
     so q lies within _TOUCH |d| + 3 _REL_EPS (|d| + 1) of every edge line.
     """
     return _TOUCH * length + 3 * _REL_EPS * (length + 1)
+
+
+def circle_meets(center, radius: float, tri: np.ndarray) -> np.ndarray:
+    """Whether the circle of `radius` about `center` meets each closed CCW
+    triangle of `tri` (n, 3, 2): the triangle's nearest point lies within
+    the radius (or the triangle holds the centre), and its farthest point,
+    a corner, does not. Each side compares a squared distance with the
+    squared radius widened by `_TOUCH`, so a triangle the circle only
+    touches counts."""
+    v = tri - center
+    w = np.roll(v, -1, axis=-2)  # side k runs from corner k to w[k]
+    e = w - v
+    t = np.clip(-(v * e).sum(-1) / (e * e).sum(-1), 0.0, 1.0)
+    near = np.square(v + t[..., None] * e).sum(-1).min(-1)
+    holds = (cross2(v, w) >= 0).all(-1)
+    r2 = radius * radius
+    return (holds | (near <= r2 * (1 + _TOUCH))) \
+        & (np.square(v).sum(-1).max(-1) >= r2 * (1 - _TOUCH))
 
 
 class BinGrid:

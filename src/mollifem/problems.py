@@ -29,6 +29,7 @@ class RadialLogSolution:
         self.center = np.asarray(center, dtype=np.float64)
         self.radius = float(radius)
         self.corner_mode = corner_mode
+        self.kink = (self.center, self.radius)  # where the gradient jumps
 
     def _log_part(self, pts: np.ndarray) -> np.ndarray:
         d = pts - self.center

@@ -1,9 +1,9 @@
 """Shared helpers: brute-force reference quadratures, the corner-based
 element formulas, scipy's CSR rebuilt from the package's matrix, an
-edge-by-edge segment-triangle predicate, the per-pair segment clip and an
-exact cell-support test used as oracles, jittered meshes and sibling
-meshes for per-cell checks, and uniformly refined systems with the
-adaptive driver's warm starts for solver checks.
+edge-by-edge segment-triangle predicate, a circle-triangle predicate, the
+per-pair segment clip and an exact cell-support test used as oracles,
+jittered meshes and sibling meshes for per-cell checks, and uniformly
+refined systems with the adaptive driver's warm starts for solver checks.
 
 The reference integrators here are deliberately independent of the package's
 quadrature module: plain tensor Gauss-Legendre grids mapped onto triangles.
@@ -204,6 +204,29 @@ def segments_intersect_triangles(s0, s1, t0, t1, t2):
         hit[sel] = (segments_intersect(a0, a1, u0, u1)
                     | segments_intersect(a0, a1, u1, u2)
                     | segments_intersect(a0, a1, u2, u0))
+    return hit
+
+
+# -- the circle-triangle predicate -------------------------------------------
+# The circle crosses a side where |a + t e - c| = R has a root t in [0, 1];
+# when it crosses none it lies wholly inside or wholly outside the triangle,
+# and one of its points tells which: the oracle for `geometry.circle_meets`.
+
+
+def circle_meets_triangles(center, radius: float, tri: np.ndarray,
+                           slack: float = 1e-9) -> np.ndarray:
+    """True where the circle meets the closed CCW triangle of `tri` (n, 3,
+    2): a side's root lies in [-slack, 1 + slack], or the triangle holds the
+    circle's point c + (R, 0)."""
+    c = np.asarray(center, dtype=np.float64)
+    hit = points_in_triangles(c + [radius, 0.0], *np.moveaxis(tri, 1, 0))
+    for k in range(3):
+        a, e = tri[:, k] - c, tri[:, (k + 1) % 3] - tri[:, k]
+        qa, qb = (e * e).sum(-1), 2.0 * (a * e).sum(-1)
+        disc = qb * qb - 4.0 * qa * ((a * a).sum(-1) - radius * radius)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
+            hit |= (disc >= 0.0) & (t >= -slack) & (t <= 1.0 + slack)
     return hit
 
 

@@ -118,7 +118,7 @@ def test_a03_regularization_error_rate():
     mesh = rect_mesh(64, 64, 0.0, 0.0, 1.0, 1.0)
     mesh = interface_loop(mesh, p.curve, 2.0 ** -7)
     kernel = Kernel("tensor_linf")
-    err_fn = ErrorIntegrator(p.exact, p.curve)  # one mesh: moments once
+    err_fn = ErrorIntegrator(p.exact)  # one mesh: moments once
     errs = []
     for k in range(3, 8):
         # at k=3 the support overlaps the boundary; the logged warning is

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import traceback
 import weakref
 from dataclasses import replace
 
@@ -13,9 +14,9 @@ import mollifem.afem as afem
 from mollifem import fem
 from mollifem.afem import (AfemParams, RunRecord, RunRow, data_loop,
                            interface_loop, mark, solve)
-from mollifem.curves import interface_cells
+from mollifem.curves import Curve, interface_cells
 from mollifem.errors import NonTerminationError
-from mollifem.fem import solve_galerkin
+from mollifem.fem import ErrorIntegrator, FeFunction, solve_galerkin
 from mollifem.forcing import DensityForcing
 from mollifem.mesh import rect_mesh
 from mollifem.problems import lshape_problem, smooth_problem, square_problem
@@ -425,3 +426,31 @@ def test_u_samples_drops_trailing_radius_update():
     rec.append(RunRow(2, 0, 0.384, 0.147456, 30, 28, 0.2, 0.1, 0.1, 0.05,
                       "RADIUS", 0.0))
     assert [(s.j, s.k) for s in rec.u_samples()] == [(0, 1), (1, 0)]
+
+
+def test_only_the_interface_loop_updates_the_curve_incidence(monkeypatch):
+    # on a small regsolve run every update of the curve's incidence store
+    # comes from the interface loop: the error pass reads its kink from the
+    # exact solution, so on a fresh curve it leaves the store as it was
+    p = lshape_problem(n_segments=512)
+    callers, hits = [], Curve.hits
+
+    def spied(curve, mesh, rows=None):
+        before = curve._serials
+        out = hits(curve, mesh, rows)
+        if curve._serials is not before:
+            callers.append({f.name for f in traceback.extract_stack()})
+        return out
+
+    monkeypatch.setattr(Curve, "hits", spied)
+    params = AfemParams(theta=0.7, theta_data=0.7, lam=1.0 / 3.0, mu=0.8,
+                        beta=0.8, tau0=0.5, j_max=1,
+                        kernel_family="radial_c1")
+    solve(p, params)
+    assert callers and all("interface_loop" in names for names in callers)
+    fresh = lshape_problem(n_segments=512)
+    serials, store = fresh.curve._serials, fresh.curve._hits
+    mesh = fresh.initial_mesh()
+    ErrorIntegrator(fresh.exact)(FeFunction(mesh,
+                                            fresh.exact.value(mesh.coords)))
+    assert fresh.curve._serials is serials and fresh.curve._hits is store

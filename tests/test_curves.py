@@ -11,7 +11,6 @@ from conftest import clip_segments_to_triangles, jittered_mesh
 from mollifem import curves, quadrature as quadr
 from mollifem.afem import interface_loop
 from mollifem.curves import Curve, interface_cells
-from mollifem.fem import ErrorIntegrator, FeFunction
 from mollifem.forcing import LineForcing
 from mollifem.geometry import clip_pairs
 from mollifem.mesh import rect_mesh
@@ -26,9 +25,6 @@ def test_circle_closes_and_length_converges():
     # inscribed polygon perimeter: 2 n sin(pi / n)
     expect = 2 * 4096 * np.sin(np.pi / 4096)
     assert abs(c.total_length - expect) < 1e-10
-    # the sagitta: how far the circle strays from a chord, at its midpoint
-    mid = 0.5 * (c.seg_start + c.seg_end)
-    assert abs(c.sagitta - (1.0 - np.linalg.norm(mid, axis=1)).max()) < 1e-15
 
 
 def test_open_polyline_segments():
@@ -38,7 +34,6 @@ def test_open_polyline_segments():
     np.testing.assert_allclose(c.seg_lengths, [1.0, 2.0], atol=1e-15)
     assert abs(c.total_length - 3.0) < 1e-15
     assert abs(c.max_seg_len - 2.0) < 1e-15
-    assert c.sagitta == 0.0
 
 
 def test_curve_density_is_one_read_only_value_per_segment():
@@ -72,13 +67,12 @@ class _CountingQueries:
 
 
 def test_each_fresh_cell_is_queried_once_per_curve():
-    # the three readers of the incidence on two meshes of a lineage: each
+    # the two readers of the incidence on two meshes of a lineage: each
     # cell's bins are queried (and its candidates clipped) once, by whichever
     # reader comes first
     problem = square_problem(n_segments=512)
     curve = problem.curve
     counted = curve._query = _CountingQueries(curve._query)
-    error = ErrorIntegrator(problem.exact, curve)
     line = LineForcing(curve)
     mesh = problem.initial_mesh()
     seen = []
@@ -86,7 +80,6 @@ def test_each_fresh_cell_is_queried_once_per_curve():
         if seen:
             mesh = mesh.refine(interface_cells(mesh, curve))
         interface_cells(mesh, curve)
-        error(FeFunction(mesh, problem.exact.value(mesh.coords)))
         line.load_vector(mesh)
         seen.append(mesh)
     queried = np.concatenate(counted.centres)

@@ -23,15 +23,17 @@ from mollifem.mesh import Mesh, lshape_mesh, rect_mesh
 from mollifem.problems import (RadialLogSolution, SineProduct, lshape_problem,
                                square_problem)
 
-from conftest import (basis_gradients, clip_segments_to_triangles, csr,
+from conftest import (basis_gradients, circle_meets_triangles, csr,
                       element_matrix_form, jittered_mesh, sibling_refinements,
                       uniform_square_system, warm_target)
 
 
 class Poly2D:
-    """Exact-solution stand-in built from a sympy expression."""
+    """Exact-solution stand-in built from a sympy expression; `kink`, a
+    circle (center, radius), makes the error pass treat it as kinked there."""
 
-    def __init__(self, expr):
+    def __init__(self, expr, kink=None):
+        self.kink = kink
         x, y = sympy.symbols("x y")
         self.value_fn = sympy.lambdify((x, y), expr, "numpy")
         self.grad_fn = (sympy.lambdify((x, y), sympy.diff(expr, x), "numpy"),
@@ -402,14 +404,15 @@ def test_energy_error_zero_for_exact_linear():
     assert energy_error(u, w) < 1e-13
 
 
-def reference_energy_error(u, w: FeFunction, curve=None) -> float:
+def reference_energy_error(u, w: FeFunction) -> float:
     """The direct quadrature sum, Laplace form only: every active cell is
-    integrated afresh, cells the curve crosses by the subdivided rule of
-    depth `fem._KINK_DEPTH`, and each point's |grad(u - w)|^2 is summed."""
+    integrated afresh, cells that u's kink circle meets (by the oracle
+    `circle_meets_triangles`) by the subdivided rule of depth
+    `fem._KINK_DEPTH`, and each point's |grad(u - w)|^2 is summed."""
     mesh = w.mesh
     depths = np.zeros(mesh.num_cells, dtype=np.int64)
-    if curve is not None:
-        hit = interface_cells(mesh, curve)
+    if getattr(u, "kink", None) is not None:
+        hit = circle_meets_triangles(*u.kink, mesh.coords[mesh.triangles])
         depths[hit] = fem._KINK_DEPTH
     grads = w.cell_gradients
     total = 0.0
@@ -427,25 +430,25 @@ def test_error_integrator_matches_direct():
     center, radius = (0.5, 0.5), 0.25
     curve = Curve.circle(center, radius, 512, boundary_gap=0.25)
     g = RegularizedForcing(curve, Kernel("radial_c1"), 0.1)
-    u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
-    integ = ErrorIntegrator(u, curve)
+    u = Poly2D(sympy.sympify("x**3 - x*y + y**2"), kink=(center, radius))
+    integ = ErrorIntegrator(u)
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     for _ in range(3):
         w = solve_galerkin(assemble(mesh, g))
-        direct = reference_energy_error(u, w, curve)
+        direct = reference_energy_error(u, w)
         cached = integ(w)
         assert abs(cached - direct) <= 1e-10 * max(direct, 1.0)
         mesh = mesh.refine(range(0, mesh.num_cells, 5))
     # a second integrator starting cold on the final mesh agrees too
     w = solve_galerkin(assemble(mesh, g))
-    cold = ErrorIntegrator(u, curve)(w)
+    cold = ErrorIntegrator(u)(w)
     assert abs(cold - integ(w)) <= 1e-12 * max(cold, 1.0)
     # sibling refinements put different triangles in the same new rows
     first, second = sibling_refinements(rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0),
                                         curve)
     integ(FeFunction(first, u.value(first.coords)))
     w = FeFunction(second, u.value(second.coords))
-    cold = ErrorIntegrator(u, curve)(w)
+    cold = ErrorIntegrator(u)(w)
     assert abs(cold - integ(w)) <= 1e-12 * max(cold, 1.0)
 
 
@@ -463,7 +466,7 @@ def test_error_integrator_survives_heavy_cancellation():
 
 
 def test_error_integrator_batches_do_not_move_bits(monkeypatch):
-    u = Poly2D(sympy.sympify("x**3 - x*y + y**2"))
+    u = Poly2D(sympy.sympify("x**3 - x*y + y**2"), kink=((0.5, 0.5), 0.25))
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     mesh = mesh.refine(range(0, mesh.num_cells, 2))
     positions = np.arange(mesh.num_cells)
@@ -474,52 +477,45 @@ def test_error_integrator_batches_do_not_move_bits(monkeypatch):
         return kink_leaves(*args)
 
     monkeypatch.setattr(fem, "_kink_leaves", counted)
-    # one batch, then smaller ones; a curve cell counts the 6 * 4**depth
-    # points it can need at most plus `fem._PAIR_POINTS` a crossing pair.
-    # The 512-gon puts 6-25 pairs on a curve cell: batches of 3 * 1,536
-    # points hold at most 3 curve cells or 768 others. The 4,096-gon puts
-    # 38-193, and its pairs set the cuts of batches of 8,192 points: the
-    # points alone would cut 7 batches
-    for n_segments, chunk in ((512, 3 * 6 * 4 ** fem._KINK_DEPTH),
-                              (4096, 8192)):
-        curve = Curve.circle((0.5, 0.5), 0.25, n_segments, boundary_gap=0.25)
-        moments = []
-        for size in (1 << 30, chunk):
-            monkeypatch.setattr(quadr, "POINT_CHUNK", size)
-            batches.clear()
-            moments.append(ErrorIntegrator(u, curve)._cell_moments(mesh,
-                                                                   positions))
-        np.testing.assert_array_equal(moments[0], moments[1])
-    assert len(batches) > 7
+    # one batch, then smaller ones; a cell the circle meets counts the
+    # 6 * 4**depth points it can need at most, any other 6. Batches of
+    # 3 * 1,536 points hold at most 3 crossed cells or 768 others; at 60
+    # points the marking pass runs in batches of 10 cells too
+    moments, cuts = [], []
+    for size in (1 << 30, 3 * 6 * 4 ** fem._KINK_DEPTH, 60):
+        monkeypatch.setattr(quadr, "POINT_CHUNK", size)
+        batches.clear()
+        moments.append(ErrorIntegrator(u)._cell_moments(mesh, positions))
+        cuts.append(len(batches))
+    for got in moments[1:]:
+        np.testing.assert_array_equal(moments[0], got)
+    assert cuts[0] == 1 and 7 < cuts[1] < cuts[2]
 
 
 def test_cold_error_pass_holds_about_one_batch():
     """A cold pass holds one batch of `quadrature.POINT_CHUNK` points (2^18:
     4 MB of points and 4 MB of exact gradients at most), not the points of
-    the whole cell set; a crossing pair counts `fem._PAIR_POINTS` points in
-    that budget as well as its cell's points. On the square problem's
-    4,096-gon resolved to h_T <= 2^-9 (4,636 cells, 990 crossed, up to 1,536
-    points each) the traced peak read 16.5 MB with batches of 2^20 points
-    and 6.1 MB with batches of 2^18. On `lshape`'s initial mesh the pairs
-    set the peak: its 2^14-gon puts 16,400 pairs on 8 of the 96 cells, and
-    with the points alone counted all 8 shared one batch and the peak read
-    14.9 MB; with 64 points a pair it reads 3.4 MB (12.9 MB at 16, 6.6 MB
-    at 32)."""
+    the whole cell set. On the square problem's mesh resolved to h_T <=
+    2^-9 along its 4,096-gon (4,636 cells, 990 of them met by the circle,
+    up to 1,536 points each) the traced peak read 16.0 MB with batches of
+    2^20 points and 5.3 MB with batches of 2^18. On `lshape`'s initial
+    mesh (96 cells, 8 met) it reads 0.5 MB; it read 2.4 MB when the pass
+    also clipped the curve's 16,400 pairs on those 8 cells."""
     square = square_problem(n_segments=4096)
     lshape = lshape_problem()
     cases = [(square, interface_loop(square.initial_mesh(), square.curve,
-                                     2.0 ** -8), 4636, 5090, 10e6),
-             (lshape, lshape.initial_mesh(), 96, 16400, 6e6)]
-    for problem, mesh, cells, pairs, bound in cases:
-        # the curve keeps the incidence, as a run's interface loop leaves it
+                                     2.0 ** -8), 4636, 990, 10e6),
+             (lshape, lshape.initial_mesh(), 96, 8, 6e6)]
+    for problem, mesh, cells, crossed, bound in cases:
         assert mesh.num_cells == cells
-        assert len(problem.curve.hits(mesh)[0]) == pairs
+        assert circle_meets_triangles(*problem.exact.kink, mesh.coords[
+            mesh.triangles]).sum() == crossed
         w = FeFunction(mesh, problem.exact.value(mesh.coords))
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ErrorIntegrator(problem.exact, problem.curve)(w)
+            ErrorIntegrator(problem.exact)(w)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -538,10 +534,11 @@ def test_error_integrator_matches_direct_across_the_kink():
     for _ in range(6):
         mesh = mesh.refine(interface_cells(mesh, curve))
     for u in (RadialLogSolution(center, radius),
-              Poly2D(sympy.sympify("x**3 - x*y + y**2"))):
+              Poly2D(sympy.sympify("x**3 - x*y + y**2"),
+                     kink=(center, radius))):
         w = FeFunction(mesh, u.value(mesh.coords) + 1e-3 * mesh.coords[:, 0])
-        direct = reference_energy_error(u, w, curve)
-        assert abs(ErrorIntegrator(u, curve)(w) - direct) <= 1e-12 * direct
+        direct = reference_energy_error(u, w)
+        assert abs(ErrorIntegrator(u)(w) - direct) <= 1e-12 * direct
 
 
 _KINK_CENTER, _KINK_RADIUS = np.array([0.5, 0.5]), 0.25
@@ -559,8 +556,8 @@ def _uniform_moments(u, tri: np.ndarray, depth: int) -> np.ndarray:
 
 
 @settings(max_examples=60, deadline=None)
-# the arc, up to the sagitta outside the chord, crosses level-2 to level-4
-# children here that the chord does not
+# the arc, up to the 1024-gon's sagitta outside the chord, crosses level-2
+# to level-4 children here that the chord does not
 @example(kind="crossed", seg=284, t=0.5, size=1e-4, turn=0.0,
          jitter=[0.0, 0.5, -0.875, 0.0])
 @given(kind=st.sampled_from(["crossed", "touching", "missed"]),
@@ -570,10 +567,11 @@ def _uniform_moments(u, tri: np.ndarray, depth: int) -> np.ndarray:
 def test_kink_rule_matches_the_uniform_rule_on_one_cell(kind, seg, t, size,
                                                         turn, jitter):
     # cells of a resolved run's size (square-line ends with h about 1e-3 R
-    # along the curve): crossed ones around a point of the polyline, ones
-    # that touch it only at a polyline vertex from outside, and ones it
-    # misses; the reference is the uniform depth-4 rule where the curve
-    # meets the cell and the plain 6-point rule elsewhere
+    # along the curve): crossed ones around a point of an inscribed
+    # polygon, ones that touch the circle only at a polygon vertex from
+    # outside, and ones it misses; the reference is the uniform depth-4
+    # rule where the circle meets the cell (by the oracle) and the plain
+    # 6-point rule elsewhere
     u = RadialLogSolution(_KINK_CENTER, _KINK_RADIUS)
     start, end = _KINK_CURVE.seg_start[seg], _KINK_CURVE.seg_end[seg]
     normal = (start - _KINK_CENTER) / _KINK_RADIUS
@@ -595,10 +593,10 @@ def test_kink_rule_matches_the_uniform_rule_on_one_cell(kind, seg, t, size,
     if e1[0] * e2[1] - e1[1] * e2[0] < 0:
         tri = tri[[0, 2, 1]]
     mesh = Mesh.from_arrays(tri, np.array([[0, 1, 2]]))
-    crossed = len(interface_cells(mesh, _KINK_CURVE)) == 1
+    crossed = circle_meets_triangles(*u.kink, tri[None])[0]
     assert crossed == (kind != "missed")
     want = _uniform_moments(u, tri, fem._KINK_DEPTH if crossed else 0)
-    got = ErrorIntegrator(u, _KINK_CURVE)._cell_moments(mesh, np.arange(1))[0]
+    got = ErrorIntegrator(u)._cell_moments(mesh, np.arange(1))[0]
     # relative to int_T |grad u|^2: a touching cell's V_T is a small
     # centred moment whose round-off is set by the gradient, not by V_T
     energy = want[0] + mesh.areas[0] * want[1:] @ want[1:]
@@ -608,10 +606,11 @@ def test_kink_rule_matches_the_uniform_rule_on_one_cell(kind, seg, t, size,
 
 
 class _CountingGradient:
-    """Zero gradient that counts the points it is asked for."""
+    """Zero gradient, kinked on the circle `kink`, that counts the points it
+    is asked for."""
 
-    def __init__(self):
-        self.points = 0
+    def __init__(self, kink):
+        self.kink, self.points = kink, 0
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
@@ -620,69 +619,51 @@ class _CountingGradient:
 
 
 def test_kink_rule_spends_points_only_along_the_curve():
-    # a straight segment through the centroid, in 24 directions: the
-    # crossed level-3 triangles are split into 6-point leaves, the rest of
-    # the cell gets coarser 6-point rules; the uniform rule takes 1,536.
-    # A segment that ends at the centroid refines only the half it crosses.
+    # a circle of the cell's size through the centroid, in 24 directions:
+    # the crossed level-3 triangles are split into 6-point leaves, the rest
+    # of the cell gets coarser 6-point rules; the uniform rule takes 1,536.
+    # A circle about a corner that cuts off only that corner refines only
+    # there.
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]])
     mesh = Mesh.from_arrays(tri, np.array([[0, 1, 2]]))
     centroid = tri.mean(axis=0)
 
-    def points(ends):
-        u = _CountingGradient()
-        ErrorIntegrator(u, Curve(ends, closed=False))._cell_moments(
-            mesh, np.arange(1))
+    def points(center, radius):
+        u = _CountingGradient((center, radius))
+        ErrorIntegrator(u)._cell_moments(mesh, np.arange(1))
         return u.points
 
-    for angle in np.linspace(0.1, np.pi + 0.1, 24, endpoint=False):
+    full = []
+    for angle in np.linspace(0.1, 2 * np.pi + 0.1, 24, endpoint=False):
         d = np.array([np.cos(angle), np.sin(angle)])
-        full = points(np.array([centroid - 3 * d, centroid + 3 * d]))
-        assert 6 * 4 ** fem._KINK_DEPTH // 8 <= full <= 480
-        assert points(np.array([centroid - 3 * d, centroid])) <= 0.7 * full
-
-
-def _distance_to_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Distance of the points `p` from the segments (a, b), broadcast over
-    their leading axes."""
-    d = b - a
-    t = np.clip(((p - a) * d).sum(-1) / (d * d).sum(-1), 0.0, 1.0)
-    return np.linalg.norm(p - a - t[..., None] * d, axis=-1)
+        full.append(points(centroid - d, 1.0))
+    assert 6 * 4 ** fem._KINK_DEPTH // 8 <= min(full) <= max(full) <= 480
+    for corner in tri:
+        assert points(corner, 0.3) <= 0.7 * min(full)
 
 
 @settings(max_examples=60, deadline=None)
-# the middle children's margins come from their parents' edges turned by
-# half a turn; this segment tells the turned edges from the unturned ones
-@example(ends=[0.0, 1.0, 1.0, 0.03125], reach=0.03125)
-@given(ends=st.lists(st.floats(-0.5, 1.5), min_size=4, max_size=4),
-       reach=st.floats(0.0, 0.05))
-def test_kink_leaves_reach_every_child_near_the_segment(ends, reach):
-    # every depth-4 triangle of the uniform split that the segment crosses,
-    # or comes within `reach` of, is a depth-4 leaf of the kink rule (clear
-    # of both tests' slacks); a flat cell, so that the margins differ from
-    # edge to edge
+# a circle through a corner, and one that crosses the long bottom side
+# twice near its middle
+@example(center=[1.5, 0.5], radius=0.5 ** 0.5)
+@example(center=[0.45, -0.9], radius=0.95)
+@given(center=st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=2),
+       radius=st.floats(0.01, 1.0))
+def test_kink_leaves_reach_every_child_the_circle_meets(center, radius):
+    # every depth-4 triangle of the uniform split that the circle meets (by
+    # the oracle, clear of its slack) is a depth-4 leaf of the kink rule; a
+    # flat cell, so that the children are far from equilateral
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.9, 0.15]])
-    a, b = np.array(ends[:2]), np.array(ends[2:])
-    t0, t1, meets = clip_segments_to_triangles(a[None], b[None], *tri[:, None])
-    assume(meets[0] and t1[0] - t0[0] > 1e-6
-           and np.linalg.norm(b - a) > 1e-3)
-    curve = Curve(np.stack([a, b]), closed=False)
-    curve.sagitta = reach
-    one = np.zeros(1, dtype=np.int64)
-    owner, pts, scale = fem._kink_leaves(
-        Mesh.from_arrays(tri, [[0, 1, 2]]), one, curve, one, one)
-    deep = pts[scale == 0.25 ** fem._KINK_DEPTH].mean(axis=1)
     kids = tri[None]
     for _ in range(fem._KINK_DEPTH):
         kids = quadr.split4(kids).reshape(-1, 3, 2)
-    t0, t1, meets = clip_segments_to_triangles(
-        np.tile(a, (len(kids), 1)), np.tile(b, (len(kids), 1)),
-        *np.moveaxis(kids, 1, 0))
-    gap = np.minimum(
-        _distance_to_segment(kids, a, b).min(axis=1),
-        np.min([_distance_to_segment(p, kids[:, k], kids[:, (k + 1) % 3])
-                for k in range(3) for p in (a, b)], axis=0))
-    near = kids[(meets & (t1 - t0 > 1e-9)) | (gap < reach - 1e-9)]
-    assert len(near) > 0
+    near = kids[circle_meets_triangles(center, radius, kids, slack=-1e-6)]
+    assume(len(near) > 0)
+    one = np.zeros(1, dtype=np.int64)
+    owner, pts, scale = fem._kink_leaves(
+        Mesh.from_arrays(tri, [[0, 1, 2]]), one, (np.array(center), radius),
+        np.ones(1, dtype=bool))
+    deep = pts[scale == 0.25 ** fem._KINK_DEPTH].mean(axis=1)
     dist = np.linalg.norm(near.mean(axis=1)[:, None] - deep[None], axis=2)
     assert dist.min(axis=1).max() <= 1e-12
 

@@ -1,6 +1,7 @@
-"""Hand-worked cases for the geometric predicates (the package's clip and the
-tests' edge-by-edge oracle), and their invariances under exact transforms.
-The package's clip is called here one cell and one segment per pair."""
+"""Hand-worked cases for the geometric predicates (the package's clip, its
+circle-triangle test and the tests' oracles), and their invariances under
+exact transforms. The package's clip is called here one cell and one
+segment per pair."""
 from __future__ import annotations
 
 from types import SimpleNamespace
@@ -9,9 +10,9 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 import conftest
-from conftest import (points_in_triangles, segments_intersect,
-                      segments_intersect_triangles)
-from mollifem.geometry import clip_pairs
+from conftest import (circle_meets_triangles, points_in_triangles,
+                      segments_intersect, segments_intersect_triangles)
+from mollifem.geometry import circle_meets, clip_pairs
 from mollifem.mesh import Mesh
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -233,3 +234,62 @@ def test_clip_segments_to_triangles_invariances(p0, p1, t, shift, scale):
     if ok[0]:
         assert abs((1.0 - tmax[0]) - want[0][0]) <= 1e-14
         assert abs((1.0 - tmin[0]) - want[1][0]) <= 1e-14
+
+
+def test_circle_meets_hand_cases():
+    # crossing a side, holding the whole circle, inside the disc, outside
+    # it, and touching it at a corner or along a side from outside
+    tri = np.array([RIGHT + 0.4, RIGHT * 8.0 - 3.0, RIGHT * 0.1 - 0.05,
+                    RIGHT + 2.0, [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]],
+                    RIGHT + [1.0, -0.5]])
+    want = [True, True, False, False, True, True]
+    assert circle_meets((0.0, 0.0), 1.0, tri).tolist() == want
+    assert circle_meets_triangles((0.0, 0.0), 1.0, tri).tolist() == want
+    # touching from outside at a point of the circle that rounds to 7e-18
+    # outside it in squared distance: the slack keeps the touch
+    center, t = np.array([0.3, 0.3]), 2 * np.pi * 10 / 64
+    n = np.array([np.cos(t), np.sin(t)])
+    p = center + 0.2 * n
+    assert np.square(p - center).sum() > 0.2 ** 2
+    tri = p + 0.1 * np.array([[0.0, 0.0], n - 0.5 * n[::-1] * [-1, 1],
+                              n + 0.5 * n[::-1] * [-1, 1]])
+    assert circle_meets(center, 0.2, tri[None])[0]
+
+
+def _tangency_gap(center, radius: float, tri: np.ndarray) -> float:
+    """How close, relative to the radius, the circle comes to passing
+    through a corner of `tri` or touching one of its sides: the two ways in
+    which a small change of the radius can change whether they meet."""
+    a = tri - center
+    gap = list(np.abs(np.linalg.norm(a, axis=1) - radius))
+    for k in range(3):
+        e = tri[(k + 1) % 3] - tri[k]
+        t = -(a[k] @ e) / (e @ e)
+        if 0.0 < t < 1.0:
+            gap.append(abs(np.linalg.norm(a[k] + t * e) - radius))
+    return min(gap) / radius
+
+
+@settings(max_examples=400, deadline=None)
+@given(radius=st.floats(0.05, 1.0), turn=st.floats(0.0, 2 * np.pi),
+       offset=st.floats(-2.0, 2.0), power=st.floats(-4.0, np.log10(3.0)),
+       angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+       reach=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3))
+def test_circle_meets_agrees_with_the_oracle(radius, turn, offset, power,
+                                             angles, reach):
+    # CCW triangles 1e-4 to 3 across about a point within twice their size
+    # of the circle; cases within 1e-6 R of tangency are skipped, where the
+    # two tests' slacks may part them
+    center, size = np.array([0.3, -0.2]), 10.0 ** power
+    base = center + (radius + offset * size) * np.array([np.cos(turn),
+                                                         np.sin(turn)])
+    tri = base + size * np.array(reach)[:, None] * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=1)
+    e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+    area = e1[0] * e2[1] - e1[1] * e2[0]
+    assume(abs(area) > 1e-3 * size * size)
+    if area < 0:
+        tri = tri[[0, 2, 1]]
+    assume(_tangency_gap(center, radius, tri) > 1e-6)
+    assert circle_meets(center, radius, tri[None])[0] \
+        == circle_meets_triangles(center, radius, tri[None])[0]

@@ -177,37 +177,22 @@ def test_cold_error_integrator_on_curve_cells(benchmark):
         mesh = mesh.refine(interface_cells(mesh, problem.curve))
     w = FeFunction(mesh, problem.exact.value(mesh.coords))
 
-    def fresh_curve():
-        # the curve keeps the incidence of the last mesh: a fresh one per
-        # round, so the rounds time the incidence too
-        return (square_problem(n_segments=4096).curve,), {}
-
-    def cold(curve):
-        return ErrorIntegrator(problem.exact, curve)(w)
-
     # a fixed round count keeps the Tier-1 cost well under a second
-    err = benchmark.pedantic(cold, setup=fresh_curve, rounds=8,
-                             warmup_rounds=1)
+    err = benchmark.pedantic(lambda: ErrorIntegrator(problem.exact)(w),
+                             rounds=8, warmup_rounds=1)
     assert 0.0 < err < 0.5
 
 
 def test_cold_error_integrator_on_coarse_curve_cells(benchmark):
-    # `lshape`'s initial mesh, where the pairs outweigh the points: its
-    # 2^14-gon puts 16,400 crossing pairs on 8 of the 96 cells
+    # `lshape`'s initial mesh: the circle meets 8 of its 96 cells, each
+    # 1,536 points at most, so one batch holds the pass
     problem = lshape_problem()
     mesh = problem.initial_mesh()
     w = FeFunction(mesh, problem.exact.value(mesh.coords))
 
-    def fresh_curve():
-        # a fresh curve per round, so the rounds time the incidence too
-        return (lshape_problem().curve,), {}
-
-    def cold(curve):
-        return ErrorIntegrator(problem.exact, curve)(w)
-
     # a fixed round count keeps the Tier-1 cost well under a second
-    err = benchmark.pedantic(cold, setup=fresh_curve, rounds=8,
-                             warmup_rounds=1)
+    err = benchmark.pedantic(lambda: ErrorIntegrator(problem.exact)(w),
+                             rounds=8, warmup_rounds=1)
     # the interpolant's error on these 96 cells reads 1.27164
     assert 1.27 < err < 1.275
 
