@@ -7,7 +7,9 @@ by nodal interpolation with symmetric elimination, a BPX-preconditioned CG
 solve (tight, or stopped once the preconditioned residual norm meets a
 target the driver derives from the estimator; it raises NumericalError on a
 breakdown or at its iteration cap), and cached energy-norm error integration
-against closed-form solutions whose gradient kinks on a circle they name.
+against closed-form solutions whose gradient kinks on a circle they name:
+the cells that circle meets are split and tested on their corners held as
+rows of x and y, and each batch maps its leaves' points into one array.
 """
 from __future__ import annotations
 
@@ -266,24 +268,33 @@ def _kink_leaves(mesh: Mesh, rows: np.ndarray, kink, crossed: np.ndarray):
     cells at `rows`, by level, then owner; `crossed` marks the cells that
     the circle `kink` = (center, radius) meets. A 4-split child of a
     crossed cell counts as crossed when the circle meets it
-    (`geometry.circle_meets`)."""
-    tri = mesh.coords[mesh.triangles[rows]]
-    owner, leaves = np.arange(len(rows)), []
+    (`geometry.circle_meets`). Corners are rows of x and y (2, 3, n), the
+    children parent by parent, and every level's points are mapped into
+    one array."""
+    xy, owner, levels = mesh.corners(rows), np.arange(len(rows)), []
     for level in range(_KINK_DEPTH):
-        leaves.append((owner[~crossed], quadr.triangle_points(
-            tri[~crossed], quadr.TRI_BARY), np.full((~crossed).sum(), level)))
+        levels.append((xy, owner, ~crossed, quadr.TRI_BARY))
         if level + 1 == _KINK_DEPTH or not crossed.any():
             break
-        tri = quadr.split4(tri[crossed]).reshape(-1, 3, 2)
+        # (x | y, child, corner, parent) -> (x | y, corner, parent, child)
+        xy = quadr.split4(xy[..., crossed]).transpose(0, 2, 3, 1)
+        xy = xy.reshape(2, 3, -1)
         owner = np.repeat(owner[crossed], 4)
-        crossed = circle_meets(*kink, tri)
+        crossed = circle_meets(*kink, *xy)
     # every deepest child is a leaf: their rules make the parent's depth-1 rule
-    pts = quadr.triangle_points(tri[crossed], quadr.subdivided_rule(1)[0])
-    owner = np.repeat(owner[crossed], 4)
-    leaves.append((owner, pts.reshape(len(owner), 6, 2),
-                   np.full(len(owner), _KINK_DEPTH)))
-    owner, pts, level = (np.concatenate(x) for x in zip(*leaves))
-    return owner, pts, 0.25 ** level
+    levels.append((xy, owner, crossed, quadr.subdivided_rule(1)[0]))
+    owner = [np.repeat(o[keep], len(b) // 6) for _, o, keep, b in levels]
+    ends = np.cumsum([0] + [len(o) for o in owner])
+    pts = np.empty((ends[-1], 6, 2))
+    for (xy, _, keep, b), lo, hi in zip(levels, ends, ends[1:]):
+        c, out = xy[..., keep, None], pts[lo:hi].reshape(-1, len(b), 2)
+        # `quadr.triangle_points`' map, in place, one coordinate at a time
+        for d, o in enumerate((out[..., 0], out[..., 1])):
+            np.multiply(b[:, 0], c[d, 0], out=o)
+            o += b[:, 1] * c[d, 1]
+            o += b[:, 2] * c[d, 2]
+    scale = np.repeat(0.25 ** np.arange(len(levels)), np.diff(ends))
+    return np.concatenate(owner), pts, scale
 
 
 class ErrorIntegrator:
@@ -312,20 +323,21 @@ class ErrorIntegrator:
         crossed = np.zeros(n, dtype=bool)
         if self.kink is not None:
             for lo, hi in quadr.batches(np.full(n, 6)):
-                crossed[lo:hi] = circle_meets(*self.kink, mesh.coords[
-                    mesh.triangles[positions[lo:hi]]])
+                crossed[lo:hi] = circle_meets(
+                    *self.kink, *mesh.corners(positions[lo:hi]))
         cost = np.where(crossed, 6 * 4 ** _KINK_DEPTH, 6)
         areas, out, wq = mesh.areas[positions], np.empty((n, 3)), quadr.TRI_WEIGHTS
         for lo, hi in quadr.batches(cost):
             owner, pts, scale = _kink_leaves(mesh, positions[lo:hi], self.kink,
                                              crossed[lo:hi])
-            gu = np.array(self.exact.gradient(pts.reshape(-1, 2)),
-                          dtype=np.float64).reshape(len(owner), -1, 2)
+            gu = np.asarray(self.exact.gradient(pts.reshape(-1, 2)),
+                            dtype=np.float64).reshape(len(owner), -1, 2)
             part = np.einsum("lqd,q->ld", gu, wq) * scale[:, None]
             out[lo:hi, 1:] = mean = np.stack([np.bincount(owner, p, hi - lo)
                                               for p in part.T], axis=1)
             # centred in place: one more batch-sized array raises peak RSS
-            gu -= mean[owner][:, None]
+            for d, m in enumerate(mean.take(owner, axis=0).T):
+                gu[..., d] -= m[:, None]
             part = np.einsum("lqd,lqd,q->l", gu, gu, wq) * scale
             out[lo:hi, 0] = areas[lo:hi] * np.bincount(owner, part, hi - lo)
         return out

@@ -1,9 +1,9 @@
 """Planar predicates, and the bin grid behind every spatial query.
 
-Vectorized over pair arrays; inputs are float64 arrays of shape (..., 2).
-The segment clip reads what the curve and the mesh already hold: each
-segment's ends and length, each cell's corners and edge vectors; the
-circle test reads corners alone.
+Vectorized over pairs or cells. The segment clip reads what the curve and
+the mesh already hold: each segment's ends and length, each cell's corners
+and edge vectors; the circle test reads corners alone, as rows of x and y
+(3, n), one side at a time.
 """
 from __future__ import annotations
 
@@ -81,22 +81,26 @@ def clip_slack(length):
     return _TOUCH * length + 3 * _REL_EPS * (length + 1)
 
 
-def circle_meets(center, radius: float, tri: np.ndarray) -> np.ndarray:
+def circle_meets(center, radius: float, x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
     """Whether the circle of `radius` about `center` meets each closed CCW
-    triangle of `tri` (n, 3, 2): the triangle's nearest point lies within
-    the radius (or the triangle holds the centre), and its farthest point,
-    a corner, does not. Each side compares a squared distance with the
-    squared radius widened by `_TOUCH`, so a triangle the circle only
-    touches counts."""
-    v = tri - center
-    w = np.roll(v, -1, axis=-2)  # side k runs from corner k to w[k]
-    e = w - v
-    t = np.clip(-(v * e).sum(-1) / (e * e).sum(-1), 0.0, 1.0)
-    near = np.square(v + t[..., None] * e).sum(-1).min(-1)
-    holds = (cross2(v, w) >= 0).all(-1)
+    triangle, its corners given as rows of x and y, `x` and `y` (3, n):
+    the triangle's nearest point lies within the radius (or the triangle
+    holds the centre), and its farthest point, a corner, does not. Each
+    side compares a squared distance with the squared radius widened by
+    `_TOUCH`, so a triangle the circle only touches counts."""
+    vx, vy = x - center[0], y - center[1]
+    near, far, holds = np.inf, 0.0, True
+    for k in range(3):  # side k runs from corner k to corner k + 1
+        ax, ay, bx, by = vx[k], vy[k], vx[k - 2], vy[k - 2]
+        ex, ey = bx - ax, by - ay
+        t = np.clip(-(ax * ex + ay * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+        px, py = ax + t * ex, ay + t * ey
+        near = np.minimum(near, px * px + py * py)
+        far = np.maximum(far, ax * ax + ay * ay)
+        holds = holds & (ax * by - ay * bx >= 0)
     r2 = radius * radius
-    return (holds | (near <= r2 * (1 + _TOUCH))) \
-        & (np.square(v).sum(-1).max(-1) >= r2 * (1 - _TOUCH))
+    return (holds | (near <= r2 * (1 + _TOUCH))) & (far >= r2 * (1 - _TOUCH))
 
 
 class BinGrid:

@@ -149,6 +149,10 @@ class Mesh:
         (_, ex1, ex2), (_, ey1, ey2) = self.edge_vectors
         return 0.5 * (ex1 * ey2 - ex2 * ey1)
 
+    def corners(self, rows: np.ndarray) -> np.ndarray:
+        """(2, 3, m): x and y of corner k of each cell at `rows`."""
+        return self.coords.T.take(self.triangles.take(rows, axis=0).T, axis=1)
+
     def boxes(self, rows: np.ndarray) -> np.ndarray:
         """(4, m): x lo, y lo, x hi, y hi of the cells at `rows`."""
         tri = self.triangles.take(rows, axis=0)

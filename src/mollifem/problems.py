@@ -38,17 +38,24 @@ class RadialLogSolution:
                         -np.log(self.radius))
 
     def _log_grad(self, pts: np.ndarray) -> np.ndarray:
-        d = pts - self.center
-        rho_sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[:, None]
-        return np.divide(-d, rho_sq, out=np.zeros_like(d),
-                         where=rho_sq > self.radius ** 2)
+        """-(x - c) / |x - c|^2 outside the circle, 0 inside: only the
+        points outside are divided."""
+        dx, dy = pts[:, 0] - self.center[0], pts[:, 1] - self.center[1]
+        rho_sq = dx * dx + dy * dy
+        out = np.zeros_like(pts)
+        m = np.flatnonzero(rho_sq > self.radius ** 2)
+        rho_sq = rho_sq[m]
+        out[m, 0] = -dx[m] / rho_sq
+        out[m, 1] = -dy[m] / rho_sq
+        return out
 
     @staticmethod
     def _polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """rho and phi, phi moved past the branch cut at pi/2."""
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        x, y = pts[:, 0], pts[:, 1]
+        phi = np.arctan2(y, x)
         phi = np.where(phi < 0.5 * np.pi - 1e-14, phi + 2.0 * np.pi, phi)
-        return np.sqrt((pts * pts).sum(-1)), phi
+        return np.sqrt(x * x + y * y), phi
 
     def _corner_part(self, pts: np.ndarray) -> np.ndarray:
         rho, phi = self._polar(pts)
@@ -57,12 +64,13 @@ class RadialLogSolution:
     def _corner_grad(self, pts: np.ndarray) -> np.ndarray:
         rho, phi = self._polar(pts)
         arg = (2.0 / 3.0) * (phi - 0.5 * np.pi)
-        safe = np.maximum(rho, 1e-300)
-        dr = (2.0 / 3.0) * safe ** (-1.0 / 3.0) * np.sin(arg)
-        dt = (2.0 / 3.0) * safe ** (-1.0 / 3.0) * np.cos(arg)
+        scale = (2.0 / 3.0) * np.maximum(rho, 1e-300) ** (-1.0 / 3.0)
+        dr, dt = scale * np.sin(arg), scale * np.cos(arg)
         cos_p, sin_p = np.cos(phi), np.sin(phi)
-        return np.stack([dr * cos_p - dt * sin_p, dr * sin_p + dt * cos_p],
-                        axis=-1)
+        out = np.empty_like(pts)
+        out[:, 0] = dr * cos_p - dt * sin_p
+        out[:, 1] = dr * sin_p + dt * cos_p
+        return out
 
     def value(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -75,7 +83,7 @@ class RadialLogSolution:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         out = self._log_grad(pts)
         if self.corner_mode:
-            out = out + self._corner_grad(pts)
+            out += self._corner_grad(pts)
         return out
 
 

@@ -497,10 +497,12 @@ def test_cold_error_pass_holds_about_one_batch():
     4 MB of points and 4 MB of exact gradients at most), not the points of
     the whole cell set. On the square problem's mesh resolved to h_T <=
     2^-9 along its 4,096-gon (4,636 cells, 990 of them met by the circle,
-    up to 1,536 points each) the traced peak read 16.0 MB with batches of
-    2^20 points and 5.3 MB with batches of 2^18. On `lshape`'s initial
-    mesh (96 cells, 8 met) it reads 0.5 MB; it read 2.4 MB when the pass
-    also clipped the curve's 16,400 pairs on those 8 cells."""
+    up to 1,536 points each) the traced peak reads 14.2 MB with batches of
+    2^20 points and 5.0 MB with batches of 2^18 (16.0 and 5.3 MB when each
+    level's points were mapped on their own and then joined, and the exact
+    gradient was copied). On `lshape`'s initial mesh (96 cells, 8 met) it
+    reads 0.5 MB; it read 2.4 MB when the pass also clipped the curve's
+    16,400 pairs on those 8 cells."""
     square = square_problem(n_segments=4096)
     lshape = lshape_problem()
     cases = [(square, interface_loop(square.initial_mesh(), square.curve,
@@ -668,6 +670,16 @@ def test_kink_leaves_reach_every_child_the_circle_meets(center, radius):
     assert dist.min(axis=1).max() <= 1e-12
 
 
+def _masked_log_gradient(sol, pts: np.ndarray) -> np.ndarray:
+    """-d / |d|^2 with d = pts - center where |d| > R, else 0."""
+    d = pts - sol.center
+    rho_sq = (d * d).sum(-1)
+    outside = rho_sq > sol.radius ** 2
+    want = np.zeros_like(d)
+    want[outside] = -d[outside] / rho_sq[outside, None]
+    return want
+
+
 def test_log_gradient_matches_the_masked_formula_bit_for_bit(rng):
     sol = RadialLogSolution((0.3, 0.3), 0.2)
     ang = rng.uniform(0.0, 2.0 * np.pi, 200)
@@ -675,11 +687,32 @@ def test_log_gradient_matches_the_masked_formula_bit_for_bit(rng):
                           sol.center + 0.2 * np.stack([np.cos(ang),
                                                        np.sin(ang)], 1),
                           sol.center[None, :]])
-    d = pts - sol.center
-    rho_sq = (d * d).sum(-1)
-    outside = rho_sq > sol.radius ** 2
-    want = np.zeros_like(d)
-    want[outside] = -d[outside] / rho_sq[outside, None]
+    want = _masked_log_gradient(sol, pts)
+    assert sol.gradient(pts).tobytes() == want.tobytes()
+
+
+def test_corner_gradient_matches_the_stacked_formula_bit_for_bit(rng):
+    # the gradient with the reentrant-corner mode as it was written, each
+    # power and column formed on its own and stacked, is the oracle: on
+    # random points, the circle, its centre, the origin and the branch
+    # cut phi = pi/2, where no expression may divide by zero
+    sol = RadialLogSolution((0.5, -0.5), 0.2, corner_mode=True)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 200)
+    cut = np.stack([np.zeros(50), rng.uniform(0.0, 1.0, 50)], 1)
+    pts = np.concatenate([rng.uniform(-1.0, 1.0, size=(20000, 2)),
+                          sol.center + 0.2 * np.stack([np.cos(ang),
+                                                       np.sin(ang)], 1),
+                          sol.center[None, :], np.zeros((1, 2)), cut])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    phi = np.where(phi < 0.5 * np.pi - 1e-14, phi + 2.0 * np.pi, phi)
+    safe = np.maximum(np.sqrt((pts * pts).sum(-1)), 1e-300)
+    arg = (2.0 / 3.0) * (phi - 0.5 * np.pi)
+    dr = (2.0 / 3.0) * safe ** (-1.0 / 3.0) * np.sin(arg)
+    dt = (2.0 / 3.0) * safe ** (-1.0 / 3.0) * np.cos(arg)
+    want = _masked_log_gradient(sol, pts) + np.stack(
+        [dr * np.cos(phi) - dt * np.sin(phi),
+         dr * np.sin(phi) + dt * np.cos(phi)], axis=-1)
+    assert (phi[-50:] == 0.5 * np.pi).all()
     assert sol.gradient(pts).tobytes() == want.tobytes()
 
 

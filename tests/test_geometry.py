@@ -236,6 +236,12 @@ def test_clip_segments_to_triangles_invariances(p0, p1, t, shift, scale):
         assert abs((1.0 - tmin[0]) - want[1][0]) <= 1e-14
 
 
+def _rows(tri: np.ndarray) -> np.ndarray:
+    """Triangles (n, 3, 2) as the rows of x and y (2, 3, n) of their
+    corners, which `circle_meets` takes."""
+    return tri.transpose(2, 1, 0)
+
+
 def test_circle_meets_hand_cases():
     # crossing a side, holding the whole circle, inside the disc, outside
     # it, and touching it at a corner or along a side from outside
@@ -243,7 +249,7 @@ def test_circle_meets_hand_cases():
                     RIGHT + 2.0, [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]],
                     RIGHT + [1.0, -0.5]])
     want = [True, True, False, False, True, True]
-    assert circle_meets((0.0, 0.0), 1.0, tri).tolist() == want
+    assert circle_meets((0.0, 0.0), 1.0, *_rows(tri)).tolist() == want
     assert circle_meets_triangles((0.0, 0.0), 1.0, tri).tolist() == want
     # touching from outside at a point of the circle that rounds to 7e-18
     # outside it in squared distance: the slack keeps the touch
@@ -253,7 +259,7 @@ def test_circle_meets_hand_cases():
     assert np.square(p - center).sum() > 0.2 ** 2
     tri = p + 0.1 * np.array([[0.0, 0.0], n - 0.5 * n[::-1] * [-1, 1],
                               n + 0.5 * n[::-1] * [-1, 1]])
-    assert circle_meets(center, 0.2, tri[None])[0]
+    assert circle_meets(center, 0.2, *_rows(tri[None]))[0]
 
 
 def _tangency_gap(center, radius: float, tri: np.ndarray) -> float:
@@ -291,5 +297,5 @@ def test_circle_meets_agrees_with_the_oracle(radius, turn, offset, power,
     if area < 0:
         tri = tri[[0, 2, 1]]
     assume(_tangency_gap(center, radius, tri) > 1e-6)
-    assert circle_meets(center, radius, tri[None])[0] \
+    assert circle_meets(center, radius, *_rows(tri[None]))[0] \
         == circle_meets_triangles(center, radius, tri[None])[0]
