@@ -171,7 +171,11 @@ class RunRecord:
 
 def mark(values: np.ndarray, theta: float) -> np.ndarray:
     """Smallest set of cell rows with sum of squared indicators >= theta^2
-    times the global sum; descending values, ascending row on ties."""
+    times the global sum; descending values, ascending row on ties. Only the
+    candidates are sorted: the rows at or above the k-th largest value, ties
+    kept, so in stable order they are a prefix of all rows, with the same
+    running sum; k starts at a quarter of the rows and doubles until that
+    sum reaches the target, or takes all rows (also for a non-finite total)."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0,1)")
     values = np.asarray(values, dtype=np.float64)
@@ -179,12 +183,18 @@ def mark(values: np.ndarray, theta: float) -> np.ndarray:
     total = sq.sum()
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(-values, kind="stable")
-    csum = np.cumsum(sq[order])
-    target = theta * theta * total
+    neg, n, target = -values, len(values), theta * theta * total
+    k = max(1, n // 4) if np.isfinite(total) else n
+    while True:
+        rows = np.arange(n) if k >= n else \
+            np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+        order = rows[np.argsort(neg[rows], kind="stable")]
+        csum = np.cumsum(sq[order])
+        if k >= n or csum[-1] >= target:
+            break
+        k *= 2
     cut = int(np.searchsorted(csum, target, side="left"))
-    cut = min(cut, len(csum) - 1)
-    return order[:cut + 1]
+    return order[:min(cut, len(csum) - 1) + 1]
 
 
 def data_loop(mesh: Mesh, g, tau: float, theta_data: float) -> Mesh:

@@ -1,8 +1,8 @@
 """Residual a posteriori indicators for the P1 discretization.
 
 Per cell T the jump part j(T) collects h_F ||[grad W] . n||^2_{L2(F)} over
-the edges of T (interior edges only, both neighbours count the edge), with
-the tangents and cell gradients read off the mesh's edge vectors; the data
+the edges of T (interior edges only, both neighbours count the edge), edge
+by edge on rows of the cell gradients and the mesh's edge vectors; the data
 part is d(T) = h_T ||g||_{L2(T)}, and e(T)^2 = j(T)^2 + d(T)^2. The
 Laplacian of a P1 function vanishes inside each cell, so no separate volume
 residual term appears.
@@ -58,8 +58,11 @@ def jump_indicator_sq(w: FeFunction) -> np.ndarray:
     for k, n in enumerate(mesh.twins.T // 3):  # -1 on the boundary
         # the flux jump is constant along edge k, and with the edge vector
         # e_k as tangent, h_F^2 (jump . n)^2 = (jump x e_k)^2
-        cross = (gx - gx[n]) * ey[k] - (gy - gy[n]) * ex[k]
-        jsq += np.where(n >= 0, cross * cross, 0.0)
+        cross = (gx - gx.take(n)) * ey[k]
+        cross -= (gy - gy.take(n)) * ex[k]
+        cross *= cross
+        cross[n < 0] = 0.0  # before the sum: the twin -1 read the last cell
+        jsq += cross
     return jsq
 
 

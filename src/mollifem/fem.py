@@ -1,15 +1,18 @@
 """P1 Galerkin discretization of the Laplace problem on conforming
 triangulations.
 
-Assembly of a(u,v) = int grad(u) . grad(v) from three edge weights per cell
-into a diagonal and off-diagonal triplets (`SparseMatrix`), Dirichlet data
-by nodal interpolation with symmetric elimination, a BPX-preconditioned CG
-solve (tight, or stopped once the preconditioned residual norm meets a
-target the driver derives from the estimator; it raises NumericalError on a
-breakdown or at its iteration cap), and cached energy-norm error integration
-against closed-form solutions whose gradient kinks on a circle they name:
-the cells that circle meets are split and tested on their corners held as
-rows of x and y, and each batch maps its leaves' points into one array.
+The stiffness of a(u,v) = int grad(u) . grad(v), from three edge weights per
+cell as a diagonal and off-diagonal triplets (`SparseMatrix`), and the cell
+gradients are whole-mesh kernels that every pass runs: each works on 1-D
+rows, one local edge or coordinate at a time, and writes its output once.
+Dirichlet data enter by nodal interpolation with symmetric elimination;
+the solve is BPX-preconditioned CG (tight, or stopped once the
+preconditioned residual norm meets a target the driver derives from the
+estimator; it raises NumericalError on a breakdown or at its iteration
+cap). Energy-norm errors against closed-form solutions whose gradient kinks
+on a circle they name are cached per cell: the cells that circle meets are
+split and tested on their corners held as rows of x and y, and each batch
+maps its leaves' points into one array.
 """
 from __future__ import annotations
 
@@ -82,11 +85,17 @@ class FeFunction:
     @cached_property
     def cell_gradients(self) -> np.ndarray:
         """Constant gradient per active cell, (m, 2) over rows of x and y:
-        the corners' t_i = u_i perp(e_i) / 2|T|, summed (t_0 + t_2) + t_1."""
-        ex, ey = self.mesh.edge_vectors
-        t = np.stack((-ey, ex)) / (2.0 * self.mesh.areas)
-        t *= self.nodal_values[self.mesh.triangles.T]
-        return ((t[:, 0] + t[:, 2]) + t[:, 1]).T
+        (t_0 + t_2) + t_1 with t_i = u_i perp(e_i) / 2|T|, one coordinate at
+        a time (e_y / -2|T| has the bits of -e_y / 2|T|)."""
+        (ex, ey), q = self.mesh.edge_vectors, 2.0 * self.mesh.areas
+        u = [self.nodal_values.take(c) for c in self.mesh.triangles.T]
+        g, t = np.empty((2, self.mesh.num_cells)), np.empty_like(q)
+        for gd, e, s in zip(g, (ey, ex), (-q, q)):
+            np.multiply(np.divide(e[0], s, out=gd), u[0], out=gd)
+            for k in (2, 1):
+                np.multiply(np.divide(e[k], s, out=t), u[k], out=t)
+                gd += t
+        return g.T
 
 
 def _stiffness(mesh: Mesh):
@@ -94,15 +103,20 @@ def _stiffness(mesh: Mesh):
     off-diagonal triplets (i, j, v), each directed (i, j) once. Edge k of a
     cell runs from corner i = k + 1 to j = k + 2, and the cell across runs
     it back, so v sums w_k = e_{k+1} . e_{k+2} / 4|T| over the edge and its
-    twin; a boundary edge adds (j, i)."""
-    ex, ey = mesh.edge_vectors
-    w = (ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) \
-        / (4.0 * mesh.areas)
-    tw = mesh.twins.T
-    v, out = np.where(tw >= 0, w + w.T.ravel()[tw], w), tw < 0
-    t = mesh.triangles.T.astype(np.intp)  # the index type of take and bincount
-    a, b = t[[1, 2, 0]], t[[2, 0, 1]]
-    i, j, v = np.append(a, b[out]), np.append(b, a[out]), np.append(v, v[out])
+    twin; a boundary edge adds (j, i), after all cells' edges 0, 1, 2."""
+    (ex, ey), q, m = mesh.edge_vectors, 4.0 * mesh.areas, mesh.num_cells
+    w = np.empty((m, 3))  # by cell, as a twin 3 * row + edge indexes it
+    for k in range(3):
+        w[:, k] = (ex[k - 2] * ex[k - 1] + ey[k - 2] * ey[k - 1]) / q
+    tw, t = mesh.twins.T, mesh.triangles
+    k, c = np.nonzero(tw < 0)  # the boundary edges, edge by edge
+    v = np.empty(3 * m + len(c))
+    for e in range(3):  # a boundary edge reads twin -1 here, and is reset
+        np.add(w[:, e], w.take(tw[e]), out=v[e * m:(e + 1) * m])
+    v[k * m + c] = v[3 * m:] = w[c, k]
+    # intp, the index type of take and bincount
+    i = np.concatenate((t[:, 1], t[:, 2], t[:, 0], t[c, k - 1]), dtype=np.intp)
+    j = np.concatenate((t[:, 2], t[:, 0], t[:, 1], t[c, k - 2]), dtype=np.intp)
     return -np.bincount(i, v, mesh.num_vertices), i, j, v
 
 
@@ -120,18 +134,20 @@ def assemble(mesh: Mesh, forcing, boundary_data=None) -> DiscreteSystem:
     """
     n = mesh.num_vertices
     d, i, j, v = _stiffness(mesh)
-    raw_rhs = forcing.load_vector(mesh) if forcing is not None else np.zeros(n)
+    rhs = np.zeros(n) if forcing is None else \
+        np.array(forcing.load_vector(mesh), dtype=np.float64)
 
     bmask = mesh.boundary_vertex_mask
     ubc = np.zeros(n)
-    if boundary_data is not None and bmask.any():
-        ubc[bmask] = np.asarray(boundary_data(mesh.coords[bmask]),
-                                dtype=np.float64)
+    if boundary_data is not None:  # else the lift is x - (+0.0) = x
+        if bmask.any():
+            ubc[bmask] = np.asarray(boundary_data(mesh.coords[bmask]),
+                                    dtype=np.float64)
+        rhs -= SparseMatrix(d, i, j, v) @ ubc
 
     # the free-free nonzeros and a unit boundary diagonal; ubc is 0 on free rows
     keep = ~(bmask[i] | bmask[j]) & (v != 0)
     mat = SparseMatrix(np.where(bmask, 1.0, d), i[keep], j[keep], v[keep])
-    rhs = raw_rhs - SparseMatrix(d, i, j, v) @ ubc
     rhs[bmask] = ubc[bmask]
     return DiscreteSystem(mesh, mat, rhs)
 
@@ -150,7 +166,8 @@ def _bpx_preconditioner(system: DiscreteSystem):
     # sorted by level, the vertices of levels <= w are the first ends[w]
     order = np.argsort(level, kind="stable")
     ends = np.cumsum(np.bincount(level))
-    rank = np.argsort(order)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
     parents = rank[system.mesh.vertex_parents[order]]
     waves = [parents[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
     scale = np.where(free, 1.0 / d, 0.0)[order]

@@ -191,8 +191,9 @@ class _CellForcing:
                 pts = quadr.triangle_points(mesh.coords[mesh.triangles[cells]], bary)
                 g = self.eval(pts.reshape(-1, 2)).reshape(len(sel), len(w))
                 areas = mesh.areas[cells]
-                out[sel, :3] = areas[:, None] \
-                    * np.einsum("mq,q,qi->mi", g, w, bary)
+                for i in range(3):  # "mq,q,qi->mi" column by column
+                    out[sel, i] = areas * np.einsum("mq,q,q->m", g, w,
+                                                    bary[:, i])
                 out[sel, 3] = areas * np.einsum("mq,mq,q->m", g, g, w)
         return out
 

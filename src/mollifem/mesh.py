@@ -329,7 +329,7 @@ class CellCache:
         if self._serials is mesh.serial:  # a mesh's serial array never changes
             return self._values
         at, fresh = match_serials(self._serials, mesh.serial)
-        out = self._values[at]
+        out = self._values.take(at, axis=0)
         if len(fresh):
             out[fresh] = compute(fresh)
         out.flags.writeable = False

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mollifem.afem as afem
 from mollifem import fem
@@ -63,6 +64,56 @@ def test_mark_tie_breaks_by_id():
     assert got.tolist() == [0]
     # rows 1 and 2 tie for the largest value
     assert mark(np.array([1.0, 2.0, 2.0, 1.0]), 0.5).tolist() == [1]
+
+
+def _full_sort_mark(values, theta):
+    """Doerfler marking by a stable sort of every row: the oracle of `mark`,
+    which sorts only its candidates."""
+    values = np.asarray(values, dtype=np.float64)
+    sq = values * values
+    total = sq.sum()
+    if total <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(-values, kind="stable")
+    csum = np.cumsum(sq[order])
+    cut = int(np.searchsorted(csum, theta * theta * total, side="left"))
+    return order[:min(cut, len(csum) - 1) + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3000),
+       theta=st.one_of(st.floats(1e-6, 0.05), st.floats(0.05, 0.95),
+                       st.floats(0.95, 1.0 - 1e-9)),
+       kind=st.sampled_from(["levels", "zeros", "one", "equal", "spread"]))
+def test_mark_matches_the_full_sort(data, n, theta, kind):
+    # values from a few levels, so exact ties are common; all zeros, one
+    # nonzero, all equal, or spread over many magnitudes; theta near 1 makes
+    # the candidate set widen up to every row
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "levels":
+        values = rng.choice([0.0, 1e-3, 0.25, 0.5, 1.0, 3.0], n)
+    elif kind == "zeros":
+        values = np.zeros(n)
+    elif kind == "one":
+        values = np.zeros(n)
+        values[rng.integers(n)] = data.draw(st.sampled_from([1e-300, 1.0]))
+    elif kind == "equal":
+        values = np.full(n, data.draw(st.sampled_from([1e-9, 1.0, 7.5])))
+    else:
+        values = np.exp(rng.uniform(-30.0, 5.0, n))
+    got, want = mark(values, theta), _full_sort_mark(values, theta)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mark_keeps_the_full_sort_result_on_a_non_finite_value(bad):
+    # a non-finite total sorts all rows, so the result is the full sort's:
+    # NaN rows sort last, so every finite row and the first NaN row
+    values = np.array([0.5, 2.0, bad, 1.0, 2.0, bad, 0.0] * 3)
+    got, want = mark(values, 0.5), _full_sort_mark(values, 0.5)
+    assert np.array_equal(got, want)
+    if np.isnan(bad):
+        assert len(got) == 16
 
 
 def test_mark_rejects_bad_theta():

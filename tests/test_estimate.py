@@ -79,6 +79,32 @@ def test_jump_matches_an_edge_loop_on_jittered_meshes(domain, rounds, seed):
                                atol=1e-14 * want.max())
 
 
+def _where_jumps(w: FeFunction) -> np.ndarray:
+    """j(T)^2 with fancy-index gathers and `np.where` over each edge: the
+    oracle of the kernel that squares in place and zeros the boundary."""
+    mesh = w.mesh
+    (gx, gy), (ex, ey) = w.cell_gradients.T, mesh.edge_vectors
+    jsq = np.zeros(mesh.num_cells)
+    for k, n in enumerate(mesh.twins.T // 3):
+        cross = (gx - gx[n]) * ey[k] - (gy - gy[n]) * ex[k]
+        jsq += np.where(n >= 0, cross * cross, 0.0)
+    return jsq
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["rect", "lshape"]), rounds=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_jump_matches_the_where_formula_bit_for_bit(domain, rounds, seed):
+    # a third of the nodal values zero, so some cells have a zero gradient
+    # and some edges no jump
+    mesh = jittered_mesh(domain, rounds, seed)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(mesh.num_vertices)
+    vals[rng.random(len(vals)) < 0.3] = 0.0
+    w = FeFunction(mesh, vals)
+    assert jump_indicator_sq(w).tobytes() == _where_jumps(w).tobytes()
+
+
 def test_estimate_combines_jump_and_data():
     mesh = rect_mesh(6, 6, 0.0, 0.0, 1.0, 1.0)
     rng = np.random.default_rng(11)

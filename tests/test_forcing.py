@@ -391,6 +391,31 @@ def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(kind):
         assert got[c, 3] == data
 
 
+@pytest.mark.parametrize("depth", range(7))
+def test_load_columns_match_the_rule_contraction(depth, monkeypatch):
+    # each load column as its own "mq,q,q->m" einsum against the (q, 3)
+    # contraction "mq,q,qi->mi", cell by cell, in batches of up to 2^18
+    # points with a part batch: bit for bit for rules of up to 8,192 points
+    # (depth 5 has 6,144). Past that, numpy sums each column in blocks of
+    # 8,192 points, so a depth-6 cell (24,576 points) may differ in its last
+    # bits, within 1e-12 relative; the workloads' forcings reach depth 2.
+    g = _area_forcing("density")
+    mesh = rect_mesh(4, 4).uniform_refine(2)  # 128 cells
+    monkeypatch.setattr(g, "_depths", lambda mesh, positions: np.full(
+        len(positions), depth))
+    positions = np.arange(mesh.num_cells)
+    got = g._cell_integrals(mesh, positions)[:, :3]
+    bary, w = quadr.subdivided_rule(depth)
+    for c in positions:
+        pts = quadr.triangle_points(mesh.coords[mesh.triangles[c:c + 1]], bary)
+        v = g.eval(pts.reshape(-1, 2))[None, :]
+        want = mesh.areas[c] * np.einsum("mq,q,qi->mi", v, w, bary)[0]
+        if depth <= 5:
+            assert got[c].tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got[c], want, rtol=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["radial_c1", "density"])
 def test_cell_integrals_do_not_depend_on_the_batch(kind, monkeypatch):
     # one-cell batches, and batches of a few cells, give the bits of one

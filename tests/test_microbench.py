@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mollifem.afem import interface_loop
+from mollifem.afem import interface_loop, mark
 from mollifem.curves import Curve, interface_cells
-from mollifem.estimate import estimate
+from mollifem.estimate import estimate, jump_indicator_sq
 from mollifem.fem import ErrorIntegrator, FeFunction, assemble, solve_galerkin
 from mollifem.forcing import DensityForcing, Kernel, RegularizedForcing
 from mollifem.mesh import rect_mesh
@@ -126,6 +126,23 @@ def test_estimate_on_100k_cells(benchmark):
                              setup=lambda: _fresh(mesh), rounds=8,
                              warmup_rounds=1)
     assert np.all(ind.data_sq > 0.0) and ind.global_jump > 0.0
+
+
+def test_mark_on_100k_cells(benchmark):
+    # Doerfler marking of the jump indicators of a peak: 11,069 of the
+    # 100,352 cells at theta = 0.7, about the share of `smooth-plain`'s
+    # largest passes
+    mesh = rect_mesh(224, 224)
+    x, y = mesh.coords.T
+    vals = np.exp(-20.0 * ((x - 0.3) ** 2 + (y - 0.6) ** 2))
+    eta = np.sqrt(jump_indicator_sq(FeFunction(mesh, vals)))
+
+    # a fixed round count keeps the Tier-1 cost well under half a second
+    marked = benchmark.pedantic(mark, args=(eta, 0.7), rounds=20,
+                                warmup_rounds=1)
+    sq = np.sort(eta * eta)[::-1]
+    assert len(marked) == 11069 and len(np.unique(marked)) == len(marked)
+    assert sq[:len(marked)].sum() >= 0.49 * sq.sum() > sq[:len(marked) - 1].sum()
 
 
 def test_refine_1k_marked_on_100k_cells(benchmark):
