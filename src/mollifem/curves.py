@@ -4,10 +4,11 @@ The immersed curve gamma is always handled through its polyline
 discretization; a circle is represented by an inscribed regular polygon.
 A curve's points and its density f, piecewise constant per segment, never
 change. It owns a bin grid of its segment midpoints and the bounding boxes
-of its segments, used for proximity queries, and the incidence of its
-segments and the cells of the last mesh asked about (`Curve.hits`), the
-one place where the program decides which cells the curve meets;
-`interface_cells` and the line source read it.
+of its segments, used for proximity queries. `Curve.pairs` is the one place
+where the program decides which cells the curve meets: it clips the cells
+it is given, and keeps nothing. Its two readers, `interface_cells` and the
+line source, each keep what they need per cell in a `mesh.CellCache`, so
+each clips a cell once.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import quadrature as quadr
 from .geometry import BinGrid, clip_pairs, clip_slack
-from .mesh import Mesh, match_serials
+from .mesh import CellCache, Mesh
 
-_CLIP_POINTS = 2  # a midpoint `Curve.hits` lists holds about 178 B in its clip
+_CLIP_POINTS = 2  # a midpoint `Curve.pairs` lists holds about 178 B in its clip
 
 
 class Curve:
@@ -45,9 +46,7 @@ class Curve:
             raise ValueError("need one value per curve segment")
         f.flags.writeable = False
         self.f = f
-        self._serials = np.array([-1])  # a sentinel entry no serial matches
-        self._hits = (np.empty(0, np.int32), np.empty(0, np.int32),
-                      np.empty(0), np.empty(0))
+        self._meets = CellCache()  # 1 where the cell meets the curve
 
     @classmethod
     def circle(cls, center, radius: float, n_segments: int = 2 ** 14, f=1.0,
@@ -103,53 +102,26 @@ class Curve:
         a, b, w = self.seg_start, self.seg_end, clip_slack(self.seg_lengths)
         return np.concatenate([np.minimum(a, b).T - w, np.maximum(a, b).T + w])
 
-    def hits(self, mesh: Mesh, rows: np.ndarray | None = None,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The incidence of the segments and the cells of `mesh`: (cell,
-        seg, t0, t1) for each pair whose segment meets the closed cell,
-        touching included (`geometry.clip_pairs`), by cell, then by
+    def pairs(self, mesh: Mesh, rows: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(k, seg, t0, t1) for each pair of a segment and a cell at `rows`
+        (ascending, not empty) whose closures meet, touching included
+        (`geometry.clip_pairs`), k the cell's place in `rows`, by k, then by
         ascending segment. [t0, t1] is the part of the segment's parameter
-        range inside the cell, empty where the two only touch. With `rows`
-        (ascending), the pairs of the cells at `rows` alone, each cell given
-        by its place in `rows`. The arrays are read-only.
+        range inside the cell, empty where the two only touch.
 
-        The pairs of the last mesh asked about are kept, keyed by cell
-        serial (`match_serials`): only cells that mesh lacks are queried, once
-        (`_query`), and clipped against their `_candidates` in
-        `quadrature.batches`, a cell priced at `_CLIP_POINTS` a midpoint
-        that the query lists.
+        The cells are queried once (`_query`) and clipped against their
+        `_candidates` in `quadrature.batches`, a cell priced at
+        `_CLIP_POINTS` a midpoint that the query lists.
         """
-        if self._serials is not mesh.serial:  # a mesh's serial array never changes
-            fresh = match_serials(self._serials, mesh.serial)[1]
-            query = self._query(mesh, fresh)
-            hits = []
-            for lo, hi in quadr.batches(_CLIP_POINTS * query[-1]):
-                ci, si = self._candidates(*(x[..., lo:hi] for x in query))
-                ci = fresh[lo + ci]
-                a, b, meets = clip_pairs(self, mesh, si, ci)
-                hits.append((ci[meets], si[meets], a[meets], b[meets]))
-            del query
-            row, gone = match_serials(mesh.serial, self._serials)
-            row[gone] = -1  # each known cell's row in `mesh`, or -1
-            cell, seg, t0, t1 = self._hits
-            cell = row[cell]
-            on = cell >= 0
-            hits.insert(0, (cell[on], seg[on], t0[on], t1[on]))
-            # kept and fresh pairs each ascend by cell, segments in order;
-            # cells and segments are stored as int32: 24 B a pair
-            hits = [np.concatenate(x) for x in zip(*hits)]
-            order = np.argsort(hits[0], kind="stable")
-            cell, seg, t0, t1 = (x[order] for x in hits)
-            self._hits = (cell.astype(np.int32), seg.astype(np.int32), t0, t1)
-            for x in self._hits:
-                x.flags.writeable = False
-            self._serials = mesh.serial
-        if rows is None:
-            return self._hits
-        cell = self._hits[0]
-        k, i = _ranges(*(np.searchsorted(cell, rows, side)
-                         for side in ("left", "right")))
-        return (k, *(x[i] for x in self._hits[1:]))
+        query = self._query(mesh, rows)
+        out = []
+        for lo, hi in quadr.batches(_CLIP_POINTS * query[-1]):
+            k, seg = self._candidates(*(x[..., lo:hi] for x in query))
+            k += lo
+            t0, t1, meets = clip_pairs(self, mesh, seg, rows[k])
+            out.append((k[meets], seg[meets], t0[meets], t1[meets]))
+        return tuple(np.concatenate(x) for x in zip(*out))
 
     def _query(self, mesh: Mesh, rows: np.ndarray):
         """(box, i0, j0, i1, j1, count): the boxes of the cells at `rows`
@@ -203,8 +175,10 @@ class Curve:
 
 
 def interface_cells(mesh: Mesh, curve: Curve) -> np.ndarray:
-    """Rows of the cells whose closure meets the curve polyline, ascending."""
-    return np.flatnonzero(np.bincount(curve.hits(mesh)[0]))
+    """Rows of the cells whose closure meets the curve polyline, ascending;
+    a flag per cell, kept on the curve, so each cell is clipped once."""
+    return np.flatnonzero(curve._meets.values(mesh, lambda rows: np.bincount(
+        curve.pairs(mesh, rows)[0], minlength=len(rows)) > 0))
 
 
 def _ranges(start: np.ndarray, stop: np.ndarray):

@@ -304,12 +304,8 @@ def _kink_leaves(mesh: Mesh, rows: np.ndarray, kink, crossed: np.ndarray):
     ends = np.cumsum([0] + [len(o) for o in owner])
     pts = np.empty((ends[-1], 6, 2))
     for (xy, _, keep, b), lo, hi in zip(levels, ends, ends[1:]):
-        c, out = xy[..., keep, None], pts[lo:hi].reshape(-1, len(b), 2)
-        # `quadr.triangle_points`' map, in place, one coordinate at a time
-        for d, o in enumerate((out[..., 0], out[..., 1])):
-            np.multiply(b[:, 0], c[d, 0], out=o)
-            o += b[:, 1] * c[d, 1]
-            o += b[:, 2] * c[d, 2]
+        quadr.triangle_points(xy[..., keep], b,
+                              pts[lo:hi].reshape(-1, len(b), 2))
     scale = np.repeat(0.25 ** np.arange(len(levels)), np.diff(ends))
     return np.concatenate(owner), pts, scale
 

@@ -188,7 +188,7 @@ class _CellForcing:
             for lo, hi in quadr.batches(np.full(len(grp), len(w))):
                 sel = grp[lo:hi]
                 cells = positions[sel]
-                pts = quadr.triangle_points(mesh.coords[mesh.triangles[cells]], bary)
+                pts = quadr.triangle_points(mesh.corners(cells), bary)
                 g = self.eval(pts.reshape(-1, 2)).reshape(len(sel), len(w))
                 areas = mesh.areas[cells]
                 for i in range(3):  # "mq,q,qi->mi" column by column
@@ -351,10 +351,10 @@ class LineForcing(_CellForcing):
     """Exact (clipped) line source; data indicator is the surrogate
     h_T^(1/2) ||f||_{L2(T cap gamma)}.
 
-    The clipped pieces come from the curve's incidence store (`Curve.hits`);
-    phi_i is linear and f constant along each, so its midpoint rule is
-    exact. The integrals are cached per cell, so repeated refinement passes
-    only touch newly created cells.
+    The clipped pieces come from the curve (`Curve.pairs`); phi_i is linear
+    and f constant along each, so its midpoint rule is exact. The integrals
+    are cached per cell, so each cell is clipped once and repeated
+    refinement passes only touch newly created cells.
     """
 
     def __init__(self, curve: Curve):
@@ -363,7 +363,7 @@ class LineForcing(_CellForcing):
 
     def _cell_integrals(self, mesh: Mesh, positions: np.ndarray) -> np.ndarray:
         """int_{T cap gamma} f phi_i (i = 0, 1, 2) and int_{T cap gamma} f^2."""
-        rows, si, t0, t1 = self.curve.hits(mesh, positions)
+        rows, si, t0, t1 = self.curve.pairs(mesh, positions)
         piece = t1 - t0 > 1e-14  # touching pairs carry no length
         rows, si, t0, t1 = rows[piece], si[piece], t0[piece], t1[piece]
         a, b = self.curve.seg_start[si], self.curve.seg_end[si]

@@ -304,20 +304,10 @@ class Mesh:
         return mesh
 
 
-def match_serials(known: np.ndarray, serial: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of `serial` sits in the ascending `known` (an index into
-    `known`, meaningless for the rest), and the positions of the serials
-    that `known` lacks, ascending. A serial names one triangle for the life
-    of the process, so a cell that a refinement leaves alone is found and
-    no other cell is."""
-    at = np.minimum(np.searchsorted(known, serial), len(known) - 1)
-    return at, np.flatnonzero(known[at] != serial)
-
-
 class CellCache:
     """Per-cell values of the cells of the last mesh asked about, keyed by
-    serial (`match_serials`)."""
+    serial: a serial names one triangle for the life of the process, so a
+    cell that a refinement leaves alone is found and no other cell is."""
 
     def __init__(self, shape: tuple[int, ...] = ()):
         self._serials = np.array([-1])  # a sentinel entry no serial matches
@@ -328,7 +318,10 @@ class CellCache:
         are filled from `compute(rows)` over their rows (ascending)."""
         if self._serials is mesh.serial:  # a mesh's serial array never changes
             return self._values
-        at, fresh = match_serials(self._serials, mesh.serial)
+        # where each serial sits in `_serials`, meaningless for fresh cells
+        at = np.minimum(np.searchsorted(self._serials, mesh.serial),
+                        len(self._serials) - 1)
+        fresh = np.flatnonzero(self._serials[at] != mesh.serial)
         out = self._values.take(at, axis=0)
         if len(fresh):
             out[fresh] = compute(fresh)

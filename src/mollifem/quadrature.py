@@ -66,12 +66,18 @@ def subdivided_rule(depth: int) -> tuple[np.ndarray, np.ndarray]:
     return bary, w
 
 
-def triangle_points(cell_coords: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """Map barycentric points (Q, 3) into cells (m, 3, 2) -> (m, Q, 2)."""
+def triangle_points(xy: np.ndarray, bary: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Map barycentric points (Q, 3) into the cells whose corners are rows of
+    x and y (2, 3, m), as `Mesh.corners` gives them -> (m, Q, 2), written
+    into `out` when it is given."""
+    if out is None:
+        out = np.empty((xy.shape[-1], len(bary), 2))
     # one coordinate at a time, so the inner loops run over the Q points
-    out = np.empty((len(cell_coords), len(bary), 2))
-    b = bary.T
-    for x in (0, 1):
-        c = cell_coords[:, :, x, None]
-        out[..., x] = b[0] * c[:, 0] + b[1] * c[:, 1] + b[2] * c[:, 2]
+    c = xy[..., None]
+    for d in (0, 1):
+        o = out[..., d]
+        np.multiply(bary[:, 0], c[d, 0], out=o)
+        o += bary[:, 1] * c[d, 1]
+        o += bary[:, 2] * c[d, 2]
     return out

@@ -2,7 +2,8 @@
 element formulas, scipy's CSR rebuilt from the package's matrix, an
 edge-by-edge segment-triangle predicate, a circle-triangle predicate, the
 per-pair segment clip and an exact cell-support test used as oracles,
-jittered meshes and sibling meshes for per-cell checks, and uniformly
+jittered meshes and sibling meshes for per-cell checks, a counter of the
+curve's cell queries, and uniformly
 refined systems with the adaptive driver's warm starts for solver checks.
 
 The reference integrators here are deliberately independent of the package's
@@ -141,7 +142,7 @@ def jittered_mesh(domain: str, rounds: int, seed: int) -> Mesh:
 # -- the edge-by-edge segment-triangle predicate ----------------------------
 # Inclusive ("touching counts") like the package's clip, but built from
 # point-in-triangle and segment-segment tests, each with its own slack scaled
-# by the cross products involved: the oracle for `Curve.hits`.
+# by the cross products involved: the oracle for `Curve.pairs`.
 
 
 def points_in_triangles(p, t0, t1, t2):
@@ -310,6 +311,18 @@ def cells_meeting_supports(mesh: Mesh, nodes: np.ndarray, r: float,
     out = np.zeros(len(rows), dtype=bool)
     out[cell[meets]] = True
     return out
+
+
+class CountingQueries:
+    """A curve's `_query` that records the serials of the cells it is asked
+    about, one array a call."""
+
+    def __init__(self, query):
+        self.query, self.serials = query, []
+
+    def __call__(self, mesh, rows):
+        self.serials.append(mesh.serial[rows])
+        return self.query(mesh, rows)
 
 
 def sibling_refinements(mesh: Mesh, curve) -> tuple[Mesh, Mesh]:

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CountingQueries
 import mollifem.afem as afem
 from mollifem import fem
 from mollifem.afem import (AfemParams, RunRecord, RunRow, data_loop,
                            interface_loop, mark, solve)
 from mollifem.curves import Curve, interface_cells
 from mollifem.errors import NonTerminationError
-from mollifem.fem import ErrorIntegrator, FeFunction, solve_galerkin
-from mollifem.forcing import DensityForcing
+from mollifem.fem import solve_galerkin
+from mollifem.forcing import DensityForcing, LineForcing
 from mollifem.mesh import rect_mesh
 from mollifem.problems import lshape_problem, smooth_problem, square_problem
 
@@ -479,29 +480,37 @@ def test_u_samples_drops_trailing_radius_update():
     assert [(s.j, s.k) for s in rec.u_samples()] == [(0, 1), (1, 0)]
 
 
-def test_only_the_interface_loop_updates_the_curve_incidence(monkeypatch):
-    # on a small regsolve run every update of the curve's incidence store
-    # comes from the interface loop: the error pass reads its kink from the
-    # exact solution, so on a fresh curve it leaves the store as it was
-    p = lshape_problem(n_segments=512)
-    callers, hits = [], Curve.hits
+@pytest.mark.parametrize("algorithm", ["regsolve", "baseline"])
+def test_each_algorithm_clips_the_curve_from_one_reader(monkeypatch,
+                                                        algorithm):
+    # a small run reaches `Curve.pairs` from one reader alone: regsolve from
+    # the interface loop's `interface_cells` (the error pass reads its kink
+    # from the exact solution), baseline from `LineForcing`'s per-cell
+    # integrals. That reader keeps what it needs per cell, so no cell of the
+    # run is queried twice
+    if algorithm == "regsolve":
+        p, reader, other = lshape_problem(n_segments=512), "interface_cells", \
+            "_cell_integrals"
+        params = AfemParams(theta=0.7, theta_data=0.7, lam=1.0 / 3.0, mu=0.8,
+                            beta=0.8, tau0=0.5, j_max=1,
+                            kernel_family="radial_c1")
+    else:
+        p, reader, other = square_problem(n_segments=256), "_cell_integrals", \
+            "interface_cells"
+        params = AfemParams(theta=0.55, theta_data=0.55, lam=1.0 / 3.0,
+                            mu=0.8, beta=0.7, tau0=1.2, j_max=1,
+                            kernel_family="tensor_linf")
+    counted = p.curve._query = CountingQueries(p.curve._query)
+    callers, pairs = [], Curve.pairs
 
-    def spied(curve, mesh, rows=None):
-        before = curve._serials
-        out = hits(curve, mesh, rows)
-        if curve._serials is not before:
-            callers.append({f.name for f in traceback.extract_stack()})
-        return out
+    def spied(curve, mesh, rows):
+        callers.append({f.name for f in traceback.extract_stack()})
+        return pairs(curve, mesh, rows)
 
-    monkeypatch.setattr(Curve, "hits", spied)
-    params = AfemParams(theta=0.7, theta_data=0.7, lam=1.0 / 3.0, mu=0.8,
-                        beta=0.8, tau0=0.5, j_max=1,
-                        kernel_family="radial_c1")
-    solve(p, params)
-    assert callers and all("interface_loop" in names for names in callers)
-    fresh = lshape_problem(n_segments=512)
-    serials, store = fresh.curve._serials, fresh.curve._hits
-    mesh = fresh.initial_mesh()
-    ErrorIntegrator(fresh.exact)(FeFunction(mesh,
-                                            fresh.exact.value(mesh.coords)))
-    assert fresh.curve._serials is serials and fresh.curve._hits is store
+    monkeypatch.setattr(Curve, "pairs", spied)
+    g = solve(p, params, algorithm)[-1]
+    assert isinstance(g, LineForcing) == (algorithm == "baseline")
+    assert callers and all(reader in names and other not in names
+                           for names in callers)
+    queried = np.concatenate(counted.serials)
+    assert len(np.unique(queried)) == len(queried) > 0

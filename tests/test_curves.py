@@ -1,4 +1,4 @@
-"""Polyline curve container, per-segment data, and the incidence store."""
+"""Polyline curve container, per-segment data, and its cell pairs."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import clip_segments_to_triangles, jittered_mesh
+from conftest import CountingQueries, clip_segments_to_triangles, jittered_mesh
 from mollifem import curves, quadrature as quadr
 from mollifem.afem import interface_loop
 from mollifem.curves import Curve, interface_cells
@@ -54,25 +54,15 @@ def test_circle_boundary_gap_recorded():
     assert abs(c.boundary_gap - 0.3) < 1e-15
 
 
-class _CountingQueries:
-    """A curve's `_query` that records the centroids of the cells it is
-    asked about."""
-
-    def __init__(self, query):
-        self.query, self.centres = query, []
-
-    def __call__(self, mesh, rows):
-        self.centres.append(mesh.coords[mesh.triangles[rows]].mean(axis=1))
-        return self.query(mesh, rows)
-
-
-def test_each_fresh_cell_is_queried_once_per_curve():
-    # the two readers of the incidence on two meshes of a lineage: each
-    # cell's bins are queried (and its candidates clipped) once, by whichever
-    # reader comes first
+def test_each_reader_queries_a_fresh_cell_once():
+    # the two readers of the curve on two meshes of a lineage: each keeps
+    # its own per-cell cache, so each queries a cell's bins (and clips its
+    # candidates) once, and a cell both read is queried once per reader.
+    # No driver reads a mesh with both: `interface_cells` runs only in
+    # regsolve and `LineForcing` only in baseline
     problem = square_problem(n_segments=512)
     curve = problem.curve
-    counted = curve._query = _CountingQueries(curve._query)
+    counted = curve._query = CountingQueries(curve._query)
     line = LineForcing(curve)
     mesh = problem.initial_mesh()
     seen = []
@@ -82,25 +72,21 @@ def test_each_fresh_cell_is_queried_once_per_curve():
         interface_cells(mesh, curve)
         line.load_vector(mesh)
         seen.append(mesh)
-    queried = np.concatenate(counted.centres)
-    serial = np.concatenate([m.serial for m in seen])
-    _, first = np.unique(serial, return_index=True)
-    rows = np.concatenate([np.arange(m.num_cells) for m in seen])[first]
-    owner = np.repeat(np.arange(len(seen)), [m.num_cells for m in seen])[first]
-    want = np.concatenate([m.coords[m.triangles[rows[owner == k]]].mean(axis=1)
-                           for k, m in enumerate(seen)])
-    assert len(queried) == len(want) == len(first)
-    np.testing.assert_array_equal(np.unique(queried, axis=0),
-                                  np.unique(want, axis=0))
+    queried, times = np.unique(np.concatenate(counted.serials),
+                               return_counts=True)
+    np.testing.assert_array_equal(
+        queried, np.unique(np.concatenate([m.serial for m in seen])))
+    assert (times == 2).all()
     # a later stage's interface loop starts on a mesh the curve has seen:
-    # it queries only the cells its own refinements create
+    # it queries only the cells its own refinements create, each once
     last = seen[-1]
-    counted.centres.clear()
+    counted.serials.clear()
     assert interface_loop(last, curve, 1.0) is last
-    assert not counted.centres
+    assert not counted.serials
     fine = interface_loop(last, curve, 0.5 * last.h_sizes[
         interface_cells(last, curve)].max())
-    assert sum(map(len, counted.centres)) == fine.serial[-1] - last.serial[-1]
+    np.testing.assert_array_equal(np.concatenate(counted.serials), np.arange(
+        last.serial[-1] + 1, fine.serial[-1] + 1))
 
 
 def _pieces(mesh, kinds, scale):
@@ -174,7 +160,7 @@ def test_curve_hits_batches_price_the_listed_midpoints(monkeypatch):
     listed, candidates = [], curve._candidates
     curve._candidates = lambda *query: (
         listed.append(query[-1]) or candidates(*query))
-    curve.hits(mesh)
+    curve.pairs(mesh, np.arange(mesh.num_cells))
     np.testing.assert_array_equal(np.concatenate(listed), count)
     for c in listed:
         assert curves._CLIP_POINTS * (c.sum() - c.max()) <= chunk
@@ -188,16 +174,15 @@ def test_curve_hits_batches_do_not_move_bits(monkeypatch):
     mesh = mesh.refine(range(0, mesh.num_cells, 2))
     # (a batch is known by its cells' query boxes, which hold the cells'
     # boxes in row order)
-    box, *_, count = curve._query(mesh, np.arange(mesh.num_cells))
-    hits, batches = [], []
+    rows = np.arange(mesh.num_cells)
+    box, *_, count = curve._query(mesh, rows)
+    pairs, batches, candidates = [], [], curve._candidates
+    curve._candidates = lambda *query: (
+        batches.append(query[0]) or candidates(*query))
     for chunk in (1 << 30, 3 * int(np.median(count[count > 0]))):
         monkeypatch.setattr(quadr, "POINT_CHUNK", chunk)
-        fresh = Curve(curve.points, closed=True)
-        candidates = fresh._candidates
-        fresh._candidates = lambda *query: (
-            batches.append(query[0]) or candidates(*query))
-        hits.append(fresh.hits(mesh))
+        pairs.append(curve.pairs(mesh, rows))
     assert len(batches) > 10
     assert batches[0].tobytes() == box.tobytes()
     np.testing.assert_array_equal(np.concatenate(batches[1:], axis=1), box)
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(*hits))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(*pairs))

@@ -515,7 +515,7 @@ def reference_energy_error(u, w: FeFunction) -> float:
     for d in np.unique(depths):
         sel = np.nonzero(depths == d)[0]
         bary, wq = quadr.subdivided_rule(int(d))
-        pts = quadr.triangle_points(mesh.coords[mesh.triangles[sel]], bary)
+        pts = quadr.triangle_points(mesh.corners(sel), bary)
         ge = u.gradient(pts.reshape(-1, 2)).reshape(len(sel), -1, 2) \
             - grads[sel][:, None, :]
         total += float((mesh.areas[sel] * ((ge * ge).sum(-1) @ wq)).sum())
@@ -646,7 +646,7 @@ _KINK_CURVE = Curve.circle(_KINK_CENTER, _KINK_RADIUS, 1024, boundary_gap=0.25)
 def _uniform_moments(u, tri: np.ndarray, depth: int) -> np.ndarray:
     """(V_T, m_T) of one cell by the uniform depth-`depth` rule."""
     bary, wq = quadr.subdivided_rule(depth)
-    g = u.gradient(quadr.triangle_points(tri[None], bary).reshape(-1, 2))
+    g = u.gradient(quadr.triangle_points(tri.T[..., None], bary).reshape(-1, 2))
     mean = wq @ g
     e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
     area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])

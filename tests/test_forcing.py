@@ -383,7 +383,7 @@ def test_cell_integrals_apply_the_rule_to_eval_bit_for_bit(kind):
     got = g._cell_integrals(mesh, positions)
     for c in positions:
         bary, w = quadr.subdivided_rule(int(depths[c]))
-        pts = quadr.triangle_points(mesh.coords[mesh.triangles[c:c + 1]], bary)
+        pts = quadr.triangle_points(mesh.corners(positions[c:c + 1]), bary)
         v = g.eval(pts.reshape(-1, 2))[None, :]
         load = mesh.areas[c] * np.einsum("mq,q,qi->mi", v, w, bary)[0]
         data = mesh.areas[c] * np.einsum("mq,mq,q->m", v, v, w)[0]
@@ -407,7 +407,7 @@ def test_load_columns_match_the_rule_contraction(depth, monkeypatch):
     got = g._cell_integrals(mesh, positions)[:, :3]
     bary, w = quadr.subdivided_rule(depth)
     for c in positions:
-        pts = quadr.triangle_points(mesh.coords[mesh.triangles[c:c + 1]], bary)
+        pts = quadr.triangle_points(mesh.corners(positions[c:c + 1]), bary)
         v = g.eval(pts.reshape(-1, 2))[None, :]
         want = mesh.areas[c] * np.einsum("mq,q,qi->mi", v, w, bary)[0]
         if depth <= 5:
@@ -501,7 +501,7 @@ def _rule_integrals(g: RegularizedForcing, mesh: Mesh, rows: np.ndarray,
     out = np.empty((len(rows), 4))
     for lo in range(0, len(rows), 50):
         sel = rows[lo:lo + 50]
-        pts = quadr.triangle_points(mesh.coords[mesh.triangles[sel]], bary)
+        pts = quadr.triangle_points(mesh.corners(sel), bary)
         v = g.eval(pts.reshape(-1, 2)).reshape(len(sel), -1)
         out[lo:lo + 50, :3] = mesh.areas[sel, None] \
             * np.einsum("mq,q,qi->mi", v, w, bary)

@@ -1,8 +1,8 @@
 """Every name a module imports is read somewhere in that module, every
 public name the package defines is reached from outside the unit tests, the
 package's modules import each other without a cycle and read none of each
-other's underscore names, and neither the package's start nor a run imports
-scipy or `numpy.ma`.
+other's underscore names, no module but the mesh reads cell serials, and
+neither the package's start nor a run imports scipy or `numpy.ma`.
 
 The AST of each file under ``src/`` and ``tests/`` is walked: a name bound
 by an import and never loaded fails, unless the import's lines say
@@ -187,6 +187,24 @@ def test_the_layering_check_sees_each_kind_of_import():
         "    from .fem import cg\n")
     assert package_imports(source) == {"quadrature", "geometry", "curves",
                                        "fem"}
+
+
+def serial_reads(source: str) -> list[int]:
+    """The lines of `source` that read an attribute named `serial`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "serial")
+
+
+def test_only_the_mesh_reads_cell_serials():
+    # a cache keyed by cell serial is a `mesh.CellCache`: no other module
+    # reads a mesh's serials, so no second serial-keyed cache grows beside it
+    assert serial_reads("a = m.serial\nm.serials\nb = f(x).serial[0]\n") \
+        == [1, 3]
+    found = [f"{path.name}:{line}"
+             for path in sorted(ROOT.glob("src/mollifem/*.py"))
+             if path.name != "mesh.py"
+             for line in serial_reads(path.read_text())]
+    assert found == []
 
 
 def private_reads(source: str) -> list[tuple[int, str]]:

@@ -1,5 +1,5 @@
 """Mesh construction, bisection refinement, genealogy, and curve queries
-(the curve's incidence store against the all-pairs oracle)."""
+(the curve's cell pairs against the all-pairs oracle)."""
 from __future__ import annotations
 
 from collections import deque
@@ -504,19 +504,18 @@ def test_curve_candidates_are_the_all_pairs_box_pairs(points, closed, scale,
             np.flatnonzero(box & np.isin(c, positions)))
 
 
-def _assert_hits_are_the_oracle_pairs(curve: Curve, meshes) -> None:
-    """`curve.hits` on each of `meshes` in turn, warm from the one before,
-    and cold on a fresh copy of the curve: the pairs the all-pairs oracle
-    finds, by cell and then segment, with the pieces a direct clip gives."""
+def _assert_pairs_are_the_oracle_pairs(curve: Curve, meshes) -> None:
+    """`curve.pairs` of all cells of each of `meshes`: the pairs the
+    all-pairs oracle finds, by cell and then segment, with the pieces a
+    direct clip gives, and of its odd rows alone the same bits; and
+    `interface_cells` on each in turn, warm from the one before, the cells
+    of those pairs, as on a fresh copy of the curve."""
     for mesh in meshes:
-        warm = curve.hits(mesh)
-        cold = Curve(curve.points, closed=curve.closed).hits(mesh)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(warm, cold))
+        cell, seg, t0, t1 = curve.pairs(mesh, np.arange(mesh.num_cells))
         c, s = _all_pairs(mesh, curve)
         p = mesh.coords[mesh.triangles[c]]
         hit = segments_intersect_triangles(curve.seg_start[s], curve.seg_end[s],
                                            p[:, 0], p[:, 1], p[:, 2])
-        cell, seg, t0, t1 = warm
         np.testing.assert_array_equal(cell * curve.num_segments + seg,
                                       np.flatnonzero(hit))
         want = clip_segments_to_triangles(
@@ -524,6 +523,14 @@ def _assert_hits_are_the_oracle_pairs(curve: Curve, meshes) -> None:
             *np.moveaxis(mesh.coords[mesh.triangles[cell]], 1, 0))
         assert want[0].tobytes() == t0.tobytes()
         assert want[1].tobytes() == t1.tobytes()
+        odd, on = np.arange(1, mesh.num_cells, 2), cell % 2 == 1
+        k, *rest = curve.pairs(mesh, odd)
+        np.testing.assert_array_equal(odd[k], cell[on])
+        assert all(x.tobytes() == y[on].tobytes()
+                   for x, y in zip(rest, (seg, t0, t1)))
+        cold = interface_cells(mesh, Curve(curve.points, closed=curve.closed))
+        np.testing.assert_array_equal(interface_cells(mesh, curve), cold)
+        np.testing.assert_array_equal(cold, np.flatnonzero(np.bincount(cell)))
 
 
 def test_curve_hits_on_exact_touches():
@@ -532,9 +539,9 @@ def test_curve_hits_on_exact_touches():
                    [[0.3, 0.3], [0.6, 0.6]],  # on the shared edge
                    [[1.5, -0.5], [1.0, 0.0], [1.5, 0.5]]):  # vertex on a corner
         curve = Curve(np.array(points), closed=False)
-        _assert_hits_are_the_oracle_pairs(curve, [square, square.refine([0])])
+        _assert_pairs_are_the_oracle_pairs(curve, [square, square.refine([0])])
     corner = Curve(np.array([[1.5, -0.5], [1.0, 0.0], [1.5, 0.5]]), closed=False)
-    cell, seg, t0, t1 = corner.hits(square)
+    cell, seg, t0, t1 = corner.pairs(square, np.arange(square.num_cells))
     assert cell.tolist() == [0, 0] and seg.tolist() == [0, 1]
     assert (t1 - t0).max() <= 0.0  # touching only: no length inside
 
@@ -558,7 +565,7 @@ def test_curve_hits_match_the_all_pairs_oracle(points, closed, graded, left,
     for marks in graded:
         base = base.refine(np.array(marks) % base.num_cells)
     a, b = (base.refine(np.array(m) % base.num_cells) for m in (left, right))
-    _assert_hits_are_the_oracle_pairs(curve, [base, a, b, a, base, b])
+    _assert_pairs_are_the_oracle_pairs(curve, [base, a, b, a, base, b])
 
 
 def test_refinement_terminates_on_deep_marking():

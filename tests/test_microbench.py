@@ -229,19 +229,19 @@ def test_cold_error_integrator_without_a_curve(benchmark):
 
 
 def test_cold_curve_hits(benchmark, lshape_resolved):
-    # the curve's incidence on 90,260 cells, 2,792 of them crossed: as on
-    # the workloads' refined meshes, most cells are far from the curve
+    # the curve's pairs with all of 90,260 cells, 2,792 of them crossed:
+    # as on the workloads' refined meshes, most cells are far from the curve
     problem, mesh = lshape_resolved
     mesh = mesh.uniform_refine(4)
-    curve = problem.curve
+    curve, rows = problem.curve, np.arange(mesh.num_cells)
 
     def fresh_curve():
-        # a copy of the curve per round: its midpoint grid and incidence are
-        # paid for inside the round
+        # a copy of the curve per round: its midpoint grid is paid for
+        # inside the round
         return (Curve(curve.points, curve.f, curve.closed),), {}
 
     # a fixed round count keeps the Tier-1 cost well under a second
-    cell, seg, t0, t1 = benchmark.pedantic(lambda c: c.hits(mesh),
+    cell, seg, t0, t1 = benchmark.pedantic(lambda c: c.pairs(mesh, rows),
                                            setup=fresh_curve, rounds=5,
                                            warmup_rounds=1)
     # the pieces of the closed curve, which lies inside the domain, add up

@@ -21,7 +21,7 @@ def exact_monomial(a: int, b: int) -> float:
 
 
 def rule_integral(bary: np.ndarray, w: np.ndarray, a: int, b: int) -> float:
-    pts = quadr.triangle_points(REF[None], bary)[0]
+    pts = quadr.triangle_points(REF.T[..., None], bary)[0]
     # weights are normalized to the unit measure; area of REF is 1/2
     return 0.5 * float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
 
@@ -69,7 +69,7 @@ def test_subdivided_rule_converges_on_kinked_integrand():
 
     def quad_err(depth: int) -> float:
         bary, w = quadr.subdivided_rule(depth)
-        pts = quadr.triangle_points(tri[None], bary)[0]
+        pts = quadr.triangle_points(tri.T[..., None], bary)[0]
         val = 0.5 * float(w @ np.abs(pts.sum(axis=1) - c))
         # with s = x+y the level-set measure is s ds and c^2 = 1/2, so the
         # integral int_0^1 |s - c| s ds collapses to (1 - c) / 3
@@ -84,7 +84,7 @@ def test_triangle_points_affine_map():
     tri = np.array([[[1.0, 1.0], [3.0, 1.0], [1.0, 5.0]]])
     bary = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                      [1 / 3, 1 / 3, 1 / 3]])
-    pts = quadr.triangle_points(tri, bary)
+    pts = quadr.triangle_points(tri.transpose(2, 1, 0), bary)
     np.testing.assert_allclose(pts[0, :3], tri[0], atol=1e-14)
     np.testing.assert_allclose(pts[0, 3], tri[0].mean(axis=0), atol=1e-14)
     # the same bits as the plain barycentric sum, whatever the batch
@@ -93,9 +93,13 @@ def test_triangle_points_affine_map():
         bary, _ = quadr.subdivided_rule(depth)
         for m in (1, 2, 9):
             cells = rng.uniform(-3.0, 3.0, size=(m, 3, 2))
+            xy, out = cells.transpose(2, 1, 0), np.empty((m, len(bary), 2))
             np.testing.assert_array_equal(
-                quadr.triangle_points(cells, bary),
+                quadr.triangle_points(xy, bary),
                 np.einsum("qc,mcx->mqx", bary, cells))
+            # given `out`, it writes the same bits there and returns it
+            assert quadr.triangle_points(xy, bary, out) is out
+            np.testing.assert_array_equal(out, quadr.triangle_points(xy, bary))
 
 
 def test_gauss_line_rules():
